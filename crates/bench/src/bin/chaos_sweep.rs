@@ -18,8 +18,7 @@
 //! reported but never fail the gate — an exhausted search is an unproven
 //! key, not a violation); and the base R=W=1 chaos runs' violation
 //! windows are aggregated across the sweep, asserted nonzero (the checker
-//! must have teeth under partial quorums), summarized as p50/p90, and
-//! exported as bench metrics for `bench_guard`.
+//! must have teeth under partial quorums) and summarized as p50/p90.
 //!
 //! The strict runs are deliberately *not* run under the storm: a write
 //! that times out or loses its coordinator mid-flight is applied on some
@@ -31,11 +30,11 @@
 
 use pbs_bench::cli;
 use pbs_dist::Pareto;
-use pbs_kvs::checker::{check_run, CheckReport, OpHistory, OrderViolation};
+use pbs_kvs::checker::{CheckReport, OpHistory, OrderViolation};
 use pbs_kvs::cluster::EngineKind;
 use pbs_kvs::{
-    run_open_loop_on, ClientOptions, ClusterOptions, FaultProfile, FaultSchedule, NetworkModel,
-    OpenLoopOptions,
+    ClientOptions, ClusterOptions, FaultProfile, FaultSchedule, NetworkModel, OpenLoopOptions,
+    OpenLoopRun,
 };
 use pbs_core::ReplicaConfig;
 use pbs_sim::SimTime;
@@ -77,20 +76,18 @@ fn crash_plan(seed: u64) -> (usize, f64, f64) {
 /// 300 ms and clears at 900 ms and the crash comes from [`crash_plan`];
 /// with it off (the strict-quorum WGL gate) the workload runs unfaulted.
 fn run(kind: EngineKind, cfg: ReplicaConfig, seed: u64, faults: bool) -> (OpHistory, CheckReport) {
-    let engine = OpenLoopOptions::new(1_200.0, 300.0, 1_500.0);
     let (node, at, down) = crash_plan(seed);
-    let mut history = OpHistory::new();
-    let mut check = CheckReport::default();
-    run_open_loop_on(
-        kind,
+    let (_, check, history) = OpenLoopRun::new(
         opts(cfg, seed),
-        &pareto_net(),
-        &engine,
+        pareto_net(),
+        OpenLoopOptions::new(1_200.0, 300.0, 1_500.0),
         6,
         ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
+    )
+    .on(kind)
+    .run_checked(
         |_| source(),
         |cluster| {
-            cluster.enable_history();
             if faults {
                 cluster
                     .network()
@@ -103,10 +100,7 @@ fn run(kind: EngineKind, cfg: ReplicaConfig, seed: u64, faults: bool) -> (OpHist
                 cluster.crash_node_at(node, SimTime::from_ms(at), down);
             }
         },
-        |cluster| {
-            history = cluster.take_history();
-            check = check_run(&history, cluster, false);
-        },
+        false,
     )
     .expect("positive-minimum model partitions cleanly");
     (history, check)
@@ -314,9 +308,6 @@ fn main() {
             "partial-quorum WGL windows: {} total, p50 {p50:.2}ms, p90 {p90:.2}ms",
             windows_ns.len()
         );
-        criterion::record_metric("chaos_lin_windows", windows_ns.len() as f64);
-        criterion::record_metric("chaos_lin_window_p50_ms", p50);
-        criterion::record_metric("chaos_lin_window_p90_ms", p90);
     }
     if failures > 0 {
         eprintln!("{failures} seed(s) FAILED — artifacts in {}", out.display());

@@ -7,9 +7,7 @@
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Exponential;
-use pbs_kvs::{
-    run_open_loop, ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions,
-};
+use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
 
@@ -25,17 +23,18 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
     // false-positive regime: one write every 6 ms, each probed by a read
     // 3 ms later.
     let pairs = ops / 2;
-    let engine = OpenLoopOptions::new(pairs as f64 * 6.0, 1_000.0, opts.op_timeout_ms);
-    let rep = run_open_loop(
+    let rep = OpenLoopRun::new(
         opts,
-        &network,
-        &engine,
+        network,
+        OpenLoopOptions::new(pairs as f64 * 6.0, 1_000.0, opts.op_timeout_ms),
         1,
         ClientOptions {
             op_timeout_ms: opts.op_timeout_ms,
             probe_read_offset_ms: Some(3.0),
             ..ClientOptions::default()
         },
+    )
+    .run(
         |_| -> Box<dyn OpSource> {
             Box::new(OpStream::new(
                 FixedRate::new(6.0),
@@ -45,7 +44,9 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
             ))
         },
         |_| {},
-    );
+        |_| {},
+    )
+    .expect("the serial engine accepts every latency model");
     let d = rep.detector;
     vec![
         format!("N={n}, R={r}, W={w}, E[W]={write_mean_ms}ms"),

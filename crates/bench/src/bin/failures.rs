@@ -7,9 +7,7 @@
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Exponential;
-use pbs_kvs::{
-    run_open_loop_with, ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions,
-};
+use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs_sim::SimTime;
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::cell::Cell;
@@ -46,19 +44,20 @@ fn scenario(
     // old pre-built trace, generated lazily.
     let pairs = ops / 2;
     let duration_ms = pairs as f64 * 10.0;
-    let engine = OpenLoopOptions::new(duration_ms, 1_000.0, opts.op_timeout_ms);
     let hints = Cell::new(0u64);
     let syncs = Cell::new(0u64);
-    let rep = run_open_loop_with(
+    let rep = OpenLoopRun::new(
         opts,
-        &net(),
-        &engine,
+        net(),
+        OpenLoopOptions::new(duration_ms, 1_000.0, opts.op_timeout_ms),
         1,
         ClientOptions {
             op_timeout_ms: opts.op_timeout_ms,
             probe_read_offset_ms: Some(5.0),
             ..ClientOptions::default()
         },
+    )
+    .run(
         |_| -> Box<dyn OpSource> {
             Box::new(OpStream::new(
                 FixedRate::new(10.0),
@@ -77,7 +76,8 @@ fn scenario(
             hints.set((0..3).map(|i| cluster.node(i).hints_delivered).sum());
             syncs.set((0..3).map(|i| cluster.node(i).sync_rounds).sum());
         },
-    );
+    )
+    .expect("the serial engine accepts every latency model");
 
     vec![
         name.to_string(),

@@ -28,8 +28,7 @@ use pbs_core::ReplicaConfig;
 use pbs_dist::DynDistribution;
 use pbs_dist::Exponential;
 use pbs_kvs::{
-    run_open_loop_sharded, ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions,
-    OpenLoopReport,
+    ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopReport, OpenLoopRun,
 };
 use pbs_predictor::Predictor;
 use pbs_wars::IidModel;
@@ -50,29 +49,17 @@ fn dists() -> (DynDistribution, DynDistribution) {
     )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// One sweep point: `trials` replica runs of `run` at `rate_per_sec`
+/// offered load, split evenly over its clients.
 fn run_point(
-    cfg: ReplicaConfig,
+    run: &OpenLoopRun,
     rate_per_sec: f64,
-    clients: usize,
     keys: u64,
-    duration_ms: f64,
     trials: usize,
-    seed: u64,
     threads: usize,
 ) -> OpenLoopReport {
-    let mut opts = ClusterOptions::validation(cfg, seed);
-    opts.op_timeout_ms = 2_000.0;
-    let (w, ars) = dists();
-    let network = NetworkModel::w_ars(w, ars);
-    let engine = OpenLoopOptions::new(duration_ms, 500.0, opts.op_timeout_ms);
-    let per_client = rate_per_sec / clients as f64;
-    run_open_loop_sharded(
-        opts,
-        &network,
-        &engine,
-        clients,
-        ClientOptions { op_timeout_ms: opts.op_timeout_ms, ..ClientOptions::default() },
+    let per_client = rate_per_sec / run.clients as f64;
+    run.run_sharded(
         trials,
         threads,
         move |_client, _run_seed| -> Box<dyn OpSource> {
@@ -85,6 +72,7 @@ fn run_point(
         },
         |_| {},
     )
+    .expect("the serial engine accepts every latency model")
 }
 
 fn main() {
@@ -123,13 +111,22 @@ fn main() {
     for &(n, r, w) in &configs {
         let cfg = ReplicaConfig::new(n, r, w).unwrap();
         let (wd, ars) = dists();
+        let mut opts = ClusterOptions::validation(cfg, seed);
+        opts.op_timeout_ms = 2_000.0;
+        let run = OpenLoopRun::new(
+            opts,
+            NetworkModel::w_ars(wd.clone(), ars.clone()),
+            OpenLoopOptions::new(duration_ms, 500.0, opts.op_timeout_ms),
+            clients,
+            ClientOptions { op_timeout_ms: opts.op_timeout_ms, ..ClientOptions::default() },
+        );
         let model = IidModel::w_ars(cfg, format!("sweep N={n} R={r} W={w}"), wd, ars);
         let predictor = Predictor::from_model_threads(&model, pred_trials, seed, threads);
 
         report::header(&format!("N={n}, R={r}, W={w}"));
         let mut rows = Vec::new();
         for &rate in rates {
-            let rep = run_point(cfg, rate, clients, keys, duration_ms, trials, seed, threads);
+            let rep = run_point(&run, rate, keys, trials, threads);
             peak_heap = peak_heap.max(rep.peak_pending_events);
             let measured = rep.consistency_rate();
             // Predict from the *measured* committed-write rate per key —
@@ -170,10 +167,7 @@ fn main() {
     println!(
         "Memory note: peak event-heap across every run was {peak_heap} entries — bounded by"
     );
-    println!(
-        "clients + in-flight ops, not workload length (the old run_trace path pre-injected"
-    );
-    println!("the entire trace).");
+    println!("clients + in-flight ops, not workload length.");
     println!();
     println!("Expected shape: at low offered rates measured ≈ predicted (within ±0.05 on");
     println!("stationary segments); as the rate approaches fresh-read capacity, reads race");

@@ -1,8 +1,7 @@
 //! # pbs-bench — harnesses regenerating every table and figure of the paper
 //!
-//! Each binary regenerates one artifact from the evaluation (see
-//! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for recorded
-//! results):
+//! Each binary regenerates one artifact from the evaluation (the paper-side
+//! index, with commands and expected headlines, is `docs/paper-map.md`):
 //!
 //! | Binary | Paper artifact |
 //! |--------|----------------|
@@ -23,11 +22,12 @@
 //! | `read_delay` | §5.3 ablation: delaying reads vs. raising R |
 //! | `scenarios` | §6 closed loop: chaos timelines + adaptive reconfiguration (`pbs-scenario`) |
 //! | `throughput` | open-loop arrival-rate × (N,R,W) sweep: ops/sec, latency quantiles, consistency vs. load |
-//! | `profile` | hot-path profiler: events/sec, allocs/op (`--features alloc-profile`), scheduler occupancy (see `docs/performance.md`) |
-//! | `bench_guard` | CI bench-regression gate over `BENCH_*.json` summaries |
+//! | `chaos_sweep` | CI seed-sweep chaos gate: scheduled storms + crashes, serial ≡ parallel, full checker audit (`--lin` adds the WGL gate) |
 //!
-//! Run all of them with `scripts/run_all.sh` or individually:
-//! `cargo run -p pbs-bench --release --bin fig6`. Every binary accepts
+//! Performance is measured elsewhere: the `benchmark/` package (see
+//! `docs/performance.md`).
+//!
+//! Run one with `cargo run -p pbs-bench --release --bin fig6`. Every binary accepts
 //! `--quick` (reduced trial counts for smoke runs), `--trials N`,
 //! `--seed N`, and `--threads N` (shards for the deterministic `pbs-mc`
 //! runner; output is bit-reproducible for a fixed `(seed, threads)`

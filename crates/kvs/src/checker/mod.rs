@@ -24,7 +24,7 @@
 //! O(operations) memory, deliberately trading the engine's O(in-flight)
 //! discipline for auditability. Enable it with
 //! [`Cluster::enable_history`](crate::Cluster::enable_history) (done for
-//! you by [`run_open_loop_checked`](crate::run_open_loop_checked) and the
+//! you by [`OpenLoopRun::run_checked`](crate::OpenLoopRun::run_checked) and the
 //! `scenarios --chaos` bench mode).
 //!
 //! The [`lin`] submodule adds the top of the checker hierarchy: a

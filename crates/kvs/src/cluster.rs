@@ -1063,8 +1063,7 @@ impl Cluster {
 
     /// Touched `(client, key)` session-state entries across all client
     /// tables — the component of client memory that scales with the key
-    /// universe rather than the client count (memory observability for the
-    /// `profile` harness).
+    /// universe rather than the client count.
     pub fn session_entries_total(&self) -> usize {
         self.table_ids().map(|id| self.table(id).session_entries()).sum()
     }
@@ -1081,9 +1080,8 @@ impl Cluster {
         self.engine.events_processed()
     }
 
-    /// Scheduler counters (peak queue depth, cascades, slot occupancy) —
-    /// surfaced for the `profile` harness. On a parallel cluster these
-    /// are summed across the worker wheels.
+    /// Scheduler counters (peak queue depth, cascades, slot occupancy). On
+    /// a parallel cluster these are summed across the worker wheels.
     pub fn scheduler_stats(&self) -> pbs_sim::SchedulerStats {
         self.engine.scheduler_stats()
     }

@@ -45,7 +45,7 @@
 //! * **Open loop** — in-sim clients (one [`client::ClientTable`] per PDES
 //!   worker) generate arrivals lazily from streaming `pbs-workload`
 //!   sources and keep thousands of operations in flight;
-//!   [`openloop::run_open_loop`] drives them window by window with online
+//!   [`OpenLoopRun`] drives them window by window with online
 //!   (watermark-based) staleness labelling and O(clients + in-flight)
 //!   memory — about a cache line per client, so a single process sustains
 //!   millions of them. See [`openloop`].
@@ -84,11 +84,7 @@ pub use cluster::{
 };
 pub use network::{LinkFault, NetworkModel};
 pub use node::DownTracker;
-pub use openloop::{
-    run_open_loop, run_open_loop_checked, run_open_loop_checked_on, run_open_loop_on,
-    run_open_loop_parallel, run_open_loop_sharded, run_open_loop_with, OpenLoopOptions,
-    OpenLoopReport, OpenWindow,
-};
+pub use openloop::{OpenLoopOptions, OpenLoopReport, OpenLoopRun, OpenWindow};
 pub use partition::PartitionPlan;
 pub use ring::Ring;
-pub use version::{CausalOrder, VectorClock, Version};
+pub use version::Version;

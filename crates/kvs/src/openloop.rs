@@ -1,22 +1,19 @@
 //! The open-loop concurrency engine: drive a cluster of in-sim client
 //! actors window by window and aggregate a streaming report.
 //!
-//! This replaces the old buffering `run_trace` path. Where `run_trace`
-//! pre-injected the whole trace into the event heap (O(trace) memory) and
-//! labelled reads only after a final settle, the open-loop engine:
+//! * arrivals are generated lazily inside the simulation (the event queue
+//!   stays O(clients + in-flight), not O(workload));
+//! * reads are labelled **online** as the
+//!   [`GroundTruth`](crate::staleness::GroundTruth) commit watermark
+//!   passes each window boundary;
+//! * completed operations stream out through bounded per-client buffers
+//!   and fold into O(1)-memory `pbs-mc` summaries.
 //!
-//! * generates arrivals lazily inside the simulation (heap stays
-//!   O(clients + in-flight));
-//! * labels reads **online** as the [`GroundTruth`](crate::staleness::GroundTruth)
-//!   commit watermark passes each window boundary;
-//! * streams completed operations out through bounded per-client buffers,
-//!   folding them into O(1)-memory `pbs-mc` summaries.
-//!
-//! Whole-workload replication shards over the deterministic `pbs-mc`
-//! runner ([`run_open_loop_sharded`]) and stays bit-reproducible per
-//! `(seed, threads)`.
+//! One value, [`OpenLoopRun`], describes a run; its methods execute it
+//! plain, audited by the offline [`checker`], or replicated over the
+//! deterministic `pbs-mc` runner (bit-reproducible per `(seed, threads)`).
 
-use crate::checker::{self, CheckReport};
+use crate::checker::{self, CheckReport, OpHistory};
 use crate::client::ClientOptions;
 use crate::cluster::{Cluster, ClusterOptions, DetectorStats, EngineKind, WindowDrain, WindowOp};
 use crate::network::NetworkModel;
@@ -24,7 +21,7 @@ use pbs_mc::{Mergeable, Runner, Summary};
 use pbs_sim::{PdesError, SimTime};
 use pbs_workload::OpSource;
 
-/// Engine-level knobs (per-client knobs live in [`ClientOptions`]).
+/// Run timing (per-client knobs live in [`ClientOptions`]).
 #[derive(Debug, Clone, Copy)]
 pub struct OpenLoopOptions {
     /// Workload length: clients generate arrivals in `[0, duration_ms)`.
@@ -37,7 +34,7 @@ pub struct OpenLoopOptions {
 }
 
 impl OpenLoopOptions {
-    /// `duration / window`, with a settle of one client op timeout.
+    /// Validated options: positive duration and window, non-negative settle.
     pub fn new(duration_ms: f64, window_ms: f64, settle_ms: f64) -> Self {
         assert!(duration_ms > 0.0 && window_ms > 0.0 && settle_ms >= 0.0);
         Self { duration_ms, window_ms, settle_ms }
@@ -184,256 +181,202 @@ impl Mergeable for OpenLoopReport {
     }
 }
 
-/// Run one open-loop workload: `clients` client actors pulling from
-/// `make_source(client_index)`, drained every window. `prepare` runs once
-/// on the freshly built cluster before load starts (schedule crashes,
-/// partitions, etc.); pass `|_| {}` when unused.
-pub fn run_open_loop<F, P>(
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    make_source: F,
-    prepare: P,
-) -> OpenLoopReport
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-{
-    run_open_loop_with(opts, network, engine, clients, copts, make_source, prepare, |_| {})
+/// One open-loop run, described as a value: which engine, which cluster,
+/// which network, how long, how many clients. Every way of executing it
+/// ([`run`](Self::run), [`run_checked`](Self::run_checked),
+/// [`run_sharded`](Self::run_sharded)) is a method sharing one driver.
+#[derive(Debug, Clone)]
+pub struct OpenLoopRun {
+    /// Event engine. [`EngineKind::Parallel`] partitions nodes and clients
+    /// across worker threads (see [`crate::partition`]), bit-reproducibly
+    /// per `(seed, workers)`; running it over the same workload as
+    /// [`EngineKind::SerialPartitioned`] with equal `workers` must yield
+    /// identical histories and reports.
+    pub kind: EngineKind,
+    /// Cluster shape, replication and seed.
+    pub opts: ClusterOptions,
+    /// Latency/fault model; each run forks its own copy.
+    pub network: NetworkModel,
+    /// Duration, window cadence and settle.
+    pub timing: OpenLoopOptions,
+    /// Client actors (≥ 1).
+    pub clients: usize,
+    /// Per-client knobs, shared by every client.
+    pub copts: ClientOptions,
 }
 
-/// [`run_open_loop`] with the offline [`checker`] as a
-/// post-pass: the cluster records its full op history, and after the
-/// final drain the history is replayed against the streaming session
-/// counters and the online staleness labels. With `check_convergence`,
-/// live replicas are also audited for post-quiescence agreement — only
-/// ask for that when `prepare` leaves no fault active past the settle.
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_checked<F, P>(
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    make_source: F,
-    prepare: P,
-    check_convergence: bool,
-) -> (OpenLoopReport, CheckReport)
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-{
-    run_open_loop_checked_on(
-        EngineKind::Serial,
-        opts,
-        network,
-        engine,
-        clients,
-        copts,
-        make_source,
-        prepare,
-        check_convergence,
-    )
-    .expect("the serial engine has no rejectable configuration")
-}
-
-/// [`run_open_loop_checked`] on an explicit [`EngineKind`] — the entry
-/// point of the serial-vs-parallel equivalence harness: run the same
-/// workload on [`EngineKind::Parallel`] and on
-/// [`EngineKind::SerialPartitioned`] with the same `workers`, and the two
-/// recorded histories (and reports) must be identical.
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_checked_on<F, P>(
-    kind: EngineKind,
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    make_source: F,
-    prepare: P,
-    check_convergence: bool,
-) -> Result<(OpenLoopReport, CheckReport), PdesError>
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-{
-    let mut check = CheckReport::default();
-    let report = run_open_loop_on(
-        kind,
-        opts,
-        network,
-        engine,
-        clients,
-        copts,
-        make_source,
-        |cluster| {
-            cluster.enable_history();
-            prepare(cluster);
-        },
-        |cluster| {
-            let history = cluster.take_history();
-            check = checker::check_run(&history, cluster, check_convergence);
-        },
-    )?;
-    Ok((report, check))
-}
-
-/// [`run_open_loop`] on the conservative parallel engine: the cluster's
-/// nodes and clients are partitioned across `workers` threads (see
-/// [`crate::partition`]), synchronized by lookahead windows derived from
-/// the network model's minimum cross-partition delay. Bit-reproducible
-/// per `(seed, workers)`; returns [`PdesError::DegenerateLookahead`] when
-/// the latency model's support minimum is zero (e.g. exponential legs).
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_parallel<F, P>(
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    workers: usize,
-    make_source: F,
-    prepare: P,
-) -> Result<OpenLoopReport, PdesError>
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-{
-    run_open_loop_on(
-        EngineKind::Parallel { workers },
-        opts,
-        network,
-        engine,
-        clients,
-        copts,
-        make_source,
-        prepare,
-        |_| {},
-    )
-}
-
-/// [`run_open_loop`] with a `finish` hook that runs on the settled
-/// cluster after the final drain — for harnesses that report node-level
-/// stats (hints delivered, sync rounds, stored versions) alongside the
-/// engine report.
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_with<F, P, Q>(
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    make_source: F,
-    prepare: P,
-    finish: Q,
-) -> OpenLoopReport
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-    Q: FnOnce(&mut Cluster),
-{
-    run_open_loop_on(
-        EngineKind::Serial,
-        opts,
-        network,
-        engine,
-        clients,
-        copts,
-        make_source,
-        prepare,
-        finish,
-    )
-    .expect("the serial engine has no rejectable configuration")
-}
-
-/// The engine-generic open-loop driver every entry point above lands on:
-/// build a cluster on `kind`, run the windowed drain loop, fold the
-/// report. The driver itself is engine-agnostic — drains happen at
-/// `run_until` boundaries, which on the parallel engine are global
-/// barriers, so the labelling, history, and detector plumbing is shared
-/// verbatim between the serial and parallel paths.
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_on<F, P, Q>(
-    kind: EngineKind,
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    make_source: F,
-    prepare: P,
-    finish: Q,
-) -> Result<OpenLoopReport, PdesError>
-where
-    F: Fn(u32) -> Box<dyn OpSource>,
-    P: FnOnce(&mut Cluster),
-    Q: FnOnce(&mut Cluster),
-{
-    assert!(clients >= 1);
-    let mut cluster = Cluster::with_engine(opts, network.clone(), kind)?;
-    prepare(&mut cluster);
-    for i in 0..clients {
-        cluster.add_client(make_source(i as u32), copts);
+impl OpenLoopRun {
+    /// A run on the serial engine.
+    pub fn new(
+        opts: ClusterOptions,
+        network: NetworkModel,
+        timing: OpenLoopOptions,
+        clients: usize,
+        copts: ClientOptions,
+    ) -> Self {
+        Self { kind: EngineKind::Serial, opts, network, timing, clients, copts }
     }
-    cluster.start_clients();
 
-    let mut report = OpenLoopReport {
-        windows: (0..engine.window_count())
-            .map(|i| OpenWindow { start_ms: i as f64 * engine.window_ms, ..OpenWindow::default() })
-            .collect(),
-        sim_ms: engine.duration_ms,
-        runs: 1,
-        ..OpenLoopReport::default()
-    };
-    let last_window = report.windows.len() - 1;
+    /// The same run on another engine.
+    pub fn on(self, kind: EngineKind) -> Self {
+        Self { kind, ..self }
+    }
 
-    let mut next = engine.window_ms;
-    let mut stopped = false;
-    // One drain buffer for the whole run: window plumbing reuses its
-    // capacity instead of allocating per window.
-    let mut drain = WindowDrain::default();
-    loop {
-        let until = next.min(engine.duration_ms + engine.settle_ms);
-        if until >= engine.duration_ms && !stopped {
-            // Stop arrivals exactly at the workload end, then settle.
+    /// Execute the run: client `i` pulls from `make_source(i)`, completed
+    /// operations are drained and folded every window. `prepare` runs once
+    /// on the freshly built cluster before load starts (schedule crashes,
+    /// partitions, …); `finish` runs on the settled cluster after the
+    /// final drain (node-level stats, history). Pass `|_| {}` for either
+    /// when unused.
+    ///
+    /// The driver is engine-agnostic — drains happen at `run_until`
+    /// boundaries, which on the parallel engine are global barriers, so
+    /// labelling, history and detector plumbing are shared verbatim.
+    /// Only [`EngineKind::Parallel`] can fail: a latency model whose
+    /// support minimum is zero (e.g. exponential legs) is
+    /// [`PdesError::DegenerateLookahead`].
+    pub fn run<F, P, Q>(
+        &self,
+        make_source: F,
+        prepare: P,
+        finish: Q,
+    ) -> Result<OpenLoopReport, PdesError>
+    where
+        F: Fn(u32) -> Box<dyn OpSource>,
+        P: FnOnce(&mut Cluster),
+        Q: FnOnce(&mut Cluster),
+    {
+        assert!(self.clients >= 1);
+        let timing = &self.timing;
+        let mut cluster = Cluster::with_engine(self.opts, self.network.clone(), self.kind)?;
+        prepare(&mut cluster);
+        for i in 0..self.clients {
+            cluster.add_client(make_source(i as u32), self.copts);
+        }
+        cluster.start_clients();
+
+        let mut report = OpenLoopReport {
+            windows: (0..timing.window_count())
+                .map(|i| OpenWindow {
+                    start_ms: i as f64 * timing.window_ms,
+                    ..OpenWindow::default()
+                })
+                .collect(),
+            sim_ms: timing.duration_ms,
+            runs: 1,
+            ..OpenLoopReport::default()
+        };
+        let last_window = report.windows.len() - 1;
+
+        let mut next = timing.window_ms;
+        let mut stopped = false;
+        // One drain buffer for the whole run: window plumbing reuses its
+        // capacity instead of allocating per window.
+        let mut drain = WindowDrain::default();
+        loop {
+            let until = next.min(timing.duration_ms + timing.settle_ms);
+            if until >= timing.duration_ms && !stopped {
+                // Stop arrivals exactly at the workload end, then settle.
+                cluster.drain_and_fold(
+                    SimTime::from_ms(timing.duration_ms),
+                    &mut report,
+                    timing.window_ms,
+                    last_window,
+                    &mut drain,
+                );
+                cluster.stop_clients();
+                stopped = true;
+            }
             cluster.drain_and_fold(
-                SimTime::from_ms(engine.duration_ms),
+                SimTime::from_ms(until),
                 &mut report,
-                engine.window_ms,
+                timing.window_ms,
                 last_window,
                 &mut drain,
             );
-            cluster.stop_clients();
-            stopped = true;
+            if until >= timing.duration_ms + timing.settle_ms {
+                break;
+            }
+            next += timing.window_ms;
         }
-        cluster.drain_and_fold(
-            SimTime::from_ms(until),
-            &mut report,
-            engine.window_ms,
-            last_window,
-            &mut drain,
-        );
-        if until >= engine.duration_ms + engine.settle_ms {
-            break;
-        }
-        next += engine.window_ms;
+
+        let stats = cluster.client_stats();
+        report.issued = stats.issued;
+        report.shed = stats.shed;
+        report.monotonic_violations = stats.monotonic_violations;
+        report.ryw_violations = stats.ryw_violations;
+        report.peak_in_flight = stats.peak_in_flight;
+        report.detector = cluster.detector_stats();
+        assert_eq!(stats.dropped_results, 0, "driver drained too rarely for the result buffers");
+        report.write_latency.seal();
+        report.read_latency.seal();
+        finish(&mut cluster);
+        Ok(report)
     }
 
-    let stats = cluster.client_stats();
-    report.issued = stats.issued;
-    report.shed = stats.shed;
-    report.monotonic_violations = stats.monotonic_violations;
-    report.ryw_violations = stats.ryw_violations;
-    report.peak_in_flight = stats.peak_in_flight;
-    report.detector = cluster.detector_stats();
-    assert_eq!(stats.dropped_results, 0, "driver drained too rarely for the result buffers");
-    report.write_latency.seal();
-    report.read_latency.seal();
-    finish(&mut cluster);
-    Ok(report)
+    /// [`run`](Self::run) with the offline [`checker`] as a post-pass:
+    /// the cluster records its full op history, and after the final drain
+    /// the history is replayed against the streaming session counters and
+    /// the online staleness labels. Returns the report, the verdict and
+    /// the history the verdict was reached on. With `check_convergence`,
+    /// live replicas are also audited for post-quiescence agreement —
+    /// only ask for that when `prepare` leaves no fault active past the
+    /// settle.
+    pub fn run_checked<F, P>(
+        &self,
+        make_source: F,
+        prepare: P,
+        check_convergence: bool,
+    ) -> Result<(OpenLoopReport, CheckReport, OpHistory), PdesError>
+    where
+        F: Fn(u32) -> Box<dyn OpSource>,
+        P: FnOnce(&mut Cluster),
+    {
+        let mut history = OpHistory::new();
+        let mut check = CheckReport::default();
+        let report = self.run(
+            make_source,
+            |cluster| {
+                cluster.enable_history();
+                prepare(cluster);
+            },
+            |cluster| {
+                history = cluster.take_history();
+                check = checker::check_run(&history, cluster, check_convergence);
+            },
+        )?;
+        Ok((report, check, history))
+    }
+
+    /// Replicate the run across `trials` independent runs sharded over
+    /// `threads` on the deterministic `pbs-mc` runner: shard `i` seeds
+    /// `opts.seed ^ i`, run `j` of a shard derives `shard_seed ^ (j · φ64)`
+    /// (handed to `make_source` as its second argument), and reports merge
+    /// in shard order — bit-reproducible for a fixed `(seed, threads)`
+    /// pair.
+    pub fn run_sharded<F, P>(
+        &self,
+        trials: usize,
+        threads: usize,
+        make_source: F,
+        prepare: P,
+    ) -> Result<OpenLoopReport, PdesError>
+    where
+        F: Fn(u32, u64) -> Box<dyn OpSource> + Sync,
+        P: Fn(&mut Cluster) + Sync,
+    {
+        assert!(trials > 0 && threads > 0);
+        Runner::new(trials, self.opts.seed, threads).run(|_rng, info| {
+            let mut acc = OpenLoopReport::default();
+            let mut one = self.clone();
+            for j in 0..info.trials {
+                let run_seed = info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                one.opts.seed = run_seed;
+                acc.merge(one.run(|client| make_source(client, run_seed), &prepare, |_| {})?);
+            }
+            Ok(acc)
+        })
+    }
 }
 
 impl Cluster {
@@ -493,48 +436,6 @@ impl Cluster {
     }
 }
 
-/// Replicate an open-loop workload across `trials` independent runs
-/// sharded over `threads` on the deterministic `pbs-mc` runner: shard `i`
-/// seeds `seed ^ i`, run `j` of a shard derives `shard_seed ^ (j · φ64)`,
-/// and reports merge in shard order — bit-reproducible for a fixed
-/// `(seed, threads)` pair.
-#[allow(clippy::too_many_arguments)] // a deliberate flat harness entry point
-pub fn run_open_loop_sharded<F, P>(
-    opts: ClusterOptions,
-    network: &NetworkModel,
-    engine: &OpenLoopOptions,
-    clients: usize,
-    copts: ClientOptions,
-    trials: usize,
-    threads: usize,
-    make_source: F,
-    prepare: P,
-) -> OpenLoopReport
-where
-    F: Fn(u32, u64) -> Box<dyn OpSource> + Sync,
-    P: Fn(&mut Cluster) + Sync,
-{
-    assert!(trials > 0 && threads > 0);
-    Runner::new(trials, opts.seed, threads).run(|_rng, info| {
-        let mut acc = OpenLoopReport::default();
-        for j in 0..info.trials {
-            let run_seed = info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            let mut run_opts = opts;
-            run_opts.seed = run_seed;
-            acc.merge(run_open_loop(
-                run_opts,
-                network,
-                engine,
-                clients,
-                copts,
-                |client| make_source(client, run_seed),
-                &prepare,
-            ));
-        }
-        acc
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -567,16 +468,15 @@ mod tests {
 
     #[test]
     fn open_loop_reports_consistency_and_detector() {
-        let engine = OpenLoopOptions::new(3_000.0, 500.0, 2_000.0);
-        let report = run_open_loop(
+        let report = OpenLoopRun::new(
             small_opts(9),
-            &exp_net(0.05, 1.0),
-            &engine,
+            exp_net(0.05, 1.0),
+            OpenLoopOptions::new(3_000.0, 500.0, 2_000.0),
             4,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-            |_| source(50.0, 4, 2.0 / 3.0),
-            |_| {},
-        );
+        )
+        .run(|_| source(50.0, 4, 2.0 / 3.0), |_| {}, |_| {})
+        .unwrap();
         assert_eq!(report.runs, 1);
         assert!(report.issued > 400, "~600 ops expected, got {}", report.issued);
         assert_eq!(report.failed_writes, 0);
@@ -598,19 +498,16 @@ mod tests {
 
     #[test]
     fn sharded_open_loop_is_bit_reproducible() {
-        let engine = OpenLoopOptions::new(1_000.0, 250.0, 1_000.0);
         let run = || {
-            run_open_loop_sharded(
+            OpenLoopRun::new(
                 small_opts(11),
-                &exp_net(0.1, 0.5),
-                &engine,
+                exp_net(0.1, 0.5),
+                OpenLoopOptions::new(1_000.0, 250.0, 1_000.0),
                 2,
                 ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-                6,
-                3,
-                |_, run_seed| source(40.0 + (run_seed % 3) as f64, 4, 0.5),
-                |_| {},
             )
+            .run_sharded(6, 3, |_, run_seed| source(40.0 + (run_seed % 3) as f64, 4, 0.5), |_| {})
+            .unwrap()
         };
         let (a, b) = (run(), run());
         assert_eq!(a, b, "same (seed, threads) must be bit-identical");
@@ -655,17 +552,15 @@ mod tests {
         // The history checker must agree with the streaming machinery on
         // every count and find zero violations on a fault-free run — any
         // disagreement here is a checker (or engine) bug, not a fault.
-        let engine = OpenLoopOptions::new(2_000.0, 500.0, 2_000.0);
-        let (report, check) = run_open_loop_checked(
+        let (report, check, _) = OpenLoopRun::new(
             small_opts(17),
-            &exp_net(0.1, 0.5),
-            &engine,
+            exp_net(0.1, 0.5),
+            OpenLoopOptions::new(2_000.0, 500.0, 2_000.0),
             4,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-            |_| source(40.0, 4, 0.5),
-            |_| {},
-            false,
-        );
+        )
+        .run_checked(|_| source(40.0, 4, 0.5), |_| {}, false)
+        .unwrap();
         assert!(check.is_clean(), "fault-free run failed cross-checks: {check:?}");
         assert!(check.sessions.agrees());
         assert_eq!(check.labels.mismatches, 0);
@@ -683,16 +578,15 @@ mod tests {
     fn strict_quorums_stay_consistent_under_open_loop_load() {
         let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 2, 2).unwrap(), 13);
         opts.op_timeout_ms = 2_000.0;
-        let engine = OpenLoopOptions::new(2_000.0, 500.0, 2_000.0);
-        let report = run_open_loop(
+        let report = OpenLoopRun::new(
             opts,
-            &exp_net(0.1, 0.5),
-            &engine,
+            exp_net(0.1, 0.5),
+            OpenLoopOptions::new(2_000.0, 500.0, 2_000.0),
             8,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-            |_| source(25.0, 8, 0.6),
-            |_| {},
-        );
+        )
+        .run(|_| source(25.0, 8, 0.6), |_| {}, |_| {})
+        .unwrap();
         assert!(report.reads > 100);
         assert_eq!(report.consistency_rate(), 1.0, "R+W>N must never go stale");
         assert_eq!(report.monotonic_violations, 0);

@@ -1,4 +1,4 @@
-//! Version metadata: totally ordered versions plus vector clocks.
+//! Version metadata: totally ordered versions.
 //!
 //! The paper assumes a total order over versions (§2.1, footnote 2:
 //! globally synchronized clocks *or* a causal order with commutative
@@ -9,10 +9,7 @@
 //! paper's "insert increasing versions of a key" methodology (§5.2) and of
 //! Cassandra's last-writer-wins timestamps. A timestamp needs no shared
 //! allocator, so coordinators on different partitions of the parallel
-//! engine assign identical versions to identical schedules. [`VectorClock`]
-//! provides the causal alternative for applications embedding the store.
-
-use std::collections::BTreeMap;
+//! engine assign identical versions to identical schedules.
 
 /// A totally ordered version of a key: `(seq, writer)` with lexicographic
 /// order. `seq` is the write's start instant in nanoseconds + 1; `writer`
@@ -34,78 +31,6 @@ impl Version {
     }
 }
 
-/// Result of comparing two vector clocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CausalOrder {
-    /// `a` happened strictly before `b`.
-    Before,
-    /// `a` happened strictly after `b`.
-    After,
-    /// Identical clocks.
-    Equal,
-    /// Concurrent — neither dominates; Dynamo would keep both siblings.
-    Concurrent,
-}
-
-/// A classic vector clock keyed by node id.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct VectorClock {
-    counters: BTreeMap<u32, u64>,
-}
-
-impl VectorClock {
-    /// The empty (initial) clock.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record an event at `node`.
-    pub fn increment(&mut self, node: u32) {
-        *self.counters.entry(node).or_insert(0) += 1;
-    }
-
-    /// The counter for `node` (0 if absent).
-    pub fn get(&self, node: u32) -> u64 {
-        self.counters.get(&node).copied().unwrap_or(0)
-    }
-
-    /// Compare two clocks.
-    pub fn compare(&self, other: &VectorClock) -> CausalOrder {
-        let mut less = false;
-        let mut greater = false;
-        let keys = self.counters.keys().chain(other.counters.keys());
-        for &k in keys {
-            let a = self.get(k);
-            let b = other.get(k);
-            if a < b {
-                less = true;
-            }
-            if a > b {
-                greater = true;
-            }
-        }
-        match (less, greater) {
-            (false, false) => CausalOrder::Equal,
-            (true, false) => CausalOrder::Before,
-            (false, true) => CausalOrder::After,
-            (true, true) => CausalOrder::Concurrent,
-        }
-    }
-
-    /// Pointwise-maximum merge (the commutative merge of §2.1 footnote 2).
-    pub fn merge(&mut self, other: &VectorClock) {
-        for (&k, &v) in &other.counters {
-            let e = self.counters.entry(k).or_insert(0);
-            *e = (*e).max(v);
-        }
-    }
-
-    /// Whether this clock causally dominates or equals `other`.
-    pub fn dominates(&self, other: &VectorClock) -> bool {
-        matches!(self.compare(other), CausalOrder::After | CausalOrder::Equal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,61 +43,5 @@ mod tests {
         assert!(a < b);
         assert!(b < c, "writer breaks ties");
         assert_eq!(b.max(c), c);
-    }
-
-    #[test]
-    fn vector_clock_basic_order() {
-        let mut a = VectorClock::new();
-        a.increment(0);
-        let mut b = a.clone();
-        b.increment(1);
-        assert_eq!(a.compare(&b), CausalOrder::Before);
-        assert_eq!(b.compare(&a), CausalOrder::After);
-        assert_eq!(a.compare(&a), CausalOrder::Equal);
-        assert!(b.dominates(&a));
-    }
-
-    #[test]
-    fn vector_clock_concurrency() {
-        let mut a = VectorClock::new();
-        a.increment(0);
-        let mut b = VectorClock::new();
-        b.increment(1);
-        assert_eq!(a.compare(&b), CausalOrder::Concurrent);
-        assert!(!a.dominates(&b) && !b.dominates(&a));
-    }
-
-    #[test]
-    fn merge_is_pointwise_max_and_commutative() {
-        let mut a = VectorClock::new();
-        a.increment(0);
-        a.increment(0);
-        a.increment(1);
-        let mut b = VectorClock::new();
-        b.increment(1);
-        b.increment(1);
-        b.increment(2);
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.get(0), 2);
-        assert_eq!(ab.get(1), 2);
-        assert_eq!(ab.get(2), 1);
-        assert!(ab.dominates(&a) && ab.dominates(&b));
-    }
-
-    #[test]
-    fn merge_resolves_concurrency() {
-        let mut a = VectorClock::new();
-        a.increment(0);
-        let mut b = VectorClock::new();
-        b.increment(1);
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.compare(&a), CausalOrder::After);
-        assert_eq!(m.compare(&b), CausalOrder::After);
     }
 }

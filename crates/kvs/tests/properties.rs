@@ -1,32 +1,11 @@
 //! Property tests for the store's structural components: ring placement,
-//! ground-truth labelling, Merkle digests, and vector-clock causality.
+//! ground-truth labelling, and Merkle digests.
 
 use pbs_kvs::merkle;
 use pbs_kvs::staleness::GroundTruth;
-use pbs_kvs::{CausalOrder, Ring, VectorClock, Version};
+use pbs_kvs::{Ring, Version};
 use pbs_sim::SimTime;
 use proptest::prelude::*;
-
-/// Build a vector clock by replaying per-node increment counts in order.
-fn clock_of(ops: &[(u32, u32)]) -> VectorClock {
-    let mut clock = VectorClock::new();
-    for &(node, n) in ops {
-        for _ in 0..n {
-            clock.increment(node);
-        }
-    }
-    clock
-}
-
-/// Swap the direction of a causal verdict; `Equal`/`Concurrent` are
-/// symmetric and stay put.
-fn dual(order: CausalOrder) -> CausalOrder {
-    match order {
-        CausalOrder::Before => CausalOrder::After,
-        CausalOrder::After => CausalOrder::Before,
-        other => other,
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -252,62 +231,5 @@ proptest! {
             diff.iter().all(|b| touched.contains(b)),
             "diff {:?} must stay within the removed keys' buckets {:?}", diff, touched
         );
-    }
-
-    /// `compare` behaves like a partial order: reflexive equality, duality
-    /// under argument swap, and agreement with `dominates`.
-    #[test]
-    fn vector_clock_compare_is_a_partial_order(
-        a_ops in prop::collection::vec((0u32..6, 1u32..4), 0..16),
-        b_ops in prop::collection::vec((0u32..6, 1u32..4), 0..16),
-        node in 0u32..6,
-    ) {
-        let a = clock_of(&a_ops);
-        let b = clock_of(&b_ops);
-        prop_assert_eq!(a.compare(&a), CausalOrder::Equal);
-        prop_assert_eq!(a.compare(&b), dual(b.compare(&a)), "swap duality");
-        prop_assert_eq!(
-            a.dominates(&b),
-            matches!(a.compare(&b), CausalOrder::After | CausalOrder::Equal)
-        );
-        // An increment is a strict causal step: the bumped clock is After
-        // everything the old clock was at-or-after.
-        let mut bumped = a.clone();
-        bumped.increment(node);
-        prop_assert_eq!(bumped.compare(&a), CausalOrder::After);
-        prop_assert_eq!(a.compare(&bumped), CausalOrder::Before);
-    }
-
-    /// `merge` is the least upper bound: commutative, associative,
-    /// idempotent, pointwise max, and dominating both inputs — the laws
-    /// that make anti-entropy order-insensitive.
-    #[test]
-    fn vector_clock_merge_is_a_join(
-        a_ops in prop::collection::vec((0u32..6, 1u32..4), 0..16),
-        b_ops in prop::collection::vec((0u32..6, 1u32..4), 0..16),
-        c_ops in prop::collection::vec((0u32..6, 1u32..4), 0..16),
-    ) {
-        let a = clock_of(&a_ops);
-        let b = clock_of(&b_ops);
-        let c = clock_of(&c_ops);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(&ab, &ba, "commutative");
-        let mut ab_c = ab.clone();
-        ab_c.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        prop_assert_eq!(&ab_c, &a_bc, "associative");
-        let mut aa = a.clone();
-        aa.merge(&a);
-        prop_assert_eq!(&aa, &a, "idempotent");
-        prop_assert!(ab.dominates(&a) && ab.dominates(&b), "upper bound");
-        for node in 0..6 {
-            prop_assert_eq!(ab.get(node), a.get(node).max(b.get(node)), "pointwise max");
-        }
     }
 }

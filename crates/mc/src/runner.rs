@@ -41,6 +41,18 @@ impl<A: Mergeable, B: Mergeable> Mergeable for (A, B) {
     }
 }
 
+/// Fallible shards: accumulators merge while every shard succeeds, and the
+/// first failing shard's error is the result.
+impl<A: Mergeable, E> Mergeable for Result<A, E> {
+    fn merge(&mut self, other: Self) {
+        match (self.as_mut(), other) {
+            (Ok(a), Ok(b)) => a.merge(b),
+            (Ok(_), Err(e)) => *self = Err(e),
+            (Err(_), _) => {}
+        }
+    }
+}
+
 impl<A: Mergeable, B: Mergeable, C: Mergeable> Mergeable for (A, B, C) {
     fn merge(&mut self, other: Self) {
         self.0.merge(other.0);
@@ -243,6 +255,23 @@ mod tests {
         let r = Runner::new(2, 0, 5);
         let sizes: Vec<usize> = (0..5).map(|i| r.shard_trials(i)).collect();
         assert_eq!(sizes, vec![1, 1, 0, 0, 0]);
+    }
+
+    #[test]
+    fn fallible_shards_merge_until_the_first_error() {
+        let run = |fail_from: usize| {
+            Runner::new(8, 0, 4).run(|_rng, info| {
+                if info.index >= fail_from {
+                    Err(info.index)
+                } else {
+                    Ok(Sum(1.0, info.trials as u64))
+                }
+            })
+        };
+        let all_ok = run(4).expect("no shard failed");
+        assert_eq!((all_ok.0, all_ok.1), (4.0, 8));
+        assert_eq!(run(2).map(|s| s.1), Err(2), "first failing shard wins");
+        assert_eq!(run(0).map(|s| s.1), Err(0));
     }
 
     #[test]

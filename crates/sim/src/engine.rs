@@ -22,7 +22,7 @@
 //!
 //! [`queue`]: crate::queue
 
-use crate::queue::{EventQueue, SchedulerStats};
+use crate::queue::{EventQueue, SchedulerStats, WheelQueue};
 use crate::time::{SimDuration, SimTime};
 
 /// Bits reserved for the per-origin counter in a lane key. Actor `a`'s
@@ -139,17 +139,6 @@ impl<M, Q: EventQueue<(ActorId, Event<M>)>> ScheduleSink<M> for Q {
     }
 }
 
-/// The scheduler used by [`Simulation`] unless overridden: the timer
-/// wheel, or the reference binary heap when the `heap-scheduler` feature
-/// is enabled (for A/B benchmarking on identical workloads).
-#[cfg(not(feature = "heap-scheduler"))]
-pub type DefaultQueue<M> = crate::queue::WheelQueue<(ActorId, Event<M>)>;
-/// The scheduler used by [`Simulation`] unless overridden: the timer
-/// wheel, or the reference binary heap when the `heap-scheduler` feature
-/// is enabled (for A/B benchmarking on identical workloads).
-#[cfg(feature = "heap-scheduler")]
-pub type DefaultQueue<M> = crate::queue::HeapQueue<(ActorId, Event<M>)>;
-
 /// A deterministic discrete-event simulation over a homogeneous set of
 /// actors.
 ///
@@ -177,7 +166,7 @@ pub type DefaultQueue<M> = crate::queue::HeapQueue<(ActorId, Event<M>)>;
 /// assert_eq!(sim.actor(a).0, 8 + 4 + 2 + 1);
 /// assert_eq!(sim.now(), SimTime::from_ms(3.0));
 /// ```
-pub struct Simulation<A: Actor, Q = DefaultQueue<<A as Actor>::Msg>> {
+pub struct Simulation<A: Actor, Q = WheelQueue<(ActorId, Event<<A as Actor>::Msg>)>> {
     actors: Vec<A>,
     /// Per-actor lane counters, parallel to `actors`.
     lane_counters: Vec<u64>,
@@ -195,9 +184,9 @@ impl<A: Actor> Default for Simulation<A> {
 }
 
 impl<A: Actor> Simulation<A> {
-    /// Empty simulation at time zero, on the default scheduler.
+    /// Empty simulation at time zero, on the timer wheel.
     pub fn new() -> Self {
-        Self::with_queue(DefaultQueue::default())
+        Self::with_queue(WheelQueue::default())
     }
 }
 
@@ -205,7 +194,7 @@ impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Simulation<A, Q> {
     /// Empty simulation at time zero, scheduling through `queue` — for
     /// tests and benchmarks that pin a specific scheduler implementation
     /// (e.g. comparing [`HeapQueue`](crate::queue::HeapQueue) against
-    /// [`WheelQueue`](crate::queue::WheelQueue) on one workload).
+    /// [`WheelQueue`] on one workload).
     pub fn with_queue(queue: Q) -> Self {
         Self {
             actors: Vec::new(),
@@ -262,8 +251,7 @@ impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Simulation<A, Q> {
         self.queue.len()
     }
 
-    /// Scheduler counters (pending/peak events, cascades, slot occupancy)
-    /// for the `profile` harness.
+    /// Scheduler counters (pending/peak events, cascades, slot occupancy).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.queue.stats()
     }

@@ -24,11 +24,10 @@
 //!    second; scheduling is amortised `O(1)` on a hierarchical timer
 //!    wheel ([`queue::WheelQueue`]) and allocation-free in steady state
 //!    (slot buckets, the sort scratch, and the outbox buffer are all
-//!    recycled between events). The reference binary-heap scheduler is
-//!    kept behind the `heap-scheduler` feature for A/B benchmarking, and
-//!    as the oracle for the wheel's equivalence property tests — the
-//!    two produce **bit-identical** event orders because the ordering
-//!    contract is a total order.
+//!    recycled between events). The reference binary-heap scheduler
+//!    ([`queue::HeapQueue`]) is kept as the oracle for the wheel's
+//!    equivalence tests — the two produce **bit-identical** event orders
+//!    because the ordering contract is a total order.
 //!
 //! See [`Simulation`] for the event loop, [`Actor`] for the behaviour
 //! trait, and [`queue`] for the scheduler implementations and their
@@ -42,7 +41,7 @@ pub mod pdes;
 pub mod queue;
 pub mod time;
 
-pub use engine::{Actor, ActorId, Context, DefaultQueue, Event, Simulation};
+pub use engine::{Actor, ActorId, Context, Event, Simulation};
 pub use pdes::{ParallelSimulation, PdesError, PdesStats, PdesWorkerStats};
 pub use queue::{EventQueue, HeapQueue, SchedulerStats, WheelQueue};
 pub use time::{SimDuration, SimTime, SkewedClock};

@@ -21,10 +21,9 @@
 //!   amortised `O(1)` scheduling and `O(1)` pops, the default scheduler.
 //!   See the type-level docs for the tick/overflow design.
 //!
-//! The `heap-scheduler` cargo feature switches [`Simulation`] back to the
-//! heap so the two can be A/B-benchmarked on identical workloads
-//! (`cargo bench -p pbs-bench --bench open_loop --features
-//! pbs-sim/heap-scheduler`).
+//! [`Simulation`] always runs on the wheel; a test pins the heap through
+//! [`Simulation::with_queue`](crate::Simulation::with_queue) to compare
+//! the two on one workload.
 //!
 //! [`schedule`]: EventQueue::schedule
 //! [`Simulation`]: crate::Simulation
@@ -32,7 +31,7 @@
 use crate::time::SimTime;
 use std::collections::{BinaryHeap, VecDeque};
 
-/// Counters describing scheduler behaviour, for the `profile` harness.
+/// Counters describing scheduler behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Events currently queued.
@@ -125,8 +124,7 @@ impl<T> Ord for HeapEntry<T> {
 
 /// The reference scheduler: a binary heap ordered by `(time, lane)`.
 ///
-/// Kept (a) as the semantic oracle for the wheel's property tests and
-/// (b) selectable via the `heap-scheduler` feature for A/B benchmarks.
+/// Kept as the semantic oracle for the wheel's equivalence tests.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
     scheduled: u64,

@@ -143,7 +143,23 @@ impl Actor for Chaos {
     }
 }
 
-fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(seed: u64) -> Vec<(u64, ActorId, u64)> {
+/// How [`chaos_run`] advances the simulation.
+#[derive(Clone, Copy)]
+enum Drive {
+    /// `run_until_idle` in one go.
+    Idle,
+    /// The way `pbs-kvs`'s `Cluster::drain_window_into` drives the engine:
+    /// `run_until` one fixed window at a time — so the queue's `next_time`
+    /// peek is compared against a deadline — with an `inject_at` between
+    /// windows, alternately exactly at the boundary just reached and
+    /// inside the next window.
+    Windowed { window_ms: f64 },
+}
+
+fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(
+    seed: u64,
+    drive: Drive,
+) -> Vec<(u64, ActorId, u64)> {
     let actors = 5usize;
     let mut sim: Simulation<Chaos, Q> = Simulation::with_queue(Q::default());
     for i in 0..actors {
@@ -157,7 +173,26 @@ fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(seed: u64) -> Vec<(u64, Actor
     for i in 0..actors {
         sim.inject(i, i as f64 * 0.25, i as u64);
     }
-    sim.run_until_idle();
+    match drive {
+        Drive::Idle => sim.run_until_idle(),
+        Drive::Windowed { window_ms } => {
+            let mut window = 0u64;
+            while sim.pending_events() > 0 {
+                window += 1;
+                let deadline = SimTime::from_ms(window as f64 * window_ms);
+                sim.run_until(deadline);
+                assert_eq!(sim.now(), deadline);
+                if window <= 200 {
+                    let at = if window.is_multiple_of(2) {
+                        deadline
+                    } else {
+                        SimTime::from_ms((window as f64 + 0.5) * window_ms)
+                    };
+                    sim.inject_at(window as usize % actors, at, 1 << 40 | window);
+                }
+            }
+        }
+    }
     let mut log = Vec::new();
     for i in 0..actors {
         log.extend(sim.actor(i).log.iter().copied());
@@ -170,16 +205,21 @@ fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(seed: u64) -> Vec<(u64, Actor
 }
 
 /// The full event loop produces bit-identical histories on the heap and
-/// the wheel — the end-to-end witness that swapping the scheduler cannot
-/// perturb any seeded run (`run_open_loop_sharded`'s bitwise-determinism
-/// tests in `tests/open_loop.rs` assert the same at the workload level).
+/// the wheel, drained in one go or window by window — the end-to-end
+/// witness that swapping the scheduler cannot perturb any seeded run (the
+/// sharded bitwise-determinism tests in `tests/open_loop.rs` assert the
+/// same at the workload level).
 #[test]
 fn simulation_histories_identical_across_schedulers() {
     for seed in [3, 17, 99, 2026] {
-        let wheel = chaos_run::<WheelQueue<(ActorId, Event<u64>)>>(seed);
-        let heap = chaos_run::<HeapQueue<(ActorId, Event<u64>)>>(seed);
-        assert!(!wheel.is_empty(), "workload generated no events");
-        assert_eq!(wheel, heap, "seed {seed}: scheduler changed the event history");
+        for (mode, drive) in
+            [("idle", Drive::Idle), ("windowed", Drive::Windowed { window_ms: 37.0 })]
+        {
+            let wheel = chaos_run::<WheelQueue<(ActorId, Event<u64>)>>(seed, drive);
+            let heap = chaos_run::<HeapQueue<(ActorId, Event<u64>)>>(seed, drive);
+            assert!(!wheel.is_empty(), "workload generated no events");
+            assert_eq!(wheel, heap, "seed {seed} {mode}: scheduler changed the event history");
+        }
     }
 }
 

@@ -10,9 +10,7 @@
 //! ```
 
 use pbs::dist::Exponential;
-use pbs::kvs::{
-    run_open_loop, ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions,
-};
+use pbs::kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs::math::ReplicaConfig;
 use pbs::workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
@@ -29,18 +27,19 @@ fn main() {
     // A single hot key: one write every 6 ms, each probed by a read 3 ms
     // after its commit — plenty of reordering *and* in-flight writes.
     let pairs = 10_000usize;
-    let engine = OpenLoopOptions::new(pairs as f64 * 6.0, 1_000.0, opts.op_timeout_ms);
     println!("Running ~{} open-loop operations against a simulated {cfg} cluster…", pairs * 2);
-    let report = run_open_loop(
+    let report = OpenLoopRun::new(
         opts,
-        &network,
-        &engine,
+        network,
+        OpenLoopOptions::new(pairs as f64 * 6.0, 1_000.0, opts.op_timeout_ms),
         1,
         ClientOptions {
             op_timeout_ms: opts.op_timeout_ms,
             probe_read_offset_ms: Some(3.0),
             ..ClientOptions::default()
         },
+    )
+    .run(
         |_| -> Box<dyn OpSource> {
             Box::new(OpStream::new(
                 FixedRate::new(6.0),
@@ -50,7 +49,9 @@ fn main() {
             ))
         },
         |_| {},
-    );
+        |_| {},
+    )
+    .expect("the serial engine accepts every latency model");
 
     let reads = report.reads;
     let stale = report.reads - report.consistent;

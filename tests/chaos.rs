@@ -7,8 +7,8 @@
 use pbs::dist::Exponential;
 use pbs::kvs::checker::check_run;
 use pbs::kvs::{
-    run_open_loop_checked, run_open_loop_sharded, ClientOptions, Cluster, ClusterOptions,
-    FaultProfile, FaultSchedule, NetworkModel, OpenLoopOptions, OpenLoopReport, ScheduleSegment,
+    ClientOptions, Cluster, ClusterOptions, FaultProfile, FaultSchedule, NetworkModel,
+    OpenLoopOptions, OpenLoopReport, OpenLoopRun, ScheduleSegment,
 };
 use pbs::math::ReplicaConfig;
 use pbs::sim::SimTime;
@@ -37,57 +37,41 @@ fn source(per_sec: f64, keys: u64, read_frac: f64) -> Box<dyn OpSource> {
     ))
 }
 
-fn storm_sharded(seed: u64, threads: usize) -> OpenLoopReport {
-    let engine = OpenLoopOptions::new(2_000.0, 500.0, 1_000.0);
-    run_open_loop_sharded(
+/// Six replica runs of the 4-client, 2 s workload, sharded over `threads`.
+fn sharded(
+    seed: u64,
+    threads: usize,
+    prepare: impl Fn(&mut Cluster) + Sync,
+) -> OpenLoopReport {
+    OpenLoopRun::new(
         opts(seed),
-        &net(),
-        &engine,
+        net(),
+        OpenLoopOptions::new(2_000.0, 500.0, 1_000.0),
         4,
         ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-        6,
-        threads,
-        |_, _| source(40.0, 8, 0.5),
-        |cluster: &mut Cluster| {
-            // Every fault class at once: drop + duplicate + reorder +
-            // slow nodes + disk lag + clock skew. The profile seed fixes
-            // the per-node traits; per-run variation comes from the run
-            // seed driving every message-level roll.
-            cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
-        },
     )
+    .run_sharded(6, threads, |_, _| source(40.0, 8, 0.5), prepare)
+    .unwrap()
+}
+
+fn storm_sharded(seed: u64, threads: usize) -> OpenLoopReport {
+    sharded(seed, threads, |cluster| {
+        // Every fault class at once: drop + duplicate + reorder +
+        // slow nodes + disk lag + clock skew. The profile seed fixes
+        // the per-node traits; per-run variation comes from the run
+        // seed driving every message-level roll.
+        cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
+    })
 }
 
 fn scheduled_sharded(seed: u64, threads: usize, schedule: FaultSchedule) -> OpenLoopReport {
-    let engine = OpenLoopOptions::new(2_000.0, 500.0, 1_000.0);
-    run_open_loop_sharded(
-        opts(seed),
-        &net(),
-        &engine,
-        4,
-        ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-        6,
-        threads,
-        |_, _| source(40.0, 8, 0.5),
-        move |cluster: &mut Cluster| {
-            cluster.network().set_fault_schedule(schedule.clone()).unwrap();
-        },
-    )
+    sharded(seed, threads, |cluster| {
+        cluster.network().set_fault_schedule(schedule.clone()).unwrap();
+    })
 }
 
 fn plain_sharded(seed: u64, threads: usize) -> OpenLoopReport {
-    let engine = OpenLoopOptions::new(2_000.0, 500.0, 1_000.0);
-    run_open_loop_sharded(
-        opts(seed),
-        &net(),
-        &engine,
-        4,
-        ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-        6,
-        threads,
-        |_, _| source(40.0, 8, 0.5),
-        |_| {},
-    )
+    sharded(seed, threads, |_| {})
 }
 
 /// The full storm is bit-reproducible per `(seed, threads)` — the
@@ -165,19 +149,21 @@ fn scheduled_storm_runs_are_bitwise_deterministic_per_seed_and_threads() {
 /// zero online-label mismatches.
 #[test]
 fn injected_faults_cause_violations_both_oracles_agree_on() {
-    let engine = OpenLoopOptions::new(3_000.0, 500.0, 2_000.0);
-    let (report, check) = run_open_loop_checked(
+    let (report, check, _) = OpenLoopRun::new(
         opts(37),
-        &net(),
-        &engine,
+        net(),
+        OpenLoopOptions::new(3_000.0, 500.0, 2_000.0),
         4,
         ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
+    )
+    .run_checked(
         |_| source(60.0, 4, 0.5),
         |cluster| {
             cluster.network().set_fault_profile(FaultProfile::storm(37)).unwrap();
         },
         false,
-    );
+    )
+    .unwrap();
     assert!(
         report.monotonic_violations + report.ryw_violations > 0,
         "the storm at R=W=1 must break session guarantees: {report:?}"

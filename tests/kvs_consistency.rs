@@ -5,7 +5,7 @@
 use pbs::dist::Exponential;
 use pbs::kvs::cluster::{Cluster, ClusterOptions};
 use pbs::kvs::experiments::measure_t_visibility;
-use pbs::kvs::{run_open_loop, ClientOptions, NetworkModel, OpenLoopOptions};
+use pbs::kvs::{ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs::math::ReplicaConfig;
 use pbs::workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
@@ -56,13 +56,14 @@ fn read_repair_improves_consistency_under_loss() {
         opts.drop_prob = 0.35; // writes frequently miss replicas outright
         opts.read_repair = read_repair;
         opts.op_timeout_ms = 10_000.0;
-        let engine = OpenLoopOptions::new(5_250.0, 1_000.0, opts.op_timeout_ms);
-        let report = run_open_loop(
+        let report = OpenLoopRun::new(
             opts,
-            &net(2.0, 1.0),
-            &engine,
+            net(2.0, 1.0),
+            OpenLoopOptions::new(5_250.0, 1_000.0, opts.op_timeout_ms),
             1,
             ClientOptions { op_timeout_ms: opts.op_timeout_ms, ..ClientOptions::default() },
+        )
+        .run(
             |_| -> Box<dyn OpSource> {
                 Box::new(OpStream::new(
                     FixedRate::new(5.0),
@@ -72,7 +73,9 @@ fn read_repair_improves_consistency_under_loss() {
                 ))
             },
             |_| {},
-        );
+            |_| {},
+        )
+        .unwrap();
         assert!(report.reads > 500, "enough labelled reads to compare");
         report.consistency_rate()
     };

@@ -19,9 +19,7 @@
 use pbs::dist::{Constant, Exponential, Pareto};
 use pbs::kvs::checker::{check_run, CheckReport};
 use pbs::kvs::cluster::{Cluster, ClusterOptions, EngineKind};
-use pbs::kvs::{
-    run_open_loop_checked_on, ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopReport,
-};
+use pbs::kvs::{ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopReport, OpenLoopRun};
 use pbs::math::ReplicaConfig;
 use pbs::sim::SimTime;
 use pbs::wars::production::exponential_model;
@@ -50,19 +48,17 @@ fn checked_run(
     let mut o = ClusterOptions::validation(cfg, seed);
     o.nodes = 8;
     o.op_timeout_ms = 2_000.0;
-    let engine = OpenLoopOptions::new(1_200.0, 300.0, 1_500.0);
-    run_open_loop_checked_on(
-        kind,
+    let (report, check, _) = OpenLoopRun::new(
         o,
-        net,
-        &engine,
+        net.clone(),
+        OpenLoopOptions::new(1_200.0, 300.0, 1_500.0),
         6,
         ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-        |_| source(30.0, 8),
-        |_| {},
-        false,
     )
-    .expect("positive-minimum model partitions cleanly")
+    .on(kind)
+    .run_checked(|_| source(30.0, 8), |_| {}, false)
+    .expect("positive-minimum model partitions cleanly");
+    (report, check)
 }
 
 /// §3's strong guarantee, verified rather than assumed: every key of a
@@ -136,18 +132,14 @@ fn partial_quorum_violation_windows_track_predicted_t_visibility() {
         Arc::new(Exponential::from_mean(w_mean_ms)),
         Arc::new(Exponential::from_mean(ars_mean_ms)),
     );
-    let engine = OpenLoopOptions::new(duration_ms, 500.0, 1_000.0);
-    let (report, check) = run_open_loop_checked_on(
-        EngineKind::Serial,
+    let (report, check, _) = OpenLoopRun::new(
         ClusterOptions::validation(cfg, 4242),
-        &net,
-        &engine,
+        net,
+        OpenLoopOptions::new(duration_ms, 500.0, 1_000.0),
         6,
         ClientOptions::default(),
-        |_| source(40.0, keys),
-        |_| {},
-        false,
     )
+    .run_checked(|_| source(40.0, keys), |_| {}, false)
     .expect("serial engine accepts any model");
     assert!(check.is_clean(), "audit unclean: {check:?}");
 

@@ -3,8 +3,8 @@
 
 use pbs::dist::Exponential;
 use pbs::kvs::{
-    run_open_loop, run_open_loop_sharded, ClientOptions, Cluster, ClusterOptions, EngineKind,
-    NetworkModel, OpenLoopOptions, OpenLoopReport,
+    ClientOptions, Cluster, ClusterOptions, EngineKind, NetworkModel, OpenLoopOptions,
+    OpenLoopReport, OpenLoopRun,
 };
 use pbs::math::ReplicaConfig;
 use pbs::predictor::Predictor;
@@ -42,16 +42,15 @@ fn poisson_source(per_client_per_sec: f64, keys: u64, read_frac: f64) -> Box<dyn
 /// with every client live (in-sim actor + lazy arrivals) and zero sheds.
 #[test]
 fn sustains_ten_thousand_clients() {
-    let engine = OpenLoopOptions::new(3_000.0, 1_000.0, 1_000.0);
-    let report = run_open_loop(
+    let report = OpenLoopRun::new(
         opts(41, 1_000.0),
-        &net(),
-        &engine,
+        net(),
+        OpenLoopOptions::new(3_000.0, 1_000.0, 1_000.0),
         10_000,
         ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-        |_| poisson_source(1.0, 256, 0.6),
-        |_| {},
-    );
+    )
+    .run(|_| poisson_source(1.0, 256, 0.6), |_| {}, |_| {})
+    .unwrap();
     // 10k clients × 1 op/s × 3 s ≈ 30k ops.
     assert!(report.issued > 25_000, "issued {}", report.issued);
     assert_eq!(report.shed, 0);
@@ -73,16 +72,15 @@ fn sustains_ten_thousand_clients() {
 /// path pre-injected all ops, so its heap peaked at O(trace).
 #[test]
 fn event_heap_bounded_by_in_flight_not_workload_length() {
-    let engine = OpenLoopOptions::new(20_000.0, 1_000.0, 500.0);
-    let report = run_open_loop(
+    let report = OpenLoopRun::new(
         opts(43, 500.0),
-        &net(),
-        &engine,
+        net(),
+        OpenLoopOptions::new(20_000.0, 1_000.0, 500.0),
         64,
         ClientOptions { op_timeout_ms: 500.0, ..ClientOptions::default() },
-        |_| poisson_source(2_000.0 / 64.0, 64, 0.6),
-        |_| {},
-    );
+    )
+    .run(|_| poisson_source(2_000.0 / 64.0, 64, 0.6), |_| {}, |_| {})
+    .unwrap();
     assert!(report.issued > 35_000, "issued {}", report.issued);
     assert!(
         report.peak_pending_events < 3_000,
@@ -96,20 +94,15 @@ fn event_heap_bounded_by_in_flight_not_workload_length() {
 }
 
 fn sharded(seed: u64, threads: usize) -> OpenLoopReport {
-    let engine = OpenLoopOptions::new(2_000.0, 500.0, 1_000.0);
-    let mut o = opts(seed, 1_000.0);
-    o.seed = seed;
-    run_open_loop_sharded(
-        o,
-        &net(),
-        &engine,
+    OpenLoopRun::new(
+        opts(seed, 1_000.0),
+        net(),
+        OpenLoopOptions::new(2_000.0, 500.0, 1_000.0),
         8,
         ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
-        8,
-        threads,
-        |_, _| poisson_source(25.0, 16, 0.6),
-        |_| {},
     )
+    .run_sharded(8, threads, |_, _| poisson_source(25.0, 16, 0.6), |_| {})
+    .unwrap()
 }
 
 /// The whole-workload sharded runner honours the `pbs-mc` determinism
@@ -177,17 +170,15 @@ fn low_load_consistency_tracks_predictor() {
     let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
     let keys = 16u64;
     let engine = OpenLoopOptions::new(10_000.0, 1_000.0, 2_000.0);
-    let report = run_open_loop_sharded(
+    let report = OpenLoopRun::new(
         opts(29, 2_000.0),
-        &net(),
-        &engine,
+        net(),
+        engine,
         32,
         ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-        2,
-        2,
-        |_, _| poisson_source(400.0 / 32.0, keys, 0.5),
-        |_| {},
-    );
+    )
+    .run_sharded(2, 2, |_, _| poisson_source(400.0 / 32.0, keys, 0.5), |_| {})
+    .unwrap();
     assert!(report.reads > 3_000);
     let measured = report.consistency_rate();
 

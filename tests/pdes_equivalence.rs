@@ -8,11 +8,11 @@
 //! reproducible.
 
 use pbs::dist::{Exponential, Pareto};
-use pbs::kvs::checker::{check_run, CheckReport, OpHistory};
+use pbs::kvs::checker::{CheckReport, OpHistory};
 use pbs::kvs::cluster::{Cluster, ClusterOptions, EngineKind};
 use pbs::kvs::{
-    run_open_loop_on, run_open_loop_parallel, ClientOptions, FaultProfile, FaultSchedule,
-    NetworkModel, OpenLoopOptions, OpenLoopReport,
+    ClientOptions, FaultProfile, FaultSchedule, NetworkModel, OpenLoopOptions, OpenLoopReport,
+    OpenLoopRun,
 };
 use pbs::math::ReplicaConfig;
 use pbs::sim::PdesError;
@@ -41,35 +41,35 @@ fn source(seed_rate: f64) -> Box<dyn OpSource> {
     ))
 }
 
+/// The 6-client, 1.2 s workload every test here runs, on the given engine.
+fn workload(kind: EngineKind, seed: u64) -> OpenLoopRun {
+    OpenLoopRun::new(
+        opts(seed),
+        pareto_net(),
+        OpenLoopOptions::new(1_200.0, 300.0, 1_500.0),
+        6,
+        ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
+    )
+    .on(kind)
+}
+
 /// One open-loop run on the given engine, returning the report and the
 /// recorded history; `storm` installs the all-faults buggify preset and a
 /// mid-run crash before load starts.
 fn run(kind: EngineKind, seed: u64, storm: bool) -> (OpenLoopReport, OpHistory) {
-    let engine = OpenLoopOptions::new(1_200.0, 300.0, 1_500.0);
-    let mut history = OpHistory::new();
-    let report = run_open_loop_on(
-        kind,
-        opts(seed),
-        &pareto_net(),
-        &engine,
-        6,
-        ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-        |_| source(30.0),
-        |cluster| {
-            cluster.enable_history();
-            if storm {
-                cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
-                cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
-            }
-        },
-        |cluster| {
-            let h = cluster.take_history();
-            let check = check_run(&h, cluster, false);
-            assert!(check.is_clean(), "checker oracle disagreed with the streaming engine: {check:?}");
-            history = h;
-        },
-    )
-    .expect("positive-minimum model partitions cleanly");
+    let (report, check, history) = workload(kind, seed)
+        .run_checked(
+            |_| source(30.0),
+            |cluster| {
+                if storm {
+                    cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
+                    cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
+                }
+            },
+            false,
+        )
+        .expect("positive-minimum model partitions cleanly");
+    assert!(check.is_clean(), "checker oracle disagreed with the streaming engine: {check:?}");
     (report, history)
 }
 
@@ -127,35 +127,23 @@ fn parallel_history_matches_serial_under_buggify_storm() {
 /// report, the history, and the complete checker verdict — order oracle
 /// included.
 fn run_scheduled(kind: EngineKind, seed: u64) -> (OpenLoopReport, OpHistory, CheckReport) {
-    let engine = OpenLoopOptions::new(1_200.0, 300.0, 1_500.0);
-    let mut history = OpHistory::new();
-    let mut check = CheckReport::default();
-    let report = run_open_loop_on(
-        kind,
-        opts(seed),
-        &pareto_net(),
-        &engine,
-        6,
-        ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-        |_| source(30.0),
-        |cluster| {
-            cluster.enable_history();
-            cluster
-                .network()
-                .set_fault_schedule(FaultSchedule::calm_storm_calm(
-                    FaultProfile::storm(seed),
-                    300.0,
-                    900.0,
-                ))
-                .unwrap();
-            cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
-        },
-        |cluster| {
-            history = cluster.take_history();
-            check = check_run(&history, cluster, false);
-        },
-    )
-    .expect("positive-minimum model partitions cleanly");
+    let (report, check, history) = workload(kind, seed)
+        .run_checked(
+            |_| source(30.0),
+            |cluster| {
+                cluster
+                    .network()
+                    .set_fault_schedule(FaultSchedule::calm_storm_calm(
+                        FaultProfile::storm(seed),
+                        300.0,
+                        900.0,
+                    ))
+                    .unwrap();
+                cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
+            },
+            false,
+        )
+        .expect("positive-minimum model partitions cleanly");
     (report, history, check)
 }
 
@@ -221,17 +209,15 @@ fn zero_minimum_latency_model_is_rejected_at_partition_time() {
         .expect_err("exponential legs have a zero support minimum");
     assert_eq!(err, PdesError::DegenerateLookahead { lookahead_ms: 0.0 });
 
-    let engine = OpenLoopOptions::new(500.0, 250.0, 500.0);
-    let err = run_open_loop_parallel(
+    let err = OpenLoopRun::new(
         opts(1),
-        &exp_net,
-        &engine,
+        exp_net.clone(),
+        OpenLoopOptions::new(500.0, 250.0, 500.0),
         2,
         ClientOptions::default(),
-        2,
-        |_| source(10.0),
-        |_| {},
     )
+    .on(EngineKind::Parallel { workers: 2 })
+    .run(|_| source(10.0), |_| {}, |_| {})
     .expect_err("the open-loop entry point surfaces the same typed error");
     assert!(matches!(err, PdesError::DegenerateLookahead { .. }));
 

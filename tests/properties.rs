@@ -3,9 +3,7 @@
 
 use pbs::dist::{Exponential, Pareto};
 use pbs::kvs::cluster::{Cluster, ClusterOptions, EngineKind};
-use pbs::kvs::{
-    run_open_loop_checked_on, CheckReport, ClientOptions, NetworkModel, OpenLoopOptions,
-};
+use pbs::kvs::{CheckReport, ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs::math::{staleness, ReplicaConfig};
 use pbs::wars::production::exponential_model;
 use pbs::wars::TVisibility;
@@ -115,21 +113,18 @@ proptest! {
 fn lin_run(kind: EngineKind, cfg: ReplicaConfig, net: &NetworkModel, seed: u64) -> CheckReport {
     let mut o = ClusterOptions::validation(cfg, seed);
     o.nodes = 6;
-    let engine = OpenLoopOptions::new(800.0, 400.0, 1_000.0);
     let source = |_: u32| -> Box<dyn OpSource> {
         Box::new(OpStream::new(Poisson::per_second(25.0), UniformKeys::new(8), OpMix::new(0.5), 1))
     };
-    run_open_loop_checked_on(
-        kind,
+    OpenLoopRun::new(
         o,
-        net,
-        &engine,
+        net.clone(),
+        OpenLoopOptions::new(800.0, 400.0, 1_000.0),
         4,
         ClientOptions::default(),
-        source,
-        |_| {},
-        false,
     )
+    .on(kind)
+    .run_checked(source, |_| {}, false)
     .expect("model partitions cleanly")
     .1
 }
