@@ -21,9 +21,10 @@
 //! an in-flight **overflow** map for the rare client holding more than one
 //! concurrent op, a single open-addressing session arena for
 //! `last_read_seq`/`last_write_seq` (two map headers per client before),
-//! one bounded completed-op buffer the driver drains each window, and one
-//! arrival heap so the whole table keeps **one armed timer** in the event
-//! queue instead of one per client.
+//! one bounded completed-op buffer the driver drains each window, one
+//! arrival heap and one op-deadline FIFO — so the whole table keeps **two
+//! armed timers** in the event queue (next arrival, next op timeout)
+//! instead of one per client plus one per operation.
 //!
 //! Determinism rules (the PDES equivalence tests pin these):
 //!
@@ -46,7 +47,7 @@ use pbs_workload::{OpKind, OpSource, SharedOpSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 // Client-side timer tags (same top-byte scheme as the node's).
@@ -345,6 +346,13 @@ pub struct ClientTable {
     arrivals: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Earliest outstanding armed arrival timer (`SimTime::MAX` = none).
     next_armed: SimTime,
+    /// `(deadline, op id)` of every issued op, in issue order. Deadlines are
+    /// monotone (one timeout per table, the clock never goes back), so the
+    /// table arms **one** timer for the front live entry instead of one per
+    /// op; entries of completed ops are dropped when they reach the front.
+    /// The timer is outstanding exactly while this is non-empty: only its
+    /// handler pops, and it re-arms unless it pops everything.
+    timeouts: VecDeque<(SimTime, u64)>,
     /// In-flight ops beyond a client's inline slot.
     overflow: FxHashMap<u64, Pending>,
     /// Probe tokens → key, for reads scheduled at commit + offset.
@@ -413,6 +421,7 @@ impl ClientTable {
             shared: None,
             arrivals: BinaryHeap::new(),
             next_armed: SimTime::MAX,
+            timeouts: VecDeque::new(),
             overflow: FxHashMap::default(),
             probe_pending: FxHashMap::default(),
             sessions: SessionArena::new(),
@@ -666,7 +675,17 @@ impl ClientTable {
             OpKind::Read => Msg::ClientRead { op_id, key },
         };
         ctx.send(coord, 0.0, msg);
-        ctx.set_timer(self.opts.op_timeout_ms, ctag(CKIND_OP_TIMEOUT, op_id));
+        if self.timeouts.is_empty() {
+            ctx.set_timer(self.opts.op_timeout_ms, ctag(CKIND_OP_TIMEOUT, 0));
+        }
+        let deadline = ctx.now() + SimDuration::from_ms(self.opts.op_timeout_ms);
+        self.timeouts.push_back((deadline, op_id));
+    }
+
+    /// Whether `op_id` still awaits its result or timeout.
+    fn is_in_flight(&self, op_id: u64) -> bool {
+        let row = self.row_of(client_of(op_id));
+        self.slot_local[row] == local_of(op_id) || self.overflow.contains_key(&op_id)
     }
 
     /// Remove `op_id` from the in-flight structures (inline slot first,
@@ -808,6 +827,22 @@ impl ClientTable {
         }
     }
 
+    /// Time out every op whose deadline has passed, drop the front entries
+    /// of ops that completed, and re-arm for the first one still in flight
+    /// — so each op times out at exactly `start + op_timeout_ms`.
+    fn on_timeout_timer(&mut self, ctx: &mut Context<'_, Msg>) {
+        while let Some(&(deadline, op_id)) = self.timeouts.front() {
+            if deadline <= ctx.now() {
+                self.on_op_timeout(op_id);
+            } else if self.is_in_flight(op_id) {
+                let delay = deadline.duration_since(ctx.now()).as_ms();
+                ctx.set_timer(delay, ctag(CKIND_OP_TIMEOUT, 0));
+                return;
+            }
+            self.timeouts.pop_front();
+        }
+    }
+
     fn on_op_timeout(&mut self, op_id: u64) {
         let Some(p) = self.remove_in_flight(op_id) else {
             return; // completed in time
@@ -848,7 +883,7 @@ impl Actor for ClientTable {
             },
             Event::Timer { tag } => match ctag_kind(tag) {
                 CKIND_ARRIVAL => self.on_arrival_timer(ctx),
-                CKIND_OP_TIMEOUT => self.on_op_timeout(ctag_op(tag)),
+                CKIND_OP_TIMEOUT => self.on_timeout_timer(ctx),
                 CKIND_PROBE_READ => self.on_probe_read(ctx, ctag_op(tag)),
                 other => unreachable!("unknown client timer kind {other}"),
             },
@@ -924,6 +959,240 @@ mod tests {
                 1,
             )),
         );
+    }
+
+    // ----- the op-timeout FIFO, on a two-actor rig -----
+
+    const REPLY_MS: f64 = 25.0;
+    const TIMEOUT_MS: f64 = 60.0;
+
+    /// A client table (actor 1) facing a stand-in coordinator (actor 0)
+    /// that answers every read after [`REPLY_MS`] — except the ops
+    /// `swallow` picks, which never get a result.
+    enum Rig {
+        Coordinator { swallow: fn(u64) -> bool },
+        Table { table: Box<ClientTable>, timeout_timer_events: u64 },
+    }
+
+    impl Actor for Rig {
+        type Msg = Msg;
+
+        fn on_event(&mut self, ctx: &mut Context<'_, Msg>, event: Event<Msg>) {
+            match (self, event) {
+                (
+                    Rig::Coordinator { swallow },
+                    Event::Message { from, msg: Msg::ClientRead { op_id, key } },
+                ) => {
+                    if !swallow(op_id) {
+                        let (start, finish) =
+                            (ctx.now(), ctx.now() + SimDuration::from_ms(REPLY_MS));
+                        let result = ClientResult::Read {
+                            op_id,
+                            key,
+                            start,
+                            finish,
+                            version: None,
+                            source: None,
+                            responders: 0,
+                        };
+                        ctx.send(from, REPLY_MS, Msg::OpResult { result });
+                    }
+                }
+                (Rig::Coordinator { .. }, other) => unreachable!("coordinator got {other:?}"),
+                (Rig::Table { table, timeout_timer_events }, event) => {
+                    if matches!(event, Event::Timer { tag } if ctag_kind(tag) == CKIND_OP_TIMEOUT) {
+                        *timeout_timer_events += 1;
+                    }
+                    table.on_event(ctx, event);
+                }
+            }
+        }
+    }
+
+    /// `clients` read-only clients, one op every `gap_ms` each, against a
+    /// coordinator that swallows what `swallow` picks.
+    fn rig(
+        clients: u32,
+        gap_ms: f64,
+        max_in_flight: usize,
+        swallow: fn(u64) -> bool,
+    ) -> pbs_sim::Simulation<Rig> {
+        let opts = ClientOptions { op_timeout_ms: TIMEOUT_MS, max_in_flight, ..Default::default() };
+        let mut table = ClientTable::new(0, 1, 0..1, opts, Arc::new(DownTracker::new(1)), 9);
+        for index in 0..clients {
+            table.push_client(
+                index,
+                Box::new(pbs_workload::OpStream::new(
+                    pbs_workload::FixedRate::new(gap_ms),
+                    pbs_workload::UniformKeys::new(4),
+                    pbs_workload::OpMix::new(1.0),
+                    1,
+                )),
+            );
+        }
+        let mut sim = pbs_sim::Simulation::new();
+        sim.add_actor(Rig::Coordinator { swallow });
+        sim.add_actor(Rig::Table { table: Box::new(table), timeout_timer_events: 0 });
+        sim
+    }
+
+    fn table_of(sim: &mut pbs_sim::Simulation<Rig>) -> (&mut ClientTable, u64) {
+        match sim.actor_mut(1) {
+            Rig::Table { table, timeout_timer_events } => (table.as_mut(), *timeout_timer_events),
+            Rig::Coordinator { .. } => unreachable!("actor 1 is the table"),
+        }
+    }
+
+    /// Step to `until`, returning every completed op with the instant the
+    /// table recorded it.
+    fn run_recording(
+        sim: &mut pbs_sim::Simulation<Rig>,
+        until_ms: f64,
+    ) -> Vec<(SimTime, CompletedOp)> {
+        let mut seen = Vec::new();
+        let mut batch = Vec::new();
+        while sim.peek_next_time().is_some_and(|at| at <= SimTime::from_ms(until_ms)) {
+            sim.step();
+            table_of(sim).0.drain_completed_into(&mut batch);
+            seen.extend(batch.drain(..).map(|op| (sim.now(), op)));
+        }
+        seen
+    }
+
+    /// Every swallowed op timed out exactly `TIMEOUT_MS` after its start,
+    /// every other one finished `REPLY_MS` after it, and no op is recorded
+    /// twice.
+    fn assert_deadlines_exact(seen: &[(SimTime, CompletedOp)], swallow: fn(u64) -> bool) {
+        for (at, op) in seen {
+            if swallow(op.op_id) {
+                assert_eq!(op.finish, None, "op {:#x} never got a result", op.op_id);
+                assert_eq!(*at, op.start + SimDuration::from_ms(TIMEOUT_MS), "op {:#x}", op.op_id);
+            } else {
+                assert_eq!(op.finish, Some(op.start + SimDuration::from_ms(REPLY_MS)));
+                assert_eq!(Some(*at), op.finish, "op {:#x} recorded on arrival", op.op_id);
+            }
+        }
+        let mut ids: Vec<u64> = seen.iter().map(|(_, op)| op.op_id).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), seen.len(), "an op completed twice");
+    }
+
+    #[test]
+    fn unanswered_op_times_out_at_exactly_start_plus_timeout() {
+        let swallow_odd = |op_id: u64| local_of(op_id) % 2 == 1;
+        // Gaps that are no divisor of the timeout: deadlines fall between
+        // arrivals, and the one timer has to be re-armed for each.
+        let mut sim = rig(3, 7.3, 1_024, swallow_odd);
+        sim.inject(1, 0.0, Msg::StartClient);
+        let seen = run_recording(&mut sim, 1_000.0);
+        assert_deadlines_exact(&seen, swallow_odd);
+        let timeouts = seen.iter().filter(|(_, op)| op.finish.is_none()).count();
+        assert!(timeouts > 150 && seen.len() > 2 * timeouts - 20, "{timeouts} of {}", seen.len());
+    }
+
+    #[test]
+    fn completed_ops_leave_the_fifo_without_an_event_each() {
+        let mut sim = rig(8, 1.0, 1_024, |_| false);
+        sim.inject(1, 0.0, Msg::StartClient);
+        let seen = run_recording(&mut sim, 2_000.0);
+        assert!(seen.len() > 15_000, "8 clients x 1 op/ms x 2 s, got {}", seen.len());
+        assert!(seen.iter().all(|(_, op)| op.finish.is_some()), "no op may time out");
+        // One timer event per timeout span, not one per op; the queue holds
+        // replies in flight plus the two table timers, and the FIFO at most
+        // the ops issued within one span.
+        let peak_pending = sim.scheduler_stats().peak_pending;
+        assert!(peak_pending <= 8 * (REPLY_MS as usize + 1) + 2, "peak queue {peak_pending}");
+        let (table, timer_events) = table_of(&mut sim);
+        assert!(
+            timer_events <= 2_000 / (TIMEOUT_MS - REPLY_MS) as u64 + 1,
+            "{timer_events} events"
+        );
+        assert!(table.timeouts.len() <= 8 * (TIMEOUT_MS as usize + 1), "{}", table.timeouts.len());
+        // Stopped and drained, the table disarms: nothing is left queued.
+        sim.inject(1, 0.0, Msg::StopClient);
+        sim.run_until_idle();
+        assert_eq!(sim.pending_events(), 0);
+        let (table, _) = table_of(&mut sim);
+        assert_eq!((table.in_flight(), table.timeouts.len()), (0, 0));
+    }
+
+    #[test]
+    fn overflow_ops_and_restarts_keep_exact_deadlines() {
+        // A 10 ms gap against 25 ms replies and 60 ms timeouts: each client
+        // holds several ops at once (inline slot + overflow map) and sheds
+        // at the cap of 3.
+        let swallow_some = |op_id: u64| local_of(op_id) % 3 == 1;
+        let mut sim = rig(2, 10.0, 3, swallow_some);
+        sim.inject(1, 0.0, Msg::StartClient);
+        let mut seen = run_recording(&mut sim, 95.0);
+        // Stop with ops in flight and the timer armed; restart before any
+        // of them is due, …
+        sim.inject(1, 0.0, Msg::StopClient);
+        seen.extend(run_recording(&mut sim, 120.0));
+        sim.inject(1, 0.0, Msg::StartClient);
+        seen.extend(run_recording(&mut sim, 300.0));
+        // … then stop until the FIFO has drained and the timer is disarmed,
+        // and start again.
+        sim.inject(1, 0.0, Msg::StopClient);
+        seen.extend(run_recording(&mut sim, 600.0));
+        assert_eq!(sim.pending_events(), 0, "no timer left armed");
+        let (table, _) = table_of(&mut sim);
+        assert_eq!((table.in_flight(), table.timeouts.len()), (0, 0));
+        sim.inject(1, 0.0, Msg::StartClient);
+        seen.extend(run_recording(&mut sim, 800.0));
+        sim.inject(1, 0.0, Msg::StopClient);
+        sim.run_until_idle();
+        table_of(&mut sim).0.drain_completed_into(&mut Vec::new());
+
+        assert_deadlines_exact(&seen, swallow_some);
+        let (table, _) = table_of(&mut sim);
+        let stats = table.stats();
+        assert_eq!(stats.peak_in_flight, 2 * 3, "both clients reached the in-flight cap");
+        assert!(stats.shed > 0, "arrivals beyond the cap are shed");
+        assert!(seen.len() as u64 + 16 >= stats.issued && stats.issued > 60, "{stats:?}");
+        assert_eq!(table.in_flight(), 0);
+    }
+
+    #[test]
+    fn serial_and_parallel_engines_record_the_same_ops() {
+        use crate::cluster::{Cluster, ClusterOptions, EngineKind};
+        use pbs_dist::Pareto;
+        // Heavy-tailed legs under a 4 ms client timeout: a good share of
+        // the ops time out, the rest complete.
+        let run = |kind: EngineKind| {
+            let replication = pbs_core::ReplicaConfig::new(3, 2, 2).unwrap();
+            let mut opts = ClusterOptions::validation(replication, 31);
+            opts.nodes = 8;
+            let net = crate::network::NetworkModel::w_ars(
+                Arc::new(Pareto::new(1.5, 1.2)),
+                Arc::new(Pareto::new(0.8, 2.0)),
+            );
+            let mut cluster = Cluster::with_engine(opts, net, kind).unwrap();
+            for _ in 0..6 {
+                let source = pbs_workload::OpStream::new(
+                    pbs_workload::Poisson::per_second(200.0),
+                    pbs_workload::UniformKeys::new(8),
+                    pbs_workload::OpMix::new(0.5),
+                    1,
+                );
+                let copts = ClientOptions { op_timeout_ms: 4.0, ..ClientOptions::default() };
+                cluster.add_client(Box::new(source), copts);
+            }
+            cluster.start_clients();
+            let mut ops = Vec::new();
+            for window in 1..=8u32 {
+                let drain = cluster.drain_window(SimTime::from_ms(f64::from(window) * 100.0));
+                ops.extend(drain.writes.iter().copied());
+                ops.extend(drain.reads.iter().map(|r| r.op));
+            }
+            ops
+        };
+        let serial = run(EngineKind::SerialPartitioned { workers: 2 });
+        let parallel = run(EngineKind::Parallel { workers: 2 });
+        assert_eq!(serial, parallel);
+        let timeouts = serial.iter().filter(|op| op.finish.is_none()).count();
+        assert!(timeouts > 50 && serial.len() > 2 * timeouts, "{timeouts} of {}", serial.len());
     }
 
     #[test]

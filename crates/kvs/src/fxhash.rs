@@ -9,6 +9,18 @@
 //! for its interners) is ~5× cheaper and mixes well enough for these
 //! integer keys.
 //!
+//! What "well enough" has to mean: std's `HashMap` (hashbrown) takes the
+//! **bucket from the hash's low bits** and a 7-bit control **tag from its
+//! top bits**, so both ends must vary across the keys in use. A bare
+//! multiply fails the first for packed ids — the low 32 bits of
+//! `k × SEED` depend only on the low 32 bits of `k`, and the client tables'
+//! op ids are `(client + 1) << 32 | local` with a handful of distinct
+//! `local` values live at once, which put a 10⁵-entry map into a few dozen
+//! probe chains. [`FxHasher::finish`] therefore folds the product's high
+//! half into its low half: the low bits then see every input bit, the top
+//! bits are the product's own (already well mixed), and sequential keys
+//! keep spreading.
+//!
 //! No new dependencies: the hasher is ~20 lines and lives here.
 
 use std::collections::HashMap;
@@ -19,7 +31,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// An FxHash-style multiply-xor hasher: each 8-byte chunk is rotated,
-/// xored into the state, and multiplied by the mixing constant.
+/// xored into the state, and multiplied by the mixing constant; `finish`
+/// folds the high half of the state into the low half (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -35,7 +48,7 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.hash ^ (self.hash >> 32)
     }
 
     #[inline]
@@ -118,5 +131,43 @@ mod tests {
         low_bits.sort_unstable();
         low_bits.dedup();
         assert!(low_bits.len() > 32, "low bits collapse: {} distinct", low_bits.len());
+    }
+
+    /// Distinct values of `hash & (buckets − 1)` (hashbrown's bucket) and
+    /// of `hash >> 57` (its 7-bit control tag) over `keys`.
+    fn buckets_and_tags(keys: impl Iterator<Item = u64>, buckets: u64) -> (usize, usize) {
+        use std::hash::BuildHasher;
+        let h = FxBuildHasher::default();
+        let (mut low, mut top) = (FxHashSet::default(), FxHashSet::default());
+        for k in keys {
+            let hash = h.hash_one(k);
+            low.insert(hash & (buckets - 1));
+            top.insert(hash >> 57);
+        }
+        (low.len(), top.len())
+    }
+
+    #[test]
+    fn packed_op_ids_spread_over_buckets_and_tags() {
+        // The client tables' op ids: many clients, a few live local
+        // counters each. A bare multiply puts these in ≤ 4 buckets.
+        let ids = (0..4096u64).flat_map(|c| (0..4u64).map(move |l| ((c + 1) << 32) | l));
+        let (buckets, tags) = buckets_and_tags(ids, 4096);
+        assert!(buckets >= 2048, "packed ids occupy {buckets} of 4096 buckets");
+        assert!(tags >= 64, "packed ids show {tags} of 128 tags");
+    }
+
+    #[test]
+    fn timer_tag_keys_spread_over_buckets_and_tags() {
+        // Client timer-tag style keys: a kind in the top byte over an op id.
+        let tags_of = |kind: u64| {
+            (0..4096u64)
+                .flat_map(move |c| (0..4u64).map(move |l| (kind << 56) | ((c + 1) << 32) | l))
+        };
+        for kind in 1..=3u64 {
+            let (buckets, tags) = buckets_and_tags(tags_of(kind), 4096);
+            assert!(buckets >= 2048, "kind {kind}: {buckets} of 4096 buckets");
+            assert!(tags >= 64, "kind {kind}: {tags} of 128 tags");
+        }
     }
 }

@@ -779,7 +779,7 @@ impl Node {
 
     /// Periodic sweep: drop pending-op state older than the retention
     /// horizon. Issuers detect their own timeouts (the blocking harness by
-    /// deadline, client actors by their per-op timer), so a swept entry
+    /// deadline, client tables by their op-deadline FIFO), so a swept entry
     /// has already been reported; sweeping merely bounds coordinator
     /// memory by *in-flight* operations under message loss or partitions,
     /// where the N-th ack/response may never arrive.

@@ -1,32 +1,22 @@
 //! Event-queue implementations behind the simulation scheduler.
 //!
-//! Both queues implement the same **ordering contract** (see
-//! [`EventQueue`]): events are delivered in ascending `(time, lane)`
-//! order, where the **lane** is a caller-supplied `u64` tie-break that
-//! must be unique among equal-time events. The engine derives lanes from
-//! `(scheduling actor, per-actor counter)` (see [`crate::engine`]), which
-//! makes the key *locally computable*: a partitioned simulation can
-//! reproduce the exact same total order without a global counter, which
-//! is what lets the parallel PDES engine ([`crate::pdes`]) merge
-//! cross-partition events into per-worker wheels and still match the
+//! Both queues implement the **ordering contract** of [`EventQueue`]: events
+//! are delivered in ascending `(time, lane)` order, the **lane** being a
+//! caller-supplied `u64` tie-break, unique among equal-time events. The
+//! engine derives lanes from `(scheduling actor, per-actor counter)` (see
+//! [`crate::engine`]), which makes the key *locally computable*: the
+//! parallel PDES engine ([`crate::pdes`]) merges cross-partition events
+//! into per-worker wheels without a global counter and still matches the
 //! serial engine event for event. Because the contract is a total order,
-//! any two correct implementations deliver bit-identical event sequences
-//! — which is what lets the calendar queue replace the binary heap
-//! without perturbing a single seeded run.
+//! any two correct implementations deliver bit-identical event sequences.
 //!
 //! * [`HeapQueue`] — the reference implementation: a `BinaryHeap` ordered
-//!   by `(time, seq)`. `O(log n)` per operation with large constant
-//!   factors (pointer-heavy sift paths over ~100-byte entries).
+//!   by `(time, lane)`, `O(log n)` sifts over ~100-byte entries per operation.
 //! * [`WheelQueue`] — a hierarchical timer wheel (calendar queue):
 //!   amortised `O(1)` scheduling and `O(1)` pops, the default scheduler.
-//!   See the type-level docs for the tick/overflow design.
 //!
-//! [`Simulation`] always runs on the wheel; a test pins the heap through
-//! [`Simulation::with_queue`](crate::Simulation::with_queue) to compare
-//! the two on one workload.
-//!
-//! [`schedule`]: EventQueue::schedule
-//! [`Simulation`]: crate::Simulation
+//! [`Simulation`](crate::Simulation) always runs on the wheel; a test pins the heap through
+//! [`Simulation::with_queue`](crate::Simulation::with_queue) to compare the two on one workload.
 
 use crate::time::SimTime;
 use std::collections::{BinaryHeap, VecDeque};
@@ -52,16 +42,11 @@ pub struct SchedulerStats {
 /// A priority queue of timestamped events with caller-supplied lane
 /// tie-breaking.
 ///
-/// The contract every implementation must honour: [`pop`] returns events
-/// in ascending `(time, lane)` order, where the lane is supplied by the
-/// caller at [`schedule`] time and must be unique among events sharing a
-/// timestamp (the engine guarantees this by packing the scheduling
-/// actor's id with a per-actor monotone counter). Scheduling is only
-/// ever *forward*: callers never schedule below the time of the last
-/// popped event (the simulation clock is monotone).
-///
-/// [`pop`]: EventQueue::pop
-/// [`schedule`]: EventQueue::schedule
+/// The contract every implementation must honour: [`pop`](EventQueue::pop)
+/// returns events in ascending `(time, lane)` order, where the lane is
+/// supplied at [`schedule`](EventQueue::schedule) time and is unique among
+/// events sharing a timestamp. Scheduling is only ever *forward*: never
+/// below the time of the last popped event (the simulation clock is monotone).
 pub trait EventQueue<T>: Default {
     /// Enqueue `item` to fire at `at`, tie-broken by `lane`.
     fn schedule(&mut self, at: SimTime, lane: u64, item: T);
@@ -98,9 +83,7 @@ impl<T> Entry<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// HeapQueue: the reference binary-heap scheduler.
-// ---------------------------------------------------------------------------
+// --- HeapQueue: the reference binary-heap scheduler ---
 
 struct HeapEntry<T>(Entry<T>);
 
@@ -122,9 +105,8 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-/// The reference scheduler: a binary heap ordered by `(time, lane)`.
-///
-/// Kept as the semantic oracle for the wheel's equivalence tests.
+/// The reference scheduler: a binary heap ordered by `(time, lane)`, kept
+/// as the semantic oracle for the wheel's equivalence tests.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
     scheduled: u64,
@@ -173,9 +155,7 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// WheelQueue: hierarchical timer wheel (calendar queue).
-// ---------------------------------------------------------------------------
+// --- WheelQueue: hierarchical timer wheel (calendar queue) ---
 
 /// Tick width: `2^16` ns ≈ 65.5 µs. Events within one tick are ordered
 /// exactly (by their nanosecond timestamps) when the tick is drained.
@@ -213,7 +193,7 @@ const LEVELS: usize = 8;
 /// insertion sequence because `(time, lane)` keys are unique. Pops are
 /// `O(1)` pops off the front of the batch.
 ///
-/// Slot vectors and the sort scratch buffer are recycled, so steady-state
+/// Every slot keeps its own vector across drains, so steady-state
 /// scheduling performs no allocation.
 pub struct WheelQueue<T> {
     /// `LEVELS × SLOTS` unsorted buckets, indexed `level * SLOTS + slot`.
@@ -226,8 +206,6 @@ pub struct WheelQueue<T> {
     now_tick: u64,
     /// Sorted front batch in ascending `(time, lane)` order.
     ready: VecDeque<Entry<T>>,
-    /// Reusable buffer for slot drains.
-    scratch: Vec<Entry<T>>,
     len: usize,
     scheduled: u64,
     peak: usize,
@@ -241,7 +219,6 @@ impl<T> Default for WheelQueue<T> {
             occupancy: [0; LEVELS],
             now_tick: 0,
             ready: VecDeque::new(),
-            scratch: Vec::new(),
             len: 0,
             scheduled: 0,
             peak: 0,
@@ -302,9 +279,10 @@ impl<T> WheelQueue<T> {
             let span = shift + LEVEL_BITS;
             let high = if span >= 64 { 0 } else { (self.now_tick >> span) << span };
             self.now_tick = high | ((slot as u64) << shift);
+            // The slot's own buffer, handed back below (`place` fills only
+            // strictly lower slots): capacity never moves between slots.
             let idx = level * SLOTS + slot;
-            let mut batch =
-                std::mem::replace(&mut self.slots[idx], std::mem::take(&mut self.scratch));
+            let mut batch = std::mem::take(&mut self.slots[idx]);
             if level == 0 {
                 // One tick's events: restore exact sub-tick order. Keys
                 // are unique, so the unstable sort is deterministic.
@@ -320,7 +298,7 @@ impl<T> WheelQueue<T> {
                     self.place(e);
                 }
             }
-            self.scratch = batch; // recycle the capacity
+            self.slots[idx] = batch;
             return;
         }
         unreachable!("advance() called with events queued but no occupied slot");
@@ -506,5 +484,27 @@ mod tests {
         assert_eq!(s.pending, 0);
         assert!(s.cascaded > 0, "ms-scale timers must cascade");
         assert_eq!(s.peak_pending, 10);
+    }
+
+    #[test]
+    fn drained_slots_keep_their_own_capacity() {
+        // 300 level-1 rotations of 0.1 ms timers, each with one burst of
+        // 1,000 far timers that waits in the same level-1 slot. Handed on to
+        // the next drained slot, burst-sized buffers would reach every slot.
+        let mut q: WheelQueue<u32> = WheelQueue::new();
+        let step_ms = ((SLOTS * SLOTS) << TICK_SHIFT) as f64 / 256e6;
+        let mut lanes = 0u64..;
+        for step in 0..300 * 256u32 {
+            let now = f64::from(step) * step_ms;
+            q.schedule(t(now + 0.1), lanes.next().unwrap(), 0);
+            for _ in 0..if step % 256 == 8 { 1_000 } else { 0 } {
+                q.schedule(t(now + 120.0), lanes.next().unwrap(), 1);
+            }
+            while q.next_time().is_some_and(|at| at <= t(now)) {
+                q.pop();
+            }
+        }
+        let capacity: usize = q.slots.iter().map(Vec::capacity).sum();
+        assert!(capacity <= 4 * q.stats().peak_pending, "capacity {capacity}: {:?}", q.stats());
     }
 }

@@ -22,23 +22,27 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from a millisecond offset (must be finite and nonnegative).
+    #[inline]
     pub fn from_ms(ms: f64) -> Self {
         assert!(ms >= 0.0 && ms.is_finite(), "time must be finite and nonnegative, got {ms}");
         SimTime((ms * NANOS_PER_MS).round() as u64)
     }
 
     /// Raw nanosecond count.
+    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Convert to milliseconds (lossless for times below ~2^53 ns ≈ 104
     /// simulated days, far beyond any experiment here).
+    #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / NANOS_PER_MS
     }
 
     /// Saturating difference `self − earlier`.
+    #[inline]
     pub fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
@@ -59,17 +63,20 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Construct from milliseconds (finite, nonnegative).
+    #[inline]
     pub fn from_ms(ms: f64) -> Self {
         assert!(ms >= 0.0 && ms.is_finite(), "duration must be finite and nonnegative, got {ms}");
         SimDuration((ms * NANOS_PER_MS).round() as u64)
     }
 
     /// Raw nanosecond count.
+    #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
     }
 
     /// Convert to milliseconds.
+    #[inline]
     pub fn as_ms(self) -> f64 {
         self.0 as f64 / NANOS_PER_MS
     }
@@ -77,12 +84,14 @@ impl SimDuration {
 
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("simulated time overflow"))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimDuration) {
         *self = *self + rhs;
     }
@@ -90,6 +99,7 @@ impl AddAssign<SimDuration> for SimTime {
 
 impl Add for SimDuration {
     type Output = SimDuration;
+    #[inline]
     fn add(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.checked_add(rhs.0).expect("simulated duration overflow"))
     }
@@ -97,6 +107,7 @@ impl Add for SimDuration {
 
 impl Sub for SimTime {
     type Output = SimDuration;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         assert!(self >= rhs, "negative duration: {self} - {rhs}");
         SimDuration(self.0 - rhs.0)
