@@ -5,7 +5,7 @@
 //! double as a chaos run without giving up reproducibility. This module
 //! is the configuration surface for our port of that idea: a
 //! [`FaultProfile`] describes per-message and per-node fault rates, and
-//! the [`NetworkModel`](crate::NetworkModel) plus [`Node`](crate::node::Node)
+//! the [`NetworkModel`](crate::NetworkModel) plus the storage nodes
 //! consult it on the hot path.
 //!
 //! Two invariants make the layer safe to weave through existing code:
@@ -497,7 +497,7 @@ impl FaultSchedule {
 
 /// Deliberate, test-only protocol breakages for **mutation testing** the
 /// checker's order oracle: each flag disables or corrupts one healing /
-/// merge mechanism in [`Node`](crate::node::Node), and
+/// merge mechanism in the storage node, and
 /// `tests/oracle_mutations.rs` proves the oracle catches each one with
 /// the expected [`OrderViolation`](crate::checker::OrderViolation) type.
 /// All flags default to `false`; production code never sets them — they

@@ -725,20 +725,10 @@ fn check_final_state(history: &OpHistory, cluster: &Cluster, check: &mut OrderCh
 
 /// Run every offline check against a finished cluster: session replay vs.
 /// the streaming counters, label recount, the per-key order oracle, the
-/// per-key linearizability checker (default budgets — use
-/// [`check_run_with`] to tune them), and (optionally) convergence plus
+/// per-key linearizability checker (default budgets — call
+/// [`lin::check_lin`] to tune them), and (optionally) convergence plus
 /// the oracle's final-state rule.
 pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> CheckReport {
-    check_run_with(history, cluster, convergence, &LinOptions::default())
-}
-
-/// [`check_run`] with explicit linearizability-search budgets.
-pub fn check_run_with(
-    history: &OpHistory,
-    cluster: &Cluster,
-    convergence: bool,
-    lin_opts: &LinOptions,
-) -> CheckReport {
     let streaming = cluster.client_stats();
     let mut order = check_order(history, cluster.node_count() as u32);
     if convergence {
@@ -748,7 +738,7 @@ pub fn check_run_with(
         sessions: replay_sessions(history, &streaming),
         labels: relabel_reads(history),
         order,
-        lin: lin::check_lin(history, lin_opts),
+        lin: lin::check_lin(history, &LinOptions::default()),
         convergence: convergence.then(|| check_convergence(cluster)),
         runs: 1,
     }

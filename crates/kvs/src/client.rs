@@ -1,11 +1,10 @@
 //! In-sim open-loop clients: a struct-of-arrays table, one actor per worker.
 //!
-//! Earlier revisions gave every client its own actor with four boxed hash
-//! maps; at a million clients that is hundreds of bytes of map headers and
-//! one pending timer event *each* before any work happens. This module
-//! replaces that with a [`ClientTable`]: **one actor per PDES worker** that
-//! owns all of that worker's clients as parallel column vectors, so the
-//! marginal cost of a client is roughly one cache line:
+//! An actor per client would cost hundreds of bytes of map headers and one
+//! pending timer event *each* before any work happens — too much at a
+//! million clients. A [`ClientTable`] is instead **one actor per PDES
+//! worker** that owns all of that worker's clients as parallel column
+//! vectors, so the marginal cost of a client is roughly one cache line:
 //!
 //! | column                               | bytes/client |
 //! |--------------------------------------|--------------|
@@ -20,16 +19,16 @@
 //! ≈ 106 bytes/client of table state. Everything else is shared per table:
 //! an in-flight **overflow** map for the rare client holding more than one
 //! concurrent op, a single open-addressing session arena for
-//! `last_read_seq`/`last_write_seq` (two map headers per client before),
-//! one bounded completed-op buffer the driver drains each window, one
-//! arrival heap and one op-deadline FIFO — so the whole table keeps **two
+//! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
+//! driver drains each window, one arrival heap and one op-deadline FIFO —
+//! so the whole table keeps **two
 //! armed timers** in the event queue (next arrival, next op timeout)
 //! instead of one per client plus one per operation.
 //!
 //! Determinism rules (the PDES equivalence tests pin these):
 //!
 //! * Per-client RNG streams are seeded from `(cluster_seed, client index)`
-//!   exactly as before — draw sequences per client are unchanged.
+//!   alone, whatever table the client lands in.
 //! * Per client, draws happen in the fixed order *coordinator pick* (on
 //!   issue), then *gap, kind, key* (on the next stream pull) — identical
 //!   for boxed and shared sources.
@@ -77,7 +76,7 @@ const CLIENT_OP_SHIFT: u64 = 32;
 /// Maximum number of clients per cluster: op ids must fit the 56-bit
 /// timer-tag op space, leaving 24 bits of client index above the 32-bit
 /// local counter — ~16.7M clients.
-pub const MAX_CLIENTS: u32 = (1 << (TAG_KIND_SHIFT - CLIENT_OP_SHIFT)) as u32 - 1;
+const MAX_CLIENTS: u32 = (1 << (TAG_KIND_SHIFT - CLIENT_OP_SHIFT)) as u32 - 1;
 
 /// Pack a `(client index, local counter)` pair into a global op id.
 fn pack_op(index: u32, local: u32) -> u64 {
@@ -94,6 +93,10 @@ fn local_of(op_id: u64) -> u32 {
     (op_id & ((1 << CLIENT_OP_SHIFT) - 1)) as u32
 }
 
+/// Capacity of the completed-op buffer the driver drains each window (per
+/// worker table); overflow is counted in [`ClientStats::dropped_results`].
+const RESULT_CAPACITY: usize = 1 << 16;
+
 /// Per-client knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientOptions {
@@ -107,10 +110,6 @@ pub struct ClientOptions {
     /// key this many ms after its commit (the §5.2 write→read probe pair),
     /// in addition to any reads the op source emits.
     pub probe_read_offset_ms: Option<f64>,
-    /// Capacity of the completed-op buffer the driver drains each window
-    /// (per worker table); overflow is counted in
-    /// [`ClientStats::dropped_results`].
-    pub result_capacity: usize,
 }
 
 impl Default for ClientOptions {
@@ -119,7 +118,6 @@ impl Default for ClientOptions {
             op_timeout_ms: 10_000.0,
             max_in_flight: 1_024,
             probe_read_offset_ms: None,
-            result_capacity: 1 << 16,
         }
     }
 }
@@ -219,7 +217,7 @@ const EMPTY_SESSION: SessionSlot =
 
 /// Open-addressing arena for per-`(client, key)` session state, shared by
 /// every client of a worker table: 32 bytes per *touched* pair at ≤ 75%
-/// load, versus two heap maps per client before.
+/// load.
 struct SessionArena {
     slots: Vec<SessionSlot>,
     len: usize,
@@ -276,11 +274,6 @@ impl SessionArena {
             i = (i + 1) & mask;
         }
     }
-
-    /// Touched `(client, key)` pairs.
-    fn len(&self) -> usize {
-        self.len
-    }
 }
 
 /// Pack an arrival-heap payload: row index above, generation below, so
@@ -292,7 +285,7 @@ fn pack_arrival(row: usize, gen: u8) -> u64 {
 /// The open-loop client table: every client of one PDES worker, as
 /// struct-of-arrays columns inside a single actor. See the module docs for
 /// the layout and the determinism rules.
-pub struct ClientTable {
+pub(crate) struct ClientTable {
     /// This table's worker index (clients with `index % stride == worker`).
     worker: usize,
     /// Client-affinity stride: the partition plan's worker count.
@@ -360,7 +353,7 @@ pub struct ClientTable {
     /// Session state per touched `(client, key)`.
     sessions: SessionArena,
     /// Completed ops awaiting the driver's window drain (bounded by
-    /// `opts.result_capacity`).
+    /// [`RESULT_CAPACITY`]).
     completed: Vec<CompletedOp>,
     /// Live in-flight ops across all rows.
     in_flight_live: u64,
@@ -384,7 +377,7 @@ impl ClientTable {
     /// Build the (empty) client table for `worker` of a `stride`-worker
     /// plan, coordinating through the nodes in `coords` (a contiguous
     /// node-id range).
-    pub fn new(
+    pub(crate) fn new(
         worker: usize,
         stride: usize,
         coords: std::ops::Range<usize>,
@@ -394,7 +387,7 @@ impl ClientTable {
     ) -> Self {
         assert!(stride >= 1 && worker < stride);
         assert!(!coords.is_empty(), "clients need at least one coordinator");
-        assert!(opts.max_in_flight >= 1 && opts.result_capacity >= 1);
+        assert!(opts.max_in_flight >= 1);
         assert!(opts.op_timeout_ms > 0.0);
         Self {
             worker,
@@ -432,18 +425,18 @@ impl ClientTable {
     }
 
     /// The per-client knobs every row of this table shares.
-    pub fn options(&self) -> &ClientOptions {
+    pub(crate) fn options(&self) -> &ClientOptions {
         &self.opts
     }
 
     /// Number of clients in this table.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rng.len()
     }
 
     /// Reserve exact capacity for `n` *additional* clients (keeps the
     /// bytes-per-client accounting free of doubling slack).
-    pub fn reserve_rows(&mut self, n: usize) {
+    pub(crate) fn reserve_rows(&mut self, n: usize) {
         self.rng.reserve_exact(n);
         self.consumed_ms.reserve_exact(n);
         self.offset_ms.reserve_exact(n);
@@ -464,7 +457,7 @@ impl ClientTable {
 
     /// Install the table's shared operation source (million-client mode).
     /// Must precede any row; mutually exclusive with boxed rows.
-    pub fn set_shared_source(&mut self, source: Arc<dyn SharedOpSource>) {
+    pub(crate) fn set_shared_source(&mut self, source: Arc<dyn SharedOpSource>) {
         assert!(self.rows() == 0, "install the shared source before adding clients");
         assert!(self.shared.is_none(), "shared source already installed");
         self.shared = Some(source);
@@ -482,8 +475,6 @@ impl ClientTable {
             self.rows(),
             "clients must be added in index order"
         );
-        // The per-client RNG stream: unchanged from the per-actor layout,
-        // so seeds reproduce histories across the refactor boundary.
         let seed = self.cluster_seed
             ^ (index as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f)
             ^ 0x2545_f491_4f6c_dd1d;
@@ -502,14 +493,14 @@ impl ClientTable {
     }
 
     /// Add client `index` with its own boxed streaming source.
-    pub fn push_client(&mut self, index: u32, source: Box<dyn OpSource>) {
+    pub(crate) fn push_client(&mut self, index: u32, source: Box<dyn OpSource>) {
         assert!(self.shared.is_none(), "cannot mix boxed and shared clients in one table");
         self.push_row(index);
         self.sources.push(source);
     }
 
     /// Add client `index` drawing from the table's shared source.
-    pub fn push_shared_client(&mut self, index: u32) {
+    pub(crate) fn push_shared_client(&mut self, index: u32) {
         assert!(self.shared.is_some(), "install a shared source first");
         self.push_row(index);
     }
@@ -525,18 +516,8 @@ impl ClientTable {
         index as usize / self.stride
     }
 
-    /// Operations currently awaiting a result or timeout, table-wide.
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight_live
-    }
-
-    /// Touched `(client, key)` session pairs (memory observability).
-    pub fn session_entries(&self) -> usize {
-        self.sessions.len()
-    }
-
     /// Aggregate counters over every client of this table.
-    pub fn stats(&self) -> ClientStats {
+    pub(crate) fn stats(&self) -> ClientStats {
         let mut s = self.stats;
         s.peak_in_flight = self.peak_in_flight.iter().map(|&p| p as u64).sum();
         s
@@ -545,7 +526,7 @@ impl ClientTable {
     /// Drain the completed-op buffer into `out` (driver-side, between
     /// events). Appends; the table's buffer keeps its capacity, so the
     /// window-by-window plumbing allocates nothing in steady state.
-    pub fn drain_completed_into(&mut self, out: &mut Vec<CompletedOp>) {
+    pub(crate) fn drain_completed_into(&mut self, out: &mut Vec<CompletedOp>) {
         out.append(&mut self.completed);
     }
 
@@ -558,7 +539,7 @@ impl ClientTable {
     /// linearizability checker needs its invocation on record to attribute
     /// the version as possibly committed instead of convicting the reads
     /// that see it. Sorted by op id for engine-independent determinism.
-    pub fn take_in_flight(&mut self) -> Vec<CompletedOp> {
+    pub(crate) fn take_in_flight(&mut self) -> Vec<CompletedOp> {
         let open = |op_id: u64, kind: OpKind, key: u64, start: SimTime| CompletedOp {
             op_id,
             client: client_of(op_id),
@@ -595,7 +576,7 @@ impl ClientTable {
     }
 
     fn push_completed(&mut self, op: CompletedOp) {
-        if self.completed.len() >= self.opts.result_capacity {
+        if self.completed.len() >= RESULT_CAPACITY {
             self.stats.dropped_results += 1;
         } else {
             self.completed.push(op);
@@ -1114,7 +1095,7 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.pending_events(), 0);
         let (table, _) = table_of(&mut sim);
-        assert_eq!((table.in_flight(), table.timeouts.len()), (0, 0));
+        assert_eq!((table.in_flight_live, table.timeouts.len()), (0, 0));
     }
 
     #[test]
@@ -1138,7 +1119,7 @@ mod tests {
         seen.extend(run_recording(&mut sim, 600.0));
         assert_eq!(sim.pending_events(), 0, "no timer left armed");
         let (table, _) = table_of(&mut sim);
-        assert_eq!((table.in_flight(), table.timeouts.len()), (0, 0));
+        assert_eq!((table.in_flight_live, table.timeouts.len()), (0, 0));
         sim.inject(1, 0.0, Msg::StartClient);
         seen.extend(run_recording(&mut sim, 800.0));
         sim.inject(1, 0.0, Msg::StopClient);
@@ -1151,7 +1132,7 @@ mod tests {
         assert_eq!(stats.peak_in_flight, 2 * 3, "both clients reached the in-flight cap");
         assert!(stats.shed > 0, "arrivals beyond the cap are shed");
         assert!(seen.len() as u64 + 16 >= stats.issued && stats.issued > 60, "{stats:?}");
-        assert_eq!(table.in_flight(), 0);
+        assert_eq!(table.in_flight_live, 0);
     }
 
     #[test]
@@ -1205,7 +1186,7 @@ mod tests {
         assert_eq!(a.entry(3, 7).last_write_seq, 0);
         assert_eq!(a.entry(3, 8).last_write_seq, 20);
         assert_eq!(a.entry(4, 7).last_read_seq, 30);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.len, 3);
         // Survives growth: insert enough pairs to force several rehashes.
         for k in 0..1000u64 {
             a.entry(9, k).last_read_seq = k;

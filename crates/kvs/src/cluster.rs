@@ -10,7 +10,7 @@
 //!   injects one operation, steps the simulation until its result appears,
 //!   and labels it immediately. One op at a time; the §5.2 probe shape.
 //! * **Open loop** ([`Cluster::add_client`] + [`Cluster::drain_window`]) —
-//!   clients live *inside* the simulation as one [`ClientTable`] per PDES
+//!   clients live *inside* the simulation as one client table per PDES
 //!   worker, generate arrivals lazily from streaming `pbs-workload`
 //!   sources, and keep thousands of operations in flight. Completed ops
 //!   stream out through each table's bounded buffer; the driver drains
@@ -21,7 +21,7 @@
 //!   one cache line, so a single process sustains millions of clients.
 
 use crate::buggify::ProtocolMutations;
-use crate::checker::{CrashRecord, OpHistory};
+use crate::checker::{CrashRecord, HistoryOp, OpHistory};
 use crate::client::{ClientOptions, ClientStats, ClientTable, CompletedOp};
 use crate::fxhash::FxHashMap;
 use crate::messages::Msg;
@@ -41,6 +41,9 @@ use rand::SeedableRng;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// Virtual nodes per physical node on the consistent-hashing ring.
+const VNODES: u32 = 16;
+
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterOptions {
@@ -48,8 +51,6 @@ pub struct ClusterOptions {
     pub nodes: u32,
     /// `(N, R, W)` replication parameters.
     pub replication: ReplicaConfig,
-    /// Virtual nodes per physical node on the consistent-hashing ring.
-    pub vnodes: u32,
     /// Enable read repair (§4.2). Off for WARS validation, as in the paper.
     pub read_repair: bool,
     /// Enable hinted handoff (Dynamo §4.6).
@@ -58,8 +59,6 @@ pub struct ClusterOptions {
     pub hint_timeout_ms: f64,
     /// Hint redelivery period.
     pub hint_flush_interval_ms: f64,
-    /// Message loss probability.
-    pub drop_prob: f64,
     /// Merkle anti-entropy period (None = disabled, Cassandra's default
     /// posture per §4.2).
     pub sync_interval_ms: Option<f64>,
@@ -72,12 +71,6 @@ pub struct ClusterOptions {
     /// Record per-message one-way W/A/R/S delays for online prediction
     /// (§5.5/§6); drain with [`Cluster::drain_leg_samples`].
     pub record_leg_samples: bool,
-    /// Garbage-collect the online ground truth behind the watermark
-    /// (lagged by `op_timeout_ms`, the oldest start any still-unlabelled
-    /// read can have). Labels are bit-identical with it on or off — see
-    /// the [`staleness`](crate::staleness) module docs — while per-key
-    /// history memory becomes independent of run length. Default on.
-    pub gc_ground_truth: bool,
     /// Test-only protocol mutations for oracle validation — each flag
     /// deliberately breaks one anti-entropy mechanism so the checker's
     /// order oracle can prove it would catch the regression. All off in
@@ -94,17 +87,14 @@ impl ClusterOptions {
         Self {
             nodes: replication.n(),
             replication,
-            vnodes: 16,
             read_repair: false,
             hinted_handoff: false,
             hint_timeout_ms: 250.0,
             hint_flush_interval_ms: 500.0,
-            drop_prob: 0.0,
             sync_interval_ms: None,
             wipe_on_crash: false,
             op_timeout_ms: 60_000.0,
             record_leg_samples: false,
-            gc_ground_truth: true,
             mutations: ProtocolMutations::default(),
             seed,
         }
@@ -264,15 +254,10 @@ impl DetectorTracker {
     }
 }
 
-/// A read drained from the open-loop engine, labelled against the online
-/// ground-truth watermark.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenRead {
-    /// The completed operation (`finish: None` = client-side timeout).
-    pub op: CompletedOp,
-    /// Ground-truth verdict (None when the read timed out).
-    pub label: Option<ReadLabel>,
-}
+/// A read drained from the open-loop engine: the completed operation
+/// (`finish: None` = client-side timeout) and its label against the
+/// online ground-truth watermark (`None` when the read timed out).
+pub type OpenRead = HistoryOp;
 
 /// Everything that finished during one open-loop window.
 #[derive(Debug, Clone, Default)]
@@ -316,7 +301,7 @@ impl WindowDrain {
 /// Either a storage node or a worker's client table — the two inhabitants
 /// of the cluster's simulation.
 #[allow(clippy::large_enum_variant)]
-pub enum ClusterActor {
+pub(crate) enum ClusterActor {
     /// A Dynamo-style storage node (coordinator + replica).
     Node(Node),
     /// All open-loop clients of one PDES worker, as a single
@@ -339,10 +324,11 @@ impl Actor for ClusterActor {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// The ordinary single-threaded engine over one partition — the
-    /// default, and bit-identical to every pre-parallel release.
+    /// default.
     Serial,
     /// The serial engine, but with clients restricted to the coordinator
-    /// ranges of a `workers`-way [`PartitionPlan`] — issues exactly the
+    /// ranges of a `workers`-way partition plan
+    /// ([`Cluster::partition_plan`]) — issues exactly the
     /// operations a [`Parallel`](Self::Parallel) run with the same
     /// `workers` would, on one thread. The reference side of the
     /// serial-vs-parallel equivalence checks.
@@ -533,7 +519,7 @@ impl Cluster {
         );
         assert!(opts.op_timeout_ms > 0.0);
         let plan = PartitionPlan::contiguous(opts.nodes, kind.workers());
-        let ring = Arc::new(Ring::new(opts.nodes, opts.vnodes, opts.replication.n()));
+        let ring = Arc::new(Ring::new(opts.nodes, VNODES, opts.replication.n()));
         let net = Arc::new(network);
         let down = Arc::new(DownTracker::new(opts.nodes as usize));
         let node_opts = NodeOptions {
@@ -543,7 +529,6 @@ impl Cluster {
             hinted_handoff: opts.hinted_handoff,
             hint_timeout_ms: opts.hint_timeout_ms,
             hint_flush_interval_ms: opts.hint_flush_interval_ms,
-            drop_prob: opts.drop_prob,
             record_leg_samples: opts.record_leg_samples,
             mutations: opts.mutations,
         };
@@ -632,9 +617,7 @@ impl Cluster {
     /// The cluster's network model. Its dynamic-condition methods
     /// (partitions, link faults, regime swaps, buggify fault profiles)
     /// take `&self`, so faults can be injected mid-run:
-    /// `cluster.network().partition(vec![0, 0, 1])` — or, with explicit
-    /// length checking, `cluster.network().try_partition(groups,
-    /// cluster.node_count())`.
+    /// `cluster.network().try_partition(groups, cluster.node_count())`.
     pub fn network(&self) -> &NetworkModel {
         &self.net
     }
@@ -711,7 +694,7 @@ impl Cluster {
             cfg.n()
         );
         if cfg.n() != self.opts.replication.n() {
-            let ring = Arc::new(Ring::new(self.opts.nodes, self.opts.vnodes, cfg.n()));
+            let ring = Arc::new(Ring::new(self.opts.nodes, VNODES, cfg.n()));
             self.ring = Arc::clone(&ring);
             for id in 0..self.opts.nodes as usize {
                 self.node_mut(id).set_ring(Arc::clone(&ring));
@@ -1028,11 +1011,6 @@ impl Cluster {
         self.client_count = count;
     }
 
-    /// Number of open-loop clients.
-    pub fn client_count(&self) -> usize {
-        self.client_count as usize
-    }
-
     /// Worker client-table actor ids, in worker order.
     fn table_ids(&self) -> impl Iterator<Item = ActorId> + '_ {
         self.tables.iter().filter_map(|t| *t)
@@ -1054,18 +1032,6 @@ impl Cluster {
         for id in ids {
             self.engine.inject(id, 0.0, Msg::StopClient);
         }
-    }
-
-    /// Total in-flight operations across all clients.
-    pub fn in_flight_total(&self) -> usize {
-        self.table_ids().map(|id| self.table(id).in_flight() as usize).sum()
-    }
-
-    /// Touched `(client, key)` session-state entries across all client
-    /// tables — the component of client memory that scales with the key
-    /// universe rather than the client count.
-    pub fn session_entries_total(&self) -> usize {
-        self.table_ids().map(|id| self.table(id).session_entries()).sum()
     }
 
     /// Events currently pending in the simulation's scheduler — the
@@ -1121,13 +1087,16 @@ impl Cluster {
     /// `drain` is cleared and refilled, keeping its capacity, so a driver
     /// looping over many windows allocates nothing in steady state.
     pub fn drain_window_into(&mut self, until: SimTime, drain: &mut WindowDrain) {
-        if self.opts.gc_ground_truth && !self.ground_truth.gc_enabled() {
-            // The GC horizon lags the watermark by the oldest start any
-            // still-unlabelled read can have: a read drained in a later
-            // window must have finished after this one, and it started at
-            // most one client op-timeout before finishing. The cluster-side
-            // timeout is folded in as a floor for good measure (it bounds
-            // the coordinator's own retention).
+        if !self.ground_truth.gc_enabled() {
+            // Garbage-collect the ground truth behind the watermark: labels
+            // are bit-identical with or without it (see the `staleness`
+            // module docs) while per-key history memory becomes independent
+            // of run length. The GC horizon lags the watermark by the oldest
+            // start any still-unlabelled read can have: a read drained in a
+            // later window must have finished after this one, and it started
+            // at most one client op-timeout before finishing. The
+            // cluster-side timeout is folded in as a floor for good measure
+            // (it bounds the coordinator's own retention).
             let lag = self
                 .table_ids()
                 .map(|id| self.table(id).options().op_timeout_ms)
@@ -1213,13 +1182,6 @@ impl Cluster {
         for id in 0..self.opts.nodes as usize {
             all.merge(&mut self.node_mut(id).leg_samples);
         }
-        all
-    }
-
-    /// Drain the staleness-detector logs of every node.
-    pub fn drain_detector_events(&mut self) -> Vec<DetectorEvent> {
-        let mut all = Vec::new();
-        self.collect_detector_events(&mut all);
         all
     }
 
@@ -1494,7 +1456,7 @@ mod tests {
             Arc::new(Constant::new(1.0)),
             Arc::new(Constant::new(1.0)),
         ));
-        cluster.network().partition(vec![0, 0, 1]);
+        cluster.network().try_partition(vec![0, 0, 1], 3).unwrap();
         let w = cluster.write_from(0, 5);
         assert!(w.commit.is_none(), "W=3 cannot commit across a partition");
         cluster.network().heal_partition();
@@ -1512,7 +1474,7 @@ mod tests {
         ));
         // R=W=1 under a minority partition: a majority-side coordinator
         // still commits (itself is a replica).
-        cluster.network().partition(vec![0, 0, 1]);
+        cluster.network().try_partition(vec![0, 0, 1], 3).unwrap();
         let w = cluster.write_from(0, 7);
         assert!(w.commit.is_some());
         // Tighten to W=3 live: the same write now fails under partition.

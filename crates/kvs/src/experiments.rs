@@ -145,33 +145,6 @@ pub fn measure_t_visibility_sharded(
     })
 }
 
-/// Measure the distribution of *versions behind* at a fixed offset — the
-/// live-store counterpart of PBS k-staleness. Returns
-/// `hist[j] = fraction of reads exactly j versions behind` (last bucket
-/// aggregates deeper staleness).
-pub fn measure_version_staleness(
-    cluster: &mut Cluster,
-    key: u64,
-    t_ms: f64,
-    trials: usize,
-    max_k: usize,
-) -> Vec<f64> {
-    assert!(trials > 0 && max_k >= 1);
-    let mut hist = vec![0usize; max_k + 1];
-    let mut labelled = 0usize;
-    for _ in 0..trials {
-        let w = cluster.write(key);
-        let Some(commit) = w.commit else { continue };
-        let r = cluster.read_at(key, commit + SimDuration::from_ms(t_ms));
-        let Some(label) = r.label else { continue };
-        labelled += 1;
-        let behind = (label.versions_behind as usize).min(max_k);
-        hist[behind] += 1;
-    }
-    assert!(labelled > 0, "no probe completed");
-    hist.into_iter().map(|c| c as f64 / labelled as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,17 +185,6 @@ mod tests {
         let mut cluster = make_cluster(3, 2, 2, 0.1, 0.5, 2);
         let m = measure_t_visibility(&mut cluster, 5, &[0.0], 300, 0.0);
         assert_eq!(m.points[0].probability(), 1.0);
-    }
-
-    #[test]
-    fn version_staleness_histogram_sums_to_one() {
-        let mut cluster = make_cluster(3, 1, 1, 0.05, 2.0, 3);
-        let hist = measure_version_staleness(&mut cluster, 9, 0.0, 500, 4);
-        let sum: f64 = hist.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-9);
-        assert_eq!(hist.len(), 5);
-        // Most reads are 0 or 1 versions behind even when stale.
-        assert!(hist[0] > 0.1);
     }
 
     #[test]

@@ -34,7 +34,7 @@ const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 /// xored into the state, and multiplied by the mixing constant; `finish`
 /// folds the high half of the state into the low half (see module docs).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FxHasher {
+pub(crate) struct FxHasher {
     hash: u64,
 }
 
@@ -87,15 +87,15 @@ impl Hasher for FxHasher {
 }
 
 /// `BuildHasher` for [`FxHasher`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed through [`FxHasher`] — drop-in for the default map
 /// on hot paths with internal (non-adversarial) keys.
-pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed through [`FxHasher`] (the linearizability checker's
 /// memo cache and version sets).
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
+pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -87,7 +87,7 @@ struct Conditions {
 /// that may change mid-run through `&self` (interior mutability):
 /// [`swap_legs`](Self::swap_legs) replaces the active distributions (a
 /// latency-regime shift), [`set_leg_scale`](Self::set_leg_scale) scales
-/// them, [`partition`](Self::partition) drops messages across group
+/// them, [`try_partition`](Self::try_partition) drops messages across group
 /// boundaries until [`heal_partition`](Self::heal_partition), and
 /// [`add_link_fault`](Self::add_link_fault) degrades individual links.
 /// Messages already in flight keep the delay they were sampled with —
@@ -207,22 +207,9 @@ impl NetworkModel {
 
     /// Install a network partition: `groups[node]` assigns each node to a
     /// partition group, and every message between nodes in *different*
-    /// groups is silently dropped. Replaces any existing partition.
-    ///
-    /// **Saturating contract**: nodes beyond `groups.len()` are treated as
-    /// members of group 0 — a short vector therefore *connects* the tail
-    /// of the cluster to whichever nodes were explicitly assigned group 0,
-    /// which is rarely what a scenario intends. Prefer
-    /// [`try_partition`](Self::try_partition), which rejects a grouping
-    /// that does not cover every node; this method is kept for callers
-    /// that deliberately want "everyone else in group 0" shorthand.
-    pub fn partition(&self, groups: Vec<u32>) {
-        self.update_conditions(|c| c.partition = groups);
-    }
-
-    /// Install a network partition, rejecting a grouping that does not
-    /// assign exactly one group to each of the cluster's `nodes` nodes
-    /// (see [`partition`](Self::partition) for the saturating fallback).
+    /// groups is silently dropped. Replaces any existing partition. A
+    /// grouping that does not assign exactly one group to each of the
+    /// cluster's `nodes` nodes is rejected and not installed.
     pub fn try_partition(&self, groups: Vec<u32>, nodes: usize) -> Result<(), FaultConfigError> {
         if groups.len() != nodes {
             return Err(FaultConfigError::GroupCountMismatch { groups: groups.len(), nodes });
@@ -235,22 +222,6 @@ impl NetworkModel {
     /// after the call.
     pub fn heal_partition(&self) {
         self.update_conditions(|c| c.partition.clear());
-    }
-
-    /// Whether a partition currently blocks `from → to`.
-    pub fn is_partitioned(&self, from: usize, to: usize) -> bool {
-        let c = self.conditions();
-        if c.partition.is_empty() {
-            return false;
-        }
-        let a = c.partition.get(from).copied().unwrap_or(0);
-        let b = c.partition.get(to).copied().unwrap_or(0);
-        a != b
-    }
-
-    /// Whether a message from `from` to `to` would currently be delivered.
-    pub fn deliverable(&self, from: usize, to: usize) -> bool {
-        !self.is_partitioned(from, to)
     }
 
     /// Add a directed per-link fault (see [`LinkFault`]). Faults stack:
@@ -329,27 +300,16 @@ impl NetworkModel {
     // ----- sampling -----
 
     /// Attempt to transmit one message on `leg` from `from` to `to` under
-    /// the current dynamic conditions: `None` when a partition blocks the
-    /// link, otherwise the sampled one-way delay (regime, scaling, DC
-    /// penalty, link faults applied). This is the hot-path entry point —
-    /// one conditions-lock acquisition per message, with no window between
-    /// the deliverability check and the sample.
+    /// the current dynamic conditions, **ignoring** any installed fault
+    /// schedule: `None` when a partition blocks the link, otherwise the
+    /// sampled one-way delay (regime, scaling, DC penalty, link faults
+    /// applied).
     pub fn transmit(&self, leg: Leg, from: usize, to: usize, rng: &mut dyn RngCore) -> Option<f64> {
-        if !self.dynamic_active.load(Ordering::Relaxed) {
-            // Hot path: no partitions, regimes, scaling, or link faults —
-            // sample the base leg without acquiring the conditions lock.
-            // Consumes exactly the same RNG draws as the general path.
-            return Some(self.base[leg.index()].sample(rng) + self.penalty(from, to));
+        match self.decide(leg, from, to, None, rng) {
+            Delivery::Once(delay) => Some(delay),
+            Delivery::Dropped => None,
+            Delivery::Twice(..) => unreachable!("only a fault profile duplicates messages"),
         }
-        let c = self.conditions();
-        if !c.partition.is_empty() {
-            let a = c.partition.get(from).copied().unwrap_or(0);
-            let b = c.partition.get(to).copied().unwrap_or(0);
-            if a != b {
-                return None;
-            }
-        }
-        Some(self.delay_under(&c, leg, from, to, rng))
     }
 
     /// [`transmit`](Self::transmit) with the installed buggify
@@ -364,6 +324,9 @@ impl NetworkModel {
     /// runs and to calm segments of a scheduled storm. All rolls come
     /// from the *sender's* RNG and `now_ms` is sender-local state, so
     /// sharded chaos runs stay bit-reproducible per `(seed, threads)`.
+    ///
+    /// This is where a node's message meets the network: loss, partition,
+    /// delay and duplication are decided here and nowhere else.
     pub fn transmit_buggified(
         &self,
         leg: Leg,
@@ -372,18 +335,37 @@ impl NetworkModel {
         now_ms: f64,
         rng: &mut dyn RngCore,
     ) -> Delivery {
+        self.decide(leg, from, to, Some(now_ms), rng)
+    }
+
+    /// The one delivery decision behind both entry points; `faults_at` is
+    /// the send instant at which to consult the fault schedule (`None` =
+    /// leave it out). One conditions-lock acquisition per message, with no
+    /// window between the partition test and the sample.
+    #[inline]
+    fn decide(
+        &self,
+        leg: Leg,
+        from: usize,
+        to: usize,
+        faults_at: Option<f64>,
+        rng: &mut dyn RngCore,
+    ) -> Delivery {
         if !self.dynamic_active.load(Ordering::Relaxed) {
+            // Hot path: no partitions, regimes, scaling, link faults or
+            // fault schedule — sample the base leg without acquiring the
+            // conditions lock. Consumes exactly the same RNG draws as the
+            // general path.
             return Delivery::Once(self.base[leg.index()].sample(rng) + self.penalty(from, to));
         }
         let c = self.conditions();
         if !c.partition.is_empty() {
-            let a = c.partition.get(from).copied().unwrap_or(0);
-            let b = c.partition.get(to).copied().unwrap_or(0);
-            if a != b {
+            let group = |node: usize| c.partition.get(node).copied().unwrap_or(0);
+            if group(from) != group(to) {
                 return Delivery::Dropped;
             }
         }
-        let Some(p) = c.faults.as_ref().map(|s| *s.active_at(now_ms)) else {
+        let Some(p) = faults_at.and_then(|at| c.faults.as_ref().map(|s| *s.active_at(at))) else {
             return Delivery::Once(self.delay_under(&c, leg, from, to, rng));
         };
         if p.drop_prob > 0.0 && unit(rng) < p.drop_prob {
@@ -451,19 +433,6 @@ impl NetworkModel {
         }
     }
 
-    /// Sample the one-way delay for a message on `leg` from node `from` to
-    /// node `to`, under the current dynamic conditions (regime, scaling,
-    /// link faults — but **not** partitions; callers gate delivery on
-    /// [`deliverable`](Self::deliverable), or use
-    /// [`transmit`](Self::transmit), which does both under one lock).
-    pub fn delay(&self, leg: Leg, from: usize, to: usize, rng: &mut dyn RngCore) -> f64 {
-        if !self.dynamic_active.load(Ordering::Relaxed) {
-            return self.base[leg.index()].sample(rng) + self.penalty(from, to);
-        }
-        let c = self.conditions();
-        self.delay_under(&c, leg, from, to, rng)
-    }
-
     fn delay_under(
         &self,
         c: &Conditions,
@@ -501,11 +470,6 @@ impl NetworkModel {
         } else {
             self.inter_dc_penalty_ms
         }
-    }
-
-    /// The datacenter of `node` (0 when no topology is attached).
-    pub fn datacenter_of(&self, node: usize) -> u32 {
-        self.dc_of.get(node).copied().unwrap_or(0)
     }
 
     /// A conservative lower bound (ms) on the one-way delay of **any**
@@ -586,24 +550,28 @@ mod tests {
         )
     }
 
+    /// Whether a message from `from` to `to` currently gets through.
+    fn delivers(net: &NetworkModel, from: usize, to: usize) -> bool {
+        net.transmit(Leg::W, from, to, &mut StdRng::seed_from_u64(0)).is_some()
+    }
+
     #[test]
     fn per_leg_distributions() {
         let net = constant_net();
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0);
-        assert_eq!(net.delay(Leg::A, 1, 0, &mut rng), 3.0);
-        assert_eq!(net.delay(Leg::R, 0, 1, &mut rng), 2.0);
-        assert_eq!(net.delay(Leg::S, 1, 0, &mut rng), 1.0);
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0));
+        assert_eq!(net.transmit(Leg::A, 1, 0, &mut rng), Some(3.0));
+        assert_eq!(net.transmit(Leg::R, 0, 1, &mut rng), Some(2.0));
+        assert_eq!(net.transmit(Leg::S, 1, 0, &mut rng), Some(1.0));
     }
 
     #[test]
     fn dc_penalty_applies_only_across_dcs() {
         let net = constant_net().with_datacenters(vec![0, 0, 1], 75.0);
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0, "same DC");
-        assert_eq!(net.delay(Leg::W, 0, 2, &mut rng), 79.0, "cross DC");
-        assert_eq!(net.delay(Leg::S, 2, 0, &mut rng), 76.0);
-        assert_eq!(net.datacenter_of(2), 1);
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "same DC");
+        assert_eq!(net.transmit(Leg::W, 0, 2, &mut rng), Some(79.0), "cross DC");
+        assert_eq!(net.transmit(Leg::S, 2, 0, &mut rng), Some(76.0));
     }
 
     #[test]
@@ -616,10 +584,10 @@ mod tests {
             Arc::new(Constant::new(20.0)),
             Arc::new(Constant::new(10.0)),
         );
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 40.0);
-        assert_eq!(net.delay(Leg::S, 1, 0, &mut rng), 10.0);
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(40.0));
+        assert_eq!(net.transmit(Leg::S, 1, 0, &mut rng), Some(10.0));
         net.restore_base_legs();
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0);
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0));
     }
 
     #[test]
@@ -628,20 +596,20 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         net.set_leg_scale(2.0, 1.0, 1.0, 1.0);
         net.set_leg_scale(2.0, 1.0, 1.0, 1.0);
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 8.0, "2× once, not 4×");
-        assert_eq!(net.delay(Leg::A, 1, 0, &mut rng), 3.0, "other legs untouched");
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(8.0), "2× once, not 4×");
+        assert_eq!(net.transmit(Leg::A, 1, 0, &mut rng), Some(3.0), "other legs untouched");
     }
 
     #[test]
     fn partition_blocks_cross_group_only() {
         let net = constant_net();
-        net.partition(vec![0, 0, 1]);
-        assert!(net.deliverable(0, 1));
-        assert!(!net.deliverable(0, 2));
-        assert!(!net.deliverable(2, 1));
-        assert!(net.deliverable(2, 2), "self-delivery always works");
+        net.try_partition(vec![0, 0, 1], 3).unwrap();
+        assert!(delivers(&net, 0, 1));
+        assert!(!delivers(&net, 0, 2));
+        assert!(!delivers(&net, 2, 1));
+        assert!(delivers(&net, 2, 2), "self-delivery always works");
         net.heal_partition();
-        assert!(net.deliverable(0, 2));
+        assert!(delivers(&net, 0, 2));
     }
 
     #[test]
@@ -649,10 +617,10 @@ mod tests {
         let net = constant_net();
         let mut rng = StdRng::seed_from_u64(0);
         net.add_link_fault(LinkFault { from: 0, to: 1, extra_ms: 5.0, scale: 3.0 }).unwrap();
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0 * 3.0 + 5.0);
-        assert_eq!(net.delay(Leg::W, 1, 0, &mut rng), 4.0, "directed: reverse unaffected");
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0 * 3.0 + 5.0));
+        assert_eq!(net.transmit(Leg::W, 1, 0, &mut rng), Some(4.0), "directed: reverse unaffected");
         net.clear_link_faults();
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0);
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0));
     }
 
     #[test]
@@ -660,7 +628,7 @@ mod tests {
         let net = constant_net();
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(net.transmit(Leg::W, 0, 2, &mut rng), Some(4.0));
-        net.partition(vec![0, 0, 1]);
+        net.try_partition(vec![0, 0, 1], 3).unwrap();
         assert_eq!(net.transmit(Leg::W, 0, 2, &mut rng), None, "cross-group blocked");
         assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "same group flows");
         net.heal_partition();
@@ -669,10 +637,8 @@ mod tests {
 
     #[test]
     fn try_partition_rejects_short_and_long_groupings() {
-        // Regression: `partition` used to be the only entry point, and it
-        // silently folds unassigned nodes into group 0 — a short vector
-        // reconnects the tail of the cluster. `try_partition` makes the
-        // mismatch an error.
+        // A short vector would leave the tail of the cluster in nobody's
+        // group; a mismatch is an error, not a guess.
         let net = constant_net();
         assert_eq!(
             net.try_partition(vec![0, 1], 3),
@@ -682,14 +648,9 @@ mod tests {
             net.try_partition(vec![0, 1, 0, 1], 3),
             Err(FaultConfigError::GroupCountMismatch { groups: 4, nodes: 3 })
         );
-        assert!(net.deliverable(0, 1), "rejected grouping is not installed");
+        assert!(delivers(&net, 0, 1), "rejected grouping is not installed");
         net.try_partition(vec![0, 1, 0], 3).unwrap();
-        assert!(!net.deliverable(0, 1));
-        // The saturating legacy entry point still documents its contract:
-        // node 2 (beyond the grouping) joins group 0.
-        net.partition(vec![0, 1]);
-        assert!(net.deliverable(0, 2), "unassigned node saturates into group 0");
-        assert!(!net.deliverable(1, 2));
+        assert!(!delivers(&net, 0, 1));
     }
 
     #[test]
@@ -707,23 +668,37 @@ mod tests {
             ));
         }
         let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0, "rejected faults not installed");
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "rejected faults not installed");
     }
 
     #[test]
     fn buggified_transmit_without_profile_matches_transmit() {
-        let net = constant_net();
+        use pbs_dist::Exponential;
+        // Sampled legs, so the two RNG streams only stay in lockstep if
+        // both entry points draw alike.
+        let exp = |mean| -> DynDistribution { Arc::new(Exponential::from_mean(mean)) };
+        let net = NetworkModel::new(exp(4.0), exp(3.0), exp(2.0), exp(1.0));
         let mut a = StdRng::seed_from_u64(9);
         let mut b = StdRng::seed_from_u64(9);
-        for _ in 0..32 {
-            let plain = net.transmit(Leg::W, 0, 1, &mut a);
-            let buggy = net.transmit_buggified(Leg::W, 0, 1, 0.0, &mut b);
-            assert_eq!(buggy, Delivery::Once(plain.unwrap()));
-        }
-        // Same with a non-fault dynamic condition active (lock path).
-        net.set_leg_scale(2.0, 1.0, 1.0, 1.0);
-        let plain = net.transmit(Leg::W, 0, 1, &mut a).unwrap();
-        assert_eq!(net.transmit_buggified(Leg::W, 0, 1, 0.0, &mut b), Delivery::Once(plain));
+        let mut agree = |net: &NetworkModel| {
+            for (leg, from, to) in [(Leg::W, 0, 1), (Leg::A, 1, 0), (Leg::R, 0, 2), (Leg::S, 2, 1)] {
+                let expect = match net.transmit(leg, from, to, &mut a) {
+                    Some(delay) => Delivery::Once(delay),
+                    None => Delivery::Dropped,
+                };
+                assert_eq!(net.transmit_buggified(leg, from, to, 0.0, &mut b), expect);
+            }
+        };
+        agree(&net); // lock-free fast path
+        net.try_partition(vec![0, 0, 1], 3).unwrap();
+        agree(&net); // 0→1 flows, the links to node 2 are cut
+        net.heal_partition();
+        net.swap_legs(exp(40.0), exp(30.0), exp(20.0), exp(10.0));
+        agree(&net);
+        net.set_leg_scale(2.0, 1.0, 0.5, 1.0);
+        agree(&net);
+        net.add_link_fault(LinkFault { from: 0, to: 1, extra_ms: 5.0, scale: 3.0 }).unwrap();
+        agree(&net);
         // RNG streams consumed identically throughout.
         assert_eq!(a.next_u64(), b.next_u64());
     }
@@ -887,11 +862,11 @@ mod tests {
     #[test]
     fn clone_forks_dynamic_conditions() {
         let net = constant_net();
-        net.partition(vec![0, 1]);
+        net.try_partition(vec![0, 1], 2).unwrap();
         let fork = net.clone();
-        assert!(!fork.deliverable(0, 1), "clone inherits current conditions");
+        assert!(!delivers(&fork, 0, 1), "clone inherits current conditions");
         net.heal_partition();
-        assert!(!fork.deliverable(0, 1), "healing the original leaves the fork alone");
+        assert!(!delivers(&fork, 0, 1), "healing the original leaves the fork alone");
         fork.heal_partition();
         let mut rng = StdRng::seed_from_u64(0);
         fork.swap_legs(
@@ -900,6 +875,6 @@ mod tests {
             Arc::new(Constant::new(9.0)),
             Arc::new(Constant::new(9.0)),
         );
-        assert_eq!(net.delay(Leg::W, 0, 1, &mut rng), 4.0, "fork's swap is private");
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "fork's swap is private");
     }
 }

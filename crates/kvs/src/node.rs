@@ -29,23 +29,23 @@ const KIND_GC: u64 = 5;
 /// alike) consult it to avoid handing an operation to a crashed
 /// coordinator — which would silently become an op timeout.
 #[derive(Debug)]
-pub struct DownTracker {
+pub(crate) struct DownTracker {
     down: Vec<AtomicBool>,
 }
 
 impl DownTracker {
     /// All-up tracker over `nodes` nodes.
-    pub fn new(nodes: usize) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         Self { down: (0..nodes).map(|_| AtomicBool::new(false)).collect() }
     }
 
     /// Mark `node` down or up.
-    pub fn set_down(&self, node: usize, down: bool) {
+    pub(crate) fn set_down(&self, node: usize, down: bool) {
         self.down[node].store(down, Ordering::Relaxed);
     }
 
     /// Whether `node` is currently marked down.
-    pub fn is_down(&self, node: usize) -> bool {
+    pub(crate) fn is_down(&self, node: usize) -> bool {
         self.down[node].load(Ordering::Relaxed)
     }
 
@@ -53,7 +53,7 @@ impl DownTracker {
     /// back to the raw draw when every node is down (the op will then time
     /// out, as it must). Consumes exactly one RNG draw regardless of crash
     /// state, so healthy-cluster RNG streams are unchanged by this check.
-    pub fn pick_up_node(&self, rng: &mut dyn RngCore, nodes: usize) -> usize {
+    pub(crate) fn pick_up_node(&self, rng: &mut dyn RngCore, nodes: usize) -> usize {
         self.pick_up_node_in(rng, 0, nodes)
     }
 
@@ -63,7 +63,7 @@ impl DownTracker {
     /// partition. Same RNG discipline (one draw, then a linear probe), so
     /// with `base = 0, count = nodes` it is bit-identical to the
     /// unrestricted pick.
-    pub fn pick_up_node_in(&self, rng: &mut dyn RngCore, base: usize, count: usize) -> usize {
+    pub(crate) fn pick_up_node_in(&self, rng: &mut dyn RngCore, base: usize, count: usize) -> usize {
         let start = rng.gen_range(0..count);
         for probe in 0..count {
             let candidate = base + (start + probe) % count;
@@ -90,7 +90,7 @@ fn tag_op(t: u64) -> u64 {
 
 /// Per-node protocol options (shared across the cluster in practice).
 #[derive(Debug, Clone, Copy)]
-pub struct NodeOptions {
+pub(crate) struct NodeOptions {
     /// Read quorum size `R`.
     pub r: u32,
     /// Write quorum size `W`.
@@ -105,8 +105,6 @@ pub struct NodeOptions {
     pub hint_timeout_ms: f64,
     /// Hint redelivery period.
     pub hint_flush_interval_ms: f64,
-    /// Probability that any data-plane message is lost in transit.
-    pub drop_prob: f64,
     /// Record every sampled one-way W/A/R/S delay (the WARS profiling the
     /// paper added to Cassandra, §5.2/§5.5). Off by default — it allocates.
     pub record_leg_samples: bool,
@@ -125,7 +123,6 @@ impl Default for NodeOptions {
             hinted_handoff: false,
             hint_timeout_ms: 250.0,
             hint_flush_interval_ms: 500.0,
-            drop_prob: 0.0,
             record_leg_samples: false,
             mutations: ProtocolMutations::default(),
         }
@@ -218,7 +215,7 @@ pub enum ClientResult {
 
 impl ClientResult {
     /// The operation id.
-    pub fn op_id(&self) -> u64 {
+    pub(crate) fn op_id(&self) -> u64 {
         match self {
             ClientResult::Write { op_id, .. } | ClientResult::Read { op_id, .. } => *op_id,
         }
@@ -229,7 +226,7 @@ impl ClientResult {
 /// arriving after the client reply carried a newer version than was
 /// returned.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DetectorEvent {
+pub(crate) struct DetectorEvent {
     /// The flagged read.
     pub op_id: u64,
     /// Key involved.
@@ -317,13 +314,13 @@ pub struct Node {
     hint_flush_scheduled: bool,
     sync_interval_ms: Option<f64>,
     /// Completed client operations awaiting harness pickup.
-    pub client_results: FxHashMap<u64, ClientResult>,
+    pub(crate) client_results: FxHashMap<u64, ClientResult>,
     /// Accumulated staleness-detector observations.
-    pub detector_log: Vec<DetectorEvent>,
+    pub(crate) detector_log: Vec<DetectorEvent>,
     /// Per-leg one-way latency samples (WARS instrumentation, §5.5's
     /// "easily collected" measurements). Populated when
     /// [`NodeOptions::record_leg_samples`] is set.
-    pub leg_samples: LegSamples,
+    pub(crate) leg_samples: LegSamples,
     /// Stats: read-repair messages sent.
     pub repairs_sent: u64,
     /// Stats: hints successfully delivered.
@@ -351,7 +348,7 @@ impl std::fmt::Debug for Node {
 impl Node {
     /// Build node `id` with its own deterministic RNG stream. The
     /// down-tracker is shared cluster-wide.
-    pub fn new(
+    pub(crate) fn new(
         id: ActorId,
         opts: NodeOptions,
         net: Arc<NetworkModel>,
@@ -396,17 +393,12 @@ impl Node {
         self.store.get(&key).copied()
     }
 
-    /// Number of keys stored.
-    pub fn key_count(&self) -> usize {
-        self.store.len()
-    }
-
     /// Change the quorum sizes this node uses when coordinating (live
     /// reconfiguration, §6 "Variable configurations"). Operations already
     /// in flight complete under whichever threshold is in force when their
     /// responses arrive — the coordinator checks `≥`, so shrinking a
     /// quorum lets pending operations commit on their next response.
-    pub fn set_quorums(&mut self, r: u32, w: u32) {
+    pub(crate) fn set_quorums(&mut self, r: u32, w: u32) {
         assert!(r >= 1 && w >= 1);
         self.opts.r = r;
         self.opts.w = w;
@@ -415,7 +407,7 @@ impl Node {
     /// Swap the placement ring (live replication-factor change). Existing
     /// stored data stays put; anti-entropy and read repair migrate it to
     /// the new replica sets over time.
-    pub fn set_ring(&mut self, ring: Arc<Ring>) {
+    pub(crate) fn set_ring(&mut self, ring: Arc<Ring>) {
         self.ring = ring;
     }
 
@@ -432,15 +424,10 @@ impl Node {
         }
     }
 
-    /// Send with sampled per-leg latency, subject to message loss, any
-    /// active network partition, and the buggify fault-schedule segment
-    /// active at the sender's current time (drop/duplicate/reorder/
-    /// slow-node). With no schedule — or a calm segment — this consumes
-    /// exactly the same RNG draws as the pre-buggify path.
+    /// Send on `leg`: whether the message arrives, when, and how often is
+    /// the network model's decision alone (partition, latency regime, and
+    /// the fault-schedule segment active at the sender's current time).
     fn send(&mut self, ctx: &mut Context<'_, Msg>, leg: Leg, to: ActorId, msg: Msg) {
-        if self.opts.drop_prob > 0.0 && self.rng.gen::<f64>() < self.opts.drop_prob {
-            return; // lost in transit
-        }
         let now_ms = ctx.now().as_ms();
         match self.net.transmit_buggified(leg, self.id, to, now_ms, &mut self.rng) {
             Delivery::Dropped => {} // partitioned away or buggify drop
@@ -489,10 +476,8 @@ impl Node {
     }
 
     /// Stash (or refresh) the hint for `(target, key)`: one hint per
-    /// missed replica per key, carrying the newest missed version. The
-    /// old behaviour pushed a fresh hint per timed-out write, so a
-    /// permanently crashed replica accumulated unbounded hints that the
-    /// flush rebroadcast forever.
+    /// missed replica per key, carrying the newest missed version, so a
+    /// permanently crashed replica cannot accumulate unbounded hints.
     fn push_hint(&mut self, target: ActorId, key: u64, version: Version, now: SimTime) {
         match self.hints.iter_mut().find(|h| h.target == target && h.key == key) {
             Some(h) => {
@@ -799,9 +784,8 @@ impl Node {
         self.pending_reads.retain(|_, s| s.start > cutoff);
         // Hints share the retention horizon: if the target has stayed
         // unreachable past the op timeout, stop rebroadcasting and let
-        // anti-entropy heal the replica instead. Without this sweep a
-        // permanently crashed replica pinned its hints (and their flush
-        // traffic) forever.
+        // anti-entropy heal the replica instead; otherwise a permanently
+        // crashed replica pins its hints (and their flush traffic) forever.
         let before = self.hints.len();
         self.hints.retain(|h| h.since > cutoff);
         self.hints_expired += (before - self.hints.len()) as u64;
@@ -1050,6 +1034,6 @@ mod tests {
         assert_eq!(node.stored_version(5), Some(Version::new(2, 0)));
         node.apply_version(5, Version::new(3, 1));
         assert_eq!(node.stored_version(5), Some(Version::new(3, 1)));
-        assert_eq!(node.key_count(), 1);
+        assert_eq!(node.store.len(), 1);
     }
 }

@@ -188,7 +188,7 @@ impl Mergeable for OpenLoopReport {
 #[derive(Debug, Clone)]
 pub struct OpenLoopRun {
     /// Event engine. [`EngineKind::Parallel`] partitions nodes and clients
-    /// across worker threads (see [`crate::partition`]), bit-reproducibly
+    /// across worker threads (see [`Cluster::partition_plan`]), bit-reproducibly
     /// per `(seed, workers)`; running it over the same workload as
     /// [`EngineKind::SerialPartitioned`] with equal `workers` must yield
     /// identical histories and reports.

@@ -4,7 +4,7 @@
 
 /// FNV-1a 64-bit hash — small, deterministic, dependency-free. Quality is
 /// ample for ring placement (keys are already opaque identifiers).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;
@@ -78,11 +78,6 @@ impl Ring {
     /// Number of physical nodes.
     pub fn nodes(&self) -> u32 {
         self.nodes
-    }
-
-    /// Replication factor `N`.
-    pub fn replication(&self) -> u32 {
-        self.replication
     }
 
     /// The ordered preference list for `key`: the first `N` *distinct*

@@ -9,7 +9,7 @@
 //! arrivals from the scenario's piecewise load, and each committed write
 //! schedules a read of the same key `probe_offset_ms` after its commit
 //! (the §5.2 probe pair). Probes overlap freely — a timed-out operation
-//! no longer blocks the simulation, so fault events, refits, and windows
+//! does not hold the simulation up, so fault events, refits, and windows
 //! all fire at their exact scheduled instants and reads are labelled
 //! online as the commit watermark passes each window boundary.
 
@@ -272,7 +272,7 @@ fn fold_drain(
 /// live cluster. Each window drain advances the online ground-truth
 /// watermark and labels the probes that completed in the window.
 ///
-/// Because probes no longer block the simulation, a timed-out operation
+/// Because probes do not block the simulation, a timed-out operation
 /// cannot delay an event or refit past its scheduled instant, and load
 /// shedding only occurs at the client's in-flight cap (a genuinely
 /// overloaded store), not from clock divergence.
@@ -323,7 +323,6 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
             op_timeout_ms: opts.op_timeout_ms,
             max_in_flight: 4_096,
             probe_read_offset_ms: Some(scenario.probe_offset_ms),
-            result_capacity: 1 << 16,
         },
     );
     cluster.start_clients();

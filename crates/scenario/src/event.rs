@@ -135,18 +135,26 @@ impl TimedEvent {
     }
 }
 
+/// `Err` unless `value` is finite and ≥ 0 — the condition the kvs layer
+/// asserts on a downtime or a leg factor.
+fn magnitude(what: &str, value: f64) -> Result<(), String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{what} must be finite and ≥ 0, got {value}"))
+    }
+}
+
 /// Apply one event to a live cluster **at the cluster's current simulated
 /// time**. Drivers advance the cluster to the event's `at_ms` before
-/// calling this, so the event takes effect at the scheduled `SimTime` —
-/// except when a blocking probe already ran past `at_ms`, in which case it
-/// applies as soon as that probe completes (see
-/// [`run_scenario`](crate::run_scenario)'s clock policy).
+/// calling this (probes are open-loop, so nothing runs the clock past
+/// it), and the event takes effect at the scheduled `SimTime`.
 ///
 /// Malformed events — a partition whose `groups` doesn't cover the
-/// cluster, a crash of a nonexistent node, a non-finite link fault, an
+/// cluster, a crash of a nonexistent node or for a negative or non-finite
+/// downtime, a negative or non-finite leg factor or link fault, an
 /// invalid fault profile — are rejected with a description instead of
-/// panicking mid-run or being silently reshaped (the old `partition`
-/// path folded out-of-range nodes into group 0).
+/// panicking mid-run or being silently reshaped.
 pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), String> {
     match event {
         ScenarioEvent::Crash { node, down_ms } => {
@@ -156,6 +164,7 @@ pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), S
                     cluster.node_count()
                 ));
             }
+            magnitude("crash downtime (ms)", *down_ms)?;
             let now: SimTime = cluster.now();
             cluster.crash_node_at(*node, now, *down_ms);
         }
@@ -175,6 +184,9 @@ pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), S
             cluster.network().swap_legs(w.clone(), a.clone(), r.clone(), s.clone());
         }
         ScenarioEvent::ScaleLegs { w, a, r, s } => {
+            for factor in [w, a, r, s] {
+                magnitude("leg scale factor", *factor)?;
+            }
             cluster.network().set_leg_scale(*w, *a, *r, *s);
         }
         ScenarioEvent::RestoreBaseline => cluster.network().restore_base_legs(),

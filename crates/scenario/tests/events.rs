@@ -116,9 +116,8 @@ fn degraded_link_slows_only_that_link() {
 #[test]
 fn malformed_events_are_rejected_not_applied() {
     let mut cluster = constant_cluster(cfg(3, 1, 1), 6, 300.0);
-    // A partition grouping that doesn't cover the cluster used to be
-    // silently reshaped (missing nodes folded into group 0); now it is
-    // rejected outright.
+    // A partition grouping that doesn't cover the cluster would leave
+    // the missing nodes in nobody's group.
     let short = ScenarioEvent::Partition { groups: vec![0, 1] };
     assert!(apply_event(&mut cluster, &short).is_err());
     let missing = ScenarioEvent::Crash { node: 9, down_ms: 10.0 };
@@ -127,9 +126,20 @@ fn malformed_events_are_rejected_not_applied() {
     assert!(apply_event(&mut cluster, &ScenarioEvent::DegradeLink(bad_link)).is_err());
     let bad_profile = pbs_kvs::FaultProfile::new(1).with_drop(1.5);
     assert!(apply_event(&mut cluster, &ScenarioEvent::InjectFaults(bad_profile)).is_err());
+    // Magnitudes the kvs layer asserts on: a leg factor, and a downtime
+    // (which would only blow up later, when the crash fires).
+    for bad in [-1.0, f64::NAN, f64::INFINITY] {
+        let scale = ScenarioEvent::ScaleLegs { w: 1.0, a: bad, r: 1.0, s: 1.0 };
+        assert!(apply_event(&mut cluster, &scale).is_err(), "leg factor {bad}");
+        let crash = ScenarioEvent::Crash { node: 1, down_ms: bad };
+        assert!(apply_event(&mut cluster, &crash).is_err(), "downtime {bad}");
+    }
     // None of the rejected events took effect: messages still flow.
     let w = cluster.write_from(0, 1);
     assert!(w.commit.is_some(), "rejected events must leave the cluster untouched");
+    // Nor is a rejected crash left queued to panic the event loop.
+    cluster.advance_to(SimTime::from_ms(1_000.0));
+    assert!(!cluster.node(1).is_down());
 }
 
 #[test]

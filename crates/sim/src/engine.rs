@@ -213,11 +213,6 @@ impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Simulation<A, Q> {
         self.actors.len() - 1
     }
 
-    /// Number of registered actors.
-    pub fn actor_count(&self) -> usize {
-        self.actors.len()
-    }
-
     /// Immutable access to an actor (e.g. to read collected metrics).
     pub fn actor(&self, id: ActorId) -> &A {
         &self.actors[id]

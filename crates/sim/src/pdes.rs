@@ -97,9 +97,6 @@ pub struct PdesWorkerStats {
     /// Times this worker yielded its timeslice while waiting at a
     /// barrier (a direct measure of load imbalance / barrier stall).
     pub barrier_yields: u64,
-    /// Sum of executed window widths in nanoseconds (divide by `windows`
-    /// for the mean horizon).
-    pub sum_horizon_ns: u64,
 }
 
 /// A snapshot of the whole parallel run: one entry per worker plus the
@@ -121,12 +118,6 @@ impl PdesStats {
     /// Synchronous windows executed (same for every worker).
     pub fn windows(&self) -> u64 {
         self.workers.first().map_or(0, |w| w.windows)
-    }
-
-    /// Mean window width in milliseconds, if any window ran.
-    pub fn mean_horizon_ms(&self) -> Option<f64> {
-        let w = self.workers.first()?;
-        (w.windows > 0).then(|| w.sum_horizon_ns as f64 / w.windows as f64 / 1e6)
     }
 }
 
@@ -256,7 +247,6 @@ impl<A: Actor> Worker<A> {
                 .saturating_add(lookahead.as_nanos())
                 .min(deadline.as_nanos().saturating_add(1));
             self.stats.windows += 1;
-            self.stats.sum_horizon_ns += end_ns - min;
             while let Some(t) = self.queue.next_time() {
                 if t.as_nanos() >= end_ns {
                     break;
@@ -354,16 +344,6 @@ impl<A: Actor> ParallelSimulation<A> {
         })
     }
 
-    /// Number of workers.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// The configured lookahead.
-    pub fn lookahead(&self) -> SimDuration {
-        self.lookahead
-    }
-
     /// Replace the lookahead (e.g. after the latency model changed
     /// between windows). Rejects zero exactly like [`new`](Self::new).
     pub fn set_lookahead(&mut self, lookahead: SimDuration) -> Result<(), PdesError> {
@@ -386,16 +366,6 @@ impl<A: Actor> ParallelSimulation<A> {
         w.ids.push(id);
         w.lane_counters.push(0);
         id
-    }
-
-    /// Number of registered actors across all workers.
-    pub fn actor_count(&self) -> usize {
-        self.owner_of.len()
-    }
-
-    /// The worker owning `id`.
-    pub fn owner_of(&self, id: ActorId) -> usize {
-        self.owner_of[id] as usize
     }
 
     /// Immutable access to an actor (between runs).
@@ -422,11 +392,6 @@ impl<A: Actor> ParallelSimulation<A> {
     /// Events currently waiting across all worker wheels.
     pub fn pending_events(&self) -> usize {
         self.workers.iter().map(|w| w.queue.len()).sum()
-    }
-
-    /// Timestamp of the globally earliest pending event, if any.
-    pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.workers.iter_mut().filter_map(|w| w.queue.next_time()).min()
     }
 
     /// Scheduler counters summed across the worker wheels.

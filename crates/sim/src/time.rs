@@ -159,12 +159,6 @@ impl SkewedClock {
     pub fn global_delay_ms(self, local_ms: f64) -> f64 {
         local_ms / self.rate
     }
-
-    /// Local milliseconds this clock shows elapsing over `global_ms` of
-    /// global time.
-    pub fn local_elapsed_ms(self, global_ms: f64) -> f64 {
-        global_ms * self.rate
-    }
 }
 
 #[cfg(test)]
@@ -223,17 +217,17 @@ mod tests {
 
     #[test]
     fn skewed_clock_round_trips() {
+        // A fast clock fires its timers early in global time, a slow one
+        // late.
         let fast = SkewedClock::with_rate(1.25);
-        // A fast clock fires its timers early in global time…
         assert!((fast.global_delay_ms(100.0) - 80.0).abs() < 1e-12);
-        // …and sees more local time elapse per global millisecond.
-        assert!((fast.local_elapsed_ms(80.0) - 100.0).abs() < 1e-12);
         let slow = SkewedClock::with_rate(0.5);
         assert!((slow.global_delay_ms(50.0) - 100.0).abs() < 1e-12);
-        // Round trip: local → global → local is the identity.
+        // Round trip: over that global delay the clock itself, running at
+        // `rate`, shows exactly the local interval asked for.
         for rate in [0.9, 1.0, 1.013, 2.0] {
             let c = SkewedClock::with_rate(rate);
-            let back = c.local_elapsed_ms(c.global_delay_ms(7.5));
+            let back = c.global_delay_ms(7.5) * c.rate();
             assert!((back - 7.5).abs() < 1e-12, "rate {rate}");
         }
     }

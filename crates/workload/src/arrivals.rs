@@ -29,9 +29,9 @@ pub trait ArrivalProcess: Send + Sync {
 /// because `next_gap` keeps no state between draws.
 ///
 /// Only such processes may back a [`SharedOpSource`], where one immutable
-/// value serves millions of clients concurrently. [`Bursty`] and
-/// [`PiecewisePoisson`] carry per-stream state (burst phase, stream clock)
-/// and deliberately do not qualify.
+/// value serves millions of clients concurrently. [`PiecewisePoisson`]
+/// carries per-stream state (its stream clock) and deliberately does not
+/// qualify.
 ///
 /// [`SharedOpSource`]: crate::ops::SharedOpSource
 pub trait StationaryArrivals: ArrivalProcess + Copy {}
@@ -96,46 +96,6 @@ impl ArrivalProcess for Poisson {
 
     fn rate(&self) -> f64 {
         self.rate_per_ms
-    }
-}
-
-/// Two-state on/off (Markov-modulated) arrivals: bursts of fast Poisson
-/// arrivals separated by quiet periods. Stress-tests staleness under write
-/// bursts, where ⟨k,t⟩ bounds are weakest (§3.5).
-#[derive(Debug, Clone, Copy)]
-pub struct Bursty {
-    burst_rate_per_ms: f64,
-    idle_rate_per_ms: f64,
-    /// Probability that each arrival toggles the state.
-    switch_prob: f64,
-    bursting: bool,
-}
-
-impl Bursty {
-    /// Build from burst/idle rates (ops per ms) and a per-arrival switch
-    /// probability in `(0, 1]`.
-    pub fn new(burst_rate_per_ms: f64, idle_rate_per_ms: f64, switch_prob: f64) -> Self {
-        assert!(burst_rate_per_ms > 0.0 && idle_rate_per_ms > 0.0);
-        assert!(burst_rate_per_ms >= idle_rate_per_ms, "burst rate should exceed idle rate");
-        assert!((0.0..=1.0).contains(&switch_prob) && switch_prob > 0.0);
-        Self { burst_rate_per_ms, idle_rate_per_ms, switch_prob, bursting: true }
-    }
-}
-
-impl ArrivalProcess for Bursty {
-    fn next_gap(&mut self, rng: &mut dyn RngCore) -> f64 {
-        if rng.gen::<f64>() < self.switch_prob {
-            self.bursting = !self.bursting;
-        }
-        let rate = if self.bursting { self.burst_rate_per_ms } else { self.idle_rate_per_ms };
-        let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-        -u.ln() / rate
-    }
-
-    fn rate(&self) -> f64 {
-        // Symmetric switching → equal time in each state by arrival count;
-        // the harmonic mean of rates is the effective arrival rate.
-        2.0 / (1.0 / self.burst_rate_per_ms + 1.0 / self.idle_rate_per_ms)
     }
 }
 
@@ -404,20 +364,5 @@ mod tests {
             }
         }
         assert!(busy > 20 * quiet.max(1), "busy {busy} vs quiet {quiet}");
-    }
-
-    #[test]
-    fn bursty_rate_between_extremes() {
-        let mut p = Bursty::new(1.0, 0.01, 0.05);
-        let mut rng = StdRng::seed_from_u64(3);
-        let n = 200_000;
-        let total: f64 = (0..n).map(|_| p.next_gap(&mut rng)).sum();
-        let empirical_rate = n as f64 / total;
-        assert!(
-            empirical_rate > 0.01 && empirical_rate < 1.0,
-            "rate {empirical_rate} should sit between idle and burst"
-        );
-        // And roughly match the harmonic-mean prediction.
-        assert!((empirical_rate - p.rate()).abs() / p.rate() < 0.25);
     }
 }

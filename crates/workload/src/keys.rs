@@ -180,39 +180,6 @@ impl KeyChooser for ZipfCdf {
     }
 }
 
-/// Hot-set popularity: a fraction of operations target a small hot subset
-/// uniformly; the rest spread over the cold keys.
-#[derive(Debug, Clone, Copy)]
-pub struct HotSet {
-    count: u64,
-    hot_keys: u64,
-    hot_fraction: f64,
-}
-
-impl HotSet {
-    /// `hot_fraction` of draws land uniformly in keys `0..hot_keys`; the
-    /// remainder lands uniformly in `hot_keys..count`.
-    pub fn new(count: u64, hot_keys: u64, hot_fraction: f64) -> Self {
-        assert!(count >= 2 && hot_keys >= 1 && hot_keys < count);
-        assert!((0.0..=1.0).contains(&hot_fraction));
-        Self { count, hot_keys, hot_fraction }
-    }
-}
-
-impl KeyChooser for HotSet {
-    fn key_count(&self) -> u64 {
-        self.count
-    }
-
-    fn choose(&self, rng: &mut dyn RngCore) -> u64 {
-        if rng.gen::<f64>() < self.hot_fraction {
-            rng.gen_range(0..self.hot_keys)
-        } else {
-            rng.gen_range(self.hot_keys..self.count)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,8 +277,8 @@ mod tests {
         assert_ne!(seq(42), seq(43), "different seeds must differ");
     }
 
-    /// The 16M cap is gone: a 10^9-key universe builds in O(1) and every
-    /// draw stays in range, with rank 0 still the most popular key.
+    /// No table behind the sampler: a 10^9-key universe builds in O(1) and
+    /// every draw stays in range, with rank 0 still the most popular key.
     #[test]
     fn zipf_handles_huge_universes_in_o1() {
         let keys = 1_000_000_000u64;
@@ -330,15 +297,5 @@ mod tests {
         // p(0) = 1/H_{1e9} ≈ 1/21.3 ≈ 4.7%; loose band.
         let frac = rank0 as f64 / n as f64;
         assert!((0.02..0.08).contains(&frac), "rank-0 fraction {frac}");
-    }
-
-    #[test]
-    fn hotset_concentrates_traffic() {
-        let h = HotSet::new(1000, 10, 0.9);
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 50_000;
-        let hot = (0..n).filter(|_| h.choose(&mut rng) < 10).count();
-        let frac = hot as f64 / n as f64;
-        assert!((frac - 0.9).abs() < 0.01, "hot fraction {frac}");
     }
 }

@@ -3,17 +3,17 @@
 //! The paper's experiments need three workload ingredients, all provided
 //! here:
 //!
-//! * [`arrivals`] — when operations happen (fixed-rate, Poisson, bursty
-//!   on/off, and piecewise-nonstationary [`PiecewisePoisson`] processes).
+//! * [`arrivals`] — when operations happen (fixed-rate, Poisson, and
+//!   piecewise-nonstationary [`PiecewisePoisson`] processes).
 //!   §5.2's validation interleaves writes with concurrent reads; §3.2's
 //!   monotonic-reads model is parameterised by rates; `pbs-scenario`'s
 //!   load timelines are piecewise schedules.
-//! * [`keys`] — which keys they touch (uniform, Zipf, hot-set). Dynamo-style
+//! * [`keys`] — which keys they touch (uniform, Zipf). Dynamo-style
 //!   stores shard one quorum system per key (§2.2), so key popularity drives
 //!   per-key write rates γgw.
 //! * [`ops`] and [`session`] — read/write mixes, streaming operation
 //!   sources ([`OpStream`] — what the open-loop client actors in `pbs-kvs`
-//!   pull from), full traces, and per-client session models for measuring
+//!   pull from), and per-client session models for measuring
 //!   monotonic-reads violations.
 //!
 //! All generation is deterministic given an RNG, matching the workspace's
@@ -27,9 +27,7 @@ pub mod keys;
 pub mod ops;
 pub mod session;
 
-pub use arrivals::{
-    ArrivalProcess, Bursty, FixedRate, PiecewisePoisson, Poisson, StationaryArrivals,
-};
-pub use keys::{HotSet, KeyChooser, UniformKeys, Zipf, ZipfCdf};
-pub use ops::{Op, OpKind, OpMix, OpSource, OpStream, SharedOpSource, SharedStream, TraceBuilder};
+pub use arrivals::{ArrivalProcess, FixedRate, PiecewisePoisson, Poisson, StationaryArrivals};
+pub use keys::{KeyChooser, UniformKeys, Zipf, ZipfCdf};
+pub use ops::{Op, OpKind, OpMix, OpSource, OpStream, SharedOpSource, SharedStream};
 pub use session::SessionModel;

@@ -1,10 +1,9 @@
-//! Operation mixes, streaming operation sources, and trace generation.
+//! Operation mixes and streaming operation sources.
 //!
 //! The streaming layer is the workload side of the open-loop concurrency
 //! engine: an [`OpStream`] yields one time-stamped [`Op`] at a time (O(1)
 //! memory), so in-sim client actors can pull arrivals lazily instead of
-//! pre-materialising a `Vec<Op>`. [`TraceBuilder::build`] is now a thin
-//! collector over the same stream.
+//! pre-materialising a `Vec<Op>`.
 
 use crate::arrivals::{ArrivalProcess, StationaryArrivals};
 use crate::keys::KeyChooser;
@@ -65,11 +64,6 @@ impl OpMix {
             OpKind::Write
         }
     }
-
-    /// The configured read fraction.
-    pub fn read_fraction(&self) -> f64 {
-        self.read_fraction
-    }
 }
 
 /// A streaming source of time-ordered operations.
@@ -109,19 +103,6 @@ impl<A: ArrivalProcess, K: KeyChooser> OpStream<A, K> {
     pub fn new(arrivals: A, keys: K, mix: OpMix, clients: u32) -> Self {
         assert!(clients >= 1);
         Self { arrivals, keys, mix, clients, now_ms: 0.0, idx: 0 }
-    }
-
-    /// Reset the stream clock and the round-robin client counter to zero
-    /// (the arrival process keeps its internal state, e.g. a burst phase).
-    pub fn rewind(&mut self) {
-        self.now_ms = 0.0;
-        self.idx = 0;
-    }
-
-    /// The stream's current clock (ms): the timestamp of the last yielded
-    /// operation.
-    pub fn now_ms(&self) -> f64 {
-        self.now_ms
     }
 }
 
@@ -186,49 +167,6 @@ impl<A: StationaryArrivals, K: KeyChooser> SharedOpSource for SharedStream<A, K>
     }
 }
 
-/// Builds operation traces from an arrival process, a key chooser, and an
-/// op mix, spread round-robin across `clients` — a thin collector over
-/// [`OpStream`].
-pub struct TraceBuilder<A, K> {
-    stream: OpStream<A, K>,
-}
-
-impl<A: ArrivalProcess, K: KeyChooser> TraceBuilder<A, K> {
-    /// Assemble a builder.
-    pub fn new(arrivals: A, keys: K, mix: OpMix, clients: u32) -> Self {
-        Self { stream: OpStream::new(arrivals, keys, mix, clients) }
-    }
-
-    /// Iterate operations lazily (the streaming face of this builder):
-    /// the returned iterator yields time-ordered operations forever, so
-    /// bound it with `.take(n)` or by timestamp.
-    pub fn iter<'a>(
-        &'a mut self,
-        rng: &'a mut dyn RngCore,
-    ) -> impl Iterator<Item = Op> + 'a {
-        let stream = &mut self.stream;
-        std::iter::repeat_with(move || stream.next_op(rng))
-    }
-
-    /// Generate `n` operations starting at time 0 — collects
-    /// [`iter`](Self::iter) after rewinding the stream clock.
-    pub fn build(&mut self, rng: &mut dyn RngCore, n: usize) -> Vec<Op> {
-        self.stream.rewind();
-        self.iter(rng).take(n).collect()
-    }
-
-    /// Convert into the underlying stream (for open-loop client actors).
-    pub fn into_stream(self) -> OpStream<A, K> {
-        self.stream
-    }
-}
-
-impl<A: std::fmt::Debug, K: std::fmt::Debug> std::fmt::Debug for TraceBuilder<A, K> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceBuilder").field("stream", &self.stream).finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,39 +194,25 @@ mod tests {
 
     #[test]
     fn trace_is_time_ordered_and_round_robins_clients() {
-        let mut b = TraceBuilder::new(
-            Poisson::per_second(1000.0),
-            UniformKeys::new(16),
-            OpMix::linkedin(),
-            4,
-        );
+        let mk = || {
+            OpStream::new(Poisson::per_second(1000.0), UniformKeys::new(16), OpMix::linkedin(), 4)
+        };
+        let mut stream = mk();
         let mut rng = StdRng::seed_from_u64(2);
-        let trace = b.build(&mut rng, 100);
-        assert_eq!(trace.len(), 100);
+        let trace: Vec<Op> = (0..100).map(|_| stream.next_op(&mut rng)).collect();
         for w in trace.windows(2) {
             assert!(w[1].at_ms >= w[0].at_ms);
         }
-        assert_eq!(trace[0].client, 0);
-        assert_eq!(trace[5].client, 1);
+        for (i, op) in trace.iter().enumerate() {
+            assert_eq!(op.client, (i % 4) as u32, "client ids go round-robin");
+        }
         assert!(trace.iter().all(|o| o.key < 16));
-    }
-
-    #[test]
-    fn build_matches_streaming_pull() {
-        // `build` must be exactly "rewind + n pulls" from the stream.
-        let mk = || {
-            TraceBuilder::new(
-                Poisson::per_second(500.0),
-                UniformKeys::new(8),
-                OpMix::new(0.5),
-                3,
-            )
-        };
-        let built = mk().build(&mut StdRng::seed_from_u64(9), 64);
-        let mut stream = mk().into_stream();
-        let mut rng = StdRng::seed_from_u64(9);
-        let pulled: Vec<Op> = (0..64).map(|_| stream.next_op(&mut rng)).collect();
-        assert_eq!(built, pulled);
+        // The collected trace is what a client pulling the same stream
+        // through `dyn OpSource` sees, op for op.
+        let mut boxed: Box<dyn OpSource> = Box::new(mk());
+        let mut rng = StdRng::seed_from_u64(2);
+        let pulled: Vec<Op> = (0..100).map(|_| boxed.next_op(&mut rng)).collect();
+        assert_eq!(trace, pulled);
     }
 
     #[test]
@@ -306,9 +230,6 @@ mod tests {
             assert!(op.at_ms >= last);
             last = op.at_ms;
         }
-        assert!((stream.now_ms() - last).abs() < 1e-12);
-        stream.rewind();
-        assert_eq!(stream.now_ms(), 0.0);
     }
 
     /// The shared stream is a drop-in for a 1-client `OpStream`: same RNG,
@@ -336,19 +257,5 @@ mod tests {
             clock = b.at_ms;
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn iter_continues_the_stream() {
-        let mut b = TraceBuilder::new(
-            Poisson::per_second(100.0),
-            UniformKeys::new(2),
-            OpMix::new(0.5),
-            1,
-        );
-        let mut rng = StdRng::seed_from_u64(4);
-        let first: Vec<Op> = b.iter(&mut rng).take(5).collect();
-        let next: Vec<Op> = b.iter(&mut rng).take(5).collect();
-        assert!(next[0].at_ms >= first[4].at_ms, "iter resumes, build rewinds");
     }
 }

@@ -5,7 +5,7 @@
 use pbs::dist::Exponential;
 use pbs::kvs::cluster::{Cluster, ClusterOptions};
 use pbs::kvs::experiments::measure_t_visibility;
-use pbs::kvs::{ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs::kvs::{ClientOptions, FaultProfile, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs::math::ReplicaConfig;
 use pbs::workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
@@ -53,7 +53,6 @@ fn read_repair_improves_consistency_under_loss() {
     let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
     let run = |read_repair: bool| {
         let mut opts = ClusterOptions::validation(cfg, 33);
-        opts.drop_prob = 0.35; // writes frequently miss replicas outright
         opts.read_repair = read_repair;
         opts.op_timeout_ms = 10_000.0;
         let report = OpenLoopRun::new(
@@ -72,7 +71,11 @@ fn read_repair_improves_consistency_under_loss() {
                     1,
                 ))
             },
-            |_| {},
+            |cluster| {
+                // Writes frequently miss replicas outright.
+                let lossy = FaultProfile::new(33).with_drop(0.35);
+                cluster.network().set_fault_profile(lossy).unwrap();
+            },
             |_| {},
         )
         .unwrap();
