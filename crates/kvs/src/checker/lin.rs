@@ -3,14 +3,13 @@
 //! The order oracle ([`check_order`](super::check_order)) audits
 //! *per-replica exposure order* — sound under faults, but blind to global
 //! real-time anomalies that never involve the same replica twice. This
-//! module closes ROADMAP item 5's remaining gap with a true real-time
-//! checker: partition the [`OpHistory`] by key, model
-//! each key as a register of `(seq, writer)` versions, and search for a
-//! linearization — a total order of the completed operations that
-//! respects real time (an op whose response precedes another's invocation
-//! must order before it) and register semantics (every read returns the
-//! version of the latest write ordered before it; `(0, 0)` is the empty
-//! register).
+//! module is the true real-time checker above it: partition the
+//! [`OpHistory`] by key, model each key as a register of `(seq, writer)`
+//! versions, and search for a linearization — a total order of the
+//! completed operations that respects real time (an op whose response
+//! precedes another's invocation must order before it) and register
+//! semantics (every read returns the version of the latest write ordered
+//! before it; `(0, 0)` is the empty register).
 //!
 //! # Interval model
 //!
@@ -45,34 +44,60 @@
 //!
 //! # Search
 //!
-//! Memoized DFS over the linearized-set frontier. A candidate op may be
-//! linearized next iff every un-linearized op whose response precedes its
-//! invocation is already linearized; reads whose value matches the
-//! current register are linearized eagerly (they never change state, so
-//! taking them early never loses solutions); branching happens only on
-//! writes, and optional writes are tried only while some pending read
-//! still needs their version. Visited `(linearized-set, register)`
-//! configurations are cached — full keys, never hashes, so a collision
-//! can't prune a real solution. The search is budget-bounded: crossing
-//! [`LinOptions::max_nodes_per_key`] yields the distinct, non-failing
-//! [`KeyLinVerdict::Exhausted`] instead of a verdict.
+//! Memoized DFS over the linearized-set frontier, on one `KeySearch` per
+//! key that every search of the key reuses. Ops stay in invocation order
+//! and are never compacted; a bitset says which are linearized. An op may
+//! be linearized next iff every un-linearized op whose response precedes
+//! its invocation is already linearized, so one forward scan from the
+//! first zero bit with a running minimum of responses finds the whole
+//! frontier. Reads whose value matches the current register are
+//! linearized eagerly (they never change state, so taking them early
+//! never loses solutions); branching happens only on writes, and optional
+//! writes are tried only while some un-linearized read still needs their
+//! version (a `version → readers` span table built once per key). Undo
+//! entries and write candidates live on two stacks shared by all frames,
+//! so a DFS node allocates nothing. Visited `(linearized-set, register)`
+//! configurations proven dead are cached — full keys, never hashes, so a
+//! collision can't prune a real solution. The search is budget-bounded:
+//! crossing [`LinOptions::max_nodes_per_key`] yields the distinct,
+//! non-failing [`KeyLinVerdict::Exhausted`] instead of a verdict.
 //!
 //! # Violation windows
 //!
 //! When a key is not linearizable the checker localises each anomaly to a
-//! **minimal infeasible prefix**: response events are replayed in order
-//! (ties broken by op id), where the prefix at event `k` contains events
-//! `0..=k` as completed ops and every op already started as an optional
-//! open write (pending reads are dropped). Prefix feasibility is monotone
-//! in `k` — dropping later responses only removes constraints — so the
-//! first infeasible `k` (found by binary search) names the op whose
-//! response made the history un-linearizable. For a stale read the
-//! reported window spans from the newest committed write it missed to the
-//! read's own start: exactly the paper's `t` in t-visibility, which is
-//! what the headline experiment compares against the predictor. The
-//! offending op is then removed (reads dropped, writes demoted to
-//! optional) and the scan continues, so one key can contribute many
-//! windows.
+//! **minimal infeasible prefix**. Order the response events in time (ties
+//! broken by op id); the prefix at event `k` keeps events `0..=k` as
+//! completed ops, every other write already invoked as an optional open
+//! write, and no other read. Prefix feasibility is monotone in `k` —
+//! dropping later responses only removes constraints — so the first
+//! infeasible `k` names the op whose response made the history
+//! un-linearizable.
+//!
+//! That `k` falls out of the one exhaustive search that found the key
+//! infeasible (*single-search localisation*). Every frame carries a cursor
+//! to the first response event not yet linearized in its state, and the
+//! search records the furthest cursor over all states it visits: the
+//! *frontier*. Proof sketch. A visited state whose cursor is past `k`
+//! yields a linearization of prefix `k`: cut its path where the last of
+//! events `0..=k` was taken — an op invoked after response `k` cannot sit
+//! before the cut — and drop the reads that are not among those events.
+//! Conversely a linearization of prefix `k` is a path of the full search:
+//! its ops were all invoked by response `k`, so anything the full history
+//! orders before one of them responded before `k` and is in the prefix
+//! already; an optional write no read needs can be left out of it; taking
+//! matching reads eagerly only linearizes more; and a memo hit stands for
+//! a subtree whose cursors were recorded when it was explored. So when
+//! the search returns infeasible, every prefix before the frontier is
+//! feasible and the one at it is not: the culprit is the event at the
+//! frontier, with no probing of prefixes.
+//!
+//! The culprit is always a read — a write whose response closes a prefix
+//! can be linearized last in it. For a stale read the reported window
+//! spans from the newest committed write it missed to the read's own
+//! start: exactly the paper's `t` in t-visibility, which is what the
+//! headline experiment compares against the predictor. The read is then
+//! removed (it observed nothing) and the key searched again, so one key
+//! can contribute many windows, at one exhaustive search each.
 
 use super::OpHistory;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -86,7 +111,7 @@ pub struct LinOptions {
     /// [`Exhausted`](KeyLinVerdict::Exhausted) without searching.
     pub max_ops_per_key: usize,
     /// Total DFS nodes (write-linearization attempts) allowed per key,
-    /// shared across every prefix check the key needs.
+    /// shared by all its searches (one per violation, plus the last).
     pub max_nodes_per_key: u64,
 }
 
@@ -96,20 +121,20 @@ impl Default for LinOptions {
     }
 }
 
-/// One localized linearizability violation: the op whose response closed
+/// One localized linearizability violation: the read whose response closed
 /// the first infeasible prefix, plus the staleness window it implies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinViolation {
     /// Key involved.
     pub key: u64,
-    /// The offending operation (usually a stale read).
+    /// The offending read.
     pub op_id: u64,
     /// Window start in sim-nanoseconds: the commit of the newest write
-    /// the op missed (falling back to the op's own start when the
+    /// the read missed (falling back to the read's own start when the
     /// violation is not a missed-write staleness).
     pub window_start_ns: u64,
-    /// Window end in sim-nanoseconds: the offending op's start (fallback:
-    /// its response).
+    /// Window end in sim-nanoseconds: the offending read's start
+    /// (fallback: its response).
     pub window_end_ns: u64,
 }
 
@@ -145,7 +170,9 @@ pub struct KeyLinResult {
     pub verdict: KeyLinVerdict,
     /// Every localized violation, in response order.
     pub violations: Vec<LinViolation>,
-    /// DFS nodes spent on this key.
+    /// DFS nodes (write-linearization attempts) spent on this key: one
+    /// exhaustive search per violation plus the feasible search that ends
+    /// the scan (or the one that ran out of budget).
     pub nodes: u64,
 }
 
@@ -232,17 +259,20 @@ struct LinOp {
     start_ns: u64,
     /// Response instant; `u64::MAX` = open (possibly committed).
     resp_ns: u64,
-    /// Closed committed write or completed read (participates in prefix
-    /// events). Open writes are never required.
+    /// Closed committed write or completed read: required, and one of the
+    /// response events. Open writes are never required.
     closed: bool,
     /// Synthetic orphan-version write (excluded from op counts).
     synthetic: bool,
 }
 
-/// Prefix-check feasibility outcome.
+/// Outcome of one full search of a key.
 enum Feasibility {
     Feasible,
-    Infeasible,
+    /// No linearization exists. The payload is the search's frontier: the
+    /// index into [`KeySearch::events`] of the earliest response that no
+    /// visited state got past (see *Violation windows* in the module docs).
+    Infeasible(usize),
     Exhausted,
 }
 
@@ -352,8 +382,8 @@ fn synthesize_orphans(ops: &mut Vec<LinOp>, unknown_start_ns: u64) {
     }
 }
 
-/// Search one key: full check first (the common clean case costs one
-/// pass), then minimal-prefix localization for every violation.
+/// Search one key: one exhaustive search per violation (each names its
+/// culprit, which is then removed), then the feasible one that ends it.
 fn check_key(key: u64, mut ops: Vec<LinOp>, opts: &LinOptions) -> KeyLinResult {
     let op_count = ops.iter().filter(|o| !o.synthetic).count() as u64;
     let mut result = KeyLinResult {
@@ -370,286 +400,265 @@ fn check_key(key: u64, mut ops: Vec<LinOp>, opts: &LinOptions) -> KeyLinResult {
     // Invocation order is the search's canonical op order (ties broken by
     // op id, so serial and parallel runs of one schedule agree).
     ops.sort_by_key(|o| (o.start_ns, o.op_id));
-    // Response events in time order: the prefix at event k closes events
-    // 0..=k (index-based, so equal response instants stay deterministic).
-    let mut events: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].closed).collect();
-    events.sort_by_key(|&i| (ops[i].resp_ns, ops[i].op_id));
-
-    // Committed `(version, commit)` pairs anchor the staleness windows.
-    let committed_versions: Vec<((u64, u32), u64)> = ops
-        .iter()
-        .filter(|o| o.is_write && o.closed)
-        .map(|o| (o.version, o.resp_ns))
-        .collect();
-
-    let mut budget = opts.max_nodes_per_key;
-    let mut removed: FxHashSet<usize> = FxHashSet::default();
-    // `known_feasible`: every prefix up to and including this event index
-    // is linearizable given the removals so far.
-    let mut known_feasible: Option<usize> = None;
-    loop {
-        if events.is_empty() {
-            break;
-        }
-        let full = events.len() - 1;
-        match check_prefix(&ops, &events, full, &removed, &mut budget, &mut result.nodes) {
-            Feasibility::Feasible => break,
-            Feasibility::Exhausted => {
-                result.verdict = KeyLinVerdict::Exhausted;
-                return result;
+    let mut search = KeySearch::new(ops, opts.max_nodes_per_key);
+    result.verdict = loop {
+        match search.run() {
+            Feasibility::Feasible if result.violations.is_empty() => {
+                break KeyLinVerdict::Linearizable;
             }
-            Feasibility::Infeasible => {}
-        }
-        // Binary search the minimal infeasible prefix in
-        // (known_feasible, full]; `full` is already known infeasible.
-        let mut lo = known_feasible.map_or(0, |k| k + 1);
-        let mut hi = full;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match check_prefix(&ops, &events, mid, &removed, &mut budget, &mut result.nodes) {
-                Feasibility::Feasible => lo = mid + 1,
-                Feasibility::Infeasible => hi = mid,
-                Feasibility::Exhausted => {
-                    result.verdict = KeyLinVerdict::Exhausted;
-                    return result;
-                }
+            Feasibility::Feasible => break KeyLinVerdict::Violation,
+            Feasibility::Exhausted => break KeyLinVerdict::Exhausted,
+            Feasibility::Infeasible(frontier) => {
+                let culprit = search.remove_event(frontier);
+                result.violations.push(violation_for(key, &culprit, &search.ops));
             }
         }
-        let culprit = events[lo];
-        result.violations.push(violation_for(key, &ops[culprit], &committed_versions));
-        removed.insert(culprit);
-        // With the culprit gone the prefix at `lo` equals the (feasible)
-        // prefix at `lo - 1` plus one more open op: still feasible.
-        known_feasible = Some(lo);
-    }
-    if !result.violations.is_empty() {
-        result.verdict = KeyLinVerdict::Violation;
-    }
+    };
+    result.nodes = search.nodes;
     result
 }
 
-/// Localize one violation to its staleness window. For a read that saw
-/// `seen`, the window runs from the newest committed write it missed
-/// (version above `seen`, committed before the read began) to the read's
-/// start — the paper's `t`. Ops without a missed write span their own
-/// interval.
-fn violation_for(
-    key: u64,
-    op: &LinOp,
-    committed_versions: &[((u64, u32), u64)],
-) -> LinViolation {
-    let mut window_start = op.start_ns;
-    let mut window_end = if op.resp_ns == u64::MAX { op.start_ns } else { op.resp_ns };
-    if !op.is_write {
-        let missed = committed_versions
-            .iter()
-            .filter(|&&(v, commit)| v > op.version && commit <= op.start_ns)
-            .map(|&(_, commit)| commit)
-            .max();
-        if let Some(commit) = missed {
-            window_start = commit;
-            window_end = op.start_ns;
-        }
-    }
-    LinViolation { key, op_id: op.op_id, window_start_ns: window_start, window_end_ns: window_end }
-}
-
-/// WGL feasibility of the prefix closing events `0..=upto` (minus the
-/// removed set): required ops are the closed ones; every other op that
-/// has started is an optional open write (pending reads are dropped).
-fn check_prefix(
-    ops: &[LinOp],
-    events: &[usize],
-    upto: usize,
-    removed: &FxHashSet<usize>,
-    budget: &mut u64,
-    nodes: &mut u64,
-) -> Feasibility {
-    let horizon = ops[events[upto]].resp_ns;
-    let mut required = vec![false; ops.len()];
-    let mut active = vec![false; ops.len()];
-    for &i in &events[..=upto] {
-        if !removed.contains(&i) {
-            required[i] = true;
-            active[i] = true;
-        }
-    }
-    for (i, op) in ops.iter().enumerate() {
-        // Writes not yet closed (or removed) participate as optional open
-        // ops; pending/removed reads observe nothing.
-        if !active[i] && op.is_write && op.start_ns <= horizon {
-            active[i] = true;
-        }
-    }
-    // Compact to the active subset, preserving invocation order.
-    let idx: Vec<usize> = (0..ops.len()).filter(|&i| active[i]).collect();
-    let sub: Vec<Sop> = idx
+/// Localize one violation to its staleness window. The culprit is a read
+/// (see *Violation windows*): its window runs from the newest committed
+/// write it missed (version above the one it saw, committed before it
+/// began) to its start — the paper's `t`. A read that missed no write
+/// spans its own interval.
+fn violation_for(key: u64, read: &LinOp, ops: &[LinOp]) -> LinViolation {
+    let missed = ops
         .iter()
-        .map(|&i| Sop {
-            is_write: ops[i].is_write,
-            version: ops[i].version,
-            start_ns: ops[i].start_ns,
-            resp_ns: if required[i] { ops[i].resp_ns } else { u64::MAX },
-            required: required[i],
-        })
-        .collect();
-    wgl_search(&sub, budget, nodes)
+        .filter(|w| w.is_write && w.closed && w.version > read.version)
+        .map(|w| w.resp_ns)
+        .filter(|&commit| commit <= read.start_ns)
+        .max();
+    let (window_start_ns, window_end_ns) =
+        missed.map_or((read.start_ns, read.resp_ns), |commit| (commit, read.start_ns));
+    LinViolation { key, op_id: read.op_id, window_start_ns, window_end_ns }
 }
 
-/// One op in a compacted prefix, in invocation order.
-#[derive(Debug, Clone, Copy)]
-struct Sop {
-    is_write: bool,
-    version: (u64, u32),
-    start_ns: u64,
-    resp_ns: u64,
-    required: bool,
-}
-
-/// One DFS choice point: the write candidates available when the frame
-/// was entered, the ops linearized to enter it, and the register value to
-/// restore on backtrack.
+/// One DFS choice point. Its untried write candidates are
+/// `cands[cands_from..]`, next one last (only the top frame is ever
+/// iterated, so they end at the stack top), and the ops linearized to
+/// enter it are `undo[undo_from..]`.
 struct Frame {
-    candidates: Vec<u32>,
-    next: usize,
-    undo: Vec<u32>,
+    cands_from: u32,
+    undo_from: u32,
+    /// Register value to restore on backtrack.
     prev_version: (u64, u32),
+    /// Index into `events` of the first response not yet linearized here.
+    cursor: u32,
 }
 
-/// The memoized WGL search proper over a compacted prefix.
-fn wgl_search(ops: &[Sop], budget: &mut u64, nodes: &mut u64) -> Feasibility {
-    let n = ops.len();
-    let mut required_left = ops.iter().filter(|o| o.required).count();
-    if required_left == 0 {
-        return Feasibility::Feasible;
-    }
-    // Which reads could still need each optional write's version: the
-    // usefulness prune consults this instead of rescanning.
-    let mut readers_of: FxHashMap<(u64, u32), Vec<u32>> = FxHashMap::default();
-    for (i, op) in ops.iter().enumerate() {
-        if !op.is_write && op.version != (0, 0) {
-            readers_of.entry(op.version).or_default().push(i as u32);
-        }
-    }
-    let words = n.div_ceil(64);
-    let mut linearized = vec![0u64; words];
-    let is_lin = |bits: &[u64], i: usize| bits[i / 64] & (1u64 << (i % 64)) != 0;
-    let mut cur: (u64, u32) = (0, 0);
-    let mut cache: FxHashSet<(Vec<u64>, (u64, u32))> = FxHashSet::default();
+/// Everything the searches of one key share. Nothing here is rebuilt
+/// between searches and nothing is allocated per DFS node: removing a
+/// culprit edits `ops`/`events`/`state` in place, and the two stacks and
+/// the memo keep their capacity.
+struct KeySearch {
+    /// Every op of the key in invocation order, never compacted. A closed
+    /// op is required; an open one (`resp_ns == u64::MAX`) is optional.
+    ops: Vec<LinOp>,
+    /// The required ops in response order `(resp_ns, op_id)`.
+    events: Vec<u32>,
+    /// `readers[spans[w].0..spans[w].1]`: the reads that observed optional
+    /// write `w`'s version (what keeps it worth trying).
+    spans: Vec<(u32, u32)>,
+    readers: Vec<u32>,
+    /// The linearized bitset followed by the register `(seq, writer)` as
+    /// two words — as a whole, the memo key. Removed reads stay set.
+    state: Vec<u64>,
+    /// States proven to have no completion, as full keys (never hashes).
+    dead: FxHashSet<Vec<u64>>,
+    frames: Vec<Frame>,
+    undo: Vec<u32>,
+    cands: Vec<u32>,
+    required_left: usize,
+    nodes: u64,
+    max_nodes: u64,
+}
 
-    // Eagerly linearize available required reads matching the register;
-    // returns the indices taken. Availability only depends on earlier
-    // (by invocation) un-linearized ops' responses, so one forward scan
-    // with a running minimum finds the whole frontier.
-    let eager = |bits: &mut [u64], cur: (u64, u32), required_left: &mut usize| -> Vec<u32> {
-        let mut taken = Vec::new();
-        loop {
-            let mut min_resp = u64::MAX;
-            let mut hit = None;
-            for (i, op) in ops.iter().enumerate() {
-                if is_lin(bits, i) {
-                    continue;
-                }
-                if op.start_ns > min_resp {
-                    break; // invocation order: nothing later is available
-                }
-                if !op.is_write && op.required && op.version == cur {
-                    hit = Some(i);
-                    break;
-                }
-                min_resp = min_resp.min(op.resp_ns);
+impl KeySearch {
+    fn new(ops: Vec<LinOp>, max_nodes: u64) -> Self {
+        let op = |i: u32| &ops[i as usize];
+        let mut events: Vec<u32> = (0..ops.len() as u32).filter(|&i| op(i).closed).collect();
+        events.sort_by_key(|&i| (op(i).resp_ns, op(i).op_id));
+        let mut readers: Vec<u32> =
+            (0..ops.len() as u32).filter(|&i| !op(i).is_write && op(i).version != (0, 0)).collect();
+        readers.sort_by_key(|&i| op(i).version);
+        let span = |w: &LinOp| {
+            if w.closed {
+                return (0, 0); // required: always a candidate, never looked up
             }
-            match hit {
-                Some(i) => {
-                    bits[i / 64] |= 1u64 << (i % 64);
-                    *required_left -= 1;
-                    taken.push(i as u32);
-                }
-                None => return taken,
-            }
+            let from = readers.partition_point(|&r| op(r).version < w.version);
+            let len = readers[from..].partition_point(|&r| op(r).version == w.version);
+            (from as u32, (from + len) as u32)
+        };
+        let spans = ops.iter().map(span).collect();
+        Self {
+            state: vec![0; ops.len().div_ceil(64) + 2],
+            ops,
+            events,
+            spans,
+            readers,
+            dead: FxHashSet::default(),
+            frames: Vec::new(),
+            undo: Vec::new(),
+            cands: Vec::new(),
+            required_left: 0,
+            nodes: 0,
+            max_nodes,
         }
-    };
-    // Available un-linearized writes worth trying, in invocation order.
-    let candidates = |bits: &[u64]| -> Vec<u32> {
-        let mut found = Vec::new();
+    }
+
+    fn is_lin(&self, i: usize) -> bool {
+        self.state[i / 64] & (1u64 << (i % 64)) != 0
+    }
+
+    fn register(&self) -> (u64, u32) {
+        let at = self.state.len() - 2;
+        (self.state[at], self.state[at + 1] as u32)
+    }
+
+    fn set_register(&mut self, version: (u64, u32)) {
+        let at = self.state.len() - 2;
+        self.state[at] = version.0;
+        self.state[at + 1] = u64::from(version.1);
+    }
+
+    /// Linearize op `i` on the undo stack.
+    fn take(&mut self, i: usize) {
+        self.state[i / 64] |= 1u64 << (i % 64);
+        self.required_left -= usize::from(self.ops[i].closed);
+        self.undo.push(i as u32);
+    }
+
+    /// Un-linearize everything taken since `undo_from`.
+    fn rollback(&mut self, undo_from: u32, register: (u64, u32)) {
+        let undo_from = undo_from as usize;
+        for &i in &self.undo[undo_from..] {
+            self.state[i as usize / 64] &= !(1u64 << (i % 64));
+            self.required_left += usize::from(self.ops[i as usize].closed);
+        }
+        self.undo.truncate(undo_from);
+        self.set_register(register);
+    }
+
+    /// The first un-linearized op: where every frontier scan starts.
+    fn first_open(&self) -> usize {
+        let bits = &self.state[..self.state.len() - 2];
+        let open = bits.iter().position(|&w| w != u64::MAX);
+        open.map_or(self.ops.len(), |w| w * 64 + bits[w].trailing_ones() as usize)
+    }
+
+    /// Eagerly linearize every available read matching the register.
+    /// Availability only depends on earlier (by invocation) un-linearized
+    /// ops' responses, so one forward scan with a running minimum finds
+    /// the whole frontier; a read taken on the way changes neither.
+    fn take_matching_reads(&mut self) {
+        let cur = self.register();
         let mut min_resp = u64::MAX;
-        for (i, op) in ops.iter().enumerate() {
-            if is_lin(bits, i) {
+        for i in self.first_open()..self.ops.len() {
+            if self.is_lin(i) {
                 continue;
             }
+            let op = self.ops[i];
+            if op.start_ns > min_resp {
+                break; // invocation order: nothing later is available
+            }
+            if !op.is_write && op.version == cur {
+                self.take(i);
+            } else {
+                min_resp = min_resp.min(op.resp_ns);
+            }
+        }
+    }
+
+    /// Push the available un-linearized writes worth trying — required
+    /// ones, and optional ones some un-linearized read still needs —
+    /// so that they pop in invocation order.
+    fn push_candidates(&mut self) {
+        let cands_from = self.cands.len();
+        let mut min_resp = u64::MAX;
+        for i in self.first_open()..self.ops.len() {
+            if self.is_lin(i) {
+                continue;
+            }
+            let op = self.ops[i];
             if op.start_ns > min_resp {
                 break;
             }
-            if op.is_write {
-                let useful = op.required
-                    || readers_of.get(&op.version).is_some_and(|rs| {
-                        rs.iter().any(|&r| !is_lin(bits, r as usize))
-                    });
-                if useful {
-                    found.push(i as u32);
-                }
+            let (from, to) = self.spans[i];
+            let readers = &self.readers[from as usize..to as usize];
+            if op.is_write && (op.closed || readers.iter().any(|&r| !self.is_lin(r as usize))) {
+                self.cands.push(i as u32);
             }
             min_resp = min_resp.min(op.resp_ns);
         }
-        found
-    };
-
-    let root_undo = eager(&mut linearized, cur, &mut required_left);
-    if required_left == 0 {
-        return Feasibility::Feasible;
+        self.cands[cands_from..].reverse();
     }
-    let mut stack = vec![Frame {
-        candidates: candidates(&linearized),
-        next: 0,
-        undo: root_undo,
-        prev_version: (0, 0),
-    }];
-    loop {
-        let Some(frame) = stack.last_mut() else {
-            return Feasibility::Infeasible;
-        };
-        if frame.next >= frame.candidates.len() {
-            // Every choice failed from here: memoize and backtrack.
-            cache.insert((linearized.clone(), cur));
-            let frame = stack.pop().expect("frame was just inspected");
-            for &i in &frame.undo {
-                linearized[i as usize / 64] &= !(1u64 << (i as usize % 64));
-                if ops[i as usize].required {
-                    required_left += 1;
-                }
-            }
-            cur = frame.prev_version;
-            continue;
+
+    /// Advance an `events` cursor past every linearized response.
+    fn frontier(&self, mut cursor: u32) -> u32 {
+        while self.events.get(cursor as usize).is_some_and(|&e| self.is_lin(e as usize)) {
+            cursor += 1;
         }
-        let w = frame.candidates[frame.next] as usize;
-        frame.next += 1;
-        if *budget == 0 {
-            return Feasibility::Exhausted;
-        }
-        *budget -= 1;
-        *nodes += 1;
-        let prev_version = cur;
-        let mut undo = vec![w as u32];
-        linearized[w / 64] |= 1u64 << (w % 64);
-        if ops[w].required {
-            required_left -= 1;
-        }
-        cur = ops[w].version;
-        undo.extend(eager(&mut linearized, cur, &mut required_left));
-        if required_left == 0 {
+        cursor
+    }
+
+    /// Take the read `events[at]` out of the history and return it: its
+    /// bit stays set from now on, so every scan skips it.
+    fn remove_event(&mut self, at: usize) -> LinOp {
+        let i = self.events.remove(at) as usize;
+        self.state[i / 64] |= 1u64 << (i % 64);
+        self.ops[i]
+    }
+
+    /// One memoized WGL search of the whole key as it now stands. An
+    /// `Infeasible` return has visited every reachable state and leaves
+    /// the search state clean for the next run.
+    fn run(&mut self) -> Feasibility {
+        self.dead.clear();
+        self.required_left = self.events.len();
+        self.take_matching_reads();
+        if self.required_left == 0 {
             return Feasibility::Feasible;
         }
-        if cache.contains(&(linearized.clone(), cur)) {
-            for &i in &undo {
-                linearized[i as usize / 64] &= !(1u64 << (i as usize % 64));
-                if ops[i as usize].required {
-                    required_left += 1;
-                }
+        let cursor = self.frontier(0);
+        let mut reached = cursor;
+        self.push_candidates();
+        self.frames.push(Frame { cands_from: 0, undo_from: 0, prev_version: (0, 0), cursor });
+        loop {
+            let Some(frame) = self.frames.last() else {
+                return Feasibility::Infeasible(reached as usize);
+            };
+            if self.cands.len() == frame.cands_from as usize {
+                // Every choice failed from here: memoize and backtrack.
+                self.dead.insert(self.state.clone());
+                let frame = self.frames.pop().expect("frame was just inspected");
+                self.rollback(frame.undo_from, frame.prev_version);
+                continue;
             }
-            cur = prev_version;
-            continue;
+            let cursor = frame.cursor;
+            let w = self.cands.pop().expect("the frame has candidates left") as usize;
+            if self.nodes == self.max_nodes {
+                return Feasibility::Exhausted;
+            }
+            self.nodes += 1;
+            let prev_version = self.register();
+            let undo_from = self.undo.len() as u32;
+            self.take(w);
+            self.set_register(self.ops[w].version);
+            self.take_matching_reads();
+            if self.required_left == 0 {
+                return Feasibility::Feasible;
+            }
+            let cursor = self.frontier(cursor);
+            reached = reached.max(cursor);
+            if self.dead.contains(&self.state[..]) {
+                self.rollback(undo_from, prev_version);
+                continue;
+            }
+            let cands_from = self.cands.len() as u32;
+            self.push_candidates();
+            self.frames.push(Frame { cands_from, undo_from, prev_version, cursor });
         }
-        let next_candidates = candidates(&linearized);
-        stack.push(Frame { candidates: next_candidates, next: 0, undo, prev_version });
     }
 }

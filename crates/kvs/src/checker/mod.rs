@@ -528,10 +528,10 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
     let mut check = OrderCheck::default();
     for h in history.ops() {
         let op = &h.op;
-        if !keys.contains_key(&op.key) {
+        let audit = keys.entry(op.key).or_insert_with(|| {
             order.push(op.key);
-        }
-        let audit = keys.entry(op.key).or_default();
+            KeyAudit::default()
+        });
         match op.kind {
             OpKind::Write => match op.seq {
                 None => audit.incomplete = true,
@@ -576,6 +576,7 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
         // exposures accumulate forward in time, so each read is checked
         // against every exposure that provably precedes it.
         audit.reads.sort_by_key(|r| (r.start_nanos, r.op_id));
+        audit.known.sort_unstable();
         // Exposures: (replica, version, finish-of-exposing-read).
         let mut exposures: Vec<(u32, (u64, u32), u64)> = Vec::new();
         for r in &audit.reads {
@@ -586,7 +587,7 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
                 let impossible_writer = seen_writer >= nodes;
                 let from_the_future = seen_seq > r.finish_nanos + 1;
                 let unknown_version =
-                    !audit.incomplete && !audit.known.contains(&(seen_seq, seen_writer));
+                    !audit.incomplete && audit.known.binary_search(&r.seen).is_err();
                 if impossible_writer || from_the_future || unknown_version {
                     check.phantoms += 1;
                     check.first_phantom = check.first_phantom.or(Some(
