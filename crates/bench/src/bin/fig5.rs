@@ -12,12 +12,23 @@ fn main() {
 
     let pcts = [1.0, 10.0, 25.0, 50.0, 75.0, 90.0, 99.0, 99.9];
 
+    // Read latency depends on R alone and write latency on W alone: the
+    // diagonal carries all three of each.
+    let diagonal = [(1u32, 1u32), (2, 2), (3, 3)];
+
     for profile in ProductionProfile::ALL {
+        let model = profile.model(ReplicaConfig::new(3, 1, 1).unwrap());
+        let grid = TVisibility::simulate_grid(
+            model.as_ref(),
+            &diagonal,
+            opts.trials,
+            opts.seed,
+            opts.threads,
+        );
+
         report::header(&format!("{} — read latency (ms) by percentile", profile.name()));
         let mut rows = Vec::new();
-        for r in 1..=3u32 {
-            let cfg = ReplicaConfig::new(3, r, 1).unwrap();
-            let tv = TVisibility::simulate_parallel(profile.model(cfg).as_ref(), opts.trials, opts.seed, opts.threads);
+        for (tv, (r, _)) in grid.iter().zip(diagonal) {
             let mut row = vec![format!("R={r}")];
             for &p in &pcts {
                 row.push(report::ms(tv.read_latency_percentile(p)));
@@ -30,9 +41,7 @@ fn main() {
 
         report::header(&format!("{} — write latency (ms) by percentile", profile.name()));
         let mut rows = Vec::new();
-        for w in 1..=3u32 {
-            let cfg = ReplicaConfig::new(3, 1, w).unwrap();
-            let tv = TVisibility::simulate_parallel(profile.model(cfg).as_ref(), opts.trials, opts.seed, opts.threads);
+        for (tv, (_, w)) in grid.iter().zip(diagonal) {
             let mut row = vec![format!("W={w}")];
             for &p in &pcts {
                 row.push(report::ms(tv.write_latency_percentile(p)));

@@ -12,6 +12,8 @@ fn main() {
     println!("Figure 6: t-visibility for production fits (§5.6), N=3");
 
     let quorums = [(1u32, 1u32), (1, 2), (2, 1)];
+    // P(consistent at t = 0) of each profile's (1, 1) column.
+    let mut immediate = Vec::new();
 
     for profile in ProductionProfile::ALL {
         // Match each panel's x-range to the paper's.
@@ -21,13 +23,15 @@ fn main() {
             ProductionProfile::Wan => log_spaced(1.0, 300.0, 12),
             ProductionProfile::Ymmr => log_spaced(1.0, 3000.0, 12),
         };
-        let runs: Vec<((u32, u32), TVisibility)> = quorums
-            .iter()
-            .map(|&(r, w)| {
-                let cfg = ReplicaConfig::new(3, r, w).unwrap();
-                ((r, w), TVisibility::simulate_parallel(profile.model(cfg).as_ref(), opts.trials, opts.seed, opts.threads))
-            })
-            .collect();
+        let model = profile.model(ReplicaConfig::new(3, 1, 1).unwrap());
+        let runs = TVisibility::simulate_grid(
+            model.as_ref(),
+            &quorums,
+            opts.trials,
+            opts.seed,
+            opts.threads,
+        );
+        immediate.push(runs[0].prob_consistent(0.0));
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));
         let mut rows = Vec::new();
@@ -36,7 +40,7 @@ fn main() {
         all_ts.extend(ts.iter().copied());
         for &t in &all_ts {
             let mut row = vec![format!("{t:.2}")];
-            for (_, tv) in &runs {
+            for tv in &runs {
                 row.push(format!("{:.5}", tv.prob_consistent(t)));
             }
             rows.push(row);
@@ -48,9 +52,7 @@ fn main() {
 
     report::header("Immediate consistency, P(consistent at t=0), R=W=1 (paper §5.6)");
     let mut rows = Vec::new();
-    for profile in ProductionProfile::ALL {
-        let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
-        let tv = TVisibility::simulate_parallel(profile.model(cfg).as_ref(), opts.trials, opts.seed, opts.threads);
+    for (profile, p0) in ProductionProfile::ALL.into_iter().zip(immediate) {
         let paper = match profile {
             ProductionProfile::LnkdSsd => "97.4%",
             ProductionProfile::LnkdDisk => "43.9%",
@@ -59,7 +61,7 @@ fn main() {
         };
         rows.push(vec![
             profile.name().to_string(),
-            report::pct(tv.prob_consistent(0.0)),
+            report::pct(p0),
             paper.to_string(),
         ]);
     }

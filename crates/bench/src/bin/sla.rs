@@ -3,8 +3,23 @@
 //! the (R, W) grid and report the cheapest qualifying configuration.
 
 use pbs_bench::{report, HarnessOptions};
-use pbs_predictor::sla::{optimize, SlaSpec};
+use pbs_core::ReplicaConfig;
+use pbs_predictor::sla::{judge_grid, SlaSpec};
 use pbs_wars::production::ProductionProfile;
+use pbs_wars::TVisibility;
+
+/// Every `(R, W)` of `N = n` for one profile, off one trial stream.
+fn simulate_all(profile: ProductionProfile, n: u32, opts: &HarnessOptions) -> Vec<TVisibility> {
+    let cfgs: Vec<ReplicaConfig> = ReplicaConfig::all_for_n(n).collect();
+    let pairs: Vec<(u32, u32)> = cfgs.iter().map(|c| (c.r(), c.w())).collect();
+    TVisibility::simulate_grid(
+        profile.model(cfgs[0]).as_ref(),
+        &pairs,
+        opts.trials,
+        opts.seed,
+        opts.threads,
+    )
+}
 
 fn main() {
     let opts = HarnessOptions::parse(100_000);
@@ -19,10 +34,10 @@ fn main() {
 
     for profile in ProductionProfile::ALL {
         report::header(profile.name());
+        let grid = simulate_all(profile, 3, &opts);
         let mut rows = Vec::new();
         for (label, spec) in &slas {
-            let result =
-                optimize(&|cfg| profile.model(cfg), &[3], spec, opts.trials, opts.seed);
+            let result = judge_grid(&grid, spec);
             match result.best_config() {
                 Some(best) => rows.push(vec![
                     label.to_string(),
@@ -51,13 +66,7 @@ fn main() {
     spec.min_write_quorum = 2;
     let mut rows = Vec::new();
     for n in [3u32, 5] {
-        let result = optimize(
-            &|cfg| ProductionProfile::LnkdDisk.model(cfg),
-            &[n],
-            &spec,
-            opts.trials,
-            opts.seed,
-        );
+        let result = judge_grid(simulate_all(ProductionProfile::LnkdDisk, n, &opts), &spec);
         if let Some(best) = result.best_config() {
             rows.push(vec![
                 format!("N={n}"),

@@ -255,18 +255,30 @@ impl AdaptiveController {
     }
 
     /// Refit empirical distributions from the current window and run the
-    /// SLA optimizer over every candidate `(N, R, W)`.
+    /// SLA optimizer over every candidate `(N, R, W)`: one Monte-Carlo
+    /// stream of `trials` trials per candidate `N`, every `(R, W)` read off
+    /// it.
     ///
     /// # Errors
     ///
     /// [`AdaptiveError::EmptyWindow`] when any leg has no samples yet.
     pub fn reoptimize(&mut self) -> Result<SlaReport, AdaptiveError> {
+        self.reoptimize_through(&|model| Box::new(model))
+    }
+
+    /// [`reoptimize`](Self::reoptimize) with each windowed model passed
+    /// through `wrap` on its way to the optimizer — where a test counts the
+    /// trials a refit draws.
+    fn reoptimize_through(
+        &mut self,
+        wrap: &dyn Fn(IidModel) -> Box<dyn LatencyModel>,
+    ) -> Result<SlaReport, AdaptiveError> {
         let legs = self.windowed_legs()?;
         let report = {
             let [we, ae, re, se] = &legs;
             let (we, ae, re, se) = (we.clone(), ae.clone(), re.clone(), se.clone());
             let factory = move |cfg: ReplicaConfig| -> Box<dyn LatencyModel> {
-                Box::new(IidModel::new(
+                wrap(IidModel::new(
                     cfg,
                     "windowed",
                     we.clone(),
@@ -288,6 +300,7 @@ mod tests {
     use pbs_dist::{Exponential, LatencyDistribution};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn window_evicts_oldest() {
@@ -349,6 +362,54 @@ mod tests {
         // Same window, same trials, same seed, same thread count → the
         // sweep's evaluation of this config matches the direct prediction.
         assert_eq!(p.prob_consistent(5.0), eval.consistency);
+    }
+
+    /// Counts the trials drawn through it.
+    struct Counting {
+        inner: IidModel,
+        calls: Arc<AtomicUsize>,
+    }
+
+    impl LatencyModel for Counting {
+        fn config(&self) -> ReplicaConfig {
+            self.inner.config()
+        }
+        fn sample_trial(&self, rng: &mut dyn rand::RngCore, out: &mut pbs_wars::WarsSample) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.inner.sample_trial(rng, out);
+        }
+        fn describe(&self) -> String {
+            self.inner.describe()
+        }
+    }
+
+    /// A refit draws one stream per candidate N — `2·T` trials for
+    /// `ns = [3, 5]` — and still evaluates all 9 + 25 configurations
+    /// (a simulation per configuration would draw `34·T`).
+    #[test]
+    fn reoptimize_draws_one_stream_per_candidate_n() {
+        const T: usize = 700;
+        let spec = SlaSpec::consistency(0.9, 5.0);
+        let mut ctl = AdaptiveController::new(spec, vec![3, 5], 500, T, 9).with_threads(1);
+        let d = Exponential::from_mean(1.0);
+        let mut rng = StdRng::seed_from_u64(6);
+        for _ in 0..500 {
+            let mut leg = || d.sample(&mut rng);
+            ctl.observe(leg(), leg(), leg(), leg());
+        }
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = calls.clone();
+        let report = ctl
+            .reoptimize_through(&move |inner| Box::new(Counting { inner, calls: counted.clone() }))
+            .unwrap();
+        assert_eq!(report.evaluations.len(), 9 + 25);
+        assert_eq!(calls.load(Ordering::Relaxed), 2 * T);
+        // The seam changes nothing: the plain refit reports the same numbers.
+        let plain = ctl.reoptimize().unwrap();
+        assert_eq!(plain.best, report.best);
+        for (a, b) in plain.evaluations.iter().zip(&report.evaluations) {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        }
     }
 
     /// The §6 story: fast disks → partial quorum qualifies; disks degrade →

@@ -7,9 +7,9 @@
 //! from replication for low latency": `N` can grow for durability while the
 //! optimizer keeps `R`/`W` small.
 
-use crate::predictor::Predictor;
 use pbs_core::ReplicaConfig;
-use pbs_wars::LatencyModel;
+use pbs_wars::{LatencyModel, TVisibility};
+use std::borrow::Borrow;
 
 /// A latency/staleness service-level agreement.
 #[derive(Debug, Clone, Copy)]
@@ -106,11 +106,15 @@ pub fn evaluate_config_threads<M: LatencyModel + Sync + ?Sized>(
     seed: u64,
     threads: usize,
 ) -> ConfigEvaluation {
-    let p = Predictor::from_model_threads(model, trials, seed, threads);
-    let cfg = p.config();
-    let consistency = p.prob_consistent(spec.within_ms);
-    let read_latency = p.read_latency(spec.latency_percentile);
-    let write_latency = p.write_latency(spec.latency_percentile);
+    evaluate(&TVisibility::simulate_parallel(model, trials, seed, threads), spec)
+}
+
+/// The per-configuration SLA test.
+fn evaluate(tv: &TVisibility, spec: &SlaSpec) -> ConfigEvaluation {
+    let cfg = tv.config();
+    let consistency = tv.prob_consistent(spec.within_ms);
+    let read_latency = tv.read_latency_percentile(spec.latency_percentile);
+    let write_latency = tv.write_latency_percentile(spec.latency_percentile);
     let mut meets = consistency >= spec.consistency_probability
         && cfg.w() >= spec.min_write_quorum;
     if let Some(cap) = spec.max_read_latency_ms {
@@ -124,42 +128,22 @@ pub fn evaluate_config_threads<M: LatencyModel + Sync + ?Sized>(
         read_latency,
         write_latency,
         consistency,
-        t_visibility: p.t_visibility(spec.consistency_probability),
+        t_visibility: tv.t_at_probability(spec.consistency_probability),
         meets_sla: meets,
     }
 }
 
-/// Exhaustively search every `(R, W)` pair for each `N` in `ns`, returning
-/// all evaluations and the lowest-combined-latency configuration meeting
-/// the SLA.
-pub fn optimize(
-    factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
-    ns: &[u32],
+/// Judge already-simulated configurations (e.g. one
+/// [`TVisibility::simulate_grid`]) against an SLA: every one is evaluated,
+/// in order, and the best is the lowest combined latency among those that
+/// meet it. Simulating is the expensive half of a search; one grid can be
+/// judged against any number of SLAs.
+pub fn judge_grid<T: Borrow<TVisibility>>(
+    grid: impl IntoIterator<Item = T>,
     spec: &SlaSpec,
-    trials: usize,
-    seed: u64,
 ) -> SlaReport {
-    optimize_threads(factory, ns, spec, trials, seed, crate::default_threads())
-}
-
-/// [`optimize`] with an explicit per-evaluation shard count. Closed-loop
-/// drivers that embed the optimizer inside their own parallel shards pass
-/// `threads = 1` for full determinism and no thread oversubscription.
-pub fn optimize_threads(
-    factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
-    ns: &[u32],
-    spec: &SlaSpec,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> SlaReport {
-    let mut evaluations = Vec::new();
-    for &n in ns {
-        for cfg in ReplicaConfig::all_for_n(n) {
-            let model = factory(cfg);
-            evaluations.push(evaluate_config_threads(model.as_ref(), spec, trials, seed, threads));
-        }
-    }
+    let evaluations: Vec<ConfigEvaluation> =
+        grid.into_iter().map(|tv| evaluate(tv.borrow(), spec)).collect();
     let best = evaluations
         .iter()
         .enumerate()
@@ -171,6 +155,48 @@ pub fn optimize_threads(
         })
         .map(|(i, _)| i);
     SlaReport { evaluations, best }
+}
+
+/// Exhaustively search every `(R, W)` pair for each `N` in `ns`, returning
+/// all evaluations and the lowest-combined-latency configuration meeting
+/// the SLA.
+///
+/// The factory is called once per N, not once per configuration: every
+/// `(R, W)` of one `N` is read off the same `trials` trials
+/// ([`TVisibility::simulate_grid`]), which [`LatencyModel`]'s contract — a
+/// trial's draws depend on `N` alone — makes equal to simulating each
+/// configuration on its own from `seed`.
+pub fn optimize(
+    factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
+    ns: &[u32],
+    spec: &SlaSpec,
+    trials: usize,
+    seed: u64,
+) -> SlaReport {
+    optimize_threads(factory, ns, spec, trials, seed, crate::default_threads())
+}
+
+/// [`optimize`] with an explicit per-grid shard count. Closed-loop
+/// drivers that embed the optimizer inside their own parallel shards pass
+/// `threads = 1` for full determinism and no thread oversubscription.
+pub fn optimize_threads(
+    factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
+    ns: &[u32],
+    spec: &SlaSpec,
+    trials: usize,
+    seed: u64,
+    threads: usize,
+) -> SlaReport {
+    // Lazily, one N at a time: a grid is judged and dropped before the next
+    // is simulated.
+    let grids = ns.iter().flat_map(|&n| {
+        let cfgs: Vec<ReplicaConfig> = ReplicaConfig::all_for_n(n).collect();
+        // An N with no valid pair (N = 0) has no model to build.
+        let Some(&first) = cfgs.first() else { return Vec::new() };
+        let pairs: Vec<(u32, u32)> = cfgs.iter().map(|c| (c.r(), c.w())).collect();
+        TVisibility::simulate_grid(factory(first).as_ref(), &pairs, trials, seed, threads)
+    });
+    judge_grid(grids, spec)
 }
 
 #[cfg(test)]
@@ -239,6 +265,37 @@ mod tests {
         }
         let best = report.best_config().expect("some config fits");
         assert!(best.cfg.w() < 3);
+    }
+
+    #[test]
+    fn an_n_without_configurations_is_skipped() {
+        let spec = SlaSpec::consistency(0.9, 50.0);
+        let report = optimize_threads(&factory_exp(0.5, 0.5), &[0, 3], &spec, 2_000, 5, 1);
+        assert_eq!(report.evaluations.len(), 9);
+        assert!(report.evaluations.iter().all(|e| e.cfg.n() == 3));
+    }
+
+    /// One simulated grid judged against several SLAs reports what a search
+    /// per SLA does, and a single-configuration evaluation agrees with its
+    /// cell.
+    #[test]
+    fn one_grid_serves_every_sla() {
+        let factory = factory_exp(0.1, 0.5);
+        let cfgs: Vec<ReplicaConfig> = ReplicaConfig::all_for_n(3).collect();
+        let pairs: Vec<(u32, u32)> = cfgs.iter().map(|c| (c.r(), c.w())).collect();
+        let grid = TVisibility::simulate_grid(factory(cfgs[0]).as_ref(), &pairs, 4_000, 6, 2);
+        let mut strict = SlaSpec::consistency(0.999999, 0.0);
+        strict.max_read_latency_ms = Some(30.0);
+        for spec in [SlaSpec::consistency(0.9, 20.0), strict] {
+            let judged = judge_grid(&grid, &spec);
+            let searched = optimize_threads(&factory, &[3], &spec, 4_000, 6, 2);
+            assert_eq!(judged.best, searched.best);
+            for (a, b) in judged.evaluations.iter().zip(&searched.evaluations) {
+                assert_eq!(format!("{a:?}"), format!("{b:?}"));
+            }
+            let alone = evaluate_config_threads(factory(cfgs[5]).as_ref(), &spec, 4_000, 6, 2);
+            assert_eq!(format!("{alone:?}"), format!("{:?}", judged.evaluations[5]));
+        }
     }
 
     #[test]

@@ -313,7 +313,25 @@ impl Scenario {
         for &(a, b) in &self.stationary {
             assert!(a < b && b <= self.duration_ms, "bad stationary segment ({a}, {b})");
         }
-        for &n in &self.control.candidate_ns {
+        // Each of these would otherwise panic inside the first refit.
+        let control = &self.control;
+        assert!(control.mc_trials > 0, "control.mc_trials must be at least 1");
+        assert!(control.window > 0, "control.window must be at least 1");
+        assert!(
+            !control.candidate_ns.is_empty(),
+            "control.candidate_ns must name at least one replication factor"
+        );
+        assert!(
+            (0.0..=1.0).contains(&control.spec.consistency_probability),
+            "control.spec.consistency_probability must lie in [0, 1], got {}",
+            control.spec.consistency_probability
+        );
+        assert!(
+            (0.0..=100.0).contains(&control.spec.latency_percentile),
+            "control.spec.latency_percentile must lie in [0, 100], got {}",
+            control.spec.latency_percentile
+        );
+        for &n in &control.candidate_ns {
             assert!(
                 n <= self.cluster.nodes,
                 "candidate N={n} exceeds the cluster's {} nodes — an adaptive \

@@ -29,9 +29,17 @@
 //! for a fixed `(seed, threads)` pair and peak memory is independent of
 //! the trial count.
 //!
-//! Entry points: [`TVisibility::simulate`] (single-threaded, deterministic)
-//! and [`TVisibility::simulate_parallel`]; production latency models from
-//! Table 3 live in [`production`]; figure/table sweeps in [`sweep`].
+//! A trial's draws depend on `N` alone, so there is **one sample stream per
+//! (model, N, seed)** and configurations are views of it: a trial is sampled
+//! and sorted once ([`trial::TrialScratch::prepare`]) and every `(R, W)` is
+//! read off it ([`trial::PreparedTrial`]). [`TVisibility::simulate_grid`]
+//! does that for any set of pairs; simulating one configuration is its
+//! one-pair case.
+//!
+//! Entry points: [`TVisibility::simulate`] (single-threaded, deterministic),
+//! [`TVisibility::simulate_parallel`] and [`TVisibility::simulate_grid`];
+//! production latency models from Table 3 live in [`production`];
+//! figure/table sweeps in [`sweep`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

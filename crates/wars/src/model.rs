@@ -47,11 +47,19 @@ impl WarsSample {
 ///
 /// Implementations must fill all four vectors with exactly `config().n()`
 /// nonnegative entries per trial.
+///
+/// **A trial's draws depend on `config().n()` only, never on `R` or `W`:**
+/// two models that differ in `(R, W)` alone sample the same trial from the
+/// same generator state. [`TVisibility::simulate_grid`] relies on it — it
+/// samples one stream per `N` and reads every `(R, W)` off it.
+///
+/// [`TVisibility::simulate_grid`]: crate::TVisibility::simulate_grid
 pub trait LatencyModel: Send + Sync {
     /// The `(N, R, W)` configuration this model simulates.
     fn config(&self) -> ReplicaConfig;
 
-    /// Sample one trial into `out` (pre-`reset` by the caller).
+    /// Sample one trial into `out`, replacing whatever it held: the
+    /// implementation [`reset`](WarsSample::reset)s it, callers need not.
     fn sample_trial(&self, rng: &mut dyn RngCore, out: &mut WarsSample);
 
     /// Human-readable description for bench output.

@@ -43,18 +43,14 @@ pub struct LatencyStalenessRow {
     pub t_visibility: Option<f64>,
 }
 
-/// Compute a Table-4-style row for one model.
-pub fn latency_staleness_row<M: LatencyModel + Sync + ?Sized>(
-    model: &M,
-    trials: usize,
-    seed: u64,
+/// A Table-4-style row read off one simulated configuration.
+pub fn latency_staleness_row(
+    tv: &TVisibility,
     pct: f64,
     target_consistency: f64,
-    threads: usize,
 ) -> LatencyStalenessRow {
-    let tv = TVisibility::simulate_parallel(model, trials, seed, threads);
     LatencyStalenessRow {
-        cfg: model.config(),
+        cfg: tv.config(),
         read_latency: tv.read_latency_percentile(pct),
         write_latency: tv.write_latency_percentile(pct),
         t_visibility: tv.t_at_probability(target_consistency),
@@ -62,8 +58,9 @@ pub fn latency_staleness_row<M: LatencyModel + Sync + ?Sized>(
 }
 
 /// Sweep `(R, W)` pairs for a fixed `N`, producing Table 4's rows in the
-/// paper's order. `factory` builds the model for each configuration (e.g.
-/// `|cfg| ProductionProfile::Ymmr.model(cfg)`).
+/// paper's order: one [`TVisibility::simulate_grid`] over `pairs`. `factory`
+/// builds the model (e.g. `|cfg| ProductionProfile::Ymmr.model(cfg)`) and is
+/// called once, with the first pair's configuration.
 pub fn table4_sweep(
     factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
     n: u32,
@@ -72,13 +69,11 @@ pub fn table4_sweep(
     seed: u64,
     threads: usize,
 ) -> Vec<LatencyStalenessRow> {
-    pairs
+    let Some(&(r, w)) = pairs.first() else { return Vec::new() };
+    let model = factory(ReplicaConfig::new(n, r, w).expect("valid sweep configuration"));
+    TVisibility::simulate_grid(model.as_ref(), pairs, trials, seed, threads)
         .iter()
-        .map(|&(r, w)| {
-            let cfg = ReplicaConfig::new(n, r, w).expect("valid sweep configuration");
-            let model = factory(cfg);
-            latency_staleness_row(model.as_ref(), trials, seed, 99.9, 0.999, threads)
-        })
+        .map(|tv| latency_staleness_row(tv, 99.9, 0.999))
         .collect()
 }
 

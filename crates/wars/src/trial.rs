@@ -1,5 +1,12 @@
 //! Single-trial WARS computation (§5.1): commit time, operation latencies,
 //! and the per-trial staleness threshold.
+//!
+//! One trial serves every `(R, W)` of its `N`. [`TrialScratch::prepare`] does
+//! the part that depends on the sampled legs alone — `W + A` sorted ascending,
+//! responders ordered by `R + S` — and a [`PreparedTrial`] answers any
+//! `(r, w)` from it in O(r): the `w`-th acknowledgment, the `r`-th response,
+//! the minimum of `W[i] − w_t − R[i]` over the first `r` responders.
+//! [`run_trial`] is one preparation read at one pair.
 
 use crate::model::WarsSample;
 use pbs_core::ReplicaConfig;
@@ -30,6 +37,74 @@ pub struct TrialScratch {
     order: Vec<usize>,
 }
 
+impl TrialScratch {
+    /// Sort one trial's legs once, for every `(r, w)` read off the result.
+    ///
+    /// The replica count is `sample.w.len()`; the four legs must be equally
+    /// long ([`run_trial`] asserts it per call, the grid kernel once per
+    /// shard).
+    pub fn prepare<'a>(&'a mut self, sample: &'a WarsSample) -> PreparedTrial<'a> {
+        // Acknowledgment arrivals W[i] + A[i], ascending.
+        self.wa.clear();
+        self.wa.extend(sample.w.iter().zip(&sample.a).map(|(w, a)| w + a));
+        self.wa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("latencies are not NaN"));
+
+        // Read responders ordered by response arrival R[i] + S[i].
+        self.order.clear();
+        self.order.extend(0..sample.w.len());
+        let (r, s) = (&sample.r, &sample.s);
+        // `sort_unstable_by`: the stable sort allocates a merge buffer on every
+        // call, which would be the hot loop's only per-trial allocation.
+        self.order.sort_unstable_by(|&i, &j| {
+            (r[i] + s[i]).partial_cmp(&(r[j] + s[j])).expect("latencies are not NaN")
+        });
+        PreparedTrial { sample, wa: &self.wa, order: &self.order }
+    }
+}
+
+/// One sampled trial with its acknowledgments and responses in arrival
+/// order: every `(r, w)` with `1 ≤ r, w ≤ N` is a view of it.
+#[derive(Debug, Clone, Copy)]
+pub struct PreparedTrial<'a> {
+    sample: &'a WarsSample,
+    wa: &'a [f64],
+    order: &'a [usize],
+}
+
+impl PreparedTrial<'_> {
+    /// Commit time `w_t` under write quorum `w`: the `w`-th smallest
+    /// `W[i] + A[i]`.
+    pub fn write_latency(&self, w: usize) -> f64 {
+        self.wa[w - 1]
+    }
+
+    /// Arrival of the `r`-th read response.
+    pub fn read_latency(&self, r: usize) -> f64 {
+        let last_responder = self.order[r - 1];
+        self.sample.r[last_responder] + self.sample.s[last_responder]
+    }
+
+    /// Staleness threshold of `(r, w)`. Replica `i` (among the first `r`
+    /// responders) holds the write at read arrival iff
+    /// `W[i] ≤ w_t + t + R[i]  ⇔  t ≥ W[i] − w_t − R[i]`.
+    pub fn staleness_threshold(&self, r: usize, w: usize) -> f64 {
+        let commit_time = self.write_latency(w);
+        self.order[..r]
+            .iter()
+            .map(|&i| self.sample.w[i] - commit_time - self.sample.r[i])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// All three outcomes of `(r, w)`.
+    pub fn view(&self, r: usize, w: usize) -> TrialResult {
+        TrialResult {
+            write_latency: self.write_latency(w),
+            read_latency: self.read_latency(r),
+            staleness_threshold: self.staleness_threshold(r, w),
+        }
+    }
+}
+
 /// Evaluate one WARS trial.
 ///
 /// Semantics follow §5.1 exactly, with one tie convention: a read request
@@ -38,39 +113,11 @@ pub struct TrialScratch {
 /// distributions, relevant only for degenerate test distributions).
 pub fn run_trial(cfg: ReplicaConfig, sample: &WarsSample, scratch: &mut TrialScratch) -> TrialResult {
     let n = cfg.n() as usize;
-    let r_quorum = cfg.r() as usize;
-    let w_quorum = cfg.w() as usize;
     assert_eq!(sample.w.len(), n, "sample/config mismatch");
     assert_eq!(sample.a.len(), n);
     assert_eq!(sample.r.len(), n);
     assert_eq!(sample.s.len(), n);
-
-    // Commit time: W-th smallest W[i] + A[i].
-    scratch.wa.clear();
-    scratch.wa.extend(sample.w.iter().zip(&sample.a).map(|(w, a)| w + a));
-    scratch.wa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("latencies are not NaN"));
-    let commit_time = scratch.wa[w_quorum - 1];
-
-    // Read responders ordered by response arrival R[i] + S[i].
-    scratch.order.clear();
-    scratch.order.extend(0..n);
-    let (r, s) = (&sample.r, &sample.s);
-    // `sort_unstable_by`: the stable sort allocates a merge buffer on every
-    // call, which would be the hot loop's only per-trial allocation.
-    scratch.order.sort_unstable_by(|&i, &j| {
-        (r[i] + s[i]).partial_cmp(&(r[j] + s[j])).expect("latencies are not NaN")
-    });
-    let last_responder = scratch.order[r_quorum - 1];
-    let read_latency = r[last_responder] + s[last_responder];
-
-    // Replica i (among the first R responders) holds the write at read
-    // arrival iff W[i] ≤ w_t + t + R[i]  ⇔  t ≥ W[i] − w_t − R[i].
-    let staleness_threshold = scratch.order[..r_quorum]
-        .iter()
-        .map(|&i| sample.w[i] - commit_time - sample.r[i])
-        .fold(f64::INFINITY, f64::min);
-
-    TrialResult { write_latency: commit_time, read_latency, staleness_threshold }
+    scratch.prepare(sample).view(cfg.r() as usize, cfg.w() as usize)
 }
 
 #[cfg(test)]

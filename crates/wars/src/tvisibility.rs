@@ -1,9 +1,10 @@
 //! Monte-Carlo t-visibility curves and operation-latency percentiles.
 
 use crate::model::{LatencyModel, WarsSample};
-use crate::trial::{run_trial, TrialScratch};
+use crate::trial::TrialScratch;
 use pbs_core::ReplicaConfig;
 use pbs_mc::{Mergeable, Runner, Summary};
+use std::sync::Arc;
 
 /// The result of a batch of WARS trials: the t-visibility curve (a
 /// streaming summary of per-trial staleness thresholds) plus read/write
@@ -19,8 +20,11 @@ use pbs_mc::{Mergeable, Runner, Summary};
 pub struct TVisibility {
     cfg: ReplicaConfig,
     thresholds: Summary,
-    read_latency: Summary,
-    write_latency: Summary,
+    /// Read latency depends on `R` alone and write latency on `W` alone, so
+    /// the results of one [`simulate_grid`](Self::simulate_grid) share one
+    /// summary per distinct `R` and one per distinct `W`.
+    read_latency: Arc<Summary>,
+    write_latency: Arc<Summary>,
     /// Exact count of trials with `threshold ≤ 0`. The threshold
     /// distribution is *mixed* — an atom of immediately-consistent mass
     /// (ties, strict quorums, instantaneous reads) plus a continuous
@@ -29,25 +33,37 @@ pub struct TVisibility {
     consistent_at_zero: u64,
 }
 
-/// Per-shard accumulator: the three summaries plus reusable trial scratch
-/// (dropped on merge).
-#[derive(Default)]
-struct TvShard {
-    thresholds: Summary,
-    read: Summary,
-    write: Summary,
-    consistent_at_zero: u64,
-    sample: WarsSample,
-    scratch: TrialScratch,
+/// Per-shard accumulator of a grid: thresholds and the exact zero count per
+/// pair, read latency per distinct `R`, write latency per distinct `W`.
+struct GridShard {
+    thresholds: Vec<(Summary, u64)>,
+    reads: Vec<Summary>,
+    writes: Vec<Summary>,
 }
 
-impl Mergeable for TvShard {
+impl Mergeable for GridShard {
     fn merge(&mut self, other: Self) {
-        self.thresholds.merge(other.thresholds);
-        self.read.merge(other.read);
-        self.write.merge(other.write);
-        self.consistent_at_zero += other.consistent_at_zero;
+        for ((sum, zero), (other_sum, other_zero)) in
+            self.thresholds.iter_mut().zip(other.thresholds)
+        {
+            sum.merge(other_sum);
+            *zero += other_zero;
+        }
+        for (sum, other_sum) in self.reads.iter_mut().zip(other.reads) {
+            sum.merge(other_sum);
+        }
+        for (sum, other_sum) in self.writes.iter_mut().zip(other.writes) {
+            sum.merge(other_sum);
+        }
     }
+}
+
+/// The distinct values of `side` over `pairs`, ascending.
+fn distinct(pairs: &[(u32, u32)], side: impl Fn(&(u32, u32)) -> u32) -> Vec<u32> {
+    let mut values: Vec<u32> = pairs.iter().map(side).collect();
+    values.sort_unstable();
+    values.dedup();
+    values
 }
 
 impl TVisibility {
@@ -73,45 +89,113 @@ impl TVisibility {
         Self::simulate_parallel(model, trials, seed, 1)
     }
 
-    /// Run `trials` WARS trials sharded across `threads` threads on the
-    /// [`pbs_mc::Runner`]. Deterministic for a fixed `(seed, threads)`
-    /// pair: shard `i` uses seed `seed ^ i` and shard summaries merge in
-    /// shard order, so repeated runs are bit-identical regardless of
-    /// scheduling. Peak memory is O(threads · sketch compression) —
-    /// independent of `trials`.
+    /// Run `trials` WARS trials of the model's own configuration sharded
+    /// across `threads` threads: the one-pair case of
+    /// [`simulate_grid`](Self::simulate_grid), with its determinism and
+    /// memory contract.
     pub fn simulate_parallel<M: LatencyModel + Sync + ?Sized>(
         model: &M,
         trials: usize,
         seed: u64,
         threads: usize,
     ) -> Self {
+        let cfg = model.config();
+        Self::simulate_grid(model, &[(cfg.r(), cfg.w())], trials, seed, threads)
+            .pop()
+            .expect("one pair in, one result out")
+    }
+
+    /// Run `trials` WARS trials **once** and read every `(R, W)` of `pairs`
+    /// off each trial — one result per pair, in `pairs` order, each equal to
+    /// what [`simulate_parallel`](Self::simulate_parallel) returns for a
+    /// model of that configuration.
+    ///
+    /// `N` is the model's; its own `(R, W)` is not consulted, because a
+    /// trial's draws depend on `N` alone ([`LatencyModel`]'s contract). A
+    /// trial is sampled and sorted once, its write latency recorded once per
+    /// distinct `W`, its read latency once per distinct `R`, its threshold
+    /// once per pair.
+    ///
+    /// Trials shard across `threads` threads on the [`pbs_mc::Runner`].
+    /// Deterministic for a fixed `(seed, threads)` pair: shard `i` uses seed
+    /// `seed ^ i` and shard summaries merge in shard order, so repeated runs
+    /// are bit-identical regardless of scheduling. Peak memory is
+    /// O(threads · summaries · sketch compression) — independent of `trials`.
+    ///
+    /// Panics if `trials == 0`, `threads == 0`, or a pair is not a valid
+    /// quorum configuration for the model's `N`.
+    pub fn simulate_grid<M: LatencyModel + Sync + ?Sized>(
+        model: &M,
+        pairs: &[(u32, u32)],
+        trials: usize,
+        seed: u64,
+        threads: usize,
+    ) -> Vec<Self> {
         assert!(trials > 0, "need at least one trial");
         assert!(threads > 0, "need at least one thread");
-        let cfg = model.config();
+        let n = model.config().n();
+        let replicas = n as usize;
+        let cfgs: Vec<ReplicaConfig> = pairs
+            .iter()
+            .map(|&(r, w)| ReplicaConfig::new(n, r, w).expect("valid (R, W) for the model's N"))
+            .collect();
+        let rs = distinct(pairs, |p| p.0);
+        let ws = distinct(pairs, |p| p.1);
+
         let shard = Runner::new(trials, seed, threads).run(|rng, info| {
-            let mut acc = TvShard::default();
-            for _ in 0..info.trials {
-                model.sample_trial(rng, &mut acc.sample);
-                let res = run_trial(cfg, &acc.sample, &mut acc.scratch);
-                acc.thresholds.record(res.staleness_threshold);
-                acc.read.record(res.read_latency);
-                acc.write.record(res.write_latency);
-                if res.staleness_threshold <= 0.0 {
-                    acc.consistent_at_zero += 1;
+            // One `Summary::new()` each: a clone's sketch buffer has another
+            // capacity, and the capacity sets the compress cadence.
+            let summaries = |k: usize| std::iter::repeat_with(Summary::new).take(k);
+            let mut acc = GridShard {
+                thresholds: summaries(pairs.len()).map(|sum| (sum, 0)).collect(),
+                reads: summaries(rs.len()).collect(),
+                writes: summaries(ws.len()).collect(),
+            };
+            let mut sample = WarsSample::default();
+            let mut scratch = TrialScratch::default();
+            for i in 0..info.trials {
+                model.sample_trial(rng, &mut sample);
+                if i == 0 {
+                    assert_eq!(sample.w.len(), replicas, "sample/config mismatch");
+                    assert_eq!(sample.a.len(), replicas);
+                    assert_eq!(sample.r.len(), replicas);
+                    assert_eq!(sample.s.len(), replicas);
+                }
+                let trial = scratch.prepare(&sample);
+                for (sum, &w) in acc.writes.iter_mut().zip(&ws) {
+                    sum.record(trial.write_latency(w as usize));
+                }
+                for (sum, &r) in acc.reads.iter_mut().zip(&rs) {
+                    sum.record(trial.read_latency(r as usize));
+                }
+                for ((sum, zero), &(r, w)) in acc.thresholds.iter_mut().zip(pairs) {
+                    let threshold = trial.staleness_threshold(r as usize, w as usize);
+                    sum.record(threshold);
+                    if threshold <= 0.0 {
+                        *zero += 1;
+                    }
                 }
             }
-            acc.thresholds.seal();
-            acc.read.seal();
-            acc.write.seal();
+            let sums = acc.thresholds.iter_mut().map(|(sum, _)| sum);
+            sums.chain(&mut acc.reads).chain(&mut acc.writes).for_each(Summary::seal);
             acc
         });
-        Self {
-            cfg,
-            thresholds: shard.thresholds,
-            read_latency: shard.read,
-            write_latency: shard.write,
-            consistent_at_zero: shard.consistent_at_zero,
-        }
+
+        let reads: Vec<Arc<Summary>> = shard.reads.into_iter().map(Arc::new).collect();
+        let writes: Vec<Arc<Summary>> = shard.writes.into_iter().map(Arc::new).collect();
+        let shared = |of: &[Arc<Summary>], keys: &[u32], key: u32| {
+            Arc::clone(&of[keys.binary_search(&key).expect("every pair's side is listed")])
+        };
+        cfgs.into_iter()
+            .zip(shard.thresholds)
+            .map(|(cfg, (thresholds, consistent_at_zero))| Self {
+                cfg,
+                thresholds,
+                read_latency: shared(&reads, &rs, cfg.r()),
+                write_latency: shared(&writes, &ws, cfg.w()),
+                consistent_at_zero,
+            })
+            .collect()
     }
 
     /// Fold another run (same configuration) into this one — the
@@ -120,8 +204,8 @@ impl TVisibility {
     pub fn merge(&mut self, other: TVisibility) {
         assert_eq!(self.cfg, other.cfg, "cannot merge different configurations");
         self.thresholds.merge(other.thresholds);
-        self.read_latency.merge(other.read_latency);
-        self.write_latency.merge(other.write_latency);
+        Arc::make_mut(&mut self.read_latency).merge(Arc::unwrap_or_clone(other.read_latency));
+        Arc::make_mut(&mut self.write_latency).merge(Arc::unwrap_or_clone(other.write_latency));
         self.consistent_at_zero += other.consistent_at_zero;
     }
 

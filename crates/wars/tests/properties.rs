@@ -4,6 +4,7 @@ use pbs_core::{staleness, ReplicaConfig};
 use pbs_dist::Exponential;
 use pbs_wars::model::WithReadDelay;
 use pbs_wars::production::exponential_model;
+use pbs_wars::trial::{run_trial, TrialResult, TrialScratch};
 use pbs_wars::{IidModel, LatencyModel, TVisibility, WarsSample};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -17,8 +18,58 @@ fn any_config() -> impl Strategy<Value = ReplicaConfig> {
     })
 }
 
+/// `n ≤ 6` replicas' worth of finite legs, half of them small integers so
+/// that ties in `W + A` and `R + S` are common.
+fn any_sample() -> impl Strategy<Value = WarsSample> {
+    let leg = (0u32..6, 0.0f64..50.0).prop_map(|(k, x)| if k < 3 { f64::from(k) } else { x });
+    (1usize..=6).prop_flat_map(move |n| {
+        let legs = || prop::collection::vec(leg.clone(), n);
+        (legs(), legs(), legs(), legs()).prop_map(|(w, a, r, s)| WarsSample { w, a, r, s })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// One preparation answers every `(r, w)` exactly as `run_trial` answers
+    /// that configuration on its own, bit for bit.
+    #[test]
+    fn prepared_view_equals_run_trial(sample in any_sample()) {
+        let n = sample.w.len();
+        let mut scratch = TrialScratch::default();
+        let mut views = Vec::new();
+        let trial = scratch.prepare(&sample);
+        for r in 1..=n {
+            for w in 1..=n {
+                views.push((r, w, trial.view(r, w)));
+            }
+        }
+        // §5.1 from the definition, where ties cannot change the answer.
+        let sorted = |mut xs: Vec<f64>| {
+            xs.sort_by(f64::total_cmp);
+            xs
+        };
+        let acks = sorted(sample.w.iter().zip(&sample.a).map(|(w, a)| w + a).collect());
+        let responses = sorted(sample.r.iter().zip(&sample.s).map(|(r, s)| r + s).collect());
+        for (r, w, view) in views {
+            prop_assert_eq!(view.write_latency, acks[w - 1]);
+            prop_assert_eq!(view.read_latency, responses[r - 1]);
+            let over_all = (0..n)
+                .map(|i| sample.w[i] - acks[w - 1] - sample.r[i])
+                .fold(f64::INFINITY, f64::min);
+            prop_assert!(view.staleness_threshold >= over_all);
+            if r == n {
+                prop_assert_eq!(view.staleness_threshold, over_all);
+            }
+
+            let cfg = ReplicaConfig::new(n as u32, r as u32, w as u32).unwrap();
+            let alone = run_trial(cfg, &sample, &mut scratch);
+            let bits = |t: TrialResult| {
+                [t.write_latency, t.read_latency, t.staleness_threshold].map(f64::to_bits)
+            };
+            prop_assert_eq!(bits(view), bits(alone), "{}", cfg);
+        }
+    }
 
     /// Thresholds are finite; strict quorums never produce positive ones.
     #[test]
