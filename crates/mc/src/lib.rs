@@ -11,8 +11,9 @@
 //!   across thread counts within Monte-Carlo error.
 //! * [`Summary`] / [`QuantileSketch`] / [`Moments`] — streaming per-shard
 //!   statistics in O(1) memory: a mergeable t-digest quantile sketch
-//!   (rank error ∝ 1/compression, exact at the extreme tails) plus exact
-//!   online mean/variance/extrema. These replace the buffer-and-sort
+//!   (rank error ∝ 1/compression, exact at the extreme tails) that also
+//!   keeps the exact mean/variance/extrema of its stream, both fed from one
+//!   staging buffer once per batch. These replace the buffer-and-sort
 //!   `SortedSamples` idiom in hot paths, making peak memory independent of
 //!   the trial count.
 //!

@@ -1,11 +1,15 @@
-//! A mergeable streaming quantile sketch (merging t-digest).
+//! A mergeable streaming quantile sketch (merging t-digest) that also keeps
+//! the exact moments of its stream.
 //!
 //! Replaces the buffer-everything-and-sort idiom (`SortedSamples`) in the
 //! Monte-Carlo hot paths: memory is **O(compression)** — independent of the
-//! number of recorded samples — and per-sample cost is amortised O(1)
-//! (values buffer into a small batch; full batches merge into at most
-//! ~2·compression weighted centroids under the t-digest `k1` scale
-//! function).
+//! number of recorded samples — and per-sample cost is amortised O(1).
+//! `record` only pushes the sample's order-preserving integer key into one
+//! staging buffer. A full batch of `4·δ` is flushed at once: its moments are
+//! taken in two passes and Chan-merged into the running [`Moments`], its keys
+//! are sorted as integers (the IEEE 754 total order), and one merge-join
+//! folds it and the existing centroids into at most ~2·δ weighted centroids
+//! under the t-digest `k1` scale function — one `sqrt` per centroid.
 //!
 //! Error model: rank (quantile) error, not value error. With the `k1`
 //! scale function the rank error at quantile `q` is
@@ -14,14 +18,43 @@
 //! queries become exact. The default compression of 200 keeps mid-quantile
 //! rank error well under 0.5%.
 //!
-//! Determinism: insertion and merge are deterministic, so a fixed sample
-//! stream (and fixed merge order — see `runner`) yields bit-identical
-//! query results.
+//! Determinism: insertion and merge are deterministic and the batch size
+//! depends on the compression alone, so a fixed sample stream (and fixed merge
+//! order — see `runner`) yields bit-identical results, in a new sketch or a clone.
 
 use crate::runner::Mergeable;
+use crate::summary::Moments;
 
 /// Default compression (δ): ~2δ centroids ceiling, <0.5% mid-rank error.
 pub const DEFAULT_COMPRESSION: f64 = 200.0;
+
+/// Order-preserving image of a non-NaN sample: integer order of the keys is the
+/// IEEE 754 total order of the samples (`−∞ < … < −0.0 < +0.0 < … < +∞`).
+/// A negative sample has all its bits flipped, any other only its sign bit.
+fn key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | (1 << 63))
+}
+
+/// The sample behind a [`key`], bit for bit.
+fn unkey(key: u64) -> f64 {
+    f64::from_bits(key ^ (((!key as i64 >> 63) as u64) | (1 << 63)))
+}
+
+/// Exact moments of one batch of keys, in the order given: the mean, then M2
+/// about it. A pending batch read by a query and the same batch at its flush
+/// go through this one function, so both see the same bits.
+fn batch_moments(keys: &[u64]) -> Moments {
+    if keys.is_empty() {
+        return Moments::default();
+    }
+    let (min, max, sum) = keys.iter().fold((u64::MAX, 0, 0.0), |(min, max, sum), &k| {
+        (min.min(k), max.max(k), sum + unkey(k))
+    });
+    let mean = sum / keys.len() as f64;
+    let m2 = keys.iter().map(|&k| (unkey(k) - mean) * (unkey(k) - mean)).sum();
+    Moments { n: keys.len() as u64, mean, m2, min: unkey(min), max: unkey(max) }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Centroid {
@@ -33,15 +66,17 @@ struct Centroid {
 /// staleness thresholds are frequently negative).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantileSketch {
-    compression: f64,
+    /// Samples staged before a flush: `4·δ`.
+    batch: usize,
+    /// `sin` and `cos` of `2π/δ`, one unit of the `k1` scale as an angle.
+    sin_b: f64,
+    cos_b: f64,
     /// Merged centroids, sorted by mean.
     centroids: Vec<Centroid>,
-    /// Weight held in `centroids` (the buffer holds the rest).
-    merged_weight: f64,
-    /// Unmerged raw values, folded in when the batch fills or on `seal`.
-    buffer: Vec<f64>,
-    min: f64,
-    max: f64,
+    /// Exact moments of the samples in `centroids` (the buffer holds the rest).
+    moments: Moments,
+    /// Staged samples as [`key`]s, folded in when the batch fills or on `seal`.
+    buffer: Vec<u64>,
 }
 
 impl Default for QuantileSketch {
@@ -51,119 +86,132 @@ impl Default for QuantileSketch {
 }
 
 impl QuantileSketch {
-    /// Build with an explicit compression `δ ≥ 20` (memory ≈ 10·δ f64s,
-    /// rank error ∝ 1/δ).
+    /// Build with an explicit compression `δ`, finite and in `[20, 10_000]`
+    /// (memory ≈ 6·δ words, rank error ∝ 1/δ). Panics otherwise.
     pub fn new(compression: f64) -> Self {
-        assert!(compression >= 20.0, "compression too small: {compression}");
+        assert!(
+            (20.0..=10_000.0).contains(&compression),
+            "compression must be finite and in [20, 10000]: {compression}"
+        );
+        let (sin_b, cos_b) = (2.0 * std::f64::consts::PI / compression).sin_cos();
         Self {
-            compression,
+            batch: (4.0 * compression) as usize,
+            sin_b,
+            cos_b,
             centroids: Vec::new(),
-            merged_weight: 0.0,
-            buffer: Vec::with_capacity((4.0 * compression) as usize),
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            moments: Moments::default(),
+            buffer: Vec::new(),
         }
     }
 
     /// Total samples recorded.
     pub fn count(&self) -> u64 {
-        (self.merged_weight + self.buffer.len() as f64).round() as u64
+        self.moments.count() + self.buffer.len() as u64
     }
 
     /// Whether any sample has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.merged_weight == 0.0 && self.buffer.is_empty()
+        self.count() == 0
     }
 
     /// Smallest recorded sample. Panics when empty.
     pub fn min(&self) -> f64 {
         assert!(!self.is_empty(), "empty sketch");
-        self.min
+        self.moments().min()
     }
 
     /// Largest recorded sample. Panics when empty.
     pub fn max(&self) -> f64 {
         assert!(!self.is_empty(), "empty sketch");
-        self.max
+        self.moments().max()
+    }
+
+    /// Exact moments of everything recorded. A pending batch is folded into
+    /// a copy of the running moments: O(batch), no sort, no centroid cloned.
+    pub(crate) fn moments(&self) -> Moments {
+        let mut all = self.moments;
+        all.merge(batch_moments(&self.buffer));
+        all
     }
 
     /// Record one sample. Amortised O(1); panics on NaN.
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "samples must not be NaN");
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        self.buffer.push(x);
-        if self.buffer.len() >= self.buffer.capacity() {
-            self.compress();
+        if self.buffer.is_empty() {
+            // Allocates only in the first batch of a new sketch or of a clone.
+            self.buffer.reserve_exact(self.batch);
+        }
+        self.buffer.push(key(x));
+        if self.buffer.len() >= self.batch {
+            self.seal();
         }
     }
 
-    /// Fold any buffered samples into the centroid set. Queries do this
-    /// on a temporary copy when needed; sealing once after a recording
-    /// burst keeps subsequent queries allocation-free.
-    pub fn seal(&mut self) {
-        self.compress();
-    }
-
-    /// t-digest `k1` scale function: `k(q) = δ/2π · asin(2q−1)`.
-    fn k(&self, q: f64) -> f64 {
-        self.compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).clamp(-1.0, 1.0).asin()
-    }
-
-    /// Inverse scale function, saturating at `q = 1`.
-    fn k_inv(&self, k: f64) -> f64 {
-        let arg = 2.0 * std::f64::consts::PI * k / self.compression;
-        if arg >= std::f64::consts::FRAC_PI_2 {
+    /// Rank fraction a centroid opened at rank fraction `q` may reach under
+    /// the t-digest `k1` scale `k(q) = δ/2π · arcsin(2q−1)`: `k⁻¹(k(q) + 1)`
+    /// `= (sin(arcsin x + b) + 1)/2` with `x = 2q−1`, `b = 2π/δ`, expanded by
+    /// angle addition and saturating at 1 once `arcsin x + b ≥ π/2`.
+    fn q_limit(&self, q: f64) -> f64 {
+        let x = 2.0 * q - 1.0;
+        if x >= self.cos_b {
             return 1.0;
         }
-        (arg.sin() + 1.0) / 2.0
+        (x * self.cos_b + (1.0 - x * x).sqrt() * self.sin_b + 1.0) / 2.0
     }
 
-    /// Merge the sorted buffer with the existing centroids, re-compressing
-    /// under the scale-function size limit.
-    fn compress(&mut self) {
+    /// Fold any staged samples into the moments and the centroid set. Queries
+    /// do this on a temporary copy when needed; sealing once after a recording
+    /// burst keeps subsequent queries allocation-free.
+    pub fn seal(&mut self) {
         if self.buffer.is_empty() {
             return;
         }
-        self.buffer.sort_unstable_by(f64::total_cmp);
-        let total = self.merged_weight + self.buffer.len() as f64;
+        self.moments.merge(batch_moments(&self.buffer));
+        self.buffer.sort_unstable();
+        let singleton = |&k: &u64| Centroid { mean: unkey(k), weight: 1.0 };
+        self.centroids = self.merge_join(&self.centroids, &self.buffer, singleton);
+        self.buffer.clear();
+    }
 
-        // Merge-join the two sorted sequences into one compressed pass.
-        let old = std::mem::take(&mut self.centroids);
-        let mut oi = old.iter().peekable();
-        let mut bi = self.buffer.iter().peekable();
-        let mut next = || -> Option<Centroid> {
-            match (oi.peek(), bi.peek()) {
-                (Some(c), Some(&&v)) if c.mean <= v => oi.next().copied(),
-                (Some(_), Some(_)) | (None, Some(_)) => {
-                    bi.next().map(|&v| Centroid { mean: v, weight: 1.0 })
-                }
-                (Some(_), None) => oi.next().copied(),
-                (None, None) => None,
+    /// Merge-join two sequences sorted by mean (`ours` first on ties) into
+    /// one compressed centroid list of `self.moments.count()` total weight.
+    /// The open centroid is held as `(Σ mean·weight, weight)` and divided
+    /// once, when the next item would take it past its size limit.
+    fn merge_join<T>(
+        &self,
+        ours: &[Centroid],
+        theirs: &[T],
+        centroid: impl Fn(&T) -> Centroid,
+    ) -> Vec<Centroid> {
+        let (mut i, mut j) = (0, 0);
+        let mut next = || match theirs.get(j).map(&centroid) {
+            Some(c) if i == ours.len() || c.mean < ours[i].mean => {
+                j += 1;
+                Some(c)
+            }
+            _ => {
+                i += 1;
+                ours.get(i - 1).copied()
             }
         };
-
-        let mut out: Vec<Centroid> = Vec::new();
-        let mut cur = next().expect("nonempty buffer");
-        let mut w_so_far = 0.0;
-        let mut q_limit = self.k_inv(self.k(0.0) + 1.0);
-        for c in std::iter::from_fn(&mut next) {
-            let proposed = cur.weight + c.weight;
-            if (w_so_far + proposed) / total <= q_limit {
-                cur.mean = (cur.mean * cur.weight + c.mean * c.weight) / proposed;
-                cur.weight = proposed;
+        let total = self.moments.count() as f64;
+        let mut out = Vec::with_capacity(ours.len() + 16);
+        let first = next().expect("a flush or a merge brings at least one item");
+        let (mut sum, mut weight, mut w_so_far) = (first.mean * first.weight, first.weight, 0.0);
+        let mut limit = self.q_limit(0.0) * total;
+        while let Some(c) = next() {
+            if w_so_far + weight + c.weight <= limit {
+                sum += c.mean * c.weight;
+                weight += c.weight;
             } else {
-                w_so_far += cur.weight;
-                out.push(cur);
-                q_limit = self.k_inv(self.k(w_so_far / total) + 1.0);
-                cur = c;
+                out.push(Centroid { mean: sum / weight, weight });
+                w_so_far += weight;
+                limit = self.q_limit(w_so_far / total) * total;
+                (sum, weight) = (c.mean * c.weight, c.weight);
             }
         }
-        out.push(cur);
-
-        self.centroids = out;
-        self.merged_weight = total;
-        self.buffer.clear();
+        out.push(Centroid { mean: sum / weight, weight });
+        out
     }
 
     /// Run `f` against a fully compressed view of the sketch (cheap clone
@@ -173,7 +221,7 @@ impl QuantileSketch {
             f(self)
         } else {
             let mut sealed = self.clone();
-            sealed.compress();
+            sealed.seal();
             f(&sealed)
         }
     }
@@ -183,17 +231,17 @@ impl QuantileSketch {
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
         assert!(!self.is_empty(), "empty sketch");
-        if self.min == self.max {
-            return self.min;
-        }
         self.with_sealed(|s| {
-            let total = s.merged_weight;
+            let (min, max, total) = (s.moments.min(), s.moments.max(), s.moments.count() as f64);
+            if min == max {
+                return min;
+            }
             let target = q * total;
             // Piecewise-linear through (0, min), (center_i, mean_i)…,
             // (total, max), where center_i is the centroid's mid-rank.
             let mut cum = 0.0;
             let mut prev_rank = 0.0;
-            let mut prev_val = s.min;
+            let mut prev_val = min;
             for c in &s.centroids {
                 let center = cum + c.weight / 2.0;
                 if target <= center {
@@ -207,7 +255,7 @@ impl QuantileSketch {
             }
             let span = total - prev_rank;
             let frac = if span > 0.0 { (target - prev_rank) / span } else { 1.0 };
-            (prev_val + frac * (s.max - prev_val)).min(s.max)
+            (prev_val + frac * (max - prev_val)).min(max)
         })
     }
 
@@ -223,18 +271,18 @@ impl QuantileSketch {
     pub fn cdf(&self, x: f64) -> f64 {
         assert!(!x.is_nan(), "cdf of NaN");
         assert!(!self.is_empty(), "empty sketch");
-        if x < self.min {
-            return 0.0;
-        }
-        if x >= self.max {
-            return 1.0;
-        }
         self.with_sealed(|s| {
-            let total = s.merged_weight;
+            let (min, max, total) = (s.moments.min(), s.moments.max(), s.moments.count() as f64);
+            if x < min {
+                return 0.0;
+            }
+            if x >= max {
+                return 1.0;
+            }
             let cs = &s.centroids;
             let mut cum = 0.0;
             let mut prev_rank = 0.0;
-            let mut prev_val = s.min;
+            let mut prev_val = min;
             let mut i = 0;
             while i < cs.len() {
                 // Gather the run of centroids sharing one mean.
@@ -263,7 +311,7 @@ impl QuantileSketch {
                 prev_rank = if j - i >= 2 { cum } else { cum - w_run / 2.0 };
                 i = j;
             }
-            let span = s.max - prev_val;
+            let span = max - prev_val;
             let frac = if span > 0.0 { (x - prev_val) / span } else { 1.0 };
             ((prev_rank + frac * (total - prev_rank)) / total).min(1.0)
         })
@@ -271,60 +319,28 @@ impl QuantileSketch {
 }
 
 impl Mergeable for QuantileSketch {
-    /// Absorb another sketch: both are compressed, the centroid lists are
-    /// merge-joined, and the union is re-compressed. Deterministic given
+    /// Absorb another sketch: both are sealed, then their centroid lists
+    /// go through the same merge-join a flush uses. Deterministic given
     /// operand order (the runner always merges in shard order).
     fn merge(&mut self, mut other: Self) {
         if other.is_empty() {
             return;
         }
-        self.compress();
-        other.compress();
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        if self.merged_weight == 0.0 {
-            self.centroids = other.centroids;
-            self.merged_weight = other.merged_weight;
-            return;
-        }
-        let total = self.merged_weight + other.merged_weight;
-        let a = std::mem::take(&mut self.centroids);
-        let b = other.centroids;
-        let mut ai = a.into_iter().peekable();
-        let mut bi = b.into_iter().peekable();
-        let mut next = || -> Option<Centroid> {
-            match (ai.peek(), bi.peek()) {
-                (Some(x), Some(y)) if x.mean <= y.mean => ai.next(),
-                (Some(_), Some(_)) | (None, Some(_)) => bi.next(),
-                (Some(_), None) => ai.next(),
-                (None, None) => None,
-            }
+        self.seal();
+        other.seal();
+        self.moments.merge(other.moments);
+        self.centroids = if self.centroids.is_empty() {
+            other.centroids
+        } else {
+            self.merge_join(&self.centroids, &other.centroids, |&c| c)
         };
-        let mut out: Vec<Centroid> = Vec::new();
-        let mut cur = next().expect("nonempty merge");
-        let mut w_so_far = 0.0;
-        let mut q_limit = self.k_inv(self.k(0.0) + 1.0);
-        for c in std::iter::from_fn(&mut next) {
-            let proposed = cur.weight + c.weight;
-            if (w_so_far + proposed) / total <= q_limit {
-                cur.mean = (cur.mean * cur.weight + c.mean * c.weight) / proposed;
-                cur.weight = proposed;
-            } else {
-                w_so_far += cur.weight;
-                out.push(cur);
-                q_limit = self.k_inv(self.k(w_so_far / total) + 1.0);
-                cur = c;
-            }
-        }
-        out.push(cur);
-        self.centroids = out;
-        self.merged_weight = total;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -451,9 +467,17 @@ mod tests {
         }
         let before = s.quantile(0.9);
         let cdf_before = s.cdf(0.25);
+        let exact = |s: &QuantileSketch| {
+            let m = s.moments();
+            [m.mean(), m.variance(), m.min(), m.max(), s.min(), s.max()].map(f64::to_bits)
+        };
+        let (count_before, exact_before) = (s.count(), exact(&s));
+        assert_eq!(s.buffer.len(), 10_123 % 800, "the queries run against a pending batch");
         s.seal();
         assert_eq!(before.to_bits(), s.quantile(0.9).to_bits());
         assert_eq!(cdf_before.to_bits(), s.cdf(0.25).to_bits());
+        assert_eq!((count_before, exact_before), (s.count(), exact(&s)));
+        assert_eq!(s.count(), 10_123);
     }
 
     #[test]
@@ -482,5 +506,103 @@ mod tests {
     #[should_panic(expected = "empty sketch")]
     fn empty_quantile_panics() {
         QuantileSketch::default().quantile(0.5);
+    }
+
+    /// Samples that stress the key map: every class of non-NaN bit pattern.
+    fn any_sample() -> impl Strategy<Value = f64> {
+        const SPECIAL: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            5e-324,
+            -5e-324,
+        ];
+        (any::<u64>(), 0usize..24).prop_map(|(bits, pick)| match f64::from_bits(bits) {
+            _ if pick < SPECIAL.len() => SPECIAL[pick],
+            // A subnormal of either sign: exponent field cleared.
+            _ if pick < 12 => f64::from_bits(bits & !(0x7ff << 52)),
+            x if x.is_nan() => f64::from_bits(bits & !(1 << 62)),
+            x => x,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// The integer keys order exactly as `f64::total_cmp` and lose no bit.
+        #[test]
+        fn key_orders_as_total_cmp_and_round_trips(a in any_sample(), b in any_sample()) {
+            prop_assert!(!a.is_nan() && !b.is_nan());
+            prop_assert_eq!(key(a).cmp(&key(b)), a.total_cmp(&b), "{:e} vs {:e}", a, b);
+            prop_assert_eq!(unkey(key(a)).to_bits(), a.to_bits());
+        }
+    }
+
+    /// The `k1` size limit as the parent computed it: `k⁻¹(k(q) + 1)` with
+    /// one `asin` and one `sin`.
+    fn q_limit_reference(compression: f64, q: f64) -> f64 {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let k = compression / (2.0 * PI) * (2.0 * q - 1.0).clamp(-1.0, 1.0).asin();
+        let arg = 2.0 * PI * (k + 1.0) / compression;
+        if arg >= FRAC_PI_2 {
+            return 1.0;
+        }
+        (arg.sin() + 1.0) / 2.0
+    }
+
+    #[test]
+    fn size_limit_matches_the_scale_function() {
+        for compression in [20.0, 100.0, 200.0, 1000.0] {
+            let s = QuantileSketch::new(compression);
+            let mut prev = 0.0;
+            for i in 0..=10_000 {
+                let q = i as f64 / 10_000.0;
+                let (got, want) = (s.q_limit(q), q_limit_reference(compression, q));
+                assert!((got - want).abs() <= 1e-12, "δ={compression} q={q}: {got} vs {want}");
+                assert!(got >= prev, "δ={compression}: not monotone at q={q}: {got} < {prev}");
+                assert!(got <= 1.0 && (got > q || q == 1.0), "δ={compression} q={q}: {got}");
+                if 2.0 * q - 1.0 >= s.cos_b || prev == 1.0 {
+                    assert_eq!(got, 1.0, "δ={compression}: saturated at q={q}");
+                }
+                prev = got;
+            }
+            assert_eq!(prev, 1.0);
+        }
+    }
+
+    #[test]
+    fn flush_count_depends_on_the_compression_alone() {
+        let feed = |s: &mut QuantileSketch| (0..3_000).for_each(|i| s.record(f64::from(i % 97)));
+        let mut original = QuantileSketch::default();
+        let mut clone = original.clone();
+        for s in [&mut original, &mut clone] {
+            feed(s);
+            assert_eq!(s.buffer.len(), 600, "3 flushes of 800, 600 pending");
+            assert_eq!(s.moments.count(), 2_400);
+            s.seal();
+            assert_eq!((s.buffer.len(), s.moments.count()), (0, 3_000));
+        }
+        assert_eq!(original, clone);
+        // A clone of a sealed, non-empty sketch stages on the same schedule.
+        let mut clone = original.clone();
+        for s in [&mut original, &mut clone] {
+            feed(s);
+            assert_eq!(s.buffer.len(), 600);
+        }
+        assert_eq!(original, clone);
+    }
+
+    #[test]
+    fn compression_out_of_range_panics_with_the_constructors_message() {
+        QuantileSketch::new(20.0);
+        QuantileSketch::new(10_000.0);
+        for bad in [f64::INFINITY, 1e15, 10_000.5, 19.9, 0.0, -200.0, f64::NAN] {
+            let err = std::panic::catch_unwind(|| QuantileSketch::new(bad)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("finite and in [20, 10000]"), "δ={bad}: {msg}");
+        }
     }
 }

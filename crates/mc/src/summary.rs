@@ -1,35 +1,28 @@
-//! Online moments (Welford) and the combined [`Summary`] accumulator the
-//! Monte-Carlo consumers record into.
+//! Exact moments ([`Moments`]) and the combined [`Summary`] accumulator the
+//! Monte-Carlo consumers record into: one [`QuantileSketch`] read two ways.
+//! The sketch stages samples in a single buffer and, once per flush, folds
+//! the batch into its centroids *and* into the exact moments it carries.
 
 use crate::runner::Mergeable;
 use crate::sketch::QuantileSketch;
 
-/// Streaming count / mean / variance / extrema in O(1) memory
-/// (Welford's algorithm; merged with the Chan et al. parallel update).
+/// Exact count / mean / variance / extrema in O(1) memory. Batches combine
+/// through the Chan et al. parallel update ([`Mergeable::merge`]); `record`
+/// is that update for a batch of one.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Moments {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
+    pub(crate) n: u64,
+    pub(crate) mean: f64,
+    pub(crate) m2: f64,
+    pub(crate) min: f64,
+    pub(crate) max: f64,
 }
 
 impl Moments {
     /// Record one sample. Panics on NaN.
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "samples must not be NaN");
-        if self.n == 0 {
-            self.min = x;
-            self.max = x;
-        } else {
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
-        }
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
+        self.merge(Self { n: 1, mean: x, m2: 0.0, min: x, max: x });
     }
 
     /// Samples recorded.
@@ -91,12 +84,11 @@ impl Mergeable for Moments {
     }
 }
 
-/// The standard per-shard accumulator: a [`QuantileSketch`] for
-/// distributional queries plus [`Moments`] for exact count/mean/variance
-/// and extrema. Memory is O(sketch compression), independent of trials.
+/// The standard per-shard accumulator: a [`QuantileSketch`] for distributional
+/// queries and the exact count / mean / variance / extrema it keeps of the same
+/// stream. Memory is O(sketch compression), independent of trials.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Summary {
-    moments: Moments,
     sketch: QuantileSketch,
 }
 
@@ -106,56 +98,50 @@ impl Summary {
         Self::default()
     }
 
-    /// Empty summary with an explicit sketch compression.
-    pub fn with_compression(compression: f64) -> Self {
-        Self { moments: Moments::default(), sketch: QuantileSketch::new(compression) }
-    }
-
     /// Record one sample (amortised O(1)).
     pub fn record(&mut self, x: f64) {
-        self.moments.record(x);
         self.sketch.record(x);
     }
 
-    /// Compress any buffered sketch samples so subsequent queries are
-    /// allocation-free. Optional — queries are correct either way.
+    /// Fold any staged samples in, so subsequent queries neither allocate
+    /// nor rescan the batch. Optional — queries are correct either way.
     pub fn seal(&mut self) {
         self.sketch.seal();
     }
 
     /// Samples recorded.
     pub fn count(&self) -> u64 {
-        self.moments.count()
+        self.sketch.count()
     }
 
     /// Whether no sample has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.moments.is_empty()
+        self.sketch.is_empty()
     }
 
     /// Exact arithmetic mean. Panics when empty.
     pub fn mean(&self) -> f64 {
-        self.moments.mean()
+        self.sketch.moments().mean()
     }
 
     /// Exact population variance. Panics when empty.
     pub fn variance(&self) -> f64 {
-        self.moments.variance()
+        self.sketch.moments().variance()
     }
 
     /// Exact population standard deviation. Panics when empty.
     pub fn std_dev(&self) -> f64 {
-        self.moments.std_dev()
+        self.sketch.moments().std_dev()
     }
 
     /// Exact smallest sample. Panics when empty.
     pub fn min(&self) -> f64 {
-        self.moments.min()
+        self.sketch.moments().min()
     }
 
     /// Exact largest sample. Panics when empty.
     pub fn max(&self) -> f64 {
-        self.moments.max()
+        self.sketch.moments().max()
     }
 
     /// Approximate quantile at `q ∈ [0, 1]` (see [`QuantileSketch`] for
@@ -185,7 +171,6 @@ impl Summary {
 
 impl Mergeable for Summary {
     fn merge(&mut self, other: Self) {
-        self.moments.merge(other.moments);
         self.sketch.merge(other.sketch);
     }
 }
@@ -193,6 +178,7 @@ impl Mergeable for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_dist::LatencyDistribution;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -261,5 +247,74 @@ mod tests {
         assert_eq!(s.max(), 1_000.0);
         assert!((s.percentile(50.0) - 500.0).abs() < 10.0);
         assert!((s.cdf(250.0) - 0.25).abs() < 0.01);
+    }
+
+    /// Per-sample Welford — what `Summary::record` did before the moments
+    /// moved to once per batch — and the textbook two-pass sums.
+    fn welford_and_two_pass(xs: &[f64]) -> [(f64, f64); 2] {
+        let (mut mean, mut m2) = (0.0, 0.0);
+        for (i, &x) in xs.iter().enumerate() {
+            let delta = x - mean;
+            mean += delta / (i + 1) as f64;
+            m2 += delta * (x - mean);
+        }
+        let n = xs.len() as f64;
+        let naive_mean = xs.iter().sum::<f64>() / n;
+        let naive_var = xs.iter().map(|x| (x - naive_mean) * (x - naive_mean)).sum::<f64>() / n;
+        [(mean, m2 / n), (naive_mean, naive_var)]
+    }
+
+    #[test]
+    fn batch_moments_match_per_sample_references() {
+        let disk = pbs_dist::production::lnkd_disk_write();
+        let mut rng = StdRng::seed_from_u64(12);
+        let legs: Vec<f64> = (0..100_000).map(|_| disk.sample(&mut rng)).collect();
+        let offset: Vec<f64> =
+            legs.iter().enumerate().map(|(i, x)| x + [1e9, -1e9][i % 2]).collect();
+        for (name, xs) in [("LNKD-DISK", &legs), ("±1e9 offset", &offset)] {
+            let mut whole = Summary::new();
+            let mut shards = vec![Summary::new(); 4];
+            for (i, &x) in xs.iter().enumerate() {
+                whole.record(x);
+                shards[i * 4 / xs.len()].record(x);
+            }
+            let mut merged = shards.remove(0);
+            shards.into_iter().for_each(|shard| merged.merge(shard));
+            let min = xs.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let scale = min.abs().max(max.abs());
+            for (mean, var) in welford_and_two_pass(xs) {
+                for (how, s) in [("one stream", &whole), ("four shards", &merged)] {
+                    assert_eq!((s.count(), s.min(), s.max()), (100_000, min, max), "{name} {how}");
+                    assert!((s.mean() - mean).abs() <= 1e-12 * scale, "{name} {how}: mean");
+                    let gap = (s.variance() - var).abs() / var;
+                    assert!(gap <= 1e-12, "{name} {how}: variance off by {gap:e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_records_like_its_original() {
+        let mut rng = StdRng::seed_from_u64(13);
+        let xs: Vec<f64> = (0..15_000).map(|_| rng.gen::<f64>() * 100.0).collect();
+        let mut original = Summary::new();
+        xs[..5_000].iter().for_each(|&x| original.record(x));
+        original.seal();
+        let mut clone = original.clone();
+        for &x in &xs[5_000..] {
+            original.record(x);
+            clone.record(x);
+        }
+        assert_eq!(original, clone);
+        assert_eq!(original.percentile(99.0).to_bits(), clone.percentile(99.0).to_bits());
+
+        let mut fresh = Summary::new();
+        let mut cloned = vec![Summary::new(); 3];
+        for &x in &xs[..10_000] {
+            fresh.record(x);
+            cloned.iter_mut().for_each(|s| s.record(x));
+        }
+        assert!(cloned.iter().all(|s| *s == fresh));
     }
 }

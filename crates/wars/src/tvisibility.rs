@@ -143,13 +143,10 @@ impl TVisibility {
         let ws = distinct(pairs, |p| p.1);
 
         let shard = Runner::new(trials, seed, threads).run(|rng, info| {
-            // One `Summary::new()` each: a clone's sketch buffer has another
-            // capacity, and the capacity sets the compress cadence.
-            let summaries = |k: usize| std::iter::repeat_with(Summary::new).take(k);
             let mut acc = GridShard {
-                thresholds: summaries(pairs.len()).map(|sum| (sum, 0)).collect(),
-                reads: summaries(rs.len()).collect(),
-                writes: summaries(ws.len()).collect(),
+                thresholds: vec![(Summary::new(), 0); pairs.len()],
+                reads: vec![Summary::new(); rs.len()],
+                writes: vec![Summary::new(); ws.len()],
             };
             let mut sample = WarsSample::default();
             let mut scratch = TrialScratch::default();
