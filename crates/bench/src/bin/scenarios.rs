@@ -23,7 +23,7 @@
 //! The process exits nonzero if any cross-check fails — the CI smoke
 //! gate.
 
-use pbs_bench::{cli, report};
+use pbs_bench::{cli, report, HarnessOptions};
 use pbs_scenario::{run_scenario_sharded, Scenario, ScenarioRun, WindowRecord};
 
 const KNOWN: &[&str] = &[
@@ -216,14 +216,13 @@ fn main() {
         return;
     }
 
-    let seed = args.parsed::<u64>("seed").unwrap_or(42);
+    // `--trials` counts replica runs here, so only the shared seed and
+    // shard-count defaults are taken.
+    let HarnessOptions { seed, threads, .. } = HarnessOptions::from_args(&args, 0);
     let mut trials = if args.flag("quick") { 4 } else { 16 };
     if let Some(t) = args.parsed::<usize>("trials") {
         trials = t;
     }
-    let threads = args
-        .parsed::<usize>("threads")
-        .unwrap_or_else(pbs_mc::Runner::available_threads);
     let name = args.value_of("scenario").unwrap_or_else(|| {
         eprintln!("--scenario NAME is required (see --list)");
         std::process::exit(2);
@@ -240,8 +239,9 @@ fn main() {
     }
     let chaos = args.flag("chaos");
     if chaos {
-        if scenario.fault_profile.is_none() && scenario.fault_schedule.is_none() {
-            scenario.fault_profile = Some(pbs_kvs::FaultProfile::storm(seed));
+        if scenario.fault_schedule.is_none() {
+            let storm = pbs_kvs::FaultProfile::storm(seed);
+            scenario.fault_schedule = Some(pbs_kvs::FaultSchedule::constant(storm));
         }
         scenario.check_history = true;
     }

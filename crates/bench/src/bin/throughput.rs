@@ -23,7 +23,7 @@
 //! `--trials` is the number of whole-workload replica runs (sharded
 //! deterministically; bit-reproducible per `(seed, threads)`).
 
-use pbs_bench::{cli, report};
+use pbs_bench::{cli, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::DynDistribution;
 use pbs_dist::Exponential;
@@ -82,10 +82,9 @@ fn main() {
     ]);
     let quick = args.flag("quick");
     let trials = args.parsed::<usize>("trials").unwrap_or(if quick { 2 } else { 4 });
-    let seed = args.parsed::<u64>("seed").unwrap_or(42);
-    let threads = args
-        .parsed::<usize>("threads")
-        .unwrap_or_else(pbs_mc::Runner::available_threads);
+    // `--trials` counts replica runs here, so only the shared seed and
+    // shard-count defaults are taken.
+    let HarnessOptions { seed, threads, .. } = HarnessOptions::from_args(&args, 0);
     let clients = args.parsed::<usize>("clients").unwrap_or(256);
     let keys = args.parsed::<u64>("keys").unwrap_or(64);
     let duration_ms =

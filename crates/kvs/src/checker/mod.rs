@@ -36,7 +36,7 @@ pub mod lin;
 pub use lin::{KeyLinResult, KeyLinVerdict, LinCheck, LinOptions, LinViolation};
 
 use crate::client::{ClientStats, CompletedOp};
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, BLOCKING_CLIENT};
 use crate::fxhash::FxHashMap;
 use crate::staleness::{GroundTruth, ReadLabel};
 use pbs_mc::Mergeable;
@@ -50,6 +50,14 @@ pub struct HistoryOp {
     pub op: CompletedOp,
     /// The online staleness label (labelled reads only).
     pub label: Option<ReadLabel>,
+}
+
+impl HistoryOp {
+    /// Whether this read satisfied t-visibility (`false` for writes and
+    /// for reads that timed out).
+    pub fn consistent(&self) -> bool {
+        self.label.is_some_and(|l| l.consistent)
+    }
 }
 
 /// One crash scheduled on the cluster during the recorded run. The order
@@ -354,7 +362,7 @@ pub fn replay_sessions(history: &OpHistory, streaming: &ClientStats) -> SessionC
         if op.finish.is_none() {
             continue; // timed out: the client never saw a result
         }
-        if op.client == u32::MAX {
+        if op.client == BLOCKING_CLIENT {
             // Blocking-harness ops: recorded for the order oracle and the
             // relabelling pass, but not part of any client session (the
             // streaming counters never saw them).

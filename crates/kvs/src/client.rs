@@ -181,6 +181,60 @@ pub struct CompletedOp {
     pub quorum_mask: u64,
 }
 
+impl CompletedOp {
+    /// The record of an operation whose coordinator answered: `result`, as
+    /// `client` received it at `now`. A write finishes when its result
+    /// arrives (for a committed write that is the commit instant — results
+    /// travel with zero delay); a read at its `R`-th response.
+    pub fn from_result(result: ClientResult, client: u32, now: SimTime) -> Self {
+        let (op_id, kind, key, start, finish, version, commit, source, quorum_mask) = match result {
+            ClientResult::Write { op_id, key, version, start, commit, acked } => {
+                (op_id, OpKind::Write, key, start, now, Some(version), commit, None, acked)
+            }
+            ClientResult::Read { op_id, key, start, finish, version, source, responders } => {
+                (op_id, OpKind::Read, key, start, finish, version, None, source, responders)
+            }
+        };
+        CompletedOp {
+            op_id,
+            client,
+            kind,
+            key,
+            start,
+            finish: Some(finish),
+            seq: version.map(|v| v.seq),
+            commit,
+            writer: version.map(|v| v.writer),
+            source,
+            quorum_mask,
+        }
+    }
+
+    /// The record of an operation that never got a result — a client-side
+    /// timeout, or an op still in flight when the run closed: an open
+    /// invocation with `finish`, `seq` and `commit` all `None`.
+    pub fn open(op_id: u64, client: u32, kind: OpKind, key: u64, start: SimTime) -> Self {
+        CompletedOp {
+            op_id,
+            client,
+            kind,
+            key,
+            start,
+            finish: None,
+            seq: None,
+            commit: None,
+            writer: None,
+            source: None,
+            quorum_mask: 0,
+        }
+    }
+
+    /// Operation latency in ms, if the operation got a result.
+    pub fn latency_ms(&self) -> Option<f64> {
+        self.finish.map(|f| (f - self.start).as_ms())
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Pending {
     key: u64,
@@ -540,26 +594,15 @@ impl ClientTable {
     /// the version as possibly committed instead of convicting the reads
     /// that see it. Sorted by op id for engine-independent determinism.
     pub(crate) fn take_in_flight(&mut self) -> Vec<CompletedOp> {
-        let open = |op_id: u64, kind: OpKind, key: u64, start: SimTime| CompletedOp {
-            op_id,
-            client: client_of(op_id),
-            kind,
-            key,
-            start,
-            finish: None,
-            seq: None,
-            commit: None,
-            writer: None,
-            source: None,
-            quorum_mask: 0,
-        };
         let mut out = Vec::new();
         for row in 0..self.rows() {
             if self.slot_local[row] != SLOT_EMPTY {
-                let op_id = pack_op(self.index_of(row), self.slot_local[row]);
+                let index = self.index_of(row);
+                let op_id = pack_op(index, self.slot_local[row]);
                 let kind =
                     if self.flags[row] & F_SLOT_READ != 0 { OpKind::Read } else { OpKind::Write };
-                out.push(open(op_id, kind, self.slot_key[row], self.slot_start[row]));
+                let (key, start) = (self.slot_key[row], self.slot_start[row]);
+                out.push(CompletedOp::open(op_id, index, kind, key, start));
                 self.slot_local[row] = SLOT_EMPTY;
                 self.in_flight_count[row] -= 1;
                 self.in_flight_live -= 1;
@@ -569,7 +612,7 @@ impl ClientTable {
             let row = (client_of(op_id) as usize) / self.stride;
             self.in_flight_count[row] -= 1;
             self.in_flight_live -= 1;
-            out.push(open(op_id, p.kind, p.key, p.start));
+            out.push(CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start));
         }
         out.sort_unstable_by_key(|op| op.op_id);
         out
@@ -740,12 +783,13 @@ impl ClientTable {
     }
 
     fn on_result(&mut self, ctx: &mut Context<'_, Msg>, result: ClientResult) {
+        let op_id = result.op_id();
+        if self.remove_in_flight(op_id).is_none() {
+            return; // already timed out client-side
+        }
+        let index = client_of(op_id);
         match result {
-            ClientResult::Write { op_id, key, version, start, commit, acked } => {
-                if self.remove_in_flight(op_id).is_none() {
-                    return; // already timed out client-side
-                }
-                let index = client_of(op_id);
+            ClientResult::Write { key, version, commit, .. } => {
                 if let Some(ct) = commit {
                     let slot = self.sessions.entry(index, key);
                     slot.last_write_seq = slot.last_write_seq.max(version.seq);
@@ -761,27 +805,9 @@ impl ClientTable {
                         ctx.set_timer(offset, ctag(CKIND_PROBE_READ, token));
                     }
                 }
-                self.push_completed(CompletedOp {
-                    op_id,
-                    client: index,
-                    kind: OpKind::Write,
-                    key,
-                    start,
-                    finish: Some(ctx.now()),
-                    seq: Some(version.seq),
-                    commit,
-                    writer: Some(version.writer),
-                    source: None,
-                    quorum_mask: acked,
-                });
             }
-            ClientResult::Read { op_id, key, start, finish, version, source, responders } => {
-                if self.remove_in_flight(op_id).is_none() {
-                    return;
-                }
-                let index = client_of(op_id);
-                let returned = version.map(|v| v.seq);
-                let seen = returned.unwrap_or(0);
+            ClientResult::Read { key, version, .. } => {
+                let seen = version.map_or(0, |v| v.seq);
                 self.stats.reads_checked += 1;
                 let slot = self.sessions.entry(index, key);
                 if seen < slot.last_read_seq {
@@ -791,21 +817,9 @@ impl ClientTable {
                     self.stats.ryw_violations += 1;
                 }
                 slot.last_read_seq = slot.last_read_seq.max(seen);
-                self.push_completed(CompletedOp {
-                    op_id,
-                    client: index,
-                    kind: OpKind::Read,
-                    key,
-                    start,
-                    finish: Some(finish),
-                    seq: returned,
-                    commit: None,
-                    writer: version.map(|v| v.writer),
-                    source,
-                    quorum_mask: responders,
-                });
             }
         }
+        self.push_completed(CompletedOp::from_result(result, index, ctx.now()));
     }
 
     /// Time out every op whose deadline has passed, drop the front entries
@@ -828,19 +842,7 @@ impl ClientTable {
         let Some(p) = self.remove_in_flight(op_id) else {
             return; // completed in time
         };
-        self.push_completed(CompletedOp {
-            op_id,
-            client: client_of(op_id),
-            kind: p.kind,
-            key: p.key,
-            start: p.start,
-            finish: None,
-            seq: None,
-            commit: None,
-            writer: None,
-            source: None,
-            quorum_mask: 0,
-        });
+        self.push_completed(CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start));
     }
 
     fn on_probe_read(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
@@ -899,6 +901,50 @@ mod tests {
         assert!(top < (1 << TAG_KIND_SHIFT));
         assert_eq!(client_of(top), MAX_CLIENTS - 1);
         assert_eq!(local_of(top), u32::MAX);
+    }
+
+    #[test]
+    fn an_open_record_has_an_invocation_and_nothing_else() {
+        let start = SimTime::from_ms(2.0);
+        let op = CompletedOp::open(12, 4, OpKind::Write, 3, start);
+        assert_eq!((op.op_id, op.client, op.kind), (12, 4, OpKind::Write));
+        assert_eq!((op.key, op.start), (3, start));
+        assert_eq!((op.finish, op.seq, op.commit, op.writer), (None, None, None, None));
+        assert_eq!((op.source, op.quorum_mask, op.latency_ms()), (None, 0, None));
+    }
+
+    #[test]
+    fn a_result_fills_in_the_open_record_of_its_op() {
+        let [start, finish, now] = [2.0, 5.0, 9.0].map(SimTime::from_ms);
+        let version = crate::version::Version::new(7, 2);
+        let write =
+            |commit| ClientResult::Write { op_id: 11, key: 3, version, start, commit, acked: 5 };
+        let read = |version, source| {
+            let responders = 3;
+            ClientResult::Read { op_id: 12, key: 3, start, finish, version, source, responders }
+        };
+        // A write finishes when its result arrives, committed or not, and
+        // names the version it installed either way.
+        let failed = CompletedOp {
+            finish: Some(now),
+            seq: Some(7),
+            writer: Some(2),
+            quorum_mask: 5,
+            ..CompletedOp::open(11, 4, OpKind::Write, 3, start)
+        };
+        assert_eq!(CompletedOp::from_result(write(None), 4, now), failed);
+        let committed = CompletedOp { commit: Some(now), ..failed };
+        assert_eq!(CompletedOp::from_result(write(Some(now)), 4, now), committed);
+        // A read finished at its R-th response, whenever the result is seen.
+        let empty = CompletedOp {
+            finish: Some(finish),
+            quorum_mask: 3,
+            ..CompletedOp::open(12, 4, OpKind::Read, 3, start)
+        };
+        assert_eq!(CompletedOp::from_result(read(None, None), 4, now), empty);
+        let full = CompletedOp { seq: Some(7), writer: Some(2), source: Some(1), ..empty };
+        assert_eq!(CompletedOp::from_result(read(Some(version), Some(1)), 4, now), full);
+        assert_eq!((committed.latency_ms(), full.latency_ms()), (Some(7.0), Some(3.0)));
     }
 
     #[test]

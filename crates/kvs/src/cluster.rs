@@ -8,7 +8,8 @@
 //!
 //! * **Blocking** ([`Cluster::write`] / [`Cluster::read`]) — the harness
 //!   injects one operation, steps the simulation until its result appears,
-//!   and labels it immediately. One op at a time; the §5.2 probe shape.
+//!   labels it immediately and returns the record. One op at a time; the
+//!   §5.2 probe shape.
 //! * **Open loop** ([`Cluster::add_client`] + [`Cluster::drain_window`]) —
 //!   clients live *inside* the simulation as one client table per PDES
 //!   worker, generate arrivals lazily from streaming `pbs-workload`
@@ -19,6 +20,12 @@
 //!   client count + in-flight work, never by workload length — and with
 //!   [`Cluster::add_clients_shared`] the per-client footprint is roughly
 //!   one cache line, so a single process sustains millions of clients.
+//!
+//! Both yield the same record — a [`CompletedOp`], with its label a
+//! [`HistoryOp`] — built by `CompletedOp::{from_result, open}` and nowhere
+//! else, and it is the record [`Cluster::enable_history`] keeps: what a
+//! caller gets is what the checker sees. Store options live in
+//! [`ClusterOptions`] alone; each node holds the cluster's copy.
 
 use crate::buggify::ProtocolMutations;
 use crate::checker::{CrashRecord, HistoryOp, OpHistory};
@@ -26,10 +33,10 @@ use crate::client::{ClientOptions, ClientStats, ClientTable, CompletedOp};
 use crate::fxhash::FxHashMap;
 use crate::messages::Msg;
 use crate::network::NetworkModel;
-use crate::node::{ClientResult, DetectorEvent, DownTracker, Node, NodeOptions};
+use crate::node::{ClientResult, DetectorEvent, DownTracker, Node};
 use crate::partition::PartitionPlan;
 use crate::ring::Ring;
-use crate::staleness::{GroundTruth, ReadLabel};
+use crate::staleness::GroundTruth;
 use pbs_core::ReplicaConfig;
 use pbs_sim::{
     Actor, ActorId, Context, Event, ParallelSimulation, PdesError, PdesStats, SimDuration,
@@ -43,6 +50,10 @@ use std::sync::Arc;
 
 /// Virtual nodes per physical node on the consistent-hashing ring.
 const VNODES: u32 = 16;
+
+/// The `client` of every blocking op: never an open-loop client index, and
+/// skipped by the checker's session replay.
+pub(crate) const BLOCKING_CLIENT: u32 = u32::MAX;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -98,61 +109,6 @@ impl ClusterOptions {
             mutations: ProtocolMutations::default(),
             seed,
         }
-    }
-}
-
-/// Outcome of a blocking write.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WriteOutcome {
-    /// Operation id.
-    pub op_id: u64,
-    /// Key written.
-    pub key: u64,
-    /// Coordinator-assigned sequence number — the write's start instant
-    /// in nanoseconds + 1, so versions order by write-start time (0 when
-    /// the operation produced no result at all — e.g. the op timed out
-    /// before the coordinator reported back).
-    pub seq: u64,
-    /// Issue time.
-    pub start: SimTime,
-    /// Commit time (None = failed/timed out).
-    pub commit: Option<SimTime>,
-}
-
-impl WriteOutcome {
-    /// Commit latency in ms, if the write committed.
-    pub fn latency_ms(&self) -> Option<f64> {
-        self.commit.map(|c| (c - self.start).as_ms())
-    }
-}
-
-/// Outcome of a blocking read.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReadOutcome {
-    /// Operation id.
-    pub op_id: u64,
-    /// Key read.
-    pub key: u64,
-    /// Issue time.
-    pub start: SimTime,
-    /// Completion time (None = timed out).
-    pub finish: Option<SimTime>,
-    /// Returned sequence number (None = no responder had the key, or
-    /// timeout).
-    pub returned_seq: Option<u64>,
-    /// Ground-truth verdict (None = timed out).
-    pub label: Option<ReadLabel>,
-}
-
-impl ReadOutcome {
-    /// Operation latency in ms, if completed.
-    pub fn latency_ms(&self) -> Option<f64> {
-        self.finish.map(|f| (f - self.start).as_ms())
-    }
-
-    /// Whether this read satisfied t-visibility.
-    pub fn consistent(&self) -> bool {
-        self.label.map(|l| l.consistent).unwrap_or(false)
     }
 }
 
@@ -254,11 +210,6 @@ impl DetectorTracker {
     }
 }
 
-/// A read drained from the open-loop engine: the completed operation
-/// (`finish: None` = client-side timeout) and its label against the
-/// online ground-truth watermark (`None` when the read timed out).
-pub type OpenRead = HistoryOp;
-
 /// Everything that finished during one open-loop window.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDrain {
@@ -266,8 +217,10 @@ pub struct WindowDrain {
     pub until_ms: f64,
     /// Completed writes (committed, failed, and timed out).
     pub writes: Vec<CompletedOp>,
-    /// Completed reads with their online labels.
-    pub reads: Vec<OpenRead>,
+    /// Completed reads (`finish: None` = client-side timeout) with their
+    /// labels against the online ground-truth watermark (`None` when the
+    /// read timed out).
+    pub reads: Vec<HistoryOp>,
 }
 
 /// One item yielded by [`WindowDrain::fold`].
@@ -276,7 +229,7 @@ pub enum WindowOp<'a> {
     /// A completed write (committed, failed, or timed out).
     Write(&'a CompletedOp),
     /// A completed read with its online label.
-    Read(&'a OpenRead),
+    Read(&'a HistoryOp),
 }
 
 impl WindowDrain {
@@ -522,16 +475,6 @@ impl Cluster {
         let ring = Arc::new(Ring::new(opts.nodes, VNODES, opts.replication.n()));
         let net = Arc::new(network);
         let down = Arc::new(DownTracker::new(opts.nodes as usize));
-        let node_opts = NodeOptions {
-            r: opts.replication.r(),
-            w: opts.replication.w(),
-            read_repair: opts.read_repair,
-            hinted_handoff: opts.hinted_handoff,
-            hint_timeout_ms: opts.hint_timeout_ms,
-            hint_flush_interval_ms: opts.hint_flush_interval_ms,
-            record_leg_samples: opts.record_leg_samples,
-            mutations: opts.mutations,
-        };
         let mut engine = match kind {
             EngineKind::Serial | EngineKind::SerialPartitioned { .. } => {
                 Engine::Serial(Simulation::new())
@@ -542,14 +485,8 @@ impl Cluster {
             }
         };
         for id in 0..opts.nodes as usize {
-            let node = Node::new(
-                id,
-                node_opts,
-                Arc::clone(&net),
-                Arc::clone(&ring),
-                Arc::clone(&down),
-                opts.seed,
-            );
+            let node =
+                Node::new(id, opts, Arc::clone(&net), Arc::clone(&ring), Arc::clone(&down));
             let actor = engine.add_actor(ClusterActor::Node(node), plan.worker_of_node(id as u32));
             debug_assert_eq!(actor, id);
         }
@@ -702,7 +639,7 @@ impl Cluster {
         }
         self.opts.replication = cfg;
         for id in 0..self.opts.nodes as usize {
-            self.node_mut(id).set_quorums(cfg.r(), cfg.w());
+            self.node_mut(id).set_replication(cfg);
         }
     }
 
@@ -798,7 +735,7 @@ impl Cluster {
     /// operation to a crashed node would silently turn it into an op
     /// timeout.
     fn pick_coordinator(&mut self) -> usize {
-        self.down.pick_up_node(&mut self.rng, self.opts.nodes as usize)
+        self.down.pick_up_node_in(&mut self.rng, 0, self.opts.nodes as usize)
     }
 
     fn alloc_op(&mut self) -> u64 {
@@ -836,128 +773,86 @@ impl Cluster {
         }
     }
 
+    /// Issue one blocking operation through `coord` at `at` and step the
+    /// simulation until its result appears or the op timeout passes.
+    fn run_blocking(&mut self, coord: usize, kind: OpKind, key: u64, at: SimTime) -> HistoryOp {
+        self.assert_blocking_allowed();
+        let op_id = self.alloc_op();
+        let msg = match kind {
+            OpKind::Write => Msg::ClientWrite { op_id, key },
+            OpKind::Read => Msg::ClientRead { op_id, key },
+        };
+        self.engine.inject_at(coord, at, msg);
+        let deadline = at + SimDuration::from_ms(self.opts.op_timeout_ms);
+        let op = match self.step_until_result(coord, op_id, deadline) {
+            Some(result) => CompletedOp::from_result(result, BLOCKING_CLIENT, self.engine.now()),
+            None => CompletedOp::open(op_id, BLOCKING_CLIENT, kind, key, at),
+        };
+        debug_assert_eq!(op.kind, kind, "op {op_id} returned the other kind's result");
+        self.absorb(op)
+    }
+
+    /// Take a finished blocking op in exactly as a window drain takes an
+    /// open-loop one: a commit goes to the ground truth, a completed read
+    /// gets its label, and — with history on — the pair is appended, so
+    /// what the caller gets is what the checker sees. A recorded history
+    /// must contain every write the cluster saw: commits so the offline
+    /// relabelling agrees with the online ground truth, and failures and
+    /// timeouts so the order oracle knows which versions may legitimately
+    /// surface on replicas (a failed write still installed its version
+    /// somewhere; a timed-out one marks the key's write set incomplete).
+    fn absorb(&mut self, op: CompletedOp) -> HistoryOp {
+        let label = match op.kind {
+            OpKind::Write => {
+                if let (Some(seq), Some(ct)) = (op.seq, op.commit) {
+                    self.ground_truth.record_commit(op.key, seq, ct);
+                }
+                None
+            }
+            OpKind::Read => {
+                op.finish.map(|_| self.ground_truth.label_read(op.key, op.start, op.seq))
+            }
+        };
+        if let Some(history) = self.history.as_mut() {
+            history.push(op, label);
+        }
+        HistoryOp { op, label }
+    }
+
     /// Blocking quorum write from a random up coordinator; returns at
     /// commit time (or after the op timeout).
-    pub fn write(&mut self, key: u64) -> WriteOutcome {
+    pub fn write(&mut self, key: u64) -> CompletedOp {
         let coord = self.pick_coordinator();
         self.write_from(coord, key)
     }
 
-    /// Blocking quorum write from a specific coordinator. The coordinator
-    /// assigns the version's sequence number when the write starts.
-    pub fn write_from(&mut self, coord: usize, key: u64) -> WriteOutcome {
-        self.assert_blocking_allowed();
-        let op_id = self.alloc_op();
-        let start = self.engine.now();
-        self.engine.inject(coord, 0.0, Msg::ClientWrite { op_id, key });
-        let deadline = start + pbs_sim::SimDuration::from_ms(self.opts.op_timeout_ms);
-        let result = self.step_until_result(coord, op_id, deadline);
-        let (seq, writer, commit, acked) = match result {
-            Some(ClientResult::Write { version, commit, acked, .. }) => {
-                (version.seq, Some(version.writer), commit, acked)
-            }
-            Some(other) => unreachable!("write op returned {other:?}"),
-            None => (0, None, None, 0),
-        };
-        if let Some(ct) = commit {
-            self.ground_truth.record_commit(key, seq, ct);
-        }
-        // A recorded history must contain every write the cluster saw —
-        // commits so the offline relabelling agrees with the online ground
-        // truth, and failures/timeouts so the order oracle knows which
-        // versions may legitimately surface on replicas (a failed write
-        // still installed its version somewhere; a timed-out one marks the
-        // key's write set incomplete). Blocking ops carry the client
-        // sentinel `u32::MAX`, which never collides with an open-loop
-        // client index and is skipped by the session replay.
-        if let Some(history) = self.history.as_mut() {
-            let finish = match (commit, result.is_some()) {
-                (Some(ct), _) => Some(ct),
-                (None, true) => Some(self.engine.now()),
-                (None, false) => None,
-            };
-            let op = CompletedOp {
-                op_id,
-                client: u32::MAX,
-                kind: OpKind::Write,
-                key,
-                start,
-                finish,
-                seq: result.is_some().then_some(seq),
-                commit,
-                writer,
-                source: None,
-                quorum_mask: acked,
-            };
-            history.push(op, None);
-        }
-        WriteOutcome { op_id, key, seq, start, commit }
+    /// Blocking quorum write from a specific coordinator, which assigns the
+    /// version's sequence number — the write's start instant in
+    /// nanoseconds + 1, so versions order by write-start time — when the
+    /// write starts (`seq: None` = the op timed out before the coordinator
+    /// reported back).
+    pub fn write_from(&mut self, coord: usize, key: u64) -> CompletedOp {
+        let now = self.engine.now();
+        self.run_blocking(coord, OpKind::Write, key, now).op
     }
 
     /// Blocking quorum read issued immediately.
-    pub fn read(&mut self, key: u64) -> ReadOutcome {
+    pub fn read(&mut self, key: u64) -> HistoryOp {
         let at = self.engine.now();
         self.read_at(key, at)
     }
 
     /// Blocking quorum read issued at absolute simulated time `at`
     /// (≥ now) — used to probe "t ms after commit".
-    pub fn read_at(&mut self, key: u64, at: SimTime) -> ReadOutcome {
+    pub fn read_at(&mut self, key: u64, at: SimTime) -> HistoryOp {
         let coord = self.pick_coordinator();
         self.read_at_from(coord, key, at)
     }
 
-    /// Blocking quorum read from a specific coordinator at time `at`.
-    pub fn read_at_from(&mut self, coord: usize, key: u64, at: SimTime) -> ReadOutcome {
-        self.assert_blocking_allowed();
-        let op_id = self.alloc_op();
-        self.engine.inject_at(coord, at, Msg::ClientRead { op_id, key });
-        let deadline = at + pbs_sim::SimDuration::from_ms(self.opts.op_timeout_ms);
-        let result = self.step_until_result(coord, op_id, deadline);
-        let outcome = match result {
-            Some(ClientResult::Read { start, finish, version, source, responders, .. }) => {
-                let returned_seq = version.map(|v| v.seq);
-                let label = self.ground_truth.label_read(key, start, returned_seq);
-                if let Some(history) = self.history.as_mut() {
-                    let op = CompletedOp {
-                        op_id,
-                        client: u32::MAX,
-                        kind: OpKind::Read,
-                        key,
-                        start,
-                        finish: Some(finish),
-                        seq: returned_seq,
-                        commit: None,
-                        writer: version.map(|v| v.writer),
-                        source,
-                        quorum_mask: responders,
-                    };
-                    history.push(op, Some(label));
-                }
-                ReadOutcome { op_id, key, start, finish: Some(finish), returned_seq, label: Some(label) }
-            }
-            Some(other) => unreachable!("read op returned {other:?}"),
-            None => {
-                if let Some(history) = self.history.as_mut() {
-                    let op = CompletedOp {
-                        op_id,
-                        client: u32::MAX,
-                        kind: OpKind::Read,
-                        key,
-                        start: at,
-                        finish: None,
-                        seq: None,
-                        commit: None,
-                        writer: None,
-                        source: None,
-                        quorum_mask: 0,
-                    };
-                    history.push(op, None);
-                }
-                ReadOutcome { op_id, key, start: at, finish: None, returned_seq: None, label: None }
-            }
-        };
-        outcome
+    /// Blocking quorum read from a specific coordinator at time `at`; the
+    /// label is `None` when the read timed out.
+    pub fn read_at_from(&mut self, coord: usize, key: u64, at: SimTime) -> HistoryOp {
+        self.run_blocking(coord, OpKind::Read, key, at)
     }
 
     // ----- the open-loop client path -----
@@ -1134,7 +1029,7 @@ impl Cluster {
                 if let Some(l) = label {
                     self.detector.observe_read(op.op_id, l.consistent, until + grace);
                 }
-                drain.reads.push(OpenRead { op: *op, label });
+                drain.reads.push(HistoryOp { op: *op, label });
             }
         }
         // Pass 3 (only when a checker asked): append the window to the
@@ -1218,9 +1113,9 @@ mod tests {
         );
         let w = cluster.write(42);
         assert!(w.commit.is_some());
-        assert!(w.seq > 0, "committed writes carry a nonzero version");
+        assert!(w.seq > Some(0), "committed writes carry a nonzero version");
         let r = cluster.read(42);
-        assert_eq!(r.returned_seq, Some(w.seq));
+        assert_eq!(r.op.seq, w.seq);
         assert!(r.consistent());
     }
 
@@ -1236,7 +1131,7 @@ mod tests {
             let commit = w.commit.expect("write commits");
             let r = cluster.read_at(key, commit);
             assert!(r.consistent(), "strict quorum read {i} was stale");
-            assert_eq!(r.returned_seq, Some(w.seq));
+            assert_eq!(r.op.seq, w.seq);
         }
     }
 
@@ -1274,16 +1169,17 @@ mod tests {
         let mut last = 0u64;
         for i in 0..5 {
             let w = cluster.write(1);
+            let seq = w.seq.expect("the coordinator reported back");
             assert_eq!(
-                w.seq,
+                seq,
                 w.start.as_nanos() + 1,
                 "seq is the write-start instant (+1 keeps 0 as the absent sentinel)"
             );
-            assert!(w.seq > last, "write {i} not ordered after its predecessor");
-            last = w.seq;
+            assert!(seq > last, "write {i} not ordered after its predecessor");
+            last = seq;
         }
         let w2 = cluster.write(2);
-        assert!(w2.seq > last, "timestamps order writes across keys too");
+        assert!(w2.seq > Some(last), "timestamps order writes across keys too");
     }
 
     #[test]
@@ -1315,7 +1211,7 @@ mod tests {
             let w = cluster.write(i);
             assert!(w.commit.is_some(), "write {i} routed to a crashed coordinator");
             let r = cluster.read(i);
-            assert!(r.finish.is_some(), "read {i} routed to a crashed coordinator");
+            assert!(r.op.finish.is_some(), "read {i} routed to a crashed coordinator");
         }
         // When every node is down, selection falls back (and ops time out).
         cluster.crash_node_at(1, cluster.now(), 600_000.0);
@@ -1349,7 +1245,7 @@ mod tests {
         cluster.advance_to(SimTime::from_ms(2_000.0));
         assert_eq!(
             cluster.node(victim).stored_version(key).map(|v| v.seq),
-            Some(w.seq),
+            w.seq,
             "hint delivered after recovery"
         );
     }
@@ -1419,7 +1315,7 @@ mod tests {
         cluster.advance_to(cluster.now() + pbs_sim::SimDuration::from_ms(3_000.0));
         assert_eq!(
             cluster.node(victim).stored_version(key).map(|v| v.seq),
-            Some(w.seq),
+            w.seq,
             "Merkle sync restored the key"
         );
     }
@@ -1439,7 +1335,7 @@ mod tests {
         for &rep in cluster.ring().replicas(key) {
             assert_eq!(
                 cluster.node(rep as usize).stored_version(key).map(|v| v.seq),
-                Some(w.seq),
+                w.seq,
                 "replica {rep} repaired"
             );
         }
@@ -1502,6 +1398,44 @@ mod tests {
         assert_eq!(cluster.ring().replicas(9).len(), 3, "ring re-placed for N=3");
         let w = cluster.write(9);
         assert!(w.commit.is_some(), "W=3 write commits on the new replica set");
+    }
+
+    #[test]
+    fn what_a_blocking_caller_gets_is_what_the_checker_sees() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 3), 24);
+        opts.hinted_handoff = true;
+        opts.hint_timeout_ms = 50.0;
+        opts.op_timeout_ms = 500.0;
+        let mut cluster = Cluster::new(opts, NetworkModel::w_ars(
+            Arc::new(Constant::new(1.0)),
+            Arc::new(Constant::new(1.0)),
+        ));
+        cluster.enable_history();
+        // W=3 across a partition: the coordinator reports failure at the
+        // hint timeout. Healed, the same write commits and a read sees it.
+        cluster.network().try_partition(vec![0, 0, 1], 3).unwrap();
+        let failed = cluster.write_from(0, 5);
+        cluster.network().heal_partition();
+        let committed = cluster.write_from(0, 5);
+        let read = cluster.read(5);
+        // A crashed coordinator drops the request: no result, op timeout.
+        cluster.crash_node_at(0, cluster.now(), 10_000.0);
+        cluster.advance_to(cluster.now() + SimDuration::from_ms(1.0));
+        let lost_read = cluster.read_at_from(0, 5, cluster.now());
+        let lost_write = cluster.write_from(0, 5);
+
+        assert!(failed.commit.is_none() && failed.seq.is_some());
+        assert_eq!(failed.latency_ms(), Some(50.0), "answered at the hint timeout");
+        assert!(committed.commit.is_some() && committed.commit == committed.finish);
+        assert_eq!(read.op.seq, committed.seq);
+        assert!(read.consistent());
+        assert_eq!((lost_read.op.finish, lost_read.label), (None, None));
+        assert_eq!((lost_write.finish, lost_write.seq), (None, None));
+        let unlabelled = |op| HistoryOp { op, label: None };
+        assert_eq!(
+            cluster.take_history().ops(),
+            [unlabelled(failed), unlabelled(committed), read, lost_read, unlabelled(lost_write)]
+        );
     }
 
     #[test]

@@ -102,7 +102,7 @@ pub fn measure_t_visibility(
             let Some(label) = r.label else {
                 continue; // read timed out (possible under failures)
             };
-            out.read_latency.record(r.latency_ms().expect("completed"));
+            out.read_latency.record(r.op.latency_ms().expect("completed"));
             point.trials += 1;
             if label.consistent {
                 point.consistent += 1;

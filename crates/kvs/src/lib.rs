@@ -37,15 +37,19 @@
 //! the versions actually committed before it started — the oracle the paper
 //! could only approximate with instrumentation.
 //!
-//! Two client paths drive the store:
+//! Two client paths drive the store, and a finished operation is the same
+//! record on both — a [`CompletedOp`], paired with its ground-truth label
+//! as a [`checker::HistoryOp`] — which is also what
+//! [`Cluster::enable_history`] records for the [`checker`]:
 //!
 //! * **Blocking** — [`Cluster::write`]/[`Cluster::read`] serialise one
 //!   operation at a time (the §5.2 probe shape used by
-//!   [`experiments`]).
+//!   [`experiments`]) and return its record.
 //! * **Open loop** — in-sim clients (one struct-of-arrays client table
 //!   per PDES worker) generate arrivals lazily from streaming `pbs-workload`
 //!   sources and keep thousands of operations in flight;
-//!   [`OpenLoopRun`] drives them window by window with online
+//!   [`OpenLoopRun`] drives them window by window ([`WindowDrain`] holds
+//!   the records that finished in one) with online
 //!   (watermark-based) staleness labelling and O(clients + in-flight)
 //!   memory — about a cache line per client, so a single process sustains
 //!   millions of them. See [`openloop`].
@@ -82,10 +86,7 @@ pub use checker::{
     SessionCheck,
 };
 pub use client::{ClientOptions, ClientStats, CompletedOp};
-pub use cluster::{
-    Cluster, ClusterOptions, DetectorStats, EngineKind, OpenRead, ReadOutcome, WindowDrain,
-    WindowOp, WriteOutcome,
-};
+pub use cluster::{Cluster, ClusterOptions, DetectorStats, EngineKind, WindowDrain, WindowOp};
 pub use network::{LinkFault, NetworkModel};
 pub use openloop::{OpenLoopOptions, OpenLoopReport, OpenLoopRun, OpenWindow};
 pub use ring::Ring;

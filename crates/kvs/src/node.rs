@@ -1,13 +1,15 @@
 //! The Dynamo-style node: every node can coordinate client operations and
 //! store replicas (§2.2, Figure 1).
 
-use crate::buggify::{Delivery, ProtocolMutations};
+use crate::buggify::Delivery;
+use crate::cluster::ClusterOptions;
 use crate::fxhash::FxHashMap;
 use crate::merkle;
 use crate::messages::Msg;
 use crate::network::{Leg, NetworkModel};
 use crate::ring::Ring;
 use crate::version::Version;
+use pbs_core::ReplicaConfig;
 use pbs_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -49,20 +51,14 @@ impl DownTracker {
         self.down[node].load(Ordering::Relaxed)
     }
 
-    /// Pick a coordinator uniformly at random among **up** nodes, falling
-    /// back to the raw draw when every node is down (the op will then time
-    /// out, as it must). Consumes exactly one RNG draw regardless of crash
-    /// state, so healthy-cluster RNG streams are unchanged by this check.
-    pub(crate) fn pick_up_node(&self, rng: &mut dyn RngCore, nodes: usize) -> usize {
-        self.pick_up_node_in(rng, 0, nodes)
-    }
-
-    /// [`pick_up_node`](Self::pick_up_node) restricted to the `count`
-    /// nodes starting at `base` — the coordinator-affinity pick of the
-    /// parallel engine, where a client may only address nodes of its own
-    /// partition. Same RNG discipline (one draw, then a linear probe), so
-    /// with `base = 0, count = nodes` it is bit-identical to the
-    /// unrestricted pick.
+    /// Pick a coordinator uniformly at random among the **up** nodes of the
+    /// `count` starting at `base`, falling back to the raw draw when every
+    /// one is down (the op will then time out, as it must). Under the
+    /// parallel engine a client may only address nodes of its own
+    /// partition; everyone else passes `base = 0, count = nodes`. Consumes
+    /// exactly one RNG draw regardless of crash state (one draw, then a
+    /// linear probe), so healthy-cluster RNG streams are unchanged by this
+    /// check.
     pub(crate) fn pick_up_node_in(&self, rng: &mut dyn RngCore, base: usize, count: usize) -> usize {
         let start = rng.gen_range(0..count);
         for probe in 0..count {
@@ -86,47 +82,6 @@ fn tag_kind(t: u64) -> u64 {
 
 fn tag_op(t: u64) -> u64 {
     t & ((1 << TAG_KIND_SHIFT) - 1)
-}
-
-/// Per-node protocol options (shared across the cluster in practice).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct NodeOptions {
-    /// Read quorum size `R`.
-    pub r: u32,
-    /// Write quorum size `W`.
-    pub w: u32,
-    /// Repair out-of-date replicas after reads (§4.2). The paper disables
-    /// this for WARS validation; it is an ablation knob here.
-    pub read_repair: bool,
-    /// Stash hints for replicas that miss the write deadline and redeliver
-    /// them later (Dynamo §4.6).
-    pub hinted_handoff: bool,
-    /// How long a write coordinator waits for stragglers before hinting.
-    pub hint_timeout_ms: f64,
-    /// Hint redelivery period.
-    pub hint_flush_interval_ms: f64,
-    /// Record every sampled one-way W/A/R/S delay (the WARS profiling the
-    /// paper added to Cassandra, §5.2/§5.5). Off by default — it allocates.
-    pub record_leg_samples: bool,
-    /// Test-only protocol mutations (see [`ProtocolMutations`]); each flag
-    /// breaks one convergence mechanism so the order oracle can be shown
-    /// to catch it. All off by default.
-    pub mutations: ProtocolMutations,
-}
-
-impl Default for NodeOptions {
-    fn default() -> Self {
-        Self {
-            r: 1,
-            w: 1,
-            read_repair: false,
-            hinted_handoff: false,
-            hint_timeout_ms: 250.0,
-            hint_flush_interval_ms: 500.0,
-            record_leg_samples: false,
-            mutations: ProtocolMutations::default(),
-        }
-    }
 }
 
 /// Recorded one-way delays per WARS leg.
@@ -295,7 +250,9 @@ struct Hint {
 /// The node actor.
 pub struct Node {
     id: ActorId,
-    opts: NodeOptions,
+    /// The cluster's options, by value; `replication` follows live
+    /// reconfiguration ([`set_replication`](Self::set_replication)).
+    opts: ClusterOptions,
     net: Arc<NetworkModel>,
     ring: Arc<Ring>,
     down_map: Arc<DownTracker>,
@@ -319,7 +276,7 @@ pub struct Node {
     pub(crate) detector_log: Vec<DetectorEvent>,
     /// Per-leg one-way latency samples (WARS instrumentation, §5.5's
     /// "easily collected" measurements). Populated when
-    /// [`NodeOptions::record_leg_samples`] is set.
+    /// [`ClusterOptions::record_leg_samples`] is set.
     pub(crate) leg_samples: LegSamples,
     /// Stats: read-repair messages sent.
     pub repairs_sent: u64,
@@ -346,23 +303,23 @@ impl std::fmt::Debug for Node {
 }
 
 impl Node {
-    /// Build node `id` with its own deterministic RNG stream. The
-    /// down-tracker is shared cluster-wide.
+    /// Build node `id` with its own deterministic RNG stream, derived from
+    /// `opts.seed`. The down-tracker is shared cluster-wide.
     pub(crate) fn new(
         id: ActorId,
-        opts: NodeOptions,
+        opts: ClusterOptions,
         net: Arc<NetworkModel>,
         ring: Arc<Ring>,
         down_map: Arc<DownTracker>,
-        seed: u64,
     ) -> Self {
+        let rng_seed = opts.seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         Self {
             id,
             opts,
             net,
             ring,
             down_map,
-            rng: StdRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+            rng: StdRng::seed_from_u64(rng_seed),
             down: false,
             gc_interval_ms: None,
             store: FxHashMap::default(),
@@ -398,10 +355,8 @@ impl Node {
     /// in flight complete under whichever threshold is in force when their
     /// responses arrive — the coordinator checks `≥`, so shrinking a
     /// quorum lets pending operations commit on their next response.
-    pub(crate) fn set_quorums(&mut self, r: u32, w: u32) {
-        assert!(r >= 1 && w >= 1);
-        self.opts.r = r;
-        self.opts.w = w;
+    pub(crate) fn set_replication(&mut self, cfg: ReplicaConfig) {
+        self.opts.replication = cfg;
     }
 
     /// Swap the placement ring (live replication-factor change). Existing
@@ -529,7 +484,7 @@ impl Node {
         state.committed = None;
         state.start = ctx.now();
         state.reply_to = reply_to;
-        debug_assert!(state.replicas.len() >= self.opts.w as usize);
+        debug_assert!(state.replicas.len() >= self.opts.replication.w() as usize);
         for &replica in &state.replicas {
             self.send(
                 ctx,
@@ -554,7 +509,7 @@ impl Node {
         }
         state.acked.push(replica);
         let mut completed: Option<(Option<ActorId>, ClientResult)> = None;
-        if state.committed.is_none() && state.acked.len() >= self.opts.w as usize {
+        if state.committed.is_none() && state.acked.len() >= self.opts.replication.w() as usize {
             state.committed = Some(ctx.now());
             completed = Some((
                 state.reply_to,
@@ -640,7 +595,7 @@ impl Node {
         state.repaired.clear();
         state.start = ctx.now();
         state.reply_to = reply_to;
-        debug_assert!(state.replicas.len() >= self.opts.r as usize);
+        debug_assert!(state.replicas.len() >= self.opts.replication.r() as usize);
         for &replica in &state.replicas {
             self.send(ctx, Leg::R, replica, Msg::ReplicaRead { op_id, key, coordinator: self.id });
         }
@@ -660,7 +615,7 @@ impl Node {
         };
         state.responses.push((replica, version));
         let mut completed: Option<(Option<ActorId>, ClientResult)> = None;
-        if state.returned.is_none() && state.responses.len() >= self.opts.r as usize {
+        if state.returned.is_none() && state.responses.len() >= self.opts.replication.r() as usize {
             // Return the newest of the first R responses (None < Some).
             let best = state.responses.iter().map(|(_, v)| *v).max().flatten();
             state.returned = Some(best);
@@ -713,7 +668,7 @@ impl Node {
         let mut repairs: Option<(u64, Version, Vec<ActorId>)> = None;
         if self.opts.read_repair
             && !self.opts.mutations.skip_read_repair
-            && state.responses.len() >= self.opts.r as usize
+            && state.responses.len() >= self.opts.replication.r() as usize
         {
             if let Some(freshest) = state.responses.iter().map(|(_, v)| *v).max().flatten() {
                 let repaired = &state.repaired;
@@ -1021,14 +976,8 @@ mod tests {
             Arc::new(pbs_dist::Constant::new(1.0)),
         ));
         let ring = Arc::new(Ring::new(3, 8, 3));
-        let mut node = Node::new(
-            0,
-            NodeOptions::default(),
-            net,
-            ring,
-            Arc::new(DownTracker::new(3)),
-            7,
-        );
+        let opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), 7);
+        let mut node = Node::new(0, opts, net, ring, Arc::new(DownTracker::new(3)));
         node.apply_version(5, Version::new(2, 0));
         node.apply_version(5, Version::new(1, 0));
         assert_eq!(node.stored_version(5), Some(Version::new(2, 0)));

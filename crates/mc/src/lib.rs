@@ -9,19 +9,24 @@
 //!   per-shard [`Mergeable`] accumulators fold in shard order. Results are
 //!   **bit-reproducible for a fixed `(seed, threads)` pair** and agree
 //!   across thread counts within Monte-Carlo error.
-//! * [`Summary`] / [`QuantileSketch`] / [`Moments`] — streaming per-shard
-//!   statistics in O(1) memory: a mergeable t-digest quantile sketch
-//!   (rank error ∝ 1/compression, exact at the extreme tails) that also
-//!   keeps the exact mean/variance/extrema of its stream, both fed from one
-//!   staging buffer once per batch. These replace the buffer-and-sort
-//!   `SortedSamples` idiom in hot paths, making peak memory independent of
-//!   the trial count.
+//! * [`QuantileSketch`] (alias [`Summary`], the name consumers record
+//!   into) / [`Moments`] — streaming per-shard statistics in O(1) memory:
+//!   a mergeable t-digest quantile sketch (rank error ∝ 1/compression,
+//!   exact at the extreme tails) that also keeps the exact
+//!   mean/variance/extrema of its stream, both fed from one staging buffer
+//!   once per batch. One type, read two ways; it replaces the
+//!   buffer-and-sort `SortedSamples` idiom in hot paths, making peak memory
+//!   independent of the trial count.
+//!
+//! `threads` is always the caller's choice: the [`Runner`] can report the
+//! host's cores for a command line's default, and nothing in the libraries
+//! asks it to.
 //!
 //! ```
 //! use pbs_mc::{Runner, Summary};
 //! use rand::Rng;
 //!
-//! let summary = Runner::new(100_000, 42, 4).run_trials(Summary::new, |rng, acc| {
+//! let summary = Runner::new(100_000, 42, 4).run_trials(Summary::default, |rng, acc| {
 //!     acc.record(rng.gen::<f64>());
 //! });
 //! assert_eq!(summary.count(), 100_000);

@@ -165,8 +165,9 @@ impl Runner {
         self.seed ^ index as u64
     }
 
-    /// The host's available parallelism (≥ 1) — the conventional default
-    /// for `threads` when the caller has no preference.
+    /// The host's available parallelism (≥ 1) — a command line's default
+    /// for `--threads`. Library code takes `threads` from its caller and
+    /// never calls this: a result must not depend on the host it ran on.
     pub fn available_threads() -> usize {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
     }

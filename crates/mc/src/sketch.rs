@@ -126,6 +126,21 @@ impl QuantileSketch {
         self.moments().max()
     }
 
+    /// Exact arithmetic mean. Panics when empty.
+    pub fn mean(&self) -> f64 {
+        self.moments().mean()
+    }
+
+    /// Exact population variance. Panics when empty.
+    pub fn variance(&self) -> f64 {
+        self.moments().variance()
+    }
+
+    /// Exact population standard deviation. Panics when empty.
+    pub fn std_dev(&self) -> f64 {
+        self.moments().std_dev()
+    }
+
     /// Exact moments of everything recorded. A pending batch is folded into
     /// a copy of the running moments: O(batch), no sort, no centroid cloned.
     pub(crate) fn moments(&self) -> Moments {
@@ -257,6 +272,13 @@ impl QuantileSketch {
             let frac = if span > 0.0 { (target - prev_rank) / span } else { 1.0 };
             (prev_val + frac * (max - prev_val)).min(max)
         })
+    }
+
+    /// Approximate percentile, `pct ∈ [0, 100]` — the sorted-samples
+    /// `percentile` call sites read unchanged.
+    pub fn percentile(&self, pct: f64) -> f64 {
+        assert!((0.0..=100.0).contains(&pct), "percentile out of range: {pct}");
+        self.quantile(pct / 100.0)
     }
 
     /// Approximate CDF: the fraction of samples `≤ x`. Returns `0` below

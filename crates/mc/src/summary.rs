@@ -1,7 +1,7 @@
-//! Exact moments ([`Moments`]) and the combined [`Summary`] accumulator the
-//! Monte-Carlo consumers record into: one [`QuantileSketch`] read two ways.
-//! The sketch stages samples in a single buffer and, once per flush, folds
-//! the batch into its centroids *and* into the exact moments it carries.
+//! Exact moments ([`Moments`]) and [`Summary`], the name the Monte-Carlo
+//! consumers record into: one [`QuantileSketch`] read two ways. The sketch
+//! stages samples in a single buffer and, once per flush, folds the batch
+//! into its centroids *and* into the exact moments it carries.
 
 use crate::runner::Mergeable;
 use crate::sketch::QuantileSketch;
@@ -84,96 +84,11 @@ impl Mergeable for Moments {
     }
 }
 
-/// The standard per-shard accumulator: a [`QuantileSketch`] for distributional
-/// queries and the exact count / mean / variance / extrema it keeps of the same
-/// stream. Memory is O(sketch compression), independent of trials.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Summary {
-    sketch: QuantileSketch,
-}
-
-impl Summary {
-    /// Empty summary with the default sketch compression.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one sample (amortised O(1)).
-    pub fn record(&mut self, x: f64) {
-        self.sketch.record(x);
-    }
-
-    /// Fold any staged samples in, so subsequent queries neither allocate
-    /// nor rescan the batch. Optional — queries are correct either way.
-    pub fn seal(&mut self) {
-        self.sketch.seal();
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.sketch.count()
-    }
-
-    /// Whether no sample has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.sketch.is_empty()
-    }
-
-    /// Exact arithmetic mean. Panics when empty.
-    pub fn mean(&self) -> f64 {
-        self.sketch.moments().mean()
-    }
-
-    /// Exact population variance. Panics when empty.
-    pub fn variance(&self) -> f64 {
-        self.sketch.moments().variance()
-    }
-
-    /// Exact population standard deviation. Panics when empty.
-    pub fn std_dev(&self) -> f64 {
-        self.sketch.moments().std_dev()
-    }
-
-    /// Exact smallest sample. Panics when empty.
-    pub fn min(&self) -> f64 {
-        self.sketch.moments().min()
-    }
-
-    /// Exact largest sample. Panics when empty.
-    pub fn max(&self) -> f64 {
-        self.sketch.moments().max()
-    }
-
-    /// Approximate quantile at `q ∈ [0, 1]` (see [`QuantileSketch`] for
-    /// the error model). Panics when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.sketch.quantile(q)
-    }
-
-    /// Approximate percentile, `pct ∈ [0, 100]` — the sorted-samples
-    /// `percentile` call sites read unchanged.
-    pub fn percentile(&self, pct: f64) -> f64 {
-        assert!((0.0..=100.0).contains(&pct), "percentile out of range: {pct}");
-        self.sketch.quantile(pct / 100.0)
-    }
-
-    /// Approximate empirical CDF: fraction of samples `≤ x`. Panics when
-    /// empty.
-    pub fn cdf(&self, x: f64) -> f64 {
-        self.sketch.cdf(x)
-    }
-
-    /// The underlying quantile sketch.
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-}
-
-impl Mergeable for Summary {
-    fn merge(&mut self, other: Self) {
-        self.sketch.merge(other.sketch);
-    }
-}
+/// The standard per-shard accumulator *is* the sketch: distributional
+/// queries from its centroids, exact count / mean / variance / extrema from
+/// the moments it keeps of the same stream. Memory is O(sketch compression),
+/// independent of trials; `Summary::default()` is the empty one.
+pub type Summary = QuantileSketch;
 
 #[cfg(test)]
 mod tests {
@@ -237,7 +152,7 @@ mod tests {
 
     #[test]
     fn summary_combines_exact_and_approximate() {
-        let mut s = Summary::new();
+        let mut s = Summary::default();
         for i in 1..=1_000 {
             s.record(i as f64);
         }
@@ -272,8 +187,8 @@ mod tests {
         let offset: Vec<f64> =
             legs.iter().enumerate().map(|(i, x)| x + [1e9, -1e9][i % 2]).collect();
         for (name, xs) in [("LNKD-DISK", &legs), ("±1e9 offset", &offset)] {
-            let mut whole = Summary::new();
-            let mut shards = vec![Summary::new(); 4];
+            let mut whole = Summary::default();
+            let mut shards = vec![Summary::default(); 4];
             for (i, &x) in xs.iter().enumerate() {
                 whole.record(x);
                 shards[i * 4 / xs.len()].record(x);
@@ -298,7 +213,7 @@ mod tests {
     fn a_clone_records_like_its_original() {
         let mut rng = StdRng::seed_from_u64(13);
         let xs: Vec<f64> = (0..15_000).map(|_| rng.gen::<f64>() * 100.0).collect();
-        let mut original = Summary::new();
+        let mut original = Summary::default();
         xs[..5_000].iter().for_each(|&x| original.record(x));
         original.seal();
         let mut clone = original.clone();
@@ -309,8 +224,8 @@ mod tests {
         assert_eq!(original, clone);
         assert_eq!(original.percentile(99.0).to_bits(), clone.percentile(99.0).to_bits());
 
-        let mut fresh = Summary::new();
-        let mut cloned = vec![Summary::new(); 3];
+        let mut fresh = Summary::default();
+        let mut cloned = vec![Summary::default(); 3];
         for &x in &xs[..10_000] {
             fresh.record(x);
             cloned.iter_mut().for_each(|s| s.record(x));

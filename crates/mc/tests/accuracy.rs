@@ -20,7 +20,7 @@ const TRIALS: usize = 200_000;
 /// `pct ± band_pct` (widened by 1% relative slack for interpolation).
 fn check_fit(name: &str, dist: &dyn LatencyDistribution, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut summary = Summary::new();
+    let mut summary = Summary::default();
     let mut raw = Vec::with_capacity(TRIALS);
     for _ in 0..TRIALS {
         let x = dist.sample(&mut rng);

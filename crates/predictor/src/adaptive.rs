@@ -12,7 +12,7 @@
 //! per-call sample-vector reallocation.
 
 use crate::predictor::Predictor;
-use crate::sla::{optimize_threads, SlaReport, SlaSpec};
+use crate::sla::{optimize, SlaReport, SlaSpec};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Empirical;
 use pbs_wars::{IidModel, LatencyModel};
@@ -98,7 +98,7 @@ impl SampleWindow {
 /// use rand::SeedableRng;
 ///
 /// let spec = SlaSpec::consistency(0.99, 10.0);
-/// let mut ctl = AdaptiveController::new(spec, vec![3], 2_000, 4_000, 1).with_threads(1);
+/// let mut ctl = AdaptiveController::new(spec, vec![3], 2_000, 4_000, 1);
 ///
 /// // An empty window is an error, not a panic.
 /// assert!(ctl.reoptimize().is_err());
@@ -140,9 +140,9 @@ pub struct AdaptiveController {
 
 impl AdaptiveController {
     /// Build a controller with the given SLA, candidate `N`s, window size,
-    /// and per-evaluation trial budget. Monte-Carlo evaluations shard over
-    /// the host's cores by default; see
-    /// [`with_threads`](Self::with_threads).
+    /// and per-evaluation trial budget. Monte-Carlo evaluations run on one
+    /// shard — the same refit on every host — unless
+    /// [`with_threads`](Self::with_threads) says otherwise.
     pub fn new(spec: SlaSpec, ns: Vec<u32>, window: usize, trials: usize, seed: u64) -> Self {
         assert!(!ns.is_empty());
         Self {
@@ -154,14 +154,14 @@ impl AdaptiveController {
             ns,
             trials,
             seed,
-            threads: crate::default_threads(),
+            threads: 1,
             scratch: Default::default(),
         }
     }
 
-    /// Fix the Monte-Carlo shard count (default: the host's cores, capped
-    /// at 8). Drivers that already parallelise at a coarser grain pass 1,
-    /// which also makes refits host-independent.
+    /// Set the Monte-Carlo shard count (default 1, which is also what a
+    /// driver that already parallelises at a coarser grain wants). Refits
+    /// are bit-reproducible per `(seed, threads)` pair.
     pub fn with_threads(mut self, threads: usize) -> Self {
         assert!(threads > 0);
         self.threads = threads;
@@ -287,7 +287,7 @@ impl AdaptiveController {
                     se.clone(),
                 ))
             };
-            optimize_threads(&factory, &self.ns, &self.spec, self.trials, self.seed, self.threads)
+            optimize(&factory, &self.ns, &self.spec, self.trials, self.seed, self.threads)
         };
         self.reclaim(legs);
         Ok(report)
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn empty_window_is_an_error_not_a_panic() {
         let spec = SlaSpec::consistency(0.9, 5.0);
-        let mut ctl = AdaptiveController::new(spec, vec![3], 100, 100, 1).with_threads(1);
+        let mut ctl = AdaptiveController::new(spec, vec![3], 100, 100, 1);
         assert_eq!(ctl.reoptimize().unwrap_err(), AdaptiveError::EmptyWindow);
         let cfg = pbs_core::ReplicaConfig::new(3, 1, 1).unwrap();
         assert_eq!(ctl.predict(cfg).unwrap_err(), AdaptiveError::EmptyWindow);
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn scratch_buffers_are_recycled() {
         let spec = SlaSpec::consistency(0.5, 50.0);
-        let mut ctl = AdaptiveController::new(spec, vec![3], 1_000, 500, 1).with_threads(1);
+        let mut ctl = AdaptiveController::new(spec, vec![3], 1_000, 500, 1);
         let d = Exponential::from_mean(1.0);
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..1_000 {
@@ -348,7 +348,7 @@ mod tests {
     #[test]
     fn predict_matches_reoptimize_evaluation() {
         let spec = SlaSpec::consistency(0.9, 5.0);
-        let mut ctl = AdaptiveController::new(spec, vec![3], 2_000, 4_000, 3).with_threads(1);
+        let mut ctl = AdaptiveController::new(spec, vec![3], 2_000, 4_000, 3);
         let w = Exponential::from_mean(5.0);
         let ars = Exponential::from_mean(0.8);
         let mut rng = StdRng::seed_from_u64(4);
@@ -390,7 +390,7 @@ mod tests {
     fn reoptimize_draws_one_stream_per_candidate_n() {
         const T: usize = 700;
         let spec = SlaSpec::consistency(0.9, 5.0);
-        let mut ctl = AdaptiveController::new(spec, vec![3, 5], 500, T, 9).with_threads(1);
+        let mut ctl = AdaptiveController::new(spec, vec![3, 5], 500, T, 9);
         let d = Exponential::from_mean(1.0);
         let mut rng = StdRng::seed_from_u64(6);
         for _ in 0..500 {
@@ -410,6 +410,26 @@ mod tests {
         for (a, b) in plain.evaluations.iter().zip(&report.evaluations) {
             assert_eq!(format!("{a:?}"), format!("{b:?}"));
         }
+    }
+
+    /// The shard count is never read from the host: a controller built
+    /// without `with_threads` refits exactly as `.with_threads(1)` does.
+    #[test]
+    fn default_shard_count_is_one_on_every_host() {
+        let refit = |mut ctl: AdaptiveController| {
+            let d = Exponential::from_mean(2.0);
+            let mut rng = StdRng::seed_from_u64(8);
+            for _ in 0..1_000 {
+                let mut leg = || d.sample(&mut rng);
+                ctl.observe(leg(), leg(), leg(), leg());
+            }
+            format!("{:?}", ctl.reoptimize().unwrap())
+        };
+        let build = || {
+            AdaptiveController::new(SlaSpec::consistency(0.9, 5.0), vec![3], 1_000, 3_000, 5)
+        };
+        assert_eq!(refit(build()), refit(build().with_threads(1)));
+        assert_ne!(refit(build()), refit(build().with_threads(2)), "shards do change the stream");
     }
 
     /// The §6 story: fast disks → partial quorum qualifies; disks degrade →

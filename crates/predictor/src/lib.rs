@@ -19,6 +19,12 @@
 //!   "Variable configurations").
 //! * [`multikey`] — staleness of multi-key read-only operations under
 //!   independence (§6 "Multi-key operations").
+//!
+//! Every Monte-Carlo entry point here takes its shard count as an argument
+//! ([`Predictor::from_model_threads`], [`Predictor::from_samples`],
+//! [`sla::optimize`]) or defaults it to 1
+//! ([`AdaptiveController::with_threads`]); the crate never reads the
+//! host's core count, so a prediction depends on `(seed, threads)` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,9 +37,3 @@ pub mod sla;
 pub use adaptive::{AdaptiveController, AdaptiveError};
 pub use predictor::Predictor;
 pub use sla::{ConfigEvaluation, SlaReport, SlaSpec};
-
-/// This crate's default Monte-Carlo shard count: the host's cores, capped
-/// at 8 (per-evaluation trial budgets rarely amortise more shards).
-pub(crate) fn default_threads() -> usize {
-    pbs_mc::Runner::available_threads().min(8)
-}

@@ -85,8 +85,8 @@ mod tests {
     #[test]
     fn predictor_based_multikey() {
         let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
-        let pred =
-            crate::predictor::Predictor::from_model(&exponential_model(cfg, 0.1, 0.5), 20_000, 7);
+        let model = exponential_model(cfg, 0.1, 0.5);
+        let pred = crate::predictor::Predictor::from_model_threads(&model, 20_000, 7, 2);
         let one = multikey_consistency_at(&pred, 10.0, 1);
         let ten = multikey_consistency_at(&pred, 10.0, 10);
         assert!(ten < one);

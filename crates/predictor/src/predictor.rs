@@ -2,7 +2,7 @@
 //! handle.
 
 use pbs_core::{staleness, ReplicaConfig};
-use pbs_dist::Empirical;
+use pbs_dist::{DynDistribution, Empirical};
 use pbs_wars::{IidModel, LatencyModel, TVisibility};
 use std::sync::Arc;
 
@@ -26,21 +26,8 @@ impl std::fmt::Debug for Predictor {
 }
 
 impl Predictor {
-    /// Build from any WARS latency model, sharding over the host's cores.
-    ///
-    /// Deterministic per `(seed, threads)` pair; because the thread count
-    /// is taken from the host, use
-    /// [`from_model_threads`](Self::from_model_threads) when
-    /// cross-machine bit-reproducibility matters.
-    pub fn from_model<M: LatencyModel + Sync + ?Sized>(
-        model: &M,
-        trials: usize,
-        seed: u64,
-    ) -> Self {
-        Self::from_model_threads(model, trials, seed, crate::default_threads())
-    }
-
-    /// Build from any WARS latency model with an explicit shard count.
+    /// Build from any WARS latency model, sharding the Monte Carlo over
+    /// `threads`. Deterministic per `(seed, threads)` pair, on any host.
     pub fn from_model_threads<M: LatencyModel + Sync + ?Sized>(
         model: &M,
         trials: usize,
@@ -61,27 +48,21 @@ impl Predictor {
         self.tvis.merge(other.tvis);
     }
 
-    /// Build from **measured one-way latency samples** — the online
-    /// profiling path of §5.5/§6 (e.g. WARS timestamps exported by a real
-    /// store, or `pbs-kvs` instrumentation).
+    /// Build from **measured one-way latency samples**, one vector per leg
+    /// in `W, A, R, S` order — the online profiling path of §5.5/§6 (e.g.
+    /// WARS timestamps exported by a real store, or `pbs-kvs`
+    /// instrumentation).
     pub fn from_samples(
         cfg: ReplicaConfig,
-        w: Vec<f64>,
-        a: Vec<f64>,
-        r: Vec<f64>,
-        s: Vec<f64>,
+        legs: [Vec<f64>; 4],
         trials: usize,
         seed: u64,
+        threads: usize,
     ) -> Self {
-        let model = IidModel::new(
-            cfg,
-            "measured",
-            Arc::new(Empirical::from_samples(w)),
-            Arc::new(Empirical::from_samples(a)),
-            Arc::new(Empirical::from_samples(r)),
-            Arc::new(Empirical::from_samples(s)),
-        );
-        Self::from_model(&model, trials, seed)
+        let [w, a, r, s] =
+            legs.map(|leg| Arc::new(Empirical::from_samples(leg)) as DynDistribution);
+        let model = IidModel::new(cfg, "measured", w, a, r, s);
+        Self::from_model_threads(&model, trials, seed, threads)
     }
 
     /// The configuration under analysis.
@@ -171,9 +152,14 @@ mod tests {
         ReplicaConfig::new(n, r, w).unwrap()
     }
 
+    /// The exponential model every test here predicts, on two shards.
+    fn predictor(cfg: ReplicaConfig, trials: usize, seed: u64) -> Predictor {
+        Predictor::from_model_threads(&exponential_model(cfg, 0.1, 0.5), trials, seed, 2)
+    }
+
     #[test]
     fn from_model_exposes_all_metrics() {
-        let p = Predictor::from_model(&exponential_model(cfg(3, 1, 1), 0.1, 0.5), 20_000, 1);
+        let p = predictor(cfg(3, 1, 1), 20_000, 1);
         assert!(p.prob_consistent(0.0) < 1.0);
         assert!(p.prob_consistent(100.0) > 0.99);
         assert!(p.t_visibility(0.9).is_some());
@@ -188,22 +174,15 @@ mod tests {
         // Sampling from the analytic distributions and feeding the samples
         // back as empirical models should reproduce the analytic results.
         let c = cfg(3, 1, 1);
-        let analytic = Predictor::from_model(&exponential_model(c, 0.1, 0.5), 40_000, 2);
+        let analytic = predictor(c, 40_000, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let wdist = Exponential::from_rate(0.1);
         let adist = Exponential::from_rate(0.5);
         let sample = |d: &Exponential, rng: &mut StdRng| -> Vec<f64> {
             (0..50_000).map(|_| d.sample(rng)).collect()
         };
-        let empirical = Predictor::from_samples(
-            c,
-            sample(&wdist, &mut rng),
-            sample(&adist, &mut rng),
-            sample(&adist, &mut rng),
-            sample(&adist, &mut rng),
-            40_000,
-            4,
-        );
+        let legs = [&wdist, &adist, &adist, &adist].map(|d| sample(d, &mut rng));
+        let empirical = Predictor::from_samples(c, legs, 40_000, 4, 2);
         for t in [0.0, 5.0, 20.0, 60.0] {
             let a = analytic.prob_consistent(t);
             let b = empirical.prob_consistent(t);
@@ -213,7 +192,7 @@ mod tests {
 
     #[test]
     fn expected_consistency_under_poisson_bounds_and_monotonicity() {
-        let p = Predictor::from_model(&exponential_model(cfg(3, 1, 1), 0.1, 0.5), 40_000, 7);
+        let p = predictor(cfg(3, 1, 1), 40_000, 7);
         let at0 = p.prob_consistent(0.0);
         // Slow writes (rare commits) → reads land long after the last
         // commit → near the asymptote; fast writes → near P_c(0).
@@ -228,13 +207,13 @@ mod tests {
             last = e;
         }
         // Strict quorums are immune to load.
-        let strict = Predictor::from_model(&exponential_model(cfg(3, 2, 2), 0.1, 0.5), 5_000, 8);
+        let strict = predictor(cfg(3, 2, 2), 5_000, 8);
         assert_eq!(strict.expected_consistency_under_poisson(1.0), 1.0);
     }
 
     #[test]
     fn strict_config_trivially_consistent() {
-        let p = Predictor::from_model(&exponential_model(cfg(3, 2, 2), 0.1, 0.5), 5_000, 5);
+        let p = predictor(cfg(3, 2, 2), 5_000, 5);
         assert_eq!(p.prob_consistent(0.0), 1.0);
         assert_eq!(p.t_visibility(0.9999), Some(0.0));
         assert_eq!(p.prob_within_k_versions(1), 1.0);

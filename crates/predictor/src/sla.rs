@@ -86,29 +86,6 @@ impl SlaReport {
     }
 }
 
-/// Evaluate one configuration against an SLA, sharding the Monte Carlo
-/// over the host's cores.
-pub fn evaluate_config<M: LatencyModel + Sync + ?Sized>(
-    model: &M,
-    spec: &SlaSpec,
-    trials: usize,
-    seed: u64,
-) -> ConfigEvaluation {
-    evaluate_config_threads(model, spec, trials, seed, crate::default_threads())
-}
-
-/// [`evaluate_config`] with an explicit shard count — host-independent
-/// results for a fixed `(trials, seed, threads)` triple.
-pub fn evaluate_config_threads<M: LatencyModel + Sync + ?Sized>(
-    model: &M,
-    spec: &SlaSpec,
-    trials: usize,
-    seed: u64,
-    threads: usize,
-) -> ConfigEvaluation {
-    evaluate(&TVisibility::simulate_parallel(model, trials, seed, threads), spec)
-}
-
 /// The per-configuration SLA test.
 fn evaluate(tv: &TVisibility, spec: &SlaSpec) -> ConfigEvaluation {
     let cfg = tv.config();
@@ -166,20 +143,10 @@ pub fn judge_grid<T: Borrow<TVisibility>>(
 /// ([`TVisibility::simulate_grid`]), which [`LatencyModel`]'s contract — a
 /// trial's draws depend on `N` alone — makes equal to simulating each
 /// configuration on its own from `seed`.
+///
+/// `threads` shards each grid. Closed-loop drivers that embed the optimizer
+/// inside their own parallel shards pass 1, for no thread oversubscription.
 pub fn optimize(
-    factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
-    ns: &[u32],
-    spec: &SlaSpec,
-    trials: usize,
-    seed: u64,
-) -> SlaReport {
-    optimize_threads(factory, ns, spec, trials, seed, crate::default_threads())
-}
-
-/// [`optimize`] with an explicit per-grid shard count. Closed-loop
-/// drivers that embed the optimizer inside their own parallel shards pass
-/// `threads = 1` for full determinism and no thread oversubscription.
-pub fn optimize_threads(
     factory: &dyn Fn(ReplicaConfig) -> Box<dyn LatencyModel>,
     ns: &[u32],
     spec: &SlaSpec,
@@ -211,7 +178,7 @@ mod tests {
     #[test]
     fn strict_quorums_always_meet_pure_consistency_slas() {
         let spec = SlaSpec::consistency(0.999999, 0.0);
-        let report = optimize(&factory_exp(0.1, 0.5), &[3], &spec, 5_000, 1);
+        let report = optimize(&factory_exp(0.1, 0.5), &[3], &spec, 5_000, 1, 2);
         assert_eq!(report.evaluations.len(), 9);
         let best = report.best_config().expect("strict configs qualify");
         assert!(best.cfg.is_strict(), "only strict quorums hit 1.0 at t=0: {}", best.cfg);
@@ -228,7 +195,7 @@ mod tests {
         // With a generous window, partial quorums qualify and win on
         // latency (the paper's core message).
         let spec = SlaSpec::consistency(0.999, 200.0);
-        let report = optimize(&factory_exp(0.1, 0.5), &[3], &spec, 20_000, 2);
+        let report = optimize(&factory_exp(0.1, 0.5), &[3], &spec, 20_000, 2, 2);
         let best = report.best_config().expect("some config qualifies");
         assert!(
             best.cfg.is_partial(),
@@ -242,7 +209,7 @@ mod tests {
     fn durability_floor_respected() {
         let mut spec = SlaSpec::consistency(0.9, 100.0);
         spec.min_write_quorum = 2;
-        let report = optimize(&factory_exp(0.2, 0.5), &[3], &spec, 10_000, 3);
+        let report = optimize(&factory_exp(0.2, 0.5), &[3], &spec, 10_000, 3, 2);
         let best = report.best_config().expect("qualifies");
         assert!(best.cfg.w() >= 2, "{}", best.cfg);
         for e in &report.evaluations {
@@ -257,7 +224,7 @@ mod tests {
         let mut spec = SlaSpec::consistency(0.5, 1000.0);
         // LNKD-DISK writes at p99.9 for W=3 exceed 50ms; cap below that.
         spec.max_write_latency_ms = Some(15.0);
-        let report = optimize(&|c| Box::new(lnkd_disk_model(c)), &[3], &spec, 20_000, 4);
+        let report = optimize(&|c| Box::new(lnkd_disk_model(c)), &[3], &spec, 20_000, 4, 2);
         for e in &report.evaluations {
             if e.meets_sla {
                 assert!(e.write_latency <= 15.0, "{}: {}", e.cfg, e.write_latency);
@@ -270,14 +237,13 @@ mod tests {
     #[test]
     fn an_n_without_configurations_is_skipped() {
         let spec = SlaSpec::consistency(0.9, 50.0);
-        let report = optimize_threads(&factory_exp(0.5, 0.5), &[0, 3], &spec, 2_000, 5, 1);
+        let report = optimize(&factory_exp(0.5, 0.5), &[0, 3], &spec, 2_000, 5, 1);
         assert_eq!(report.evaluations.len(), 9);
         assert!(report.evaluations.iter().all(|e| e.cfg.n() == 3));
     }
 
     /// One simulated grid judged against several SLAs reports what a search
-    /// per SLA does, and a single-configuration evaluation agrees with its
-    /// cell.
+    /// per SLA does.
     #[test]
     fn one_grid_serves_every_sla() {
         let factory = factory_exp(0.1, 0.5);
@@ -288,20 +254,18 @@ mod tests {
         strict.max_read_latency_ms = Some(30.0);
         for spec in [SlaSpec::consistency(0.9, 20.0), strict] {
             let judged = judge_grid(&grid, &spec);
-            let searched = optimize_threads(&factory, &[3], &spec, 4_000, 6, 2);
+            let searched = optimize(&factory, &[3], &spec, 4_000, 6, 2);
             assert_eq!(judged.best, searched.best);
             for (a, b) in judged.evaluations.iter().zip(&searched.evaluations) {
                 assert_eq!(format!("{a:?}"), format!("{b:?}"));
             }
-            let alone = evaluate_config_threads(factory(cfgs[5]).as_ref(), &spec, 4_000, 6, 2);
-            assert_eq!(format!("{alone:?}"), format!("{:?}", judged.evaluations[5]));
         }
     }
 
     #[test]
     fn search_covers_multiple_n() {
         let spec = SlaSpec::consistency(0.9, 50.0);
-        let report = optimize(&factory_exp(0.5, 0.5), &[2, 3], &spec, 4_000, 5);
+        let report = optimize(&factory_exp(0.5, 0.5), &[2, 3], &spec, 4_000, 5, 2);
         assert_eq!(report.evaluations.len(), 4 + 9);
     }
 }

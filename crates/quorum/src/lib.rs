@@ -4,8 +4,7 @@
 //! implements:
 //!
 //! * **strict** systems, where any two quorums intersect — [`Majority`],
-//!   [`Grid`] (Naor–Wool row∪column), [`TreeQuorum`] (Agrawal–El Abbadi),
-//!   and [`WeightedVoting`] (Gifford);
+//!   [`Grid`] (Naor–Wool row∪column) and [`TreeQuorum`] (Agrawal–El Abbadi);
 //! * **probabilistic / partial** systems — [`RandomFixed`], the
 //!   `W`-of-`N` / `R`-of-`N` random-quorum model behind every PBS closed
 //!   form;
@@ -24,9 +23,7 @@ pub mod analysis;
 pub mod kquorum;
 pub mod nodeset;
 pub mod systems;
-pub mod weighted;
 
 pub use analysis::{intersection_probability, k_staleness_mc, measure_load};
 pub use nodeset::NodeSet;
 pub use systems::{Grid, Majority, QuorumSystem, RandomFixed, TreeQuorum};
-pub use weighted::WeightedVoting;

@@ -62,8 +62,8 @@ impl WindowRecord {
             predicted_count: 0,
             failed_writes: 0,
             incomplete_reads: 0,
-            write_latency: Summary::new(),
-            read_latency: Summary::new(),
+            write_latency: Summary::default(),
+            read_latency: Summary::default(),
             reconfigs: 0,
         }
     }
@@ -282,12 +282,6 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
     opts.seed = run_seed;
     opts.record_leg_samples = true;
     let mut cluster = Cluster::new(opts, scenario.network.clone());
-    if let Some(profile) = scenario.fault_profile {
-        cluster
-            .network()
-            .set_fault_profile(profile)
-            .expect("scenario.validate() vouched for the profile");
-    }
     if let Some(schedule) = &scenario.fault_schedule {
         cluster
             .network()
@@ -305,8 +299,7 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
         control.window,
         control.mc_trials,
         run_seed ^ 0xada9_71c0_1175_0c5e,
-    )
-    .with_threads(1);
+    );
 
     // Probe load: per-second rates → per-ms rates, pulled lazily by the
     // in-sim probe client (writes only; reads ride the probe offset).

@@ -29,8 +29,9 @@
 //! `cargo run --release --bin scenarios -- --scenario latency-spike`.
 //!
 //! Scenarios compose with the buggify layer: a seeded
-//! [`FaultProfile`](pbs_kvs::FaultProfile) can be installed for the whole
-//! run (`Scenario::fault_profile`) or injected/cleared mid-timeline
+//! [`FaultSchedule`](pbs_kvs::FaultSchedule) — constant or time-varying —
+//! can be installed for the whole run (`Scenario::fault_schedule`), a
+//! [`FaultProfile`](pbs_kvs::FaultProfile) injected/cleared mid-timeline
 //! ([`ScenarioEvent::InjectFaults`]/`ClearFaults`), and `check_history`
 //! runs the offline [`checker`](pbs_kvs::checker) as a post-pass — the
 //! verdict lands in [`ScenarioRun::check`].

@@ -84,13 +84,10 @@ pub struct Scenario {
     pub stationary: Vec<(f64, f64)>,
     /// Closed-loop controller settings.
     pub control: ControlOptions,
-    /// Buggify fault profile installed from scenario start (timelines can
-    /// also [`ScenarioEvent::InjectFaults`]/`ClearFaults` mid-run).
-    pub fault_profile: Option<FaultProfile>,
-    /// Time-varying buggify schedule installed from scenario start
-    /// (ramps, bursts, calm→storm→calm). Mutually exclusive with
-    /// `fault_profile` — a constant profile is just a one-segment
-    /// schedule.
+    /// Buggify fault schedule installed from scenario start: a constant
+    /// profile ([`FaultSchedule::constant`]) or a time-varying one (ramps,
+    /// bursts, calm→storm→calm). Timelines can also
+    /// [`ScenarioEvent::InjectFaults`]/`ClearFaults` mid-run.
     pub fault_schedule: Option<FaultSchedule>,
     /// Record the full op history and run the offline checker as a
     /// post-pass (session replay vs. streaming counters, label recount).
@@ -129,7 +126,6 @@ impl Scenario {
             keys: 16,
             stationary: Vec::new(),
             control: ControlOptions::default_for(vec![3]),
-            fault_profile: None,
             fault_schedule: None,
             check_history: false,
             check_convergence: false,
@@ -226,7 +222,7 @@ impl Scenario {
             "full fault storm until 12s (drops, dups, reorder, slow nodes, disk lag, clock skew); history checker post-pass",
             seed,
         );
-        s.fault_profile = Some(FaultProfile::storm(seed));
+        s.fault_schedule = Some(FaultSchedule::constant(FaultProfile::storm(seed)));
         s.events = vec![TimedEvent::new(12_000.0, ScenarioEvent::ClearFaults)];
         s.duration_ms = 16_000.0;
         s.check_history = true;
@@ -339,16 +335,8 @@ impl Scenario {
                 self.cluster.nodes
             );
         }
-        if let Some(profile) = &self.fault_profile {
-            profile.validate().expect("scenario fault profile is invalid");
-        }
         if let Some(schedule) = &self.fault_schedule {
             schedule.validate().expect("scenario fault schedule is invalid");
-            assert!(
-                self.fault_profile.is_none(),
-                "set either fault_profile or fault_schedule, not both (a constant \
-                 profile is a one-segment schedule)"
-            );
         }
         assert!(
             !self.check_convergence || self.check_history,

@@ -71,7 +71,7 @@ fn hint_replay_survives_scheduled_drops() {
     cluster.advance_to(ms(4_000.0));
     assert_eq!(
         cluster.node(victim).stored_version(key).map(|v| v.seq),
-        Some(w.seq),
+        w.seq,
         "hint replay must heal the victim despite the drop window"
     );
     assert_eq!(cluster.node(coord).hint_count(), 0, "delivered hint is cleared");
@@ -117,7 +117,7 @@ fn expired_hints_fall_back_to_anti_entropy() {
     assert!(cluster.node(victim).sync_rounds >= 1, "anti-entropy ran");
     assert_eq!(
         cluster.node(victim).stored_version(key).map(|v| v.seq),
-        Some(w.seq),
+        w.seq,
         "anti-entropy must heal the victim after its hints expired"
     );
 
@@ -126,14 +126,14 @@ fn expired_hints_fall_back_to_anti_entropy() {
     assert!(check.is_clean(), "healed run must pass the full audit: {check:?}");
 }
 
-/// The schedule/profile fields are mutually exclusive, and the new
-/// builtin is reachable by name.
+/// The builtin is reachable by name and carries a real (multi-segment)
+/// schedule, not a constant profile.
 #[test]
 fn crash_storm_is_registered_and_schedule_validated() {
     assert!(Scenario::builtin_names().contains(&"crash-storm"));
     let sc = Scenario::by_name("crash-storm", 7).expect("registered");
-    assert!(sc.fault_schedule.is_some());
-    assert!(sc.fault_profile.is_none());
+    let schedule = sc.fault_schedule.as_ref().expect("scheduled faults");
+    assert!(schedule.as_constant().is_none());
     assert!(sc.check_history && sc.check_convergence);
     sc.validate();
 }

@@ -34,7 +34,7 @@ fn partition_heal_restores_delivery() {
     let r = cluster.read(7);
     assert!(r.consistent());
     // The replica that sat behind the partition holds the healed write.
-    assert_eq!(cluster.node(2).stored_version(7).map(|v| v.seq), Some(w.seq));
+    assert_eq!(cluster.node(2).stored_version(7).map(|v| v.seq), w.seq);
 }
 
 #[test]

@@ -9,6 +9,7 @@
 //! sharded [`pbs_mc::Runner`].
 
 use crate::model::{LatencyModel, WarsSample};
+use crate::trial::TrialScratch;
 use pbs_mc::Runner;
 use rand::{Rng, RngCore};
 
@@ -82,17 +83,15 @@ impl KtResult {
 struct KtScratch {
     samples: Vec<WarsSample>,
     starts: Vec<f64>,
-    wa: Vec<f64>,
-    order: Vec<usize>,
+    trial: TrialScratch,
 }
 
 impl KtScratch {
-    fn new(k: usize, n: usize) -> Self {
+    fn new(k: usize) -> Self {
         Self {
             samples: (0..k).map(|_| WarsSample::default()).collect(),
             starts: vec![0.0; k],
-            wa: Vec::with_capacity(n),
-            order: Vec::with_capacity(n),
+            trial: TrialScratch::default(),
         }
     }
 }
@@ -103,15 +102,16 @@ impl KtScratch {
 /// write's per-replica `W`/`A` delays come from a fresh model trial. A read
 /// is issued `t` after the *newest* write commits, using the read legs
 /// (`R`/`S`) of the newest sample so any per-operation structure (e.g. WAN
-/// locality) is preserved. The read returns the newest version visible on
-/// any of its first `R` responders.
+/// locality) is preserved — the newest write and its read are one ordinary
+/// WARS trial, sorted by the trial kernel ([`TrialScratch::prepare`]). The
+/// read returns the newest version visible on any of its first `R`
+/// responders.
 pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions) -> KtResult {
     assert!(opts.k >= 1, "k must be at least 1");
     assert!(opts.trials > 0);
     assert!(opts.threads > 0);
     assert!(opts.t_ms >= 0.0);
     let cfg = model.config();
-    let n = cfg.n() as usize;
     let r_quorum = cfg.r() as usize;
     let w_quorum = cfg.w() as usize;
     let k = opts.k as usize;
@@ -119,7 +119,7 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
     let behind_counts: Vec<u64> =
         Runner::new(opts.trials, opts.seed, opts.threads).run(|rng, info| {
             let mut counts = vec![0u64; k + 1];
-            let mut scratch = KtScratch::new(k, n);
+            let mut scratch = KtScratch::new(k);
             for _ in 0..info.trials {
                 // Write start times, oldest (= index 0) to newest (= k−1).
                 scratch.starts[0] = 0.0;
@@ -129,28 +129,17 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
                 for s in scratch.samples.iter_mut() {
                     model.sample_trial(rng, s);
                 }
-                // Commit time of the newest write.
+                // The newest write and the read are one WARS trial: its
+                // commit time, and its responders in arrival order.
                 let newest = k - 1;
-                scratch.wa.clear();
-                scratch.wa.extend(
-                    scratch.samples[newest].w.iter().zip(&scratch.samples[newest].a).map(|(w, a)| w + a),
-                );
-                scratch.wa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("no NaN"));
-                let newest_commit = scratch.starts[newest] + scratch.wa[w_quorum - 1];
+                let trial = scratch.trial.prepare(&scratch.samples[newest]);
+                let newest_commit = scratch.starts[newest] + trial.write_latency(w_quorum);
                 let read_issue = newest_commit + opts.t_ms;
-
-                // Read responders ordered by response arrival (legs from
-                // the newest sample).
-                let (r, s) = (&scratch.samples[newest].r, &scratch.samples[newest].s);
-                scratch.order.clear();
-                scratch.order.extend(0..n);
-                scratch.order.sort_unstable_by(|&i, &j| {
-                    (r[i] + s[i]).partial_cmp(&(r[j] + s[j])).expect("no NaN")
-                });
+                let r = &scratch.samples[newest].r;
 
                 // Newest version visible on any of the first R responders.
                 let mut best: Option<usize> = None; // write index; larger = newer
-                for &i in &scratch.order[..r_quorum] {
+                for &i in trial.responders(r_quorum) {
                     let read_arrival = read_issue + r[i];
                     for j in (0..k).rev() {
                         if best.is_some_and(|b| j <= b) {
@@ -270,6 +259,27 @@ mod tests {
         let res = kt_violation_direct(&m, opts(1, 0.0, WriteSpacing::Fixed(1.0), 5_000, 0));
         assert_eq!(res.violation, 0.0);
         assert_eq!(res.versions_behind[0], 1.0);
+    }
+
+    /// Pinned to the read (and so to the bit): moves if the trial stream,
+    /// the draw order or either sort does.
+    #[test]
+    fn fixed_seed_golden() {
+        let m = crate::production::lnkd_disk_model(ReplicaConfig::new(3, 1, 1).unwrap());
+        let res = kt_violation_direct(
+            &m,
+            KtOptions {
+                k: 3,
+                t_ms: 1.0,
+                spacing: WriteSpacing::ExponentialMean(10.0),
+                trials: 20_000,
+                seed: 7,
+                threads: 2,
+            },
+        );
+        let behind = [11_721.0, 7_071.0, 1_100.0, 108.0].map(|reads| reads / 20_000.0);
+        assert_eq!(res.versions_behind, behind);
+        assert_eq!(res.violation.to_bits(), 0x3f76_1e4f_765f_d8ae, "{}", res.violation);
     }
 
     #[test]

@@ -5,11 +5,6 @@ use crate::model::LatencyModel;
 use crate::tvisibility::TVisibility;
 use pbs_core::ReplicaConfig;
 
-/// A `(t, P(consistent))` series — one curve of Figures 4, 6 or 7.
-pub fn tvisibility_series(tv: &TVisibility, ts: &[f64]) -> Vec<(f64, f64)> {
-    ts.iter().map(|&t| (t, tv.prob_consistent(t))).collect()
-}
-
 /// Log-spaced sample points from `lo` to `hi` (inclusive), matching the
 /// paper's log-x-axis figures.
 pub fn log_spaced(lo: f64, hi: f64, points: usize) -> Vec<f64> {
@@ -102,10 +97,6 @@ mod tests {
     use super::*;
     use crate::production::{exponential_model, lnkd_disk_model};
 
-    fn cfg(n: u32, r: u32, w: u32) -> ReplicaConfig {
-        ReplicaConfig::new(n, r, w).unwrap()
-    }
-
     #[test]
     fn log_spacing_endpoints_and_monotonicity() {
         let pts = log_spaced(0.1, 1000.0, 9);
@@ -121,16 +112,6 @@ mod tests {
     fn lin_spacing_endpoints() {
         let pts = lin_spaced(0.0, 10.0, 11);
         assert_eq!(pts[3], 3.0);
-    }
-
-    #[test]
-    fn series_is_monotone() {
-        let m = exponential_model(cfg(3, 1, 1), 0.1, 0.5);
-        let tv = TVisibility::simulate(&m, 20_000, 1);
-        let series = tvisibility_series(&tv, &lin_spaced(0.0, 100.0, 21));
-        for w in series.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

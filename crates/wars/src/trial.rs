@@ -78,6 +78,11 @@ impl PreparedTrial<'_> {
         self.wa[w - 1]
     }
 
+    /// The first `r` read responders (replica indices), in arrival order.
+    pub fn responders(&self, r: usize) -> &[usize] {
+        &self.order[..r]
+    }
+
     /// Arrival of the `r`-th read response.
     pub fn read_latency(&self, r: usize) -> f64 {
         let last_responder = self.order[r - 1];
@@ -89,7 +94,7 @@ impl PreparedTrial<'_> {
     /// `W[i] ≤ w_t + t + R[i]  ⇔  t ≥ W[i] − w_t − R[i]`.
     pub fn staleness_threshold(&self, r: usize, w: usize) -> f64 {
         let commit_time = self.write_latency(w);
-        self.order[..r]
+        self.responders(r)
             .iter()
             .map(|&i| self.sample.w[i] - commit_time - self.sample.r[i])
             .fold(f64::INFINITY, f64::min)

@@ -144,9 +144,9 @@ impl TVisibility {
 
         let shard = Runner::new(trials, seed, threads).run(|rng, info| {
             let mut acc = GridShard {
-                thresholds: vec![(Summary::new(), 0); pairs.len()],
-                reads: vec![Summary::new(); rs.len()],
-                writes: vec![Summary::new(); ws.len()],
+                thresholds: vec![(Summary::default(), 0); pairs.len()],
+                reads: vec![Summary::default(); rs.len()],
+                writes: vec![Summary::default(); ws.len()],
             };
             let mut sample = WarsSample::default();
             let mut scratch = TrialScratch::default();

@@ -54,7 +54,7 @@ fn main() {
         }
         let at = cluster.now() + SimDuration::from_ms(4.0);
         let r = cluster.read_at(key, at);
-        if let Some(seq) = r.returned_seq {
+        if let Some(seq) = r.op.seq {
             if seq < last_seen {
                 violations += 1;
             }

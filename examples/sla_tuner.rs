@@ -15,12 +15,15 @@ use rand::SeedableRng;
 
 fn main() {
     let trials = 50_000;
+    // Monte-Carlo shards per search: results repeat per `(seed, threads)`
+    // pair, so the example prints the same digits on every host.
+    let threads = 2;
 
     // ---- One-shot optimization against production profiles -----------------
     println!("SLA: ≥99.9% consistent reads within 15 ms, minimum W=1, N=3\n");
     let spec = SlaSpec::consistency(0.999, 15.0);
     for profile in ProductionProfile::ALL {
-        let report = optimize(&|cfg| profile.model(cfg), &[3], &spec, trials, 1);
+        let report = optimize(&|cfg| profile.model(cfg), &[3], &spec, trials, 1, threads);
         match report.best_config() {
             Some(best) => println!(
                 "  {:<10} → {}  (Lr+Lw p99.9 = {:.2} ms, P(consistent@15ms) = {:.3}%)",
@@ -40,8 +43,8 @@ fn main() {
     let mut durable = SlaSpec::consistency(0.999, 15.0);
     durable.min_write_quorum = 2;
     for n in [3u32, 5] {
-        let report =
-            optimize(&|cfg| ProductionProfile::LnkdDisk.model(cfg), &[n], &durable, trials, 2);
+        let disk = |cfg| ProductionProfile::LnkdDisk.model(cfg);
+        let report = optimize(&disk, &[n], &durable, trials, 2, threads);
         match report.best_config() {
             Some(best) => println!(
                 "  N={n} → {}  (Lr+Lw p99.9 = {:.2} ms)",
@@ -55,7 +58,8 @@ fn main() {
     // ---- Adaptive reconfiguration under drift ------------------------------
     println!("\nAdaptive controller: watch one-way latencies, refit, re-optimize.");
     let sla = SlaSpec::consistency(0.99, 5.0);
-    let mut controller = AdaptiveController::new(sla, vec![3], 5_000, 20_000, 3);
+    let mut controller =
+        AdaptiveController::new(sla, vec![3], 5_000, 20_000, 3).with_threads(threads);
     let mut rng = StdRng::seed_from_u64(4);
     let ars = Exponential::from_mean(0.5);
 

@@ -115,7 +115,7 @@ fn hinted_handoff_heals_crashed_replica() {
             // Healthy coordinator (node 1 would drop client requests).
             let w = cluster.write_from(0, key);
             assert!(w.commit.is_some(), "two healthy replicas still commit W=2");
-            latest.insert(key, w.seq);
+            latest.insert(key, w.seq.expect("committed"));
         }
         // Recovery + generous settle for hint flushes.
         let settle = cluster.now() + pbs::sim::SimDuration::from_ms(10_000.0);

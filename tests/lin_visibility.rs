@@ -218,7 +218,7 @@ fn engineered_timeout_write_agrees_across_relabel_and_wgl() {
     // The write leg still delivers at ~200 ms; every replica applies it.
     cluster.advance_to(SimTime::from_ms(400.0));
     let r = cluster.read_at_from(0, key, SimTime::from_ms(500.0));
-    let seen = r.returned_seq.expect("the timed-out write materialized");
+    let seen = r.op.seq.expect("the timed-out write materialized");
     assert!(
         r.label.expect("completed read is labelled").consistent,
         "ground truth never saw a commit, so the late version cannot be stale"

@@ -12,6 +12,9 @@ use pbs::predictor::Predictor;
 use pbs::wars::production::{lnkd_ssd_model, ymmr_model, ProductionProfile};
 use std::sync::Arc;
 
+/// Monte-Carlo shards for every search and predictor here.
+const THREADS: usize = 2;
+
 /// LNKD-SSD meets an aggressive SLA with a fully partial quorum; YMMR's
 /// write tail forces more read coverage for the same SLA.
 #[test]
@@ -23,6 +26,7 @@ fn optimizer_adapts_to_write_tails() {
         &spec,
         40_000,
         1,
+        THREADS,
     );
     let best = ssd.best_config().expect("SSD meets the SLA");
     assert_eq!((best.cfg.r(), best.cfg.w()), (1, 1), "SSD should allow R=W=1");
@@ -33,6 +37,7 @@ fn optimizer_adapts_to_write_tails() {
         &spec,
         40_000,
         1,
+        THREADS,
     );
     let best = ymmr.best_config().expect("some config qualifies");
     assert!(
@@ -53,6 +58,7 @@ fn optimizer_winner_is_minimal() {
         &spec,
         30_000,
         2,
+        THREADS,
     );
     let best = report.best_config().expect("qualifies");
     for e in &report.evaluations {
@@ -67,7 +73,7 @@ fn optimizer_winner_is_minimal() {
 #[test]
 fn multikey_product_rule_on_production_model() {
     let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
-    let pred = Predictor::from_model(&lnkd_ssd_model(cfg), 60_000, 3);
+    let pred = Predictor::from_model_threads(&lnkd_ssd_model(cfg), 60_000, 3, THREADS);
     let p1 = pred.prob_consistent(0.5);
     assert!(p1 < 1.0, "need some staleness for the test to bite");
     let p20 = multikey::multikey_consistency_at(&pred, 0.5, 20);
@@ -102,8 +108,8 @@ fn predictor_from_store_instrumentation_predicts_the_store() {
     assert!(samples.len() > 10_000, "instrumentation recorded {}", samples.len());
 
     // Phase 2: predict purely from the drained samples.
-    let predictor =
-        Predictor::from_samples(cfg, samples.w, samples.a, samples.r, samples.s, 120_000, 56);
+    let legs = [samples.w, samples.a, samples.r, samples.s];
+    let predictor = Predictor::from_samples(cfg, legs, 120_000, 56, THREADS);
 
     for (point, &t) in measured.points.iter().zip(&offsets) {
         let measured_p = point.probability();
@@ -120,7 +126,7 @@ fn predictor_from_store_instrumentation_predicts_the_store() {
 #[test]
 fn predictor_metrics_are_coherent() {
     let cfg = ReplicaConfig::new(3, 1, 2).unwrap();
-    let pred = Predictor::from_model(&ymmr_model(cfg), 60_000, 4);
+    let pred = Predictor::from_model_threads(&ymmr_model(cfg), 60_000, 4, THREADS);
     for &p in &[0.5, 0.9, 0.99] {
         if let Some(t) = pred.t_visibility(p) {
             assert!(pred.prob_consistent(t) >= p, "inverse must satisfy the target");

@@ -74,14 +74,14 @@ fn read_repair_scenario(
     // r1 sources the recovered (empty) victim and triggers read repair
     // once the fresher responses arrive; r2 then re-reads the victim.
     let r1 = cluster.read_at_from(coord, key, ms(350.0));
-    assert_eq!(r1.returned_seq, None, "victim responds first and is empty");
+    assert_eq!(r1.op.seq, None, "victim responds first and is empty");
     let r2 = cluster.read_at_from(coord, key, ms(500.0));
     cluster.advance_to(ms(1_000.0));
 
     let history = cluster.take_history();
     let check = check_run(&history, &cluster, convergence);
     let stored = cluster.node(victim).stored_version(key).map(|v| v.seq).unwrap_or(0);
-    (check, w.seq, r2.returned_seq, stored)
+    (check, w.seq.expect("committed"), r2.op.seq, stored)
 }
 
 /// `skip_read_repair`: the stale replica is never healed, and with no
@@ -183,7 +183,7 @@ fn hint_rollback_scenario(
 
     let history = cluster.take_history();
     let check = check_run(&history, &cluster, convergence);
-    (check, w1.seq, w2.seq, r1.returned_seq, r2.returned_seq)
+    (check, w1.seq.expect("committed"), w2.seq.expect("committed"), r1.op.seq, r2.op.seq)
 }
 
 /// `drop_version_merge`: the late old hint rolls the victim back, and the
@@ -250,7 +250,7 @@ fn hint_replay_scenario(
     let check = check_run(&history, &cluster, convergence);
     let hints = cluster.node(coord).hint_count();
     let stored = cluster.node(victim).stored_version(key).map(|v| v.seq).unwrap_or(0);
-    (check, hints, stored, w.seq)
+    (check, hints, stored, w.seq.expect("committed"))
 }
 
 /// `swallow_hints`: the flush timer fires but delivers nothing, so the

@@ -66,7 +66,7 @@ proptest! {
             let commit = wr.commit.expect("writes commit");
             let rd = cluster.read_at(key, commit);
             prop_assert!(rd.consistent(), "stale read on {cfg} key {key}");
-            prop_assert_eq!(rd.returned_seq, Some(wr.seq));
+            prop_assert_eq!(rd.op.seq, wr.seq);
         }
     }
 
@@ -86,15 +86,16 @@ proptest! {
         let mut prev = 0;
         for _ in 0..8 {
             let w = cluster.write(5);
-            prop_assert_eq!(w.seq, w.start.as_nanos() + 1);
-            prop_assert!(w.seq > prev, "write-start timestamps strictly increase");
-            prev = w.seq;
+            let seq = w.seq.expect("the coordinator reported back");
+            prop_assert_eq!(seq, w.start.as_nanos() + 1);
+            prop_assert!(seq > prev, "write-start timestamps strictly increase");
+            prev = seq;
         }
         // R = N read after settling sees the newest version.
         let settle = cluster.now() + pbs::sim::SimDuration::from_ms(1_000.0);
         cluster.advance_to(settle);
         let r = cluster.read(5);
-        prop_assert_eq!(r.returned_seq, Some(prev));
+        prop_assert_eq!(r.op.seq, Some(prev));
     }
 
     /// Monotonic-reads violation never exceeds the plain non-intersection
