@@ -99,8 +99,8 @@
 //! removed (it observed nothing) and the key searched again, so one key
 //! can contribute many windows, at one exhaustive search each.
 
-use super::OpHistory;
-use crate::fxhash::{FxHashMap, FxHashSet};
+use super::{KeyIndex, OpHistory};
+use crate::fxhash::FxHashSet;
 use pbs_mc::Mergeable;
 use pbs_workload::OpKind;
 
@@ -279,70 +279,18 @@ enum Feasibility {
 /// Check every key of the history. Equivalent to [`check_lin`] but keeps
 /// the per-key results (tests, artifact minimization).
 pub fn check_lin_keys(history: &OpHistory, opts: &LinOptions) -> Vec<KeyLinResult> {
-    let mut keys: FxHashMap<u64, Vec<LinOp>> = FxHashMap::default();
-    let mut unknown_starts: FxHashMap<u64, u64> = FxHashMap::default();
-    let mut order: Vec<u64> = Vec::new();
-    for h in history.ops() {
-        let op = &h.op;
-        let ops = keys.entry(op.key).or_insert_with(|| {
-            order.push(op.key);
-            Vec::new()
-        });
-        match op.kind {
-            OpKind::Write => match (op.seq, op.commit) {
-                (Some(seq), commit) => {
-                    let writer = op.writer.expect("writes with a sequence carry their writer");
-                    ops.push(LinOp {
-                        op_id: op.op_id,
-                        is_write: true,
-                        version: (seq, writer),
-                        start_ns: op.start.as_nanos(),
-                        resp_ns: commit.map_or(u64::MAX, |c| c.as_nanos()),
-                        closed: commit.is_some(),
-                        synthetic: false,
-                    });
-                }
-                (None, _) => {
-                    // Version unknown (open-loop client timeout): the
-                    // write is possibly committed with an unattributable
-                    // version — remembered so orphan versions on this key
-                    // get a synthetic carrier instead of a conviction.
-                    let e = unknown_starts.entry(op.key).or_insert(u64::MAX);
-                    *e = (*e).min(op.start.as_nanos());
-                }
-            },
-            OpKind::Read => {
-                let Some(finish) = op.finish else {
-                    continue; // timed out: the client observed nothing
-                };
-                ops.push(LinOp {
-                    op_id: op.op_id,
-                    is_write: false,
-                    version: (op.seq.unwrap_or(0), op.writer.unwrap_or(0)),
-                    start_ns: op.start.as_nanos(),
-                    resp_ns: finish.as_nanos(),
-                    closed: true,
-                    synthetic: false,
-                });
-            }
-        }
-    }
-
-    let mut results = Vec::with_capacity(order.len());
-    for key in order {
-        let mut ops = keys.remove(&key).expect("key was inserted above");
-        if let Some(&unknown_start) = unknown_starts.get(&key) {
-            synthesize_orphans(&mut ops, unknown_start);
-        }
-        results.push(check_key(key, ops, opts));
-    }
-    results
+    check_keys(history, &KeyIndex::new(history), opts)
 }
 
 /// Check every key and aggregate into a [`LinCheck`].
 pub fn check_lin(history: &OpHistory, opts: &LinOptions) -> LinCheck {
+    check_lin_on(history, &KeyIndex::new(history), opts)
+}
+
+/// [`check_lin`] on a partition the caller already has.
+pub(super) fn check_lin_on(history: &OpHistory, index: &KeyIndex, opts: &LinOptions) -> LinCheck {
     let mut check = LinCheck::default();
-    for kr in check_lin_keys(history, opts) {
+    for kr in check_keys(history, index, opts) {
         check.keys_checked += 1;
         check.ops_checked += kr.ops;
         check.nodes_explored += kr.nodes;
@@ -354,6 +302,61 @@ pub fn check_lin(history: &OpHistory, opts: &LinOptions) -> LinCheck {
         check.violations.extend(kr.violations);
     }
     check
+}
+
+/// Gather each key's ops off the partition and search it, keys in
+/// first-appearance order.
+fn check_keys(history: &OpHistory, index: &KeyIndex, opts: &LinOptions) -> Vec<KeyLinResult> {
+    let search = |(key, indices): (u64, &[u32])| {
+        let mut ops = Vec::with_capacity(indices.len());
+        // The earliest start of a write whose version is unknown
+        // (open-loop client timeout): such a write is possibly committed
+        // with an unattributable version, so orphan versions on this key
+        // get a synthetic carrier instead of a conviction.
+        let mut unknown_start: Option<u64> = None;
+        for &i in indices {
+            let op = &history.ops()[i as usize].op;
+            let start_ns = op.start.as_nanos();
+            match op.kind {
+                OpKind::Write => match (op.seq, op.commit) {
+                    (Some(seq), commit) => {
+                        let writer = op.writer.expect("writes with a sequence carry their writer");
+                        ops.push(LinOp {
+                            op_id: op.op_id,
+                            is_write: true,
+                            version: (seq, writer),
+                            start_ns,
+                            resp_ns: commit.map_or(u64::MAX, |c| c.as_nanos()),
+                            closed: commit.is_some(),
+                            synthetic: false,
+                        });
+                    }
+                    (None, _) => {
+                        unknown_start = Some(unknown_start.map_or(start_ns, |s| s.min(start_ns)));
+                    }
+                },
+                OpKind::Read => {
+                    let Some(finish) = op.finish else {
+                        continue; // timed out: the client observed nothing
+                    };
+                    ops.push(LinOp {
+                        op_id: op.op_id,
+                        is_write: false,
+                        version: (op.seq.unwrap_or(0), op.writer.unwrap_or(0)),
+                        start_ns,
+                        resp_ns: finish.as_nanos(),
+                        closed: true,
+                        synthetic: false,
+                    });
+                }
+            }
+        }
+        if let Some(unknown_start) = unknown_start {
+            synthesize_orphans(&mut ops, unknown_start);
+        }
+        check_key(key, ops, opts)
+    };
+    index.iter().map(search).collect()
 }
 
 /// Add a synthetic optional open write for every version some read

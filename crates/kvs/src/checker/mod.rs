@@ -15,10 +15,20 @@
 //!   writes (batch path, no watermark), relabel every read, and compare
 //!   against the online labels; any mismatch is a bug in the watermark
 //!   plumbing.
+//! * [`check_order`] — the per-key order oracle: sweep each key's reads
+//!   in time order against what every replica provably acked or served
+//!   before them; an acknowledged write that vanishes, a replica whose
+//!   served version goes backwards, or a version no write produced is a
+//!   protocol bug, never a fault artefact.
 //! * [`check_convergence`] — after quiescence, every live replica of every
 //!   written key must hold the same version, at least as new as the
 //!   newest committed one (read repair + hinted handoff + anti-entropy
 //!   actually converged).
+//!
+//! [`check_run`] runs all four, then [`lin::check_lin`]. Its per-key passes
+//! — the order oracle, its final-state rule and the linearizability
+//! search — read one partition of the history by key, built once per
+//! audit; called on its own, each builds the partition itself.
 //!
 //! The checker is a test/diagnostic harness: recording a history is
 //! O(operations) memory, deliberately trading the engine's O(in-flight)
@@ -42,6 +52,8 @@ use crate::staleness::{GroundTruth, ReadLabel};
 use pbs_mc::Mergeable;
 use pbs_sim::SimTime;
 use pbs_workload::OpKind;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One operation as recorded for offline checking.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,6 +132,68 @@ impl OpHistory {
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// The nodes (ids below 64) some recorded crash wiped, as mask bits:
+    /// the evidence the order oracle discounts.
+    fn wiped_mask(&self) -> u64 {
+        self.crashes
+            .iter()
+            .filter(|c| c.wipe && c.node < 64)
+            .fold(0, |m, c| m | (1u64 << c.node))
+    }
+}
+
+/// The history partitioned by key, built once per audit and read by every
+/// per-key pass: keys in first-appearance order, each key's ops in history
+/// order. One hash lookup per op into a `key → slot` map, then a counting
+/// sort — no map of growing `Vec`s.
+struct KeyIndex {
+    keys: Vec<u64>,
+    /// `grouped[bounds[s]..bounds[s + 1]]` are the ops of `keys[s]`, as
+    /// indices into [`OpHistory::ops`].
+    bounds: Vec<u32>,
+    grouped: Vec<u32>,
+}
+
+impl KeyIndex {
+    fn new(history: &OpHistory) -> Self {
+        let ops = history.ops();
+        assert!(u32::try_from(ops.len()).is_ok(), "the partition indexes ops with 32 bits");
+        let mut slots: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut keys: Vec<u64> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let slot_of: Vec<u32> = ops
+            .iter()
+            .map(|h| {
+                let slot = *slots.entry(h.op.key).or_insert_with(|| {
+                    keys.push(h.op.key);
+                    counts.push(0);
+                    keys.len() as u32 - 1
+                });
+                counts[slot as usize] += 1;
+                slot
+            })
+            .collect();
+        let mut bounds = Vec::with_capacity(keys.len() + 1);
+        bounds.push(0);
+        for count in counts {
+            bounds.push(bounds[bounds.len() - 1] + count);
+        }
+        let mut next = bounds.clone();
+        let mut grouped = vec![0; ops.len()];
+        for (i, &slot) in slot_of.iter().enumerate() {
+            grouped[next[slot as usize] as usize] = i as u32;
+            next[slot as usize] += 1;
+        }
+        Self { keys, bounds, grouped }
+    }
+
+    /// Every key with the indices of its ops, in the orders the type
+    /// promises.
+    fn iter(&self) -> impl Iterator<Item = (u64, &[u32])> {
+        let per_key = self.keys.iter().zip(self.bounds.windows(2));
+        per_key.map(|(&key, b)| (key, &self.grouped[b[0] as usize..b[1] as usize]))
     }
 }
 
@@ -349,8 +423,8 @@ impl Mergeable for CheckReport {
 /// a write advances the read-your-writes floor only once committed; an
 /// empty read counts as sequence 0.
 pub fn replay_sessions(history: &OpHistory, streaming: &ClientStats) -> SessionCheck {
-    let mut last_read: FxHashMap<(u32, u64), u64> = FxHashMap::default();
-    let mut last_write: FxHashMap<(u32, u64), u64> = FxHashMap::default();
+    // (client, key) → (newest sequence read, newest committed sequence written).
+    let mut sessions: FxHashMap<(u32, u64), (u64, u64)> = FxHashMap::default();
     let mut check = SessionCheck {
         streaming_reads_checked: streaming.reads_checked,
         streaming_monotonic: streaming.monotonic_violations,
@@ -368,26 +442,21 @@ pub fn replay_sessions(history: &OpHistory, streaming: &ClientStats) -> SessionC
             // streaming counters never saw them).
             continue;
         }
-        let session = (op.client, op.key);
         match op.kind {
             OpKind::Write => {
                 if op.commit.is_some() {
                     let seq = op.seq.expect("completed writes carry their sequence");
-                    let floor = last_write.entry(session).or_insert(0);
-                    *floor = (*floor).max(seq);
+                    let (_, written) = sessions.entry((op.client, op.key)).or_insert((0, 0));
+                    *written = (*written).max(seq);
                 }
             }
             OpKind::Read => {
                 let seen = op.seq.unwrap_or(0);
+                let (read, written) = sessions.entry((op.client, op.key)).or_insert((0, 0));
                 check.reads_checked += 1;
-                if seen < last_read.get(&session).copied().unwrap_or(0) {
-                    check.monotonic_violations += 1;
-                }
-                if seen < last_write.get(&session).copied().unwrap_or(0) {
-                    check.ryw_violations += 1;
-                }
-                let floor = last_read.entry(session).or_insert(0);
-                *floor = (*floor).max(seen);
+                check.monotonic_violations += u64::from(seen < *read);
+                check.ryw_violations += u64::from(seen < *written);
+                *read = (*read).max(seen);
             }
         }
     }
@@ -469,11 +538,12 @@ pub fn check_convergence(cluster: &Cluster) -> ConvergenceCheck {
 /// One committed write, as the order oracle tracks it.
 #[derive(Debug, Clone, Copy)]
 struct TrackedWrite {
-    op_id: u64,
-    seq: u64,
-    writer: u32,
+    version: (u64, u32),
     commit_nanos: u64,
     acked: u64,
+    /// Index in the history: among equal versions the earliest recorded
+    /// write is the one a violation names.
+    rank: u32,
 }
 
 /// One completed read, as the order oracle examines it.
@@ -489,15 +559,62 @@ struct TrackedRead {
     responders: u64,
 }
 
-#[derive(Debug, Default)]
-struct KeyAudit {
-    /// `(seq, writer)` of every write whose version the history knows.
-    known: Vec<(u64, u32)>,
-    /// A write on this key timed out client-side, so its version is
-    /// unknown — the phantom set-membership rule must stand down.
-    incomplete: bool,
-    committed: Vec<TrackedWrite>,
-    reads: Vec<TrackedRead>,
+/// A version a read sourced from a replica, parked until the read has
+/// finished: ordered by that finish, then by the order reads exposed.
+type Exposure = Reverse<(u64, u32, u32, (u64, u32))>; // (finish, rank, replica, version)
+
+/// What each replica provably held by the instant the sweep has reached:
+/// per mask bit, the strongest version admitted so far and the rank of the
+/// evidence that set it (a write's history index, an exposure's push
+/// index). Stronger is a greater version, then a lower rank — the first
+/// such evidence in recorded order, which is the one a violation names.
+struct Floors {
+    /// The bits whose entry is set.
+    live: u64,
+    entries: [((u64, u32), Reverse<u32>); 64],
+}
+
+impl Floors {
+    fn new() -> Self {
+        Self { live: 0, entries: [((0, 0), Reverse(0)); 64] }
+    }
+
+    /// Forget everything, at the same cost whatever was admitted.
+    fn clear(&mut self) {
+        self.live = 0;
+    }
+
+    /// Admit evidence that every replica in `replicas` held `version`.
+    fn admit(&mut self, replicas: u64, version: (u64, u32), rank: u32) {
+        let evidence = (version, Reverse(rank));
+        for bit in bits(replicas) {
+            let entry = &mut self.entries[bit as usize];
+            if self.live & (1u64 << bit) == 0 || evidence > *entry {
+                *entry = evidence;
+            }
+        }
+        self.live |= replicas;
+    }
+
+    /// The strongest entry among the replicas in `responders`, as
+    /// `(version, replica)`; of equally strong entries, the lowest bit.
+    fn strongest(&self, responders: u64) -> Option<((u64, u32), u32)> {
+        bits(responders & self.live)
+            .map(|bit| (self.entries[bit as usize], bit))
+            .reduce(|best, next| if next.0 > best.0 { next } else { best })
+            .map(|((version, _), bit)| (version, bit))
+    }
+}
+
+/// The set bits of `mask`, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros();
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 /// The per-key order oracle (tentpole of the adversarial audit): rebuild
@@ -525,77 +642,94 @@ struct KeyAudit {
 /// Evidence from wiped replicas is discounted wholesale: a wiped store
 /// legitimately forgets acknowledged writes. Reads from nodes at id ≥ 64
 /// carry no mask bits and simply contribute no evidence.
+///
+/// Each key is one sweep in time order. Its reads are examined by start;
+/// a committed write is admitted to its ackers' floors once its commit
+/// lies strictly before the read at hand, an exposure to its replica's
+/// floor once the exposing read finished at or before it. A read then
+/// answers to the strongest floor among its responders — work in the
+/// number of mask bits, not in the key's history.
 pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
-    let wiped: u64 = history
-        .crashes()
-        .iter()
-        .filter(|c| c.wipe && c.node < 64)
-        .fold(0, |m, c| m | (1u64 << c.node));
-    let mut keys: FxHashMap<u64, KeyAudit> = FxHashMap::default();
-    let mut order: Vec<u64> = Vec::new(); // deterministic key iteration
+    sweep_order(history, &KeyIndex::new(history), nodes)
+}
+
+/// [`check_order`] on a partition the caller already has.
+fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck {
+    let wiped = history.wiped_mask();
+    let ops = history.ops();
     let mut check = OrderCheck::default();
-    for h in history.ops() {
-        let op = &h.op;
-        let audit = keys.entry(op.key).or_insert_with(|| {
-            order.push(op.key);
-            KeyAudit::default()
-        });
-        match op.kind {
-            OpKind::Write => match op.seq {
-                None => audit.incomplete = true,
-                Some(seq) => {
-                    let writer = op.writer.expect("writes with a sequence carry their writer");
-                    audit.known.push((seq, writer));
-                    if let Some(ct) = op.commit {
-                        check.writes_tracked += 1;
-                        audit.committed.push(TrackedWrite {
-                            op_id: op.op_id,
-                            seq,
-                            writer,
-                            commit_nanos: ct.as_nanos(),
-                            acked: op.quorum_mask & !wiped,
-                        });
+    // Scratch every key reuses. `known`: the `(seq, writer)` of every
+    // write whose version the history knows.
+    let mut known: Vec<(u64, u32)> = Vec::new();
+    let mut committed: Vec<TrackedWrite> = Vec::new();
+    let mut reads: Vec<TrackedRead> = Vec::new();
+    let (mut acked, mut exposed) = (Floors::new(), Floors::new());
+    let mut parked: BinaryHeap<Exposure> = BinaryHeap::new();
+    for (key, indices) in index.iter() {
+        known.clear();
+        committed.clear();
+        reads.clear();
+        // A write on this key timed out client-side, so its version is
+        // unknown — the phantom set-membership rule must stand down.
+        let mut incomplete = false;
+        for &i in indices {
+            let op = &ops[i as usize].op;
+            match op.kind {
+                OpKind::Write => match op.seq {
+                    None => incomplete = true,
+                    Some(seq) => {
+                        let writer = op.writer.expect("writes with a sequence carry their writer");
+                        known.push((seq, writer));
+                        if let Some(ct) = op.commit {
+                            committed.push(TrackedWrite {
+                                version: (seq, writer),
+                                commit_nanos: ct.as_nanos(),
+                                acked: op.quorum_mask & !wiped,
+                                rank: i,
+                            });
+                        }
                     }
+                },
+                OpKind::Read => {
+                    let Some(finish) = op.finish else {
+                        continue; // timed out: nothing was exposed
+                    };
+                    reads.push(TrackedRead {
+                        op_id: op.op_id,
+                        start_nanos: op.start.as_nanos(),
+                        finish_nanos: finish.as_nanos(),
+                        seen: match op.seq {
+                            Some(seq) => (seq, op.writer.expect("non-empty reads carry a writer")),
+                            None => (0, 0),
+                        },
+                        source: op.source,
+                        responders: op.quorum_mask & !wiped,
+                    });
                 }
-            },
-            OpKind::Read => {
-                let Some(finish) = op.finish else {
-                    continue; // timed out: nothing was exposed
-                };
-                check.reads_checked += 1;
-                audit.reads.push(TrackedRead {
-                    op_id: op.op_id,
-                    start_nanos: op.start.as_nanos(),
-                    finish_nanos: finish.as_nanos(),
-                    seen: match op.seq {
-                        Some(seq) => (seq, op.writer.expect("non-empty reads carry a writer")),
-                        None => (0, 0),
-                    },
-                    source: op.source,
-                    responders: op.quorum_mask & !wiped,
-                });
             }
         }
-    }
+        check.writes_tracked += committed.len() as u64;
+        check.reads_checked += reads.len() as u64;
 
-    for key in order {
-        let audit = keys.get_mut(&key).expect("key was just inserted");
         // Examine reads in issue order (deterministic tie-break by op id):
-        // exposures accumulate forward in time, so each read is checked
-        // against every exposure that provably precedes it.
-        audit.reads.sort_by_key(|r| (r.start_nanos, r.op_id));
-        audit.known.sort_unstable();
-        // Exposures: (replica, version, finish-of-exposing-read).
-        let mut exposures: Vec<(u32, (u64, u32), u64)> = Vec::new();
-        for r in &audit.reads {
+        // evidence accumulates forward in time, so each read is checked
+        // against everything that provably precedes it.
+        reads.sort_by_key(|r| (r.start_nanos, r.op_id));
+        committed.sort_unstable_by_key(|w| w.commit_nanos);
+        known.sort_unstable();
+        acked.clear();
+        exposed.clear();
+        parked.clear();
+        let mut unadmitted = committed.iter().peekable();
+        let mut exposures = 0;
+        for r in &reads {
             let (seen_seq, seen_writer) = r.seen;
             if seen_seq > 0 {
                 // Phantom rules first: a corrupt version must not poison
                 // the visibility floors below.
                 let impossible_writer = seen_writer >= nodes;
                 let from_the_future = seen_seq > r.finish_nanos + 1;
-                let unknown_version =
-                    !audit.incomplete && audit.known.binary_search(&r.seen).is_err();
+                let unknown_version = !incomplete && known.binary_search(&r.seen).is_err();
                 if impossible_writer || from_the_future || unknown_version {
                     check.phantoms += 1;
                     check.first_phantom = check.first_phantom.or(Some(
@@ -612,18 +746,11 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
             // Acked visibility: the strongest committed write whose ack
             // set intersects this read's responders and whose commit
             // precedes the read's start.
-            let mut lu_floor: Option<(u64, u32, u32, u64)> = None; // (seq, writer, replica, op)
-            for w in &audit.committed {
-                if w.commit_nanos < r.start_nanos
-                    && w.acked & r.responders != 0
-                    && lu_floor.is_none_or(|(s, wr, _, _)| (w.seq, w.writer) > (s, wr))
-                {
-                    let replica = (w.acked & r.responders).trailing_zeros();
-                    lu_floor = Some((w.seq, w.writer, replica, w.op_id));
-                }
+            while let Some(w) = unadmitted.next_if(|w| w.commit_nanos < r.start_nanos) {
+                acked.admit(w.acked, w.version, w.rank);
             }
-            if let Some((floor_seq, floor_writer, replica, _)) = lu_floor {
-                if r.seen < (floor_seq, floor_writer) {
+            if let Some((floor, replica)) = acked.strongest(r.responders) {
+                if r.seen < floor {
                     check.lost_updates += 1;
                     check.first_lost_update =
                         check.first_lost_update.or(Some(OrderViolation::LostUpdate {
@@ -631,23 +758,21 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
                             op_id: r.op_id,
                             replica,
                             seen_seq,
-                            expected_seq: floor_seq,
+                            expected_seq: floor.0,
                         }));
                     continue; // one violation per read, strongest class
                 }
             }
             // Monotone exposure: the strongest version any of this read's
             // responders is known (via an earlier read) to have held.
-            let mut nm_floor: Option<((u64, u32), u32)> = None;
-            for &(replica, version, exposed_finish) in &exposures {
-                if exposed_finish <= r.start_nanos
-                    && r.responders & (1u64 << replica) != 0
-                    && nm_floor.is_none_or(|(v, _)| version > v)
-                {
-                    nm_floor = Some((version, replica));
+            while let Some(&Reverse((finish, rank, replica, version))) = parked.peek() {
+                if finish > r.start_nanos {
+                    break;
                 }
+                parked.pop();
+                exposed.admit(1u64 << replica, version, rank);
             }
-            if let Some((floor, replica)) = nm_floor {
+            if let Some((floor, replica)) = exposed.strongest(r.responders) {
                 if r.seen < floor {
                     check.non_monotone += 1;
                     check.first_non_monotone =
@@ -665,7 +790,8 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
             // at some instant before the read finished.
             if let Some(source) = r.source {
                 if seen_seq > 0 && source < 64 && wiped & (1u64 << source) == 0 {
-                    exposures.push((source, r.seen, r.finish_nanos));
+                    parked.push(Reverse((r.finish_nanos, exposures, source, r.seen)));
+                    exposures += 1;
                 }
             }
         }
@@ -678,35 +804,34 @@ pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
 /// live, never-wiped current replica of a key must store at least the
 /// newest committed version — anything older is an acknowledged write
 /// that the healing paths (read repair, hint replay, anti-entropy) lost.
-fn check_final_state(history: &OpHistory, cluster: &Cluster, check: &mut OrderCheck) {
-    let wiped: u64 = history
-        .crashes()
-        .iter()
-        .filter(|c| c.wipe && c.node < 64)
-        .fold(0, |m, c| m | (1u64 << c.node));
-    let mut latest: FxHashMap<u64, (u64, u32, u64)> = FxHashMap::default(); // key → (seq, writer, op)
-    let mut order: Vec<u64> = Vec::new();
-    for h in history.ops() {
-        let op = &h.op;
-        if !matches!(op.kind, OpKind::Write) || op.commit.is_none() {
+fn check_final_state(
+    history: &OpHistory,
+    index: &KeyIndex,
+    cluster: &Cluster,
+    check: &mut OrderCheck,
+) {
+    let wiped = history.wiped_mask();
+    // Per written key: its first committed write's index, the key, and the
+    // newest committed version with the op that (first) wrote it.
+    let mut newest: Vec<(u32, u64, (u64, u32), u64)> = Vec::new();
+    for (key, indices) in index.iter() {
+        let mut committed = indices.iter().filter_map(|&i| {
+            let op = &history.ops()[i as usize].op;
+            (matches!(op.kind, OpKind::Write) && op.commit.is_some()).then(|| {
+                let seq = op.seq.expect("committed writes carry their sequence");
+                let writer = op.writer.expect("committed writes carry their writer");
+                (i, (seq, writer), op.op_id)
+            })
+        });
+        let Some(first) = committed.next() else {
             continue;
-        }
-        let seq = op.seq.expect("committed writes carry their sequence");
-        let writer = op.writer.expect("committed writes carry their writer");
-        match latest.entry(op.key) {
-            std::collections::hash_map::Entry::Vacant(e) => {
-                order.push(op.key);
-                e.insert((seq, writer, op.op_id));
-            }
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                if (seq, writer) > (e.get().0, e.get().1) {
-                    e.insert((seq, writer, op.op_id));
-                }
-            }
-        }
+        };
+        let (_, version, op_id) = committed.fold(first, |a, b| if b.1 > a.1 { b } else { a });
+        newest.push((first.0, key, version, op_id));
     }
-    for key in order {
-        let (seq, writer, op_id) = latest[&key];
+    // Violations are reported in the order keys were first written.
+    newest.sort_unstable_by_key(|&(first_write, ..)| first_write);
+    for (_, key, (seq, writer), op_id) in newest {
         for replica in cluster.replicas_of(key) {
             if cluster.node(replica).is_down()
                 || (replica < 64 && wiped & (1u64 << replica) != 0)
@@ -736,18 +861,20 @@ fn check_final_state(history: &OpHistory, cluster: &Cluster, check: &mut OrderCh
 /// the streaming counters, label recount, the per-key order oracle, the
 /// per-key linearizability checker (default budgets — call
 /// [`lin::check_lin`] to tune them), and (optionally) convergence plus
-/// the oracle's final-state rule.
+/// the oracle's final-state rule. The per-key passes share one partition
+/// of the history.
 pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> CheckReport {
     let streaming = cluster.client_stats();
-    let mut order = check_order(history, cluster.node_count() as u32);
+    let index = KeyIndex::new(history);
+    let mut order = sweep_order(history, &index, cluster.node_count() as u32);
     if convergence {
-        check_final_state(history, cluster, &mut order);
+        check_final_state(history, &index, cluster, &mut order);
     }
     CheckReport {
         sessions: replay_sessions(history, &streaming),
         labels: relabel_reads(history),
         order,
-        lin: lin::check_lin(history, &LinOptions::default()),
+        lin: lin::check_lin_on(history, &index, &LinOptions::default()),
         convergence: convergence.then(|| check_convergence(cluster)),
         runs: 1,
     }
@@ -985,6 +1112,68 @@ mod tests {
         h.push(read_from(1, Some(10), 0, 2.0, 6.0, Some(2), 0b100), None);
         h.push(read_from(1, None, 0, 4.0, 5.0, None, 0b100), None);
         assert_eq!(check_order(&h, 3).violations(), 0);
+    }
+
+    #[test]
+    fn order_oracle_admits_a_commit_strictly_before_and_an_exposure_at_the_start() {
+        // A read that starts at the commit instant is not yet bound by the
+        // write (`<`); one nanosecond later it is.
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 5.0, 0b001), None);
+        h.push(read_from(1, None, 0, 5.0, 6.0, None, 0b001), None);
+        assert_eq!(check_order(&h, 3).violations(), 0);
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 5.0, 0b001), None);
+        h.push(read_from(1, None, 0, 5.000_001, 6.0, None, 0b001), None);
+        assert_eq!(check_order(&h, 3).lost_updates, 1);
+        // A read that starts the instant the exposing read finished is
+        // bound by the exposure (`<=`); one nanosecond earlier it is not.
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 1.0, 0b001), None);
+        h.push(read_from(1, Some(10), 0, 2.0, 3.0, Some(2), 0b100), None);
+        h.push(read_from(1, None, 0, 3.0, 4.0, None, 0b100), None);
+        assert_eq!(check_order(&h, 3).non_monotone, 1);
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 1.0, 0b001), None);
+        h.push(read_from(1, Some(10), 0, 2.0, 3.0, Some(2), 0b100), None);
+        h.push(read_from(1, None, 0, 2.999_999, 4.0, None, 0b100), None);
+        assert_eq!(check_order(&h, 3).violations(), 0);
+    }
+
+    #[test]
+    fn order_oracle_holds_a_read_to_the_strongest_of_its_responders_floors() {
+        // Replica 0 acked seq 10, replica 1 acked seq 20. A read both
+        // answered (R = 2) owes the stronger floor, and names its replica.
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 1.0, 0b001), None);
+        h.push(write_acked(1, 20, 0, 2.0, 3.0, 0b010), None);
+        h.push(read_from(1, Some(10), 0, 4.0, 5.0, Some(0), 0b011), None);
+        let check = check_order(&h, 3);
+        assert_eq!(check.lost_updates, 1);
+        match check.first_lost_update {
+            Some(OrderViolation::LostUpdate { replica: 1, expected_seq: 20, .. }) => {}
+            other => panic!("wrong violation: {other:?}"),
+        }
+        // Answered by replicas 0 and 2 the same read owes seq 10 only.
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 1.0, 0b001), None);
+        h.push(write_acked(1, 20, 0, 2.0, 3.0, 0b010), None);
+        h.push(read_from(1, Some(10), 0, 4.0, 5.0, Some(0), 0b101), None);
+        assert_eq!(check_order(&h, 3).violations(), 0);
+        // The same for exposures: replicas 1 and 2 served seq 10 and seq
+        // 20 (acked elsewhere); a later empty read from both owes seq 20.
+        let mut h = OpHistory::new();
+        h.push(write_acked(1, 10, 0, 0.0, 1.0, 0b001), None);
+        h.push(write_acked(1, 20, 0, 0.0, 1.0, 0b001), None);
+        h.push(read_from(1, Some(10), 0, 2.0, 3.0, Some(1), 0b010), None);
+        h.push(read_from(1, Some(20), 0, 2.5, 3.5, Some(2), 0b100), None);
+        h.push(read_from(1, None, 0, 4.0, 5.0, None, 0b110), None);
+        let check = check_order(&h, 3);
+        assert_eq!((check.lost_updates, check.non_monotone), (0, 1));
+        match check.first_non_monotone {
+            Some(OrderViolation::NonMonotoneExposure { replica: 2, expected_seq: 20, .. }) => {}
+            other => panic!("wrong violation: {other:?}"),
+        }
     }
 
     #[test]
