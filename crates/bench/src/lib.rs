@@ -110,6 +110,13 @@ pub mod report {
 /// Minimal argv parsing shared by the harness binaries: `--key value`,
 /// `--key=value`, and bare `--flag` spellings are all accepted.
 pub mod cli {
+    /// Print the one-line complaint about a malformed command line and
+    /// exit with status 2.
+    pub(crate) fn usage_error(message: &str) -> ! {
+        eprintln!("{message}");
+        std::process::exit(2);
+    }
+
     /// Parsed command-line flags, in order of appearance.
     #[derive(Debug, Clone, Default)]
     pub struct Args {
@@ -174,14 +181,19 @@ pub mod cli {
         /// Parse `--key`'s value, exiting with status 2 on a missing or
         /// malformed value. `None` when the flag is absent.
         pub fn parsed<T: std::str::FromStr>(&self, key: &str) -> Option<T> {
+            self.try_parsed(key).unwrap_or_else(|message| usage_error(&message))
+        }
+
+        /// [`parsed`](Self::parsed), with the complaint returned instead
+        /// of printed.
+        pub fn try_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
             if !self.has(key) {
-                return None;
+                return Ok(None);
             }
             match self.value_of(key).and_then(|v| v.parse().ok()) {
-                Some(v) => Some(v),
+                Some(v) => Ok(Some(v)),
                 None => {
-                    eprintln!("--{key} requires a value of type {}", std::any::type_name::<T>());
-                    std::process::exit(2);
+                    Err(format!("--{key} requires a value of type {}", std::any::type_name::<T>()))
                 }
             }
         }
@@ -225,21 +237,32 @@ impl HarnessOptions {
     }
 
     /// Extract the shared options from pre-parsed [`cli::Args`] — for
-    /// binaries with extra flags of their own.
+    /// binaries with extra flags of their own. Exits with status 2 on a
+    /// malformed value, or a `--trials` / `--threads` of zero.
     pub fn from_args(args: &cli::Args, default_trials: usize) -> Self {
+        Self::try_from_args(args, default_trials)
+            .unwrap_or_else(|message| cli::usage_error(&message))
+    }
+
+    fn try_from_args(args: &cli::Args, default_trials: usize) -> Result<Self, String> {
         let mut trials = default_trials;
         if args.flag("quick") {
             trials = (default_trials / 20).max(1_000);
         }
-        if let Some(t) = args.parsed::<usize>("trials") {
+        if let Some(t) = args.try_parsed::<usize>("trials")? {
             trials = t;
         }
-        let seed = args.parsed::<u64>("seed").unwrap_or(42);
-        let threads = args
-            .parsed::<usize>("threads")
-            .unwrap_or_else(pbs_mc::Runner::available_threads);
-        assert!(threads > 0, "--threads must be at least 1");
-        Self { trials, seed, threads }
+        let seed = args.try_parsed::<u64>("seed")?.unwrap_or(42);
+        let threads = match args.try_parsed::<usize>("threads")? {
+            Some(t) => t,
+            None => pbs_mc::Runner::available_threads(),
+        };
+        for (key, count) in [("trials", trials), ("threads", threads)] {
+            if count == 0 {
+                return Err(format!("--{key} must be at least 1"));
+            }
+        }
+        Ok(Self { trials, seed, threads })
     }
 }
 
@@ -279,6 +302,16 @@ mod tests {
         assert_eq!(super::HarnessOptions::from_args(&a, 100_000).trials, 5_000);
         let a = args(&["--quick", "--trials", "12"]);
         assert_eq!(super::HarnessOptions::from_args(&a, 100_000).trials, 12);
+    }
+
+    #[test]
+    fn a_zero_count_or_a_malformed_value_is_a_usage_error() {
+        let parse = |tokens: &[&str]| super::HarnessOptions::try_from_args(&args(tokens), 1_000);
+        assert_eq!(parse(&["--threads", "0"]).unwrap_err(), "--threads must be at least 1");
+        assert_eq!(parse(&["--trials=0"]).unwrap_err(), "--trials must be at least 1");
+        assert!(parse(&["--trials", "abc"]).unwrap_err().contains("--trials requires a value"));
+        assert!(parse(&["--seed"]).unwrap_err().contains("--seed requires a value"));
+        assert!(parse(&["--threads", "1", "--trials", "1"]).is_ok());
     }
 
     #[test]

@@ -205,16 +205,6 @@ pub fn t_visibility_violation<D: WriteDiffusion + ?Sized>(
     p.clamp(0.0, 1.0)
 }
 
-/// Probability of a consistent read at offset `t` — complement of
-/// [`t_visibility_violation`].
-pub fn prob_consistent_at<D: WriteDiffusion + ?Sized>(
-    cfg: ReplicaConfig,
-    diffusion: &D,
-    t: f64,
-) -> f64 {
-    1.0 - t_visibility_violation(cfg, diffusion, t)
-}
-
 /// **Equation 5** — ⟨k,t⟩-staleness violation probability: the read misses
 /// all of the last `k` versions even though the oldest of them committed at
 /// least `t` ago. The paper's conservative bound assumes all `k` writes

@@ -39,9 +39,9 @@
 //!   traffic never crosses a PDES worker boundary.
 
 use crate::fxhash::FxHashMap;
-use crate::messages::Msg;
-use crate::node::{ClientResult, DownTracker};
-use pbs_sim::{Actor, Context, Event, SimDuration, SimTime};
+use crate::messages::{ClientControl, ClientIn, ClientToNode, Msg, NodeIn, NodeToClient};
+use crate::shell::DownTracker;
+use pbs_sim::{Context, SimDuration, SimTime};
 use pbs_workload::{OpKind, OpSource, SharedOpSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -186,12 +186,12 @@ impl CompletedOp {
     /// `client` received it at `now`. A write finishes when its result
     /// arrives (for a committed write that is the commit instant — results
     /// travel with zero delay); a read at its `R`-th response.
-    pub fn from_result(result: ClientResult, client: u32, now: SimTime) -> Self {
+    pub fn from_result(result: NodeToClient, client: u32, now: SimTime) -> Self {
         let (op_id, kind, key, start, finish, version, commit, source, quorum_mask) = match result {
-            ClientResult::Write { op_id, key, version, start, commit, acked } => {
+            NodeToClient::Write { op_id, key, version, start, commit, acked } => {
                 (op_id, OpKind::Write, key, start, now, Some(version), commit, None, acked)
             }
-            ClientResult::Read { op_id, key, start, finish, version, source, responders } => {
+            NodeToClient::Read { op_id, key, start, finish, version, source, responders } => {
                 (op_id, OpKind::Read, key, start, finish, version, None, source, responders)
             }
         };
@@ -694,11 +694,11 @@ impl ClientTable {
         self.peak_in_flight[row] = self.peak_in_flight[row].max(self.in_flight_count[row]);
         let coord =
             self.down.pick_up_node_in(&mut self.rng[row], self.coord_base, self.coord_count);
-        let msg = match kind {
-            OpKind::Write => Msg::ClientWrite { op_id, key },
-            OpKind::Read => Msg::ClientRead { op_id, key },
+        let req = match kind {
+            OpKind::Write => ClientToNode::Write { op_id, key },
+            OpKind::Read => ClientToNode::Read { op_id, key },
         };
-        ctx.send(coord, 0.0, msg);
+        ctx.send(coord, 0.0, Msg::Node(NodeIn::Client(req)));
         if self.timeouts.is_empty() {
             ctx.set_timer(self.opts.op_timeout_ms, ctag(CKIND_OP_TIMEOUT, 0));
         }
@@ -782,14 +782,14 @@ impl ClientTable {
         }
     }
 
-    fn on_result(&mut self, ctx: &mut Context<'_, Msg>, result: ClientResult) {
+    fn on_result(&mut self, ctx: &mut Context<'_, Msg>, result: NodeToClient) {
         let op_id = result.op_id();
         if self.remove_in_flight(op_id).is_none() {
             return; // already timed out client-side
         }
         let index = client_of(op_id);
         match result {
-            ClientResult::Write { key, version, commit, .. } => {
+            NodeToClient::Write { key, version, commit, .. } => {
                 if let Some(ct) = commit {
                     let slot = self.sessions.entry(index, key);
                     slot.last_write_seq = slot.last_write_seq.max(version.seq);
@@ -806,7 +806,7 @@ impl ClientTable {
                     }
                 }
             }
-            ClientResult::Read { key, version, .. } => {
+            NodeToClient::Read { key, version, .. } => {
                 let seen = version.map_or(0, |v| v.seq);
                 self.stats.reads_checked += 1;
                 let slot = self.sessions.entry(index, key);
@@ -851,25 +851,23 @@ impl ClientTable {
             self.issue(ctx, row, OpKind::Read, key);
         }
     }
-}
 
-impl Actor for ClientTable {
-    type Msg = Msg;
+    /// A message addressed to this table has arrived.
+    pub(crate) fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: ClientIn) {
+        match msg {
+            ClientIn::Control(ClientControl::Start) => self.start_all(ctx),
+            ClientIn::Control(ClientControl::Stop) => self.stop_all(),
+            ClientIn::Reply(result) => self.on_result(ctx, result),
+        }
+    }
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, event: Event<Msg>) {
-        match event {
-            Event::Message { msg, .. } => match msg {
-                Msg::StartClient => self.start_all(ctx),
-                Msg::StopClient => self.stop_all(),
-                Msg::OpResult { result } => self.on_result(ctx, result),
-                other => unreachable!("client table received {other:?}"),
-            },
-            Event::Timer { tag } => match ctag_kind(tag) {
-                CKIND_ARRIVAL => self.on_arrival_timer(ctx),
-                CKIND_OP_TIMEOUT => self.on_timeout_timer(ctx),
-                CKIND_PROBE_READ => self.on_probe_read(ctx, ctag_op(tag)),
-                other => unreachable!("unknown client timer kind {other}"),
-            },
+    /// A timer this table set has fired.
+    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
+        match ctag_kind(tag) {
+            CKIND_ARRIVAL => self.on_arrival_timer(ctx),
+            CKIND_OP_TIMEOUT => self.on_timeout_timer(ctx),
+            CKIND_PROBE_READ => self.on_probe_read(ctx, ctag_op(tag)),
+            other => unreachable!("unknown client timer kind {other}"),
         }
     }
 }
@@ -877,6 +875,7 @@ impl Actor for ClientTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_sim::{Actor, Event};
 
     fn table(worker: usize, stride: usize) -> ClientTable {
         ClientTable::new(
@@ -918,10 +917,10 @@ mod tests {
         let [start, finish, now] = [2.0, 5.0, 9.0].map(SimTime::from_ms);
         let version = crate::version::Version::new(7, 2);
         let write =
-            |commit| ClientResult::Write { op_id: 11, key: 3, version, start, commit, acked: 5 };
+            |commit| NodeToClient::Write { op_id: 11, key: 3, version, start, commit, acked: 5 };
         let read = |version, source| {
             let responders = 3;
-            ClientResult::Read { op_id: 12, key: 3, start, finish, version, source, responders }
+            NodeToClient::Read { op_id: 12, key: 3, start, finish, version, source, responders }
         };
         // A write finishes when its result arrives, committed or not, and
         // names the version it installed either way.
@@ -990,6 +989,8 @@ mod tests {
 
     // ----- the op-timeout FIFO, on a two-actor rig -----
 
+    const START: Msg = Msg::Clients(ClientIn::Control(ClientControl::Start));
+    const STOP: Msg = Msg::Clients(ClientIn::Control(ClientControl::Stop));
     const REPLY_MS: f64 = 25.0;
     const TIMEOUT_MS: f64 = 60.0;
 
@@ -1008,12 +1009,15 @@ mod tests {
             match (self, event) {
                 (
                     Rig::Coordinator { swallow },
-                    Event::Message { from, msg: Msg::ClientRead { op_id, key } },
+                    Event::Message {
+                        from,
+                        msg: Msg::Node(NodeIn::Client(ClientToNode::Read { op_id, key })),
+                    },
                 ) => {
                     if !swallow(op_id) {
                         let (start, finish) =
                             (ctx.now(), ctx.now() + SimDuration::from_ms(REPLY_MS));
-                        let result = ClientResult::Read {
+                        let result = NodeToClient::Read {
                             op_id,
                             key,
                             start,
@@ -1022,16 +1026,20 @@ mod tests {
                             source: None,
                             responders: 0,
                         };
-                        ctx.send(from, REPLY_MS, Msg::OpResult { result });
+                        ctx.send(from, REPLY_MS, Msg::Clients(ClientIn::Reply(result)));
                     }
                 }
                 (Rig::Coordinator { .. }, other) => unreachable!("coordinator got {other:?}"),
-                (Rig::Table { table, timeout_timer_events }, event) => {
-                    if matches!(event, Event::Timer { tag } if ctag_kind(tag) == CKIND_OP_TIMEOUT) {
+                (Rig::Table { table, timeout_timer_events }, Event::Timer { tag }) => {
+                    if ctag_kind(tag) == CKIND_OP_TIMEOUT {
                         *timeout_timer_events += 1;
                     }
-                    table.on_event(ctx, event);
+                    table.on_timer(ctx, tag);
                 }
+                (Rig::Table { table, .. }, Event::Message { msg: Msg::Clients(msg), .. }) => {
+                    table.on_message(ctx, msg);
+                }
+                (Rig::Table { .. }, other) => unreachable!("table got {other:?}"),
             }
         }
     }
@@ -1111,7 +1119,7 @@ mod tests {
         // Gaps that are no divisor of the timeout: deadlines fall between
         // arrivals, and the one timer has to be re-armed for each.
         let mut sim = rig(3, 7.3, 1_024, swallow_odd);
-        sim.inject(1, 0.0, Msg::StartClient);
+        sim.inject(1, 0.0, START);
         let seen = run_recording(&mut sim, 1_000.0);
         assert_deadlines_exact(&seen, swallow_odd);
         let timeouts = seen.iter().filter(|(_, op)| op.finish.is_none()).count();
@@ -1121,7 +1129,7 @@ mod tests {
     #[test]
     fn completed_ops_leave_the_fifo_without_an_event_each() {
         let mut sim = rig(8, 1.0, 1_024, |_| false);
-        sim.inject(1, 0.0, Msg::StartClient);
+        sim.inject(1, 0.0, START);
         let seen = run_recording(&mut sim, 2_000.0);
         assert!(seen.len() > 15_000, "8 clients x 1 op/ms x 2 s, got {}", seen.len());
         assert!(seen.iter().all(|(_, op)| op.finish.is_some()), "no op may time out");
@@ -1137,7 +1145,7 @@ mod tests {
         );
         assert!(table.timeouts.len() <= 8 * (TIMEOUT_MS as usize + 1), "{}", table.timeouts.len());
         // Stopped and drained, the table disarms: nothing is left queued.
-        sim.inject(1, 0.0, Msg::StopClient);
+        sim.inject(1, 0.0, STOP);
         sim.run_until_idle();
         assert_eq!(sim.pending_events(), 0);
         let (table, _) = table_of(&mut sim);
@@ -1151,24 +1159,24 @@ mod tests {
         // at the cap of 3.
         let swallow_some = |op_id: u64| local_of(op_id) % 3 == 1;
         let mut sim = rig(2, 10.0, 3, swallow_some);
-        sim.inject(1, 0.0, Msg::StartClient);
+        sim.inject(1, 0.0, START);
         let mut seen = run_recording(&mut sim, 95.0);
         // Stop with ops in flight and the timer armed; restart before any
         // of them is due, …
-        sim.inject(1, 0.0, Msg::StopClient);
+        sim.inject(1, 0.0, STOP);
         seen.extend(run_recording(&mut sim, 120.0));
-        sim.inject(1, 0.0, Msg::StartClient);
+        sim.inject(1, 0.0, START);
         seen.extend(run_recording(&mut sim, 300.0));
         // … then stop until the FIFO has drained and the timer is disarmed,
         // and start again.
-        sim.inject(1, 0.0, Msg::StopClient);
+        sim.inject(1, 0.0, STOP);
         seen.extend(run_recording(&mut sim, 600.0));
         assert_eq!(sim.pending_events(), 0, "no timer left armed");
         let (table, _) = table_of(&mut sim);
         assert_eq!((table.in_flight_live, table.timeouts.len()), (0, 0));
-        sim.inject(1, 0.0, Msg::StartClient);
+        sim.inject(1, 0.0, START);
         seen.extend(run_recording(&mut sim, 800.0));
-        sim.inject(1, 0.0, Msg::StopClient);
+        sim.inject(1, 0.0, STOP);
         sim.run_until_idle();
         table_of(&mut sim).0.drain_completed_into(&mut Vec::new());
 

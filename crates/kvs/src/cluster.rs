@@ -31,11 +31,14 @@ use crate::buggify::ProtocolMutations;
 use crate::checker::{CrashRecord, HistoryOp, OpHistory};
 use crate::client::{ClientOptions, ClientStats, ClientTable, CompletedOp};
 use crate::fxhash::FxHashMap;
-use crate::messages::Msg;
+use crate::messages::{
+    ClientControl, ClientIn, ClientToNode, Msg, NodeControl, NodeIn, NodeToClient,
+};
 use crate::network::NetworkModel;
-use crate::node::{ClientResult, DetectorEvent, DownTracker, Node};
+use crate::node::{DetectorEvent, Node};
 use crate::partition::PartitionPlan;
 use crate::ring::Ring;
+use crate::shell::{DownTracker, LegSamples, NodeShell};
 use crate::staleness::GroundTruth;
 use pbs_core::ReplicaConfig;
 use pbs_sim::{
@@ -256,7 +259,7 @@ impl WindowDrain {
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum ClusterActor {
     /// A Dynamo-style storage node (coordinator + replica).
-    Node(Node),
+    Node(NodeShell),
     /// All open-loop clients of one PDES worker, as a single
     /// struct-of-arrays actor.
     Clients(ClientTable),
@@ -266,11 +269,24 @@ impl Actor for ClusterActor {
     type Msg = Msg;
 
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, event: Event<Msg>) {
-        match self {
-            ClusterActor::Node(n) => n.on_event(ctx, event),
-            ClusterActor::Clients(t) => t.on_event(ctx, event),
+        match (self, event) {
+            (ClusterActor::Node(n), Event::Timer { tag }) => n.on_timer(ctx, tag),
+            (ClusterActor::Node(n), Event::Message { from, msg: Msg::Node(msg) }) => {
+                n.on_message(ctx, from, msg);
+            }
+            (ClusterActor::Clients(t), Event::Timer { tag }) => t.on_timer(ctx, tag),
+            (ClusterActor::Clients(t), Event::Message { msg: Msg::Clients(msg), .. }) => {
+                t.on_message(ctx, msg);
+            }
+            (_, Event::Message { msg, .. }) => {
+                unreachable!("{msg:?} was addressed to the other kind of actor")
+            }
         }
     }
+}
+
+fn node_control(control: NodeControl) -> Msg {
+    Msg::Node(NodeIn::Control(control))
 }
 
 /// Which event engine a [`Cluster`] runs on.
@@ -486,18 +502,18 @@ impl Cluster {
         };
         for id in 0..opts.nodes as usize {
             let node =
-                Node::new(id, opts, Arc::clone(&net), Arc::clone(&ring), Arc::clone(&down));
+                NodeShell::new(id, opts, Arc::clone(&net), Arc::clone(&ring), Arc::clone(&down));
             let actor = engine.add_actor(ClusterActor::Node(node), plan.worker_of_node(id as u32));
             debug_assert_eq!(actor, id);
         }
-        if let Some(interval) = opts.sync_interval_ms {
+        if opts.sync_interval_ms.is_some() {
             for id in 0..opts.nodes as usize {
-                engine.inject(id, 0.0, Msg::StartSync { interval_ms: interval });
+                engine.inject(id, 0.0, node_control(NodeControl::StartSync));
             }
         }
         // Pending-op GC keeps coordinator state bounded by in-flight work.
         for id in 0..opts.nodes as usize {
-            engine.inject(id, 0.0, Msg::StartGc { interval_ms: opts.op_timeout_ms });
+            engine.inject(id, 0.0, node_control(NodeControl::StartGc));
         }
         let workers = plan.workers();
         Ok(Self {
@@ -634,12 +650,12 @@ impl Cluster {
             let ring = Arc::new(Ring::new(self.opts.nodes, VNODES, cfg.n()));
             self.ring = Arc::clone(&ring);
             for id in 0..self.opts.nodes as usize {
-                self.node_mut(id).set_ring(Arc::clone(&ring));
+                self.shell_mut(id).core.set_ring(Arc::clone(&ring));
             }
         }
         self.opts.replication = cfg;
         for id in 0..self.opts.nodes as usize {
-            self.node_mut(id).set_replication(cfg);
+            self.shell_mut(id).core.set_replication(cfg);
         }
     }
 
@@ -652,12 +668,12 @@ impl Cluster {
     /// Panics if `id` is a client actor.
     pub fn node(&self, id: usize) -> &Node {
         match self.engine.actor(id) {
-            ClusterActor::Node(n) => n,
+            ClusterActor::Node(n) => &n.core,
             ClusterActor::Clients(_) => panic!("actor {id} is a client table, not a node"),
         }
     }
 
-    fn node_mut(&mut self, id: usize) -> &mut Node {
+    fn shell_mut(&mut self, id: usize) -> &mut NodeShell {
         match self.engine.actor_mut(id) {
             ClusterActor::Node(n) => n,
             ClusterActor::Clients(_) => panic!("actor {id} is a client table, not a node"),
@@ -726,7 +742,7 @@ impl Cluster {
         let wipe = self.opts.wipe_on_crash;
         assert!(node < self.opts.nodes as usize, "cannot crash client actor {node}");
         self.crash_log.push(CrashRecord { node: node as u32, at, down_ms, wipe });
-        self.engine.inject_at(node, at, Msg::Crash { down_ms, wipe });
+        self.engine.inject_at(node, at, node_control(NodeControl::Crash { down_ms, wipe }));
     }
 
     /// Choose a coordinator for the next operation: uniform over **up**
@@ -758,9 +774,14 @@ impl Cluster {
         );
     }
 
-    fn step_until_result(&mut self, coord: usize, op_id: u64, deadline: SimTime) -> Option<ClientResult> {
+    fn step_until_result(
+        &mut self,
+        coord: usize,
+        op_id: u64,
+        deadline: SimTime,
+    ) -> Option<NodeToClient> {
         loop {
-            if let Some(res) = self.node_mut(coord).client_results.remove(&op_id) {
+            if let Some(res) = self.shell_mut(coord).mailbox.remove(&op_id) {
                 return Some(res);
             }
             let sim = self.engine.serial_mut();
@@ -778,11 +799,13 @@ impl Cluster {
     fn run_blocking(&mut self, coord: usize, kind: OpKind, key: u64, at: SimTime) -> HistoryOp {
         self.assert_blocking_allowed();
         let op_id = self.alloc_op();
-        let msg = match kind {
-            OpKind::Write => Msg::ClientWrite { op_id, key },
-            OpKind::Read => Msg::ClientRead { op_id, key },
+        let req = match kind {
+            OpKind::Write => ClientToNode::Write { op_id, key },
+            OpKind::Read => ClientToNode::Read { op_id, key },
         };
-        self.engine.inject_at(coord, at, msg);
+        // An injection reads as sent by its target, so the result comes
+        // back to the coordinator's own mailbox.
+        self.engine.inject_at(coord, at, Msg::Node(NodeIn::Client(req)));
         let deadline = at + SimDuration::from_ms(self.opts.op_timeout_ms);
         let op = match self.step_until_result(coord, op_id, deadline) {
             Some(result) => CompletedOp::from_result(result, BLOCKING_CLIENT, self.engine.now()),
@@ -916,7 +939,7 @@ impl Cluster {
         self.clients_started = true;
         let ids: Vec<ActorId> = self.table_ids().collect();
         for id in ids {
-            self.engine.inject(id, 0.0, Msg::StartClient);
+            self.engine.inject(id, 0.0, Msg::Clients(ClientIn::Control(ClientControl::Start)));
         }
     }
 
@@ -925,7 +948,7 @@ impl Cluster {
     pub fn stop_clients(&mut self) {
         let ids: Vec<ActorId> = self.table_ids().collect();
         for id in ids {
-            self.engine.inject(id, 0.0, Msg::StopClient);
+            self.engine.inject(id, 0.0, Msg::Clients(ClientIn::Control(ClientControl::Stop)));
         }
     }
 
@@ -1072,17 +1095,17 @@ impl Cluster {
     /// (requires `record_leg_samples`). Feed these into
     /// `pbs_predictor::Predictor::from_samples` to close the
     /// measure→predict loop of §6.
-    pub fn drain_leg_samples(&mut self) -> crate::node::LegSamples {
-        let mut all = crate::node::LegSamples::default();
+    pub fn drain_leg_samples(&mut self) -> LegSamples {
+        let mut all = LegSamples::default();
         for id in 0..self.opts.nodes as usize {
-            all.merge(&mut self.node_mut(id).leg_samples);
+            all.merge(&mut self.shell_mut(id).leg_samples);
         }
         all
     }
 
     fn collect_detector_events(&mut self, out: &mut Vec<DetectorEvent>) {
         for id in 0..self.opts.nodes as usize {
-            out.append(&mut self.node_mut(id).detector_log);
+            out.append(&mut self.shell_mut(id).core.detector_log);
         }
         out.sort_by_key(|e| (e.at, e.op_id));
     }

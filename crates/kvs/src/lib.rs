@@ -32,6 +32,12 @@
 //!   op histories as an independent oracle for the streaming session
 //!   guarantees, the online staleness labels, and replica convergence.
 //!
+//! Each node is a sans-io protocol core — [`node::Node`], which takes
+//! [`node::Input`]s and answers in [`node::Output`]s over the typed
+//! [`messages`] — hosted in the simulator by a crate-private shell that
+//! alone knows the network model, the injected faults and how a timer is
+//! encoded.
+//!
 //! Ground-truth staleness comes from [`staleness::GroundTruth`]: the harness
 //! records every commit (version, commit time) and labels every read against
 //! the versions actually committed before it started — the oracle the paper
@@ -68,12 +74,13 @@ pub mod cluster;
 pub mod experiments;
 mod fxhash;
 pub mod merkle;
-mod messages;
+pub mod messages;
 pub mod network;
-mod node;
+pub mod node;
 pub mod openloop;
 mod partition;
 mod ring;
+mod shell;
 pub mod staleness;
 pub mod version;
 

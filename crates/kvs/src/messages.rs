@@ -1,41 +1,94 @@
-//! The message vocabulary of the Dynamo-style protocol.
+//! The message vocabulary of the Dynamo-style protocol, as typed unions:
+//! what a client may send a node ([`ClientToNode`]), what nodes send each
+//! other ([`NodeToNode`]), what a node answers a client ([`NodeToClient`]),
+//! and the harness's controls for either side ([`NodeControl`] and the
+//! crate-private `ClientControl`). The simulator carries one message type,
+//! so the unions are wrapped once, by receiver, in `Msg`: a node cannot
+//! be handed an operation result, nor a client table a replica write.
 
-use crate::node::ClientResult;
 use crate::version::Version;
-use pbs_sim::ActorId;
+use pbs_sim::{ActorId, SimTime};
 
-/// Everything that travels between actors in the simulated cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Msg {
-    // ----- client → coordinator -----
-    // Issued either by an in-sim client actor (open loop) or injected by
-    // the blocking harness. The coordinator computes the preference list
-    // from its ring and assigns the write's sequence number when the
-    // operation actually starts.
+/// Client → coordinator. Issued either by an in-sim client (open loop) or
+/// injected by the blocking harness. The coordinator computes the
+/// preference list from its ring and assigns the write's sequence number
+/// when the operation actually starts.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ClientToNode {
     /// Begin a quorum write of `key`.
-    ClientWrite {
+    Write {
         /// Globally unique operation id (allocated by the issuer).
         op_id: u64,
         /// Target key.
         key: u64,
     },
     /// Begin a quorum read of `key`.
-    ClientRead {
+    Read {
         /// Globally unique operation id.
         op_id: u64,
         /// Target key.
         key: u64,
     },
+}
 
-    // ----- coordinator → client actor -----
-    /// A completed operation, routed back to the in-sim client actor that
-    /// issued it (operations injected by the blocking harness instead land
-    /// in the coordinator's `client_results`).
-    OpResult {
-        /// The completed operation.
-        result: ClientResult,
+/// Coordinator → client: a completed operation, routed back to whoever
+/// issued it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeToClient {
+    /// A write: `commit` is `None` when the write failed to reach `W` acks
+    /// before the hint timeout.
+    Write {
+        /// Operation id.
+        op_id: u64,
+        /// Key written.
+        key: u64,
+        /// Version installed.
+        version: Version,
+        /// Issue time.
+        start: SimTime,
+        /// Commit time (W-th ack), or None on failure.
+        commit: Option<SimTime>,
+        /// Replicas that had acked when the result was produced (at commit
+        /// for committed writes, at the hint timeout for failed ones), as
+        /// a bitmask over node ids below 64. Acks arrive *after* the
+        /// replica applied the version, so a set bit certifies durability
+        /// on that replica at the commit instant.
+        acked: u64,
     },
+    /// A read: `version` is the newest version among the first `R`
+    /// responses (None when no responder had the key).
+    Read {
+        /// Operation id.
+        op_id: u64,
+        /// Key read.
+        key: u64,
+        /// Issue time.
+        start: SimTime,
+        /// Completion time (R-th response).
+        finish: SimTime,
+        /// Returned version.
+        version: Option<Version>,
+        /// The replica whose response supplied the returned version
+        /// (`None` for an empty read).
+        source: Option<u32>,
+        /// The first `R` responders, as a bitmask over node ids below 64.
+        responders: u64,
+    },
+}
 
+impl NodeToClient {
+    /// The operation id.
+    pub(crate) fn op_id(&self) -> u64 {
+        match self {
+            NodeToClient::Write { op_id, .. } | NodeToClient::Read { op_id, .. } => *op_id,
+        }
+    }
+}
+
+/// Node ↔ node: coordinator → replica, replica → coordinator, and the
+/// anti-entropy exchanges.
+#[derive(Debug, Clone, PartialEq)]
+pub enum NodeToNode {
     // ----- coordinator → replica -----
     /// Replica-level write.
     ReplicaWrite {
@@ -49,10 +102,11 @@ pub enum Msg {
         coordinator: ActorId,
     },
     // ----- replica → itself (fault injection) -----
-    /// A [`Msg::ReplicaWrite`] apply deferred by buggify disk lag: the
-    /// replica re-delivers the write to itself after the lag and only then
-    /// applies it and acks the coordinator. Lost if the replica crashes
-    /// before the lag elapses — exactly like an fsync that never happened.
+    /// A [`NodeToNode::ReplicaWrite`] apply deferred by buggify disk lag:
+    /// the replica re-delivers the write to itself after the lag and only
+    /// then applies it and acks the coordinator. Lost if the replica
+    /// crashes before the lag elapses — exactly like an fsync that never
+    /// happened.
     DiskApply {
         /// Operation id.
         op_id: u64,
@@ -74,14 +128,14 @@ pub enum Msg {
     },
 
     // ----- replica → coordinator -----
-    /// Acknowledgment of a [`Msg::ReplicaWrite`].
+    /// Acknowledgment of a [`NodeToNode::ReplicaWrite`].
     WriteAck {
         /// Operation id.
         op_id: u64,
         /// Acknowledging replica.
         replica: ActorId,
     },
-    /// Response to a [`Msg::ReplicaRead`].
+    /// Response to a [`NodeToNode::ReplicaRead`].
     ReadResp {
         /// Operation id.
         op_id: u64,
@@ -107,10 +161,10 @@ pub enum Msg {
         key: u64,
         /// Version to merge.
         version: Version,
-        /// Where to send the [`Msg::HintAck`].
+        /// Where to send the [`NodeToNode::HintAck`].
         coordinator: ActorId,
     },
-    /// Acknowledgment of a [`Msg::HintedWrite`].
+    /// Acknowledgment of a [`NodeToNode::HintedWrite`].
     HintAck {
         /// Target key.
         key: u64,
@@ -142,8 +196,11 @@ pub enum Msg {
         /// `(key, version)` pairs to merge.
         entries: Vec<(u64, Version)>,
     },
+}
 
-    // ----- control (failure injection & lifecycle) -----
+/// Harness → node: failure injection and lifecycle.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum NodeControl {
     /// Crash the receiving node for the given duration.
     Crash {
         /// Downtime in milliseconds.
@@ -151,22 +208,67 @@ pub enum Msg {
         /// Whether the node loses its store contents (cold restart).
         wipe: bool,
     },
-    /// Start the periodic anti-entropy timer on the receiving node.
-    StartSync {
-        /// Sync period in milliseconds.
-        interval_ms: f64,
-    },
-    /// Start the periodic pending-op sweep on the receiving node: entries
-    /// older than `interval_ms` (the op timeout) are garbage-collected so
-    /// coordinator memory stays bounded by in-flight operations.
-    StartGc {
-        /// Sweep period = retention horizon in milliseconds.
-        interval_ms: f64,
-    },
-    /// Begin generating load (client actors only): schedules the actor's
-    /// first arrival.
-    StartClient,
-    /// Stop generating load (client actors only): no further arrivals are
-    /// issued; operations already in flight complete or time out normally.
-    StopClient,
+    /// Start the periodic anti-entropy timer, at the node's own
+    /// `sync_interval_ms`.
+    StartSync,
+    /// Start the periodic pending-op sweep: entries older than the node's
+    /// `op_timeout_ms` are garbage-collected so coordinator memory stays
+    /// bounded by in-flight operations.
+    StartGc,
+}
+
+/// Harness → client table: load generation on and off.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClientControl {
+    /// Begin generating load: schedules every client's first arrival.
+    Start,
+    /// Stop generating load: no further arrivals are issued; operations
+    /// already in flight complete or time out normally.
+    Stop,
+}
+
+/// Everything a node can receive.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum NodeIn {
+    /// A client's request.
+    Client(ClientToNode),
+    /// Another node's (or, for a deferred disk apply, its own) message.
+    Peer(NodeToNode),
+    /// The harness's crash and lifecycle controls.
+    Control(NodeControl),
+}
+
+/// Everything a client table can receive.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum ClientIn {
+    /// A coordinator's answer.
+    Reply(NodeToClient),
+    /// The harness's start / stop.
+    Control(ClientControl),
+}
+
+/// The simulator's message type: a receiver's union, tagged by the kind of
+/// receiver.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Msg {
+    /// Addressed to a storage node.
+    Node(NodeIn),
+    /// Addressed to a client table.
+    Clients(ClientIn),
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pbs_sim::Event;
+    use std::mem::size_of;
+
+    /// Every queued event carries one `Msg`; an operation result is its
+    /// largest payload and sets the size.
+    #[test]
+    fn wrapping_the_unions_adds_no_bytes_to_an_event() {
+        assert_eq!(size_of::<NodeToClient>(), 72);
+        assert_eq!(size_of::<Msg>(), 72);
+        assert_eq!(size_of::<Event<Msg>>(), 80);
+    }
 }

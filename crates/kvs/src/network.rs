@@ -278,16 +278,6 @@ impl NetworkModel {
         self.update_conditions(|c| c.faults = None);
     }
 
-    /// The currently installed *constant* fault profile, if any. A
-    /// multi-segment schedule returns `None` here — use
-    /// [`fault_schedule`](Self::fault_schedule) for the full timeline.
-    pub fn fault_profile(&self) -> Option<FaultProfile> {
-        if !self.dynamic_active.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.conditions().faults.as_ref().and_then(FaultSchedule::as_constant)
-    }
-
     /// The currently installed fault schedule, if any (a plain profile
     /// reads back as a single-segment constant schedule).
     pub fn fault_schedule(&self) -> Option<FaultSchedule> {
@@ -716,7 +706,7 @@ mod tests {
             "constant legs, certain duplication"
         );
         net.clear_fault_profile();
-        assert_eq!(net.fault_profile(), None);
+        assert_eq!(net.fault_schedule(), None);
         assert_eq!(net.transmit_buggified(Leg::W, 0, 1, 0.0, &mut rng), Delivery::Once(4.0));
     }
 
@@ -757,7 +747,7 @@ mod tests {
     fn invalid_profile_rejected_and_not_installed() {
         let net = constant_net();
         assert!(net.set_fault_profile(FaultProfile::new(0).with_drop(2.0)).is_err());
-        assert_eq!(net.fault_profile(), None);
+        assert_eq!(net.fault_schedule(), None);
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(net.transmit_buggified(Leg::W, 0, 1, 0.0, &mut rng), Delivery::Once(4.0));
     }
@@ -773,8 +763,6 @@ mod tests {
             ScheduleSegment::new(20.0, FaultProfile::new(7)),
         ]))
         .unwrap();
-        // Multi-segment schedules read back as a schedule, not a profile.
-        assert_eq!(net.fault_profile(), None);
         assert_eq!(net.fault_schedule().unwrap().segments().len(), 3);
         // Calm before, certain drop inside [10, 20), calm again after —
         // and the boundary itself belongs to the new segment.

@@ -1,180 +1,121 @@
-//! The Dynamo-style node: every node can coordinate client operations and
-//! store replicas (§2.2, Figure 1).
+//! The Dynamo-style node's protocol core: every node can coordinate client
+//! operations and store replicas (§2.2, Figure 1).
+//!
+//! The core is sans-io. [`Node::handle`] takes one [`Input`] at an instant
+//! and appends the [`Output`]s it causes; it owns the store, the pending
+//! operations, the hints and the counters, and knows nothing of how a
+//! message travels, which faults are injected, whose clock is skewed or how
+//! a timer is encoded — the shell that hosts it in the simulator does. So
+//! a protocol property ("`R` responses means `R` distinct replicas") can be
+//! stated and tested on bare cores, with no cluster around them.
 
-use crate::buggify::Delivery;
 use crate::cluster::ClusterOptions;
 use crate::fxhash::FxHashMap;
 use crate::merkle;
-use crate::messages::Msg;
-use crate::network::{Leg, NetworkModel};
+use crate::messages::{ClientToNode, NodeControl, NodeToClient, NodeToNode};
+use crate::network::Leg;
 use crate::ring::Ring;
 use crate::version::Version;
 use pbs_core::ReplicaConfig;
-use pbs_sim::{Actor, ActorId, Context, Event, SimDuration, SimTime};
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
+use pbs_sim::{ActorId, SimDuration, SimTime};
+use rand::{Rng, RngCore};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------------------
-// Timer tags: the top byte selects the timer kind, the rest carries an op id.
-// ---------------------------------------------------------------------------
-const TAG_KIND_SHIFT: u64 = 56;
-const KIND_RECOVER: u64 = 1;
-const KIND_SYNC: u64 = 2;
-const KIND_HINT_FLUSH: u64 = 3;
-const KIND_WRITE_TIMEOUT: u64 = 4;
-const KIND_GC: u64 = 5;
-
-/// Shared liveness map: nodes mark themselves down/up on crash/recovery,
-/// and operation issuers (the blocking harness and in-sim client actors
-/// alike) consult it to avoid handing an operation to a crashed
-/// coordinator — which would silently become an op timeout.
-#[derive(Debug)]
-pub(crate) struct DownTracker {
-    down: Vec<AtomicBool>,
+/// A timer a node sets on itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeTimer {
+    /// The end of a crash.
+    Recover,
+    /// The next anti-entropy round.
+    Sync,
+    /// The next redelivery of pending hints.
+    HintFlush,
+    /// The write-straggler deadline of one coordinated write.
+    WriteTimeout {
+        /// The write's operation id.
+        op_id: u64,
+    },
+    /// The next pending-op sweep.
+    Gc,
 }
 
-impl DownTracker {
-    /// All-up tracker over `nodes` nodes.
-    pub(crate) fn new(nodes: usize) -> Self {
-        Self { down: (0..nodes).map(|_| AtomicBool::new(false)).collect() }
-    }
-
-    /// Mark `node` down or up.
-    pub(crate) fn set_down(&self, node: usize, down: bool) {
-        self.down[node].store(down, Ordering::Relaxed);
-    }
-
-    /// Whether `node` is currently marked down.
-    pub(crate) fn is_down(&self, node: usize) -> bool {
-        self.down[node].load(Ordering::Relaxed)
-    }
-
-    /// Pick a coordinator uniformly at random among the **up** nodes of the
-    /// `count` starting at `base`, falling back to the raw draw when every
-    /// one is down (the op will then time out, as it must). Under the
-    /// parallel engine a client may only address nodes of its own
-    /// partition; everyone else passes `base = 0, count = nodes`. Consumes
-    /// exactly one RNG draw regardless of crash state (one draw, then a
-    /// linear probe), so healthy-cluster RNG streams are unchanged by this
-    /// check.
-    pub(crate) fn pick_up_node_in(&self, rng: &mut dyn RngCore, base: usize, count: usize) -> usize {
-        let start = rng.gen_range(0..count);
-        for probe in 0..count {
-            let candidate = base + (start + probe) % count;
-            if !self.is_down(candidate) {
-                return candidate;
-            }
-        }
-        base + start
-    }
+/// One thing that happens to a node.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Input {
+    /// A client's request arrived.
+    Client {
+        /// Who asked — where the result is delivered.
+        from: ActorId,
+        /// The request.
+        req: ClientToNode,
+    },
+    /// A node's message arrived.
+    Peer {
+        /// The message.
+        msg: NodeToNode,
+        /// How long this node's disk defers the apply of a
+        /// [`NodeToNode::ReplicaWrite`] (fault injection; 0 = apply now).
+        /// No other message reads it.
+        disk_lag_ms: f64,
+    },
+    /// A timer the node set has fired.
+    Timer(NodeTimer),
+    /// The harness crashed the node or started one of its periodic duties.
+    Control(NodeControl),
 }
 
-fn tag(kind: u64, op: u64) -> u64 {
-    debug_assert!(op < (1 << TAG_KIND_SHIFT));
-    (kind << TAG_KIND_SHIFT) | op
-}
-
-fn tag_kind(t: u64) -> u64 {
-    t >> TAG_KIND_SHIFT
-}
-
-fn tag_op(t: u64) -> u64 {
-    t & ((1 << TAG_KIND_SHIFT) - 1)
-}
-
-/// Recorded one-way delays per WARS leg.
-#[derive(Debug, Clone, Default)]
-pub struct LegSamples {
-    /// Write-propagation delays (`W`).
-    pub w: Vec<f64>,
-    /// Write-ack delays (`A`).
-    pub a: Vec<f64>,
-    /// Read-request delays (`R`).
-    pub r: Vec<f64>,
-    /// Read-response delays (`S`).
-    pub s: Vec<f64>,
-}
-
-impl LegSamples {
-    /// Merge another node's samples into this one.
-    pub fn merge(&mut self, other: &mut LegSamples) {
-        self.w.append(&mut other.w);
-        self.a.append(&mut other.a);
-        self.r.append(&mut other.r);
-        self.s.append(&mut other.s);
-    }
-
-    /// Total samples across the four legs.
-    pub fn len(&self) -> usize {
-        self.w.len() + self.a.len() + self.r.len() + self.s.len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+/// One effect a node asks of whatever hosts it. Effects are to be applied
+/// in the order they were emitted.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Output {
+    /// Send `msg` to node `to` over the network, on WARS leg `leg`.
+    Send {
+        /// The leg whose latency the message experiences.
+        leg: Leg,
+        /// Destination node.
+        to: ActorId,
+        /// The message.
+        msg: NodeToNode,
+    },
+    /// Hand `msg` back to this node after `after_ms`, bypassing the
+    /// network (a disk apply that lags).
+    SendSelf {
+        /// Delay in milliseconds.
+        after_ms: f64,
+        /// The message.
+        msg: NodeToNode,
+    },
+    /// Fire `timer` on this node after `after_ms`.
+    Timer {
+        /// Delay in milliseconds.
+        after_ms: f64,
+        /// Whether the delay is measured on the node's own (possibly
+        /// skewed) clock — hint timeout, hint flush, anti-entropy cadence —
+        /// or is harness bookkeeping on the global one (recovery, GC).
+        protocol_clock: bool,
+        /// The timer.
+        timer: NodeTimer,
+    },
+    /// Hand a finished operation to its issuer, with no delay: clients are
+    /// co-located with their coordinator.
+    Deliver {
+        /// The issuer ([`Input::Client::from`]).
+        to: ActorId,
+        /// The finished operation.
+        result: NodeToClient,
+    },
+    /// The node went down or came back up.
+    Liveness {
+        /// Whether it is now down.
+        down: bool,
+    },
 }
 
 /// Bitmask over replica node ids (`1 << id` for ids below 64). Nodes at
 /// or above 64 are silently omitted — the order oracle treats a missing
 /// bit as "no evidence", which only weakens (never falsifies) a check.
-fn replica_mask(ids: &[ActorId]) -> u64 {
-    ids.iter().filter(|&&id| id < 64).fold(0u64, |m, &id| m | (1u64 << id))
-}
-
-/// A completed client operation, drained by the harness.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ClientResult {
-    /// A write: `commit` is `None` when the write failed to reach `W` acks
-    /// before the hint timeout.
-    Write {
-        /// Operation id.
-        op_id: u64,
-        /// Key written.
-        key: u64,
-        /// Version installed.
-        version: Version,
-        /// Issue time.
-        start: SimTime,
-        /// Commit time (W-th ack), or None on failure.
-        commit: Option<SimTime>,
-        /// Replicas that had acked when the result was produced (at commit
-        /// for committed writes, at the hint timeout for failed ones), as
-        /// a bitmask over node ids below 64. Acks arrive *after* the
-        /// replica applied the version, so a set bit certifies durability
-        /// on that replica at the commit instant.
-        acked: u64,
-    },
-    /// A read: `version` is the newest version among the first `R`
-    /// responses (None when no responder had the key).
-    Read {
-        /// Operation id.
-        op_id: u64,
-        /// Key read.
-        key: u64,
-        /// Issue time.
-        start: SimTime,
-        /// Completion time (R-th response).
-        finish: SimTime,
-        /// Returned version.
-        version: Option<Version>,
-        /// The replica whose response supplied the returned version
-        /// (`None` for an empty read).
-        source: Option<u32>,
-        /// The first `R` responders, as a bitmask over node ids below 64.
-        responders: u64,
-    },
-}
-
-impl ClientResult {
-    /// The operation id.
-    pub(crate) fn op_id(&self) -> u64 {
-        match self {
-            ClientResult::Write { op_id, .. } | ClientResult::Read { op_id, .. } => *op_id,
-        }
-    }
+fn replica_mask(ids: impl Iterator<Item = ActorId>) -> u64 {
+    ids.filter(|&id| id < 64).fold(0u64, |m, id| m | (1u64 << id))
 }
 
 /// One asynchronous staleness-detector observation (§4.3): a read response
@@ -202,9 +143,8 @@ struct WriteState {
     acked: Vec<ActorId>,
     committed: Option<SimTime>,
     start: SimTime,
-    /// The in-sim client actor awaiting the result (`None` = issued by the
-    /// blocking harness, which polls `client_results` instead).
-    reply_to: Option<ActorId>,
+    /// Who awaits the result.
+    reply_to: ActorId,
 }
 
 impl Default for WriteState {
@@ -216,7 +156,7 @@ impl Default for WriteState {
             acked: Vec::new(),
             committed: None,
             start: SimTime::ZERO,
-            reply_to: None,
+            reply_to: 0,
         }
     }
 }
@@ -233,7 +173,7 @@ struct ReadState {
     /// fresher version, warranting a second repair).
     repaired: Vec<(ActorId, Version)>,
     start: SimTime,
-    reply_to: Option<ActorId>,
+    reply_to: ActorId,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -247,18 +187,14 @@ struct Hint {
     since: SimTime,
 }
 
-/// The node actor.
+/// The node's protocol state machine.
 pub struct Node {
     id: ActorId,
     /// The cluster's options, by value; `replication` follows live
     /// reconfiguration ([`set_replication`](Self::set_replication)).
-    opts: ClusterOptions,
-    net: Arc<NetworkModel>,
+    pub(crate) opts: ClusterOptions,
     ring: Arc<Ring>,
-    down_map: Arc<DownTracker>,
-    rng: StdRng,
     down: bool,
-    gc_interval_ms: Option<f64>,
     store: FxHashMap<u64, Version>,
     pending_writes: FxHashMap<u64, WriteState>,
     pending_reads: FxHashMap<u64, ReadState>,
@@ -269,15 +205,8 @@ pub struct Node {
     read_pool: Vec<ReadState>,
     hints: Vec<Hint>,
     hint_flush_scheduled: bool,
-    sync_interval_ms: Option<f64>,
-    /// Completed client operations awaiting harness pickup.
-    pub(crate) client_results: FxHashMap<u64, ClientResult>,
     /// Accumulated staleness-detector observations.
     pub(crate) detector_log: Vec<DetectorEvent>,
-    /// Per-leg one-way latency samples (WARS instrumentation, §5.5's
-    /// "easily collected" measurements). Populated when
-    /// [`ClusterOptions::record_leg_samples`] is set.
-    pub(crate) leg_samples: LegSamples,
     /// Stats: read-repair messages sent.
     pub repairs_sent: u64,
     /// Stats: hints successfully delivered.
@@ -303,25 +232,13 @@ impl std::fmt::Debug for Node {
 }
 
 impl Node {
-    /// Build node `id` with its own deterministic RNG stream, derived from
-    /// `opts.seed`. The down-tracker is shared cluster-wide.
-    pub(crate) fn new(
-        id: ActorId,
-        opts: ClusterOptions,
-        net: Arc<NetworkModel>,
-        ring: Arc<Ring>,
-        down_map: Arc<DownTracker>,
-    ) -> Self {
-        let rng_seed = opts.seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    /// Node `id` of a cluster configured by `opts`, placing keys by `ring`.
+    pub fn new(id: ActorId, opts: ClusterOptions, ring: Arc<Ring>) -> Self {
         Self {
             id,
             opts,
-            net,
             ring,
-            down_map,
-            rng: StdRng::seed_from_u64(rng_seed),
             down: false,
-            gc_interval_ms: None,
             store: FxHashMap::default(),
             pending_writes: FxHashMap::default(),
             pending_reads: FxHashMap::default(),
@@ -329,10 +246,7 @@ impl Node {
             read_pool: Vec::new(),
             hints: Vec::new(),
             hint_flush_scheduled: false,
-            sync_interval_ms: None,
-            client_results: FxHashMap::default(),
             detector_log: Vec::new(),
-            leg_samples: LegSamples::default(),
             repairs_sent: 0,
             hints_delivered: 0,
             hints_expired: 0,
@@ -348,6 +262,11 @@ impl Node {
     /// The node's stored version of `key`, if any.
     pub fn stored_version(&self, key: u64) -> Option<Version> {
         self.store.get(&key).copied()
+    }
+
+    /// Number of pending (undelivered, unexpired) hints.
+    pub fn hint_count(&self) -> usize {
+        self.hints.len()
     }
 
     /// Change the quorum sizes this node uses when coordinating (live
@@ -366,6 +285,109 @@ impl Node {
         self.ring = ring;
     }
 
+    /// Take `input` in at `now`, appending every effect it causes to `out`
+    /// in the order a host must apply them. `rng` is the node's one random
+    /// stream, lent for the call: the core draws from it only to pick an
+    /// anti-entropy peer, and before it emits that round's send.
+    pub fn handle(
+        &mut self,
+        now: SimTime,
+        input: Input,
+        rng: &mut dyn RngCore,
+        out: &mut Vec<Output>,
+    ) {
+        // A crashed node processes nothing except its own recovery timer
+        // and the GC sweep (pure bookkeeping, kept alive through crashes).
+        if self.down && !matches!(input, Input::Timer(NodeTimer::Recover | NodeTimer::Gc)) {
+            return;
+        }
+        match input {
+            Input::Client { from, req: ClientToNode::Write { op_id, key } } => {
+                self.on_client_write(now, op_id, key, from, out);
+            }
+            Input::Client { from, req: ClientToNode::Read { op_id, key } } => {
+                self.on_client_read(now, op_id, key, from, out);
+            }
+            Input::Peer { msg, disk_lag_ms } => self.on_peer(now, msg, disk_lag_ms, out),
+            Input::Timer(NodeTimer::Recover) => self.on_recover(out),
+            Input::Timer(NodeTimer::Sync) => self.on_sync_timer(rng, out),
+            Input::Timer(NodeTimer::HintFlush) => self.on_hint_flush(out),
+            Input::Timer(NodeTimer::WriteTimeout { op_id }) => {
+                self.on_write_timeout(now, op_id, out);
+            }
+            Input::Timer(NodeTimer::Gc) => self.on_gc(now, out),
+            Input::Control(NodeControl::Crash { down_ms, wipe }) => {
+                self.on_crash(down_ms, wipe, out);
+            }
+            Input::Control(NodeControl::StartSync) => {
+                if let Some(interval) = self.opts.sync_interval_ms {
+                    // Stagger the first round by the node id to avoid
+                    // thundering herds.
+                    let stagger =
+                        interval * (self.id as f64 + 1.0) / (self.ring.nodes() as f64 + 1.0);
+                    out.push(protocol_timer(stagger, NodeTimer::Sync));
+                }
+            }
+            Input::Control(NodeControl::StartGc) => {
+                out.push(harness_timer(self.opts.op_timeout_ms, NodeTimer::Gc));
+            }
+        }
+    }
+
+    fn on_peer(&mut self, now: SimTime, msg: NodeToNode, disk_lag_ms: f64, out: &mut Vec<Output>) {
+        match msg {
+            NodeToNode::ReplicaWrite { op_id, key, version, coordinator } => {
+                if disk_lag_ms > 0.0 {
+                    // Buggify disk lag: defer the apply *and* the ack. If
+                    // this node crashes before the lag elapses, the write
+                    // is lost — like an fsync that never landed.
+                    out.push(Output::SendSelf {
+                        after_ms: disk_lag_ms,
+                        msg: NodeToNode::DiskApply { op_id, key, version, coordinator },
+                    });
+                } else {
+                    self.apply_and_ack(op_id, key, version, coordinator, out);
+                }
+            }
+            NodeToNode::DiskApply { op_id, key, version, coordinator } => {
+                self.apply_and_ack(op_id, key, version, coordinator, out);
+            }
+            NodeToNode::ReplicaRead { op_id, key, coordinator } => {
+                let version = self.store.get(&key).copied();
+                let resp = NodeToNode::ReadResp { op_id, replica: self.id, version };
+                send(out, Leg::S, coordinator, resp);
+            }
+            NodeToNode::WriteAck { op_id, replica } => self.on_write_ack(now, op_id, replica, out),
+            NodeToNode::ReadResp { op_id, replica, version } => {
+                self.on_read_resp(now, op_id, replica, version, out);
+            }
+            NodeToNode::RepairWrite { key, version } => self.apply_version(key, version),
+            NodeToNode::HintedWrite { key, version, coordinator } => {
+                self.apply_version(key, version);
+                let ack = NodeToNode::HintAck { key, version, replica: self.id };
+                send(out, Leg::A, coordinator, ack);
+            }
+            NodeToNode::HintAck { key, version, replica } => {
+                // An ack for version v clears any hint at v *or older* for
+                // that target/key: replicas keep the max, so an acked
+                // delivery subsumes every older missed version.
+                let before = self.hints.len();
+                self.hints
+                    .retain(|h| !(h.target == replica && h.key == key && h.version <= version));
+                self.hints_delivered += (before - self.hints.len()) as u64;
+            }
+            NodeToNode::SyncDigest { from, buckets } => self.on_sync_digest(from, buckets, out),
+            NodeToNode::SyncDiff { from, entries, differing } => {
+                self.merge_entries(entries);
+                let reply = self.entries_in_buckets(from, &differing);
+                if !reply.is_empty() {
+                    send(out, Leg::A, from, NodeToNode::SyncDiffReply { entries: reply });
+                }
+            }
+            NodeToNode::SyncDiffReply { entries } => self.merge_entries(entries),
+        }
+    }
+
     fn apply_version(&mut self, key: u64, version: Version) {
         if self.opts.mutations.drop_version_merge {
             // Mutation: blind last-writer-in overwrite — a stale repair or
@@ -379,54 +401,22 @@ impl Node {
         }
     }
 
-    /// Send on `leg`: whether the message arrives, when, and how often is
-    /// the network model's decision alone (partition, latency regime, and
-    /// the fault-schedule segment active at the sender's current time).
-    fn send(&mut self, ctx: &mut Context<'_, Msg>, leg: Leg, to: ActorId, msg: Msg) {
-        let now_ms = ctx.now().as_ms();
-        match self.net.transmit_buggified(leg, self.id, to, now_ms, &mut self.rng) {
-            Delivery::Dropped => {} // partitioned away or buggify drop
-            Delivery::Once(delay) => {
-                self.record_leg(leg, delay);
-                ctx.send(to, delay, msg);
-            }
-            Delivery::Twice(first, second) => {
-                // An at-least-once network delivered the message twice;
-                // both copies are real deliveries with real delays.
-                self.record_leg(leg, first);
-                self.record_leg(leg, second);
-                ctx.send(to, first, msg.clone());
-                ctx.send(to, second, msg);
-            }
-        }
+    fn apply_and_ack(
+        &mut self,
+        op_id: u64,
+        key: u64,
+        version: Version,
+        coordinator: ActorId,
+        out: &mut Vec<Output>,
+    ) {
+        self.apply_version(key, version);
+        send(out, Leg::A, coordinator, NodeToNode::WriteAck { op_id, replica: self.id });
     }
 
-    fn record_leg(&mut self, leg: Leg, delay: f64) {
-        if self.opts.record_leg_samples {
-            match leg {
-                Leg::W => self.leg_samples.w.push(delay),
-                Leg::A => self.leg_samples.a.push(delay),
-                Leg::R => self.leg_samples.r.push(delay),
-                Leg::S => self.leg_samples.s.push(delay),
-            }
-        }
-    }
-
-    /// Convert a node-local protocol interval to the global delay the
-    /// simulator should wait, under the node's buggify clock skew
-    /// (identity without a fault profile). Applied to *protocol* timers —
-    /// hint timeout, hint flush, anti-entropy cadence — but not to the
-    /// recovery and GC timers, which are harness bookkeeping rather than
-    /// clock-driven node behaviour.
-    fn timer_ms(&self, now_ms: f64, local_ms: f64) -> f64 {
-        self.net.clock_of(self.id, now_ms).global_delay_ms(local_ms)
-    }
-
-    fn schedule_hint_flush(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn schedule_hint_flush(&mut self, out: &mut Vec<Output>) {
         if !self.hint_flush_scheduled && !self.hints.is_empty() {
             self.hint_flush_scheduled = true;
-            let delay = self.timer_ms(ctx.now().as_ms(), self.opts.hint_flush_interval_ms);
-            ctx.set_timer(delay, tag(KIND_HINT_FLUSH, 0));
+            out.push(protocol_timer(self.opts.hint_flush_interval_ms, NodeTimer::HintFlush));
         }
     }
 
@@ -445,36 +435,24 @@ impl Node {
         }
     }
 
-    /// Number of pending (undelivered, unexpired) hints.
-    pub fn hint_count(&self) -> usize {
-        self.hints.len()
-    }
-
-    /// Route a completed operation to its issuer: in-sim client actors get
-    /// an [`Msg::OpResult`] message (zero delay — clients are co-located
-    /// with their coordinator); blocking-harness operations land in
-    /// [`client_results`](Self::client_results).
-    fn deliver(&mut self, ctx: &mut Context<'_, Msg>, reply_to: Option<ActorId>, result: ClientResult) {
-        match reply_to {
-            Some(client) => ctx.send(client, 0.0, Msg::OpResult { result }),
-            None => {
-                self.client_results.insert(result.op_id(), result);
-            }
-        }
-    }
-
     // ----- coordinator: writes -----
 
-    fn on_client_write(&mut self, ctx: &mut Context<'_, Msg>, op_id: u64, key: u64, from: ActorId) {
+    fn on_client_write(
+        &mut self,
+        now: SimTime,
+        op_id: u64,
+        key: u64,
+        from: ActorId,
+        out: &mut Vec<Output>,
+    ) {
         // The sequence number is the write's start instant (+1 so 0 stays
         // the "absent" sentinel): version order matches write-start order
         // with no cluster-wide shared allocator, so coordinators on
         // different parallel-engine partitions assign identical versions
         // to identical schedules. Simultaneous starts at different
         // coordinators tie on `seq` and resolve by writer id.
-        let seq = ctx.now().as_nanos() + 1;
+        let seq = now.as_nanos() + 1;
         let version = Version::new(seq, self.id as u32);
-        let reply_to = (from != self.id).then_some(from);
         let mut state = self.write_pool.pop().unwrap_or_default();
         state.key = key;
         state.version = version;
@@ -482,25 +460,23 @@ impl Node {
         state.replicas.extend(self.ring.replicas(key).iter().map(|&n| n as usize));
         state.acked.clear();
         state.committed = None;
-        state.start = ctx.now();
-        state.reply_to = reply_to;
+        state.start = now;
+        state.reply_to = from;
         debug_assert!(state.replicas.len() >= self.opts.replication.w() as usize);
         for &replica in &state.replicas {
-            self.send(
-                ctx,
-                Leg::W,
-                replica,
-                Msg::ReplicaWrite { op_id, key, version, coordinator: self.id },
-            );
+            let write = NodeToNode::ReplicaWrite { op_id, key, version, coordinator: self.id };
+            send(out, Leg::W, replica, write);
         }
         self.pending_writes.insert(op_id, state);
         if self.opts.hinted_handoff {
-            let delay = self.timer_ms(ctx.now().as_ms(), self.opts.hint_timeout_ms);
-            ctx.set_timer(delay, tag(KIND_WRITE_TIMEOUT, op_id));
+            out.push(protocol_timer(
+                self.opts.hint_timeout_ms,
+                NodeTimer::WriteTimeout { op_id },
+            ));
         }
     }
 
-    fn on_write_ack(&mut self, ctx: &mut Context<'_, Msg>, op_id: u64, replica: ActorId) {
+    fn on_write_ack(&mut self, now: SimTime, op_id: u64, replica: ActorId, out: &mut Vec<Output>) {
         let Some(state) = self.pending_writes.get_mut(&op_id) else {
             return; // late ack after hint timeout cleanup
         };
@@ -508,84 +484,79 @@ impl Node {
             return; // duplicate (e.g. hint + original both landed)
         }
         state.acked.push(replica);
-        let mut completed: Option<(Option<ActorId>, ClientResult)> = None;
+        let mut completed = None;
         if state.committed.is_none() && state.acked.len() >= self.opts.replication.w() as usize {
-            state.committed = Some(ctx.now());
-            completed = Some((
-                state.reply_to,
-                ClientResult::Write {
+            state.committed = Some(now);
+            completed = Some(Output::Deliver {
+                to: state.reply_to,
+                result: NodeToClient::Write {
                     op_id,
                     key: state.key,
                     version: state.version,
                     start: state.start,
-                    commit: Some(ctx.now()),
-                    acked: replica_mask(&state.acked),
+                    commit: Some(now),
+                    acked: replica_mask(state.acked.iter().copied()),
                 },
-            ));
+            });
         }
         if state.acked.len() == state.replicas.len() {
             if let Some(state) = self.pending_writes.remove(&op_id) {
                 self.write_pool.push(state); // fully replicated; recycle
             }
         }
-        if let Some((reply_to, result)) = completed {
-            self.deliver(ctx, reply_to, result);
-        }
+        out.extend(completed);
     }
 
-    fn on_write_timeout(&mut self, ctx: &mut Context<'_, Msg>, op_id: u64) {
+    fn on_write_timeout(&mut self, now: SimTime, op_id: u64, out: &mut Vec<Output>) {
         let Some(state) = self.pending_writes.remove(&op_id) else {
             return; // completed before the timeout
         };
         if state.committed.is_none() {
             // The write failed to reach its quorum in time.
-            self.deliver(
-                ctx,
-                state.reply_to,
-                ClientResult::Write {
+            out.push(Output::Deliver {
+                to: state.reply_to,
+                result: NodeToClient::Write {
                     op_id,
                     key: state.key,
                     version: state.version,
                     start: state.start,
                     commit: None,
-                    acked: replica_mask(&state.acked),
+                    acked: replica_mask(state.acked.iter().copied()),
                 },
-            );
+            });
         }
         // Hint every replica that never acked (coalesced per target/key).
-        let now = ctx.now();
         for &replica in &state.replicas {
             if !state.acked.contains(&replica) {
                 self.push_hint(replica, state.key, state.version, now);
             }
         }
         self.write_pool.push(state);
-        self.schedule_hint_flush(ctx);
+        self.schedule_hint_flush(out);
     }
 
-    fn on_hint_flush(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn on_hint_flush(&mut self, out: &mut Vec<Output>) {
         self.hint_flush_scheduled = false;
-        if self.opts.mutations.swallow_hints {
-            // Mutation: hints are stashed but never redelivered.
-            self.schedule_hint_flush(ctx);
-            return;
+        // Mutation `swallow_hints`: hints are stashed but never redelivered.
+        if !self.opts.mutations.swallow_hints {
+            for h in &self.hints {
+                let (key, version, coordinator) = (h.key, h.version, self.id);
+                send(out, Leg::W, h.target, NodeToNode::HintedWrite { key, version, coordinator });
+            }
         }
-        let hints = self.hints.clone();
-        for h in hints {
-            self.send(
-                ctx,
-                Leg::W,
-                h.target,
-                Msg::HintedWrite { key: h.key, version: h.version, coordinator: self.id },
-            );
-        }
-        self.schedule_hint_flush(ctx);
+        self.schedule_hint_flush(out);
     }
 
     // ----- coordinator: reads -----
 
-    fn on_client_read(&mut self, ctx: &mut Context<'_, Msg>, op_id: u64, key: u64, from: ActorId) {
-        let reply_to = (from != self.id).then_some(from);
+    fn on_client_read(
+        &mut self,
+        now: SimTime,
+        op_id: u64,
+        key: u64,
+        from: ActorId,
+        out: &mut Vec<Output>,
+    ) {
         let mut state = self.read_pool.pop().unwrap_or_default();
         state.key = key;
         state.replicas.clear();
@@ -593,28 +564,32 @@ impl Node {
         state.responses.clear();
         state.returned = None;
         state.repaired.clear();
-        state.start = ctx.now();
-        state.reply_to = reply_to;
+        state.start = now;
+        state.reply_to = from;
         debug_assert!(state.replicas.len() >= self.opts.replication.r() as usize);
         for &replica in &state.replicas {
-            self.send(ctx, Leg::R, replica, Msg::ReplicaRead { op_id, key, coordinator: self.id });
+            let read = NodeToNode::ReplicaRead { op_id, key, coordinator: self.id };
+            send(out, Leg::R, replica, read);
         }
         self.pending_reads.insert(op_id, state);
     }
 
     fn on_read_resp(
         &mut self,
-        ctx: &mut Context<'_, Msg>,
+        now: SimTime,
         op_id: u64,
         replica: ActorId,
         version: Option<Version>,
+        out: &mut Vec<Output>,
     ) {
-        let now = ctx.now();
         let Some(state) = self.pending_reads.get_mut(&op_id) else {
             return;
         };
+        if state.responses.iter().any(|(r, _)| *r == replica) {
+            return; // duplicate: a replica counts once toward R
+        }
         state.responses.push((replica, version));
-        let mut completed: Option<(Option<ActorId>, ClientResult)> = None;
+        let mut completed = None;
         if state.returned.is_none() && state.responses.len() >= self.opts.replication.r() as usize {
             // Return the newest of the first R responses (None < Some).
             let best = state.responses.iter().map(|(_, v)| *v).max().flatten();
@@ -629,23 +604,18 @@ impl Node {
                     .find(|(_, v)| *v == Some(b))
                     .map(|(replica, _)| *replica as u32)
             });
-            let responders = state
-                .responses
-                .iter()
-                .filter(|(r, _)| *r < 64)
-                .fold(0u64, |m, (r, _)| m | (1u64 << *r));
-            completed = Some((
-                state.reply_to,
-                ClientResult::Read {
+            completed = Some(Output::Deliver {
+                to: state.reply_to,
+                result: NodeToClient::Read {
                     op_id,
                     key: state.key,
                     start: state.start,
                     finish: now,
                     version: best,
                     source,
-                    responders,
+                    responders: replica_mask(state.responses.iter().map(|(r, _)| *r)),
                 },
-            ));
+            });
         } else if let Some(returned) = state.returned {
             // A late (N − R) response: the asynchronous staleness detector
             // (§4.3) compares it against what the client saw.
@@ -697,9 +667,7 @@ impl Node {
                 self.read_pool.push(state); // fully answered; recycle
             }
         }
-        if let Some((reply_to, result)) = completed {
-            self.deliver(ctx, reply_to, result);
-        }
+        out.extend(completed);
         if let Some((key, freshest, stale)) = repairs {
             // Mutation: repair with a fabricated version no client ever
             // wrote — ~70k seconds ahead of any real write-start seq.
@@ -710,7 +678,7 @@ impl Node {
             };
             for replica in stale {
                 self.repairs_sent += 1;
-                self.send(ctx, Leg::W, replica, Msg::RepairWrite { key, version });
+                send(out, Leg::W, replica, NodeToNode::RepairWrite { key, version });
             }
         }
     }
@@ -718,18 +686,15 @@ impl Node {
     // ----- pending-op garbage collection -----
 
     /// Periodic sweep: drop pending-op state older than the retention
-    /// horizon. Issuers detect their own timeouts (the blocking harness by
-    /// deadline, client tables by their op-deadline FIFO), so a swept entry
-    /// has already been reported; sweeping merely bounds coordinator
-    /// memory by *in-flight* operations under message loss or partitions,
-    /// where the N-th ack/response may never arrive.
-    fn on_gc(&mut self, ctx: &mut Context<'_, Msg>) {
-        let Some(interval) = self.gc_interval_ms else {
-            return;
-        };
-        ctx.set_timer(interval, tag(KIND_GC, 0));
+    /// horizon, the op timeout. Issuers detect their own timeouts (the
+    /// blocking harness by deadline, client tables by their op-deadline
+    /// FIFO), so a swept entry has already been reported; sweeping merely
+    /// bounds coordinator memory by *in-flight* operations under message
+    /// loss or partitions, where the N-th ack/response may never arrive.
+    fn on_gc(&mut self, now: SimTime, out: &mut Vec<Output>) {
+        let interval = self.opts.op_timeout_ms;
+        out.push(harness_timer(interval, NodeTimer::Gc));
         let horizon = SimDuration::from_ms(interval);
-        let now = ctx.now();
         let cutoff = if now.as_nanos() > horizon.as_nanos() {
             SimTime::from_ms(now.as_ms() - interval)
         } else {
@@ -768,221 +733,122 @@ impl Node {
             .collect()
     }
 
-    fn on_sync_timer(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(interval) = self.sync_interval_ms {
-            ctx.set_timer(self.timer_ms(ctx.now().as_ms(), interval), tag(KIND_SYNC, 0));
-            let n = self.ring.nodes() as usize;
-            if n > 1 {
-                let mut peer = self.rng.gen_range(0..n - 1);
-                if peer >= self.id {
-                    peer += 1;
-                }
-                self.sync_rounds += 1;
-                let buckets = self.my_digest_for(peer);
-                self.send(ctx, Leg::A, peer, Msg::SyncDigest { from: self.id, buckets });
-            }
-        }
-    }
-
-    fn on_sync_digest(&mut self, ctx: &mut Context<'_, Msg>, from: ActorId, theirs: Vec<u64>) {
-        let mine = self.my_digest_for(from);
-        let differing = merkle::differing_buckets(&mine, &theirs);
-        if !differing.is_empty() {
-            let entries = self.entries_in_buckets(from, &differing);
-            self.send(ctx, Leg::A, from, Msg::SyncDiff { from: self.id, entries, differing });
-        }
-    }
-
-    fn on_sync_diff(
-        &mut self,
-        ctx: &mut Context<'_, Msg>,
-        from: ActorId,
-        entries: Vec<(u64, Version)>,
-        differing: Vec<u32>,
-    ) {
+    /// Merge a peer's entries for the keys this node replicates.
+    fn merge_entries(&mut self, entries: Vec<(u64, Version)>) {
         for (key, version) in entries {
             if self.ring.is_replica(key, self.id as u32) {
                 self.apply_version(key, version);
             }
         }
-        let reply = self.entries_in_buckets(from, &differing);
-        if !reply.is_empty() {
-            self.send(ctx, Leg::A, from, Msg::SyncDiffReply { entries: reply });
+    }
+
+    fn on_sync_timer(&mut self, rng: &mut dyn RngCore, out: &mut Vec<Output>) {
+        let Some(interval) = self.opts.sync_interval_ms else {
+            return;
+        };
+        out.push(protocol_timer(interval, NodeTimer::Sync));
+        let n = self.ring.nodes() as usize;
+        if n > 1 {
+            let mut peer = rng.gen_range(0..n - 1);
+            if peer >= self.id {
+                peer += 1;
+            }
+            self.sync_rounds += 1;
+            let buckets = self.my_digest_for(peer);
+            send(out, Leg::A, peer, NodeToNode::SyncDigest { from: self.id, buckets });
+        }
+    }
+
+    fn on_sync_digest(&mut self, from: ActorId, theirs: Vec<u64>, out: &mut Vec<Output>) {
+        let mine = self.my_digest_for(from);
+        let differing = merkle::differing_buckets(&mine, &theirs);
+        if !differing.is_empty() {
+            let entries = self.entries_in_buckets(from, &differing);
+            send(out, Leg::A, from, NodeToNode::SyncDiff { from: self.id, entries, differing });
         }
     }
 
     // ----- failure handling -----
 
-    fn on_crash(&mut self, ctx: &mut Context<'_, Msg>, down_ms: f64, wipe: bool) {
+    fn on_crash(&mut self, down_ms: f64, wipe: bool, out: &mut Vec<Output>) {
         self.down = true;
-        self.down_map.set_down(self.id, true);
+        out.push(Output::Liveness { down: true });
         if wipe {
             self.store.clear();
         }
         // In-flight coordinated operations die with the coordinator.
         self.pending_writes.clear();
         self.pending_reads.clear();
-        ctx.set_timer(down_ms, tag(KIND_RECOVER, 0));
+        out.push(harness_timer(down_ms, NodeTimer::Recover));
     }
 
-    fn on_recover(&mut self, ctx: &mut Context<'_, Msg>) {
+    fn on_recover(&mut self, out: &mut Vec<Output>) {
         self.down = false;
-        self.down_map.set_down(self.id, false);
-        if self.sync_interval_ms.is_some() {
-            ctx.set_timer(0.0, tag(KIND_SYNC, 0));
+        out.push(Output::Liveness { down: false });
+        if self.opts.sync_interval_ms.is_some() {
+            out.push(harness_timer(0.0, NodeTimer::Sync));
         }
         self.hint_flush_scheduled = false;
-        self.schedule_hint_flush(ctx);
+        self.schedule_hint_flush(out);
     }
 }
 
-impl Actor for Node {
-    type Msg = Msg;
+fn send(out: &mut Vec<Output>, leg: Leg, to: ActorId, msg: NodeToNode) {
+    out.push(Output::Send { leg, to, msg });
+}
 
-    fn on_event(&mut self, ctx: &mut Context<'_, Msg>, event: Event<Msg>) {
-        // A crashed node processes nothing except its own recovery timer
-        // and the GC sweep (pure bookkeeping, kept alive through crashes).
-        if self.down {
-            if let Event::Timer { tag: t } = event {
-                match tag_kind(t) {
-                    KIND_RECOVER => self.on_recover(ctx),
-                    KIND_GC => self.on_gc(ctx),
-                    _ => {}
-                }
-            }
-            return;
-        }
-        match event {
-            Event::Message { from, msg } => match msg {
-                Msg::ClientWrite { op_id, key } => {
-                    self.on_client_write(ctx, op_id, key, from);
-                }
-                Msg::ClientRead { op_id, key } => {
-                    self.on_client_read(ctx, op_id, key, from);
-                }
-                Msg::ReplicaWrite { op_id, key, version, coordinator } => {
-                    let lag = self.net.disk_lag_ms(self.id, ctx.now().as_ms(), &mut self.rng);
-                    if lag > 0.0 {
-                        // Buggify disk lag: defer the apply *and* the ack.
-                        // If this node crashes before the lag elapses, the
-                        // write is lost — like an fsync that never landed.
-                        ctx.send(self.id, lag, Msg::DiskApply { op_id, key, version, coordinator });
-                    } else {
-                        self.apply_version(key, version);
-                        self.send(
-                            ctx,
-                            Leg::A,
-                            coordinator,
-                            Msg::WriteAck { op_id, replica: self.id },
-                        );
-                    }
-                }
-                Msg::DiskApply { op_id, key, version, coordinator } => {
-                    self.apply_version(key, version);
-                    self.send(ctx, Leg::A, coordinator, Msg::WriteAck { op_id, replica: self.id });
-                }
-                Msg::ReplicaRead { op_id, key, coordinator } => {
-                    let version = self.store.get(&key).copied();
-                    self.send(
-                        ctx,
-                        Leg::S,
-                        coordinator,
-                        Msg::ReadResp { op_id, replica: self.id, version },
-                    );
-                }
-                Msg::WriteAck { op_id, replica } => self.on_write_ack(ctx, op_id, replica),
-                Msg::ReadResp { op_id, replica, version } => {
-                    self.on_read_resp(ctx, op_id, replica, version);
-                }
-                Msg::RepairWrite { key, version } => self.apply_version(key, version),
-                Msg::HintedWrite { key, version, coordinator } => {
-                    self.apply_version(key, version);
-                    self.send(
-                        ctx,
-                        Leg::A,
-                        coordinator,
-                        Msg::HintAck { key, version, replica: self.id },
-                    );
-                }
-                Msg::HintAck { key, version, replica } => {
-                    // An ack for version v clears any hint at v *or older*
-                    // for that target/key: replicas keep the max, so an
-                    // acked delivery subsumes every older missed version.
-                    let before = self.hints.len();
-                    self.hints.retain(|h| {
-                        !(h.target == replica && h.key == key && h.version <= version)
-                    });
-                    self.hints_delivered += (before - self.hints.len()) as u64;
-                }
-                Msg::SyncDigest { from, buckets } => self.on_sync_digest(ctx, from, buckets),
-                Msg::SyncDiff { from, entries, differing } => {
-                    self.on_sync_diff(ctx, from, entries, differing);
-                }
-                Msg::SyncDiffReply { entries } => {
-                    for (key, version) in entries {
-                        if self.ring.is_replica(key, self.id as u32) {
-                            self.apply_version(key, version);
-                        }
-                    }
-                }
-                Msg::Crash { down_ms, wipe } => self.on_crash(ctx, down_ms, wipe),
-                Msg::StartSync { interval_ms } => {
-                    self.sync_interval_ms = Some(interval_ms);
-                    // Stagger the first round by the node id to avoid
-                    // thundering herds.
-                    let stagger = interval_ms * (self.id as f64 + 1.0)
-                        / (self.ring.nodes() as f64 + 1.0);
-                    ctx.set_timer(self.timer_ms(ctx.now().as_ms(), stagger), tag(KIND_SYNC, 0));
-                }
-                Msg::StartGc { interval_ms } => {
-                    self.gc_interval_ms = Some(interval_ms);
-                    ctx.set_timer(interval_ms, tag(KIND_GC, 0));
-                }
-                Msg::OpResult { result } => {
-                    unreachable!("nodes never receive op results: {result:?}")
-                }
-                Msg::StartClient | Msg::StopClient => {
-                    unreachable!("client lifecycle messages target client actors")
-                }
-            },
-            Event::Timer { tag: t } => match tag_kind(t) {
-                KIND_RECOVER => self.on_recover(ctx),
-                KIND_SYNC => self.on_sync_timer(ctx),
-                KIND_HINT_FLUSH => self.on_hint_flush(ctx),
-                KIND_WRITE_TIMEOUT => self.on_write_timeout(ctx, tag_op(t)),
-                KIND_GC => self.on_gc(ctx),
-                other => unreachable!("unknown timer kind {other}"),
-            },
-        }
-    }
+/// A timer on the node's own clock.
+fn protocol_timer(after_ms: f64, timer: NodeTimer) -> Output {
+    Output::Timer { after_ms, protocol_clock: true, timer }
+}
+
+/// A timer on the global clock (harness bookkeeping: recovery, GC).
+fn harness_timer(after_ms: f64, timer: NodeTimer) -> Output {
+    Output::Timer { after_ms, protocol_clock: false, timer }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn timer_tags_round_trip() {
-        let t = tag(KIND_WRITE_TIMEOUT, 123_456);
-        assert_eq!(tag_kind(t), KIND_WRITE_TIMEOUT);
-        assert_eq!(tag_op(t), 123_456);
-        assert_eq!(tag_kind(tag(KIND_SYNC, 0)), KIND_SYNC);
+    fn node(id: ActorId, r: u32, w: u32) -> Node {
+        let opts = ClusterOptions::validation(ReplicaConfig::new(3, r, w).unwrap(), 7);
+        Node::new(id, opts, Arc::new(Ring::new(3, 8, 3)))
     }
 
     #[test]
     fn apply_version_keeps_max() {
-        let net = Arc::new(NetworkModel::w_ars(
-            Arc::new(pbs_dist::Constant::new(1.0)),
-            Arc::new(pbs_dist::Constant::new(1.0)),
-        ));
-        let ring = Arc::new(Ring::new(3, 8, 3));
-        let opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), 7);
-        let mut node = Node::new(0, opts, net, ring, Arc::new(DownTracker::new(3)));
+        let mut node = node(0, 1, 1);
         node.apply_version(5, Version::new(2, 0));
         node.apply_version(5, Version::new(1, 0));
         assert_eq!(node.stored_version(5), Some(Version::new(2, 0)));
         node.apply_version(5, Version::new(3, 1));
         assert_eq!(node.stored_version(5), Some(Version::new(3, 1)));
         assert_eq!(node.store.len(), 1);
+    }
+
+    #[test]
+    fn a_replica_counts_once_toward_r() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut coordinator = node(0, 2, 1);
+        let mut feed = |input| {
+            let mut out = Vec::new();
+            coordinator.handle(SimTime::ZERO, input, &mut rng, &mut out);
+            out
+        };
+        let response = |replica| {
+            let msg = NodeToNode::ReadResp { op_id: 1, replica, version: None };
+            Input::Peer { msg, disk_lag_ms: 0.0 }
+        };
+        feed(Input::Client { from: 9, req: ClientToNode::Read { op_id: 1, key: 5 } });
+        assert_eq!(feed(response(1)), []);
+        assert_eq!(feed(response(1)), [], "the same replica again is not a second response");
+        let out = feed(response(2));
+        let [Output::Deliver { to: 9, result: NodeToClient::Read { responders, .. } }] = out[..]
+        else {
+            panic!("a second replica completes the R=2 read: {out:?}");
+        };
+        assert_eq!(responders, 0b110);
     }
 }

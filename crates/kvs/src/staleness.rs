@@ -254,13 +254,6 @@ impl GroundTruth {
         self.watermark = self.watermark.max(commit);
     }
 
-    /// Number of commits currently retained for `key` (with GC enabled,
-    /// compacted history below the horizon is excluded — see
-    /// [`dropped_commits`](Self::dropped_commits)).
-    pub fn commits_for(&self, key: u64) -> usize {
-        self.keys.get(&key).map_or(0, |h| h.commits.len())
-    }
-
     /// Every key with at least one finalised commit, in ascending order
     /// (sorted so downstream iteration — e.g. the convergence checker —
     /// is deterministic despite the hash-map storage).
@@ -443,7 +436,7 @@ mod tests {
         gt.ingest_commit(7, 5, t(10.0));
         gt.ingest_commit(7, 4, t(10.0));
         gt.advance_watermark(t(10.0));
-        assert_eq!(gt.commits_for(7), 2);
+        assert_eq!(gt.retained_commits(), 2);
         assert_eq!(gt.latest_committed_at(7, t(10.0)), Some(5));
     }
 

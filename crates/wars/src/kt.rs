@@ -70,14 +70,6 @@ pub struct KtResult {
     pub trials: usize,
 }
 
-impl KtResult {
-    /// Expected versions-behind, counting the `≥ k` bucket at `k` (a lower
-    /// bound on the true expectation).
-    pub fn mean_versions_behind(&self) -> f64 {
-        self.versions_behind.iter().enumerate().map(|(j, p)| j as f64 * p).sum()
-    }
-}
-
 /// Per-shard reusable state for the ⟨k,t⟩ hot loop — allocated once per
 /// shard, never per trial.
 struct KtScratch {
@@ -249,7 +241,6 @@ mod tests {
         let sum: f64 = res.versions_behind.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert_eq!(res.versions_behind.len(), 5);
-        assert!(res.mean_versions_behind() >= 0.0);
         assert!((res.versions_behind[4] - res.violation).abs() < 1e-12);
     }
 

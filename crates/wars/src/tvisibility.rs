@@ -239,14 +239,6 @@ impl TVisibility {
         1.0 - self.prob_consistent(t)
     }
 
-    /// One-sigma standard error of [`prob_consistent`](Self::prob_consistent)
-    /// at `t` (binomial normal approximation) — used to report Monte-Carlo
-    /// uncertainty in EXPERIMENTS.md.
-    pub fn std_error(&self, t: f64) -> f64 {
-        let p = self.prob_consistent(t);
-        (p * (1.0 - p) / self.trials() as f64).sqrt()
-    }
-
     /// Smallest `t ≥ 0` such that `P(consistent at t) ≥ p` — e.g.
     /// `t_at_probability(0.999)` is Table 4's "t-visibility for
     /// `p_st = .001`" — as a sketch quantile query (exact at `p = 1`,

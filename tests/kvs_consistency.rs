@@ -7,7 +7,8 @@ use pbs::kvs::cluster::{Cluster, ClusterOptions};
 use pbs::kvs::experiments::measure_t_visibility;
 use pbs::kvs::{ClientOptions, FaultProfile, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs::math::ReplicaConfig;
-use pbs::workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
+use pbs::sim::SimTime;
+use pbs::workload::{FixedRate, OpMix, OpSource, OpStream, Poisson, UniformKeys};
 use std::sync::Arc;
 
 fn net(w_mean: f64, ars_mean: f64) -> NetworkModel {
@@ -185,4 +186,34 @@ fn open_loop_labels_are_internally_consistent() {
     // The watermark advanced with the drains and nothing is stuck pending.
     assert_eq!(cluster.ground_truth().pending_commits(), 0);
     assert_eq!(cluster.ground_truth().watermark(), pbs::sim::SimTime::from_ms(4_000.0));
+}
+
+/// A strict quorum stays strict on an at-least-once network: under nothing
+/// but message duplication (every other message arrives twice), each read
+/// of an N=3, R=W=2 store completes on two *distinct* replicas and none is
+/// stale. Before the coordinator ignored a second response from one
+/// replica, about a third of these reads completed on a single replica
+/// and some of those returned stale data.
+#[test]
+fn duplicated_responses_do_not_count_twice_toward_a_strict_quorum() {
+    let cfg = ReplicaConfig::new(3, 2, 2).unwrap();
+    let mut cluster = Cluster::new(ClusterOptions::validation(cfg, 36), net(5.0, 1.0));
+    cluster.network().set_fault_profile(FaultProfile::new(36).with_duplicate(0.5)).unwrap();
+    for _ in 0..16 {
+        let source =
+            OpStream::new(Poisson::per_second(400.0), UniformKeys::new(8), OpMix::new(0.5), 1);
+        cluster.add_client(Box::new(source), ClientOptions::default());
+    }
+    cluster.start_clients();
+    let (mut reads, mut stale, mut short) = (0, 0, 0);
+    for window in 1..=6u32 {
+        let drain = cluster.drain_window(SimTime::from_ms(f64::from(window) * 500.0));
+        for read in drain.reads.iter().filter(|r| r.op.finish.is_some()) {
+            reads += 1;
+            stale += usize::from(!read.consistent());
+            short += usize::from(read.op.quorum_mask.count_ones() < 2);
+        }
+    }
+    assert!(reads > 5_000, "only {reads} reads completed");
+    assert_eq!((short, stale), (0, 0), "of {reads} reads: short quorums, stale returns");
 }

@@ -14,18 +14,15 @@
 //! The last test gates what the sweep is for: the cost of a read must not
 //! grow with the number of ops on its key.
 
-use pbs::dist::Pareto;
-use pbs::kvs::{
-    check_order, ClientOptions, Cluster, ClusterOptions, CompletedOp, CrashRecord, FaultProfile,
-    NetworkModel, OpHistory, OrderCheck, OrderViolation,
-};
-use pbs::math::ReplicaConfig;
+mod common;
+
+use common::storm_history;
+use pbs::kvs::{check_order, CompletedOp, CrashRecord, OpHistory, OrderCheck, OrderViolation};
 use pbs::sim::SimTime;
-use pbs::workload::{OpKind, OpMix, OpStream, Poisson, UniformKeys};
+use pbs::workload::OpKind;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 
 #[derive(Debug, Clone, Copy)]
@@ -191,39 +188,6 @@ fn reference_check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
         }
     }
     check
-}
-
-/// One history of the benchmark's `storm_audit` shape (the recipe of
-/// `tests/lin_reference.rs`): 8 nodes at N=3 R=W=1 on Pareto legs under
-/// `FaultProfile::storm` with one crash, 64 clients × 31.25 ops/s over
-/// 256 keys, half writes, 10 s, then settled.
-fn storm_history(seed: u64) -> OpHistory {
-    let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), seed);
-    opts.nodes = 8;
-    opts.op_timeout_ms = 2_000.0;
-    opts.read_repair = true;
-    opts.hinted_handoff = true;
-    let net = NetworkModel::w_ars(Arc::new(Pareto::new(1.5, 1.2)), Arc::new(Pareto::new(0.8, 2.0)));
-    let mut cluster = Cluster::new(opts, net);
-    cluster.enable_history();
-    cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
-    cluster.crash_node_at((seed % 8) as usize, SimTime::from_ms(4_000.0), 1_500.0);
-    for _ in 0..64 {
-        cluster.add_client(
-            Box::new(OpStream::new(
-                Poisson::per_second(31.25),
-                UniformKeys::new(256),
-                OpMix::new(0.5),
-                1,
-            )),
-            ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
-        );
-    }
-    cluster.start_clients();
-    cluster.drain_window(SimTime::from_ms(10_000.0));
-    cluster.stop_clients();
-    cluster.drain_window(SimTime::from_ms(12_500.0));
-    cluster.take_history()
 }
 
 /// The same history with every fifth completed read rolled back to the
