@@ -20,13 +20,17 @@
 //! windows are aggregated across the sweep, asserted nonzero (the checker
 //! must have teeth under partial quorums) and summarized as p50/p90.
 //!
-//! The strict runs are deliberately *not* run under the storm: a write
-//! that times out or loses its coordinator mid-flight is applied on some
+//! The WGL pair is deliberately *not* run under the storm: a write that
+//! times out or loses its coordinator mid-flight is applied on some
 //! replicas but never reaches a full `W` quorum, and its version can
 //! legally appear to one read and vanish from the next — Dynamo-style
 //! quorums are regular, not linearizable, the moment writes go partial.
 //! The checker flagging that is correct behaviour, not a regression, so
-//! gating it would only teach people to ignore the gate.
+//! gating it would only teach people to ignore the gate. What a strict
+//! quorum does owe under faults is regularity, so `--lin` runs the same
+//! configuration once more per seed **under** the storm and the seed's
+//! crash (serial engine) and fails on anything but
+//! `CheckReport::regular() == Some(true)`.
 
 use pbs_bench::cli;
 use pbs_dist::Pareto;
@@ -262,8 +266,24 @@ fn main() {
                     bad = true;
                 }
             }
+            // The same quorum under the storm and the crash: regular, and
+            // clean on every other count.
+            let (hist, check) = run(EngineKind::Serial, strict, seed, true);
+            if !check.is_clean() || check.regular() != Some(true) {
+                eprintln!(
+                    "FAIL seed {seed}: strict quorum under the storm is not regular \
+                     (regular() = {:?}): {:?} {:?}",
+                    check.regular(),
+                    check.labels,
+                    check.order
+                );
+                let p = dump_history(&out, "serial-strict-storm", seed, &hist, &check, false);
+                eprintln!("  history dumped to {}", p.display());
+                bad = true;
+            }
             lin_note = format!(
-                "; {} partial-quorum windows so far",
+                "; strict under storm regular over {} reads; {} partial-quorum windows so far",
+                check.labels.labelled_reads,
                 windows_ns.len()
             );
         }

@@ -26,16 +26,8 @@ fn main() {
         .collect();
 
     report::header("P(consistency) vs t (ms), one column per ARSλ:Wλ ratio");
-    let mut rows = Vec::new();
-    for &t in &ts {
-        let mut row = vec![format!("{t:.1}")];
-        for (_, tv) in &runs {
-            row.push(format!("{:.4}", tv.prob_consistent(t)));
-        }
-        rows.push(row);
-    }
     let labels: Vec<&str> = ratios.iter().map(|(_, l)| *l).collect();
-    report::table(&report::labeled_cols("t", &labels), &rows);
+    report::consistency_vs_t(&labels, runs.iter().map(|(_, tv)| tv), &ts, (1, 4));
 
     report::header("Key points (paper §5.3)");
     let mut rows = Vec::new();

@@ -34,20 +34,12 @@ fn main() {
         immediate.push(runs[0].prob_consistent(0.0));
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));
-        let mut rows = Vec::new();
         // t = 0 row first, then the log-spaced grid.
         let mut all_ts = vec![0.0];
         all_ts.extend(ts.iter().copied());
-        for &t in &all_ts {
-            let mut row = vec![format!("{t:.2}")];
-            for tv in &runs {
-                row.push(format!("{:.5}", tv.prob_consistent(t)));
-            }
-            rows.push(row);
-        }
         let labels: Vec<String> =
             quorums.iter().map(|(r, w)| format!("R={r} W={w}")).collect();
-        report::table(&report::labeled_cols("t", &labels), &rows);
+        report::consistency_vs_t(&labels, runs.iter(), &all_ts, (2, 5));
     }
 
     report::header("Immediate consistency, P(consistent at t=0), R=W=1 (paper §5.6)");

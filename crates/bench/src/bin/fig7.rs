@@ -27,16 +27,8 @@ fn main() {
         );
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));
-        let mut rows = Vec::new();
-        for &t in &ts {
-            let mut row = vec![format!("{t:.1}")];
-            for (_, tv) in &runs {
-                row.push(format!("{:.4}", tv.prob_consistent(t)));
-            }
-            rows.push(row);
-        }
         let labels: Vec<String> = ns.iter().map(|n| format!("N={n}")).collect();
-        report::table(&report::labeled_cols("t", &labels), &rows);
+        report::consistency_vs_t(&labels, runs.iter().map(|(_, tv)| tv), &ts, (1, 4));
 
         let mut rows = Vec::new();
         for (n, tv) in &runs {

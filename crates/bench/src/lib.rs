@@ -96,6 +96,21 @@ pub mod report {
         }
     }
 
+    /// The figure bins' "P(consistency) vs t" table: a row per `t` (printed
+    /// to `t_digits` decimals), a column per run (to `p_digits`).
+    pub fn consistency_vs_t<'a, S: AsRef<str>>(
+        labels: &[S],
+        runs: impl Iterator<Item = &'a pbs_wars::TVisibility> + Clone,
+        ts: &[f64],
+        (t_digits, p_digits): (usize, usize),
+    ) {
+        let row = |&t: &f64| {
+            let cells = runs.clone().map(|tv| format!("{:.p_digits$}", tv.prob_consistent(t)));
+            std::iter::once(format!("{t:.t_digits$}")).chain(cells).collect()
+        };
+        table(&labeled_cols("t", labels), &ts.iter().map(row).collect::<Vec<Vec<String>>>());
+    }
+
     /// Build a header row from a fixed first column plus per-series
     /// labels — the `vec!["t"]; cols.extend(labels…)` pattern previously
     /// duplicated across the figure binaries. Accepts `&[String]` and

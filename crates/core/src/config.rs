@@ -81,21 +81,6 @@ impl ReplicaConfig {
         2 * self.w > self.n
     }
 
-    /// Cassandra's documented default: `N=3, R=W=1` (§2.3).
-    pub fn cassandra_default() -> Self {
-        Self { n: 3, r: 1, w: 1 }
-    }
-
-    /// Riak's documented default: `N=3, R=W=2` (§2.3).
-    pub fn riak_default() -> Self {
-        Self { n: 3, r: 2, w: 2 }
-    }
-
-    /// LinkedIn's low-latency Voldemort deployment: `N=3, R=W=1` (§2.3).
-    pub fn voldemort_low_latency() -> Self {
-        Self { n: 3, r: 1, w: 1 }
-    }
-
     /// Majority quorums for a given `N`: `R = W = ⌊N/2⌋ + 1`.
     ///
     /// # Errors

@@ -495,6 +495,13 @@ impl FaultSchedule {
     }
 }
 
+/// A plain profile is the schedule that holds it forever.
+impl From<FaultProfile> for FaultSchedule {
+    fn from(profile: FaultProfile) -> Self {
+        Self::constant(profile)
+    }
+}
+
 /// Deliberate, test-only protocol breakages for **mutation testing** the
 /// checker's order oracle: each flag disables or corrupts one healing /
 /// merge mechanism in the storage node, and

@@ -28,7 +28,9 @@
 //! [`check_run`] runs all four, then [`lin::check_lin`]. Its per-key passes
 //! — the order oracle, its final-state rule and the linearizability
 //! search — read one partition of the history by key, built once per
-//! audit; called on its own, each builds the partition itself.
+//! audit; called on its own, each builds the partition itself. What a
+//! strict quorum owes under faults — regularity — is no further pass:
+//! [`CheckReport::regular`] reads it off the label and phantom counts.
 //!
 //! The checker is a test/diagnostic harness: recording a history is
 //! O(operations) memory, deliberately trading the engine's O(in-flight)
@@ -351,6 +353,10 @@ pub struct CheckReport {
     /// Replica convergence (when requested — only meaningful after the
     /// run has quiesced with faults cleared).
     pub convergence: Option<ConvergenceCheck>,
+    /// Whether every merged run is held to regularity
+    /// ([`regular`](Self::regular)): strict quorums (`R + W > N`) over one
+    /// placement from the start, and no crash that wiped a store.
+    pub regular_expected: bool,
     /// Runs merged into this report.
     pub runs: u32,
 }
@@ -369,13 +375,37 @@ impl CheckReport {
     /// [`LinCheck`] violations are deliberately **excluded** for the same
     /// reason session violations are: partial quorums (R+W ≤ N) violate
     /// linearizability by design — measuring those windows is the point,
-    /// not a failure. Strict-quorum runs should additionally gate on
+    /// not a failure — and strict ones do under faults, the moment a write
+    /// goes partial. What a strict quorum owes under every fault is
+    /// [`regular`](Self::regular), and a report that fails it is unclean.
+    /// Fault-free strict-quorum runs should additionally gate on
     /// [`LinCheck::all_linearizable`] via [`CheckReport::lin`].
     pub fn is_clean(&self) -> bool {
         self.sessions.agrees()
             && self.labels.mismatches == 0
             && self.order.violations() == 0
+            && self.regular() != Some(false)
             && self.convergence.is_none_or(|c| c.converged())
+    }
+
+    /// Whether the reads were regular, for runs held to it (`None`
+    /// otherwise). Lamport's regular register, carried to multiple writers
+    /// by the store's sequence order: a read returns a version no older
+    /// than the newest write that *completed before the read began* — no
+    /// stale label in [`LabelCheck`], which compares sequences, so writes
+    /// that started at the same instant tie — and one written by a write
+    /// *invoked before the read finished* — no phantom in [`OrderCheck`].
+    /// A write that failed or is still in flight is allowed to show and
+    /// never required to. Strict quorums (`R + W > N`) owe this under
+    /// drops, duplicates, reorders, lag, skew and non-wiping crashes; the
+    /// predicate stands down for timelines that legitimately lose an
+    /// acknowledged write or serve an empty replica — a crash that wipes a
+    /// store, a reconfiguration that changes `N` — and for partial quorums.
+    /// It does not imply linearizability: two reads concurrent with one
+    /// write may see it new, then old.
+    pub fn regular(&self) -> Option<bool> {
+        let regular = self.labels.stale_reads == 0 && self.order.phantoms == 0;
+        self.regular_expected.then_some(regular)
     }
 }
 
@@ -409,6 +439,13 @@ impl Mergeable for CheckReport {
                 Some(a)
             }
             (a, b) => a.or(b),
+        };
+        // An empty report takes the other side's word; two runs are held
+        // to regularity only if both are.
+        self.regular_expected = match (self.runs, other.runs) {
+            (0, _) => other.regular_expected,
+            (_, 0) => self.regular_expected,
+            _ => self.regular_expected && other.regular_expected,
         };
         self.runs += other.runs;
     }
@@ -876,6 +913,7 @@ pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> C
         order,
         lin: lin::check_lin_on(history, &index, &LinOptions::default()),
         convergence: convergence.then(|| check_convergence(cluster)),
+        regular_expected: cluster.regular_expected && !history.crashes().iter().any(|c| c.wipe),
         runs: 1,
     }
 }
@@ -1021,6 +1059,7 @@ mod tests {
             order: OrderCheck { reads_checked: 2, writes_tracked: 1, ..Default::default() },
             lin: LinCheck { keys_checked: 1, linearizable_keys: 1, ..Default::default() },
             convergence: Some(ConvergenceCheck { keys_checked: 3, ..Default::default() }),
+            regular_expected: true,
             runs: 1,
         };
         let b = a.clone();
@@ -1034,6 +1073,22 @@ mod tests {
         assert_eq!(a.lin.linearizable_keys, 2);
         assert_eq!(a.convergence.unwrap().keys_checked, 6);
         assert!(a.is_clean());
+        // Held to regularity only while every merged run is; an empty
+        // report adopts the other side's.
+        assert_eq!(a.regular(), Some(true));
+        let mut empty = CheckReport::default();
+        assert_eq!(empty.regular(), None);
+        empty.merge(a.clone());
+        assert_eq!(empty.regular(), Some(true));
+        a.merge(CheckReport::default());
+        assert_eq!(a.regular(), Some(true));
+        a.merge(CheckReport { runs: 1, ..Default::default() });
+        assert_eq!(a.regular(), None);
+        // And a held report with a stale read or a phantom is unclean.
+        empty.labels.stale_reads = 1;
+        assert_eq!((empty.regular(), empty.is_clean()), (Some(false), false));
+        empty.regular_expected = false;
+        assert!(empty.is_clean(), "a partial quorum's staleness is not a failure");
     }
 
     #[test]

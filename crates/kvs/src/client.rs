@@ -21,9 +21,9 @@
 //! concurrent op, a single open-addressing session arena for
 //! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
 //! driver drains each window, one arrival heap and one op-deadline FIFO —
-//! so the whole table keeps **two
-//! armed timers** in the event queue (next arrival, next op timeout)
-//! instead of one per client plus one per operation.
+//! so the whole table keeps **two armed timers** in the event queue (next
+//! arrival, next op timeout) instead of one per client plus one per
+//! operation. A timer is a `ClientTimer` the table sends itself.
 //!
 //! Determinism rules (the PDES equivalence tests pin these):
 //!
@@ -39,7 +39,9 @@
 //!   traffic never crosses a PDES worker boundary.
 
 use crate::fxhash::FxHashMap;
-use crate::messages::{ClientControl, ClientIn, ClientToNode, Msg, NodeIn, NodeToClient};
+use crate::messages::{
+    ClientControl, ClientIn, ClientTimer, ClientToNode, Msg, NodeIn, NodeToClient,
+};
 use crate::shell::DownTracker;
 use pbs_sim::{Context, SimDuration, SimTime};
 use pbs_workload::{OpKind, OpSource, SharedOpSource};
@@ -49,41 +51,24 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-// Client-side timer tags (same top-byte scheme as the node's).
-const TAG_KIND_SHIFT: u64 = 56;
-const CKIND_ARRIVAL: u64 = 1;
-const CKIND_OP_TIMEOUT: u64 = 2;
-const CKIND_PROBE_READ: u64 = 3;
-
-fn ctag(kind: u64, op: u64) -> u64 {
-    debug_assert!(op < (1 << TAG_KIND_SHIFT));
-    (kind << TAG_KIND_SHIFT) | op
-}
-
-fn ctag_kind(t: u64) -> u64 {
-    t >> TAG_KIND_SHIFT
-}
-
-fn ctag_op(t: u64) -> u64 {
-    t & ((1 << TAG_KIND_SHIFT) - 1)
-}
-
 /// Bits reserved for a client's local operation counter; the client index
 /// occupies the bits above, keeping op ids globally unique across clients
 /// *and* disjoint from the blocking harness's low id space.
 const CLIENT_OP_SHIFT: u64 = 32;
 
-/// Maximum number of clients per cluster: op ids must fit the 56-bit
-/// timer-tag op space, leaving 24 bits of client index above the 32-bit
-/// local counter — ~16.7M clients.
-const MAX_CLIENTS: u32 = (1 << (TAG_KIND_SHIFT - CLIENT_OP_SHIFT)) as u32 - 1;
+/// Bits of an op id given to the client index, above the local counter.
+const CLIENT_INDEX_BITS: u64 = 24;
+
+/// Maximum number of clients per cluster: what the op-id layout can name,
+/// ~16.7M.
+const MAX_CLIENTS: u32 = (1 << CLIENT_INDEX_BITS) - 1;
 
 /// Pack a `(client index, local counter)` pair into a global op id.
 fn pack_op(index: u32, local: u32) -> u64 {
     ((index as u64 + 1) << CLIENT_OP_SHIFT) | local as u64
 }
 
-/// The client index encoded in an op id (or probe token).
+/// The client index encoded in an op id.
 fn client_of(op_id: u64) -> u32 {
     (op_id >> CLIENT_OP_SHIFT) as u32 - 1
 }
@@ -367,7 +352,7 @@ pub(crate) struct ClientTable {
     offset_ms: Vec<f64>,
     /// Key of the pre-pulled next arrival (valid when `F_HAS_NEXT`).
     next_key: Vec<u64>,
-    /// Local op-id counter (also consumed by probe tokens).
+    /// Local op-id counter (scheduling a probe read skips one).
     next_local: Vec<u32>,
     flags: Vec<u8>,
     /// Arrival generation: bumped on start/stop so stale heap entries from
@@ -402,8 +387,6 @@ pub(crate) struct ClientTable {
     timeouts: VecDeque<(SimTime, u64)>,
     /// In-flight ops beyond a client's inline slot.
     overflow: FxHashMap<u64, Pending>,
-    /// Probe tokens → key, for reads scheduled at commit + offset.
-    probe_pending: FxHashMap<u64, u64>,
     /// Session state per touched `(client, key)`.
     sessions: SessionArena,
     /// Completed ops awaiting the driver's window drain (bounded by
@@ -470,7 +453,6 @@ impl ClientTable {
             next_armed: SimTime::MAX,
             timeouts: VecDeque::new(),
             overflow: FxHashMap::default(),
-            probe_pending: FxHashMap::default(),
             sessions: SessionArena::new(),
             completed: Vec::new(),
             in_flight_live: 0,
@@ -662,8 +644,7 @@ impl ClientTable {
         if let Some(&Reverse((at, _))) = self.arrivals.peek() {
             if at < self.next_armed {
                 self.next_armed = at;
-                let delay = at.duration_since(ctx.now()).as_ms();
-                ctx.set_timer(delay, ctag(CKIND_ARRIVAL, 0));
+                arm(ctx, at.duration_since(ctx.now()).as_ms(), ClientTimer::Arrival);
             }
         }
     }
@@ -700,7 +681,7 @@ impl ClientTable {
         };
         ctx.send(coord, 0.0, Msg::Node(NodeIn::Client(req)));
         if self.timeouts.is_empty() {
-            ctx.set_timer(self.opts.op_timeout_ms, ctag(CKIND_OP_TIMEOUT, 0));
+            arm(ctx, self.opts.op_timeout_ms, ClientTimer::OpTimeout);
         }
         let deadline = ctx.now() + SimDuration::from_ms(self.opts.op_timeout_ms);
         self.timeouts.push_back((deadline, op_id));
@@ -798,11 +779,12 @@ impl ClientTable {
                         // (zero-delay delivery), so the probe read fires at
                         // commit + offset.
                         debug_assert_eq!(ctx.now(), ct);
+                        // Scheduling a probe skips one local id (the read
+                        // takes the next when it is issued): op ids are part
+                        // of every recorded history, so the numbering stays.
                         let row = self.row_of(index);
-                        let token = pack_op(index, self.next_local[row]);
                         self.next_local[row] += 1;
-                        self.probe_pending.insert(token, key);
-                        ctx.set_timer(offset, ctag(CKIND_PROBE_READ, token));
+                        arm(ctx, offset, ClientTimer::ProbeRead { client: index, key });
                     }
                 }
             }
@@ -830,8 +812,7 @@ impl ClientTable {
             if deadline <= ctx.now() {
                 self.on_op_timeout(op_id);
             } else if self.is_in_flight(op_id) {
-                let delay = deadline.duration_since(ctx.now()).as_ms();
-                ctx.set_timer(delay, ctag(CKIND_OP_TIMEOUT, 0));
+                arm(ctx, deadline.duration_since(ctx.now()).as_ms(), ClientTimer::OpTimeout);
                 return;
             }
             self.timeouts.pop_front();
@@ -845,31 +826,25 @@ impl ClientTable {
         self.push_completed(CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start));
     }
 
-    fn on_probe_read(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-        if let Some(key) = self.probe_pending.remove(&token) {
-            let row = self.row_of(client_of(token));
-            self.issue(ctx, row, OpKind::Read, key);
-        }
-    }
-
-    /// A message addressed to this table has arrived.
+    /// A message addressed to this table has arrived — a timer it set on
+    /// itself included.
     pub(crate) fn on_message(&mut self, ctx: &mut Context<'_, Msg>, msg: ClientIn) {
         match msg {
             ClientIn::Control(ClientControl::Start) => self.start_all(ctx),
             ClientIn::Control(ClientControl::Stop) => self.stop_all(),
             ClientIn::Reply(result) => self.on_result(ctx, result),
+            ClientIn::Timer(ClientTimer::Arrival) => self.on_arrival_timer(ctx),
+            ClientIn::Timer(ClientTimer::OpTimeout) => self.on_timeout_timer(ctx),
+            ClientIn::Timer(ClientTimer::ProbeRead { client, key }) => {
+                self.issue(ctx, self.row_of(client), OpKind::Read, key);
+            }
         }
     }
+}
 
-    /// A timer this table set has fired.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        match ctag_kind(tag) {
-            CKIND_ARRIVAL => self.on_arrival_timer(ctx),
-            CKIND_OP_TIMEOUT => self.on_timeout_timer(ctx),
-            CKIND_PROBE_READ => self.on_probe_read(ctx, ctag_op(tag)),
-            other => unreachable!("unknown client timer kind {other}"),
-        }
-    }
+/// Have the handling table receive `timer` after `delay_ms`.
+fn arm(ctx: &mut Context<'_, Msg>, delay_ms: f64, timer: ClientTimer) {
+    ctx.send(ctx.self_id(), delay_ms, Msg::Clients(ClientIn::Timer(timer)));
 }
 
 #[cfg(test)]
@@ -894,10 +869,9 @@ mod tests {
         let idb = pack_op(1, 0);
         assert_ne!(ida, idb);
         assert!(ida >= (1 << CLIENT_OP_SHIFT), "client ids sit above harness ids");
-        assert_eq!(ctag_op(ctag(CKIND_OP_TIMEOUT, ida)), ida, "ids survive timer tags");
-        // The largest admissible id still fits the 56-bit timer-tag space.
+        // The largest admissible id fits the layout's 24 + 32 bits.
         let top = pack_op(MAX_CLIENTS - 1, u32::MAX);
-        assert!(top < (1 << TAG_KIND_SHIFT));
+        assert!(top < (1 << (CLIENT_INDEX_BITS + CLIENT_OP_SHIFT)));
         assert_eq!(client_of(top), MAX_CLIENTS - 1);
         assert_eq!(local_of(top), u32::MAX);
     }
@@ -944,13 +918,6 @@ mod tests {
         let full = CompletedOp { seq: Some(7), writer: Some(2), source: Some(1), ..empty };
         assert_eq!(CompletedOp::from_result(read(Some(version), Some(1)), 4, now), full);
         assert_eq!((committed.latency_ms(), full.latency_ms()), (Some(7.0), Some(3.0)));
-    }
-
-    #[test]
-    fn client_tag_round_trip() {
-        let t = ctag(CKIND_PROBE_READ, 0xDEAD_BEEF);
-        assert_eq!(ctag_kind(t), CKIND_PROBE_READ);
-        assert_eq!(ctag_op(t), 0xDEAD_BEEF);
     }
 
     #[test]
@@ -1030,13 +997,13 @@ mod tests {
                     }
                 }
                 (Rig::Coordinator { .. }, other) => unreachable!("coordinator got {other:?}"),
-                (Rig::Table { table, timeout_timer_events }, Event::Timer { tag }) => {
-                    if ctag_kind(tag) == CKIND_OP_TIMEOUT {
+                (
+                    Rig::Table { table, timeout_timer_events },
+                    Event::Message { msg: Msg::Clients(msg), .. },
+                ) => {
+                    if msg == ClientIn::Timer(ClientTimer::OpTimeout) {
                         *timeout_timer_events += 1;
                     }
-                    table.on_timer(ctx, tag);
-                }
-                (Rig::Table { table, .. }, Event::Message { msg: Msg::Clients(msg), .. }) => {
                     table.on_message(ctx, msg);
                 }
                 (Rig::Table { .. }, other) => unreachable!("table got {other:?}"),

@@ -216,8 +216,6 @@ impl DetectorTracker {
 /// Everything that finished during one open-loop window.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDrain {
-    /// The window's closing instant (= the new commit watermark).
-    pub until_ms: f64,
     /// Completed writes (committed, failed, and timed out).
     pub writes: Vec<CompletedOp>,
     /// Completed reads (`finish: None` = client-side timeout) with their
@@ -270,17 +268,13 @@ impl Actor for ClusterActor {
 
     fn on_event(&mut self, ctx: &mut Context<'_, Msg>, event: Event<Msg>) {
         match (self, event) {
-            (ClusterActor::Node(n), Event::Timer { tag }) => n.on_timer(ctx, tag),
             (ClusterActor::Node(n), Event::Message { from, msg: Msg::Node(msg) }) => {
                 n.on_message(ctx, from, msg);
             }
-            (ClusterActor::Clients(t), Event::Timer { tag }) => t.on_timer(ctx, tag),
             (ClusterActor::Clients(t), Event::Message { msg: Msg::Clients(msg), .. }) => {
                 t.on_message(ctx, msg);
             }
-            (_, Event::Message { msg, .. }) => {
-                unreachable!("{msg:?} was addressed to the other kind of actor")
-            }
+            (_, event) => unreachable!("{event:?} reached the wrong kind of actor"),
         }
     }
 }
@@ -447,6 +441,11 @@ pub struct Cluster {
     /// Every crash scheduled on this cluster, attached to taken histories
     /// so the order oracle can discount evidence from wiped replicas.
     crash_log: Vec<CrashRecord>,
+    /// Whether every read this cluster has served was owed regularity
+    /// ([`CheckReport::regular`](crate::CheckReport::regular)): it was
+    /// built strict (`R + W > N`) and no reconfiguration since went partial
+    /// or changed `N` — a rebuilt ring legitimately serves empty reads.
+    pub(crate) regular_expected: bool,
 }
 
 impl std::fmt::Debug for Cluster {
@@ -534,6 +533,7 @@ impl Cluster {
             drain_scratch: Vec::new(),
             detector_scratch: Vec::new(),
             crash_log: Vec::new(),
+            regular_expected: opts.replication.is_strict(),
         })
     }
 
@@ -646,6 +646,7 @@ impl Cluster {
             self.opts.nodes,
             cfg.n()
         );
+        self.regular_expected &= cfg.is_strict() && cfg.n() == self.opts.replication.n();
         if cfg.n() != self.opts.replication.n() {
             let ring = Arc::new(Ring::new(self.opts.nodes, VNODES, cfg.n()));
             self.ring = Arc::clone(&ring);
@@ -1022,7 +1023,6 @@ impl Cluster {
             self.ground_truth.enable_gc(lag);
         }
         self.advance_to(until);
-        drain.until_ms = until.as_ms();
         drain.writes.clear();
         drain.reads.clear();
         let mut ops = std::mem::take(&mut self.drain_scratch);

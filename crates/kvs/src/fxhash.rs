@@ -159,7 +159,8 @@ mod tests {
 
     #[test]
     fn timer_tag_keys_spread_over_buckets_and_tags() {
-        // Client timer-tag style keys: a kind in the top byte over an op id.
+        // Op ids under a kind in the top byte: structure above bit 56 must
+        // not cost the spread.
         let tags_of = |kind: u64| {
             (0..4096u64)
                 .flat_map(move |c| (0..4u64).map(move |l| (kind << 56) | ((c + 1) << 32) | l))

@@ -5,7 +5,10 @@
 //! crate-private `ClientControl`). The simulator carries one message type,
 //! so the unions are wrapped once, by receiver, in `Msg`: a node cannot
 //! be handed an operation result, nor a client table a replica write.
+//! Deferred work is a message too: an actor that wants to act later sends
+//! itself a typed timer ([`NodeTimer`], `ClientTimer`) with the delay.
 
+use crate::node::NodeTimer;
 use crate::version::Version;
 use pbs_sim::{ActorId, SimTime};
 
@@ -227,6 +230,25 @@ pub(crate) enum ClientControl {
     Stop,
 }
 
+/// A timer a client table sets on itself. The table keeps two armed —
+/// the next arrival and the next op deadline — whatever its client count,
+/// plus one per probe read in flight.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ClientTimer {
+    /// The earliest queued arrival is due.
+    Arrival,
+    /// The oldest issued op's deadline has passed.
+    OpTimeout,
+    /// The §5.2 probe: `client` reads `key`, its write having committed
+    /// `probe_read_offset_ms` ago.
+    ProbeRead {
+        /// The probing client's index.
+        client: u32,
+        /// The key its write committed on.
+        key: u64,
+    },
+}
+
 /// Everything a node can receive.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum NodeIn {
@@ -236,6 +258,8 @@ pub(crate) enum NodeIn {
     Peer(NodeToNode),
     /// The harness's crash and lifecycle controls.
     Control(NodeControl),
+    /// A timer the node set on itself has come due.
+    Timer(NodeTimer),
 }
 
 /// Everything a client table can receive.
@@ -245,6 +269,8 @@ pub(crate) enum ClientIn {
     Reply(NodeToClient),
     /// The harness's start / stop.
     Control(ClientControl),
+    /// A timer the table set on itself has come due.
+    Timer(ClientTimer),
 }
 
 /// The simulator's message type: a receiver's union, tagged by the kind of

@@ -204,7 +204,11 @@ pub struct Node {
     write_pool: Vec<WriteState>,
     read_pool: Vec<ReadState>,
     hints: Vec<Hint>,
+    /// Whether a `HintFlush` / `Sync` timer is armed: set where one is
+    /// emitted, cleared when it fires — also on a crashed node, which
+    /// swallows the tick, so recovery knows which duty lost its chain.
     hint_flush_scheduled: bool,
+    sync_armed: bool,
     /// Accumulated staleness-detector observations.
     pub(crate) detector_log: Vec<DetectorEvent>,
     /// Stats: read-repair messages sent.
@@ -246,6 +250,7 @@ impl Node {
             read_pool: Vec::new(),
             hints: Vec::new(),
             hint_flush_scheduled: false,
+            sync_armed: false,
             detector_log: Vec::new(),
             repairs_sent: 0,
             hints_delivered: 0,
@@ -296,6 +301,13 @@ impl Node {
         rng: &mut dyn RngCore,
         out: &mut Vec<Output>,
     ) {
+        // A duty's timer has fired, whether or not the node is up to act
+        // on it.
+        match input {
+            Input::Timer(NodeTimer::Sync) => self.sync_armed = false,
+            Input::Timer(NodeTimer::HintFlush) => self.hint_flush_scheduled = false,
+            _ => {}
+        }
         // A crashed node processes nothing except its own recovery timer
         // and the GC sweep (pure bookkeeping, kept alive through crashes).
         if self.down && !matches!(input, Input::Timer(NodeTimer::Recover | NodeTimer::Gc)) {
@@ -325,6 +337,7 @@ impl Node {
                     // thundering herds.
                     let stagger =
                         interval * (self.id as f64 + 1.0) / (self.ring.nodes() as f64 + 1.0);
+                    self.sync_armed = true;
                     out.push(protocol_timer(stagger, NodeTimer::Sync));
                 }
             }
@@ -536,7 +549,6 @@ impl Node {
     }
 
     fn on_hint_flush(&mut self, out: &mut Vec<Output>) {
-        self.hint_flush_scheduled = false;
         // Mutation `swallow_hints`: hints are stashed but never redelivered.
         if !self.opts.mutations.swallow_hints {
             for h in &self.hints {
@@ -746,6 +758,7 @@ impl Node {
         let Some(interval) = self.opts.sync_interval_ms else {
             return;
         };
+        self.sync_armed = true;
         out.push(protocol_timer(interval, NodeTimer::Sync));
         let n = self.ring.nodes() as usize;
         if n > 1 {
@@ -785,10 +798,12 @@ impl Node {
     fn on_recover(&mut self, out: &mut Vec<Output>) {
         self.down = false;
         out.push(Output::Liveness { down: false });
-        if self.opts.sync_interval_ms.is_some() {
+        // Re-arm only a duty whose timer died with the crash: one armed
+        // before a short crash is still queued and carries its chain on.
+        if self.opts.sync_interval_ms.is_some() && !self.sync_armed {
+            self.sync_armed = true;
             out.push(harness_timer(0.0, NodeTimer::Sync));
         }
-        self.hint_flush_scheduled = false;
         self.schedule_hint_flush(out);
     }
 }
@@ -850,5 +865,45 @@ mod tests {
             panic!("a second replica completes the R=2 read: {out:?}");
         };
         assert_eq!(responders, 0b110);
+    }
+
+    /// Anti-entropy and the hint flush each run on one timer chain, crash
+    /// or no crash: a tick the crash swallowed is re-armed on recovery, a
+    /// timer that outlives a short crash is not doubled.
+    #[test]
+    fn a_periodic_duty_keeps_one_chain_across_a_crash() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+        let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), 7);
+        opts.sync_interval_ms = Some(1_000.0);
+        opts.hinted_handoff = true;
+        for duty in [NodeTimer::Sync, NodeTimer::HintFlush] {
+            for crash_swallows_the_tick in [false, true] {
+                let mut node = Node::new(0, opts, Arc::new(Ring::new(3, 8, 3)));
+                let mut armed = 0;
+                // Feeds `input`; returns how many `duty` timers are armed.
+                let mut feed = |input: Input| {
+                    armed -= usize::from(input == Input::Timer(duty));
+                    let mut out = Vec::new();
+                    node.handle(SimTime::ZERO, input, &mut rng, &mut out);
+                    armed += out
+                        .iter()
+                        .filter(|o| matches!(o, Output::Timer { timer, .. } if *timer == duty))
+                        .count();
+                    armed
+                };
+                // Anti-entropy starts; a write nobody acks leaves hints at
+                // its timeout, which arms the flush.
+                feed(Input::Control(NodeControl::StartSync));
+                feed(Input::Client { from: 9, req: ClientToNode::Write { op_id: 1, key: 5 } });
+                assert_eq!(feed(Input::Timer(NodeTimer::WriteTimeout { op_id: 1 })), 1);
+                feed(Input::Control(NodeControl::Crash { down_ms: 100.0, wipe: false }));
+                if crash_swallows_the_tick {
+                    assert_eq!(feed(Input::Timer(duty)), 0, "a crashed node arms nothing");
+                }
+                assert_eq!(feed(Input::Timer(NodeTimer::Recover)), 1, "{duty:?} after recovery");
+                assert_eq!(feed(Input::Timer(duty)), 1, "{duty:?} after its next tick");
+            }
+        }
     }
 }

@@ -1,56 +1,24 @@
 //! The node's shell: what hosts a protocol core ([`Node`]) in the
-//! simulator. It decodes a message or a timer tag into an [`Input`], lends the core the
+//! simulator. It turns a message into an [`Input`], lends the core the
 //! node's RNG, and applies the [`Output`]s in the order the core emitted
 //! them. Everything the core does not know lives here and nowhere else in
 //! the node layer: the network model and its fault decisions, disk lag,
-//! clock skew, leg recording, the shared liveness map, the blocking
-//! harness's mailbox, and the layout of a timer tag.
+//! clock skew, leg recording, the shared liveness map and the blocking
+//! harness's mailbox. What the core defers — a timer, a lagging disk
+//! apply — comes back as a typed message the node sends itself.
 
 use crate::buggify::Delivery;
 use crate::cluster::ClusterOptions;
 use crate::fxhash::FxHashMap;
 use crate::messages::{ClientIn, Msg, NodeIn, NodeToClient, NodeToNode};
 use crate::network::{Leg, NetworkModel};
-use crate::node::{Input, Node, NodeTimer, Output};
+use crate::node::{Input, Node, Output};
 use crate::ring::Ring;
 use pbs_sim::{ActorId, Context};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Timer tags: the top byte selects the timer kind, the rest carries an op id.
-// ---------------------------------------------------------------------------
-const TAG_KIND_SHIFT: u64 = 56;
-const KIND_RECOVER: u64 = 1;
-const KIND_SYNC: u64 = 2;
-const KIND_HINT_FLUSH: u64 = 3;
-const KIND_WRITE_TIMEOUT: u64 = 4;
-const KIND_GC: u64 = 5;
-
-fn pack_timer(timer: NodeTimer) -> u64 {
-    let (kind, op) = match timer {
-        NodeTimer::Recover => (KIND_RECOVER, 0),
-        NodeTimer::Sync => (KIND_SYNC, 0),
-        NodeTimer::HintFlush => (KIND_HINT_FLUSH, 0),
-        NodeTimer::WriteTimeout { op_id } => (KIND_WRITE_TIMEOUT, op_id),
-        NodeTimer::Gc => (KIND_GC, 0),
-    };
-    debug_assert!(op < (1 << TAG_KIND_SHIFT));
-    (kind << TAG_KIND_SHIFT) | op
-}
-
-fn unpack_timer(tag: u64) -> NodeTimer {
-    match tag >> TAG_KIND_SHIFT {
-        KIND_RECOVER => NodeTimer::Recover,
-        KIND_SYNC => NodeTimer::Sync,
-        KIND_HINT_FLUSH => NodeTimer::HintFlush,
-        KIND_WRITE_TIMEOUT => NodeTimer::WriteTimeout { op_id: tag & ((1 << TAG_KIND_SHIFT) - 1) },
-        KIND_GC => NodeTimer::Gc,
-        other => unreachable!("unknown timer kind {other}"),
-    }
-}
 
 /// Shared liveness map: nodes mark themselves down/up on crash/recovery,
 /// and operation issuers (the blocking harness and in-sim client actors
@@ -176,32 +144,23 @@ impl NodeShell {
         }
     }
 
-    /// A timer this node set has fired.
-    pub(crate) fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, tag: u64) {
-        self.run(ctx, Input::Timer(unpack_timer(tag)));
-    }
-
-    /// A message addressed to this node has arrived.
+    /// A message addressed to this node has arrived — a timer it set on
+    /// itself included. Hand it to the core, lending it the RNG, and apply
+    /// what the core emits, in order.
     pub(crate) fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: ActorId, msg: NodeIn) {
+        let now_ms = ctx.now().as_ms();
         let input = match msg {
             NodeIn::Client(req) => Input::Client { from, req },
             NodeIn::Control(control) => Input::Control(control),
+            NodeIn::Timer(timer) => Input::Timer(timer),
             NodeIn::Peer(msg) => {
                 // A crashed node's disk does nothing, so it draws nothing.
                 let lags = matches!(msg, NodeToNode::ReplicaWrite { .. }) && !self.core.is_down();
-                let now_ms = ctx.now().as_ms();
                 let disk_lag_ms =
                     if lags { self.net.disk_lag_ms(self.id, now_ms, &mut self.rng) } else { 0.0 };
                 Input::Peer { msg, disk_lag_ms }
             }
         };
-        self.run(ctx, input);
-    }
-
-    /// Hand `input` to the core, lending it the RNG, and apply what it
-    /// emits, in order.
-    fn run(&mut self, ctx: &mut Context<'_, Msg>, input: Input) {
-        let now_ms = ctx.now().as_ms();
         let mut out = std::mem::take(&mut self.out);
         self.core.handle(ctx.now(), input, &mut self.rng, &mut out);
         for output in out.drain(..) {
@@ -220,7 +179,7 @@ impl NodeShell {
                     } else {
                         after_ms
                     };
-                    ctx.set_timer(delay, pack_timer(timer));
+                    ctx.send(self.id, delay, Msg::Node(NodeIn::Timer(timer)));
                 }
                 Output::Deliver { to, result } if to == self.id => {
                     self.mailbox.insert(result.op_id(), result);
@@ -265,25 +224,6 @@ impl NodeShell {
                 Leg::R => self.leg_samples.r.push(delay),
                 Leg::S => self.leg_samples.s.push(delay),
             }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn timer_tags_round_trip() {
-        for timer in [
-            NodeTimer::Recover,
-            NodeTimer::Sync,
-            NodeTimer::HintFlush,
-            NodeTimer::WriteTimeout { op_id: 123_456 },
-            NodeTimer::WriteTimeout { op_id: (1 << TAG_KIND_SHIFT) - 1 },
-            NodeTimer::Gc,
-        ] {
-            assert_eq!(unpack_timer(pack_timer(timer)), timer);
         }
     }
 }

@@ -56,11 +56,6 @@ impl RoundRobinWriter {
         set
     }
 
-    /// The newest committed version.
-    pub fn latest_version(&self) -> u64 {
-        self.version
-    }
-
     /// Read from an arbitrary replica set, returning the newest version any
     /// member holds (0 if the set members were never written).
     pub fn read(&self, quorum: NodeSet) -> u64 {

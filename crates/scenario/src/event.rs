@@ -2,7 +2,7 @@
 //! to a running cluster.
 
 use pbs_dist::DynDistribution;
-use pbs_kvs::{Cluster, FaultProfile, FaultSchedule, LinkFault};
+use pbs_kvs::{Cluster, FaultSchedule, LinkFault};
 use pbs_sim::SimTime;
 
 /// One dynamic condition change. Events are interpreted by
@@ -57,14 +57,14 @@ pub enum ScenarioEvent {
     },
     /// Drop any regime swap / leg scaling, returning to the base network.
     RestoreBaseline,
-    /// Install (or replace) a buggify [`FaultProfile`] — seeded message
-    /// drops/duplicates/reordering, slow nodes, disk lag, and clock skew.
-    InjectFaults(FaultProfile),
-    /// Install (or replace) a time-varying [`FaultSchedule`] — piecewise
-    /// fault intensity (ramps, bursts, calm→storm→calm) evaluated at each
+    /// Install (or replace) a buggify [`FaultSchedule`] — seeded message
+    /// drops/duplicates/reordering, slow nodes, disk lag, and clock skew,
+    /// at one intensity (`profile.into()`, a
+    /// [`FaultProfile`](pbs_kvs::FaultProfile) held forever) or piecewise
+    /// (ramps, bursts, calm→storm→calm), evaluated at each
     /// message's send time. Segment times are absolute simulated ms, not
     /// relative to this event.
-    InjectSchedule(FaultSchedule),
+    InjectFaults(FaultSchedule),
     /// Remove the buggify fault profile (messages flow cleanly again; the
     /// usual precondition for a meaningful convergence check).
     ClearFaults,
@@ -95,18 +95,18 @@ impl ScenarioEvent {
                 format!("scale legs W×{w} A×{a} R×{r} S×{s}")
             }
             ScenarioEvent::RestoreBaseline => "restore baseline network".into(),
-            ScenarioEvent::InjectFaults(p) => format!(
-                "inject faults (drop {} dup {} reorder {} slow {} disk-lag {} drift {})",
-                p.drop_prob,
-                p.duplicate_prob,
-                p.reorder_prob,
-                p.slow_node_frac,
-                p.disk_lag_prob,
-                p.clock_drift_max
-            ),
-            ScenarioEvent::InjectSchedule(s) => {
-                format!("inject fault schedule ({} segments)", s.segments().len())
-            }
+            ScenarioEvent::InjectFaults(s) => match s.as_constant() {
+                Some(p) => format!(
+                    "inject faults (drop {} dup {} reorder {} slow {} disk-lag {} drift {})",
+                    p.drop_prob,
+                    p.duplicate_prob,
+                    p.reorder_prob,
+                    p.slow_node_frac,
+                    p.disk_lag_prob,
+                    p.clock_drift_max
+                ),
+                None => format!("inject fault schedule ({} segments)", s.segments().len()),
+            },
             ScenarioEvent::ClearFaults => "clear fault profile".into(),
         }
     }
@@ -190,10 +190,7 @@ pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), S
             cluster.network().set_leg_scale(*w, *a, *r, *s);
         }
         ScenarioEvent::RestoreBaseline => cluster.network().restore_base_legs(),
-        ScenarioEvent::InjectFaults(profile) => {
-            cluster.network().set_fault_profile(*profile).map_err(|e| e.to_string())?;
-        }
-        ScenarioEvent::InjectSchedule(schedule) => {
+        ScenarioEvent::InjectFaults(schedule) => {
             cluster.network().set_fault_schedule(schedule.clone()).map_err(|e| e.to_string())?;
         }
         ScenarioEvent::ClearFaults => cluster.network().clear_fault_profile(),

@@ -30,17 +30,19 @@
 //!
 //! Scenarios compose with the buggify layer: a seeded
 //! [`FaultSchedule`](pbs_kvs::FaultSchedule) — constant or time-varying —
-//! can be installed for the whole run (`Scenario::fault_schedule`), a
-//! [`FaultProfile`](pbs_kvs::FaultProfile) injected/cleared mid-timeline
+//! can be installed for the whole run (`Scenario::fault_schedule`) or
+//! injected/cleared mid-timeline
 //! ([`ScenarioEvent::InjectFaults`]/`ClearFaults`), and `check_history`
 //! runs the offline [`checker`](pbs_kvs::checker) as a post-pass — the
 //! verdict lands in [`ScenarioRun::check`].
 //!
-//! Four built-in scenarios ship with the crate: `diurnal-load` (a
+//! Five built-in scenarios ship with the crate: `diurnal-load` (a
 //! repeating day/night load cycle), `latency-spike` (a write-leg regime
 //! shift and recovery), `rolling-partition` (each node isolated in
-//! turn), and `buggify-storm` (every buggify fault at once, with the
-//! checker post-pass). See [`Scenario::by_name`].
+//! turn), `buggify-storm` (every buggify fault at once, with the checker
+//! post-pass), and `crash-storm` (a scheduled calm→storm→calm fault
+//! window with two crashes inside it and every healing mechanism on,
+//! audited down to final-state convergence). See [`Scenario::by_name`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

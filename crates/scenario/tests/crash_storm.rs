@@ -56,7 +56,7 @@ fn hint_replay_survives_scheduled_drops() {
     let storm = FaultProfile::new(51).with_drop(0.9);
     apply_event(
         &mut cluster,
-        &ScenarioEvent::InjectSchedule(FaultSchedule::calm_storm_calm(storm, 200.0, 1_200.0)),
+        &ScenarioEvent::InjectFaults(FaultSchedule::calm_storm_calm(storm, 200.0, 1_200.0)),
     )
     .unwrap();
 

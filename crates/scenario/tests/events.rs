@@ -124,7 +124,7 @@ fn malformed_events_are_rejected_not_applied() {
     assert!(apply_event(&mut cluster, &missing).is_err());
     let bad_link = pbs_kvs::LinkFault { from: 0, to: 1, extra_ms: f64::NAN, scale: 1.0 };
     assert!(apply_event(&mut cluster, &ScenarioEvent::DegradeLink(bad_link)).is_err());
-    let bad_profile = pbs_kvs::FaultProfile::new(1).with_drop(1.5);
+    let bad_profile = pbs_kvs::FaultProfile::new(1).with_drop(1.5).into();
     assert!(apply_event(&mut cluster, &ScenarioEvent::InjectFaults(bad_profile)).is_err());
     // Magnitudes the kvs layer asserts on: a leg factor, and a downtime
     // (which would only blow up later, when the crash fires).
@@ -146,7 +146,7 @@ fn malformed_events_are_rejected_not_applied() {
 fn inject_and_clear_faults_round_trip() {
     let mut cluster = constant_cluster(cfg(3, 1, 3), 7, 300.0);
     let drop_all = pbs_kvs::FaultProfile::new(3).with_drop(1.0);
-    apply_event(&mut cluster, &ScenarioEvent::InjectFaults(drop_all)).unwrap();
+    apply_event(&mut cluster, &ScenarioEvent::InjectFaults(drop_all.into())).unwrap();
     let w = cluster.write_from(0, 2);
     assert!(w.commit.is_none(), "certain drop starves the write quorum");
     apply_event(&mut cluster, &ScenarioEvent::ClearFaults).unwrap();

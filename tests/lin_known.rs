@@ -8,6 +8,8 @@
 //! commit are possibly-committed (optional, open interval).
 
 use pbs::kvs::checker::lin::{check_lin, check_lin_keys, KeyLinVerdict, LinOptions};
+use pbs::kvs::checker::{check_order, relabel_reads};
+use pbs::kvs::staleness::ReadLabel;
 use pbs::kvs::{CompletedOp, OpHistory};
 use pbs::sim::SimTime;
 use pbs::workload::OpKind;
@@ -271,4 +273,35 @@ fn keys_are_checked_independently() {
     assert_eq!(agg.linearizable_keys, 1);
     assert_eq!(agg.violated_keys, 1);
     assert_eq!(agg.first_violation().map(|v| v.key), Some(2));
+}
+
+/// "Regular, not linearizable, the moment a write goes partial", as one
+/// history: w2 reaches one replica and fails; r1 meets that replica and
+/// sees v2, r2 (after r1) misses it and sees v1 — a new-old inversion.
+/// Each read alone is regular ([`CheckReport::regular`]'s two counts are
+/// zero): neither is older than the newest write committed before it
+/// began, and v2 was written by a write invoked before r1 finished.
+/// Together they are not linearizable: w2 took effect for r1, and nothing
+/// wrote v1 after it.
+///
+/// [`CheckReport::regular`]: pbs::kvs::CheckReport::regular
+#[test]
+fn new_old_inversion_after_a_partial_write_is_regular_not_linearizable() {
+    let consistent = ReadLabel { consistent: true, versions_behind: 0 };
+    let mut partial = write(2, 7, 11, 10.0, None);
+    partial.finish = Some(t(60.0)); // the coordinator reported failure
+    let mut h = OpHistory::new();
+    h.push(write(1, 7, 1, 0.0, Some(5.0)), None);
+    h.push(partial, None);
+    h.push(read(3, 7, Some(11), 20.0, 21.0), Some(consistent));
+    h.push(read(4, 7, Some(1), 30.0, 31.0), Some(consistent));
+
+    let labels = relabel_reads(&h);
+    assert_eq!((labels.labelled_reads, labels.stale_reads, labels.mismatches), (2, 0, 0));
+    assert_eq!(check_order(&h, 3).phantoms, 0);
+
+    let keys = check_lin_keys(&h, &LinOptions::default());
+    assert_eq!(keys[0].verdict, KeyLinVerdict::Violation);
+    assert_eq!(keys[0].violations.len(), 1);
+    assert_eq!(keys[0].violations[0].op_id, 4, "the read that went back is the culprit");
 }

@@ -23,12 +23,13 @@
 //!   invisible to WGL — a history with no reads is trivially
 //!   linearizable — and only the final-state lost-update rule flags it.
 
-use pbs::dist::Constant;
+use pbs::dist::{Constant, Exponential};
 use pbs::kvs::checker::{check_run, OrderViolation};
 use pbs::kvs::cluster::{Cluster, ClusterOptions};
-use pbs::kvs::{CheckReport, NetworkModel, ProtocolMutations};
+use pbs::kvs::{CheckReport, ClientOptions, FaultProfile, NetworkModel, ProtocolMutations};
 use pbs::math::ReplicaConfig;
 use pbs::sim::SimTime;
+use pbs::workload::{OpMix, OpStream, Poisson, UniformKeys};
 use std::sync::Arc;
 
 fn net_const(ms: f64) -> NetworkModel {
@@ -287,6 +288,48 @@ fn hint_replay_scenario_is_clean_without_mutations() {
     assert_eq!(hints, 0, "delivered hint was acked and cleared");
     assert!(check.is_clean(), "clean build must stay clean: {check:?}");
     assert!(check.lin.all_linearizable(), "{:?}", check.lin);
+}
+
+/// A strict quorum (N=3, R=W=2) under nothing but message duplication:
+/// 16 open-loop clients over 8 keys on exponential legs, every other
+/// message delivered twice with the copies racing. Not engineered — the
+/// regularity gate needs no victim, any read will do.
+fn duplicated_strict_run(mutations: ProtocolMutations) -> CheckReport {
+    let mut o = opts(53, mutations);
+    o.replication = ReplicaConfig::new(3, 2, 2).unwrap();
+    let exp = |mean| Arc::new(Exponential::from_mean(mean));
+    let mut cluster = Cluster::new(o, NetworkModel::w_ars(exp(5.0), exp(1.0)));
+    cluster.enable_history();
+    cluster.network().set_fault_profile(FaultProfile::new(53).with_duplicate(0.5)).unwrap();
+    for _ in 0..16 {
+        let source =
+            OpStream::new(Poisson::per_second(100.0), UniformKeys::new(8), OpMix::new(0.5), 1);
+        cluster.add_client(Box::new(source), ClientOptions::default());
+    }
+    cluster.start_clients();
+    cluster.drain_window(ms(2_000.0));
+    cluster.stop_clients();
+    cluster.drain_window(ms(3_000.0));
+    let history = cluster.take_history();
+    check_run(&history, &cluster, false)
+}
+
+/// `drop_version_merge` breaks regularity on a strict quorum: the late
+/// copy of an old replica write overwrites a newer version, a read quorum
+/// then misses a write that committed before it began, and the report is
+/// unclean on that count. Intact, the same run is regular — and clean.
+#[test]
+fn drop_version_merge_breaks_regularity_on_a_strict_quorum() {
+    let mutations = ProtocolMutations { drop_version_merge: true, ..Default::default() };
+    let check = duplicated_strict_run(mutations);
+    assert!(check.labels.stale_reads > 0, "the rollback never surfaced: {check:?}");
+    assert_eq!(check.regular(), Some(false));
+    assert!(!check.is_clean());
+
+    let check = duplicated_strict_run(ProtocolMutations::default());
+    assert!(check.labels.labelled_reads > 1_000, "{:?}", check.labels);
+    assert_eq!(check.regular(), Some(true), "{check:?}");
+    assert!(check.is_clean(), "clean build must stay clean: {check:?}");
 }
 
 /// The mutation struct itself: defaults are all-off and `any()` reflects
