@@ -45,22 +45,25 @@
 //! # Search
 //!
 //! Memoized DFS over the linearized-set frontier, on one `KeySearch` per
-//! key that every search of the key reuses. Ops stay in invocation order
-//! and are never compacted; a bitset says which are linearized. An op may
-//! be linearized next iff every un-linearized op whose response precedes
-//! its invocation is already linearized, so one forward scan from the
-//! first zero bit with a running minimum of responses finds the whole
-//! frontier. Reads whose value matches the current register are
-//! linearized eagerly (they never change state, so taking them early
-//! never loses solutions); branching happens only on writes, and optional
-//! writes are tried only while some un-linearized read still needs their
-//! version (a `version → readers` span table built once per key). Undo
-//! entries and write candidates live on two stacks shared by all frames,
-//! so a DFS node allocates nothing. Visited `(linearized-set, register)`
-//! configurations proven dead are cached — full keys, never hashes, so a
-//! collision can't prune a real solution. The search is budget-bounded:
-//! crossing [`LinOptions::max_nodes_per_key`] yields the distinct,
-//! non-failing [`KeyLinVerdict::Exhausted`] instead of a verdict.
+//! audit whose buffers every key reuses. Ops stay in invocation order and
+//! are never compacted; a bitset says which are linearized. An op may be
+//! linearized next iff every un-linearized op whose response precedes its
+//! invocation is already linearized, so one forward scan from the first
+//! zero bit with a running minimum of responses finds the whole frontier.
+//! Reads whose value matches the current register are linearized eagerly
+//! (they never change state, so taking them early never loses solutions);
+//! branching happens only on writes, and optional writes are tried only
+//! while some un-linearized read still needs their version (a `version →
+//! readers` span table, built only for a key that has an optional write).
+//! Undo entries and write candidates live on two stacks shared by all
+//! frames, so a DFS node allocates nothing but the memo key of a state it
+//! proves dead. Visited `(linearized-set, register)` configurations proven
+//! dead are cached — full keys, never hashes, so a collision can't prune a
+//! real solution. The search is budget-bounded: crossing
+//! [`LinOptions::max_nodes_per_key`] before the key's first conviction
+//! yields the distinct, non-failing [`KeyLinVerdict::Exhausted`] instead
+//! of a verdict; after it, the key is a [`KeyLinVerdict::Violation`] with
+//! the convictions found so far.
 //!
 //! # Violation windows
 //!
@@ -73,8 +76,8 @@
 //! infeasible `k` names the op whose response made the history
 //! un-linearizable.
 //!
-//! That `k` falls out of the one exhaustive search that found the key
-//! infeasible (*single-search localisation*). Every frame carries a cursor
+//! That `k` falls out of the search that found the key infeasible
+//! (*single-search localisation*). Every frame carries a cursor
 //! to the first response event not yet linearized in its state, and the
 //! search records the furthest cursor over all states it visits: the
 //! *frontier*. Proof sketch. A visited state whose cursor is past `k`
@@ -96,8 +99,31 @@
 //! spans from the newest committed write it missed to the read's own
 //! start: exactly the paper's `t` in t-visibility, which is what the
 //! headline experiment compares against the predictor. The read is then
-//! removed (it observed nothing) and the key searched again, so one key
-//! can contribute many windows, at one exhaustive search each.
+//! removed (it observed nothing) and the search **resumes at its
+//! frontier**, so one key contributes many windows in one pass over its
+//! states instead of one search from the root per window. Proof sketch.
+//! Let the search with frontier `k` remove the culprit `r = events[k]`. In
+//! a state whose cursor `c` is below `k`, every op invoked after `r`'s
+//! response is already blocked by `events[c]`, which responded no later;
+//! so such a state poses the same problem with or without `r`, and the
+//! search has already shown that nothing reachable from it passes `k`.
+//! Every state of the new history that passes the old prefix therefore
+//! descends from a state the search visited at cursor `k`, and the only
+//! new states are their successors. So the search keeps exactly those
+//! states, as full memo keys in a flat arena emptied whenever the furthest
+//! cursor rises, and the next search is the same DFS seeded from them —
+//! with `r`'s bit set and matching reads re-taken — whose frontier is the
+//! furthest cursor over their subtrees. (A seed reached through an
+//! optional write only `r` needed, which the new search would not try, is
+//! still a valid partial linearization of the new history: it can neither
+//! invent a linearization nor carry the frontier past the first infeasible
+//! prefix.) The memo of dead states carries over without a `clear()`: an
+//! entry with `r`'s bit clear can never match again, and one with it set
+//! has a cursor below `k`, so it cannot equal a resumed state. A memo hit
+//! therefore always stands for a subtree of the running search, as the
+//! single-search argument above needs. The unit tests check resumption
+//! against restarting from the root after every culprit, and
+//! `tests/lin_reference.rs` checks the culprits against a brute force.
 
 use super::{KeyIndex, OpHistory};
 use crate::fxhash::FxHashSet;
@@ -111,7 +137,9 @@ pub struct LinOptions {
     /// [`Exhausted`](KeyLinVerdict::Exhausted) without searching.
     pub max_ops_per_key: usize,
     /// Total DFS nodes (write-linearization attempts) allowed per key,
-    /// shared by all its searches (one per violation, plus the last).
+    /// shared by all its searches (one per violation, plus the last), each
+    /// resuming where the one before it stopped. A key that runs out after
+    /// its first conviction is still a [`Violation`](KeyLinVerdict::Violation).
     pub max_nodes_per_key: u64,
 }
 
@@ -151,10 +179,13 @@ impl LinViolation {
 pub enum KeyLinVerdict {
     /// A linearization exists for the whole per-key history.
     Linearizable,
-    /// No linearization exists; see the violations list.
+    /// No linearization exists; see the violations list. Every listed
+    /// violation is proven, even if the budget ran out before the rest of
+    /// the key was searched.
     Violation,
-    /// The node budget ran out before a verdict — explicitly *not* a
-    /// failure: the gate treats it as "unknown", never "violated".
+    /// The node budget (or the op ceiling) ran out before any verdict, and
+    /// no violation was proven — explicitly *not* a failure: the gate
+    /// treats it as "unknown", never "violated".
     Exhausted,
 }
 
@@ -170,9 +201,10 @@ pub struct KeyLinResult {
     pub verdict: KeyLinVerdict,
     /// Every localized violation, in response order.
     pub violations: Vec<LinViolation>,
-    /// DFS nodes (write-linearization attempts) spent on this key: one
-    /// exhaustive search per violation plus the feasible search that ends
-    /// the scan (or the one that ran out of budget).
+    /// DFS nodes (write-linearization attempts) spent on this key over all
+    /// its searches: one per violation, each resumed at the previous one's
+    /// frontier, plus the feasible search that ends the scan (or the one
+    /// that ran out of budget).
     pub nodes: u64,
 }
 
@@ -196,7 +228,8 @@ pub struct LinCheck {
     pub linearizable_keys: u64,
     /// Keys with at least one violation.
     pub violated_keys: u64,
-    /// Keys whose search ran out of budget (unknown, not failed).
+    /// Keys whose search ran out of budget before any conviction
+    /// (unknown, not failed).
     pub exhausted_keys: u64,
     /// DFS nodes spent across all keys.
     pub nodes_explored: u64,
@@ -266,12 +299,13 @@ struct LinOp {
     synthetic: bool,
 }
 
-/// Outcome of one full search of a key.
+/// Outcome of one search of a key.
 enum Feasibility {
     Feasible,
     /// No linearization exists. The payload is the search's frontier: the
     /// index into [`KeySearch::events`] of the earliest response that no
-    /// visited state got past (see *Violation windows* in the module docs).
+    /// reachable state gets past (see *Violation windows* in the module
+    /// docs).
     Infeasible(usize),
     Exhausted,
 }
@@ -304,59 +338,51 @@ pub(super) fn check_lin_on(history: &OpHistory, index: &KeyIndex, opts: &LinOpti
     check
 }
 
-/// Gather each key's ops off the partition and search it, keys in
-/// first-appearance order.
+/// Search every key off the partition, keys in first-appearance order, on
+/// one [`KeySearch`] whose buffers every key reuses.
 fn check_keys(history: &OpHistory, index: &KeyIndex, opts: &LinOptions) -> Vec<KeyLinResult> {
-    let search = |(key, indices): (u64, &[u32])| {
-        let mut ops = Vec::with_capacity(indices.len());
-        // The earliest start of a write whose version is unknown
-        // (open-loop client timeout): such a write is possibly committed
-        // with an unattributable version, so orphan versions on this key
-        // get a synthetic carrier instead of a conviction.
-        let mut unknown_start: Option<u64> = None;
-        for &i in indices {
-            let op = &history.ops()[i as usize].op;
-            let start_ns = op.start.as_nanos();
-            match op.kind {
-                OpKind::Write => match (op.seq, op.commit) {
-                    (Some(seq), commit) => {
-                        let writer = op.writer.expect("writes with a sequence carry their writer");
-                        ops.push(LinOp {
-                            op_id: op.op_id,
-                            is_write: true,
-                            version: (seq, writer),
-                            start_ns,
-                            resp_ns: commit.map_or(u64::MAX, |c| c.as_nanos()),
-                            closed: commit.is_some(),
-                            synthetic: false,
-                        });
-                    }
-                    (None, _) => {
-                        unknown_start = Some(unknown_start.map_or(start_ns, |s| s.min(start_ns)));
-                    }
-                },
-                OpKind::Read => {
-                    let Some(finish) = op.finish else {
-                        continue; // timed out: the client observed nothing
-                    };
-                    ops.push(LinOp {
-                        op_id: op.op_id,
-                        is_write: false,
-                        version: (op.seq.unwrap_or(0), op.writer.unwrap_or(0)),
-                        start_ns,
-                        resp_ns: finish.as_nanos(),
-                        closed: true,
-                        synthetic: false,
-                    });
-                }
-            }
-        }
-        if let Some(unknown_start) = unknown_start {
-            synthesize_orphans(&mut ops, unknown_start);
-        }
-        check_key(key, ops, opts)
+    let mut search = KeySearch::new(opts.max_nodes_per_key);
+    let check = |(key, indices)| check_key(&mut search, key, history, indices, opts);
+    index.iter().map(check).collect()
+}
+
+/// Search one key: each infeasible search names a culprit, which is
+/// removed before the search resumes at its frontier, until a search finds
+/// a linearization or the budget runs out.
+fn check_key(
+    search: &mut KeySearch,
+    key: u64,
+    history: &OpHistory,
+    indices: &[u32],
+    opts: &LinOptions,
+) -> KeyLinResult {
+    search.gather(history, indices);
+    let ops = search.ops.iter().filter(|o| !o.synthetic).count() as u64;
+    let mut result = KeyLinResult {
+        key,
+        ops,
+        verdict: KeyLinVerdict::Exhausted,
+        violations: Vec::new(),
+        nodes: 0,
     };
-    index.iter().map(search).collect()
+    if ops > opts.max_ops_per_key as u64 {
+        return result;
+    }
+    search.reset();
+    result.verdict = loop {
+        match search.run() {
+            Feasibility::Infeasible(frontier) => {
+                let culprit = search.remove_event(frontier);
+                result.violations.push(violation_for(key, &culprit, &search.ops));
+            }
+            // A conviction stands whatever the rest of the key turns out to be.
+            _ if !result.violations.is_empty() => break KeyLinVerdict::Violation,
+            Feasibility::Feasible => break KeyLinVerdict::Linearizable,
+            Feasibility::Exhausted => break KeyLinVerdict::Exhausted,
+        }
+    };
+    result.nodes = search.nodes;
+    result
 }
 
 /// Add a synthetic optional open write for every version some read
@@ -383,42 +409,6 @@ fn synthesize_orphans(ops: &mut Vec<LinOp>, unknown_start_ns: u64) {
             synthetic: true,
         });
     }
-}
-
-/// Search one key: one exhaustive search per violation (each names its
-/// culprit, which is then removed), then the feasible one that ends it.
-fn check_key(key: u64, mut ops: Vec<LinOp>, opts: &LinOptions) -> KeyLinResult {
-    let op_count = ops.iter().filter(|o| !o.synthetic).count() as u64;
-    let mut result = KeyLinResult {
-        key,
-        ops: op_count,
-        verdict: KeyLinVerdict::Linearizable,
-        violations: Vec::new(),
-        nodes: 0,
-    };
-    if ops.len() > opts.max_ops_per_key {
-        result.verdict = KeyLinVerdict::Exhausted;
-        return result;
-    }
-    // Invocation order is the search's canonical op order (ties broken by
-    // op id, so serial and parallel runs of one schedule agree).
-    ops.sort_by_key(|o| (o.start_ns, o.op_id));
-    let mut search = KeySearch::new(ops, opts.max_nodes_per_key);
-    result.verdict = loop {
-        match search.run() {
-            Feasibility::Feasible if result.violations.is_empty() => {
-                break KeyLinVerdict::Linearizable;
-            }
-            Feasibility::Feasible => break KeyLinVerdict::Violation,
-            Feasibility::Exhausted => break KeyLinVerdict::Exhausted,
-            Feasibility::Infeasible(frontier) => {
-                let culprit = search.remove_event(frontier);
-                result.violations.push(violation_for(key, &culprit, &search.ops));
-            }
-        }
-    };
-    result.nodes = search.nodes;
-    result
 }
 
 /// Localize one violation to its staleness window. The culprit is a read
@@ -451,10 +441,12 @@ struct Frame {
     cursor: u32,
 }
 
-/// Everything the searches of one key share. Nothing here is rebuilt
-/// between searches and nothing is allocated per DFS node: removing a
-/// culprit edits `ops`/`events`/`state` in place, and the two stacks and
-/// the memo keep their capacity.
+/// The search of one audit, handed one key after another. Nothing here is
+/// reallocated per key once it has grown, nothing is allocated per DFS node
+/// but a dead state's memo key, and nothing is rebuilt between the searches
+/// of a key: removing a culprit edits `events` and the frontier states in
+/// place, and the memo carries over.
+#[derive(Default)]
 struct KeySearch {
     /// Every op of the key in invocation order, never compacted. A closed
     /// op is required; an open one (`resp_ns == u64::MAX`) is optional.
@@ -462,53 +454,123 @@ struct KeySearch {
     /// The required ops in response order `(resp_ns, op_id)`.
     events: Vec<u32>,
     /// `readers[spans[w].0..spans[w].1]`: the reads that observed optional
-    /// write `w`'s version (what keeps it worth trying).
+    /// write `w`'s version (what keeps it worth trying). Built only for a
+    /// key with an optional write, and read only for those.
     spans: Vec<(u32, u32)>,
     readers: Vec<u32>,
     /// The linearized bitset followed by the register `(seq, writer)` as
-    /// two words — as a whole, the memo key. Removed reads stay set.
+    /// two words — as a whole, the memo key.
     state: Vec<u64>,
     /// States proven to have no completion, as full keys (never hashes).
     dead: FxHashSet<Vec<u64>>,
+    /// Flat arena of `state`-sized memo keys: every state the running
+    /// search entered at cursor `reached`, where the next one resumes.
+    /// Removed reads are set in it.
+    frontier: Vec<u64>,
+    /// The previous search's `frontier`: the running search's start set.
+    seeds: Vec<u64>,
+    /// The furthest cursor of the running search (of the last one, between
+    /// searches). Every seed has linearized the events before it.
+    reached: u32,
     frames: Vec<Frame>,
     undo: Vec<u32>,
     cands: Vec<u32>,
-    required_left: usize,
     nodes: u64,
     max_nodes: u64,
 }
 
 impl KeySearch {
-    fn new(ops: Vec<LinOp>, max_nodes: u64) -> Self {
-        let op = |i: u32| &ops[i as usize];
-        let mut events: Vec<u32> = (0..ops.len() as u32).filter(|&i| op(i).closed).collect();
-        events.sort_by_key(|&i| (op(i).resp_ns, op(i).op_id));
-        let mut readers: Vec<u32> =
-            (0..ops.len() as u32).filter(|&i| !op(i).is_write && op(i).version != (0, 0)).collect();
-        readers.sort_by_key(|&i| op(i).version);
-        let span = |w: &LinOp| {
-            if w.closed {
-                return (0, 0); // required: always a candidate, never looked up
+    fn new(max_nodes: u64) -> Self {
+        Self { max_nodes, ..Self::default() }
+    }
+
+    /// Refill `ops` with one key's ops off the partition, in history order.
+    fn gather(&mut self, history: &OpHistory, indices: &[u32]) {
+        self.ops.clear();
+        // The earliest start of a write whose version is unknown (open-loop
+        // client timeout): such a write is possibly committed with an
+        // unattributable version, so orphan versions on this key get a
+        // synthetic carrier instead of a conviction.
+        let mut unknown_start: Option<u64> = None;
+        for &i in indices {
+            let op = &history.ops()[i as usize].op;
+            let start_ns = op.start.as_nanos();
+            match op.kind {
+                OpKind::Write => match (op.seq, op.commit) {
+                    (Some(seq), commit) => {
+                        let writer = op.writer.expect("writes with a sequence carry their writer");
+                        self.ops.push(LinOp {
+                            op_id: op.op_id,
+                            is_write: true,
+                            version: (seq, writer),
+                            start_ns,
+                            resp_ns: commit.map_or(u64::MAX, |c| c.as_nanos()),
+                            closed: commit.is_some(),
+                            synthetic: false,
+                        });
+                    }
+                    (None, _) => {
+                        unknown_start = Some(unknown_start.map_or(start_ns, |s| s.min(start_ns)));
+                    }
+                },
+                OpKind::Read => {
+                    let Some(finish) = op.finish else {
+                        continue; // timed out: the client observed nothing
+                    };
+                    self.ops.push(LinOp {
+                        op_id: op.op_id,
+                        is_write: false,
+                        version: (op.seq.unwrap_or(0), op.writer.unwrap_or(0)),
+                        start_ns,
+                        resp_ns: finish.as_nanos(),
+                        closed: true,
+                        synthetic: false,
+                    });
+                }
             }
-            let from = readers.partition_point(|&r| op(r).version < w.version);
-            let len = readers[from..].partition_point(|&r| op(r).version == w.version);
-            (from as u32, (from + len) as u32)
-        };
-        let spans = ops.iter().map(span).collect();
-        Self {
-            state: vec![0; ops.len().div_ceil(64) + 2],
-            ops,
-            events,
-            spans,
-            readers,
-            dead: FxHashSet::default(),
-            frames: Vec::new(),
-            undo: Vec::new(),
-            cands: Vec::new(),
-            required_left: 0,
-            nodes: 0,
-            max_nodes,
         }
+        if let Some(unknown_start) = unknown_start {
+            synthesize_orphans(&mut self.ops, unknown_start);
+        }
+    }
+
+    /// Order and index the gathered ops, and clear what the last key left:
+    /// the first search starts from the root alone.
+    fn reset(&mut self) {
+        // Invocation order is the search's canonical op order (ties broken
+        // by op id, so serial and parallel runs of one schedule agree).
+        self.ops.sort_by_key(|o| (o.start_ns, o.op_id));
+        let ops = &self.ops;
+        let op = |i: u32| &ops[i as usize];
+        self.events.clear();
+        self.events.extend((0..ops.len() as u32).filter(|&i| op(i).closed));
+        self.events.sort_by_key(|&i| (op(i).resp_ns, op(i).op_id));
+        self.spans.clear();
+        self.readers.clear();
+        if ops.iter().any(|o| !o.closed) {
+            let readers = &mut self.readers;
+            let observed = |i: u32| !op(i).is_write && op(i).version != (0, 0);
+            readers.extend((0..ops.len() as u32).filter(|&i| observed(i)));
+            readers.sort_unstable_by_key(|&i| op(i).version);
+            self.spans.extend(ops.iter().map(|w| {
+                if w.closed {
+                    return (0, 0); // required: always a candidate, never looked up
+                }
+                let from = readers.partition_point(|&r| op(r).version < w.version);
+                let len = readers[from..].partition_point(|&r| op(r).version == w.version);
+                (from as u32, (from + len) as u32)
+            }));
+        }
+        self.state.clear();
+        self.state.resize(ops.len().div_ceil(64) + 2, 0);
+        self.dead.clear();
+        self.frontier.clear();
+        self.frontier.extend_from_slice(&self.state);
+        self.reached = 0;
+        self.frames.clear();
+        self.undo.clear();
+        self.cands.clear();
+        self.nodes = 0;
     }
 
     fn is_lin(&self, i: usize) -> bool {
@@ -529,7 +591,6 @@ impl KeySearch {
     /// Linearize op `i` on the undo stack.
     fn take(&mut self, i: usize) {
         self.state[i / 64] |= 1u64 << (i % 64);
-        self.required_left -= usize::from(self.ops[i].closed);
         self.undo.push(i as u32);
     }
 
@@ -538,7 +599,6 @@ impl KeySearch {
         let undo_from = undo_from as usize;
         for &i in &self.undo[undo_from..] {
             self.state[i as usize / 64] &= !(1u64 << (i % 64));
-            self.required_left += usize::from(self.ops[i as usize].closed);
         }
         self.undo.truncate(undo_from);
         self.set_register(register);
@@ -574,6 +634,12 @@ impl KeySearch {
         }
     }
 
+    /// Whether some un-linearized read observed optional write `w`'s version.
+    fn needed(&self, w: usize) -> bool {
+        let (from, to) = self.spans[w];
+        self.readers[from as usize..to as usize].iter().any(|&r| !self.is_lin(r as usize))
+    }
+
     /// Push the available un-linearized writes worth trying — required
     /// ones, and optional ones some un-linearized read still needs —
     /// so that they pop in invocation order.
@@ -588,9 +654,7 @@ impl KeySearch {
             if op.start_ns > min_resp {
                 break;
             }
-            let (from, to) = self.spans[i];
-            let readers = &self.readers[from as usize..to as usize];
-            if op.is_write && (op.closed || readers.iter().any(|&r| !self.is_lin(r as usize))) {
+            if op.is_write && (op.closed || self.needed(i)) {
                 self.cands.push(i as u32);
             }
             min_resp = min_resp.min(op.resp_ns);
@@ -599,39 +663,63 @@ impl KeySearch {
     }
 
     /// Advance an `events` cursor past every linearized response.
-    fn frontier(&self, mut cursor: u32) -> u32 {
+    fn advance(&self, mut cursor: u32) -> u32 {
         while self.events.get(cursor as usize).is_some_and(|&e| self.is_lin(e as usize)) {
             cursor += 1;
         }
         cursor
     }
 
+    /// Note that the search entered the current state at `cursor`: the
+    /// states at the furthest cursor are where the next search resumes.
+    fn visit(&mut self, cursor: u32) {
+        if cursor < self.reached {
+            return;
+        }
+        if cursor > self.reached {
+            self.reached = cursor;
+            self.frontier.clear();
+        }
+        self.frontier.extend_from_slice(&self.state);
+    }
+
     /// Take the read `events[at]` out of the history and return it: its
-    /// bit stays set from now on, so every scan skips it.
+    /// bit is set in every frontier state, so it stays set in every state
+    /// the next search derives from them, and every scan skips it.
     fn remove_event(&mut self, at: usize) -> LinOp {
         let i = self.events.remove(at) as usize;
-        self.state[i / 64] |= 1u64 << (i % 64);
+        for state in self.frontier.chunks_exact_mut(self.state.len()) {
+            state[i / 64] |= 1u64 << (i % 64);
+        }
         self.ops[i]
     }
 
-    /// One memoized WGL search of the whole key as it now stands. An
-    /// `Infeasible` return has visited every reachable state and leaves
-    /// the search state clean for the next run.
+    /// One memoized WGL search of the key as it now stands, seeded from the
+    /// states the previous search left at its frontier (the root, first);
+    /// see *Violation windows* in the module docs for why that is enough.
+    /// An `Infeasible` return has visited every state reachable from the
+    /// seeds and leaves the stacks empty for the next run.
     fn run(&mut self) -> Feasibility {
-        self.dead.clear();
-        self.required_left = self.events.len();
-        self.take_matching_reads();
-        if self.required_left == 0 {
-            return Feasibility::Feasible;
+        std::mem::swap(&mut self.seeds, &mut self.frontier);
+        self.frontier.clear();
+        let base = self.reached;
+        let stride = self.state.len();
+        for seed in 0..self.seeds.len() / stride {
+            self.state.copy_from_slice(&self.seeds[seed * stride..(seed + 1) * stride]);
+            if self.enter(base, 0, self.register()) {
+                return Feasibility::Feasible;
+            }
+            if let Some(done) = self.descend() {
+                return done;
+            }
         }
-        let cursor = self.frontier(0);
-        let mut reached = cursor;
-        self.push_candidates();
-        self.frames.push(Frame { cands_from: 0, undo_from: 0, prev_version: (0, 0), cursor });
-        loop {
-            let Some(frame) = self.frames.last() else {
-                return Feasibility::Infeasible(reached as usize);
-            };
+        Feasibility::Infeasible(self.reached as usize)
+    }
+
+    /// Depth-first over every state reachable from the frames on the
+    /// stack. `None` once all of them are dead and memoized.
+    fn descend(&mut self) -> Option<Feasibility> {
+        while let Some(frame) = self.frames.last() {
             if self.cands.len() == frame.cands_from as usize {
                 // Every choice failed from here: memoize and backtrack.
                 self.dead.insert(self.state.clone());
@@ -642,26 +730,280 @@ impl KeySearch {
             let cursor = frame.cursor;
             let w = self.cands.pop().expect("the frame has candidates left") as usize;
             if self.nodes == self.max_nodes {
-                return Feasibility::Exhausted;
+                return Some(Feasibility::Exhausted);
             }
             self.nodes += 1;
             let prev_version = self.register();
             let undo_from = self.undo.len() as u32;
             self.take(w);
             self.set_register(self.ops[w].version);
-            self.take_matching_reads();
-            if self.required_left == 0 {
-                return Feasibility::Feasible;
+            if self.enter(cursor, undo_from, prev_version) {
+                return Some(Feasibility::Feasible);
             }
-            let cursor = self.frontier(cursor);
-            reached = reached.max(cursor);
-            if self.dead.contains(&self.state[..]) {
-                self.rollback(undo_from, prev_version);
-                continue;
-            }
-            let cands_from = self.cands.len() as u32;
-            self.push_candidates();
-            self.frames.push(Frame { cands_from, undo_from, prev_version, cursor });
         }
+        None
+    }
+
+    /// Take the matching reads, then push a frame for the state reached
+    /// unless it is already known dead (then undo back to `undo_from`).
+    /// `cursor` is the entering frame's. True when every required op is
+    /// linearized.
+    fn enter(&mut self, cursor: u32, undo_from: u32, prev_version: (u64, u32)) -> bool {
+        self.take_matching_reads();
+        let cursor = self.advance(cursor);
+        if cursor as usize == self.events.len() {
+            return true;
+        }
+        if self.dead.contains(&self.state[..]) {
+            // Only this search's own states can match (module docs), and
+            // their subtrees' cursors were noted when it explored them.
+            debug_assert!(cursor <= self.reached, "memo hit past the frontier");
+            self.rollback(undo_from, prev_version);
+            return false;
+        }
+        self.visit(cursor);
+        let cands_from = self.cands.len() as u32;
+        self.push_candidates();
+        self.frames.push(Frame { cands_from, undo_from, prev_version, cursor });
+        false
+    }
+
+    /// What PR 16 did after each removal, for the equivalence test: the
+    /// next search starts from the root again, with an empty memo.
+    #[cfg(test)]
+    fn restart(&mut self) {
+        self.dead.clear();
+        self.reached = 0;
+        self.frontier.clear();
+        self.frontier.resize(self.state.len(), 0);
+        // The root with every removed read set: closed ops no longer events.
+        for (i, op) in self.ops.iter().enumerate() {
+            self.frontier[i / 64] |= u64::from(op.closed) << (i % 64);
+        }
+        for &e in &self.events {
+            self.frontier[e as usize / 64] &= !(1u64 << (e % 64));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ClientOptions, Cluster, ClusterOptions, CompletedOp, FaultProfile, NetworkModel};
+    use pbs_core::ReplicaConfig;
+    use pbs_dist::Pareto;
+    use pbs_sim::SimTime;
+    use pbs_workload::{OpMix, OpStream, Poisson, UniformKeys};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+
+    /// `tests/common::storm_history` with its ops spread over `keys` keys:
+    /// 8 nodes at N=3 R=W=1 on Pareto legs under `FaultProfile::storm` with
+    /// one crash, 64 clients × 31.25 ops/s, half writes, 10 s, settled.
+    fn storm_history(seed: u64, keys: u64) -> OpHistory {
+        let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), seed);
+        opts.nodes = 8;
+        opts.op_timeout_ms = 2_000.0;
+        opts.read_repair = true;
+        opts.hinted_handoff = true;
+        let (w, ars) = (Arc::new(Pareto::new(1.5, 1.2)), Arc::new(Pareto::new(0.8, 2.0)));
+        let net = NetworkModel::w_ars(w, ars);
+        let mut cluster = Cluster::new(opts, net);
+        cluster.enable_history();
+        cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
+        cluster.crash_node_at((seed % 8) as usize, SimTime::from_ms(4_000.0), 1_500.0);
+        for _ in 0..64 {
+            let source = OpStream::new(
+                Poisson::per_second(31.25),
+                UniformKeys::new(keys),
+                OpMix::new(0.5),
+                1,
+            );
+            let copts = ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() };
+            cluster.add_client(Box::new(source), copts);
+        }
+        cluster.start_clients();
+        cluster.drain_window(SimTime::from_ms(10_000.0));
+        cluster.stop_clients();
+        cluster.drain_window(SimTime::from_ms(12_500.0));
+        cluster.take_history()
+    }
+
+    fn op(op_id: u64, kind: OpKind, start_ms: u64) -> CompletedOp {
+        CompletedOp {
+            op_id,
+            client: 0,
+            kind,
+            key: 7,
+            start: SimTime::from_ms(start_ms as f64),
+            finish: None,
+            seq: None,
+            commit: None,
+            writer: None,
+            source: None,
+            quorum_mask: 0,
+        }
+    }
+
+    /// `tests/lin_reference.rs`' micro-history generator: 2–8 ops on one
+    /// key on a coarse millisecond grid — overlapping writes, open writes,
+    /// version-less writes with orphan reads, equal instants.
+    fn micro_history(rng: &mut StdRng) -> OpHistory {
+        let mut history = OpHistory::new();
+        let mut written: Vec<(u64, u64)> = Vec::new(); // (seq, start)
+        for id in 1..=rng.gen_range(2..=8u64) {
+            let start = rng.gen_range(0..16u64);
+            let resp = SimTime::from_ms((start + rng.gen_range(1..7u64)) as f64);
+            let roll = rng.gen_range(0..100u32);
+            let mut o = op(id, if roll < 55 { OpKind::Write } else { OpKind::Read }, start);
+            if roll < 10 {
+                // client timeout: no version, no commit
+            } else if roll < 55 {
+                (o.seq, o.writer) = (Some(id), Some(0));
+                written.push((id, start));
+                if roll >= 20 {
+                    (o.commit, o.finish) = (Some(resp), Some(resp));
+                }
+            } else {
+                o.finish = Some(resp);
+                let pick = rng.gen_range(0..100u32);
+                o.seq = if pick < 15 || (written.is_empty() && pick < 90) {
+                    None
+                } else if pick < 65 {
+                    written.iter().max_by_key(|&&(seq, at)| (at, seq)).map(|&(seq, _)| seq)
+                } else if pick < 90 {
+                    Some(written[rng.gen_range(0..written.len())].0)
+                } else {
+                    Some(100 + rng.gen_range(0..2u64))
+                };
+                o.writer = o.seq.map(|_| 0);
+            }
+            history.push(o, None);
+        }
+        history
+    }
+
+    /// Every key's culprits and verdict with the search restarted from the
+    /// root after each removal, on an unlimited budget.
+    fn restarted(history: &OpHistory) -> Vec<(Vec<u64>, KeyLinVerdict)> {
+        let index = KeyIndex::new(history);
+        let mut search = KeySearch::new(u64::MAX);
+        let check = |(_, indices)| {
+            search.gather(history, indices);
+            search.reset();
+            let mut culprits = Vec::new();
+            loop {
+                match search.run() {
+                    Feasibility::Infeasible(frontier) => {
+                        culprits.push(search.remove_event(frontier).op_id);
+                        search.restart();
+                    }
+                    Feasibility::Feasible if culprits.is_empty() => {
+                        return (culprits, KeyLinVerdict::Linearizable);
+                    }
+                    Feasibility::Feasible => return (culprits, KeyLinVerdict::Violation),
+                    Feasibility::Exhausted => unreachable!("the budget is unlimited"),
+                }
+            }
+        };
+        index.iter().map(check).collect()
+    }
+
+    fn resumed(history: &OpHistory) -> Vec<(Vec<u64>, KeyLinVerdict)> {
+        let opts = LinOptions { max_nodes_per_key: u64::MAX, ..LinOptions::default() };
+        let keys = check_lin_keys(history, &opts);
+        let culprits = |k: &KeyLinResult| k.violations.iter().map(|v| v.op_id).collect();
+        keys.iter().map(|k| (culprits(k), k.verdict)).collect()
+    }
+
+    /// Resuming at the frontier names the same culprits, in the same
+    /// order, and reaches the same verdict as searching again from the root.
+    #[test]
+    fn resuming_at_the_frontier_convicts_what_a_restart_convicts() {
+        let mut rng = StdRng::seed_from_u64(0x11ea);
+        let mut convicted = 0;
+        for case in 0..3_000 {
+            let history = micro_history(&mut rng);
+            let want = restarted(&history);
+            assert_eq!(resumed(&history), want, "case {case}: {:#?}", history.ops());
+            convicted += want[0].0.len();
+        }
+        assert!(convicted >= 1_000, "only {convicted} culprits in the micro-histories");
+        for keys in [256, 64] {
+            let history = storm_history(11, keys);
+            let want = restarted(&history);
+            assert_eq!(resumed(&history), want, "{keys} keys");
+            let culprits: usize = want.iter().map(|(c, _)| c.len()).sum();
+            assert!(culprits > 200, "{keys} keys: only {culprits} culprits");
+        }
+    }
+
+    /// Hot keys (8 keys of ~2,500 ops each) get a verdict under the
+    /// default budget: the restart ran every one of them out of it.
+    #[test]
+    fn hot_keys_are_settled_under_the_default_budget() {
+        let lin = check_lin(&storm_history(11, 8), &LinOptions::default());
+        assert_eq!(lin.keys_checked, 8);
+        assert_eq!(lin.exhausted_keys, 0);
+        assert!(lin.violation_count() > 100, "only {} violations", lin.violation_count());
+    }
+
+    /// A key that convicts a read and then runs out of budget is a
+    /// `Violation` carrying the conviction; `Exhausted` is a key with no
+    /// verdict and no violations.
+    #[test]
+    fn a_proven_conviction_is_not_unknown() {
+        let write = |id: u64, start: u64, commit: u64| {
+            let mut w = op(id, OpKind::Write, start);
+            (w.seq, w.writer) = (Some(id), Some(0));
+            let at = Some(SimTime::from_ms(commit as f64));
+            (w.commit, w.finish) = (at, at);
+            w
+        };
+        let read_nothing = |id: u64, start: u64| {
+            let mut r = op(id, OpKind::Read, start);
+            r.finish = Some(SimTime::from_ms(start as f64 + 1.0));
+            r
+        };
+        // Eight mutually-overlapping writes and a read that saw none of
+        // them: proving that takes more than a 10-node budget.
+        let hard: Vec<CompletedOp> =
+            (2..10).map(|id| write(id, 20, 100)).chain([read_nothing(100, 200)]).collect();
+        // The same, after a write and a read that missed it: one node.
+        let stale = [write(1, 0, 5), read_nothing(50, 10)];
+        let convicting = [&stale[..], &hard[..]].concat();
+        let tiny = LinOptions { max_nodes_per_key: 10, ..LinOptions::default() };
+        for (ops, convicted) in [(&hard, vec![]), (&convicting, vec![50])] {
+            let mut history = OpHistory::new();
+            for &o in ops {
+                history.push(o, None);
+            }
+            let keys = check_lin_keys(&history, &tiny);
+            let got: Vec<u64> = keys[0].violations.iter().map(|v| v.op_id).collect();
+            assert_eq!(got, convicted);
+            let verdict = match convicted.len() {
+                0 => KeyLinVerdict::Exhausted,
+                _ => KeyLinVerdict::Violation,
+            };
+            assert_eq!(keys[0].verdict, verdict);
+            assert_eq!(keys[0].nodes, 10, "both ran out of budget");
+        }
+    }
+
+    /// `max_ops_per_key` counts the ops `KeyLinResult::ops` reports, not the
+    /// synthetic carriers of orphan versions.
+    #[test]
+    fn the_op_ceiling_does_not_count_orphan_carriers() {
+        let mut history = OpHistory::new();
+        history.push(op(1, OpKind::Write, 0), None); // timed out, version lost
+        for (id, seq) in [(2, 5), (3, 6)] {
+            let mut r = op(id, OpKind::Read, 10);
+            (r.seq, r.writer, r.finish) = (Some(seq), Some(0), Some(SimTime::from_ms(11.0)));
+            history.push(r, None);
+        }
+        let capped = LinOptions { max_ops_per_key: 2, ..LinOptions::default() };
+        let keys = check_lin_keys(&history, &capped);
+        assert_eq!((keys[0].ops, keys[0].verdict), (2, KeyLinVerdict::Linearizable));
     }
 }

@@ -245,19 +245,21 @@ fn verdicts_and_culprits_match_a_brute_force_permutation_checker() {
     assert!(open_seen >= 100, "only {open_seen} cases reading an open write's version");
 }
 
-/// The search's cost as a count. A violation costs one exhaustive search
-/// of its key, not a search per probed prefix, so the whole audit of a
-/// stormy partial-quorum history stays under one DFS node per op (0.77
-/// when this was written; 2.25 with a binary search over prefixes).
+/// The search's cost as a count. After each culprit the search resumes at
+/// its frontier instead of searching the key again from the root, so the
+/// whole audit of a stormy partial-quorum history stays under two thirds
+/// of a DFS node per op: 10,246 nodes for 20,042 ops (0.51) when this was
+/// written; 0.76 restarting after each culprit, 2.25 with a binary search
+/// over prefixes.
 #[test]
-fn a_storm_audit_spends_less_than_one_search_node_per_op() {
+fn a_storm_audit_spends_less_than_two_thirds_of_a_search_node_per_op() {
     let lin = check_lin(&storm_history(11), &LinOptions::default());
     assert_eq!(lin.keys_checked, 256);
     assert!(lin.ops_checked > 15_000, "history too small to mean anything: {}", lin.ops_checked);
     assert!(lin.violation_count() > 100, "the storm must leave stale reads to localise");
     assert_eq!(lin.exhausted_keys, 0);
     assert!(
-        lin.nodes_explored < lin.ops_checked,
+        3 * lin.nodes_explored < 2 * lin.ops_checked,
         "{} nodes for {} ops",
         lin.nodes_explored,
         lin.ops_checked
