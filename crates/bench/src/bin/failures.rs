@@ -82,8 +82,8 @@ fn scenario(
     vec![
         name.to_string(),
         report::pct(rep.consistency_rate()),
-        rep.failed_writes.to_string(),
-        rep.incomplete_reads.to_string(),
+        rep.failed_writes().to_string(),
+        rep.incomplete_reads().to_string(),
         hints.get().to_string(),
         syncs.get().to_string(),
     ]

@@ -43,15 +43,16 @@ fn print_table(scenario: &Scenario, run: &ScenarioRun) {
         .windows
         .iter()
         .map(|w| {
+            let c = &w.counts;
             vec![
-                format!("{:.0}", w.start_ms),
-                w.probes.to_string(),
-                fmt_opt(w.measured(), 4),
+                format!("{:.0}", c.start_ms),
+                c.reads.to_string(),
+                fmt_opt(c.measured(), 4),
                 fmt_opt(w.predicted(), 4),
                 fmt_opt(w.tracking_error(), 4),
-                fmt_opt((w.probes > 0).then(|| w.read_latency.percentile(50.0)), 3),
-                fmt_opt((w.probes > 0).then(|| w.write_latency.percentile(99.0)), 3),
-                w.failed_writes.to_string(),
+                fmt_opt((c.reads > 0).then(|| w.read_latency.percentile(50.0)), 3),
+                fmt_opt((c.reads > 0).then(|| w.write_latency.percentile(99.0)), 3),
+                c.failed_writes.to_string(),
                 w.reconfigs.to_string(),
             ]
         })
@@ -103,21 +104,22 @@ fn print_csv(run: &ScenarioRun) {
         let lat = |s: &pbs_mc::Summary, pct: f64| {
             if s.is_empty() { String::new() } else { format!("{:.4}", s.percentile(pct)) }
         };
+        let c = &w.counts;
         println!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            w.start_ms,
+            c.start_ms,
             w.end_ms,
-            w.probes,
-            w.consistent,
-            fmt_opt(w.measured(), 6).replace('-', ""),
+            c.reads,
+            c.consistent,
+            fmt_opt(c.measured(), 6).replace('-', ""),
             fmt_opt(w.predicted(), 6).replace('-', ""),
             fmt_opt(w.tracking_error(), 6).replace('-', ""),
             lat(&w.read_latency, 50.0),
             lat(&w.read_latency, 99.0),
             lat(&w.write_latency, 50.0),
             lat(&w.write_latency, 99.0),
-            w.failed_writes,
-            w.incomplete_reads,
+            c.failed_writes,
+            c.incomplete_reads,
             w.reconfigs,
         );
     }
@@ -135,22 +137,23 @@ fn print_json(scenario: &Scenario, run: &ScenarioRun) {
         .windows
         .iter()
         .map(|w: &WindowRecord| {
+            let c = &w.counts;
             format!(
                 "{{\"start_ms\":{},\"end_ms\":{},\"probes\":{},\"consistent\":{},\
                  \"measured\":{},\"predicted\":{},\"failed_writes\":{},\
                  \"incomplete_reads\":{},\"reconfigs\":{},\"read_p50_ms\":{},\
                  \"write_p99_ms\":{}}}",
-                w.start_ms,
+                c.start_ms,
                 w.end_ms,
-                w.probes,
-                w.consistent,
-                json_f64(w.measured()),
+                c.reads,
+                c.consistent,
+                json_f64(c.measured()),
                 json_f64(w.predicted()),
-                w.failed_writes,
-                w.incomplete_reads,
+                c.failed_writes,
+                c.incomplete_reads,
                 w.reconfigs,
-                json_f64((w.probes > 0).then(|| w.read_latency.percentile(50.0))),
-                json_f64((w.probes > 0).then(|| w.write_latency.percentile(99.0))),
+                json_f64((c.reads > 0).then(|| w.read_latency.percentile(50.0))),
+                json_f64((c.reads > 0).then(|| w.write_latency.percentile(99.0))),
             )
         })
         .collect();

@@ -131,7 +131,7 @@ fn main() {
             // Predict from the *measured* committed-write rate per key —
             // the paper's "easily collected" operational metric.
             let commit_rate_per_ms =
-                rep.commits as f64 / rep.runs as f64 / duration_ms / keys as f64;
+                rep.commits() as f64 / rep.runs as f64 / duration_ms / keys as f64;
             let predicted = if commit_rate_per_ms > 0.0 {
                 Some(predictor.expected_consistency_under_poisson(commit_rate_per_ms))
             } else {
@@ -150,7 +150,7 @@ fn main() {
                 report::ms(rep.write_latency.percentile(50.0)),
                 report::ms(rep.write_latency.percentile(99.0)),
                 format!("{:.4}", rep.monotonic_violation_rate()),
-                rep.shed.to_string(),
+                rep.clients.shed.to_string(),
             ]);
         }
         report::table(

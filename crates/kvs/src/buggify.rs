@@ -246,22 +246,6 @@ impl FaultProfile {
         self
     }
 
-    /// This profile with every *probability* (and the drift bound) scaled
-    /// by `factor`, clamped back into range. Magnitudes (jitter and lag
-    /// bounds, the slow multiplier) and the seed are kept, so a ramp
-    /// built from one peak profile varies intensity, not character.
-    /// `factor = 0` yields a fully inert profile.
-    pub fn scaled(mut self, factor: f64) -> Self {
-        let p = |v: f64| (v * factor).clamp(0.0, 1.0);
-        self.drop_prob = p(self.drop_prob);
-        self.duplicate_prob = p(self.duplicate_prob);
-        self.reorder_prob = p(self.reorder_prob);
-        self.slow_node_frac = p(self.slow_node_frac);
-        self.disk_lag_prob = p(self.disk_lag_prob);
-        self.clock_drift_max = (self.clock_drift_max * factor).clamp(0.0, 0.499);
-        self
-    }
-
     /// Check every field against its documented range.
     pub fn validate(&self) -> Result<(), FaultConfigError> {
         let probs = [
@@ -298,16 +282,6 @@ impl FaultProfile {
             });
         }
         Ok(())
-    }
-
-    /// Whether any *message-path* fault is active (drop, duplicate,
-    /// reorder, or slow nodes). Disk lag and clock skew act on nodes,
-    /// not deliveries.
-    pub fn any_message_faults(&self) -> bool {
-        self.drop_prob > 0.0
-            || self.duplicate_prob > 0.0
-            || self.reorder_prob > 0.0
-            || (self.slow_node_frac > 0.0 && self.slow_node_factor > 1.0)
     }
 
     /// Whether `node` is in the deterministic slow set.
@@ -401,40 +375,6 @@ impl FaultSchedule {
         Self { segments }
     }
 
-    /// Preset: ramp from inert to `peak` in `steps` equal intensity
-    /// increments over `ramp_ms`, then hold the full peak forever.
-    pub fn ramp(peak: FaultProfile, steps: usize, ramp_ms: f64) -> Self {
-        assert!(steps >= 1 && ramp_ms > 0.0);
-        let segments = (0..=steps)
-            .map(|i| {
-                let frac = i as f64 / steps as f64;
-                ScheduleSegment::new(frac * ramp_ms, peak.scaled(frac))
-            })
-            .collect();
-        Self { segments }
-    }
-
-    /// Preset: `bursts` storms of `burst_ms` each, one per `period_ms`,
-    /// starting at `first_at_ms`; calm (inert) in between and after.
-    pub fn burst(
-        peak: FaultProfile,
-        first_at_ms: f64,
-        burst_ms: f64,
-        period_ms: f64,
-        bursts: usize,
-    ) -> Self {
-        assert!(first_at_ms > 0.0 && burst_ms > 0.0 && bursts >= 1);
-        assert!(period_ms > burst_ms, "bursts must not overlap");
-        let calm = FaultProfile::new(peak.seed);
-        let mut segments = vec![ScheduleSegment::new(0.0, calm)];
-        for k in 0..bursts {
-            let at = first_at_ms + k as f64 * period_ms;
-            segments.push(ScheduleSegment::new(at, peak));
-            segments.push(ScheduleSegment::new(at + burst_ms, calm));
-        }
-        Self { segments }
-    }
-
     /// Preset: calm until `storm_from_ms`, `storm` until
     /// `storm_until_ms`, calm again afterwards — the canonical
     /// crash-during-storm audit timeline.
@@ -485,13 +425,6 @@ impl FaultSchedule {
     /// The segments, sorted by start time.
     pub fn segments(&self) -> &[ScheduleSegment] {
         &self.segments
-    }
-
-    /// Whether *any* segment injects message-path faults. Used for the
-    /// network's fast-path gate; per-instant zero-draw discipline comes
-    /// from the per-field guards on the active profile.
-    pub fn any_message_faults(&self) -> bool {
-        self.segments.iter().any(|s| s.profile.any_message_faults())
     }
 }
 
@@ -561,7 +494,6 @@ mod tests {
     fn default_profile_is_inert_and_valid() {
         let p = FaultProfile::new(7);
         assert!(p.validate().is_ok());
-        assert!(!p.any_message_faults());
         for node in 0..16 {
             assert!(!p.is_slow(node));
             assert_eq!(p.slow_factor(node), 1.0);
@@ -574,7 +506,6 @@ mod tests {
     fn storm_preset_validates_and_activates_everything() {
         let p = FaultProfile::storm(3);
         assert!(p.validate().is_ok());
-        assert!(p.any_message_faults());
         assert!(p.drop_prob > 0.0 && p.duplicate_prob > 0.0 && p.reorder_prob > 0.0);
         assert!(p.disk_lag_prob > 0.0 && p.clock_drift_max > 0.0);
     }
@@ -645,7 +576,6 @@ mod tests {
         assert_eq!(*s.active_at(300.0), calm, "storm ends exactly at its bound");
         assert_eq!(*s.active_at(1.0e12), calm, "the final segment persists forever");
         assert!(s.as_constant().is_none());
-        assert!(s.any_message_faults());
     }
 
     #[test]
@@ -687,52 +617,6 @@ mod tests {
         assert_eq!(s.as_constant(), Some(p));
         assert_eq!(*s.active_at(0.0), p);
         assert_eq!(*s.active_at(1.0e9), p);
-    }
-
-    #[test]
-    fn ramp_preset_scales_intensity_monotonically() {
-        let peak = FaultProfile::storm(3);
-        let s = FaultSchedule::ramp(peak, 4, 400.0);
-        assert!(s.validate().is_ok());
-        assert_eq!(s.segments().len(), 5);
-        assert!(!s.active_at(0.0).any_message_faults(), "ramp starts inert");
-        let mut prev = -1.0;
-        for i in 0..=4 {
-            let p = s.active_at(i as f64 * 100.0);
-            assert!(p.drop_prob >= prev, "intensity must not decrease along the ramp");
-            prev = p.drop_prob;
-        }
-        assert_eq!(*s.active_at(400.0), peak, "ramp tops out at the full peak");
-        // Magnitudes are preserved at every step — only rates scale.
-        assert_eq!(s.active_at(100.0).reorder_max_ms, peak.reorder_max_ms);
-        assert!(s.active_at(100.0).slow_node_factor >= 1.0);
-    }
-
-    #[test]
-    fn burst_preset_alternates_storm_and_calm() {
-        let peak = FaultProfile::storm(7);
-        let s = FaultSchedule::burst(peak, 200.0, 50.0, 300.0, 3);
-        assert!(s.validate().is_ok());
-        for k in 0..3 {
-            let at = 200.0 + k as f64 * 300.0;
-            assert!(!s.active_at(at - 1.0).any_message_faults(), "calm before burst {k}");
-            assert_eq!(*s.active_at(at + 1.0), peak, "burst {k} active");
-            assert!(!s.active_at(at + 51.0).any_message_faults(), "calm after burst {k}");
-        }
-        assert!(!s.active_at(1.0e6).any_message_faults(), "calm forever after");
-    }
-
-    #[test]
-    fn scaled_profile_clamps_and_zero_is_inert() {
-        let p = FaultProfile::storm(1).with_drop(0.8);
-        let double = p.scaled(2.0);
-        assert!(double.validate().is_ok(), "scaling clamps back into range");
-        assert_eq!(double.drop_prob, 1.0);
-        let zero = p.scaled(0.0);
-        assert!(!zero.any_message_faults());
-        assert_eq!(zero.disk_lag_prob, 0.0);
-        assert_eq!(zero.clock_drift_max, 0.0);
-        assert_eq!(zero.reorder_max_ms, p.reorder_max_ms, "magnitudes survive scaling");
     }
 
     #[test]

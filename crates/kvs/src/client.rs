@@ -12,11 +12,11 @@
 //! | stream clock + restart offset        | 16           |
 //! | pre-pulled arrival (key + flags)     | 9            |
 //! | local op counter + arrival gen       | 5            |
-//! | in-flight count + peak               | 8            |
+//! | in-flight count                      | 4            |
 //! | inline in-flight slot (id/key/start) | 20           |
 //! | arrival-heap entry                   | 16           |
 //!
-//! ≈ 106 bytes/client of table state. Everything else is shared per table:
+//! ≈ 102 bytes/client of table state. Everything else is shared per table:
 //! an in-flight **overflow** map for the rare client holding more than one
 //! concurrent op, a single open-addressing session arena for
 //! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
@@ -43,6 +43,7 @@ use crate::messages::{
     ClientControl, ClientIn, ClientTimer, ClientToNode, Msg, NodeIn, NodeToClient,
 };
 use crate::shell::DownTracker;
+use pbs_mc::Mergeable;
 use pbs_sim::{Context, SimDuration, SimTime};
 use pbs_workload::{OpKind, OpSource, SharedOpSource};
 use rand::rngs::StdRng;
@@ -125,8 +126,17 @@ pub struct ClientStats {
     pub ryw_violations: u64,
     /// Completed reads checked against the session state.
     pub reads_checked: u64,
-    /// Sum of per-client in-flight high-water marks.
-    pub peak_in_flight: u64,
+}
+
+impl Mergeable for ClientStats {
+    fn merge(&mut self, other: Self) {
+        self.issued += other.issued;
+        self.shed += other.shed;
+        self.dropped_results += other.dropped_results;
+        self.monotonic_violations += other.monotonic_violations;
+        self.ryw_violations += other.ryw_violations;
+        self.reads_checked += other.reads_checked;
+    }
 }
 
 /// One finished operation, drained by the engine each window.
@@ -359,7 +369,6 @@ pub(crate) struct ClientTable {
     /// before the transition are skipped instead of double-firing.
     arrival_gen: Vec<u8>,
     in_flight_count: Vec<u32>,
-    peak_in_flight: Vec<u32>,
     /// Inline in-flight slot: local op id (`SLOT_EMPTY` = vacant), key,
     /// start. Open-loop clients hold ≤ 1 op almost always; more spills to
     /// the shared `overflow` map.
@@ -394,8 +403,7 @@ pub(crate) struct ClientTable {
     completed: Vec<CompletedOp>,
     /// Live in-flight ops across all rows.
     in_flight_live: u64,
-    /// Aggregate counters (`peak_in_flight` is computed from the per-row
-    /// column on read).
+    /// Aggregate counters.
     stats: ClientStats,
 }
 
@@ -443,7 +451,6 @@ impl ClientTable {
             flags: Vec::new(),
             arrival_gen: Vec::new(),
             in_flight_count: Vec::new(),
-            peak_in_flight: Vec::new(),
             slot_local: Vec::new(),
             slot_key: Vec::new(),
             slot_start: Vec::new(),
@@ -481,7 +488,6 @@ impl ClientTable {
         self.flags.reserve_exact(n);
         self.arrival_gen.reserve_exact(n);
         self.in_flight_count.reserve_exact(n);
-        self.peak_in_flight.reserve_exact(n);
         self.slot_local.reserve_exact(n);
         self.slot_key.reserve_exact(n);
         self.slot_start.reserve_exact(n);
@@ -522,7 +528,6 @@ impl ClientTable {
         self.flags.push(0);
         self.arrival_gen.push(0);
         self.in_flight_count.push(0);
-        self.peak_in_flight.push(0);
         self.slot_local.push(SLOT_EMPTY);
         self.slot_key.push(0);
         self.slot_start.push(SimTime::ZERO);
@@ -554,9 +559,7 @@ impl ClientTable {
 
     /// Aggregate counters over every client of this table.
     pub(crate) fn stats(&self) -> ClientStats {
-        let mut s = self.stats;
-        s.peak_in_flight = self.peak_in_flight.iter().map(|&p| p as u64).sum();
-        s
+        self.stats
     }
 
     /// Drain the completed-op buffer into `out` (driver-side, between
@@ -672,7 +675,6 @@ impl ClientTable {
         self.in_flight_count[row] += 1;
         self.in_flight_live += 1;
         self.stats.issued += 1;
-        self.peak_in_flight[row] = self.peak_in_flight[row].max(self.in_flight_count[row]);
         let coord =
             self.down.pick_up_node_in(&mut self.rng[row], self.coord_base, self.coord_count);
         let req = match kind {
@@ -1150,7 +1152,6 @@ mod tests {
         assert_deadlines_exact(&seen, swallow_some);
         let (table, _) = table_of(&mut sim);
         let stats = table.stats();
-        assert_eq!(stats.peak_in_flight, 2 * 3, "both clients reached the in-flight cap");
         assert!(stats.shed > 0, "arrivals beyond the cap are shed");
         assert!(seen.len() as u64 + 16 >= stats.issued && stats.issued > 60, "{stats:?}");
         assert_eq!(table.in_flight_live, 0);

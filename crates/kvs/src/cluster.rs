@@ -35,12 +35,13 @@ use crate::messages::{
     ClientControl, ClientIn, ClientToNode, Msg, NodeControl, NodeIn, NodeToClient,
 };
 use crate::network::NetworkModel;
-use crate::node::{DetectorEvent, Node};
+use crate::node::Node;
 use crate::partition::PartitionPlan;
 use crate::ring::Ring;
 use crate::shell::{DownTracker, LegSamples, NodeShell};
 use crate::staleness::GroundTruth;
 use pbs_core::ReplicaConfig;
+use pbs_mc::Mergeable;
 use pbs_sim::{
     Actor, ActorId, Context, Event, ParallelSimulation, PdesError, PdesStats, SimDuration,
     SimTime, Simulation,
@@ -153,6 +154,15 @@ impl DetectorStats {
     }
 }
 
+impl Mergeable for DetectorStats {
+    fn merge(&mut self, other: Self) {
+        self.flagged += other.flagged;
+        self.true_positives += other.true_positives;
+        self.false_positives += other.false_positives;
+        self.missed_stale += other.missed_stale;
+    }
+}
+
 /// Streaming matcher between labelled reads and asynchronous detector
 /// flags. A flag can arrive a window or two after its read was labelled
 /// (the `N − R` late responses trickle in), so verdicts are retained for
@@ -163,16 +173,14 @@ struct DetectorTracker {
     verdicts: FxHashMap<u64, (bool, bool)>,
     /// `(expires_at, op_id)` in insertion (= time) order.
     expiry: VecDeque<(SimTime, u64)>,
-    flagged: usize,
-    true_positives: usize,
-    false_positives: usize,
-    stale_seen: usize,
+    /// A stale read counts as missed until its flag arrives.
+    stats: DetectorStats,
 }
 
 impl DetectorTracker {
     fn observe_read(&mut self, op_id: u64, consistent: bool, expires_at: SimTime) {
         if !consistent {
-            self.stale_seen += 1;
+            self.stats.missed_stale += 1;
         }
         self.verdicts.insert(op_id, (consistent, false));
         self.expiry.push_back((expires_at, op_id));
@@ -184,11 +192,12 @@ impl DetectorTracker {
                 return; // several late responses can flag one read
             }
             *flagged = true;
-            self.flagged += 1;
+            self.stats.flagged += 1;
             if *consistent {
-                self.false_positives += 1;
+                self.stats.false_positives += 1;
             } else {
-                self.true_positives += 1;
+                self.stats.true_positives += 1;
+                self.stats.missed_stale -= 1;
             }
         }
     }
@@ -200,15 +209,6 @@ impl DetectorTracker {
             }
             self.expiry.pop_front();
             self.verdicts.remove(&op_id);
-        }
-    }
-
-    fn stats(&self) -> DetectorStats {
-        DetectorStats {
-            flagged: self.flagged,
-            true_positives: self.true_positives,
-            false_positives: self.false_positives,
-            missed_stale: self.stale_seen - self.true_positives,
         }
     }
 }
@@ -434,10 +434,9 @@ pub struct Cluster {
     /// (None = recording off, the default: the open-loop engine's
     /// O(in-flight) memory story is preserved unless a checker asks).
     history: Option<OpHistory>,
-    /// Reusable window-drain buffers (completed ops, detector events) so
-    /// the per-window plumbing performs no steady-state allocation.
+    /// Reusable window-drain buffer of completed ops, so the per-window
+    /// plumbing performs no steady-state allocation.
     drain_scratch: Vec<CompletedOp>,
-    detector_scratch: Vec<DetectorEvent>,
     /// Every crash scheduled on this cluster, attached to taken histories
     /// so the order oracle can discount evidence from wiped replicas.
     crash_log: Vec<CrashRecord>,
@@ -531,7 +530,6 @@ impl Cluster {
             detector: DetectorTracker::default(),
             history: None,
             drain_scratch: Vec::new(),
-            detector_scratch: Vec::new(),
             crash_log: Vec::new(),
             regular_expected: opts.replication.is_strict(),
         })
@@ -965,8 +963,8 @@ impl Cluster {
         self.engine.events_processed()
     }
 
-    /// Scheduler counters (peak queue depth, cascades, slot occupancy). On
-    /// a parallel cluster these are summed across the worker wheels.
+    /// Scheduler counters (peak queue depth, cascades). On a parallel
+    /// cluster these are combined across the worker wheels.
     pub fn scheduler_stats(&self) -> pbs_sim::SchedulerStats {
         self.engine.scheduler_stats()
     }
@@ -975,15 +973,7 @@ impl Cluster {
     pub fn client_stats(&self) -> ClientStats {
         let mut total = ClientStats::default();
         for id in self.table_ids() {
-            let s = self.table(id).stats();
-            total.issued += s.issued;
-            total.shed += s.shed;
-            total.dropped_results += s.dropped_results;
-            total.monotonic_violations += s.monotonic_violations;
-            total.ryw_violations += s.ryw_violations;
-            total.reads_checked += s.reads_checked;
-            // Per-client peaks sum to an upper bound on the global peak.
-            total.peak_in_flight += s.peak_in_flight;
+            total.merge(self.table(id).stats());
         }
         total
     }
@@ -1075,20 +1065,23 @@ impl Cluster {
         }
         ops.clear();
         self.drain_scratch = ops;
-        let mut events = std::mem::take(&mut self.detector_scratch);
-        self.collect_detector_events(&mut events);
-        for ev in &events {
-            self.detector.observe_flag(ev.op_id);
+        // Pass 4: match the nodes' detector flags (each counts once, in any
+        // order) against the labels retained so far.
+        for id in 0..self.opts.nodes as usize {
+            let mut flags = std::mem::take(&mut self.shell_mut(id).core.detector_log);
+            for &op_id in &flags {
+                self.detector.observe_flag(op_id);
+            }
+            flags.clear();
+            self.shell_mut(id).core.detector_log = flags;
         }
-        events.clear();
-        self.detector_scratch = events;
         self.detector.expire(until);
     }
 
     /// Cumulative staleness-detector performance over every drained
     /// window (§4.3), matched against ground-truth labels.
     pub fn detector_stats(&self) -> DetectorStats {
-        self.detector.stats()
+        self.detector.stats
     }
 
     /// Drain the per-leg WARS latency samples recorded by every node
@@ -1101,13 +1094,6 @@ impl Cluster {
             all.merge(&mut self.shell_mut(id).leg_samples);
         }
         all
-    }
-
-    fn collect_detector_events(&mut self, out: &mut Vec<DetectorEvent>) {
-        for id in 0..self.opts.nodes as usize {
-            out.append(&mut self.shell_mut(id).core.detector_log);
-        }
-        out.sort_by_key(|e| (e.at, e.op_id));
     }
 }
 

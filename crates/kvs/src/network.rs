@@ -264,8 +264,8 @@ impl NetworkModel {
     /// Install a piecewise time-varying [`FaultSchedule`], validating it
     /// first. The profile consulted for each message (and replica apply,
     /// and protocol timer) is the segment active at the sender's current
-    /// simulated time, so storms ramp, burst, and clear on the schedule's
-    /// clock. Replaces any previously installed profile or schedule.
+    /// simulated time, so storms start and clear on the schedule's clock.
+    /// Replaces any previously installed profile or schedule.
     pub fn set_fault_schedule(&self, schedule: FaultSchedule) -> Result<(), FaultConfigError> {
         schedule.validate()?;
         self.update_conditions(|c| c.faults = Some(schedule));

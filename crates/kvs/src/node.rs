@@ -118,23 +118,6 @@ fn replica_mask(ids: impl Iterator<Item = ActorId>) -> u64 {
     ids.filter(|&id| id < 64).fold(0u64, |m, id| m | (1u64 << id))
 }
 
-/// One asynchronous staleness-detector observation (§4.3): a read response
-/// arriving after the client reply carried a newer version than was
-/// returned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct DetectorEvent {
-    /// The flagged read.
-    pub op_id: u64,
-    /// Key involved.
-    pub key: u64,
-    /// What the read returned.
-    pub returned: Option<Version>,
-    /// The newer version observed afterwards.
-    pub newer: Version,
-    /// When the detector fired.
-    pub at: SimTime,
-}
-
 #[derive(Debug)]
 struct WriteState {
     key: u64,
@@ -209,8 +192,10 @@ pub struct Node {
     /// swallows the tick, so recovery knows which duty lost its chain.
     hint_flush_scheduled: bool,
     sync_armed: bool,
-    /// Accumulated staleness-detector observations.
-    pub(crate) detector_log: Vec<DetectorEvent>,
+    /// Op ids of the reads the asynchronous staleness detector (§4.3)
+    /// flagged since the last drain: a response arriving after the client
+    /// reply carried a newer version than was returned.
+    pub(crate) detector_log: Vec<u64>,
     /// Stats: read-repair messages sent.
     pub repairs_sent: u64,
     /// Stats: hints successfully delivered.
@@ -632,13 +617,7 @@ impl Node {
             // A late (N − R) response: the asynchronous staleness detector
             // (§4.3) compares it against what the client saw.
             if version > returned {
-                self.detector_log.push(DetectorEvent {
-                    op_id,
-                    key: state.key,
-                    returned,
-                    newer: version.expect("version > returned implies Some"),
-                    at: now,
-                });
+                self.detector_log.push(op_id);
             }
         }
         // Repair eagerly: as soon as the quorum has answered, any responder

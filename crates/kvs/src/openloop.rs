@@ -14,7 +14,7 @@
 //! deterministic `pbs-mc` runner (bit-reproducible per `(seed, threads)`).
 
 use crate::checker::{self, CheckReport, OpHistory};
-use crate::client::ClientOptions;
+use crate::client::{ClientOptions, ClientStats};
 use crate::cluster::{Cluster, ClusterOptions, DetectorStats, EngineKind, WindowDrain, WindowOp};
 use crate::network::NetworkModel;
 use pbs_mc::{Mergeable, Runner, Summary};
@@ -68,42 +68,64 @@ impl OpenWindow {
     pub fn measured(&self) -> Option<f64> {
         (self.reads > 0).then(|| self.consistent as f64 / self.reads as f64)
     }
+
+    /// Count one drained op — a write as committed or failed, a read as
+    /// consistent, stale or timed out — and return its latency (ms) when
+    /// it completed: a committed write or a labelled read. Every window
+    /// fold classes an op here and nowhere else.
+    pub fn count(&mut self, op: WindowOp<'_>) -> Option<f64> {
+        match op {
+            WindowOp::Write(w) if w.commit.is_some() => {
+                self.writes += 1;
+                Some(w.latency_ms().expect("a committed write finished"))
+            }
+            WindowOp::Write(_) => {
+                self.failed_writes += 1;
+                None
+            }
+            WindowOp::Read(r) => match r.label {
+                Some(label) => {
+                    self.reads += 1;
+                    self.consistent += u64::from(label.consistent);
+                    Some(r.op.latency_ms().expect("a labelled read finished"))
+                }
+                None => {
+                    self.incomplete_reads += 1;
+                    None
+                }
+            },
+        }
+    }
 }
 
-/// The merged result of one or more open-loop runs.
+impl Mergeable for OpenWindow {
+    fn merge(&mut self, other: Self) {
+        assert_eq!(self.start_ms, other.start_ms, "window grids differ");
+        self.writes += other.writes;
+        self.failed_writes += other.failed_writes;
+        self.reads += other.reads;
+        self.consistent += other.consistent;
+        self.incomplete_reads += other.incomplete_reads;
+    }
+}
+
+/// The merged result of one or more open-loop runs. Operation counts live
+/// in `windows` alone; the run totals are their sums.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpenLoopReport {
     /// Windowed consistency/availability time-series.
     pub windows: Vec<OpenWindow>,
-    /// Operations issued to coordinators.
-    pub issued: u64,
-    /// Arrivals shed at the client in-flight cap.
-    pub shed: u64,
-    /// Committed writes.
-    pub commits: u64,
-    /// Failed or timed-out writes.
-    pub failed_writes: u64,
-    /// Labelled (completed) reads.
-    pub reads: u64,
-    /// Labelled reads that were consistent.
-    pub consistent: u64,
+    /// The cluster's client counters: issued, shed, and the empirical
+    /// monotonic-reads / read-your-writes violations (§3.2).
+    pub clients: ClientStats,
     /// Total versions-behind over stale reads (capped per read).
     pub versions_behind_total: u64,
-    /// Reads that timed out client-side.
-    pub incomplete_reads: u64,
-    /// Empirical monotonic-reads violations (§3.2) across client sessions.
-    pub monotonic_violations: u64,
-    /// Empirical read-your-writes violations across client sessions.
-    pub ryw_violations: u64,
     /// Commit latencies of committed writes (ms).
     pub write_latency: Summary,
     /// Latencies of completed reads (ms).
     pub read_latency: Summary,
     /// Staleness-detector performance (§4.3) vs. online ground truth.
     pub detector: DetectorStats,
-    /// Upper bound on peak concurrent in-flight ops (sum of per-client
-    /// peaks).
-    pub peak_in_flight: u64,
     /// Peak scheduler-queue length observed at window boundaries — the
     /// memory-boundedness witness (O(clients + in-flight), not O(trace)).
     pub peak_pending_events: u64,
@@ -114,12 +136,42 @@ pub struct OpenLoopReport {
 }
 
 impl OpenLoopReport {
+    fn total(&self, count: impl Fn(&OpenWindow) -> u64) -> u64 {
+        self.windows.iter().map(count).sum()
+    }
+
+    /// Committed writes.
+    pub fn commits(&self) -> u64 {
+        self.total(|w| w.writes)
+    }
+
+    /// Failed or timed-out writes.
+    pub fn failed_writes(&self) -> u64 {
+        self.total(|w| w.failed_writes)
+    }
+
+    /// Labelled (completed) reads.
+    pub fn reads(&self) -> u64 {
+        self.total(|w| w.reads)
+    }
+
+    /// Labelled reads that were consistent.
+    pub fn consistent(&self) -> u64 {
+        self.total(|w| w.consistent)
+    }
+
+    /// Reads that timed out client-side.
+    pub fn incomplete_reads(&self) -> u64 {
+        self.total(|w| w.incomplete_reads)
+    }
+
     /// Fraction of labelled reads that were consistent.
     pub fn consistency_rate(&self) -> f64 {
-        if self.reads == 0 {
+        let reads = self.reads();
+        if reads == 0 {
             return 1.0;
         }
-        self.consistent as f64 / self.reads as f64
+        self.consistent() as f64 / reads as f64
     }
 
     /// Completed operations (commits + labelled reads) per simulated
@@ -128,15 +180,16 @@ impl OpenLoopReport {
         if self.sim_ms <= 0.0 || self.runs == 0 {
             return 0.0;
         }
-        (self.commits + self.reads) as f64 / self.runs as f64 / (self.sim_ms / 1000.0)
+        (self.commits() + self.reads()) as f64 / self.runs as f64 / (self.sim_ms / 1000.0)
     }
 
     /// Monotonic-reads violation rate over session-checked reads.
     pub fn monotonic_violation_rate(&self) -> f64 {
-        if self.reads == 0 {
+        let reads = self.reads();
+        if reads == 0 {
             return 0.0;
         }
-        self.monotonic_violations as f64 / self.reads as f64
+        self.clients.monotonic_violations as f64 / reads as f64
     }
 }
 
@@ -151,30 +204,13 @@ impl Mergeable for OpenLoopReport {
         }
         assert_eq!(self.windows.len(), other.windows.len(), "window grids differ");
         for (a, b) in self.windows.iter_mut().zip(other.windows) {
-            assert_eq!(a.start_ms, b.start_ms, "window grids differ");
-            a.writes += b.writes;
-            a.failed_writes += b.failed_writes;
-            a.reads += b.reads;
-            a.consistent += b.consistent;
-            a.incomplete_reads += b.incomplete_reads;
+            a.merge(b);
         }
-        self.issued += other.issued;
-        self.shed += other.shed;
-        self.commits += other.commits;
-        self.failed_writes += other.failed_writes;
-        self.reads += other.reads;
-        self.consistent += other.consistent;
+        self.clients.merge(other.clients);
         self.versions_behind_total += other.versions_behind_total;
-        self.incomplete_reads += other.incomplete_reads;
-        self.monotonic_violations += other.monotonic_violations;
-        self.ryw_violations += other.ryw_violations;
         self.write_latency.merge(other.write_latency);
         self.read_latency.merge(other.read_latency);
-        self.detector.flagged += other.detector.flagged;
-        self.detector.true_positives += other.detector.true_positives;
-        self.detector.false_positives += other.detector.false_positives;
-        self.detector.missed_stale += other.detector.missed_stale;
-        self.peak_in_flight = self.peak_in_flight.max(other.peak_in_flight);
+        self.detector.merge(other.detector);
         self.peak_pending_events = self.peak_pending_events.max(other.peak_pending_events);
         self.sim_ms = self.sim_ms.max(other.sim_ms);
         self.runs += other.runs;
@@ -300,14 +336,12 @@ impl OpenLoopRun {
             next += timing.window_ms;
         }
 
-        let stats = cluster.client_stats();
-        report.issued = stats.issued;
-        report.shed = stats.shed;
-        report.monotonic_violations = stats.monotonic_violations;
-        report.ryw_violations = stats.ryw_violations;
-        report.peak_in_flight = stats.peak_in_flight;
+        report.clients = cluster.client_stats();
         report.detector = cluster.detector_stats();
-        assert_eq!(stats.dropped_results, 0, "driver drained too rarely for the result buffers");
+        assert_eq!(
+            report.clients.dropped_results, 0,
+            "driver drained too rarely for the result buffers"
+        );
         report.write_latency.seal();
         report.read_latency.seal();
         finish(&mut cluster);
@@ -395,41 +429,14 @@ impl Cluster {
         self.drain_window_into(until, drain);
         report.peak_pending_events =
             report.peak_pending_events.max(self.pending_events() as u64);
-        drain.fold(window_ms, last_window, |idx, item| match item {
-            WindowOp::Write(w) => {
-                let win = &mut report.windows[idx];
-                match w.commit {
-                    Some(_) => {
-                        win.writes += 1;
-                        report.commits += 1;
-                        let latency = (w.finish.expect("committed") - w.start).as_ms();
-                        report.write_latency.record(latency);
-                    }
-                    None => {
-                        win.failed_writes += 1;
-                        report.failed_writes += 1;
-                    }
-                }
-            }
-            WindowOp::Read(r) => {
-                let win = &mut report.windows[idx];
-                match r.label {
-                    Some(label) => {
-                        win.reads += 1;
-                        report.reads += 1;
-                        if label.consistent {
-                            win.consistent += 1;
-                            report.consistent += 1;
-                        } else {
-                            report.versions_behind_total += label.versions_behind;
-                        }
-                        let latency = (r.op.finish.expect("labelled") - r.op.start).as_ms();
-                        report.read_latency.record(latency);
-                    }
-                    None => {
-                        win.incomplete_reads += 1;
-                        report.incomplete_reads += 1;
-                    }
+        drain.fold(window_ms, last_window, |idx, op| {
+            let Some(latency) = report.windows[idx].count(op) else { return };
+            match op {
+                WindowOp::Write(_) => report.write_latency.record(latency),
+                WindowOp::Read(r) => {
+                    // A consistent label is 0 versions behind.
+                    report.versions_behind_total += r.label.map_or(0, |l| l.versions_behind);
+                    report.read_latency.record(latency);
                 }
             }
         });
@@ -478,22 +485,21 @@ mod tests {
         .run(|_| source(50.0, 4, 2.0 / 3.0), |_| {}, |_| {})
         .unwrap();
         assert_eq!(report.runs, 1);
-        assert!(report.issued > 400, "~600 ops expected, got {}", report.issued);
-        assert_eq!(report.failed_writes, 0);
-        assert_eq!(report.incomplete_reads, 0);
-        assert_eq!(report.shed, 0);
+        let issued = report.clients.issued;
+        assert!(issued > 400, "~600 ops expected, got {issued}");
+        assert_eq!(report.failed_writes(), 0);
+        assert_eq!(report.incomplete_reads(), 0);
+        assert_eq!(report.clients.shed, 0);
+        assert_eq!(issued, report.commits() + report.reads(), "every issued op is counted once");
         let rate = report.consistency_rate();
         assert!(rate > 0.3 && rate < 1.0, "consistency rate {rate}");
         // Detector bookkeeping is internally consistent.
         let d = report.detector;
         assert_eq!(d.flagged, d.true_positives + d.false_positives);
-        let stale = report.reads - report.consistent;
+        let stale = report.reads() - report.consistent();
         assert_eq!(stale as usize, d.true_positives + d.missed_stale);
-        assert!(report.read_latency.count() == report.reads);
-        assert_eq!(report.write_latency.count(), report.commits);
-        // Per-window counts roll up to the totals.
-        let by_window: u64 = report.windows.iter().map(|w| w.reads).sum();
-        assert_eq!(by_window, report.reads);
+        assert!(report.read_latency.count() == report.reads());
+        assert_eq!(report.write_latency.count(), report.commits());
     }
 
     #[test]
@@ -564,12 +570,12 @@ mod tests {
         assert!(check.is_clean(), "fault-free run failed cross-checks: {check:?}");
         assert!(check.sessions.agrees());
         assert_eq!(check.labels.mismatches, 0);
-        assert_eq!(check.labels.labelled_reads, report.reads);
-        assert_eq!(check.sessions.monotonic_violations, report.monotonic_violations);
-        assert_eq!(check.sessions.ryw_violations, report.ryw_violations);
+        assert_eq!(check.labels.labelled_reads, report.reads());
+        assert_eq!(check.sessions.monotonic_violations, report.clients.monotonic_violations);
+        assert_eq!(check.sessions.ryw_violations, report.clients.ryw_violations);
         assert_eq!(
             check.labels.stale_reads,
-            report.reads - report.consistent,
+            report.reads() - report.consistent(),
             "offline staleness count must match the online one"
         );
     }
@@ -587,9 +593,9 @@ mod tests {
         )
         .run(|_| source(25.0, 8, 0.6), |_| {}, |_| {})
         .unwrap();
-        assert!(report.reads > 100);
+        assert!(report.reads() > 100);
         assert_eq!(report.consistency_rate(), 1.0, "R+W>N must never go stale");
-        assert_eq!(report.monotonic_violations, 0);
-        assert_eq!(report.ryw_violations, 0);
+        assert_eq!(report.clients.monotonic_violations, 0);
+        assert_eq!(report.clients.ryw_violations, 0);
     }
 }

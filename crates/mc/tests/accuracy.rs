@@ -5,30 +5,40 @@
 //! The sketch's contract is *rank* error (∝ 1/compression, tightest at the
 //! tails), so each percentile check accepts any value between the
 //! ground-truth quantiles a small rank band away — plus a tiny relative
-//! slack for interpolation between sorted samples.
+//! slack for interpolation between sorted samples. The contract must hold
+//! after merges too (how the `pbs-mc` runner combines shards), so every
+//! fit is checked as one stream and as 4 and 64 merged shards.
 
 use pbs_dist::production as fits;
 use pbs_dist::stats::SortedSamples;
 use pbs_dist::LatencyDistribution;
-use pbs_mc::Summary;
+use pbs_mc::{Mergeable, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const TRIALS: usize = 200_000;
 
-/// Assert the sketch percentile sits inside the ground-truth rank band
+/// Shard counts each fit is checked at; each divides `TRIALS`.
+const SHARDS: [usize; 3] = [1, 4, 64];
+
+/// Record `TRIALS` draws as `shards` contiguous chunks, each into its own
+/// default-compression sketch, merge them in shard order, and assert the
+/// sketch percentile sits inside the ground-truth rank band
 /// `pct ± band_pct` (widened by 1% relative slack for interpolation).
-fn check_fit(name: &str, dist: &dyn LatencyDistribution, seed: u64) {
+fn check_fit(name: &str, dist: &dyn LatencyDistribution, seed: u64, shards: usize) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let raw: Vec<f64> = (0..TRIALS).map(|_| dist.sample(&mut rng)).collect();
     let mut summary = Summary::default();
-    let mut raw = Vec::with_capacity(TRIALS);
-    for _ in 0..TRIALS {
-        let x = dist.sample(&mut rng);
-        summary.record(x);
-        raw.push(x);
+    for chunk in raw.chunks(TRIALS / shards) {
+        let mut shard = Summary::default();
+        for &x in chunk {
+            shard.record(x);
+        }
+        summary.merge(shard);
     }
     summary.seal();
     let truth = SortedSamples::new(raw);
+    let name = format!("{name} ({shards} shards)");
 
     assert_eq!(summary.count() as usize, TRIALS);
     assert_eq!(summary.min(), truth.min(), "{name}: exact min");
@@ -81,23 +91,31 @@ impl LatencyDistribution for WanShifted {
 
 #[test]
 fn lnkd_ssd_percentiles() {
-    check_fit("LNKD-SSD", &fits::lnkd_ssd(), 101);
+    for shards in SHARDS {
+        check_fit("LNKD-SSD", &fits::lnkd_ssd(), 101, shards);
+    }
 }
 
 #[test]
 fn lnkd_disk_percentiles() {
     // The heavy-tailed write mixture — the adversarial case for p99.9.
-    check_fit("LNKD-DISK W", &fits::lnkd_disk_write(), 102);
-    check_fit("LNKD-DISK A=R=S", &fits::lnkd_disk_ars(), 103);
+    for shards in SHARDS {
+        check_fit("LNKD-DISK W", &fits::lnkd_disk_write(), 102, shards);
+        check_fit("LNKD-DISK A=R=S", &fits::lnkd_disk_ars(), 103, shards);
+    }
 }
 
 #[test]
 fn ymmr_percentiles() {
-    check_fit("YMMR W", &fits::ymmr_write(), 104);
-    check_fit("YMMR A=R=S", &fits::ymmr_ars(), 105);
+    for shards in SHARDS {
+        check_fit("YMMR W", &fits::ymmr_write(), 104, shards);
+        check_fit("YMMR A=R=S", &fits::ymmr_ars(), 105, shards);
+    }
 }
 
 #[test]
 fn wan_percentiles() {
-    check_fit("WAN remote leg", &WanShifted(Box::new(fits::lnkd_disk_write())), 106);
+    for shards in SHARDS {
+        check_fit("WAN remote leg", &WanShifted(Box::new(fits::lnkd_disk_write())), 106, shards);
+    }
 }

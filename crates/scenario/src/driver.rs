@@ -16,7 +16,7 @@
 use crate::event::apply_event;
 use crate::scenario::Scenario;
 use pbs_core::ReplicaConfig;
-use pbs_kvs::{checker, CheckReport, ClientOptions, Cluster, WindowDrain, WindowOp};
+use pbs_kvs::{checker, CheckReport, ClientOptions, Cluster, OpenWindow, WindowDrain, WindowOp};
 use pbs_mc::{Mergeable, Runner, Summary};
 use pbs_predictor::AdaptiveController;
 use pbs_sim::SimTime;
@@ -26,23 +26,18 @@ use pbs_workload::{OpMix, OpStream, PiecewisePoisson, UniformKeys};
 /// across replicated runs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowRecord {
-    /// Window start (ms from scenario start).
-    pub start_ms: f64,
+    /// The window's start and probe counts, as every open-loop window
+    /// keeps them: `reads` are probes whose read completed, `consistent`
+    /// those that saw the newest committed version (ground truth),
+    /// `failed_writes` the availability loss.
+    pub counts: OpenWindow,
     /// Window end (ms).
     pub end_ms: f64,
-    /// Probes whose write committed and whose read completed.
-    pub probes: u64,
-    /// Probes whose read was consistent (ground truth).
-    pub consistent: u64,
     /// Sum of the in-force predicted `P(consistent)` over probes that had
     /// a prediction available.
     pub predicted_sum: f64,
     /// Number of probes contributing to `predicted_sum`.
     pub predicted_count: u64,
-    /// Probe writes that failed to commit (availability loss).
-    pub failed_writes: u64,
-    /// Probe reads that timed out.
-    pub incomplete_reads: u64,
     /// Commit latencies of successful probe writes (ms).
     pub write_latency: Summary,
     /// Latencies of completed probe reads (ms).
@@ -54,23 +49,14 @@ pub struct WindowRecord {
 impl WindowRecord {
     fn new(start_ms: f64, end_ms: f64) -> Self {
         Self {
-            start_ms,
+            counts: OpenWindow { start_ms, ..OpenWindow::default() },
             end_ms,
-            probes: 0,
-            consistent: 0,
             predicted_sum: 0.0,
             predicted_count: 0,
-            failed_writes: 0,
-            incomplete_reads: 0,
             write_latency: Summary::default(),
             read_latency: Summary::default(),
             reconfigs: 0,
         }
-    }
-
-    /// Measured `P(consistent)` in this window (`None` with no probes).
-    pub fn measured(&self) -> Option<f64> {
-        (self.probes > 0).then(|| self.consistent as f64 / self.probes as f64)
     }
 
     /// Mean predicted `P(consistent)` in force during this window
@@ -81,19 +67,15 @@ impl WindowRecord {
 
     /// `|predicted − measured|`, when both exist.
     pub fn tracking_error(&self) -> Option<f64> {
-        Some((self.predicted()? - self.measured()?).abs())
+        Some((self.predicted()? - self.counts.measured()?).abs())
     }
 }
 
 impl Mergeable for WindowRecord {
     fn merge(&mut self, other: Self) {
-        assert_eq!(self.start_ms, other.start_ms, "window grids differ");
-        self.probes += other.probes;
-        self.consistent += other.consistent;
+        self.counts.merge(other.counts);
         self.predicted_sum += other.predicted_sum;
         self.predicted_count += other.predicted_count;
-        self.failed_writes += other.failed_writes;
-        self.incomplete_reads += other.incomplete_reads;
         self.write_latency.merge(other.write_latency);
         self.read_latency.merge(other.read_latency);
         self.reconfigs += other.reconfigs;
@@ -161,7 +143,7 @@ impl ScenarioRun {
                 scenario
                     .stationary
                     .iter()
-                    .any(|&(a, b)| w.start_ms >= a && w.end_ms <= b)
+                    .any(|&(a, b)| w.counts.start_ms >= a && w.end_ms <= b)
             })
             .filter_map(WindowRecord::tracking_error)
             .max_by(|a, b| a.partial_cmp(b).expect("errors are not NaN"))
@@ -230,31 +212,18 @@ fn fold_drain(
     predictions: &PredictionSteps,
 ) {
     let last = out.windows.len() - 1;
-    drain.fold(window_ms, last, |idx, item| {
+    drain.fold(window_ms, last, |idx, op| {
         let win = &mut out.windows[idx];
-        match item {
-            WindowOp::Write(w) => match w.commit {
-                Some(_) => {
-                    let latency = (w.finish.expect("committed") - w.start).as_ms();
-                    win.write_latency.record(latency);
+        let Some(latency) = win.counts.count(op) else { return };
+        match op {
+            WindowOp::Write(_) => win.write_latency.record(latency),
+            WindowOp::Read(r) => {
+                win.read_latency.record(latency);
+                if let Some(p) = predictions.at(r.op.start.as_ms()) {
+                    win.predicted_sum += p;
+                    win.predicted_count += 1;
                 }
-                None => win.failed_writes += 1,
-            },
-            WindowOp::Read(r) => match r.label {
-                None => win.incomplete_reads += 1,
-                Some(label) => {
-                    let latency = (r.op.finish.expect("labelled") - r.op.start).as_ms();
-                    win.read_latency.record(latency);
-                    win.probes += 1;
-                    if label.consistent {
-                        win.consistent += 1;
-                    }
-                    if let Some(p) = predictions.at(r.op.start.as_ms()) {
-                        win.predicted_sum += p;
-                        win.predicted_count += 1;
-                    }
-                }
-            },
+            }
         }
     });
 }

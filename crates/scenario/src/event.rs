@@ -61,7 +61,7 @@ pub enum ScenarioEvent {
     /// drops/duplicates/reordering, slow nodes, disk lag, and clock skew,
     /// at one intensity (`profile.into()`, a
     /// [`FaultProfile`](pbs_kvs::FaultProfile) held forever) or piecewise
-    /// (ramps, bursts, calm→storm→calm), evaluated at each
+    /// (calm→storm→calm, or any `piecewise` list), evaluated at each
     /// message's send time. Segment times are absolute simulated ms, not
     /// relative to this event.
     InjectFaults(FaultSchedule),

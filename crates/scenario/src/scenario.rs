@@ -85,8 +85,8 @@ pub struct Scenario {
     /// Closed-loop controller settings.
     pub control: ControlOptions,
     /// Buggify fault schedule installed from scenario start: a constant
-    /// profile ([`FaultSchedule::constant`]) or a time-varying one (ramps,
-    /// bursts, calm→storm→calm). Timelines can also
+    /// profile ([`FaultSchedule::constant`]) or a time-varying one
+    /// (calm→storm→calm, or any `piecewise` list). Timelines can also
     /// [`ScenarioEvent::InjectFaults`]/`ClearFaults` mid-run.
     pub fault_schedule: Option<FaultSchedule>,
     /// Record the full op history and run the offline checker as a

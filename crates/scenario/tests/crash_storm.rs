@@ -28,7 +28,7 @@ fn crash_storm_builtin_reconverges_and_passes_the_audit() {
     sc.validate();
     let run = run_scenario(&sc, 11);
     assert_eq!(run.event_errors, 0);
-    let probes: u64 = run.windows.iter().map(|w| w.probes).sum();
+    let probes: u64 = run.windows.iter().map(|w| w.counts.reads).sum();
     assert!(probes > 300, "storm run produced too few probes: {probes}");
     let check = run.check.expect("crash-storm records history");
     assert!(check.is_clean(), "crash-storm audit failed: {check:?}");

@@ -171,7 +171,7 @@ fn full_run_bitwise_deterministic_for_fixed_seed_and_threads() {
     let b = run_scenario_sharded(&sc, 6, 11, 3);
     assert_eq!(a, b, "same (seed, threads) must be bit-identical");
     assert_eq!(a.runs, 6);
-    assert!(a.windows.iter().map(|w| w.probes).sum::<u64>() > 0);
+    assert!(a.windows.iter().map(|w| w.counts.reads).sum::<u64>() > 0);
 
     let c = run_scenario_sharded(&sc, 6, 12, 3);
     assert_ne!(a, c, "different seeds must differ");
@@ -207,7 +207,7 @@ fn adaptive_rolling_partition_keeps_clocks_aligned() {
     let activity: Vec<u64> = run
         .windows
         .iter()
-        .map(|w| w.probes + w.failed_writes + w.incomplete_reads)
+        .map(|w| w.counts.reads + w.counts.failed_writes + w.counts.incomplete_reads)
         .collect();
     let active = activity.iter().filter(|&&a| a > 0).count();
     assert!(
@@ -232,10 +232,10 @@ fn rolling_partition_dips_and_recovers() {
         let wins: Vec<&pbs_scenario::WindowRecord> = run
             .windows
             .iter()
-            .filter(|w| ranges.iter().any(|&(a, b)| w.start_ms >= a && w.end_ms <= b))
+            .filter(|w| ranges.iter().any(|&(a, b)| w.counts.start_ms >= a && w.end_ms <= b))
             .collect();
-        let probes: u64 = wins.iter().map(|w| w.probes).sum();
-        let ok: u64 = wins.iter().map(|w| w.consistent).sum();
+        let probes: u64 = wins.iter().map(|w| w.counts.reads).sum();
+        let ok: u64 = wins.iter().map(|w| w.counts.consistent).sum();
         ok as f64 / probes as f64
     };
     let healthy = mean_over(&[(2_000.0, 4_000.0), (16_000.0, 20_000.0)]);

@@ -21,8 +21,8 @@ fn latency_spike_predictions_track_on_stationary_segments() {
     let at = |ms: f64| {
         run.windows
             .iter()
-            .find(|w| w.start_ms <= ms && ms < w.end_ms)
-            .and_then(|w| w.measured())
+            .find(|w| w.counts.start_ms <= ms && ms < w.end_ms)
+            .and_then(|w| w.counts.measured())
             .expect("window has probes")
     };
     let baseline = at(4_500.0);
@@ -47,7 +47,7 @@ fn diurnal_load_predictions_track_through_the_cycle() {
     assert!(err <= 0.05, "stationary tracking error {err} > 0.05");
     // Load actually cycles: peak windows see several times the trough's
     // probe volume.
-    let peak: u64 = run.windows[..4].iter().map(|w| w.probes).sum();
-    let trough: u64 = run.windows[4..8].iter().map(|w| w.probes).sum();
+    let peak: u64 = run.windows[..4].iter().map(|w| w.counts.reads).sum();
+    let trough: u64 = run.windows[4..8].iter().map(|w| w.counts.reads).sum();
     assert!(peak > 2 * trough, "diurnal cycle in probe volume: {peak} vs {trough}");
 }

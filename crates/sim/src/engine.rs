@@ -246,7 +246,7 @@ impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Simulation<A, Q> {
         self.queue.len()
     }
 
-    /// Scheduler counters (pending/peak events, cascades, slot occupancy).
+    /// Scheduler counters (peak pending events, cascades).
     pub fn scheduler_stats(&self) -> SchedulerStats {
         self.queue.stats()
     }

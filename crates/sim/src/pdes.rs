@@ -399,12 +399,8 @@ impl<A: Actor> ParallelSimulation<A> {
         let mut total = SchedulerStats::default();
         for w in &self.workers {
             let s = w.queue.stats();
-            total.pending += s.pending;
             total.peak_pending += s.peak_pending;
-            total.scheduled += s.scheduled;
             total.cascaded += s.cascaded;
-            total.occupied_slots += s.occupied_slots;
-            total.ready += s.ready;
         }
         total
     }

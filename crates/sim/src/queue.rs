@@ -24,19 +24,11 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Counters describing scheduler behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Events currently queued.
-    pub pending: usize,
-    /// High-water mark of `pending`.
+    /// High-water mark of [`EventQueue::len`].
     pub peak_pending: usize,
-    /// Total events ever scheduled.
-    pub scheduled: u64,
     /// Events redistributed from a higher wheel level to a lower one
     /// (0 for the heap; each event cascades at most `LEVELS − 1` times).
     pub cascaded: u64,
-    /// Wheel slots currently occupied (0 for the heap).
-    pub occupied_slots: usize,
-    /// Length of the sorted front batch (0 for the heap).
-    pub ready: usize,
 }
 
 /// A priority queue of timestamped events with caller-supplied lane
@@ -109,13 +101,12 @@ impl<T> Ord for HeapEntry<T> {
 /// as the semantic oracle for the wheel's equivalence tests.
 pub struct HeapQueue<T> {
     heap: BinaryHeap<HeapEntry<T>>,
-    scheduled: u64,
     peak: usize,
 }
 
 impl<T> Default for HeapQueue<T> {
     fn default() -> Self {
-        Self { heap: BinaryHeap::new(), scheduled: 0, peak: 0 }
+        Self { heap: BinaryHeap::new(), peak: 0 }
     }
 }
 
@@ -128,7 +119,6 @@ impl<T> HeapQueue<T> {
 
 impl<T> EventQueue<T> for HeapQueue<T> {
     fn schedule(&mut self, at: SimTime, lane: u64, item: T) {
-        self.scheduled += 1;
         self.heap.push(HeapEntry(Entry { time: at, lane, item }));
         self.peak = self.peak.max(self.heap.len());
     }
@@ -146,12 +136,7 @@ impl<T> EventQueue<T> for HeapQueue<T> {
     }
 
     fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            pending: self.heap.len(),
-            peak_pending: self.peak,
-            scheduled: self.scheduled,
-            ..SchedulerStats::default()
-        }
+        SchedulerStats { peak_pending: self.peak, cascaded: 0 }
     }
 }
 
@@ -207,7 +192,6 @@ pub struct WheelQueue<T> {
     /// Sorted front batch in ascending `(time, lane)` order.
     ready: VecDeque<Entry<T>>,
     len: usize,
-    scheduled: u64,
     peak: usize,
     cascaded: u64,
 }
@@ -220,7 +204,6 @@ impl<T> Default for WheelQueue<T> {
             now_tick: 0,
             ready: VecDeque::new(),
             len: 0,
-            scheduled: 0,
             peak: 0,
             cascaded: 0,
         }
@@ -313,7 +296,6 @@ impl<T> WheelQueue<T> {
 
 impl<T> EventQueue<T> for WheelQueue<T> {
     fn schedule(&mut self, at: SimTime, lane: u64, item: T) {
-        self.scheduled += 1;
         self.len += 1;
         self.peak = self.peak.max(self.len);
         self.place(Entry { time: at, lane, item });
@@ -336,14 +318,7 @@ impl<T> EventQueue<T> for WheelQueue<T> {
     }
 
     fn stats(&self) -> SchedulerStats {
-        SchedulerStats {
-            pending: self.len,
-            peak_pending: self.peak,
-            scheduled: self.scheduled,
-            cascaded: self.cascaded,
-            occupied_slots: self.occupancy.iter().map(|o| o.count_ones() as usize).sum(),
-            ready: self.ready.len(),
-        }
+        SchedulerStats { peak_pending: self.peak, cascaded: self.cascaded }
     }
 }
 
@@ -458,7 +433,7 @@ mod tests {
         let out = drain(&mut q);
         assert_eq!(out[0], (t(0.5), 1));
         assert_eq!(out[1], (SimTime::from_ms(1e11), 0));
-        assert_eq!(q.stats().pending, 0);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -477,11 +452,10 @@ mod tests {
         for i in 0..10 {
             q.schedule(t(1_000.0 + f64::from(i)), u64::from(i), i); // beyond level 0 → cascades
         }
-        assert_eq!(q.stats().pending, 10);
-        assert_eq!(q.stats().scheduled, 10);
+        assert_eq!(q.len(), 10);
         let _ = drain(&mut q);
         let s = q.stats();
-        assert_eq!(s.pending, 0);
+        assert!(q.is_empty());
         assert!(s.cascaded > 0, "ms-scale timers must cascade");
         assert_eq!(s.peak_pending, 10);
     }

@@ -53,8 +53,8 @@ fn main() {
     )
     .expect("the serial engine accepts every latency model");
 
-    let reads = report.reads;
-    let stale = report.reads - report.consistent;
+    let reads = report.reads();
+    let stale = reads - report.consistent();
     println!(
         "\nGround truth: {reads} reads, {stale} stale ({:.2}% consistent)",
         100.0 * report.consistency_rate()

@@ -88,7 +88,7 @@ fn storm_runs_are_bitwise_deterministic_per_seed_and_threads() {
     let other = storm_sharded(32, 1);
     assert_ne!(a1, other, "different seeds must differ");
     // The storm visibly bites: some staleness, fewer than all reads clean.
-    assert!(a1.reads > 0 && a1.consistent < a1.reads);
+    assert!(a1.reads() > 0 && a1.consistent() < a1.reads());
 }
 
 /// Zero-draw discipline, end to end: a schedule whose active segments
@@ -124,7 +124,7 @@ fn schedule_segments_beyond_the_horizon_are_inert() {
     assert_eq!(a, b, "segments the run never reaches must not change any draw");
     let calm_run = plain_sharded(67, 2);
     assert_ne!(a, calm_run, "the in-run storm window must actually bite");
-    assert!(a.reads > 0 && a.consistent < a.reads);
+    assert!(a.reads() > 0 && a.consistent() < a.reads());
 }
 
 /// A scheduled storm keeps the bitwise-reproducibility contract per
@@ -140,7 +140,7 @@ fn scheduled_storm_runs_are_bitwise_deterministic_per_seed_and_threads() {
     assert_eq!(a4, b4, "threads=4 scheduled storm must be bit-identical");
     let other = scheduled_sharded(72, 1, schedule(72));
     assert_ne!(a1, other, "different seeds must differ");
-    assert!(a1.reads > 0 && a1.consistent < a1.reads, "the storm window must bite");
+    assert!(a1.reads() > 0 && a1.consistent() < a1.reads(), "the storm window must bite");
 }
 
 /// Injected faults at R=W=1 produce genuine session-guarantee violations,
@@ -165,15 +165,15 @@ fn injected_faults_cause_violations_both_oracles_agree_on() {
     )
     .unwrap();
     assert!(
-        report.monotonic_violations + report.ryw_violations > 0,
+        report.clients.monotonic_violations + report.clients.ryw_violations > 0,
         "the storm at R=W=1 must break session guarantees: {report:?}"
     );
     assert!(check.sessions.agrees(), "streaming vs offline replay diverged: {check:?}");
     assert_eq!(
-        check.sessions.monotonic_violations, report.monotonic_violations,
+        check.sessions.monotonic_violations, report.clients.monotonic_violations,
         "engine report and checker must count the same violations"
     );
-    assert_eq!(check.sessions.ryw_violations, report.ryw_violations);
+    assert_eq!(check.sessions.ryw_violations, report.clients.ryw_violations);
     assert_eq!(check.labels.mismatches, 0, "online labels must survive the offline recount");
     assert!(check.labels.stale_reads > 0, "faults must produce stale reads");
     assert!(check.is_clean());

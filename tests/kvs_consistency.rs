@@ -81,7 +81,7 @@ fn read_repair_improves_consistency_under_loss() {
             |_| {},
         )
         .unwrap();
-        assert!(report.reads > 500, "enough labelled reads to compare");
+        assert!(report.reads() > 500, "enough labelled reads to compare");
         report.consistency_rate()
     };
     let without = run(false);

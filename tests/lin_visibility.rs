@@ -158,7 +158,7 @@ fn partial_quorum_violation_windows_track_predicted_t_visibility() {
     );
 
     // Per-key commit rate measured from the run itself (ms⁻¹).
-    let lambda = report.commits as f64 / keys as f64 / duration_ms;
+    let lambda = report.commits() as f64 / keys as f64 / duration_ms;
     assert!(lambda > 0.0);
     let tv = TVisibility::simulate(
         &exponential_model(cfg, 1.0 / w_mean_ms, 1.0 / ars_mean_ms),

@@ -52,9 +52,9 @@ fn sustains_ten_thousand_clients() {
     .run(|_| poisson_source(1.0, 256, 0.6), |_| {}, |_| {})
     .unwrap();
     // 10k clients × 1 op/s × 3 s ≈ 30k ops.
-    assert!(report.issued > 25_000, "issued {}", report.issued);
-    assert_eq!(report.shed, 0);
-    assert_eq!(report.failed_writes, 0, "reliable network, generous timeout");
+    assert!(report.clients.issued > 25_000, "issued {}", report.clients.issued);
+    assert_eq!(report.clients.shed, 0);
+    assert_eq!(report.failed_writes(), 0, "reliable network, generous timeout");
     assert!(report.consistency_rate() > 0.5);
     // The event queue holds the messages of the ops in flight plus two
     // timers per client table (next arrival, next op timeout): nothing per
@@ -82,16 +82,16 @@ fn event_heap_bounded_by_in_flight_not_workload_length() {
     )
     .run(|_| poisson_source(2_000.0 / 64.0, 64, 0.6), |_| {}, |_| {})
     .unwrap();
-    assert!(report.issued > 35_000, "issued {}", report.issued);
+    assert!(report.clients.issued > 35_000, "issued {}", report.clients.issued);
     assert!(
         report.peak_pending_events < 300,
         "queue {} should be far below the {}-op workload",
         report.peak_pending_events,
-        report.issued
+        report.clients.issued
     );
     // Coordinators do not accumulate per-op state either: completed ops
     // stream out through the clients' bounded buffers window by window.
-    assert_eq!(report.shed, 0);
+    assert_eq!(report.clients.shed, 0);
 }
 
 fn sharded(seed: u64, threads: usize) -> OpenLoopReport {
@@ -180,7 +180,7 @@ fn low_load_consistency_tracks_predictor() {
     )
     .run_sharded(2, 2, |_, _| poisson_source(400.0 / 32.0, keys, 0.5), |_| {})
     .unwrap();
-    assert!(report.reads > 3_000);
+    assert!(report.reads() > 3_000);
     let measured = report.consistency_rate();
 
     let model = IidModel::w_ars(
@@ -191,7 +191,7 @@ fn low_load_consistency_tracks_predictor() {
     );
     let predictor = Predictor::from_model_threads(&model, 60_000, 7, 2);
     let commit_rate_per_ms =
-        report.commits as f64 / report.runs as f64 / engine.duration_ms / keys as f64;
+        report.commits() as f64 / report.runs as f64 / engine.duration_ms / keys as f64;
     let predicted = predictor.expected_consistency_under_poisson(commit_rate_per_ms);
     assert!(
         (measured - predicted).abs() <= 0.05,

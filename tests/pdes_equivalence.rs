@@ -84,7 +84,7 @@ fn parallel_history_matches_serial_clean() {
         let (par_report, par_hist) = run(EngineKind::Parallel { workers }, 17, false);
         assert_eq!(serial_hist, par_hist, "{workers}-worker history diverged from serial");
         assert_eq!(serial_report, par_report, "{workers}-worker counters diverged");
-        assert!(par_report.issued > 100, "workload too small to be meaningful");
+        assert!(par_report.clients.issued > 100, "workload too small to be meaningful");
     }
 }
 
@@ -115,7 +115,7 @@ fn parallel_history_matches_serial_under_buggify_storm() {
         assert_eq!(serial_report, par_report, "storm: {workers}-worker counters diverged");
         // The storm must actually bite for this to mean anything.
         assert!(
-            par_report.failed_writes + par_report.incomplete_reads > 0
+            par_report.failed_writes() + par_report.incomplete_reads() > 0
                 || par_report.consistency_rate() < 1.0,
             "storm run suspiciously clean: {par_report:?}"
         );
@@ -174,7 +174,7 @@ fn scheduled_storm_order_oracle_agrees_across_engines() {
         // The storm window must actually bite for the cleanliness claim
         // to carry weight.
         assert!(
-            par_report.failed_writes + par_report.incomplete_reads > 0
+            par_report.failed_writes() + par_report.incomplete_reads() > 0
                 || par_report.consistency_rate() < 1.0,
             "scheduled storm suspiciously clean: {par_report:?}"
         );

@@ -3,7 +3,10 @@
 
 use pbs::dist::{Exponential, Pareto};
 use pbs::kvs::cluster::{Cluster, ClusterOptions, EngineKind};
-use pbs::kvs::{CheckReport, ClientOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs::kvs::{
+    CheckReport, ClientOptions, FaultProfile, NetworkModel, OpenLoopOptions, OpenLoopRun,
+};
+use pbs::sim::SimTime;
 use pbs::math::{staleness, ReplicaConfig};
 use pbs::wars::production::exponential_model;
 use pbs::wars::TVisibility;
@@ -110,8 +113,15 @@ proptest! {
     }
 }
 
-/// A small checked open-loop run on the given engine.
-fn lin_run(kind: EngineKind, cfg: ReplicaConfig, net: &NetworkModel, seed: u64) -> CheckReport {
+/// A small checked open-loop run on the given engine; `prepare` runs on the
+/// fresh cluster before load starts (faults, crashes).
+fn lin_run(
+    kind: EngineKind,
+    cfg: ReplicaConfig,
+    net: &NetworkModel,
+    seed: u64,
+    prepare: impl FnOnce(&mut Cluster),
+) -> CheckReport {
     let mut o = ClusterOptions::validation(cfg, seed);
     o.nodes = 6;
     let source = |_: u32| -> Box<dyn OpSource> {
@@ -125,9 +135,26 @@ fn lin_run(kind: EngineKind, cfg: ReplicaConfig, net: &NetworkModel, seed: u64) 
         ClientOptions::default(),
     )
     .on(kind)
-    .run_checked(source, |_| {}, false)
+    .run_checked(source, prepare, false)
     .expect("model partitions cleanly")
     .1
+}
+
+/// The sweep's network and, per seed, its strict majority config:
+/// N in 2..=5, majority R, matching W.
+fn sweep_net() -> NetworkModel {
+    NetworkModel::w_ars(
+        Arc::new(Exponential::from_mean(4.0)),
+        Arc::new(Exponential::from_mean(1.0)),
+    )
+}
+
+fn strict_cfg(seed: u64) -> ReplicaConfig {
+    let n = 2 + (seed % 4) as u32;
+    let r = n / 2 + 1;
+    let cfg = ReplicaConfig::new(n, r, n - r + 1).expect("valid strict config");
+    assert!(cfg.is_strict());
+    cfg
 }
 
 /// Property over the seed space, run as a *fixed* sweep rather than a
@@ -138,16 +165,10 @@ fn lin_run(kind: EngineKind, cfg: ReplicaConfig, net: &NetworkModel, seed: u64) 
 /// faults, serial engine: every key must verify `Linearizable`.
 #[test]
 fn strict_quorum_open_loop_linearizable_across_64_seeds() {
-    let net = NetworkModel::w_ars(
-        Arc::new(Exponential::from_mean(4.0)),
-        Arc::new(Exponential::from_mean(1.0)),
-    );
+    let net = sweep_net();
     for seed in 0..64u64 {
-        let n = 2 + (seed % 4) as u32; // N in 2..=5, majority R, matching W
-        let r = n / 2 + 1;
-        let cfg = ReplicaConfig::new(n, r, n - r + 1).expect("valid strict config");
-        assert!(cfg.is_strict());
-        let check = lin_run(EngineKind::Serial, cfg, &net, seed);
+        let cfg = strict_cfg(seed);
+        let check = lin_run(EngineKind::Serial, cfg, &net, seed, |_| {});
         assert!(check.is_clean(), "seed {seed} {cfg}: {check:?}");
         assert!(
             check.lin.all_linearizable(),
@@ -156,6 +177,27 @@ fn strict_quorum_open_loop_linearizable_across_64_seeds() {
         );
         assert!(check.lin.ops_checked > 0, "seed {seed}: empty history proves nothing");
     }
+}
+
+/// The same 64 seeds under `FaultProfile::storm` plus one non-wiping
+/// crash: strict quorums need not stay linearizable there, but every run
+/// must stay regular — no read older than the newest write completed
+/// before it began, none returning a write invoked after it finished.
+#[test]
+fn strict_quorum_open_loop_regular_under_the_storm_across_64_seeds() {
+    let net = sweep_net();
+    let mut labelled = 0;
+    for seed in 0..64u64 {
+        let cfg = strict_cfg(seed);
+        let check = lin_run(EngineKind::Serial, cfg, &net, seed, |cluster| {
+            cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
+            cluster.crash_node_at((seed % 6) as usize, SimTime::from_ms(300.0), 200.0);
+        });
+        assert!(check.is_clean(), "seed {seed} {cfg}: {check:?}");
+        assert_eq!(check.regular(), Some(true), "seed {seed} {cfg}: {check:?}");
+        labelled += check.labels.labelled_reads;
+    }
+    assert!(labelled > 0, "the storm sweep labelled no reads");
 }
 
 /// The checker is deterministic across PDES parallelism: 1-worker and
@@ -167,13 +209,13 @@ fn lin_check_identical_across_pdes_worker_counts() {
     // Positive-minimum legs, as the parallel engine's lookahead requires.
     let net = NetworkModel::w_ars(Arc::new(Pareto::new(1.5, 1.2)), Arc::new(Pareto::new(0.8, 2.0)));
     for seed in [3u64, 17] {
-        let base = lin_run(EngineKind::SerialPartitioned { workers: 1 }, cfg, &net, seed);
+        let base = lin_run(EngineKind::SerialPartitioned { workers: 1 }, cfg, &net, seed, |_| {});
         for kind in [
             EngineKind::SerialPartitioned { workers: 4 },
             EngineKind::Parallel { workers: 1 },
             EngineKind::Parallel { workers: 4 },
         ] {
-            let other = lin_run(kind, cfg, &net, seed);
+            let other = lin_run(kind, cfg, &net, seed, |_| {});
             assert_eq!(base.lin, other.lin, "seed {seed} {kind:?} diverged");
             assert_eq!(base, other, "seed {seed} {kind:?}: full report diverged");
         }

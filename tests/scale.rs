@@ -77,9 +77,9 @@ fn cluster(seed: u64, nodes: u32) -> Cluster {
 
 /// The hard budget from the issue: steady-state client-table memory must
 /// stay at or under 128 bytes per client. The struct-of-arrays layout
-/// costs ~106 bytes/client (RNG 32 + pacing 16 + inline op slot 20 +
-/// counters/flags 14 + next-op staging 12 + one 16-byte heap arrival
-/// entry), so the budget leaves headroom without hiding regressions.
+/// costs ~102 bytes/client (RNG 32 + pacing 16 + inline op slot 20 +
+/// counters/flags 10 + next-op key 8 + one 16-byte heap arrival entry),
+/// so the budget leaves headroom without hiding regressions.
 const BYTES_PER_CLIENT_BUDGET: u64 = 128;
 
 fn measure(clients: u32, keys: u64, windows: u32, window_ms: f64, rate_hz: f64) -> (u64, u64) {
