@@ -10,15 +10,13 @@
 //! |--------------------------------------|--------------|
 //! | RNG state (xoshiro256++)             | 32           |
 //! | stream clock + restart offset        | 16           |
-//! | pre-pulled arrival (key + flags)     | 9            |
-//! | local op counter + arrival gen       | 5            |
-//! | in-flight count                      | 4            |
-//! | inline in-flight slot (id/key/start) | 20           |
+//! | pre-pulled arrival (key + kind)      | 9            |
+//! | local op counter + in-flight count   | 8            |
 //! | arrival-heap entry                   | 16           |
 //!
-//! ≈ 102 bytes/client of table state. Everything else is shared per table:
-//! an in-flight **overflow** map for the rare client holding more than one
-//! concurrent op, a single open-addressing session arena for
+//! ≈ 81 bytes/client of table state. Everything else is shared per table:
+//! **one in-flight map** holding every issued op until its result or
+//! timeout, a single open-addressing session arena for
 //! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
 //! driver drains each window, one arrival heap and one op-deadline FIFO —
 //! so the whole table keeps **two armed timers** in the event queue (next
@@ -32,7 +30,7 @@
 //! * Per client, draws happen in the fixed order *coordinator pick* (on
 //!   issue), then *gap, kind, key* (on the next stream pull) — identical
 //!   for boxed and shared sources.
-//! * The arrival heap pops by `(time, row, generation)`, so simultaneous
+//! * The arrival heap pops by `(time, row, epoch)`, so simultaneous
 //!   arrivals within a table fire in client-index order; cross-table order
 //!   at equal instants follows actor-lane order like any other actor pair.
 //! * Clients are pinned to their partition's node range, so client↔node
@@ -74,11 +72,6 @@ fn client_of(op_id: u64) -> u32 {
     (op_id >> CLIENT_OP_SHIFT) as u32 - 1
 }
 
-/// The low local counter of an op id.
-fn local_of(op_id: u64) -> u32 {
-    (op_id & ((1 << CLIENT_OP_SHIFT) - 1)) as u32
-}
-
 /// Capacity of the completed-op buffer the driver drains each window (per
 /// worker table); overflow is counted in [`ClientStats::dropped_results`].
 const RESULT_CAPACITY: usize = 1 << 16;
@@ -89,8 +82,9 @@ pub struct ClientOptions {
     /// Client-side operation timeout: an op with no result by then is
     /// recorded as timed out (late results are ignored).
     pub op_timeout_ms: f64,
-    /// In-flight cap: arrivals while the table is full are shed (counted
-    /// in [`ClientStats::shed`]). Bounds client memory under overload.
+    /// Per-client in-flight cap: an arrival while its client already holds
+    /// this many ops is shed (counted in [`ClientStats::shed`]). Bounds
+    /// client memory under overload.
     pub max_in_flight: usize,
     /// Probe mode: every *committed* write schedules a read of the same
     /// key this many ms after its commit (the §5.2 write→read probe pair),
@@ -237,15 +231,6 @@ struct Pending {
     start: SimTime,
 }
 
-// Per-row flag bits.
-const F_STOPPED: u8 = 1;
-const F_HAS_NEXT: u8 = 2;
-const F_NEXT_READ: u8 = 4;
-const F_SLOT_READ: u8 = 8;
-
-/// Inline in-flight slot sentinel: no op occupies the slot.
-const SLOT_EMPTY: u32 = u32::MAX;
-
 /// Arena slot sentinel: `u32::MAX` never collides with a table client
 /// (indices are bounded by [`MAX_CLIENTS`] < 2²⁴).
 const ARENA_EMPTY: u32 = u32::MAX;
@@ -325,10 +310,10 @@ impl SessionArena {
     }
 }
 
-/// Pack an arrival-heap payload: row index above, generation below, so
-/// equal-time arrivals pop in client-index order.
-fn pack_arrival(row: usize, gen: u8) -> u64 {
-    ((row as u64) << 8) | gen as u64
+/// Pack an arrival-heap payload: row index (< 2²⁴) above, the full 32-bit
+/// epoch below, so equal-time arrivals pop in client-index order.
+fn pack_arrival(row: usize, epoch: u32) -> u64 {
+    ((row as u64) << 32) | epoch as u64
 }
 
 /// The open-loop client table: every client of one PDES worker, as
@@ -360,21 +345,13 @@ pub(crate) struct ClientTable {
     /// Stream-clock offset at the epoch: `at_ms` values already consumed
     /// before the (re)start, so a stop→start cycle resumes immediately.
     offset_ms: Vec<f64>,
-    /// Key of the pre-pulled next arrival (valid when `F_HAS_NEXT`).
+    /// Key and kind of the pre-pulled next arrival.
     next_key: Vec<u64>,
+    next_is_read: Vec<bool>,
     /// Local op-id counter (scheduling a probe read skips one).
     next_local: Vec<u32>,
-    flags: Vec<u8>,
-    /// Arrival generation: bumped on start/stop so stale heap entries from
-    /// before the transition are skipped instead of double-firing.
-    arrival_gen: Vec<u8>,
+    /// Ops in flight per client, held under `max_in_flight`.
     in_flight_count: Vec<u32>,
-    /// Inline in-flight slot: local op id (`SLOT_EMPTY` = vacant), key,
-    /// start. Open-loop clients hold ≤ 1 op almost always; more spills to
-    /// the shared `overflow` map.
-    slot_local: Vec<u32>,
-    slot_key: Vec<u64>,
-    slot_start: Vec<SimTime>,
 
     // --- shared per table ---
     /// Boxed mode: one streaming source per row.
@@ -382,8 +359,13 @@ pub(crate) struct ClientTable {
     /// Shared mode: one immutable source for every row (million-client
     /// scale); per-row state is just `consumed_ms`.
     shared: Option<Arc<dyn SharedOpSource>>,
-    /// Pending arrivals as `(time, row·gen)`; the table arms **one** timer
-    /// for the earliest entry instead of one event per client.
+    /// Arrival epoch: bumped by every start and stop (both are
+    /// table-wide), so heap entries queued before the transition are
+    /// skipped instead of double-firing. 32 bits: a narrow counter wraps,
+    /// and an entry queued that many transitions ago would fire again.
+    epoch: u32,
+    /// Pending arrivals as `(time, row·epoch)`; the table arms **one**
+    /// timer for the earliest entry instead of one event per client.
     arrivals: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Earliest outstanding armed arrival timer (`SimTime::MAX` = none).
     next_armed: SimTime,
@@ -394,15 +376,13 @@ pub(crate) struct ClientTable {
     /// The timer is outstanding exactly while this is non-empty: only its
     /// handler pops, and it re-arms unless it pops everything.
     timeouts: VecDeque<(SimTime, u64)>,
-    /// In-flight ops beyond a client's inline slot.
-    overflow: FxHashMap<u64, Pending>,
+    /// Every issued op awaiting its result or timeout, by op id.
+    in_flight: FxHashMap<u64, Pending>,
     /// Session state per touched `(client, key)`.
     sessions: SessionArena,
     /// Completed ops awaiting the driver's window drain (bounded by
     /// [`RESULT_CAPACITY`]).
     completed: Vec<CompletedOp>,
-    /// Live in-flight ops across all rows.
-    in_flight_live: u64,
     /// Aggregate counters.
     stats: ClientStats,
 }
@@ -412,7 +392,7 @@ impl std::fmt::Debug for ClientTable {
         f.debug_struct("ClientTable")
             .field("worker", &self.worker)
             .field("rows", &self.rows())
-            .field("in_flight", &self.in_flight_live)
+            .field("in_flight", &self.in_flight.len())
             .field("completed", &self.completed.len())
             .finish_non_exhaustive()
     }
@@ -447,22 +427,18 @@ impl ClientTable {
             consumed_ms: Vec::new(),
             offset_ms: Vec::new(),
             next_key: Vec::new(),
+            next_is_read: Vec::new(),
             next_local: Vec::new(),
-            flags: Vec::new(),
-            arrival_gen: Vec::new(),
             in_flight_count: Vec::new(),
-            slot_local: Vec::new(),
-            slot_key: Vec::new(),
-            slot_start: Vec::new(),
             sources: Vec::new(),
             shared: None,
+            epoch: 0,
             arrivals: BinaryHeap::new(),
             next_armed: SimTime::MAX,
             timeouts: VecDeque::new(),
-            overflow: FxHashMap::default(),
+            in_flight: FxHashMap::default(),
             sessions: SessionArena::new(),
             completed: Vec::new(),
-            in_flight_live: 0,
             stats: ClientStats::default(),
         }
     }
@@ -484,13 +460,9 @@ impl ClientTable {
         self.consumed_ms.reserve_exact(n);
         self.offset_ms.reserve_exact(n);
         self.next_key.reserve_exact(n);
+        self.next_is_read.reserve_exact(n);
         self.next_local.reserve_exact(n);
-        self.flags.reserve_exact(n);
-        self.arrival_gen.reserve_exact(n);
         self.in_flight_count.reserve_exact(n);
-        self.slot_local.reserve_exact(n);
-        self.slot_key.reserve_exact(n);
-        self.slot_start.reserve_exact(n);
         self.arrivals.reserve(n);
         if self.shared.is_none() {
             self.sources.reserve_exact(n);
@@ -524,13 +496,9 @@ impl ClientTable {
         self.consumed_ms.push(0.0);
         self.offset_ms.push(0.0);
         self.next_key.push(0);
+        self.next_is_read.push(false);
         self.next_local.push(0);
-        self.flags.push(0);
-        self.arrival_gen.push(0);
         self.in_flight_count.push(0);
-        self.slot_local.push(SLOT_EMPTY);
-        self.slot_key.push(0);
-        self.slot_start.push(SimTime::ZERO);
     }
 
     /// Add client `index` with its own boxed streaming source.
@@ -579,26 +547,11 @@ impl ClientTable {
     /// the version as possibly committed instead of convicting the reads
     /// that see it. Sorted by op id for engine-independent determinism.
     pub(crate) fn take_in_flight(&mut self) -> Vec<CompletedOp> {
-        let mut out = Vec::new();
-        for row in 0..self.rows() {
-            if self.slot_local[row] != SLOT_EMPTY {
-                let index = self.index_of(row);
-                let op_id = pack_op(index, self.slot_local[row]);
-                let kind =
-                    if self.flags[row] & F_SLOT_READ != 0 { OpKind::Read } else { OpKind::Write };
-                let (key, start) = (self.slot_key[row], self.slot_start[row]);
-                out.push(CompletedOp::open(op_id, index, kind, key, start));
-                self.slot_local[row] = SLOT_EMPTY;
-                self.in_flight_count[row] -= 1;
-                self.in_flight_live -= 1;
-            }
-        }
-        for (op_id, p) in self.overflow.drain() {
-            let row = (client_of(op_id) as usize) / self.stride;
-            self.in_flight_count[row] -= 1;
-            self.in_flight_live -= 1;
-            out.push(CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start));
-        }
+        let open = |(op_id, p): (u64, Pending)| {
+            CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start)
+        };
+        let mut out: Vec<CompletedOp> = self.in_flight.drain().map(open).collect();
+        self.in_flight_count.fill(0);
         out.sort_unstable_by_key(|op| op.op_id);
         out
     }
@@ -624,21 +577,12 @@ impl ClientTable {
     /// caller is responsible for re-arming the table timer afterwards
     /// (`ensure_armed`), so batch starts arm once, not per client.
     fn schedule_next_arrival(&mut self, row: usize) {
-        if self.flags[row] & F_STOPPED != 0 {
-            return;
-        }
         let op = self.pull_next(row);
         self.consumed_ms[row] = op.at_ms;
         let at = self.base + SimDuration::from_ms((op.at_ms - self.offset_ms[row]).max(0.0));
         self.next_key[row] = op.key;
-        let mut f = self.flags[row] | F_HAS_NEXT;
-        if op.kind == OpKind::Read {
-            f |= F_NEXT_READ;
-        } else {
-            f &= !F_NEXT_READ;
-        }
-        self.flags[row] = f;
-        self.arrivals.push(Reverse((at, pack_arrival(row, self.arrival_gen[row]))));
+        self.next_is_read[row] = op.kind == OpKind::Read;
+        self.arrivals.push(Reverse((at, pack_arrival(row, self.epoch))));
     }
 
     /// Arm the table's arrival timer for the heap minimum if no earlier
@@ -660,20 +604,8 @@ impl ClientTable {
         let local = self.next_local[row];
         self.next_local[row] += 1;
         let op_id = pack_op(self.index_of(row), local);
-        if self.slot_local[row] == SLOT_EMPTY {
-            self.slot_local[row] = local;
-            self.slot_key[row] = key;
-            self.slot_start[row] = ctx.now();
-            if kind == OpKind::Read {
-                self.flags[row] |= F_SLOT_READ;
-            } else {
-                self.flags[row] &= !F_SLOT_READ;
-            }
-        } else {
-            self.overflow.insert(op_id, Pending { key, kind, start: ctx.now() });
-        }
+        self.in_flight.insert(op_id, Pending { key, kind, start: ctx.now() });
         self.in_flight_count[row] += 1;
-        self.in_flight_live += 1;
         self.stats.issued += 1;
         let coord =
             self.down.pick_up_node_in(&mut self.rng[row], self.coord_base, self.coord_count);
@@ -689,27 +621,12 @@ impl ClientTable {
         self.timeouts.push_back((deadline, op_id));
     }
 
-    /// Whether `op_id` still awaits its result or timeout.
-    fn is_in_flight(&self, op_id: u64) -> bool {
-        let row = self.row_of(client_of(op_id));
-        self.slot_local[row] == local_of(op_id) || self.overflow.contains_key(&op_id)
-    }
-
-    /// Remove `op_id` from the in-flight structures (inline slot first,
-    /// then the overflow map). `None` = already completed or timed out.
+    /// Remove `op_id` from the in-flight map. `None` = already completed or
+    /// timed out.
     fn remove_in_flight(&mut self, op_id: u64) -> Option<Pending> {
+        let p = self.in_flight.remove(&op_id)?;
         let row = self.row_of(client_of(op_id));
-        if self.slot_local[row] == local_of(op_id) {
-            self.slot_local[row] = SLOT_EMPTY;
-            self.in_flight_count[row] -= 1;
-            self.in_flight_live -= 1;
-            let kind =
-                if self.flags[row] & F_SLOT_READ != 0 { OpKind::Read } else { OpKind::Write };
-            return Some(Pending { key: self.slot_key[row], kind, start: self.slot_start[row] });
-        }
-        let p = self.overflow.remove(&op_id)?;
         self.in_flight_count[row] -= 1;
-        self.in_flight_live -= 1;
         Some(p)
     }
 
@@ -722,47 +639,33 @@ impl ClientTable {
                 break;
             }
             self.arrivals.pop();
-            let row = (packed >> 8) as usize;
-            if (packed & 0xff) as u8 != self.arrival_gen[row] {
-                continue; // stale: the row stopped/restarted since this was queued
+            if packed as u32 != self.epoch {
+                continue; // stale: the table stopped/restarted since this was queued
             }
-            self.on_arrival_row(ctx, row);
-        }
-        self.ensure_armed(ctx);
-    }
-
-    fn on_arrival_row(&mut self, ctx: &mut Context<'_, Msg>, row: usize) {
-        if self.flags[row] & F_STOPPED != 0 {
-            return;
-        }
-        if self.flags[row] & F_HAS_NEXT != 0 {
-            self.flags[row] &= !F_HAS_NEXT;
-            let kind =
-                if self.flags[row] & F_NEXT_READ != 0 { OpKind::Read } else { OpKind::Write };
-            let key = self.next_key[row];
-            self.issue(ctx, row, kind, key);
-        }
-        self.schedule_next_arrival(row);
-    }
-
-    fn start_all(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.base = ctx.now();
-        for row in 0..self.rows() {
-            // Re-base onto the stream time already consumed, so a restarted
-            // client resumes generating immediately.
-            self.offset_ms[row] = self.consumed_ms[row];
-            self.flags[row] &= !F_STOPPED;
-            self.arrival_gen[row] = self.arrival_gen[row].wrapping_add(1);
+            let row = (packed >> 32) as usize;
+            let kind = if self.next_is_read[row] { OpKind::Read } else { OpKind::Write };
+            self.issue(ctx, row, kind, self.next_key[row]);
             self.schedule_next_arrival(row);
         }
         self.ensure_armed(ctx);
     }
 
-    fn stop_all(&mut self) {
+    fn start_all(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.base = ctx.now();
+        self.epoch = self.epoch.wrapping_add(1);
         for row in 0..self.rows() {
-            self.flags[row] = (self.flags[row] | F_STOPPED) & !F_HAS_NEXT;
-            self.arrival_gen[row] = self.arrival_gen[row].wrapping_add(1);
+            // Re-base onto the stream time already consumed, so a restarted
+            // client resumes generating immediately.
+            self.offset_ms[row] = self.consumed_ms[row];
+            self.schedule_next_arrival(row);
         }
+        self.ensure_armed(ctx);
+    }
+
+    /// Stopping only retires the queued arrivals: nothing re-queues a row
+    /// until the next start.
+    fn stop_all(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
     }
 
     fn on_result(&mut self, ctx: &mut Context<'_, Msg>, result: NodeToClient) {
@@ -813,7 +716,7 @@ impl ClientTable {
         while let Some(&(deadline, op_id)) = self.timeouts.front() {
             if deadline <= ctx.now() {
                 self.on_op_timeout(op_id);
-            } else if self.is_in_flight(op_id) {
+            } else if self.in_flight.contains_key(&op_id) {
                 arm(ctx, deadline.duration_since(ctx.now()).as_ms(), ClientTimer::OpTimeout);
                 return;
             }
@@ -875,7 +778,7 @@ mod tests {
         let top = pack_op(MAX_CLIENTS - 1, u32::MAX);
         assert!(top < (1 << (CLIENT_INDEX_BITS + CLIENT_OP_SHIFT)));
         assert_eq!(client_of(top), MAX_CLIENTS - 1);
-        assert_eq!(local_of(top), u32::MAX);
+        assert_eq!(top as u32, u32::MAX, "the local counter is the low word");
     }
 
     #[test]
@@ -1084,7 +987,7 @@ mod tests {
 
     #[test]
     fn unanswered_op_times_out_at_exactly_start_plus_timeout() {
-        let swallow_odd = |op_id: u64| local_of(op_id) % 2 == 1;
+        let swallow_odd = |op_id: u64| op_id as u32 % 2 == 1;
         // Gaps that are no divisor of the timeout: deadlines fall between
         // arrivals, and the one timer has to be re-armed for each.
         let mut sim = rig(3, 7.3, 1_024, swallow_odd);
@@ -1118,15 +1021,14 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.pending_events(), 0);
         let (table, _) = table_of(&mut sim);
-        assert_eq!((table.in_flight_live, table.timeouts.len()), (0, 0));
+        assert_eq!((table.in_flight.len(), table.timeouts.len()), (0, 0));
     }
 
     #[test]
     fn overflow_ops_and_restarts_keep_exact_deadlines() {
         // A 10 ms gap against 25 ms replies and 60 ms timeouts: each client
-        // holds several ops at once (inline slot + overflow map) and sheds
-        // at the cap of 3.
-        let swallow_some = |op_id: u64| local_of(op_id) % 3 == 1;
+        // holds several ops at once and sheds at the cap of 3.
+        let swallow_some = |op_id: u64| op_id as u32 % 3 == 1;
         let mut sim = rig(2, 10.0, 3, swallow_some);
         sim.inject(1, 0.0, START);
         let mut seen = run_recording(&mut sim, 95.0);
@@ -1142,7 +1044,7 @@ mod tests {
         seen.extend(run_recording(&mut sim, 600.0));
         assert_eq!(sim.pending_events(), 0, "no timer left armed");
         let (table, _) = table_of(&mut sim);
-        assert_eq!((table.in_flight_live, table.timeouts.len()), (0, 0));
+        assert_eq!((table.in_flight.len(), table.timeouts.len()), (0, 0));
         sim.inject(1, 0.0, START);
         seen.extend(run_recording(&mut sim, 800.0));
         sim.inject(1, 0.0, STOP);
@@ -1154,7 +1056,27 @@ mod tests {
         let stats = table.stats();
         assert!(stats.shed > 0, "arrivals beyond the cap are shed");
         assert!(seen.len() as u64 + 16 >= stats.issued && stats.issued > 60, "{stats:?}");
-        assert_eq!(table.in_flight_live, 0);
+        assert!(table.in_flight.is_empty());
+    }
+
+    #[test]
+    fn take_in_flight_flushes_clients_holding_several_ops() {
+        // Nothing is answered: by 45 ms each client has issued 3 reads up
+        // to its cap and shed its fourth arrival, and none is due yet.
+        let mut sim = rig(2, 10.0, 3, |_| true);
+        sim.inject(1, 0.0, START);
+        assert!(run_recording(&mut sim, 45.0).is_empty());
+        sim.inject(1, 0.0, STOP);
+        let (table, _) = table_of(&mut sim);
+        let open = table.take_in_flight();
+        assert_eq!(open.len(), 6);
+        assert!(open.iter().all(|op| op.kind == OpKind::Read && op.finish.is_none()));
+        assert!(open.windows(2).all(|w| w[0].op_id < w[1].op_id), "sorted by op id");
+        assert_eq!(table.stats().shed, 2);
+        assert!(table.in_flight_count.iter().all(|&n| n == 0));
+        assert!(table.take_in_flight().is_empty());
+        // The deadlines of flushed ops pass without a timeout record.
+        assert!(run_recording(&mut sim, 500.0).is_empty());
     }
 
     #[test]

@@ -554,6 +554,41 @@ mod tests {
     }
 
     #[test]
+    fn many_stop_start_cycles_within_one_gap_revive_no_stale_arrival() {
+        use pbs_sim::SimTime;
+        // One op per second; every restart re-bases the stream, so the ten
+        // seconds after the last start hold exactly ten arrivals however
+        // many stop→start cycles came before — as long as no arrival queued
+        // by an earlier start fires again.
+        for cycles in [0, 1, 127, 128, 256] {
+            let mut cluster = Cluster::new(small_opts(21), exp_net(0.5, 1.0));
+            cluster.add_client(
+                Box::new(OpStream::new(
+                    pbs_workload::FixedRate::new(1_000.0),
+                    UniformKeys::new(4),
+                    OpMix::new(0.5),
+                    1,
+                )),
+                ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
+            );
+            let mut now_ms = 0.0;
+            let mut drain = |cluster: &mut Cluster, ms: f64| {
+                now_ms += ms;
+                cluster.drain_window(SimTime::from_ms(now_ms));
+            };
+            cluster.start_clients();
+            for _ in 0..cycles {
+                cluster.stop_clients();
+                drain(&mut cluster, 1.0);
+                cluster.start_clients();
+                drain(&mut cluster, 1.0);
+            }
+            drain(&mut cluster, 10_000.0);
+            assert_eq!(cluster.client_stats().issued, 10, "after {cycles} stop/start cycles");
+        }
+    }
+
+    #[test]
     fn checked_fault_free_run_is_clean() {
         // The history checker must agree with the streaming machinery on
         // every count and find zero violations on a fault-free run — any
