@@ -1,20 +1,23 @@
-//! In-sim open-loop clients: a struct-of-arrays table, one actor per worker.
+//! In-sim open-loop clients: one row per client, one actor per worker.
 //!
 //! An actor per client would cost hundreds of bytes of map headers and one
 //! pending timer event *each* before any work happens — too much at a
 //! million clients. A [`ClientTable`] is instead **one actor per PDES
-//! worker** that owns all of that worker's clients as parallel column
-//! vectors, so the marginal cost of a client is roughly one cache line:
+//! worker** that owns all of that worker's clients as rows of one vector.
+//! A row is one 64-byte cache line, so an arrival touches one line of its
+//! client plus the arrival heap:
 //!
-//! | column                               | bytes/client |
-//! |--------------------------------------|--------------|
-//! | RNG state (xoshiro256++)             | 32           |
-//! | stream clock + restart offset        | 16           |
-//! | pre-pulled arrival (key + kind)      | 9            |
-//! | local op counter + in-flight count   | 8            |
-//! | arrival-heap entry                   | 16           |
+//! | field                                        | bytes/client |
+//! |----------------------------------------------|--------------|
+//! | RNG state (xoshiro256++)                     | 32           |
+//! | stream clock + restart offset                | 16           |
+//! | pre-pulled arrival key                       | 8            |
+//! | local op counter                             | 4            |
+//! | in-flight count (`u16`) + next kind (+ pad)  | 4            |
+//! | arrival-heap entry (4-ary heap)              | 16           |
 //!
-//! ≈ 81 bytes/client of table state. Everything else is shared per table:
+//! 80 bytes/client of table state (traced `scale100k` reads 80.09 in
+//! `kvs.client.table_bytes_per_client`). Everything else is shared per table:
 //! **one in-flight map** holding every issued op until its result or
 //! timeout, a single open-addressing session arena for
 //! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
@@ -46,8 +49,7 @@ use pbs_sim::{Context, SimDuration, SimTime};
 use pbs_workload::{OpKind, OpSource, SharedOpSource};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Bits reserved for a client's local operation counter; the client index
@@ -84,7 +86,8 @@ pub struct ClientOptions {
     pub op_timeout_ms: f64,
     /// Per-client in-flight cap: an arrival while its client already holds
     /// this many ops is shed (counted in [`ClientStats::shed`]). Bounds
-    /// client memory under overload.
+    /// client memory under overload. Must be in `1..=65_535`: a client
+    /// counts its ops in flight in a `u16`.
     pub max_in_flight: usize,
     /// Probe mode: every *committed* write schedules a read of the same
     /// key this many ms after its commit (the §5.2 write→read probe pair),
@@ -316,9 +319,105 @@ fn pack_arrival(row: usize, epoch: u32) -> u64 {
     ((row as u64) << 32) | epoch as u64
 }
 
-/// The open-loop client table: every client of one PDES worker, as
-/// struct-of-arrays columns inside a single actor. See the module docs for
-/// the layout and the determinism rules.
+/// The most ops one client may hold in flight: a row counts them in a
+/// `u16`.
+const MAX_IN_FLIGHT: usize = u16::MAX as usize;
+
+/// Everything one client owns, in one cache line: an arrival reads and
+/// writes this row and nothing else of its client.
+#[repr(C, align(64))]
+struct Row {
+    rng: StdRng,
+    /// Stream-clock value of the last op pulled from the source.
+    consumed_ms: f64,
+    /// Stream-clock offset at the epoch: `at_ms` values already consumed
+    /// before the (re)start, so a stop→start cycle resumes immediately.
+    offset_ms: f64,
+    /// Key of the pre-pulled next arrival.
+    next_key: u64,
+    /// Local op-id counter (scheduling a probe read skips one).
+    next_local: u32,
+    /// Ops in flight, held under `max_in_flight` (≤ [`MAX_IN_FLIGHT`]).
+    in_flight: u16,
+    /// Kind of the pre-pulled next arrival.
+    next_is_read: bool,
+}
+
+/// Pending arrivals as unique `(time, row << 32 | epoch)` keys in a 4-ary
+/// min-heap: node `i`'s children are `4i + 1 ..= 4i + 4`, 64 contiguous
+/// bytes, so a pop over 100k entries descends half as many levels as a
+/// binary heap's. The keys are unique, so the pop order is their order
+/// whatever the heap's shape.
+#[derive(Default)]
+struct ArrivalHeap {
+    keys: Vec<(SimTime, u64)>,
+}
+
+impl ArrivalHeap {
+    fn reserve(&mut self, n: usize) {
+        self.keys.reserve(n);
+    }
+
+    fn peek(&self) -> Option<&(SimTime, u64)> {
+        self.keys.first()
+    }
+
+    fn push(&mut self, key: (SimTime, u64)) {
+        self.keys.push(key);
+        self.sift_up(self.keys.len() - 1, key);
+    }
+
+    /// Remove the minimum: move the hole at the root down along the
+    /// smallest children to a leaf, then sift the last key up into it (the
+    /// last key belongs near the bottom, so this compares least).
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let last = self.keys.pop()?;
+        let Some(&top) = self.keys.first() else {
+            return Some(last);
+        };
+        let keys = &mut self.keys[..];
+        let mut hole = 0;
+        loop {
+            let first = 4 * hole + 1;
+            let min = match keys.get(first..first + 4) {
+                // A full group: a tournament that selects by data, not by
+                // branches. Which child wins is a coin toss, and branching
+                // on each compare cost more than the halved depth saved.
+                Some(c) => {
+                    let a = (c[1] < c[0]) as usize;
+                    let b = 2 + (c[3] < c[2]) as usize;
+                    first + if c[b] < c[a] { b } else { a }
+                }
+                // The one partial group, or none below a leaf.
+                None => match (first..keys.len()).min_by_key(|&c| keys[c]) {
+                    Some(min) => min,
+                    None => break,
+                },
+            };
+            keys[hole] = keys[min];
+            hole = min;
+        }
+        self.sift_up(hole, last);
+        Some(top)
+    }
+
+    /// Place `key` at the hole `i` or above it, moving larger parents down.
+    fn sift_up(&mut self, mut i: usize, key: (SimTime, u64)) {
+        while i > 0 {
+            let parent = (i - 1) / 4;
+            if self.keys[parent] <= key {
+                break;
+            }
+            self.keys[i] = self.keys[parent];
+            i = parent;
+        }
+        self.keys[i] = key;
+    }
+}
+
+/// The open-loop client table: every client of one PDES worker, one
+/// [`Row`] each, inside a single actor. See the module docs for the layout
+/// and the determinism rules.
 pub(crate) struct ClientTable {
     /// This table's worker index (clients with `index % stride == worker`).
     worker: usize,
@@ -338,20 +437,8 @@ pub(crate) struct ClientTable {
     /// `StartClient`.
     base: SimTime,
 
-    // --- per-client columns (indexed by row) ---
-    rng: Vec<StdRng>,
-    /// Stream-clock value of the last op pulled from the source.
-    consumed_ms: Vec<f64>,
-    /// Stream-clock offset at the epoch: `at_ms` values already consumed
-    /// before the (re)start, so a stop→start cycle resumes immediately.
-    offset_ms: Vec<f64>,
-    /// Key and kind of the pre-pulled next arrival.
-    next_key: Vec<u64>,
-    next_is_read: Vec<bool>,
-    /// Local op-id counter (scheduling a probe read skips one).
-    next_local: Vec<u32>,
-    /// Ops in flight per client, held under `max_in_flight`.
-    in_flight_count: Vec<u32>,
+    /// One row per client, by row index.
+    rows: Vec<Row>,
 
     // --- shared per table ---
     /// Boxed mode: one streaming source per row.
@@ -366,7 +453,7 @@ pub(crate) struct ClientTable {
     epoch: u32,
     /// Pending arrivals as `(time, row·epoch)`; the table arms **one**
     /// timer for the earliest entry instead of one event per client.
-    arrivals: BinaryHeap<Reverse<(SimTime, u64)>>,
+    arrivals: ArrivalHeap,
     /// Earliest outstanding armed arrival timer (`SimTime::MAX` = none).
     next_armed: SimTime,
     /// `(deadline, op id)` of every issued op, in issue order. Deadlines are
@@ -412,7 +499,11 @@ impl ClientTable {
     ) -> Self {
         assert!(stride >= 1 && worker < stride);
         assert!(!coords.is_empty(), "clients need at least one coordinator");
-        assert!(opts.max_in_flight >= 1);
+        assert!(
+            (1..=MAX_IN_FLIGHT).contains(&opts.max_in_flight),
+            "max_in_flight must be in 1..={MAX_IN_FLIGHT}, got {}",
+            opts.max_in_flight
+        );
         assert!(opts.op_timeout_ms > 0.0);
         Self {
             worker,
@@ -423,17 +514,11 @@ impl ClientTable {
             down,
             cluster_seed,
             base: SimTime::ZERO,
-            rng: Vec::new(),
-            consumed_ms: Vec::new(),
-            offset_ms: Vec::new(),
-            next_key: Vec::new(),
-            next_is_read: Vec::new(),
-            next_local: Vec::new(),
-            in_flight_count: Vec::new(),
+            rows: Vec::new(),
             sources: Vec::new(),
             shared: None,
             epoch: 0,
-            arrivals: BinaryHeap::new(),
+            arrivals: ArrivalHeap::default(),
             next_armed: SimTime::MAX,
             timeouts: VecDeque::new(),
             in_flight: FxHashMap::default(),
@@ -450,19 +535,13 @@ impl ClientTable {
 
     /// Number of clients in this table.
     pub(crate) fn rows(&self) -> usize {
-        self.rng.len()
+        self.rows.len()
     }
 
     /// Reserve exact capacity for `n` *additional* clients (keeps the
     /// bytes-per-client accounting free of doubling slack).
     pub(crate) fn reserve_rows(&mut self, n: usize) {
-        self.rng.reserve_exact(n);
-        self.consumed_ms.reserve_exact(n);
-        self.offset_ms.reserve_exact(n);
-        self.next_key.reserve_exact(n);
-        self.next_is_read.reserve_exact(n);
-        self.next_local.reserve_exact(n);
-        self.in_flight_count.reserve_exact(n);
+        self.rows.reserve_exact(n);
         self.arrivals.reserve(n);
         if self.shared.is_none() {
             self.sources.reserve_exact(n);
@@ -492,13 +571,15 @@ impl ClientTable {
         let seed = self.cluster_seed
             ^ (index as u64 + 1).wrapping_mul(0xa076_1d64_78bd_642f)
             ^ 0x2545_f491_4f6c_dd1d;
-        self.rng.push(StdRng::seed_from_u64(seed));
-        self.consumed_ms.push(0.0);
-        self.offset_ms.push(0.0);
-        self.next_key.push(0);
-        self.next_is_read.push(false);
-        self.next_local.push(0);
-        self.in_flight_count.push(0);
+        self.rows.push(Row {
+            rng: StdRng::seed_from_u64(seed),
+            consumed_ms: 0.0,
+            offset_ms: 0.0,
+            next_key: 0,
+            next_local: 0,
+            in_flight: 0,
+            next_is_read: false,
+        });
     }
 
     /// Add client `index` with its own boxed streaming source.
@@ -551,7 +632,7 @@ impl ClientTable {
             CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start)
         };
         let mut out: Vec<CompletedOp> = self.in_flight.drain().map(open).collect();
-        self.in_flight_count.fill(0);
+        self.rows.iter_mut().for_each(|r| r.in_flight = 0);
         out.sort_unstable_by_key(|op| op.op_id);
         out
     }
@@ -567,9 +648,10 @@ impl ClientTable {
     /// Pull the next op for `row` from its source (boxed or shared); the
     /// RNG draw order is identical in both modes.
     fn pull_next(&mut self, row: usize) -> pbs_workload::Op {
+        let r = &mut self.rows[row];
         match &self.shared {
-            Some(src) => src.next_op_after(self.consumed_ms[row], &mut self.rng[row]),
-            None => self.sources[row].next_op(&mut self.rng[row]),
+            Some(src) => src.next_op_after(r.consumed_ms, &mut r.rng),
+            None => self.sources[row].next_op(&mut r.rng),
         }
     }
 
@@ -578,17 +660,18 @@ impl ClientTable {
     /// (`ensure_armed`), so batch starts arm once, not per client.
     fn schedule_next_arrival(&mut self, row: usize) {
         let op = self.pull_next(row);
-        self.consumed_ms[row] = op.at_ms;
-        let at = self.base + SimDuration::from_ms((op.at_ms - self.offset_ms[row]).max(0.0));
-        self.next_key[row] = op.key;
-        self.next_is_read[row] = op.kind == OpKind::Read;
-        self.arrivals.push(Reverse((at, pack_arrival(row, self.epoch))));
+        let r = &mut self.rows[row];
+        r.consumed_ms = op.at_ms;
+        let at = self.base + SimDuration::from_ms((op.at_ms - r.offset_ms).max(0.0));
+        r.next_key = op.key;
+        r.next_is_read = op.kind == OpKind::Read;
+        self.arrivals.push((at, pack_arrival(row, self.epoch)));
     }
 
     /// Arm the table's arrival timer for the heap minimum if no earlier
     /// timer is already outstanding.
     fn ensure_armed(&mut self, ctx: &mut Context<'_, Msg>) {
-        if let Some(&Reverse((at, _))) = self.arrivals.peek() {
+        if let Some(&(at, _)) = self.arrivals.peek() {
             if at < self.next_armed {
                 self.next_armed = at;
                 arm(ctx, at.duration_since(ctx.now()).as_ms(), ClientTimer::Arrival);
@@ -597,18 +680,18 @@ impl ClientTable {
     }
 
     fn issue(&mut self, ctx: &mut Context<'_, Msg>, row: usize, kind: OpKind, key: u64) {
-        if self.in_flight_count[row] as usize >= self.opts.max_in_flight {
+        let index = self.index_of(row);
+        let r = &mut self.rows[row];
+        if r.in_flight as usize >= self.opts.max_in_flight {
             self.stats.shed += 1;
             return;
         }
-        let local = self.next_local[row];
-        self.next_local[row] += 1;
-        let op_id = pack_op(self.index_of(row), local);
+        let op_id = pack_op(index, r.next_local);
+        r.next_local += 1;
+        r.in_flight += 1;
+        let coord = self.down.pick_up_node_in(&mut r.rng, self.coord_base, self.coord_count);
         self.in_flight.insert(op_id, Pending { key, kind, start: ctx.now() });
-        self.in_flight_count[row] += 1;
         self.stats.issued += 1;
-        let coord =
-            self.down.pick_up_node_in(&mut self.rng[row], self.coord_base, self.coord_count);
         let req = match kind {
             OpKind::Write => ClientToNode::Write { op_id, key },
             OpKind::Read => ClientToNode::Read { op_id, key },
@@ -626,7 +709,7 @@ impl ClientTable {
     fn remove_in_flight(&mut self, op_id: u64) -> Option<Pending> {
         let p = self.in_flight.remove(&op_id)?;
         let row = self.row_of(client_of(op_id));
-        self.in_flight_count[row] -= 1;
+        self.rows[row].in_flight -= 1;
         Some(p)
     }
 
@@ -634,7 +717,7 @@ impl ClientTable {
     /// `(time, row)` order, then re-arm for the new minimum.
     fn on_arrival_timer(&mut self, ctx: &mut Context<'_, Msg>) {
         self.next_armed = SimTime::MAX;
-        while let Some(&Reverse((at, packed))) = self.arrivals.peek() {
+        while let Some(&(at, packed)) = self.arrivals.peek() {
             if at > ctx.now() {
                 break;
             }
@@ -643,8 +726,9 @@ impl ClientTable {
                 continue; // stale: the table stopped/restarted since this was queued
             }
             let row = (packed >> 32) as usize;
-            let kind = if self.next_is_read[row] { OpKind::Read } else { OpKind::Write };
-            self.issue(ctx, row, kind, self.next_key[row]);
+            let r = &self.rows[row];
+            let kind = if r.next_is_read { OpKind::Read } else { OpKind::Write };
+            self.issue(ctx, row, kind, r.next_key);
             self.schedule_next_arrival(row);
         }
         self.ensure_armed(ctx);
@@ -656,7 +740,8 @@ impl ClientTable {
         for row in 0..self.rows() {
             // Re-base onto the stream time already consumed, so a restarted
             // client resumes generating immediately.
-            self.offset_ms[row] = self.consumed_ms[row];
+            let r = &mut self.rows[row];
+            r.offset_ms = r.consumed_ms;
             self.schedule_next_arrival(row);
         }
         self.ensure_armed(ctx);
@@ -688,7 +773,7 @@ impl ClientTable {
                         // takes the next when it is issued): op ids are part
                         // of every recorded history, so the numbering stays.
                         let row = self.row_of(index);
-                        self.next_local[row] += 1;
+                        self.rows[row].next_local += 1;
                         arm(ctx, offset, ClientTimer::ProbeRead { client: index, key });
                     }
                 }
@@ -842,6 +927,80 @@ mod tests {
         assert_eq!(t.rows(), 3);
         assert_eq!(t.index_of(2), 9);
         assert_eq!(t.row_of(5), 1);
+    }
+
+    #[test]
+    fn a_row_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Row>(), 64);
+        assert_eq!(std::mem::align_of::<Row>(), 64);
+    }
+
+    fn table_with_cap(max_in_flight: usize) -> ClientTable {
+        let opts = ClientOptions { max_in_flight, ..ClientOptions::default() };
+        ClientTable::new(0, 1, 0..3, opts, Arc::new(DownTracker::new(3)), 9)
+    }
+
+    #[test]
+    fn in_flight_caps_in_use_fit_a_row() {
+        for cap in [1, 1_024, 4_096, MAX_IN_FLIGHT] {
+            assert_eq!(table_with_cap(cap).options().max_in_flight, cap);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "max_in_flight must be in 1..=65535, got 65536")]
+    fn an_in_flight_cap_a_row_cannot_count_is_rejected() {
+        table_with_cap(MAX_IN_FLIGHT + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_in_flight must be in 1..=65535, got 0")]
+    fn a_zero_in_flight_cap_is_rejected() {
+        table_with_cap(0);
+    }
+
+    /// The 4-ary heap pops exactly what `std`'s binary heap pops, over
+    /// seeded push/pop interleavings held near each size, with times drawn
+    /// from a few instants so most keys tie on time and differ in lane.
+    #[test]
+    fn arrival_heap_pops_what_a_binary_heap_pops() {
+        use rand::Rng;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let mut rng = StdRng::seed_from_u64(28);
+        for size in [0usize, 1, 4, 5, 100_000] {
+            let (mut heap, mut reference) = (ArrivalHeap::default(), BinaryHeap::new());
+            let mut lane = 0u64;
+            let mut key = |rng: &mut StdRng| {
+                lane += 1;
+                (SimTime::from_ms(rng.gen_range(0..16u32) as f64), lane)
+            };
+            for _ in 0..size {
+                let k = key(&mut rng);
+                heap.push(k);
+                reference.push(Reverse(k));
+            }
+            for _ in 0..100_000 {
+                // Push or pop with even odds, leaning back toward `size`.
+                let push = match heap.keys.len().cmp(&size) {
+                    std::cmp::Ordering::Less => rng.gen_range(0..4u32) != 0,
+                    std::cmp::Ordering::Equal => rng.gen_range(0..2u32) == 0,
+                    std::cmp::Ordering::Greater => rng.gen_range(0..4u32) == 0,
+                };
+                if push {
+                    let k = key(&mut rng);
+                    heap.push(k);
+                    reference.push(Reverse(k));
+                } else {
+                    assert_eq!(heap.pop(), reference.pop().map(|Reverse(k)| k), "size {size}");
+                }
+                assert_eq!(heap.peek(), reference.peek().map(|Reverse(k)| k), "size {size}");
+            }
+            while let Some(Reverse(k)) = reference.pop() {
+                assert_eq!(heap.pop(), Some(k), "draining size {size}");
+            }
+            assert_eq!(heap.pop(), None);
+        }
     }
 
     #[test]
@@ -1073,7 +1232,7 @@ mod tests {
         assert!(open.iter().all(|op| op.kind == OpKind::Read && op.finish.is_none()));
         assert!(open.windows(2).all(|w| w[0].op_id < w[1].op_id), "sorted by op id");
         assert_eq!(table.stats().shed, 2);
-        assert!(table.in_flight_count.iter().all(|&n| n == 0));
+        assert!(table.rows.iter().all(|r| r.in_flight == 0));
         assert!(table.take_in_flight().is_empty());
         // The deadlines of flushed ops pass without a timeout record.
         assert!(run_recording(&mut sim, 500.0).is_empty());

@@ -258,8 +258,8 @@ impl WindowDrain {
 pub(crate) enum ClusterActor {
     /// A Dynamo-style storage node (coordinator + replica).
     Node(NodeShell),
-    /// All open-loop clients of one PDES worker, as a single
-    /// struct-of-arrays actor.
+    /// All open-loop clients of one PDES worker, as a single actor with
+    /// one row per client.
     Clients(ClientTable),
 }
 

@@ -51,8 +51,8 @@
 //! * **Blocking** — [`Cluster::write`]/[`Cluster::read`] serialise one
 //!   operation at a time (the §5.2 probe shape used by
 //!   [`experiments`]) and return its record.
-//! * **Open loop** — in-sim clients (one struct-of-arrays client table
-//!   per PDES worker) generate arrivals lazily from streaming `pbs-workload`
+//! * **Open loop** — in-sim clients (one client table per PDES worker,
+//!   one cache-line row per client) generate arrivals lazily from streaming `pbs-workload`
 //!   sources and keep thousands of operations in flight;
 //!   [`OpenLoopRun`] drives them window by window ([`WindowDrain`] holds
 //!   the records that finished in one) with online
