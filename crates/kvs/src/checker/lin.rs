@@ -789,45 +789,14 @@ impl KeySearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClientOptions, Cluster, ClusterOptions, CompletedOp, FaultProfile, NetworkModel};
-    use pbs_core::ReplicaConfig;
-    use pbs_dist::Pareto;
+    use crate::CompletedOp;
     use pbs_sim::SimTime;
-    use pbs_workload::{OpMix, OpStream, Poisson, UniformKeys};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
 
-    /// `tests/common::storm_history` with its ops spread over `keys` keys:
-    /// 8 nodes at N=3 R=W=1 on Pareto legs under `FaultProfile::storm` with
-    /// one crash, 64 clients × 31.25 ops/s, half writes, 10 s, settled.
+    /// The checker's storm run over `keys` keys, history only.
     fn storm_history(seed: u64, keys: u64) -> OpHistory {
-        let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), seed);
-        opts.nodes = 8;
-        opts.op_timeout_ms = 2_000.0;
-        opts.read_repair = true;
-        opts.hinted_handoff = true;
-        let (w, ars) = (Arc::new(Pareto::new(1.5, 1.2)), Arc::new(Pareto::new(0.8, 2.0)));
-        let net = NetworkModel::w_ars(w, ars);
-        let mut cluster = Cluster::new(opts, net);
-        cluster.enable_history();
-        cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
-        cluster.crash_node_at((seed % 8) as usize, SimTime::from_ms(4_000.0), 1_500.0);
-        for _ in 0..64 {
-            let source = OpStream::new(
-                Poisson::per_second(31.25),
-                UniformKeys::new(keys),
-                OpMix::new(0.5),
-                1,
-            );
-            let copts = ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() };
-            cluster.add_client(Box::new(source), copts);
-        }
-        cluster.start_clients();
-        cluster.drain_window(SimTime::from_ms(10_000.0));
-        cluster.stop_clients();
-        cluster.drain_window(SimTime::from_ms(12_500.0));
-        cluster.take_history()
+        super::super::tests::storm_run(seed, keys, crate::ProtocolMutations::default()).0
     }
 
     fn op(op_id: u64, kind: OpKind, start_ms: u64) -> CompletedOp {

@@ -25,10 +25,15 @@
 //!   newest committed one (read repair + hinted handoff + anti-entropy
 //!   actually converged).
 //!
-//! [`check_run`] runs all four, then [`lin::check_lin`]. Its per-key passes
+//! [`check_run`] runs all four and [`lin::check_lin`]. Its per-key passes
 //! — the order oracle, its final-state rule and the linearizability
 //! search — read one partition of the history by key, built once per
-//! audit; called on its own, each builds the partition itself. What a
+//! audit; called on its own, each builds the partition itself. Every pass
+//! only reads the history, so the linearizability search runs on one
+//! scoped thread while the caller's thread runs the order oracle, the
+//! session replay and the relabelling, then — when asked — the final-state
+//! rule and convergence. Those two read the [`Cluster`], which holds boxed
+//! op sources and is not `Sync`, so they stay on the caller. What a
 //! strict quorum owes under faults — regularity — is no further pass:
 //! [`CheckReport::regular`] reads it off the label and phantom counts.
 //!
@@ -900,30 +905,158 @@ fn check_final_state(
 /// [`lin::check_lin`] to tune them), and (optionally) convergence plus
 /// the oracle's final-state rule. The per-key passes share one partition
 /// of the history.
+///
+/// The passes only read the history, so they run side by side: the
+/// linearizability search — the longest pass — on one scoped thread, the
+/// rest on the caller's. The passes that read the cluster (the final-state
+/// rule, convergence, the streaming counters) stay on the caller, since a
+/// `Cluster` holds boxed op sources and cannot be shared across threads.
+/// One thread is spawned per call whatever the host, and the report is the
+/// one the passes give run one by one.
 pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> CheckReport {
-    let streaming = cluster.client_stats();
     let index = KeyIndex::new(history);
-    let mut order = sweep_order(history, &index, cluster.node_count() as u32);
-    if convergence {
-        check_final_state(history, &index, cluster, &mut order);
-    }
+    let lin = || lin::check_lin_on(history, &index, &LinOptions::default());
+    let (lin, (sessions, labels, order, convergence)) = fork(lin, || {
+        let mut order = sweep_order(history, &index, cluster.node_count() as u32);
+        let sessions = replay_sessions(history, &cluster.client_stats());
+        let labels = relabel_reads(history);
+        if convergence {
+            check_final_state(history, &index, cluster, &mut order);
+        }
+        (sessions, labels, order, convergence.then(|| check_convergence(cluster)))
+    });
     CheckReport {
-        sessions: replay_sessions(history, &streaming),
-        labels: relabel_reads(history),
+        sessions,
+        labels,
         order,
-        lin: lin::check_lin_on(history, &index, &LinOptions::default()),
-        convergence: convergence.then(|| check_convergence(cluster)),
+        lin,
+        convergence,
         regular_expected: cluster.regular_expected && !history.crashes().iter().any(|c| c.wipe),
         runs: 1,
     }
 }
 
+/// Run `spawned` on a scoped thread while the calling thread runs `here`.
+/// A panic on the spawned thread is re-raised with its own payload.
+fn fork<A: Send, B>(spawned: impl FnOnce() -> A + Send, here: impl FnOnce() -> B) -> (A, B) {
+    std::thread::scope(|scope| {
+        let spawned = scope.spawn(spawned);
+        let b = here();
+        (spawned.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), b)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ClientOptions, ClusterOptions, FaultProfile, NetworkModel, ProtocolMutations};
+    use pbs_core::ReplicaConfig;
+    use pbs_dist::Pareto;
+    use pbs_workload::{OpMix, OpStream, Poisson, UniformKeys};
+    use std::sync::Arc;
 
     fn t(ms: f64) -> SimTime {
         SimTime::from_ms(ms)
+    }
+
+    /// `tests/common::storm_history` with its ops spread over `keys` keys,
+    /// and the cluster it ran on: 8 nodes at N=3 R=W=1 on Pareto legs under
+    /// `FaultProfile::storm` with one crash, 64 clients × 31.25 ops/s, half
+    /// writes, 10 s, settled.
+    pub(super) fn storm_run(
+        seed: u64,
+        keys: u64,
+        mutations: ProtocolMutations,
+    ) -> (OpHistory, Cluster) {
+        let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), seed);
+        opts.mutations = mutations;
+        opts.nodes = 8;
+        opts.op_timeout_ms = 2_000.0;
+        opts.read_repair = true;
+        opts.hinted_handoff = true;
+        let (w, ars) = (Arc::new(Pareto::new(1.5, 1.2)), Arc::new(Pareto::new(0.8, 2.0)));
+        let net = NetworkModel::w_ars(w, ars);
+        let mut cluster = Cluster::new(opts, net);
+        cluster.enable_history();
+        cluster.network().set_fault_profile(FaultProfile::storm(seed)).unwrap();
+        cluster.crash_node_at((seed % 8) as usize, SimTime::from_ms(4_000.0), 1_500.0);
+        for _ in 0..64 {
+            let source = OpStream::new(
+                Poisson::per_second(31.25),
+                UniformKeys::new(keys),
+                OpMix::new(0.5),
+                1,
+            );
+            let copts = ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() };
+            cluster.add_client(Box::new(source), copts);
+        }
+        cluster.start_clients();
+        cluster.drain_window(SimTime::from_ms(10_000.0));
+        cluster.stop_clients();
+        cluster.drain_window(SimTime::from_ms(12_500.0));
+        (cluster.take_history(), cluster)
+    }
+
+    /// `check_run` forks its passes over two threads; its report must `==`
+    /// the one the passes give run one at a time on this thread, with
+    /// convergence off and on, on storm runs from 4 to 256 keys. Every
+    /// other run drops the version merge, so the order oracle and its
+    /// final-state rule convict something.
+    #[test]
+    fn a_forked_audit_equals_its_passes_run_one_at_a_time() {
+        let runs = [(1, 256), (2, 256), (3, 64), (4, 64), (5, 16), (6, 16), (7, 4), (8, 4)];
+        let mut final_state_convictions = 0;
+        for (seed, keys) in runs {
+            let m = ProtocolMutations { drop_version_merge: seed % 2 == 0, ..Default::default() };
+            let (history, cluster) = storm_run(seed, keys, m);
+            assert!(history.len() > 10_000, "{} ops", history.len());
+            for convergence in [false, true] {
+                let index = KeyIndex::new(&history);
+                let mut order = sweep_order(&history, &index, cluster.node_count() as u32);
+                if convergence {
+                    let swept = order.lost_updates;
+                    check_final_state(&history, &index, &cluster, &mut order);
+                    final_state_convictions += order.lost_updates - swept;
+                }
+                let one_at_a_time = CheckReport {
+                    sessions: replay_sessions(&history, &cluster.client_stats()),
+                    labels: relabel_reads(&history),
+                    order,
+                    lin: lin::check_lin_on(&history, &index, &LinOptions::default()),
+                    convergence: convergence.then(|| check_convergence(&cluster)),
+                    regular_expected: cluster.regular_expected
+                        && !history.crashes().iter().any(|c| c.wipe),
+                    runs: 1,
+                };
+                let forked = check_run(&history, &cluster, convergence);
+                assert_eq!(forked, one_at_a_time, "seed {seed}, {keys} keys, {convergence}");
+            }
+        }
+        assert!(final_state_convictions > 0, "no run reached the final-state rule");
+    }
+
+    /// A pass's panic surfaces through `check_run` with its own message.
+    /// The order oracle on the caller and the search on the spawned thread
+    /// both reject this write; the next test pins the spawned side alone.
+    #[test]
+    #[should_panic(expected = "writes with a sequence carry their writer")]
+    fn a_pass_that_panics_keeps_its_message_through_check_run() {
+        let opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), 1);
+        let leg = Arc::new(Pareto::new(1.5, 1.2));
+        let cluster = Cluster::new(opts, NetworkModel::w_ars(leg.clone(), leg));
+        let mut h = OpHistory::new();
+        let mut w = write(0, 1, 1, 0.0, Some(1.0));
+        w.writer = None;
+        h.push(w, None);
+        check_run(&h, &cluster, false);
+    }
+
+    /// A panic on the spawned thread is re-raised with its payload, not
+    /// replaced by a message about the join.
+    #[test]
+    #[should_panic(expected = "the spawned side's own message")]
+    fn fork_re_raises_the_spawned_sides_panic() {
+        fork(|| panic!("the spawned side's own message"), || ());
     }
 
     fn write(client: u32, key: u64, seq: u64, start: f64, commit: Option<f64>) -> CompletedOp {

@@ -82,7 +82,8 @@ const RESULT_CAPACITY: usize = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientOptions {
     /// Client-side operation timeout: an op with no result by then is
-    /// recorded as timed out (late results are ignored).
+    /// recorded as timed out (late results are ignored). Must be finite
+    /// and > 0.
     pub op_timeout_ms: f64,
     /// Per-client in-flight cap: an arrival while its client already holds
     /// this many ops is shed (counted in [`ClientStats::shed`]). Bounds
@@ -91,7 +92,8 @@ pub struct ClientOptions {
     pub max_in_flight: usize,
     /// Probe mode: every *committed* write schedules a read of the same
     /// key this many ms after its commit (the §5.2 write→read probe pair),
-    /// in addition to any reads the op source emits.
+    /// in addition to any reads the op source emits. Must be finite and
+    /// ≥ 0.
     pub probe_read_offset_ms: Option<f64>,
 }
 
@@ -504,7 +506,17 @@ impl ClientTable {
             "max_in_flight must be in 1..={MAX_IN_FLIGHT}, got {}",
             opts.max_in_flight
         );
-        assert!(opts.op_timeout_ms > 0.0);
+        assert!(
+            opts.op_timeout_ms.is_finite() && opts.op_timeout_ms > 0.0,
+            "ClientOptions::op_timeout_ms must be finite and > 0, got {}",
+            opts.op_timeout_ms
+        );
+        if let Some(offset) = opts.probe_read_offset_ms {
+            assert!(
+                offset.is_finite() && offset >= 0.0,
+                "ClientOptions::probe_read_offset_ms must be finite and >= 0, got {offset}"
+            );
+        }
         Self {
             worker,
             stride,
@@ -935,9 +947,12 @@ mod tests {
         assert_eq!(std::mem::align_of::<Row>(), 64);
     }
 
-    fn table_with_cap(max_in_flight: usize) -> ClientTable {
-        let opts = ClientOptions { max_in_flight, ..ClientOptions::default() };
+    fn table_with(opts: ClientOptions) -> ClientTable {
         ClientTable::new(0, 1, 0..3, opts, Arc::new(DownTracker::new(3)), 9)
+    }
+
+    fn table_with_cap(max_in_flight: usize) -> ClientTable {
+        table_with(ClientOptions { max_in_flight, ..ClientOptions::default() })
     }
 
     #[test]
@@ -957,6 +972,23 @@ mod tests {
     #[should_panic(expected = "max_in_flight must be in 1..=65535, got 0")]
     fn a_zero_in_flight_cap_is_rejected() {
         table_with_cap(0);
+    }
+
+    /// An infinite timeout would first panic inside the simulator's time
+    /// arithmetic, at the first op the table issues.
+    #[test]
+    #[should_panic(expected = "ClientOptions::op_timeout_ms must be finite and > 0, got inf")]
+    fn an_infinite_op_timeout_is_rejected() {
+        table_with(ClientOptions { op_timeout_ms: f64::INFINITY, ..ClientOptions::default() });
+    }
+
+    /// A probe offset the simulator cannot schedule would first panic at the
+    /// first committed write.
+    #[test]
+    #[should_panic(expected = "probe_read_offset_ms must be finite and >= 0, got NaN")]
+    fn an_unschedulable_probe_offset_is_rejected() {
+        let opts = ClientOptions { probe_read_offset_ms: Some(f64::NAN), ..Default::default() };
+        table_with(opts);
     }
 
     /// The 4-ary heap pops exactly what `std`'s binary heap pops, over

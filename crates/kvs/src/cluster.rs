@@ -81,7 +81,7 @@ pub struct ClusterOptions {
     pub wipe_on_crash: bool,
     /// Client-side operation timeout. Also the retention horizon for the
     /// coordinators' pending-op sweep and the detector-matching grace
-    /// window.
+    /// window. Must be finite and > 0.
     pub op_timeout_ms: f64,
     /// Record per-message one-way W/A/R/S delays for online prediction
     /// (§5.5/§6); drain with [`Cluster::drain_leg_samples`].
@@ -484,7 +484,11 @@ impl Cluster {
             opts.replication.n(),
             opts.nodes
         );
-        assert!(opts.op_timeout_ms > 0.0);
+        assert!(
+            opts.op_timeout_ms.is_finite() && opts.op_timeout_ms > 0.0,
+            "ClusterOptions::op_timeout_ms must be finite and > 0, got {}",
+            opts.op_timeout_ms
+        );
         let plan = PartitionPlan::contiguous(opts.nodes, kind.workers());
         let ring = Arc::new(Ring::new(opts.nodes, VNODES, opts.replication.n()));
         let net = Arc::new(network);
@@ -1445,6 +1449,16 @@ mod tests {
             cluster.take_history().ops(),
             [unlabelled(failed), unlabelled(committed), read, lost_read, unlabelled(lost_write)]
         );
+    }
+
+    /// An infinite timeout would first panic inside the simulator's time
+    /// arithmetic, at a node's first GC timer or the first window drained.
+    #[test]
+    #[should_panic(expected = "ClusterOptions::op_timeout_ms must be finite and > 0, got inf")]
+    fn an_infinite_op_timeout_is_rejected() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        opts.op_timeout_ms = f64::INFINITY;
+        Cluster::new(opts, exp_net(1.0, 1.0));
     }
 
     #[test]

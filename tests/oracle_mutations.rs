@@ -293,14 +293,21 @@ fn hint_replay_scenario_is_clean_without_mutations() {
 /// A strict quorum (N=3, R=W=2) under nothing but message duplication:
 /// 16 open-loop clients over 8 keys on exponential legs, every other
 /// message delivered twice with the copies racing. Not engineered — the
-/// regularity gate needs no victim, any read will do.
-fn duplicated_strict_run(mutations: ProtocolMutations) -> CheckReport {
+/// regularity gate needs no victim, any read will do. With `healing`, read
+/// repair and hinted handoff are on and node 0 is down from 800 to 1,200
+/// ms, its store kept.
+fn duplicated_strict_run(mutations: ProtocolMutations, healing: bool) -> CheckReport {
     let mut o = opts(53, mutations);
     o.replication = ReplicaConfig::new(3, 2, 2).unwrap();
+    o.read_repair = healing;
+    o.hinted_handoff = healing;
     let exp = |mean| Arc::new(Exponential::from_mean(mean));
     let mut cluster = Cluster::new(o, NetworkModel::w_ars(exp(5.0), exp(1.0)));
     cluster.enable_history();
     cluster.network().set_fault_profile(FaultProfile::new(53).with_duplicate(0.5)).unwrap();
+    if healing {
+        cluster.crash_node_at(0, ms(800.0), 400.0);
+    }
     for _ in 0..16 {
         let source =
             OpStream::new(Poisson::per_second(100.0), UniformKeys::new(8), OpMix::new(0.5), 1);
@@ -321,15 +328,64 @@ fn duplicated_strict_run(mutations: ProtocolMutations) -> CheckReport {
 #[test]
 fn drop_version_merge_breaks_regularity_on_a_strict_quorum() {
     let mutations = ProtocolMutations { drop_version_merge: true, ..Default::default() };
-    let check = duplicated_strict_run(mutations);
+    let check = duplicated_strict_run(mutations, false);
     assert!(check.labels.stale_reads > 0, "the rollback never surfaced: {check:?}");
     assert_eq!(check.regular(), Some(false));
     assert!(!check.is_clean());
 
-    let check = duplicated_strict_run(ProtocolMutations::default());
+    let check = duplicated_strict_run(ProtocolMutations::default(), false);
     assert!(check.labels.labelled_reads > 1_000, "{:?}", check.labels);
     assert_eq!(check.regular(), Some(true), "{check:?}");
     assert!(check.is_clean(), "clean build must stay clean: {check:?}");
+}
+
+/// The mutation matrix on a strict quorum whose healing paths are all live:
+/// the duplicated run above with read repair, hinted handoff and one crash
+/// that keeps the store, under each mutation. Every mutation changes the
+/// run; what each breaks, both ways:
+///
+/// * **Regular but not order-clean: none.** `corrupt_read_repair` breaks
+///   regularity *through* the order oracle — its fabricated versions are
+///   read back as phantoms, the oracle's own class, while every label stays
+///   fresh — and `drop_version_merge` through both halves at once: stale
+///   labels, and the lost updates and rollbacks the oracle names.
+/// * **Order-clean but not regular: none.** `skip_read_repair` and
+///   `swallow_hints` are invisible to both: overlapping `R = W = 2` quorums
+///   need neither a repair nor a hint to serve the newest committed
+///   version, and every key is written again after the crash heals. (The
+///   engineered scenarios above, where no later write covers the victim,
+///   are where the order oracle convicts them.)
+/// * **WGL convicts every cell**, the clean build included: under message
+///   duplication a strict quorum is regular, not linearizable.
+#[test]
+fn the_mutation_matrix_on_a_healing_strict_quorum() {
+    let clean = duplicated_strict_run(ProtocolMutations::default(), true);
+    assert!(clean.labels.labelled_reads > 1_000, "{:?}", clean.labels);
+    assert_eq!(clean.regular(), Some(true), "{clean:?}");
+    assert!(clean.is_clean(), "clean build must stay clean: {clean:?}");
+    assert!(!clean.lin.all_linearizable(), "{:?}", clean.lin);
+
+    let flag = |set: fn(&mut ProtocolMutations)| {
+        let mut m = ProtocolMutations::default();
+        set(&mut m);
+        m
+    };
+    // (mutation, regular(), [lost updates, rollbacks, phantoms] are zero,
+    // all_linearizable())
+    let matrix = [
+        (flag(|m| m.skip_read_repair = true), Some(true), [true, true, true], false),
+        (flag(|m| m.corrupt_read_repair = true), Some(false), [true, true, false], false),
+        (flag(|m| m.drop_version_merge = true), Some(false), [false, false, true], false),
+        (flag(|m| m.swallow_hints = true), Some(true), [true, true, true], false),
+    ];
+    for (mutations, regular, zero, linearizable) in matrix {
+        let check = duplicated_strict_run(mutations, true);
+        assert_ne!(check, clean, "{mutations:?} left the run untouched");
+        let o = &check.order;
+        let zeros = [o.lost_updates == 0, o.non_monotone == 0, o.phantoms == 0];
+        let cell = (check.regular(), zeros, check.lin.all_linearizable());
+        assert_eq!(cell, (regular, zero, linearizable), "{mutations:?}: {check:?}");
+    }
 }
 
 /// The mutation struct itself: defaults are all-off and `any()` reflects
@@ -343,3 +399,4 @@ fn default_mutations_are_inert() {
     assert!(ProtocolMutations { drop_version_merge: true, ..Default::default() }.any());
     assert!(ProtocolMutations { swallow_hints: true, ..Default::default() }.any());
 }
+
