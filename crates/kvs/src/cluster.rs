@@ -43,8 +43,7 @@ use crate::staleness::GroundTruth;
 use pbs_core::ReplicaConfig;
 use pbs_mc::Mergeable;
 use pbs_sim::{
-    Actor, ActorId, Context, Event, ParallelSimulation, PdesError, PdesStats, SimDuration,
-    SimTime, Simulation,
+    Actor, ActorId, Context, Event, PdesError, PdesStats, SimDuration, SimTime, Simulation,
 };
 use pbs_workload::{OpKind, OpSource, SharedOpSource};
 use rand::rngs::StdRng;
@@ -299,10 +298,11 @@ pub enum EngineKind {
         /// Partition count to plan for.
         workers: usize,
     },
-    /// The conservative parallel engine: `workers` threads, each owning a
-    /// contiguous node range plus its affine clients, synchronized by
-    /// lookahead windows derived from the network model's minimum
-    /// cross-partition delay.
+    /// The conservative parallel engine — a
+    /// [partitioned](pbs_sim::Simulation::partitioned) simulation: `workers`
+    /// threads, each owning a contiguous node range plus its affine
+    /// clients, synchronized by lookahead windows derived from the network
+    /// model's minimum cross-partition delay.
     Parallel {
         /// Worker-thread count.
         workers: usize,
@@ -318,104 +318,10 @@ impl EngineKind {
     }
 }
 
-/// The engine behind a cluster: one serial event loop, or the partitioned
-/// parallel one. All driver-side plumbing (drains, injections, actor
-/// access) dispatches through this, so both paths share every line of the
-/// harness above it.
-enum Engine {
-    Serial(Simulation<ClusterActor>),
-    Parallel(ParallelSimulation<ClusterActor>),
-}
-
-impl Engine {
-    fn now(&self) -> SimTime {
-        match self {
-            Engine::Serial(s) => s.now(),
-            Engine::Parallel(p) => p.now(),
-        }
-    }
-
-    fn add_actor(&mut self, actor: ClusterActor, worker: usize) -> ActorId {
-        match self {
-            Engine::Serial(s) => s.add_actor(actor),
-            Engine::Parallel(p) => p.add_actor(actor, worker),
-        }
-    }
-
-    fn actor(&self, id: ActorId) -> &ClusterActor {
-        match self {
-            Engine::Serial(s) => s.actor(id),
-            Engine::Parallel(p) => p.actor(id),
-        }
-    }
-
-    fn actor_mut(&mut self, id: ActorId) -> &mut ClusterActor {
-        match self {
-            Engine::Serial(s) => s.actor_mut(id),
-            Engine::Parallel(p) => p.actor_mut(id),
-        }
-    }
-
-    fn inject(&mut self, target: ActorId, delay_ms: f64, msg: Msg) {
-        match self {
-            Engine::Serial(s) => s.inject(target, delay_ms, msg),
-            Engine::Parallel(p) => p.inject(target, delay_ms, msg),
-        }
-    }
-
-    fn inject_at(&mut self, target: ActorId, at: SimTime, msg: Msg) {
-        match self {
-            Engine::Serial(s) => s.inject_at(target, at, msg),
-            Engine::Parallel(p) => p.inject_at(target, at, msg),
-        }
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        match self {
-            Engine::Serial(s) => s.run_until(deadline),
-            Engine::Parallel(p) => p.run_until(deadline),
-        }
-    }
-
-    fn pending_events(&self) -> usize {
-        match self {
-            Engine::Serial(s) => s.pending_events(),
-            Engine::Parallel(p) => p.pending_events(),
-        }
-    }
-
-    fn events_processed(&self) -> u64 {
-        match self {
-            Engine::Serial(s) => s.events_processed(),
-            Engine::Parallel(p) => p.events_processed(),
-        }
-    }
-
-    fn scheduler_stats(&self) -> pbs_sim::SchedulerStats {
-        match self {
-            Engine::Serial(s) => s.scheduler_stats(),
-            Engine::Parallel(p) => p.scheduler_stats(),
-        }
-    }
-
-    /// The serial simulation, for the blocking single-step client path.
-    /// The parallel engine executes whole lookahead windows and cannot
-    /// single-step, so blocking operations require a serial cluster.
-    fn serial_mut(&mut self) -> &mut Simulation<ClusterActor> {
-        match self {
-            Engine::Serial(s) => s,
-            Engine::Parallel(_) => panic!(
-                "blocking operations single-step the event loop and require a serial \
-                 cluster; drive a parallel cluster through the open-loop path"
-            ),
-        }
-    }
-}
-
 /// A simulated Dynamo-style cluster hosting storage nodes and (optionally)
 /// open-loop client actors.
 pub struct Cluster {
-    engine: Engine,
+    engine: Simulation<ClusterActor>,
     plan: PartitionPlan,
     ring: Arc<Ring>,
     net: Arc<NetworkModel>,
@@ -494,18 +400,17 @@ impl Cluster {
         let net = Arc::new(network);
         let down = Arc::new(DownTracker::new(opts.nodes as usize));
         let mut engine = match kind {
-            EngineKind::Serial | EngineKind::SerialPartitioned { .. } => {
-                Engine::Serial(Simulation::new())
-            }
+            EngineKind::Serial | EngineKind::SerialPartitioned { .. } => Simulation::new(),
             EngineKind::Parallel { workers } => {
                 let lookahead = SimDuration::from_ms(net.min_cross_delay_ms());
-                Engine::Parallel(ParallelSimulation::new(workers, lookahead)?)
+                Simulation::partitioned(workers, lookahead)?
             }
         };
         for id in 0..opts.nodes as usize {
             let node =
                 NodeShell::new(id, opts, Arc::clone(&net), Arc::clone(&ring), Arc::clone(&down));
-            let actor = engine.add_actor(ClusterActor::Node(node), plan.worker_of_node(id as u32));
+            let worker = plan.worker_of_node(id as u32);
+            let actor = engine.add_actor_on(ClusterActor::Node(node), worker);
             debug_assert_eq!(actor, id);
         }
         if opts.sync_interval_ms.is_some() {
@@ -550,13 +455,10 @@ impl Cluster {
         &self.plan
     }
 
-    /// Per-worker execution counters of the parallel engine (`None` on a
+    /// Per-worker execution counters of a partitioned engine (`None` on a
     /// serial cluster).
     pub fn pdes_stats(&self) -> Option<PdesStats> {
-        match &self.engine {
-            Engine::Serial(_) => None,
-            Engine::Parallel(p) => Some(p.stats()),
-        }
+        self.engine.pdes_stats()
     }
 
     /// The cluster's replication configuration.
@@ -715,7 +617,7 @@ impl Cluster {
             Arc::clone(&self.down),
             self.opts.seed,
         );
-        let id = self.engine.add_actor(ClusterActor::Clients(table), worker);
+        let id = self.engine.add_actor_on(ClusterActor::Clients(table), worker);
         self.tables[worker] = Some(id);
         id
     }
@@ -730,9 +632,9 @@ impl Cluster {
     /// models with a positive support minimum throughout the run (build
     /// with [`EngineKind::Serial`] to use such models).
     pub fn advance_to(&mut self, at: SimTime) {
-        if let Engine::Parallel(p) = &mut self.engine {
+        if self.engine.is_partitioned() {
             let lookahead = SimDuration::from_ms(self.net.min_cross_delay_ms());
-            p.set_lookahead(lookahead).unwrap_or_else(|e| {
+            self.engine.set_lookahead(lookahead).unwrap_or_else(|e| {
                 panic!("a condition change degenerated the parallel lookahead mid-run: {e}")
             });
         }
@@ -740,10 +642,15 @@ impl Cluster {
     }
 
     /// Schedule a crash of `node` at `at` for `down_ms` (state wiped when
-    /// the cluster's `wipe_on_crash` is set).
+    /// the cluster's `wipe_on_crash` is set). `down_ms` must be finite and
+    /// ≥ 0.
     pub fn crash_node_at(&mut self, node: usize, at: SimTime, down_ms: f64) {
         let wipe = self.opts.wipe_on_crash;
         assert!(node < self.opts.nodes as usize, "cannot crash client actor {node}");
+        assert!(
+            down_ms.is_finite() && down_ms >= 0.0,
+            "Cluster::crash_node_at: down_ms must be finite and >= 0, got {down_ms}"
+        );
         self.crash_log.push(CrashRecord { node: node as u32, at, down_ms, wipe });
         self.engine.inject_at(node, at, node_control(NodeControl::Crash { down_ms, wipe }));
     }
@@ -768,8 +675,14 @@ impl Cluster {
     /// truth past open-loop results still buffered in client actors —
     /// which would corrupt the watermark. Blocking ops are fine **before**
     /// clients start (e.g. seeding data); once `start_clients` has run,
-    /// only the open-loop drain may drive this cluster.
+    /// only the open-loop drain may drive this cluster. Blocking ops also
+    /// single-step the engine, which a partitioned engine cannot do.
     fn assert_blocking_allowed(&self) {
+        assert!(
+            !self.engine.is_partitioned(),
+            "blocking operations single-step the event loop and require a serial \
+             cluster; drive a parallel cluster through the open-loop path"
+        );
         assert!(
             !self.clients_started,
             "blocking operations cannot interleave with started open-loop clients \
@@ -787,10 +700,9 @@ impl Cluster {
             if let Some(res) = self.shell_mut(coord).mailbox.remove(&op_id) {
                 return Some(res);
             }
-            let sim = self.engine.serial_mut();
-            match sim.peek_next_time() {
+            match self.engine.peek_next_time() {
                 Some(t) if t <= deadline => {
-                    sim.step();
+                    self.engine.step();
                 }
                 _ => return None,
             }
@@ -1459,6 +1371,30 @@ mod tests {
         let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
         opts.op_timeout_ms = f64::INFINITY;
         Cluster::new(opts, exp_net(1.0, 1.0));
+    }
+
+    /// A NaN downtime would be recorded in the history and only panic
+    /// inside the simulator's time arithmetic once the crash fires.
+    #[test]
+    #[should_panic(expected = "Cluster::crash_node_at: down_ms must be finite and >= 0, got NaN")]
+    fn a_nan_crash_downtime_is_rejected() {
+        let opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        let mut cluster = Cluster::new(opts, exp_net(1.0, 1.0));
+        cluster.crash_node_at(0, SimTime::from_ms(5.0), f64::NAN);
+    }
+
+    /// Blocking ops single-step the engine, which a partitioned engine
+    /// cannot do — even with one worker.
+    #[test]
+    #[should_panic(expected = "blocking operations single-step the event loop and require a serial \
+                               cluster")]
+    fn a_blocking_write_on_a_parallel_cluster_panics() {
+        let net =
+            NetworkModel::w_ars(Arc::new(Constant::new(1.0)), Arc::new(Constant::new(1.0)));
+        let opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        let mut cluster =
+            Cluster::with_engine(opts, net, EngineKind::Parallel { workers: 1 }).unwrap();
+        cluster.write(7);
     }
 
     #[test]

@@ -464,8 +464,8 @@ impl NetworkModel {
 
     /// A conservative lower bound (ms) on the one-way delay of **any**
     /// node-to-node message under the *current* dynamic conditions — the
-    /// lookahead the conservative parallel engine
-    /// ([`pbs_sim::ParallelSimulation`]) synchronises on.
+    /// lookahead a partitioned simulation
+    /// ([`pbs_sim::Simulation::partitioned`]) synchronises its windows on.
     ///
     /// Soundness over tightness: every term that can only *increase* a
     /// delay (the inter-DC penalty, link-fault `extra_ms`, buggify reorder
@@ -473,7 +473,7 @@ impl NetworkModel {
     /// can *shrink* one is folded in — per-leg scaling and link-fault
     /// scales below 1 multiply the bound down. The result is 0 whenever
     /// any active leg has unbounded-below support (e.g. an exponential
-    /// component), which the parallel engine rejects as degenerate
+    /// component), which a partitioned simulation rejects as degenerate
     /// lookahead.
     ///
     /// Conditions only change at run-driver boundaries, so callers

@@ -34,9 +34,19 @@ pub struct OpenLoopOptions {
 }
 
 impl OpenLoopOptions {
-    /// Validated options: positive duration and window, non-negative settle.
+    /// Validated options: finite, positive duration and window; finite,
+    /// non-negative settle.
     pub fn new(duration_ms: f64, window_ms: f64, settle_ms: f64) -> Self {
-        assert!(duration_ms > 0.0 && window_ms > 0.0 && settle_ms >= 0.0);
+        for (field, value) in [("duration_ms", duration_ms), ("window_ms", window_ms)] {
+            assert!(
+                value.is_finite() && value > 0.0,
+                "OpenLoopOptions::{field} must be finite and > 0, got {value}"
+            );
+        }
+        assert!(
+            settle_ms.is_finite() && settle_ms >= 0.0,
+            "OpenLoopOptions::settle_ms must be finite and >= 0, got {settle_ms}"
+        );
         Self { duration_ms, window_ms, settle_ms }
     }
 
@@ -223,9 +233,11 @@ impl Mergeable for OpenLoopReport {
 /// [`run_sharded`](Self::run_sharded)) is a method sharing one driver.
 #[derive(Debug, Clone)]
 pub struct OpenLoopRun {
-    /// Event engine. [`EngineKind::Parallel`] partitions nodes and clients
-    /// across worker threads (see [`Cluster::partition_plan`]), bit-reproducibly
-    /// per `(seed, workers)`; running it over the same workload as
+    /// Event engine. [`EngineKind::Parallel`] runs the cluster on a
+    /// partitioned [`Simulation`](pbs_sim::Simulation::partitioned): nodes
+    /// and clients split across worker threads (see
+    /// [`Cluster::partition_plan`]), bit-reproducibly per
+    /// `(seed, workers)`; running it over the same workload as
     /// [`EngineKind::SerialPartitioned`] with equal `workers` must yield
     /// identical histories and reports.
     pub kind: EngineKind,
@@ -471,6 +483,20 @@ mod tests {
         let mut o = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), seed);
         o.op_timeout_ms = 2_000.0;
         o
+    }
+
+    /// An infinite duration would saturate `window_count` and die in
+    /// `run` on a capacity overflow.
+    #[test]
+    #[should_panic(expected = "OpenLoopOptions::duration_ms must be finite and > 0, got inf")]
+    fn an_infinite_duration_is_rejected() {
+        OpenLoopOptions::new(f64::INFINITY, 100.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "OpenLoopOptions::settle_ms must be finite and >= 0, got NaN")]
+    fn a_nan_settle_is_rejected() {
+        OpenLoopOptions::new(1_000.0, 100.0, f64::NAN);
     }
 
     #[test]

@@ -15,13 +15,14 @@
 //!   never repeat), so swapping the scheduler implementation (see
 //!   [`queue`]) cannot change any seeded run's behaviour.
 //! * **Locally computable keys.** The key depends only on the scheduling
-//!   actor's own state, never on a global counter — which is what lets
-//!   the parallel engine ([`crate::pdes`]) partition actors across
-//!   worker wheels and still deliver the exact event sequence the serial
-//!   engine delivers.
+//!   actor's own state, never on a global counter — which is what lets a
+//!   [partitioned](Simulation::partitioned) simulation ([`crate::pdes`])
+//!   split actors across worker wheels and still deliver the exact event
+//!   sequence the serial engine delivers.
 //!
 //! [`queue`]: crate::queue
 
+use crate::pdes::{check_lookahead, Pdes, PdesError, PdesStats, RoutingSink};
 use crate::queue::{EventQueue, SchedulerStats, WheelQueue};
 use crate::time::{SimDuration, SimTime};
 
@@ -83,6 +84,8 @@ pub struct Context<'a, M> {
     pub(crate) actors: usize,
     pub(crate) lane_counter: &'a mut u64,
     pub(crate) queue: &'a mut dyn ScheduleSink<M>,
+    /// In a partitioned window: takes the sends to other workers' actors.
+    pub(crate) router: Option<&'a mut RoutingSink<'a, M>>,
 }
 
 impl<M> std::fmt::Debug for Context<'_, M> {
@@ -112,7 +115,11 @@ impl<M> Context<'_, M> {
         assert!(to < self.actors, "message to unknown actor {to}");
         let at = self.now + SimDuration::from_ms(delay_ms);
         let lane = next_actor_lane(self.self_id, self.lane_counter);
-        self.queue.schedule_event(at, lane, to, Event::Message { from: self.self_id, msg });
+        let event = Event::Message { from: self.self_id, msg };
+        match self.router.as_deref_mut() {
+            Some(router) if !router.owns(to) => router.forward(at, lane, to, event),
+            _ => self.queue.schedule_event(at, lane, to, event),
+        }
     }
 
     /// Arrange for a [`Event::Timer`] with `tag` to fire on this actor after
@@ -125,9 +132,7 @@ impl<M> Context<'_, M> {
 }
 
 /// Object-safe adapter that lets the non-generic [`Context`] schedule into
-/// whichever [`EventQueue`] the simulation runs on — or, in the parallel
-/// engine, into a router that forwards cross-partition events to their
-/// owning worker.
+/// whichever [`EventQueue`] the simulation runs on.
 pub(crate) trait ScheduleSink<M> {
     fn schedule_event(&mut self, at: SimTime, lane: u64, to: ActorId, event: Event<M>);
 }
@@ -139,8 +144,61 @@ impl<M, Q: EventQueue<(ActorId, Event<M>)>> ScheduleSink<M> for Q {
     }
 }
 
+/// One event loop's state: actors, their lane counters, the queue of their
+/// pending events, a clock and an event count. A serial simulation is one
+/// partition; a partitioned one has one per worker.
+pub(crate) struct Partition<A, Q> {
+    actors: Vec<A>,
+    /// Per-actor lane counters, parallel to `actors`.
+    lane_counters: Vec<u64>,
+    pub(crate) queue: Q,
+    pub(crate) now: SimTime,
+    events: u64,
+}
+
+impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Partition<A, Q> {
+    fn new(queue: Q) -> Self {
+        Self { actors: Vec::new(), lane_counters: Vec::new(), queue, now: SimTime::ZERO, events: 0 }
+    }
+
+    /// The event loop's one step, on every engine: pop the next event,
+    /// advance the clock to it, count it and hand it to its actor. Without
+    /// a `router` this partition holds every actor; with one, actor ids map
+    /// into this partition's slice and sends to other workers' actors leave
+    /// through it. Returns `false` when the queue is empty.
+    #[inline]
+    pub(crate) fn dispatch<'r>(
+        &'r mut self,
+        router: Option<&'r mut RoutingSink<'r, A::Msg>>,
+    ) -> bool {
+        let Some((time, (target, event))) = self.queue.pop() else {
+            return false;
+        };
+        debug_assert!(time >= self.now, "scheduler went backwards");
+        self.now = time;
+        self.events += 1;
+        let (local, actors) = match &router {
+            None => (target, self.actors.len()),
+            Some(router) => (router.local_of[target] as usize, router.owner_of.len()),
+        };
+        // Disjoint field borrows: the handler mutates its own actor while
+        // scheduling follow-ups straight into the queue.
+        let mut ctx = Context {
+            now: time,
+            self_id: target,
+            actors,
+            lane_counter: &mut self.lane_counters[local],
+            queue: &mut self.queue,
+            router,
+        };
+        self.actors[local].on_event(&mut ctx, event);
+        true
+    }
+}
+
 /// A deterministic discrete-event simulation over a homogeneous set of
-/// actors.
+/// actors — serial by default, or split across worker partitions that run
+/// in conservative lookahead windows ([`partitioned`](Self::partitioned)).
 ///
 /// ```
 /// use pbs_sim::{Actor, Context, Event, Simulation, SimTime};
@@ -167,14 +225,13 @@ impl<M, Q: EventQueue<(ActorId, Event<M>)>> ScheduleSink<M> for Q {
 /// assert_eq!(sim.now(), SimTime::from_ms(3.0));
 /// ```
 pub struct Simulation<A: Actor, Q = WheelQueue<(ActorId, Event<<A as Actor>::Msg>)>> {
-    actors: Vec<A>,
-    /// Per-actor lane counters, parallel to `actors`.
-    lane_counters: Vec<u64>,
-    /// Lane counter for externally injected events (origin 0).
+    /// The serial engine's one partition, or one per worker.
+    parts: Vec<Partition<A, Q>>,
+    /// Lane counter for externally injected events (origin 0), shared by
+    /// every partition so injections sort exactly as on the serial engine.
     injections: u64,
-    queue: Q,
-    now: SimTime,
-    events_processed: u64,
+    /// Actor placement, lookahead and window state (`None` = serial).
+    pdes: Option<Pdes<A, Q>>,
 }
 
 impl<A: Actor> Default for Simulation<A> {
@@ -190,144 +247,214 @@ impl<A: Actor> Simulation<A> {
     }
 }
 
+impl<A: Actor + Send> Simulation<A>
+where
+    A::Msg: Send,
+{
+    /// Empty simulation at time zero whose actors are split across
+    /// `workers` partitions, each with its own timer wheel, run in
+    /// conservative windows ([`crate::pdes`]): inline for one worker, on
+    /// scoped threads otherwise. Place actors with
+    /// [`add_actor_on`](Self::add_actor_on) and drive it with
+    /// [`run_until`](Self::run_until): the single-stepping calls panic.
+    /// `lookahead` is the caller-guaranteed minimum delay of any
+    /// cross-partition message; zero is [`PdesError::DegenerateLookahead`].
+    pub fn partitioned(workers: usize, lookahead: SimDuration) -> Result<Self, PdesError> {
+        Ok(Self {
+            parts: (0..workers).map(|_| Partition::new(WheelQueue::default())).collect(),
+            injections: 0,
+            pdes: Some(Pdes::new(workers, lookahead)?),
+        })
+    }
+}
+
 impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> Simulation<A, Q> {
-    /// Empty simulation at time zero, scheduling through `queue` — for
-    /// tests and benchmarks that pin a specific scheduler implementation
+    /// Empty serial simulation at time zero, scheduling through `queue` —
+    /// for tests and benchmarks that pin a specific scheduler implementation
     /// (e.g. comparing [`HeapQueue`](crate::queue::HeapQueue) against
     /// [`WheelQueue`] on one workload).
     pub fn with_queue(queue: Q) -> Self {
-        Self {
-            actors: Vec::new(),
-            lane_counters: Vec::new(),
-            injections: 0,
-            queue,
-            now: SimTime::ZERO,
-            events_processed: 0,
-        }
+        Self { parts: vec![Partition::new(queue)], injections: 0, pdes: None }
     }
 
-    /// Register an actor; returns its id.
+    /// Register an actor (on worker 0 if partitioned); returns its id.
     pub fn add_actor(&mut self, actor: A) -> ActorId {
-        self.actors.push(actor);
-        self.lane_counters.push(0);
-        self.actors.len() - 1
+        self.add_actor_on(actor, 0)
+    }
+
+    /// Register an actor owned by partition `worker`; returns its id. The
+    /// serial engine's one partition runs every worker's actors, so there
+    /// `worker` is ignored and callers can place actors alike on either
+    /// engine. Ids are global and dense across partitions.
+    pub fn add_actor_on(&mut self, actor: A, worker: usize) -> ActorId {
+        let id = self.parts.iter().map(|p| p.actors.len()).sum();
+        let worker = match &mut self.pdes {
+            None => 0,
+            Some(pdes) => {
+                assert!(worker < self.parts.len(), "unknown worker {worker}");
+                pdes.owner_of.push(worker as u32);
+                pdes.local_of.push(self.parts[worker].actors.len() as u32);
+                worker
+            }
+        };
+        self.parts[worker].actors.push(actor);
+        self.parts[worker].lane_counters.push(0);
+        id
+    }
+
+    /// `(partition, index within it)` of actor `id`.
+    fn locate(&self, id: ActorId) -> (usize, usize) {
+        match &self.pdes {
+            None => (0, id),
+            Some(pdes) => (pdes.owner_of[id] as usize, pdes.local_of[id] as usize),
+        }
     }
 
     /// Immutable access to an actor (e.g. to read collected metrics).
     pub fn actor(&self, id: ActorId) -> &A {
-        &self.actors[id]
+        let (worker, local) = self.locate(id);
+        &self.parts[worker].actors[local]
     }
 
     /// Mutable access to an actor between event processing.
     pub fn actor_mut(&mut self, id: ActorId) -> &mut A {
-        &mut self.actors[id]
+        let (worker, local) = self.locate(id);
+        &mut self.parts[worker].actors[local]
     }
 
-    /// Current simulated time (the timestamp of the last processed event).
+    /// Current simulated time: the timestamp of the last processed event,
+    /// or the last [`run_until`](Self::run_until) deadline if later.
     pub fn now(&self) -> SimTime {
-        self.now
+        // Every partition's clock ends each `run_until` at the deadline.
+        self.parts[0].now
     }
 
     /// Total events dispatched so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.parts.iter().map(|p| p.events).sum()
     }
 
     /// Timestamp of the next pending event, if any. Takes `&mut self`
     /// because the wheel scheduler materialises its front batch lazily.
+    /// Panics on a partitioned simulation.
     pub fn peek_next_time(&mut self) -> Option<SimTime> {
-        self.queue.next_time()
+        self.serial("peek_next_time").queue.next_time()
     }
 
-    /// Number of events currently waiting in the scheduler queue. Open-loop
+    /// Number of events currently waiting in the scheduler queues. Open-loop
     /// drivers use this to verify the queue stays bounded by in-flight work
     /// rather than total trace length.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.parts.iter().map(|p| p.queue.len()).sum()
     }
 
-    /// Scheduler counters (peak pending events, cascades).
+    /// Scheduler counters (peak pending events, cascades), summed across
+    /// partitions.
     pub fn scheduler_stats(&self) -> SchedulerStats {
-        self.queue.stats()
+        let mut total = SchedulerStats::default();
+        for part in &self.parts {
+            let s = part.queue.stats();
+            total.peak_pending += s.peak_pending;
+            total.cascaded += s.cascaded;
+        }
+        total
+    }
+
+    /// Whether this simulation was built with
+    /// [`partitioned`](Self::partitioned).
+    pub fn is_partitioned(&self) -> bool {
+        self.pdes.is_some()
+    }
+
+    /// Replace a partitioned simulation's lookahead (e.g. after the latency
+    /// model changed between runs). Rejects zero exactly like
+    /// [`partitioned`](Self::partitioned); panics on the serial engine,
+    /// which has no lookahead.
+    pub fn set_lookahead(&mut self, lookahead: SimDuration) -> Result<(), PdesError> {
+        let pdes = self.pdes.as_mut().expect("only a partitioned simulation has a lookahead");
+        pdes.lookahead = check_lookahead(lookahead)?;
+        Ok(())
+    }
+
+    /// Per-worker execution counters of a partitioned simulation (`None`
+    /// on the serial engine).
+    pub fn pdes_stats(&self) -> Option<PdesStats> {
+        self.pdes.as_ref().map(|pdes| pdes.stats(self.parts.iter().map(|p| p.events)))
     }
 
     /// Inject an external message to `target`, `delay_ms` after the current
     /// simulated time. The `from` field is set to `target` itself.
     /// Injections sort before actor-scheduled events at the same instant.
     pub fn inject(&mut self, target: ActorId, delay_ms: f64, msg: A::Msg) {
-        assert!(target < self.actors.len(), "unknown actor {target}");
-        let at = self.now + SimDuration::from_ms(delay_ms);
-        self.push(at, target, Event::Message { from: target, msg });
+        let at = self.now() + SimDuration::from_ms(delay_ms);
+        self.inject_at(target, at, msg);
     }
 
     /// Inject an external message at an **absolute** simulated time, which
     /// must not precede the current time. Workload drivers use this to
     /// pre-schedule entire traces.
     pub fn inject_at(&mut self, target: ActorId, at: SimTime, msg: A::Msg) {
-        assert!(target < self.actors.len(), "unknown actor {target}");
-        assert!(at >= self.now, "cannot schedule in the past: {at} < {}", self.now);
-        self.push(at, target, Event::Message { from: target, msg });
-    }
-
-    fn push(&mut self, time: SimTime, target: ActorId, event: Event<A::Msg>) {
+        let actors: usize = self.parts.iter().map(|p| p.actors.len()).sum();
+        assert!(target < actors, "unknown actor {target}");
+        assert!(at >= self.now(), "cannot schedule in the past: {at} < {}", self.now());
         debug_assert!(self.injections < (1 << LANE_SHIFT), "injection lane counter overflow");
         let lane = self.injections;
         self.injections += 1;
-        self.queue.schedule(time, lane, (target, event));
-    }
-
-    /// Process a single event; returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((time, (target, event))) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(time >= self.now, "scheduler went backwards");
-        self.now = time;
-        self.events_processed += 1;
-
-        // Disjoint field borrows: the handler mutates its own actor while
-        // scheduling follow-ups straight into the queue.
-        let mut ctx = Context {
-            now: self.now,
-            self_id: target,
-            actors: self.actors.len(),
-            lane_counter: &mut self.lane_counters[target],
-            queue: &mut self.queue,
-        };
-        self.actors[target].on_event(&mut ctx, event);
-        true
-    }
-
-    /// Run until no events remain. Panics after `u64::MAX` events (i.e.
-    /// never in practice); use [`run_until`](Self::run_until) to bound
-    /// non-quiescent systems.
-    pub fn run_until_idle(&mut self) {
-        while self.step() {}
+        let (worker, _) = self.locate(target);
+        self.parts[worker].queue.schedule(at, lane, (target, Event::Message { from: target, msg }));
     }
 
     /// Run until the queue is empty **or** the next event is strictly after
     /// `deadline`; the clock is then advanced to `deadline` if it has not
-    /// passed it. Events exactly at `deadline` are processed.
+    /// passed it. Events exactly at `deadline` are processed. A partitioned
+    /// simulation gets there in lookahead windows, on every worker at once.
     pub fn run_until(&mut self, deadline: SimTime) {
-        while let Some(t) = self.peek_next_time() {
-            if t > deadline {
-                break;
+        match &mut self.pdes {
+            Some(pdes) => (pdes.run_until)(pdes, &mut self.parts, deadline),
+            None => {
+                let part = &mut self.parts[0];
+                while let Some(t) = part.queue.next_time() {
+                    if t > deadline {
+                        break;
+                    }
+                    part.dispatch(None);
+                }
+                part.now = part.now.max(deadline);
             }
-            self.step();
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+    }
+
+    /// The serial engine's one partition, for the calls that single-step it.
+    fn serial(&mut self, call: &str) -> &mut Partition<A, Q> {
+        assert!(
+            self.pdes.is_none(),
+            "Simulation::{call} single-steps the serial engine; a partitioned simulation \
+             runs whole windows through run_until"
+        );
+        &mut self.parts[0]
+    }
+
+    /// Process a single event; returns `false` when the queue is empty.
+    /// Panics on a partitioned simulation.
+    pub fn step(&mut self) -> bool {
+        self.serial("step").dispatch(None)
+    }
+
+    /// Run until no events remain. Panics on a partitioned simulation; use
+    /// [`run_until`](Self::run_until) to bound non-quiescent systems.
+    pub fn run_until_idle(&mut self) {
+        let part = self.serial("run_until_idle");
+        while part.dispatch(None) {}
     }
 }
 
 impl<A: Actor, Q: EventQueue<(ActorId, Event<A::Msg>)>> std::fmt::Debug for Simulation<A, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
-            .field("actors", &self.actors.len())
-            .field("now", &self.now)
-            .field("pending", &self.queue.len())
-            .field("events_processed", &self.events_processed)
+            .field("partitions", &self.parts.len())
+            .field("now", &self.now())
+            .field("pending", &self.pending_events())
+            .field("events_processed", &self.events_processed())
             .finish()
     }
 }
@@ -489,6 +616,15 @@ mod tests {
     fn inject_to_unknown_actor_panics() {
         let mut sim: Simulation<Recorder> = Simulation::new();
         sim.inject(3, 0.0, "nope");
+    }
+
+    #[test]
+    #[should_panic(expected = "Simulation::step single-steps the serial engine")]
+    fn step_on_a_partitioned_simulation_panics() {
+        let mut sim = Simulation::partitioned(1, SimDuration::from_ms(1.0)).unwrap();
+        let a = sim.add_actor(Recorder { log: vec![] });
+        sim.inject(a, 0.0, "x");
+        sim.step();
     }
 
     #[test]

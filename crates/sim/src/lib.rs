@@ -13,9 +13,10 @@
 //!    orders. Events are ordered by `(time, lane)`, where the lane packs
 //!    the scheduling actor's id with its private monotone counter (the
 //!    full contract is spelled out in [`queue::EventQueue`] and
-//!    [`engine`]); the key is locally computable, which is what lets the
-//!    conservative parallel engine ([`pdes`]) partition actors across
-//!    worker threads and still match the serial engine event for event.
+//!    [`engine`]); the key is locally computable, which is what lets a
+//!    [partitioned](Simulation::partitioned) simulation split its actors
+//!    across worker threads under the conservative window protocol
+//!    ([`pdes`]) and still match the serial engine event for event.
 //!    The kernel owns no RNG: actors sample latencies themselves from
 //!    RNGs they own, so the kernel never perturbs randomness.
 //! 2. **Zero `unsafe`, no dependencies** — a timer wheel and a virtual
@@ -29,9 +30,10 @@
 //!    equivalence tests — the two produce **bit-identical** event orders
 //!    because the ordering contract is a total order.
 //!
-//! See [`Simulation`] for the event loop, [`Actor`] for the behaviour
-//! trait, and [`queue`] for the scheduler implementations and their
-//! shared ordering contract.
+//! See [`Simulation`] for the one engine type — serial by default,
+//! partitioned across workers on request, with one step function under
+//! both — [`Actor`] for the behaviour trait, and [`queue`] for the
+//! scheduler implementations and their shared ordering contract.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,6 +44,6 @@ pub mod queue;
 pub mod time;
 
 pub use engine::{Actor, ActorId, Context, Event, Simulation};
-pub use pdes::{ParallelSimulation, PdesError, PdesStats, PdesWorkerStats};
+pub use pdes::{PdesError, PdesStats, PdesWorkerStats};
 pub use queue::{EventQueue, HeapQueue, SchedulerStats, WheelQueue};
 pub use time::{SimDuration, SimTime, SkewedClock};

@@ -4,8 +4,8 @@
 //! are delivered in ascending `(time, lane)` order, the **lane** being a
 //! caller-supplied `u64` tie-break, unique among equal-time events. The
 //! engine derives lanes from `(scheduling actor, per-actor counter)` (see
-//! [`crate::engine`]), which makes the key *locally computable*: the
-//! parallel PDES engine ([`crate::pdes`]) merges cross-partition events
+//! [`crate::engine`]), which makes the key *locally computable*: a
+//! partitioned simulation ([`crate::pdes`]) merges cross-partition events
 //! into per-worker wheels without a global counter and still matches the
 //! serial engine event for event. Because the contract is a total order,
 //! any two correct implementations deliver bit-identical event sequences.

@@ -7,10 +7,13 @@
 //! bit-identical delivery, both at the queue level (random schedule/pop
 //! interleavings, clustered and far-flung timestamps) and at the
 //! simulation level (a feedback actor whose every event deterministically
-//! schedules more work, run once per scheduler).
+//! schedules more work, run once per scheduler — and once more on a
+//! one-worker partitioned simulation, whose window loop must deliver the
+//! same history).
 
 use pbs_sim::{
-    Actor, ActorId, Context, Event, EventQueue, HeapQueue, SimTime, Simulation, WheelQueue,
+    Actor, ActorId, Context, Event, EventQueue, HeapQueue, SimDuration, SimTime, Simulation,
+    WheelQueue,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -146,7 +149,8 @@ impl Actor for Chaos {
 /// How [`chaos_run`] advances the simulation.
 #[derive(Clone, Copy)]
 enum Drive {
-    /// `run_until_idle` in one go.
+    /// To quiescence in one go: `run_until_idle`, or on a partitioned
+    /// simulation (which cannot single-step) `run_until(SimTime::MAX)`.
     Idle,
     /// The way `pbs-kvs`'s `Cluster::drain_window_into` drives the engine:
     /// `run_until` one fixed window at a time — so the queue's `next_time`
@@ -157,11 +161,11 @@ enum Drive {
 }
 
 fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(
+    mut sim: Simulation<Chaos, Q>,
     seed: u64,
     drive: Drive,
 ) -> Vec<(u64, ActorId, u64)> {
     let actors = 5usize;
-    let mut sim: Simulation<Chaos, Q> = Simulation::with_queue(Q::default());
     for i in 0..actors {
         sim.add_actor(Chaos {
             rng: StdRng::seed_from_u64(seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9)),
@@ -174,6 +178,7 @@ fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(
         sim.inject(i, i as f64 * 0.25, i as u64);
     }
     match drive {
+        Drive::Idle if sim.is_partitioned() => sim.run_until(SimTime::MAX),
         Drive::Idle => sim.run_until_idle(),
         Drive::Windowed { window_ms } => {
             let mut window = 0u64;
@@ -204,21 +209,27 @@ fn chaos_run<Q: EventQueue<(ActorId, Event<u64>)>>(
     log
 }
 
-/// The full event loop produces bit-identical histories on the heap and
-/// the wheel, drained in one go or window by window — the end-to-end
-/// witness that swapping the scheduler cannot perturb any seeded run (the
-/// sharded bitwise-determinism tests in `tests/open_loop.rs` assert the
-/// same at the workload level).
+/// The full event loop produces bit-identical histories on the heap, the
+/// wheel and a one-worker partitioned simulation, drained in one go or
+/// window by window — the end-to-end witness that neither swapping the
+/// scheduler nor running the conservative window loop can perturb any
+/// seeded run (the sharded bitwise-determinism tests in
+/// `tests/open_loop.rs` assert the same at the workload level). With one
+/// worker every send is local, so the zero-delay sends never meet the
+/// lookahead check.
 #[test]
 fn simulation_histories_identical_across_schedulers() {
     for seed in [3, 17, 99, 2026] {
         for (mode, drive) in
             [("idle", Drive::Idle), ("windowed", Drive::Windowed { window_ms: 37.0 })]
         {
-            let wheel = chaos_run::<WheelQueue<(ActorId, Event<u64>)>>(seed, drive);
-            let heap = chaos_run::<HeapQueue<(ActorId, Event<u64>)>>(seed, drive);
+            let wheel = chaos_run(Simulation::<Chaos>::new(), seed, drive);
+            let heap = chaos_run(Simulation::with_queue(HeapQueue::default()), seed, drive);
+            let windows = Simulation::partitioned(1, SimDuration::from_ms(1.0)).unwrap();
+            let partitioned = chaos_run(windows, seed, drive);
             assert!(!wheel.is_empty(), "workload generated no events");
             assert_eq!(wheel, heap, "seed {seed} {mode}: scheduler changed the event history");
+            assert_eq!(wheel, partitioned, "seed {seed} {mode}: windows changed the history");
         }
     }
 }
