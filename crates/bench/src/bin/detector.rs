@@ -44,9 +44,9 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
             ))
         },
         |_| {},
-        |_| {},
     )
-    .expect("the serial engine accepts every latency model");
+    .expect("the serial engine accepts every latency model")
+    .0;
     let d = rep.detector;
     vec![
         format!("N={n}, R={r}, W={w}, E[W]={write_mean_ms}ms"),

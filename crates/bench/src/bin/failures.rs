@@ -10,7 +10,6 @@ use pbs_dist::Exponential;
 use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
 use pbs_sim::SimTime;
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
-use std::cell::Cell;
 use std::sync::Arc;
 
 fn net() -> NetworkModel {
@@ -44,9 +43,7 @@ fn scenario(
     // old pre-built trace, generated lazily.
     let pairs = ops / 2;
     let duration_ms = pairs as f64 * 10.0;
-    let hints = Cell::new(0u64);
-    let syncs = Cell::new(0u64);
-    let rep = OpenLoopRun::new(
+    let (rep, cluster) = OpenLoopRun::new(
         opts,
         net(),
         OpenLoopOptions::new(duration_ms, 1_000.0, opts.op_timeout_ms),
@@ -72,20 +69,18 @@ fn scenario(
                 cluster.crash_node_at(1, SimTime::from_ms(250.0 + 2000.0 * cycle as f64), 500.0);
             }
         },
-        |cluster| {
-            hints.set((0..3).map(|i| cluster.node(i).hints_delivered).sum());
-            syncs.set((0..3).map(|i| cluster.node(i).sync_rounds).sum());
-        },
     )
     .expect("the serial engine accepts every latency model");
+    let hints: u64 = (0..3).map(|i| cluster.node(i).hints_delivered).sum();
+    let syncs: u64 = (0..3).map(|i| cluster.node(i).sync_rounds).sum();
 
     vec![
         name.to_string(),
         report::pct(rep.consistency_rate()),
         rep.failed_writes().to_string(),
         rep.incomplete_reads().to_string(),
-        hints.get().to_string(),
-        syncs.get().to_string(),
+        hints.to_string(),
+        syncs.to_string(),
     ]
 }
 

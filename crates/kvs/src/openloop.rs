@@ -9,9 +9,11 @@
 //! * completed operations stream out through bounded per-client buffers
 //!   and fold into O(1)-memory `pbs-mc` summaries.
 //!
-//! One value, [`OpenLoopRun`], describes a run; its methods execute it
-//! plain, audited by the offline [`checker`], or replicated over the
-//! deterministic `pbs-mc` runner (bit-reproducible per `(seed, threads)`).
+//! One value, [`OpenLoopRun`], describes a run; [`OpenLoopRun::drive`] is
+//! the only open-loop drive, and every execution consumes it: plain,
+//! audited by the offline [`checker`], replicated over the deterministic
+//! `pbs-mc` runner (bit-reproducible per `(seed, threads)`), or as
+//! `pbs-scenario`'s §6 closed loop.
 
 use crate::checker::{self, CheckReport, OpHistory};
 use crate::client::{ClientOptions, ClientStats};
@@ -227,10 +229,21 @@ impl Mergeable for OpenLoopReport {
     }
 }
 
+/// What [`OpenLoopRun::drive`] hands its step around each window drain.
+#[derive(Debug, Clone, Copy)]
+pub enum DriveStep<'a> {
+    /// The drive is about to drain up to this instant (ms); the step may
+    /// act on the cluster at or before it first.
+    Before(f64),
+    /// What the drain just made collected and labelled.
+    After(&'a WindowDrain),
+}
+
 /// One open-loop run, described as a value: which engine, which cluster,
 /// which network, how long, how many clients. Every way of executing it
 /// ([`run`](Self::run), [`run_checked`](Self::run_checked),
-/// [`run_sharded`](Self::run_sharded)) is a method sharing one driver.
+/// [`run_sharded`](Self::run_sharded), and the `pbs-scenario` closed
+/// loop) consumes one drive, [`drive`](Self::drive).
 #[derive(Debug, Clone)]
 pub struct OpenLoopRun {
     /// Event engine. [`EngineKind::Parallel`] runs the cluster on a
@@ -270,32 +283,36 @@ impl OpenLoopRun {
         Self { kind, ..self }
     }
 
-    /// Execute the run: client `i` pulls from `make_source(i)`, completed
-    /// operations are drained and folded every window. `prepare` runs once
-    /// on the freshly built cluster before load starts (schedule crashes,
-    /// partitions, …); `finish` runs on the settled cluster after the
-    /// final drain (node-level stats, history). Pass `|_| {}` for either
-    /// when unused.
+    /// The one open-loop drive every execution of the run shares. It builds
+    /// the cluster on `kind`, runs `prepare` on it once before load starts
+    /// (schedule crashes, partitions, …), adds `clients` clients — client
+    /// `i` pulls from `make_source(i)` — and starts them. It then drains at
+    /// every `window_ms` multiple below `duration_ms`, at `duration_ms`
+    /// itself, where the clients stop, and at every window multiple after
+    /// it up to `duration_ms + settle_ms`, the last drain. `step` sees each
+    /// drain twice: [`DriveStep::Before`] with its instant, then
+    /// [`DriveStep::After`] with what it drained. Returns the settled
+    /// cluster.
     ///
-    /// The driver is engine-agnostic — drains happen at `run_until`
+    /// The drive is engine-agnostic — drains happen at `run_until`
     /// boundaries, which on the parallel engine are global barriers, so
     /// labelling, history and detector plumbing are shared verbatim.
     /// Only [`EngineKind::Parallel`] can fail: a latency model whose
     /// support minimum is zero (e.g. exponential legs) is
     /// [`PdesError::DegenerateLookahead`].
-    pub fn run<F, P, Q>(
+    pub fn drive<F, P, S>(
         &self,
         make_source: F,
         prepare: P,
-        finish: Q,
-    ) -> Result<OpenLoopReport, PdesError>
+        mut step: S,
+    ) -> Result<Cluster, PdesError>
     where
         F: Fn(u32) -> Box<dyn OpSource>,
         P: FnOnce(&mut Cluster),
-        Q: FnOnce(&mut Cluster),
+        S: FnMut(&mut Cluster, DriveStep<'_>),
     {
         assert!(self.clients >= 1);
-        let timing = &self.timing;
+        let OpenLoopOptions { duration_ms, window_ms, settle_ms } = self.timing;
         let mut cluster = Cluster::with_engine(self.opts, self.network.clone(), self.kind)?;
         prepare(&mut cluster);
         for i in 0..self.clients {
@@ -303,50 +320,75 @@ impl OpenLoopRun {
         }
         cluster.start_clients();
 
+        // One drain buffer for the whole run: window plumbing reuses its
+        // capacity instead of allocating per window.
+        let mut drain = WindowDrain::default();
+        let mut drained = None;
+        let mut drain_to = |cluster: &mut Cluster, until_ms: f64| {
+            if drained == Some(until_ms) {
+                return; // a window boundary at `duration_ms`, drained already
+            }
+            step(cluster, DriveStep::Before(until_ms));
+            cluster.drain_window_into(SimTime::from_ms(until_ms), &mut drain);
+            step(cluster, DriveStep::After(&drain));
+            drained = Some(until_ms);
+        };
+        let mut next = window_ms;
+        while next < duration_ms {
+            drain_to(&mut cluster, next);
+            next += window_ms;
+        }
+        // Stop arrivals exactly at the workload end, then settle.
+        drain_to(&mut cluster, duration_ms);
+        cluster.stop_clients();
+        let end = duration_ms + settle_ms;
+        while next < end {
+            drain_to(&mut cluster, next);
+            next += window_ms;
+        }
+        drain_to(&mut cluster, end);
+        Ok(cluster)
+    }
+
+    /// Execute the run on [`drive`](Self::drive), folding every drain into
+    /// an [`OpenLoopReport`]; returns it beside the settled cluster
+    /// (node-level stats, history).
+    pub fn run<F, P>(
+        &self,
+        make_source: F,
+        prepare: P,
+    ) -> Result<(OpenLoopReport, Cluster), PdesError>
+    where
+        F: Fn(u32) -> Box<dyn OpSource>,
+        P: FnOnce(&mut Cluster),
+    {
+        let window_ms = self.timing.window_ms;
         let mut report = OpenLoopReport {
-            windows: (0..timing.window_count())
-                .map(|i| OpenWindow {
-                    start_ms: i as f64 * timing.window_ms,
-                    ..OpenWindow::default()
-                })
+            windows: (0..self.timing.window_count())
+                .map(|i| OpenWindow { start_ms: i as f64 * window_ms, ..OpenWindow::default() })
                 .collect(),
-            sim_ms: timing.duration_ms,
+            sim_ms: self.timing.duration_ms,
             runs: 1,
             ..OpenLoopReport::default()
         };
         let last_window = report.windows.len() - 1;
-
-        let mut next = timing.window_ms;
-        let mut stopped = false;
-        // One drain buffer for the whole run: window plumbing reuses its
-        // capacity instead of allocating per window.
-        let mut drain = WindowDrain::default();
-        loop {
-            let until = next.min(timing.duration_ms + timing.settle_ms);
-            if until >= timing.duration_ms && !stopped {
-                // Stop arrivals exactly at the workload end, then settle.
-                cluster.drain_and_fold(
-                    SimTime::from_ms(timing.duration_ms),
-                    &mut report,
-                    timing.window_ms,
-                    last_window,
-                    &mut drain,
-                );
-                cluster.stop_clients();
-                stopped = true;
-            }
-            cluster.drain_and_fold(
-                SimTime::from_ms(until),
-                &mut report,
-                timing.window_ms,
-                last_window,
-                &mut drain,
-            );
-            if until >= timing.duration_ms + timing.settle_ms {
-                break;
-            }
-            next += timing.window_ms;
-        }
+        let cluster = self.drive(make_source, prepare, |cluster, step| {
+            let DriveStep::After(drain) = step else { return };
+            report.peak_pending_events =
+                report.peak_pending_events.max(cluster.pending_events() as u64);
+            drain.fold(window_ms, last_window, |idx, op| {
+                let Some(latency) = report.windows[idx].count(op) else { return };
+                match op {
+                    WindowOp::Write(_) => report.write_latency.record(latency),
+                    WindowOp::Read(r) => {
+                        // A consistent label is 0 versions behind.
+                        report.versions_behind_total +=
+                            r.label.map_or(0, |l| l.versions_behind);
+                        report.read_latency.record(latency);
+                    }
+                }
+            });
+        })?;
 
         report.clients = cluster.client_stats();
         report.detector = cluster.detector_stats();
@@ -356,8 +398,7 @@ impl OpenLoopRun {
         );
         report.write_latency.seal();
         report.read_latency.seal();
-        finish(&mut cluster);
-        Ok(report)
+        Ok((report, cluster))
     }
 
     /// [`run`](Self::run) with the offline [`checker`] as a post-pass:
@@ -378,28 +419,21 @@ impl OpenLoopRun {
         F: Fn(u32) -> Box<dyn OpSource>,
         P: FnOnce(&mut Cluster),
     {
-        let mut history = OpHistory::new();
-        let mut check = CheckReport::default();
-        let report = self.run(
-            make_source,
-            |cluster| {
-                cluster.enable_history();
-                prepare(cluster);
-            },
-            |cluster| {
-                history = cluster.take_history();
-                check = checker::check_run(&history, cluster, check_convergence);
-            },
-        )?;
+        let (report, mut cluster) = self.run(make_source, |cluster| {
+            cluster.enable_history();
+            prepare(cluster);
+        })?;
+        let history = cluster.take_history();
+        let check = checker::check_run(&history, &cluster, check_convergence);
         Ok((report, check, history))
     }
 
     /// Replicate the run across `trials` independent runs sharded over
-    /// `threads` on the deterministic `pbs-mc` runner: shard `i` seeds
-    /// `opts.seed ^ i`, run `j` of a shard derives `shard_seed ^ (j · φ64)`
-    /// (handed to `make_source` as its second argument), and reports merge
-    /// in shard order — bit-reproducible for a fixed `(seed, threads)`
-    /// pair.
+    /// `threads` on the deterministic `pbs-mc` runner
+    /// ([`Runner::run_replicas`]): each run seeds the cluster with its
+    /// replica seed, which `make_source` also gets as its second argument,
+    /// and reports merge in shard order — bit-reproducible for a fixed
+    /// `(seed, threads)` pair.
     pub fn run_sharded<F, P>(
         &self,
         trials: usize,
@@ -412,46 +446,14 @@ impl OpenLoopRun {
         P: Fn(&mut Cluster) + Sync,
     {
         assert!(trials > 0 && threads > 0);
-        Runner::new(trials, self.opts.seed, threads).run(|_rng, info| {
-            let mut acc = OpenLoopReport::default();
-            let mut one = self.clone();
-            for j in 0..info.trials {
-                let run_seed = info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        Runner::new(trials, self.opts.seed, threads).run_replicas(
+            || Ok(OpenLoopReport::default()),
+            |run_seed| {
+                let mut one = self.clone();
                 one.opts.seed = run_seed;
-                acc.merge(one.run(|client| make_source(client, run_seed), &prepare, |_| {})?);
-            }
-            Ok(acc)
-        })
-    }
-}
-
-impl Cluster {
-    /// [`Cluster::drain_window_into`] + fold into an [`OpenLoopReport`].
-    fn drain_and_fold(
-        &mut self,
-        until: SimTime,
-        report: &mut OpenLoopReport,
-        window_ms: f64,
-        last_window: usize,
-        drain: &mut WindowDrain,
-    ) {
-        if until <= self.now() && self.now() > SimTime::ZERO {
-            return; // boundary already drained
-        }
-        self.drain_window_into(until, drain);
-        report.peak_pending_events =
-            report.peak_pending_events.max(self.pending_events() as u64);
-        drain.fold(window_ms, last_window, |idx, op| {
-            let Some(latency) = report.windows[idx].count(op) else { return };
-            match op {
-                WindowOp::Write(_) => report.write_latency.record(latency),
-                WindowOp::Read(r) => {
-                    // A consistent label is 0 versions behind.
-                    report.versions_behind_total += r.label.map_or(0, |l| l.versions_behind);
-                    report.read_latency.record(latency);
-                }
-            }
-        });
+                Ok(one.run(|client| make_source(client, run_seed), &prepare)?.0)
+            },
+        )
     }
 }
 
@@ -508,8 +510,9 @@ mod tests {
             4,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
         )
-        .run(|_| source(50.0, 4, 2.0 / 3.0), |_| {}, |_| {})
-        .unwrap();
+        .run(|_| source(50.0, 4, 2.0 / 3.0), |_| {})
+        .unwrap()
+        .0;
         assert_eq!(report.runs, 1);
         let issued = report.clients.issued;
         assert!(issued > 400, "~600 ops expected, got {issued}");
@@ -526,6 +529,114 @@ mod tests {
         assert_eq!(stale as usize, d.true_positives + d.missed_stale);
         assert!(report.read_latency.count() == report.reads());
         assert_eq!(report.write_latency.count(), report.commits());
+    }
+
+    /// A 1 000 ms run with a 400 ms settle on `window_ms` windows.
+    fn short_run(window_ms: f64) -> OpenLoopRun {
+        OpenLoopRun::new(
+            small_opts(23),
+            exp_net(0.1, 0.5),
+            OpenLoopOptions::new(1_000.0, window_ms, 400.0),
+            2,
+            ClientOptions { op_timeout_ms: 400.0, ..ClientOptions::default() },
+        )
+    }
+
+    /// Every drain `step` saw, as (instant, ops drained), and the ops that
+    /// started at or after the workload's end.
+    fn drains(run: &OpenLoopRun, advance_first: bool) -> (Vec<(f64, usize)>, usize) {
+        let (mut seen, mut late, mut pending) = (Vec::new(), 0, None);
+        run.drive(
+            |_| source(40.0, 4, 0.5),
+            |_| {},
+            |cluster, step| match step {
+                DriveStep::Before(until_ms) => {
+                    assert_eq!(pending.replace(until_ms), None, "one After per Before");
+                    if advance_first {
+                        cluster.advance_to(SimTime::from_ms(until_ms));
+                    }
+                }
+                DriveStep::After(drain) => {
+                    let until_ms = pending.take().expect("After follows a Before");
+                    seen.push((until_ms, drain.writes.len() + drain.reads.len()));
+                    let ends = |start: SimTime| start.as_ms() >= run.timing.duration_ms;
+                    late += drain.writes.iter().filter(|w| ends(w.start)).count();
+                    late += drain.reads.iter().filter(|r| ends(r.op.start)).count();
+                }
+            },
+        )
+        .unwrap();
+        (seen, late)
+    }
+
+    #[test]
+    fn the_drive_drains_each_window_then_the_end_then_the_settle() {
+        for (window_ms, expected) in [
+            (250.0, vec![250.0, 500.0, 750.0, 1_000.0, 1_250.0, 1_400.0]),
+            (300.0, vec![300.0, 600.0, 900.0, 1_000.0, 1_200.0, 1_400.0]),
+        ] {
+            let (seen, late) = drains(&short_run(window_ms), false);
+            let instants: Vec<f64> = seen.iter().map(|&(at, _)| at).collect();
+            assert_eq!(instants, expected, "drain instants on {window_ms} ms windows");
+            assert_eq!(late, 0, "clients stop at the workload's end");
+        }
+    }
+
+    /// A step that moves the cluster to the boundary itself must not cost
+    /// the window its drain.
+    #[test]
+    fn a_step_that_advances_to_the_boundary_keeps_its_window() {
+        let run = short_run(250.0);
+        let (plain, _) = drains(&run, false);
+        let (advanced, _) = drains(&run, true);
+        assert!(plain[..4].iter().all(|&(_, ops)| ops > 0), "every window drains ops: {plain:?}");
+        assert_eq!(advanced, plain);
+    }
+
+    /// `run` is a fold over the drive: the same report comes out of a
+    /// hand-rolled `drain_window` loop over the same instants.
+    #[test]
+    fn run_matches_a_hand_rolled_drain_loop() {
+        let run = short_run(250.0);
+        let (report, _) = run.run(|_| source(40.0, 4, 0.5), |_| {}).unwrap();
+
+        let mut cluster = Cluster::new(run.opts, run.network.clone());
+        for _ in 0..run.clients {
+            cluster.add_client(source(40.0, 4, 0.5), run.copts);
+        }
+        cluster.start_clients();
+        let mut expected = OpenLoopReport {
+            windows: (0..4)
+                .map(|i| OpenWindow { start_ms: i as f64 * 250.0, ..OpenWindow::default() })
+                .collect(),
+            sim_ms: 1_000.0,
+            runs: 1,
+            ..OpenLoopReport::default()
+        };
+        for until in [250.0, 500.0, 750.0, 1_000.0, 1_250.0, 1_400.0] {
+            let drain = cluster.drain_window(SimTime::from_ms(until));
+            expected.peak_pending_events =
+                expected.peak_pending_events.max(cluster.pending_events() as u64);
+            drain.fold(250.0, 3, |idx, op| {
+                let Some(latency) = expected.windows[idx].count(op) else { return };
+                match op {
+                    WindowOp::Write(_) => expected.write_latency.record(latency),
+                    WindowOp::Read(r) => {
+                        expected.versions_behind_total += r.label.map_or(0, |l| l.versions_behind);
+                        expected.read_latency.record(latency);
+                    }
+                }
+            });
+            if until == 1_000.0 {
+                cluster.stop_clients();
+            }
+        }
+        expected.clients = cluster.client_stats();
+        expected.detector = cluster.detector_stats();
+        expected.write_latency.seal();
+        expected.read_latency.seal();
+        assert!(expected.reads() > 0 && expected.commits() > 0);
+        assert_eq!(report, expected);
     }
 
     #[test]
@@ -652,8 +763,9 @@ mod tests {
             8,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
         )
-        .run(|_| source(25.0, 8, 0.6), |_| {}, |_| {})
-        .unwrap();
+        .run(|_| source(25.0, 8, 0.6), |_| {})
+        .unwrap()
+        .0;
         assert!(report.reads() > 100);
         assert_eq!(report.consistency_rate(), 1.0, "R+W>N must never go stale");
         assert_eq!(report.clients.monotonic_violations, 0);

@@ -230,6 +230,25 @@ impl Runner {
             acc
         })
     }
+
+    /// Whole-run replication over [`run`](Self::run): each trial is one
+    /// independent run, and run `j` of a shard is handed the seed
+    /// `shard_seed ^ (j · φ64)` (φ64 the 64-bit golden ratio). Each shard
+    /// folds its runs into `init()` in run order.
+    pub fn run_replicas<A, FI, FR>(&self, init: FI, replica: FR) -> A
+    where
+        A: Mergeable + Send,
+        FI: Fn() -> A + Sync,
+        FR: Fn(u64) -> A + Sync,
+    {
+        self.run(|_rng, info| {
+            let mut acc = init();
+            for j in 0..info.trials {
+                acc.merge(replica(info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            }
+            acc
+        })
+    }
 }
 
 #[cfg(test)]
@@ -333,6 +352,20 @@ mod tests {
         }
         let order = Runner::new(8, 0, 8).run(|_rng, info| Order(vec![info.index as u64]));
         assert_eq!(order.0, (0..8).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn replica_seeds_follow_the_golden_ratio_rule() {
+        struct Seeds(Vec<u64>);
+        impl Mergeable for Seeds {
+            fn merge(&mut self, other: Self) {
+                self.0.extend(other.0);
+            }
+        }
+        let seeds = Runner::new(3, 0b1010, 2)
+            .run_replicas(|| Seeds(Vec::new()), |seed| Seeds(vec![seed]));
+        let phi = 0x9e37_79b9_7f4a_7c15u64;
+        assert_eq!(seeds.0, vec![0b1010, 0b1010 ^ phi, 0b1011]);
     }
 
     #[test]

@@ -5,26 +5,32 @@
 //! windowed time-series of predicted vs. measured consistency and
 //! latency.
 //!
-//! Probes ride the open-loop engine: an in-sim client actor pulls write
-//! arrivals from the scenario's piecewise load, and each committed write
-//! schedules a read of the same key `probe_offset_ms` after its commit
-//! (the §5.2 probe pair). Probes overlap freely — a timed-out operation
-//! does not hold the simulation up, so fault events, refits, and windows
-//! all fire at their exact scheduled instants and reads are labelled
-//! online as the commit watermark passes each window boundary.
+//! The driver has no open-loop drive of its own: a scenario run is an
+//! [`OpenLoopRun`] on [`OpenLoopRun::drive`], and the closed loop is the
+//! drive's step — fault events and refits before each drain, the window
+//! fold after it. An in-sim client actor pulls write arrivals from the
+//! scenario's piecewise load, and each committed write schedules a read
+//! of the same key `probe_offset_ms` after its commit (the §5.2 probe
+//! pair). Probes overlap freely — a timed-out operation does not hold the
+//! simulation up, so fault events, refits, and windows all fire at their
+//! exact scheduled instants and reads are labelled online as the commit
+//! watermark passes each window boundary.
 
 use crate::event::apply_event;
 use crate::scenario::Scenario;
 use pbs_core::ReplicaConfig;
-use pbs_kvs::{checker, CheckReport, ClientOptions, Cluster, OpenWindow, WindowDrain, WindowOp};
+use pbs_kvs::{
+    checker, CheckReport, ClientOptions, Cluster, DriveStep, OpenLoopOptions, OpenLoopRun,
+    OpenWindow, WindowDrain, WindowOp,
+};
 use pbs_mc::{Mergeable, Runner, Summary};
 use pbs_predictor::AdaptiveController;
 use pbs_sim::SimTime;
-use pbs_workload::{OpMix, OpStream, PiecewisePoisson, UniformKeys};
+use pbs_workload::{OpMix, OpSource, OpStream, PiecewisePoisson, UniformKeys};
 
 /// One reporting window of a scenario run (counts sum and sketches merge
 /// across replicated runs).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowRecord {
     /// The window's start and probe counts, as every open-loop window
     /// keeps them: `reads` are probes whose read completed, `consistent`
@@ -47,18 +53,6 @@ pub struct WindowRecord {
 }
 
 impl WindowRecord {
-    fn new(start_ms: f64, end_ms: f64) -> Self {
-        Self {
-            counts: OpenWindow { start_ms, ..OpenWindow::default() },
-            end_ms,
-            predicted_sum: 0.0,
-            predicted_count: 0,
-            write_latency: Summary::default(),
-            read_latency: Summary::default(),
-            reconfigs: 0,
-        }
-    }
-
     /// Mean predicted `P(consistent)` in force during this window
     /// (`None` before the controller's first refit).
     pub fn predicted(&self) -> Option<f64> {
@@ -96,7 +90,7 @@ pub struct ReconfigRecord {
 }
 
 /// The merged result of one or more replicated runs of a scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioRun {
     /// Scenario name.
     pub name: String,
@@ -115,23 +109,6 @@ pub struct ScenarioRun {
 }
 
 impl ScenarioRun {
-    fn empty(scenario: &Scenario) -> Self {
-        let windows = (0..scenario.window_count())
-            .map(|i| {
-                let start = i as f64 * scenario.window_ms;
-                WindowRecord::new(start, (start + scenario.window_ms).min(scenario.duration_ms))
-            })
-            .collect();
-        Self {
-            name: scenario.name.clone(),
-            windows,
-            reconfigs: Vec::new(),
-            check: None,
-            event_errors: 0,
-            runs: 0,
-        }
-    }
-
     /// Largest `|predicted − measured|` over windows that lie entirely
     /// inside the scenario's declared stationary segments (`None` when no
     /// such window has both series) — the acceptance metric for
@@ -183,34 +160,13 @@ fn advance(cluster: &mut Cluster, to_ms: f64) {
     }
 }
 
-/// The prediction in force over time: a step function of
-/// `(from_ms, P(consistent at probe offset))` appended at each successful
-/// refit. Probes look up the step at their read's start.
-#[derive(Debug, Default)]
-struct PredictionSteps {
-    steps: Vec<(f64, f64)>,
-}
-
-impl PredictionSteps {
-    fn push(&mut self, from_ms: f64, p: f64) {
-        self.steps.push((from_ms, p));
-    }
-
-    fn at(&self, t_ms: f64) -> Option<f64> {
-        self.steps.iter().rev().find(|&&(from, _)| from <= t_ms).map(|&(_, p)| p)
-    }
-}
-
 /// Fold one window drain into the run's window grid. Window attribution
 /// (by op start, clamped — reads of writes committing near the end of
 /// the run may start past `duration`) is [`WindowDrain::fold`]'s, shared
-/// with the engine reports.
-fn fold_drain(
-    out: &mut ScenarioRun,
-    window_ms: f64,
-    drain: &WindowDrain,
-    predictions: &PredictionSteps,
-) {
+/// with the engine reports. A probe is credited with the prediction in
+/// force at its read's start: the last of `steps`, a step function
+/// of `(from_ms, P(consistent at probe offset))`, from at or before it.
+fn fold_drain(out: &mut ScenarioRun, window_ms: f64, drain: &WindowDrain, steps: &[(f64, f64)]) {
     let last = out.windows.len() - 1;
     drain.fold(window_ms, last, |idx, op| {
         let win = &mut out.windows[idx];
@@ -219,7 +175,8 @@ fn fold_drain(
             WindowOp::Write(_) => win.write_latency.record(latency),
             WindowOp::Read(r) => {
                 win.read_latency.record(latency);
-                if let Some(p) = predictions.at(r.op.start.as_ms()) {
+                let start_ms = r.op.start.as_ms();
+                if let Some(&(_, p)) = steps.iter().rev().find(|&&(from, _)| from <= start_ms) {
                     win.predicted_sum += p;
                     win.predicted_count += 1;
                 }
@@ -230,16 +187,20 @@ fn fold_drain(
 
 /// Run one replica of `scenario`, seeded by `run_seed`.
 ///
-/// The driver runs the **open-loop engine**: an in-sim probe client pulls
-/// write arrivals from the scenario's piecewise load and schedules a read
-/// of the same key `probe_offset_ms` after each commit. The loop then
-/// interleaves three exact clocks in simulated-time order — fault events,
-/// the controller's refit cadence, and window drains. Each refit drains
-/// the cluster's measured one-way WARS samples into the controller,
-/// re-predicts the current configuration, and — when the scenario is
-/// adaptive — applies the SLA optimizer's winning configuration to the
-/// live cluster. Each window drain advances the online ground-truth
-/// watermark and labels the probes that completed in the window.
+/// The scenario is an [`OpenLoopRun`] on the serial engine, run on its
+/// one drive ([`OpenLoopRun::drive`]): an in-sim probe client pulls write
+/// arrivals from the scenario's piecewise load and schedules a read of the
+/// same key `probe_offset_ms` after each commit, the drive drains every
+/// window, stops the probes at `duration_ms` and settles for one
+/// operation timeout. Before each drain, the step fires the timeline's
+/// fault events and the controller's refits that fall at or before the
+/// drain and before `duration_ms`, in simulated-time order — at a shared
+/// instant the event first, then the refit, then the drain. Each refit
+/// drains the cluster's measured one-way WARS samples into the
+/// controller, re-predicts the current configuration, and — when the
+/// scenario is adaptive — applies the SLA optimizer's winning
+/// configuration to the live cluster. Each drain advances the online
+/// ground-truth watermark and labels the probes that completed before it.
 ///
 /// Because probes do not block the simulation, a timed-out operation
 /// cannot delay an event or refit past its scheduled instant, and load
@@ -250,16 +211,28 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
     let mut opts = scenario.cluster;
     opts.seed = run_seed;
     opts.record_leg_samples = true;
-    let mut cluster = Cluster::new(opts, scenario.network.clone());
-    if let Some(schedule) = &scenario.fault_schedule {
-        cluster
-            .network()
-            .set_fault_schedule(schedule.clone())
-            .expect("scenario.validate() vouched for the schedule");
-    }
-    if scenario.check_history {
-        cluster.enable_history();
-    }
+    let run = OpenLoopRun::new(
+        opts,
+        scenario.network.clone(),
+        OpenLoopOptions::new(scenario.duration_ms, scenario.window_ms, opts.op_timeout_ms),
+        1,
+        ClientOptions {
+            op_timeout_ms: opts.op_timeout_ms,
+            max_in_flight: 4_096,
+            probe_read_offset_ms: Some(scenario.probe_offset_ms),
+        },
+    );
+    // Probe load: per-second rates → per-ms rates, pulled lazily by the
+    // in-sim probe client (writes only; reads ride the probe offset).
+    let probes = |_| -> Box<dyn OpSource> {
+        let segments: Vec<(f64, f64)> =
+            scenario.load.iter().map(|&(start, per_s)| (start, per_s / 1000.0)).collect();
+        let load = match scenario.load_period_ms {
+            Some(p) => PiecewisePoisson::cyclic(segments, p),
+            None => PiecewisePoisson::new(segments),
+        };
+        Box::new(OpStream::new(load, UniformKeys::new(scenario.keys), OpMix::writes_only(), 1))
+    };
 
     let control = &scenario.control;
     let mut ctl = AdaptiveController::new(
@@ -269,58 +242,62 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
         control.mc_trials,
         run_seed ^ 0xada9_71c0_1175_0c5e,
     );
-
-    // Probe load: per-second rates → per-ms rates, pulled lazily by the
-    // in-sim probe client (writes only; reads ride the probe offset).
-    let segments: Vec<(f64, f64)> =
-        scenario.load.iter().map(|&(start, per_s)| (start, per_s / 1000.0)).collect();
-    let load = match scenario.load_period_ms {
-        Some(p) => PiecewisePoisson::cyclic(segments, p),
-        None => PiecewisePoisson::new(segments),
+    let window_ms = scenario.window_ms;
+    let mut out = ScenarioRun {
+        name: scenario.name.clone(),
+        windows: (0..run.timing.window_count())
+            .map(|i| {
+                let start_ms = i as f64 * window_ms;
+                WindowRecord {
+                    counts: OpenWindow { start_ms, ..OpenWindow::default() },
+                    end_ms: (start_ms + window_ms).min(scenario.duration_ms),
+                    ..WindowRecord::default()
+                }
+            })
+            .collect(),
+        runs: 1,
+        ..ScenarioRun::default()
     };
-    let source = OpStream::new(load, UniformKeys::new(scenario.keys), OpMix::writes_only(), 1);
-    cluster.add_client(
-        Box::new(source),
-        ClientOptions {
-            op_timeout_ms: opts.op_timeout_ms,
-            max_in_flight: 4_096,
-            probe_read_offset_ms: Some(scenario.probe_offset_ms),
-        },
-    );
-    cluster.start_clients();
-
-    let mut out = ScenarioRun::empty(scenario);
-    out.runs = 1;
     let last_window = out.windows.len() - 1;
-    let window_index = |at_ms: f64| -> usize {
-        ((at_ms / scenario.window_ms) as usize).min(last_window)
-    };
-
     let mut ev_idx = 0usize;
     let mut next_refit = control.refit_interval_ms;
-    let mut next_window = scenario.window_ms;
     let mut current_cfg = opts.replication;
-    let mut predictions = PredictionSteps::default();
+    let mut predictions = Vec::new(); // one step per successful refit
 
-    loop {
-        let ev_at = scenario.events.get(ev_idx).map(|e| e.at_ms).unwrap_or(f64::INFINITY);
-        let t = ev_at.min(next_refit).min(next_window);
-        if t >= scenario.duration_ms {
-            break;
+    let prepare = |cluster: &mut Cluster| {
+        if let Some(schedule) = &scenario.fault_schedule {
+            cluster
+                .network()
+                .set_fault_schedule(schedule.clone())
+                .expect("scenario.validate() vouched for the schedule");
         }
-        if ev_at <= t {
-            advance(&mut cluster, ev_at);
-            // A malformed event is counted, not fatal: the rest of the
-            // timeline (and the checker post-pass) still runs.
-            if apply_event(&mut cluster, &scenario.events[ev_idx].event).is_err() {
-                out.event_errors += 1;
+        if scenario.check_history {
+            cluster.enable_history();
+        }
+    };
+    let step = |cluster: &mut Cluster, phase: DriveStep<'_>| {
+        let until_ms = match phase {
+            DriveStep::Before(until_ms) => until_ms,
+            DriveStep::After(drain) => return fold_drain(&mut out, window_ms, drain, &predictions),
+        };
+        // Events, then refits, due at or before this drain and before the
+        // workload's end, in time order: at a shared instant the event first.
+        loop {
+            let ev_at = scenario.events.get(ev_idx).map_or(f64::INFINITY, |e| e.at_ms);
+            let t = ev_at.min(next_refit);
+            if t > until_ms || t >= scenario.duration_ms {
+                return;
             }
-            ev_idx += 1;
-            continue;
-        }
-        if next_refit <= t {
-            let refit_at = next_refit;
-            advance(&mut cluster, refit_at);
+            advance(cluster, t);
+            if ev_at <= t {
+                // A malformed event is counted, not fatal: the rest of the
+                // timeline (and the checker post-pass) still runs.
+                if apply_event(cluster, &scenario.events[ev_idx].event).is_err() {
+                    out.event_errors += 1;
+                }
+                ev_idx += 1;
+                continue;
+            }
             let legs = cluster.drain_leg_samples();
             ctl.observe_many(&legs.w, &legs.a, &legs.r, &legs.s);
             if ctl.window_len() >= control.min_samples {
@@ -329,9 +306,10 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
                         if let Some(best) = report.best_config() {
                             if best.cfg != current_cfg {
                                 cluster.set_replication(best.cfg);
-                                out.windows[window_index(refit_at)].reconfigs += 1;
+                                out.windows[((t / window_ms) as usize).min(last_window)]
+                                    .reconfigs += 1;
                                 out.reconfigs.push(ReconfigRecord {
-                                    at_ms: refit_at,
+                                    at_ms: t,
                                     run_seed,
                                     from: current_cfg,
                                     to: best.cfg,
@@ -342,26 +320,14 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
                     }
                 }
                 if let Ok(p) = ctl.predict(current_cfg) {
-                    predictions.push(refit_at, p.prob_consistent(scenario.probe_offset_ms));
+                    predictions.push((t, p.prob_consistent(scenario.probe_offset_ms)));
                 }
             }
             next_refit += control.refit_interval_ms;
-            continue;
         }
-        let drain = cluster.drain_window(SimTime::from_ms(next_window));
-        fold_drain(&mut out, scenario.window_ms, &drain, &predictions);
-        next_window += scenario.window_ms;
-    }
-
-    // End of the workload: stop arrivals at `duration`, let in-flight
-    // probes finish or time out, and fold the final drain (ops started
-    // before the cut are attributed to their start windows; late probe
-    // reads clamp to the last window, as before).
-    advance(&mut cluster, scenario.duration_ms);
-    cluster.stop_clients();
-    let settle = SimTime::from_ms(scenario.duration_ms + opts.op_timeout_ms);
-    let drain = cluster.drain_window(settle);
-    fold_drain(&mut out, scenario.window_ms, &drain, &predictions);
+    };
+    let mut cluster =
+        run.drive(probes, prepare, step).expect("the serial engine accepts every latency model");
 
     for w in &mut out.windows {
         w.write_latency.seal();
@@ -375,9 +341,9 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
 }
 
 /// Replicate `scenario` across `trials` independent whole-scenario runs
-/// sharded over `threads` (the `pbs-mc` determinism contract: shard `i`
-/// seeds `seed ^ i`, run `j` of a shard derives
-/// `shard_seed ^ (j · φ64)`, accumulators merge in shard order), yielding
+/// sharded over `threads` on the `pbs-mc` runner
+/// ([`Runner::run_replicas`]: shard `i` seeds `seed ^ i`, each run gets
+/// its replica seed, accumulators merge in shard order), yielding
 /// per-window counts large enough for confidence intervals. Results are
 /// bit-reproducible for a fixed `(seed, threads)` pair.
 pub fn run_scenario_sharded(
@@ -387,12 +353,6 @@ pub fn run_scenario_sharded(
     threads: usize,
 ) -> ScenarioRun {
     assert!(trials > 0 && threads > 0);
-    Runner::new(trials, seed, threads).run(|_rng, info| {
-        let mut acc = ScenarioRun::empty(scenario);
-        for j in 0..info.trials {
-            let run_seed = info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            acc.merge(run_scenario(scenario, run_seed));
-        }
-        acc
-    })
+    Runner::new(trials, seed, threads)
+        .run_replicas(ScenarioRun::default, |run_seed| run_scenario(scenario, run_seed))
 }

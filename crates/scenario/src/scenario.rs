@@ -104,7 +104,6 @@ impl Scenario {
         let mut cluster = ClusterOptions::validation(cfg, seed);
         // Probes must not warp time past in-flight faults on failure.
         cluster.op_timeout_ms = 400.0;
-        cluster.record_leg_samples = true;
         // Disk-like writes (mean 6 ms) against fast A=R=S legs (mean
         // 1.5 ms): mid-range immediate consistency, so both improvements
         // and regressions are visible.
@@ -287,15 +286,23 @@ impl Scenario {
         &["diurnal-load", "latency-spike", "rolling-partition", "buggify-storm", "crash-storm"]
     }
 
-    /// Number of reporting windows.
-    pub fn window_count(&self) -> usize {
-        (self.duration_ms / self.window_ms).ceil() as usize
-    }
-
     /// Validate cross-field invariants (called by the driver).
     pub fn validate(&self) {
-        assert!(self.duration_ms > 0.0 && self.window_ms > 0.0);
-        assert!(self.probe_offset_ms >= 0.0);
+        // Each of these would otherwise hang the run or die inside it.
+        let control = &self.control;
+        for (field, value) in [
+            ("duration_ms", self.duration_ms),
+            ("window_ms", self.window_ms),
+            ("cluster.op_timeout_ms", self.cluster.op_timeout_ms),
+            ("control.refit_interval_ms", control.refit_interval_ms),
+        ] {
+            assert!(value.is_finite() && value > 0.0, "{field} must be finite and > 0, got {value}");
+        }
+        assert!(
+            self.probe_offset_ms.is_finite() && self.probe_offset_ms >= 0.0,
+            "probe_offset_ms must be finite and >= 0, got {}",
+            self.probe_offset_ms
+        );
         assert!(self.keys > 0);
         assert!(!self.load.is_empty());
         for pair in self.events.windows(2) {
@@ -310,9 +317,15 @@ impl Scenario {
             assert!(a < b && b <= self.duration_ms, "bad stationary segment ({a}, {b})");
         }
         // Each of these would otherwise panic inside the first refit.
-        let control = &self.control;
         assert!(control.mc_trials > 0, "control.mc_trials must be at least 1");
         assert!(control.window > 0, "control.window must be at least 1");
+        assert!(
+            control.min_samples <= control.window,
+            "control.min_samples ({}) must not exceed control.window ({}): a refit \
+             would never collect that many samples",
+            control.min_samples,
+            control.window
+        );
         assert!(
             !control.candidate_ns.is_empty(),
             "control.candidate_ns must name at least one replication factor"

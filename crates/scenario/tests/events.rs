@@ -5,7 +5,9 @@
 use pbs_core::ReplicaConfig;
 use pbs_dist::Constant;
 use pbs_kvs::{Cluster, ClusterOptions, NetworkModel};
-use pbs_scenario::{apply_event, run_scenario_sharded, Scenario, ScenarioEvent};
+use pbs_scenario::{
+    apply_event, run_scenario, run_scenario_sharded, Scenario, ScenarioEvent, TimedEvent,
+};
 use pbs_sim::SimTime;
 use std::sync::Arc;
 
@@ -162,6 +164,31 @@ fn quick(mut s: Scenario) -> Scenario {
     s.control.refit_interval_ms = 1_000.0;
     s.events.retain(|e| e.at_ms < 6_000.0);
     s
+}
+
+/// Events, refits and drains that share an instant: an event on a window
+/// boundary fires before that window's drain, one on a refit instant
+/// before the refit, and one at `duration_ms` never fires. Malformed
+/// events (a partition that leaves a node out) are counted and change
+/// nothing else, so the series must equal the clean run's.
+#[test]
+fn events_at_shared_instants_fire_before_the_drain_and_not_at_the_end() {
+    let mut sc = Scenario::latency_spike(0);
+    sc.duration_ms = 12_000.0;
+    sc.stationary = vec![(3_000.0, 6_000.0)];
+    sc.control.mc_trials = 400;
+    let clean = run_scenario(&sc, 5);
+    let bad = || ScenarioEvent::Partition { groups: vec![0, 1] };
+    // 2 000: a window boundary; 4 500: a refit instant; 12 000: the end.
+    for at_ms in [2_000.0, 4_500.0, sc.duration_ms] {
+        sc.events.push(TimedEvent::new(at_ms, bad()));
+    }
+    sc.events.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
+    let run = run_scenario(&sc, 5);
+    assert_eq!(clean.event_errors, 0);
+    assert_eq!(run.event_errors, 2, "the event at duration_ms must not fire");
+    assert_eq!(run.windows, clean.windows);
+    assert_eq!(run.reconfigs, clean.reconfigs);
 }
 
 #[test]

@@ -1,6 +1,7 @@
-//! `Scenario::validate` turns away controller settings that would otherwise
-//! pass it and panic inside the first refit, with a message that names the
-//! offending field.
+//! `Scenario::validate` turns away settings that would otherwise pass it
+//! and then hang the run, crash it or silently switch the controller off,
+//! with a message that names the offending field. Every case is judged by
+//! `validate()` alone; none is run.
 
 use pbs_scenario::Scenario;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,7 +31,8 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
     type Spoil = fn(&mut Scenario);
     const PROBABILITY: &str = "control.spec.consistency_probability";
     const PERCENTILE: &str = "control.spec.latency_percentile";
-    let cases: [(&str, Spoil); 9] = [
+    const REFIT: &str = "control.refit_interval_ms";
+    let cases: [(&str, Spoil); 18] = [
         ("control.mc_trials", |sc| sc.control.mc_trials = 0),
         ("control.window", |sc| sc.control.window = 0),
         ("control.candidate_ns", |sc| sc.control.candidate_ns.clear()),
@@ -40,6 +42,20 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = 100.5),
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = -1.0),
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = f64::NAN),
+        // A refit cadence that never gets past the next window hangs the
+        // run; a NaN one turns every refit off without a word.
+        (REFIT, |sc| sc.control.refit_interval_ms = 0.0),
+        (REFIT, |sc| sc.control.refit_interval_ms = -1_500.0),
+        (REFIT, |sc| sc.control.refit_interval_ms = f64::NAN),
+        // No prediction is ever made: the window never holds that many.
+        ("control.min_samples", |sc| sc.control.min_samples = sc.control.window + 1),
+        // The window grid would overflow its allocation.
+        ("duration_ms", |sc| sc.duration_ms = f64::INFINITY),
+        ("duration_ms", |sc| sc.duration_ms = f64::NAN),
+        ("window_ms", |sc| sc.window_ms = f64::NAN),
+        ("probe_offset_ms", |sc| sc.probe_offset_ms = f64::INFINITY),
+        // The run settles for one operation timeout.
+        ("cluster.op_timeout_ms", |sc| sc.cluster.op_timeout_ms = f64::INFINITY),
     ];
     for (field, spoil) in cases {
         let msg = rejection(spoil).unwrap_or_else(|| panic!("a bad {field} passed validate()"));
@@ -56,6 +72,7 @@ fn boundary_values_pass() {
             sc.control.spec.latency_percentile = pct;
             sc.control.mc_trials = 1;
             sc.control.window = 1;
+            sc.control.min_samples = 1;
         });
         assert_eq!(verdict, None);
     }

@@ -49,9 +49,9 @@ fn main() {
             ))
         },
         |_| {},
-        |_| {},
     )
-    .expect("the serial engine accepts every latency model");
+    .expect("the serial engine accepts every latency model")
+    .0;
 
     let reads = report.reads();
     let stale = reads - report.consistent();

@@ -78,9 +78,9 @@ fn read_repair_improves_consistency_under_loss() {
                 let lossy = FaultProfile::new(33).with_drop(0.35);
                 cluster.network().set_fault_profile(lossy).unwrap();
             },
-            |_| {},
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert!(report.reads() > 500, "enough labelled reads to compare");
         report.consistency_rate()
     };

@@ -49,8 +49,9 @@ fn sustains_ten_thousand_clients() {
         10_000,
         ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() },
     )
-    .run(|_| poisson_source(1.0, 256, 0.6), |_| {}, |_| {})
-    .unwrap();
+    .run(|_| poisson_source(1.0, 256, 0.6), |_| {})
+    .unwrap()
+    .0;
     // 10k clients × 1 op/s × 3 s ≈ 30k ops.
     assert!(report.clients.issued > 25_000, "issued {}", report.clients.issued);
     assert_eq!(report.clients.shed, 0);
@@ -80,8 +81,9 @@ fn event_heap_bounded_by_in_flight_not_workload_length() {
         64,
         ClientOptions { op_timeout_ms: 500.0, ..ClientOptions::default() },
     )
-    .run(|_| poisson_source(2_000.0 / 64.0, 64, 0.6), |_| {}, |_| {})
-    .unwrap();
+    .run(|_| poisson_source(2_000.0 / 64.0, 64, 0.6), |_| {})
+    .unwrap()
+    .0;
     assert!(report.clients.issued > 35_000, "issued {}", report.clients.issued);
     assert!(
         report.peak_pending_events < 300,

@@ -217,7 +217,7 @@ fn zero_minimum_latency_model_is_rejected_at_partition_time() {
         ClientOptions::default(),
     )
     .on(EngineKind::Parallel { workers: 2 })
-    .run(|_| source(10.0), |_| {}, |_| {})
+    .run(|_| source(10.0), |_| {})
     .expect_err("the open-loop entry point surfaces the same typed error");
     assert!(matches!(err, PdesError::DegenerateLookahead { .. }));
 
