@@ -14,6 +14,8 @@
 //!   by `(time, lane)`, `O(log n)` sifts over ~100-byte entries per operation.
 //! * [`WheelQueue`] — a hierarchical timer wheel (calendar queue):
 //!   amortised `O(1)` scheduling and `O(1)` pops, the default scheduler.
+//!   Each item is stored once: in the ready batch, or in a slab that the
+//!   wheel's buckets point into with 24-byte handles.
 //!
 //! [`Simulation`](crate::Simulation) always runs on the wheel; a test pins the heap through
 //! [`Simulation::with_queue`](crate::Simulation::with_queue) to compare the two on one workload.
@@ -178,22 +180,50 @@ const LEVELS: usize = 8;
 /// insertion sequence because `(time, lane)` keys are unique. Pops are
 /// `O(1)` pops off the front of the batch.
 ///
-/// Every slot keeps its own vector across drains, so steady-state
-/// scheduling performs no allocation.
+/// Each event is stored once. One due at or below the ready batch's tick
+/// goes straight into the batch, item and all. A later one leaves its item
+/// in a payload slab, and its bucket, the cascade and the tick sort move a
+/// 24-byte handle naming the slab slot; the item moves into the ready
+/// batch when the wheel reaches its tick. Freed slab slots are reused
+/// last-freed first, so the slab grows to the peak number of events in the
+/// wheel and no further. Every bucket keeps its own vector across drains,
+/// so steady-state scheduling performs no allocation; the 512 buckets
+/// retain handles, whatever the size of `T`, and the ready batch keeps
+/// room for the largest tick it has held.
 pub struct WheelQueue<T> {
     /// `LEVELS × SLOTS` unsorted buckets, indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Entry<T>>>,
+    slots: Vec<Vec<Handle>>,
     /// Per-level occupancy bitmap (bit `s` ⇔ slot `s` non-empty).
     occupancy: [u64; LEVELS],
     /// The wheel position: tick of the most recently expired slot. All
     /// queued events in the wheel have ticks strictly greater; events at
     /// or below it live in `ready`.
     now_tick: u64,
-    /// Sorted front batch in ascending `(time, lane)` order.
+    /// Sorted front batch in ascending `(time, lane)` order, with items.
     ready: VecDeque<Entry<T>>,
+    /// The payload slab: the item of every event still in the wheel, at
+    /// the slot its handle names; `None` marks a free slot.
+    items: Vec<Option<T>>,
+    /// Free slots of `items`, reused last-freed first.
+    free: Vec<u32>,
     len: usize,
     peak: usize,
     cascaded: u64,
+}
+
+/// A queued event's key and the slab slot of its item: 24 bytes.
+#[derive(Clone, Copy)]
+struct Handle {
+    time: SimTime,
+    lane: u64,
+    slot: u32,
+}
+
+impl Handle {
+    #[inline]
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.lane)
+    }
 }
 
 impl<T> Default for WheelQueue<T> {
@@ -203,6 +233,8 @@ impl<T> Default for WheelQueue<T> {
             occupancy: [0; LEVELS],
             now_tick: 0,
             ready: VecDeque::new(),
+            items: Vec::new(),
+            free: Vec::new(),
             len: 0,
             peak: 0,
             cascaded: 0,
@@ -216,30 +248,37 @@ impl<T> WheelQueue<T> {
         Self::default()
     }
 
-    /// Place an entry: into the sorted ready batch when its tick is at or
-    /// below the wheel position, else into the wheel level addressed by
-    /// the highest differing 6-bit tick group.
-    fn place(&mut self, e: Entry<T>) {
-        let t_tick = e.time.as_nanos() >> TICK_SHIFT;
-        if t_tick <= self.now_tick {
-            // Fast path: a fresh zero-delay send usually carries the
-            // largest key in the batch, so it belongs at the back unless
-            // larger-keyed events are already waiting there.
-            match self.ready.back() {
-                Some(b) if b.key() > e.key() => {
-                    let i = self.ready.partition_point(|x| x.key() < e.key());
-                    self.ready.insert(i, e);
-                }
-                _ => self.ready.push_back(e),
+    /// Merge an event into the sorted ready batch.
+    fn make_ready(&mut self, e: Entry<T>) {
+        // Fast path: a fresh zero-delay send usually carries the largest
+        // key in the batch, so it belongs at the back unless larger-keyed
+        // events are already waiting there.
+        match self.ready.back() {
+            Some(b) if b.key() > e.key() => {
+                let i = self.ready.partition_point(|x| x.key() < e.key());
+                self.ready.insert(i, e);
             }
-        } else {
-            let diff = t_tick ^ self.now_tick;
-            let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
-            let shift = LEVEL_BITS * level as u32;
-            let slot = ((t_tick >> shift) & SLOT_MASK) as usize;
-            self.occupancy[level] |= 1 << slot;
-            self.slots[level * SLOTS + slot].push(e);
+            _ => self.ready.push_back(e),
         }
+    }
+
+    /// Put a handle for an event at tick `t_tick`, above the wheel
+    /// position, into the level addressed by the highest 6-bit tick group
+    /// in which the two differ.
+    fn bucket(&mut self, h: Handle, t_tick: u64) {
+        let diff = t_tick ^ self.now_tick;
+        let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
+        let shift = LEVEL_BITS * level as u32;
+        let slot = ((t_tick >> shift) & SLOT_MASK) as usize;
+        self.occupancy[level] |= 1 << slot;
+        self.slots[level * SLOTS + slot].push(h);
+    }
+
+    /// Move a handle's item out of the slab, freeing its slot.
+    fn take(&mut self, h: Handle) -> Entry<T> {
+        self.free.push(h.slot);
+        let item = self.items[h.slot as usize].take().expect("a queued handle names a full slot");
+        Entry { time: h.time, lane: h.lane, item }
     }
 
     /// Advance the wheel to the next occupied slot: drain a level-0 slot
@@ -262,23 +301,32 @@ impl<T> WheelQueue<T> {
             let span = shift + LEVEL_BITS;
             let high = if span >= 64 { 0 } else { (self.now_tick >> span) << span };
             self.now_tick = high | ((slot as u64) << shift);
-            // The slot's own buffer, handed back below (`place` fills only
+            // The slot's own buffer, handed back below (`bucket` fills only
             // strictly lower slots): capacity never moves between slots.
             let idx = level * SLOTS + slot;
             let mut batch = std::mem::take(&mut self.slots[idx]);
             if level == 0 {
                 // One tick's events: restore exact sub-tick order. Keys
                 // are unique, so the unstable sort is deterministic.
-                batch.sort_unstable_by_key(|e| (e.time, e.lane));
+                batch.sort_unstable_by_key(Handle::key);
                 debug_assert!(self.ready.is_empty());
-                self.ready.extend(batch.drain(..));
+                for h in batch.drain(..) {
+                    let e = self.take(h);
+                    self.ready.push_back(e);
+                }
             } else {
                 // Redistribute into lower levels (strictly descends:
                 // every tick in the slot agrees with `now_tick` above
                 // this level's bit group).
                 self.cascaded += batch.len() as u64;
-                for e in batch.drain(..) {
-                    self.place(e);
+                for h in batch.drain(..) {
+                    let t_tick = h.time.as_nanos() >> TICK_SHIFT;
+                    if t_tick <= self.now_tick {
+                        let e = self.take(h);
+                        self.make_ready(e);
+                    } else {
+                        self.bucket(h, t_tick);
+                    }
                 }
             }
             self.slots[idx] = batch;
@@ -298,7 +346,22 @@ impl<T> EventQueue<T> for WheelQueue<T> {
     fn schedule(&mut self, at: SimTime, lane: u64, item: T) {
         self.len += 1;
         self.peak = self.peak.max(self.len);
-        self.place(Entry { time: at, lane, item });
+        let t_tick = at.as_nanos() >> TICK_SHIFT;
+        if t_tick <= self.now_tick {
+            self.make_ready(Entry { time: at, lane, item });
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.items[slot as usize] = Some(item);
+                slot
+            }
+            None => {
+                self.items.push(Some(item));
+                u32::try_from(self.items.len() - 1).expect("more than u32::MAX events queued")
+            }
+        };
+        self.bucket(Handle { time: at, lane, slot }, t_tick);
     }
 
     fn pop(&mut self) -> Option<(SimTime, T)> {
@@ -325,6 +388,10 @@ impl<T> EventQueue<T> for WheelQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn t(ms: f64) -> SimTime {
         SimTime::from_ms(ms)
@@ -461,24 +528,121 @@ mod tests {
     }
 
     #[test]
-    fn drained_slots_keep_their_own_capacity() {
-        // 300 level-1 rotations of 0.1 ms timers, each with one burst of
-        // 1,000 far timers that waits in the same level-1 slot. Handed on to
-        // the next drained slot, burst-sized buffers would reach every slot.
-        let mut q: WheelQueue<u32> = WheelQueue::new();
-        let step_ms = ((SLOTS * SLOTS) << TICK_SHIFT) as f64 / 256e6;
+    fn slab_holds_each_event_once_across_level1_rotations() {
+        // 80 rotations of level 1. Once per level-1 slot width: pop what is
+        // due, then schedule 100 events spread over the next slot width, so
+        // every level-1 slot in turn holds the whole steady set. Once per
+        // rotation, 1,000 timers for one instant also wait in one level-1
+        // slot and then in one level-0 slot. Buckets of whole events each
+        // kept the steady set's capacity (Σ 19,448 entries for a peak of
+        // 1,199); here the buckets hold 24-byte handles, and the items, 88
+        // bytes like the engine's `(ActorId, Event<Msg>)`, wait once in the
+        // slab.
+        let mut q: WheelQueue<[u64; 11]> = WheelQueue::new();
+        let width_ns = (SLOTS as u64) << TICK_SHIFT;
         let mut lanes = 0u64..;
-        for step in 0..300 * 256u32 {
-            let now = f64::from(step) * step_ms;
-            q.schedule(t(now + 0.1), lanes.next().unwrap(), 0);
-            for _ in 0..if step % 256 == 8 { 1_000 } else { 0 } {
-                q.schedule(t(now + 120.0), lanes.next().unwrap(), 1);
-            }
-            while q.next_time().is_some_and(|at| at <= t(now)) {
+        for step in 0..80 * SLOTS as u64 {
+            let now = step * width_ns;
+            while q.next_time().is_some_and(|at| at.as_nanos() <= now) {
                 q.pop();
             }
+            for i in 0..100 {
+                let at_ns = now + width_ns + i * width_ns / 100;
+                q.schedule(t(at_ns as f64 / 1e6), lanes.next().unwrap(), [7; 11]);
+            }
+            for _ in 0..if step % SLOTS as u64 == 8 { 1_000 } else { 0 } {
+                q.schedule(t(now as f64 / 1e6 + 120.0), lanes.next().unwrap(), [7; 11]);
+            }
         }
-        let capacity: usize = q.slots.iter().map(Vec::capacity).sum();
-        assert!(capacity <= 4 * q.stats().peak_pending, "capacity {capacity}: {:?}", q.stats());
+        let peak = q.stats().peak_pending;
+        let _buckets_hold_handles: &[Vec<Handle>] = &q.slots;
+        assert_eq!(std::mem::size_of::<Handle>(), 24);
+        assert!(q.items.capacity() <= 2 * peak, "slab {} for peak {peak}", q.items.capacity());
+        let in_slab = q.items.iter().flatten().count();
+        assert_eq!(in_slab + q.ready.len(), q.len(), "one item per queued event");
+        // A drained bucket keeps its own vector: the burst's capacity stays
+        // in its two slots instead of spreading to every slot it is handed to.
+        let burst_sized = q.slots.iter().filter(|b| b.capacity() >= 1_000).count();
+        assert_eq!(burst_sized, 2, "{:?}", q.stats());
+    }
+
+    /// Pushes its id to a shared log when dropped.
+    struct Counted {
+        id: u32,
+        drops: Rc<RefCell<Vec<u32>>>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.borrow_mut().push(self.id);
+        }
+    }
+
+    #[test]
+    fn every_payload_is_dropped_exactly_once() {
+        let drops = Rc::new(RefCell::new(Vec::new()));
+        let mut q = WheelQueue::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let (mut now, mut popped) = (0.0, 0);
+        for id in 0..2_000u32 {
+            let at = now + f64::from(rng.gen_range(0..400u32)) * 0.5;
+            q.schedule(t(at), u64::from(id), Counted { id, drops: Rc::clone(&drops) });
+            if rng.gen_bool(0.4) {
+                let (at, item) = q.pop().unwrap();
+                now = at.as_ms();
+                assert!(!drops.borrow().contains(&item.id), "{} dropped while queued", item.id);
+                popped += 1;
+            }
+            assert_eq!(drops.borrow().len(), popped, "popped items drop once, queued ones never");
+        }
+        q.next_time();
+        assert!(q.items.iter().flatten().count() > 100, "the slab is dropped with items in it");
+        assert!(!q.ready.is_empty(), "so is the ready batch");
+        drop(q);
+        let mut ids = drops.take();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..2_000).collect::<Vec<_>>(), "every item dropped exactly once");
+    }
+
+    #[test]
+    fn wheel_matches_heap_while_reusing_slots() {
+        // 2·10^5 operations around ~64 pending events, so slab slots are
+        // freed and refilled thousands of times. Lanes carry random high
+        // bits, so an equal-time insert often sorts before the whole of a
+        // batch that `next_time` has already materialised.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut wheel: WheelQueue<u32> = WheelQueue::new();
+        let mut heap: HeapQueue<u32> = HeapQueue::new();
+        let mut now = SimTime::ZERO;
+        let (mut ops, mut preempting) = (0u32, 0u32);
+        for id in 0..100_000u32 {
+            let delta_ms = match rng.gen_range(0..4u32) {
+                0 => 0.0,
+                1 => f64::from(rng.gen_range(0..100u32)) * 1e-5,
+                2 => f64::from(rng.gen_range(0..400u32)) * 0.25,
+                _ => f64::from(rng.gen_range(0..100u32)) * 40.0,
+            };
+            let at = t(now.as_ms() + delta_ms);
+            let lane = u64::from(rng.gen::<u32>()) << 32 | u64::from(id);
+            if wheel.ready.front().is_some_and(|h| h.time == at && h.lane > lane) {
+                preempting += 1;
+            }
+            wheel.schedule(at, lane, id);
+            heap.schedule(at, lane, id);
+            ops += 1;
+            let pops = if wheel.len() > 64 { 2 } else { rng.gen_range(0..2u32) };
+            for _ in 0..pops {
+                let w = wheel.pop();
+                assert_eq!(w, heap.pop(), "pop {ops} diverged");
+                now = w.map_or(now, |(at, _)| at);
+                ops += 1;
+            }
+            assert_eq!(wheel.next_time(), heap.next_time());
+        }
+        assert_eq!(drain(&mut wheel), drain(&mut heap));
+        assert!(ops >= 100_000, "{ops} operations");
+        assert!(preempting > 500, "{preempting} equal-time inserts went before a ready batch");
+        assert!(wheel.items.len() <= wheel.stats().peak_pending);
+        assert_eq!(wheel.free.len(), wheel.items.len(), "every slot is free once drained");
     }
 }
