@@ -2,10 +2,9 @@
 //! and fixed `A=R=S` (§5.3). `N=3, R=W=1`; the W:ARS rate ratio sweeps
 //! {1:4, 1:2, 1:1, 1:0.5, 1:0.2, 1:0.1} with ARS λ=1 (mean 1 ms).
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{lin_spaced, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_wars::production::exponential_model;
-use pbs_wars::sweep::lin_spaced;
 use pbs_wars::TVisibility;
 
 fn main() {

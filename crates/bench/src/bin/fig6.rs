@@ -1,10 +1,9 @@
 //! Figure 6 — t-visibility for production operation latencies (§5.6):
 //! LNKD-SSD, LNKD-DISK, WAN, YMMR with N=3 and (R,W) ∈ {(1,1),(1,2),(2,1)}.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{log_spaced, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::sweep::log_spaced;
 use pbs_wars::TVisibility;
 
 fn main() {

@@ -1,12 +1,13 @@
 //! Figure 7 — t-visibility vs. replication factor `N ∈ {2,3,5,10}` with
 //! `R=W=1` (§5.7), for LNKD-DISK, LNKD-SSD, and WAN.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{lin_spaced, report, HarnessOptions};
+use pbs_core::ReplicaConfig;
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::sweep::{lin_spaced, replication_factor_sweep};
+use pbs_wars::TVisibility;
 
 fn main() {
-    let opts = HarnessOptions::parse(150_000);
+    let HarnessOptions { trials, seed, threads } = HarnessOptions::parse(150_000);
     println!("Figure 7: t-visibility vs replication factor (§5.7), R=W=1");
 
     let ns = [2u32, 3, 5, 10];
@@ -18,13 +19,13 @@ fn main() {
             ProductionProfile::LnkdDisk => lin_spaced(0.0, 20.0, 11),
             _ => lin_spaced(0.0, 90.0, 10),
         };
-        let runs = replication_factor_sweep(
-            &|cfg| profile.model(cfg),
-            &ns,
-            opts.trials,
-            opts.seed,
-            opts.threads,
-        );
+        let runs: Vec<(u32, TVisibility)> = ns
+            .iter()
+            .map(|&n| {
+                let model = profile.model(ReplicaConfig::new(n, 1, 1).expect("valid N"));
+                (n, TVisibility::simulate_parallel(model.as_ref(), trials, seed, threads))
+            })
+            .collect();
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));
         let labels: Vec<String> = ns.iter().map(|n| format!("N={n}")).collect();

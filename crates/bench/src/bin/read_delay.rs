@@ -33,16 +33,24 @@ fn main() {
     );
 
     report::header("Versus raising R (no artificial delay)");
-    let mut rows = Vec::new();
-    for r in [1u32, 2, 3] {
-        let c = ReplicaConfig::new(3, r, 1).unwrap();
-        let tv = TVisibility::simulate_parallel(&lnkd_disk_model(c), opts.trials, opts.seed, opts.threads);
-        rows.push(vec![
-            format!("R={r}"),
-            report::pct(tv.prob_consistent(0.0)),
-            report::ms(tv.read_latency_percentile(99.9)),
-        ]);
-    }
+    // One trial stream serves every R (`TVisibility::simulate_grid`).
+    let grid = TVisibility::simulate_grid(
+        &lnkd_disk_model(cfg),
+        &[(1, 1), (2, 1), (3, 1)],
+        opts.trials,
+        opts.seed,
+        opts.threads,
+    );
+    let rows: Vec<Vec<String>> = grid
+        .iter()
+        .map(|tv| {
+            vec![
+                format!("R={}", tv.config().r()),
+                report::pct(tv.prob_consistent(0.0)),
+                report::ms(tv.read_latency_percentile(99.9)),
+            ]
+        })
+        .collect();
     report::table(&["config", "P(consistent t=0)", "Lr p99.9 (ms)"], &rows);
     println!();
     println!("Trade-off: a ~10–20ms read delay buys most of the consistency R=2 offers,");

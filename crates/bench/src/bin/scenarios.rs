@@ -17,14 +17,16 @@
 //! `(seed, threads)`), not per-point Monte-Carlo trials.
 //!
 //! `--chaos` turns the run into a checked chaos run: a seeded buggify
-//! storm is installed (unless the scenario carries its own profile), the
+//! storm opens the timeline (unless the scenario opens with its own), the
 //! full op history is recorded, and the offline checker replays it
 //! against the streaming session counters and online staleness labels.
 //! The process exits nonzero if any cross-check fails — the CI smoke
 //! gate.
 
 use pbs_bench::{cli, report, HarnessOptions};
-use pbs_scenario::{run_scenario_sharded, Scenario, ScenarioRun, WindowRecord};
+use pbs_scenario::{
+    run_scenario_sharded, Scenario, ScenarioEvent, ScenarioRun, TimedEvent, WindowRecord,
+};
 
 const KNOWN: &[&str] = &[
     "scenario", "trials", "seed", "threads", "format", "adaptive", "list", "quick", "chaos",
@@ -242,9 +244,13 @@ fn main() {
     }
     let chaos = args.flag("chaos");
     if chaos {
-        if scenario.fault_schedule.is_none() {
-            let storm = pbs_kvs::FaultProfile::storm(seed);
-            scenario.fault_schedule = Some(pbs_kvs::FaultSchedule::constant(storm));
+        let opens_with_faults = scenario
+            .events
+            .iter()
+            .any(|e| e.at_ms == 0.0 && matches!(e.event, ScenarioEvent::InjectFaults(_)));
+        if !opens_with_faults {
+            let storm = pbs_kvs::FaultSchedule::constant(pbs_kvs::FaultProfile::storm(seed));
+            scenario.events.insert(0, TimedEvent::new(0.0, ScenarioEvent::InjectFaults(storm)));
         }
         scenario.check_history = true;
     }

@@ -3,35 +3,40 @@
 //! with `N = 3`, for all four production fits.
 
 use pbs_bench::{report, HarnessOptions};
+use pbs_core::ReplicaConfig;
+use pbs_predictor::sla::{judge_grid, SlaSpec};
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::sweep::{table4_sweep, TABLE4_PAIRS};
+use pbs_wars::TVisibility;
+
+/// The `(R, W)` pairs of Table 4, in row order.
+const PAIRS: [(u32, u32); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)];
 
 fn main() {
     // The paper used 50k writes for t-visibility and 1M for latency; one
     // million trials serves both here.
-    let opts = HarnessOptions::parse(1_000_000);
+    let HarnessOptions { trials, seed, threads } = HarnessOptions::parse(1_000_000);
     println!("Table 4: t-visibility @99.9% and p99.9 operation latencies (§5.8), N=3");
-    println!("({} trials per cell, {} threads)", opts.trials, opts.threads);
+    println!("({trials} trials per cell, {threads} threads)");
 
+    // Each row is the SLA judge's record of one configuration: p99.9
+    // latencies and t-visibility at 99.9%.
+    let spec = SlaSpec::consistency(0.999, 0.0);
     for profile in ProductionProfile::ALL {
         report::header(profile.name());
-        let rows_data = table4_sweep(
-            &|cfg| profile.model(cfg),
-            3,
-            &TABLE4_PAIRS,
-            opts.trials,
-            opts.seed,
-            opts.threads,
-        );
-        let mut rows = Vec::new();
-        for row in rows_data {
-            rows.push(vec![
-                format!("R={}, W={}", row.cfg.r(), row.cfg.w()),
-                report::ms(row.read_latency),
-                report::ms(row.write_latency),
-                report::opt_ms(row.t_visibility),
-            ]);
-        }
+        let model = profile.model(ReplicaConfig::new(3, 1, 1).expect("valid"));
+        let grid = TVisibility::simulate_grid(model.as_ref(), &PAIRS, trials, seed, threads);
+        let rows: Vec<Vec<String>> = judge_grid(&grid, &spec)
+            .evaluations
+            .iter()
+            .map(|e| {
+                vec![
+                    format!("R={}, W={}", e.cfg.r(), e.cfg.w()),
+                    report::ms(e.read_latency),
+                    report::ms(e.write_latency),
+                    report::opt_ms(e.t_visibility),
+                ]
+            })
+            .collect();
         report::table(&["config", "Lr p99.9 (ms)", "Lw p99.9 (ms)", "t @ 99.9% (ms)"], &rows);
     }
 

@@ -37,6 +37,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+/// Log-spaced sample points from `lo` to `hi` (inclusive), matching the
+/// paper's log-x-axis figures.
+pub fn log_spaced(lo: f64, hi: f64, points: usize) -> Vec<f64> {
+    assert!(lo > 0.0 && hi > lo && points >= 2);
+    let (llo, lhi) = (lo.ln(), hi.ln());
+    (0..points)
+        .map(|i| (llo + (lhi - llo) * i as f64 / (points - 1) as f64).exp())
+        .collect()
+}
+
+/// Linearly spaced sample points from `lo` to `hi` inclusive.
+pub fn lin_spaced(lo: f64, hi: f64, points: usize) -> Vec<f64> {
+    assert!(hi >= lo && points >= 2);
+    (0..points)
+        .map(|i| lo + (hi - lo) * i as f64 / (points - 1) as f64)
+        .collect()
+}
+
 /// Simple fixed-width table printer shared by all harness binaries.
 pub mod report {
     /// Print a section header.
@@ -327,6 +345,23 @@ mod tests {
         assert!(parse(&["--trials", "abc"]).unwrap_err().contains("--trials requires a value"));
         assert!(parse(&["--seed"]).unwrap_err().contains("--seed requires a value"));
         assert!(parse(&["--threads", "1", "--trials", "1"]).is_ok());
+    }
+
+    #[test]
+    fn log_spacing_endpoints_and_monotonicity() {
+        let pts = super::log_spaced(0.1, 1000.0, 9);
+        assert_eq!(pts.len(), 9);
+        assert!((pts[0] - 0.1).abs() < 1e-9);
+        assert!((pts[8] - 1000.0).abs() < 1e-6);
+        for w in pts.windows(2) {
+            assert!(w[1] > w[0]);
+        }
+    }
+
+    #[test]
+    fn lin_spacing_endpoints() {
+        let pts = super::lin_spaced(0.0, 10.0, 11);
+        assert_eq!(pts[3], 3.0);
     }
 
     #[test]

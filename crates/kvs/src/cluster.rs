@@ -940,48 +940,42 @@ impl Cluster {
         }
         // Pass 1: commits feed the ground-truth watermark.
         for op in &ops {
-            if matches!(op.kind, OpKind::Write) {
-                if let (Some(seq), Some(ct)) = (op.seq, op.commit) {
-                    self.ground_truth.ingest_commit(op.key, seq, ct);
-                }
-                drain.writes.push(*op);
+            if let (OpKind::Write, Some(seq), Some(ct)) = (op.kind, op.seq, op.commit) {
+                self.ground_truth.ingest_commit(op.key, seq, ct);
             }
         }
         self.ground_truth.advance_watermark(until);
 
-        // Pass 2: label the window's reads against the advanced watermark.
+        // Pass 2, in drain order: label each read against the advanced
+        // watermark and append the window to the offline history when a
+        // checker asked for one. Drain order preserves each client's
+        // completion order, which is the order session guarantees are
+        // defined over.
         let grace = pbs_sim::SimDuration::from_ms(self.opts.op_timeout_ms);
+        let mut history = self.history.as_mut();
         for op in &ops {
-            if matches!(op.kind, OpKind::Read) {
-                let label =
-                    op.finish.map(|_| self.ground_truth.label_read(op.key, op.start, op.seq));
-                if let Some(l) = label {
-                    self.detector.observe_read(op.op_id, l.consistent, until + grace);
+            let label = match op.kind {
+                OpKind::Write => {
+                    drain.writes.push(*op);
+                    None
                 }
-                drain.reads.push(HistoryOp { op: *op, label });
-            }
-        }
-        // Pass 3 (only when a checker asked): append the window to the
-        // offline history, pairing each read with the label pass 2 just
-        // produced. Drain order preserves each client's completion order,
-        // which is the order session guarantees are defined over.
-        if let Some(history) = self.history.as_mut() {
-            let mut next_read = 0;
-            for op in &ops {
-                match op.kind {
-                    OpKind::Write => history.push(*op, None),
-                    OpKind::Read => {
-                        let labelled = &drain.reads[next_read];
-                        next_read += 1;
-                        debug_assert_eq!(labelled.op.op_id, op.op_id);
-                        history.push(*op, labelled.label);
+                OpKind::Read => {
+                    let label =
+                        op.finish.map(|_| self.ground_truth.label_read(op.key, op.start, op.seq));
+                    if let Some(l) = label {
+                        self.detector.observe_read(op.op_id, l.consistent, until + grace);
                     }
+                    drain.reads.push(HistoryOp { op: *op, label });
+                    label
                 }
+            };
+            if let Some(history) = history.as_deref_mut() {
+                history.push(*op, label);
             }
         }
         ops.clear();
         self.drain_scratch = ops;
-        // Pass 4: match the nodes' detector flags (each counts once, in any
+        // Pass 3: match the nodes' detector flags (each counts once, in any
         // order) against the labels retained so far.
         for id in 0..self.opts.nodes as usize {
             let mut flags = std::mem::take(&mut self.shell_mut(id).core.detector_log);

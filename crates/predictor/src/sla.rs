@@ -262,6 +262,35 @@ mod tests {
         }
     }
 
+    /// Table 4's rows are this judge's evaluations of one grid: p99.9
+    /// latencies and t-visibility at 99.9%, bit for bit what the grid's
+    /// accessors report.
+    #[test]
+    fn judging_a_table4_grid_reads_its_latencies_and_t_visibility() {
+        let pairs = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)];
+        let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
+        let model = exponential_model(cfg, 0.2, 0.5);
+        let grid = TVisibility::simulate_grid(&model, &pairs, 20_000, 3, 1);
+        let rows = judge_grid(&grid, &SlaSpec::consistency(0.999, 0.0)).evaluations;
+        assert_eq!(rows.len(), 6);
+        for (row, tv) in rows.iter().zip(&grid) {
+            assert_eq!(row.cfg, tv.config());
+            assert_eq!(row.read_latency.to_bits(), tv.read_latency_percentile(99.9).to_bits());
+            assert_eq!(row.write_latency.to_bits(), tv.write_latency_percentile(99.9).to_bits());
+            let t = tv.t_at_probability(0.999);
+            assert_eq!(row.t_visibility.map(f64::to_bits), t.map(f64::to_bits), "{}", row.cfg);
+            if row.cfg.is_strict() {
+                assert_eq!(row.t_visibility, Some(0.0), "{}", row.cfg);
+            } else {
+                assert!(row.t_visibility.unwrap() >= 0.0);
+            }
+        }
+        // R=3 reads slower than R=1 reads at the same percentile.
+        let r1 = rows.iter().find(|r| r.cfg.r() == 1 && r.cfg.w() == 1).unwrap();
+        let r3 = rows.iter().find(|r| r.cfg.r() == 3).unwrap();
+        assert!(r3.read_latency > r1.read_latency);
+    }
+
     #[test]
     fn search_covers_multiple_n() {
         let spec = SlaSpec::consistency(0.9, 50.0);

@@ -265,12 +265,6 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
     let mut predictions = Vec::new(); // one step per successful refit
 
     let prepare = |cluster: &mut Cluster| {
-        if let Some(schedule) = &scenario.fault_schedule {
-            cluster
-                .network()
-                .set_fault_schedule(schedule.clone())
-                .expect("scenario.validate() vouched for the schedule");
-        }
         if scenario.check_history {
             cluster.enable_history();
         }

@@ -30,11 +30,11 @@
 //!
 //! Scenarios compose with the buggify layer: a seeded
 //! [`FaultSchedule`](pbs_kvs::FaultSchedule) — constant or time-varying —
-//! can be installed for the whole run (`Scenario::fault_schedule`) or
-//! injected/cleared mid-timeline
-//! ([`ScenarioEvent::InjectFaults`]/`ClearFaults`), and `check_history`
-//! runs the offline [`checker`](pbs_kvs::checker) as a post-pass — the
-//! verdict lands in [`ScenarioRun::check`].
+//! rides the timeline like any other fault, as a
+//! [`ScenarioEvent::InjectFaults`] (at 0 ms for a whole-run storm) and a
+//! `ClearFaults`; `check_history` runs the offline
+//! [`checker`](pbs_kvs::checker) as a post-pass — the verdict lands in
+//! [`ScenarioRun::check`].
 //!
 //! Five built-in scenarios ship with the crate: `diurnal-load` (a
 //! repeating day/night load cycle), `latency-spike` (a write-leg regime

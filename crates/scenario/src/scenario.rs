@@ -84,11 +84,6 @@ pub struct Scenario {
     pub stationary: Vec<(f64, f64)>,
     /// Closed-loop controller settings.
     pub control: ControlOptions,
-    /// Buggify fault schedule installed from scenario start: a constant
-    /// profile ([`FaultSchedule::constant`]) or a time-varying one
-    /// (calm→storm→calm, or any `piecewise` list). Timelines can also
-    /// [`ScenarioEvent::InjectFaults`]/`ClearFaults` mid-run.
-    pub fault_schedule: Option<FaultSchedule>,
     /// Record the full op history and run the offline checker as a
     /// post-pass (session replay vs. streaming counters, label recount).
     pub check_history: bool,
@@ -125,7 +120,6 @@ impl Scenario {
             keys: 16,
             stationary: Vec::new(),
             control: ControlOptions::default_for(vec![3]),
-            fault_schedule: None,
             check_history: false,
             check_convergence: false,
         }
@@ -221,8 +215,11 @@ impl Scenario {
             "full fault storm until 12s (drops, dups, reorder, slow nodes, disk lag, clock skew); history checker post-pass",
             seed,
         );
-        s.fault_schedule = Some(FaultSchedule::constant(FaultProfile::storm(seed)));
-        s.events = vec![TimedEvent::new(12_000.0, ScenarioEvent::ClearFaults)];
+        let storm = FaultSchedule::constant(FaultProfile::storm(seed));
+        s.events = vec![
+            TimedEvent::new(0.0, ScenarioEvent::InjectFaults(storm)),
+            TimedEvent::new(12_000.0, ScenarioEvent::ClearFaults),
+        ];
         s.duration_ms = 16_000.0;
         s.check_history = true;
         // Predictions are blind to buggify faults (drops aren't latency);
@@ -251,13 +248,14 @@ impl Scenario {
             .with_drop(0.12)
             .with_duplicate(0.08)
             .with_reorder(0.1, 4.0);
-        s.fault_schedule = Some(FaultSchedule::calm_storm_calm(storm, 3_000.0, 9_000.0));
+        let schedule = FaultSchedule::calm_storm_calm(storm, 3_000.0, 9_000.0);
         s.cluster.read_repair = true;
         s.cluster.hinted_handoff = true;
         s.cluster.hint_timeout_ms = 100.0;
         s.cluster.hint_flush_interval_ms = 250.0;
         s.cluster.sync_interval_ms = Some(2_000.0);
         s.events = vec![
+            TimedEvent::new(0.0, ScenarioEvent::InjectFaults(schedule)),
             TimedEvent::new(4_000.0, ScenarioEvent::Crash { node: 1, down_ms: 1_500.0 }),
             TimedEvent::new(6_500.0, ScenarioEvent::Crash { node: 2, down_ms: 1_500.0 }),
         ];
@@ -347,9 +345,6 @@ impl Scenario {
                  reconfiguration to it would fail mid-run",
                 self.cluster.nodes
             );
-        }
-        if let Some(schedule) = &self.fault_schedule {
-            schedule.validate().expect("scenario fault schedule is invalid");
         }
         assert!(
             !self.check_convergence || self.check_history,

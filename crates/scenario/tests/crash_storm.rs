@@ -126,14 +126,20 @@ fn expired_hints_fall_back_to_anti_entropy() {
     assert!(check.is_clean(), "healed run must pass the full audit: {check:?}");
 }
 
-/// The builtin is reachable by name and carries a real (multi-segment)
-/// schedule, not a constant profile.
+/// The builtin is reachable by name and opens its timeline with a real
+/// (multi-segment) schedule at 0 ms, not a constant profile.
 #[test]
 fn crash_storm_is_registered_and_schedule_validated() {
     assert!(Scenario::builtin_names().contains(&"crash-storm"));
     let sc = Scenario::by_name("crash-storm", 7).expect("registered");
-    let schedule = sc.fault_schedule.as_ref().expect("scheduled faults");
+    let head = sc.events.first().expect("a timeline");
+    assert_eq!(head.at_ms, 0.0);
+    let ScenarioEvent::InjectFaults(schedule) = &head.event else {
+        panic!("the timeline must open with the storm schedule: {head:?}");
+    };
     assert!(schedule.as_constant().is_none());
+    assert!(schedule.segments().len() > 1);
+    schedule.validate().expect("a valid schedule");
     assert!(sc.check_history && sc.check_convergence);
     sc.validate();
 }

@@ -36,10 +36,17 @@
 //! does that for any set of pairs; simulating one configuration is its
 //! one-pair case.
 //!
+//! Modules: [`model`] (how a trial's W/A/R/S delays are sampled),
+//! [`production`] (Table 3's production fits and §5.3's exponential
+//! models), [`trial`] (one trial's commit time, latencies and staleness
+//! threshold), [`tvisibility`] (the Monte-Carlo curves and percentiles) and
+//! [`kt`] (direct multi-write ⟨k,t⟩-staleness).
+//!
 //! Entry points: [`TVisibility::simulate`] (single-threaded, deterministic),
-//! [`TVisibility::simulate_parallel`] and [`TVisibility::simulate_grid`];
-//! production latency models from Table 3 live in [`production`];
-//! figure/table sweeps in [`sweep`].
+//! [`TVisibility::simulate_parallel`] and [`TVisibility::simulate_grid`].
+//! Every figure and table is one of these calls per point or per grid; the
+//! record a grid is judged into — Table 4's rows, §6's SLA search — is
+//! `pbs_predictor::sla::ConfigEvaluation`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,7 +54,6 @@
 pub mod kt;
 pub mod model;
 pub mod production;
-pub mod sweep;
 pub mod trial;
 pub mod tvisibility;
 

@@ -129,6 +129,22 @@ mod tests {
         assert!((p10 - 0.925).abs() < 0.03, "paper: 92.5%, got {p10}");
     }
 
+    /// Figure 7 (§5.7): with R=W=1 on LNKD-DISK, growing N lowers the
+    /// probability of consistency immediately after commit.
+    #[test]
+    fn more_replicas_lower_immediate_consistency() {
+        let p0: Vec<f64> = [2, 3, 5, 10]
+            .iter()
+            .map(|&n| {
+                let model = lnkd_disk_model(cfg(n, 1, 1));
+                TVisibility::simulate_parallel(&model, 30_000, 5, 2).prob_consistent(0.0)
+            })
+            .collect();
+        for w in p0.windows(2) {
+            assert!(w[1] < w[0] + 0.02, "immediate consistency should fall with N: {p0:?}");
+        }
+    }
+
     /// §5.6: YMMR has ≈89.3% immediate consistency; its heavy tail delays
     /// 99.9% consistency to ≈1.4 s.
     #[test]

@@ -8,20 +8,6 @@ use rand::RngCore;
 pub trait ArrivalProcess: Send + Sync {
     /// Sample the next inter-arrival gap (ms, ≥ 0).
     fn next_gap(&mut self, rng: &mut dyn RngCore) -> f64;
-
-    /// Mean rate in operations per millisecond.
-    fn rate(&self) -> f64;
-
-    /// Generate `n` absolute arrival times starting at `start_ms`.
-    fn schedule(&mut self, rng: &mut dyn RngCore, n: usize, start_ms: f64) -> Vec<f64> {
-        let mut t = start_ms;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            t += self.next_gap(rng);
-            out.push(t);
-        }
-        out
-    }
 }
 
 /// Marker for arrival processes that are **memoryless across calls**: a
@@ -63,10 +49,6 @@ impl ArrivalProcess for FixedRate {
     fn next_gap(&mut self, _rng: &mut dyn RngCore) -> f64 {
         self.gap_ms
     }
-
-    fn rate(&self) -> f64 {
-        1.0 / self.gap_ms
-    }
 }
 
 /// Poisson arrivals (exponential gaps) with a given mean rate.
@@ -92,10 +74,6 @@ impl ArrivalProcess for Poisson {
     fn next_gap(&mut self, rng: &mut dyn RngCore) -> f64 {
         let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
         -u.ln() / self.rate_per_ms
-    }
-
-    fn rate(&self) -> f64 {
-        self.rate_per_ms
     }
 }
 
@@ -237,31 +215,6 @@ impl ArrivalProcess for PiecewisePoisson {
             self.now_ms = boundary;
         }
     }
-
-    /// Time-averaged rate: over one period in cyclic mode, over the
-    /// defined breakpoint span plus the final segment otherwise (where the
-    /// final rate dominates as the horizon grows, that rate is returned
-    /// when there is a single segment).
-    fn rate(&self) -> f64 {
-        let span_end = match self.period_ms {
-            Some(p) => p,
-            None => {
-                let last_start = self.segments.last().expect("nonempty").0;
-                if last_start == 0.0 {
-                    return self.segments[0].1;
-                }
-                // Weight the unbounded tail as one more span of the same
-                // length as the defined breakpoints.
-                2.0 * last_start
-            }
-        };
-        let mut total = 0.0;
-        for (i, &(start, rate)) in self.segments.iter().enumerate() {
-            let end = self.segments.get(i + 1).map(|&(s, _)| s).unwrap_or(span_end);
-            total += rate * (end.min(span_end) - start).max(0.0);
-        }
-        total / span_end
-    }
 }
 
 #[cfg(test)]
@@ -274,9 +227,9 @@ mod tests {
     fn fixed_rate_schedule_is_regular() {
         let mut p = FixedRate::per_second(100.0); // every 10ms
         let mut rng = StdRng::seed_from_u64(0);
-        let times = p.schedule(&mut rng, 5, 0.0);
+        let mut t = 0.0;
+        let times: Vec<f64> = (0..5).map(|_| { t += p.next_gap(&mut rng); t }).collect();
         assert_eq!(times, vec![10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert!((p.rate() - 0.1).abs() < 1e-12);
     }
 
     #[test]
@@ -293,7 +246,8 @@ mod tests {
     fn poisson_schedule_is_increasing() {
         let mut p = Poisson::per_second(718.18);
         let mut rng = StdRng::seed_from_u64(2);
-        let times = p.schedule(&mut rng, 1000, 5.0);
+        let mut t = 5.0;
+        let times: Vec<f64> = (0..1000).map(|_| { t += p.next_gap(&mut rng); t }).collect();
         assert!(times[0] >= 5.0);
         for w in times.windows(2) {
             assert!(w[1] >= w[0]);
@@ -348,7 +302,6 @@ mod tests {
         assert_eq!(p.rate_at(150.0), 0.01);
         assert_eq!(p.rate_at(250.0), 1.0, "second cycle busy phase");
         assert_eq!(p.rate_at(350.0), 0.01);
-        assert!((p.rate() - (1.0 * 100.0 + 0.01 * 100.0) / 200.0).abs() < 1e-12);
         // Empirically, cycle 2's busy window sees ~100× the quiet window.
         let mut rng = StdRng::seed_from_u64(9);
         let (mut busy, mut quiet) = (0usize, 0usize);
