@@ -130,17 +130,6 @@ pub fn choose_ratio(a: u64, b: u64, k: u64) -> f64 {
     (ln_choose(a, k) - ln_choose(b, k)).exp()
 }
 
-/// Hypergeometric pmf: probability of drawing exactly `x` marked items when
-/// drawing `n` of `total` items of which `marked` are marked.
-///
-/// Used by `pbs-quorum` for exact intersection distributions.
-pub fn hypergeometric_pmf(total: u64, marked: u64, n: u64, x: u64) -> f64 {
-    if x > marked || x > n || n > total || n - x > total - marked {
-        return 0.0;
-    }
-    (ln_choose(marked, x) + ln_choose(total - marked, n - x) - ln_choose(total, n)).exp()
-}
-
 /// Binomial pmf `C(n, k) p^k (1-p)^(n-k)` evaluated stably in log space.
 pub fn binomial_pmf(n: u64, k: u64, p: f64) -> f64 {
     debug_assert!((0.0..=1.0).contains(&p), "p must be a probability");
@@ -214,13 +203,6 @@ mod tests {
         // "0.6" with an overline — the repeating decimal 0.666…)
         assert!((choose_ratio(2, 3, 1) - 2.0 / 3.0).abs() < 1e-12);
         assert!((choose_ratio(1, 3, 1) - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hypergeometric_sums_to_one() {
-        let (total, marked, n) = (20, 7, 9);
-        let sum: f64 = (0..=n).map(|x| hypergeometric_pmf(total, marked, n, x)).sum();
-        assert!((sum - 1.0).abs() < 1e-12);
     }
 
     #[test]

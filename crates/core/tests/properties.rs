@@ -1,6 +1,6 @@
 //! Property-based tests for the closed-form PBS math.
 
-use pbs_core::combinatorics::{binomial_pmf, choose, choose_exact, hypergeometric_pmf, ln_choose};
+use pbs_core::combinatorics::{binomial_pmf, choose, choose_exact, ln_choose};
 use pbs_core::staleness::{
     k_staleness_violation, monotonic_reads_violation, non_intersection_probability,
     prob_within_k_versions,
@@ -97,14 +97,6 @@ proptest! {
             let rhs = choose(n - 1, k - 1) + choose(n - 1, k);
             prop_assert!((lhs - rhs).abs() / lhs.max(1.0) < 1e-9);
         }
-    }
-
-    #[test]
-    fn hypergeometric_normalises(total in 1u64..60, m_frac in 0.0f64..=1.0, n_frac in 0.0f64..=1.0) {
-        let marked = (total as f64 * m_frac).round() as u64;
-        let n = (total as f64 * n_frac).round() as u64;
-        let sum: f64 = (0..=n).map(|x| hypergeometric_pmf(total, marked, n, x)).sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9, "sum={}", sum);
     }
 
     #[test]

@@ -461,16 +461,6 @@ pub struct ProtocolMutations {
     pub swallow_hints: bool,
 }
 
-impl ProtocolMutations {
-    /// Whether any mutation is active.
-    pub fn any(&self) -> bool {
-        self.skip_read_repair
-            || self.corrupt_read_repair
-            || self.drop_version_merge
-            || self.swallow_hints
-    }
-}
-
 /// SplitMix64 finalizer: the same mixer the `rand` shim uses for seeding,
 /// reused here to hash `(seed, node, salt)` into an independent uniform.
 fn splitmix64(mut z: u64) -> u64 {
@@ -621,9 +611,13 @@ mod tests {
 
     #[test]
     fn mutations_default_inert() {
-        let m = ProtocolMutations::default();
-        assert!(!m.any());
-        assert!(ProtocolMutations { swallow_hints: true, ..Default::default() }.any());
+        let off = ProtocolMutations {
+            skip_read_repair: false,
+            corrupt_read_repair: false,
+            drop_version_merge: false,
+            swallow_hints: false,
+        };
+        assert_eq!(ProtocolMutations::default(), off);
     }
 
     #[test]

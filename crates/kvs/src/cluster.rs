@@ -395,6 +395,12 @@ impl Cluster {
             "ClusterOptions::op_timeout_ms must be finite and > 0, got {}",
             opts.op_timeout_ms
         );
+        let dcs = network.datacenter_map_len();
+        assert!(
+            dcs == 0 || dcs == opts.nodes as usize,
+            "datacenter map names {dcs} nodes, but the cluster has {}",
+            opts.nodes
+        );
         let plan = PartitionPlan::contiguous(opts.nodes, kind.workers());
         let ring = Arc::new(Ring::new(opts.nodes, VNODES, opts.replication.n()));
         let net = Arc::new(network);
@@ -1375,6 +1381,22 @@ mod tests {
         let opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
         let mut cluster = Cluster::new(opts, exp_net(1.0, 1.0));
         cluster.crash_node_at(0, SimTime::from_ms(5.0), f64::NAN);
+    }
+
+    /// A datacenter map that does not name one DC per node would put every
+    /// node it leaves out in DC 0, or name nodes the cluster does not have.
+    #[test]
+    #[should_panic(expected = "datacenter map names 2 nodes, but the cluster has 3")]
+    fn a_short_datacenter_map_is_rejected() {
+        let net = exp_net(1.0, 1.0).with_datacenters(vec![0, 1], 75.0);
+        Cluster::new(ClusterOptions::validation(cfg(3, 1, 1), 1), net);
+    }
+
+    #[test]
+    #[should_panic(expected = "datacenter map names 4 nodes, but the cluster has 3")]
+    fn a_long_datacenter_map_is_rejected() {
+        let net = exp_net(1.0, 1.0).with_datacenters(vec![0, 1, 2, 0], 75.0);
+        Cluster::new(ClusterOptions::validation(cfg(3, 1, 1), 1), net);
     }
 
     /// Blocking ops single-step the engine, which a partitioned engine

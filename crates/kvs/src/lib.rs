@@ -94,7 +94,7 @@ pub use checker::{
 };
 pub use client::{ClientOptions, ClientStats, CompletedOp};
 pub use cluster::{Cluster, ClusterOptions, DetectorStats, EngineKind, WindowDrain, WindowOp};
-pub use network::{LinkFault, NetworkModel};
+pub use network::NetworkModel;
 pub use openloop::{DriveStep, OpenLoopOptions, OpenLoopReport, OpenLoopRun, OpenWindow};
 pub use ring::Ring;
 pub use version::Version;

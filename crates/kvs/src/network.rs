@@ -1,8 +1,8 @@
 //! The network latency model: per-leg WARS distributions, optional
-//! datacenter topology, and **dynamic conditions** (partitions, per-link
-//! faults, latency-regime changes, and buggify [`FaultProfile`]s) that can
-//! be altered while a cluster is running — the substrate for
-//! `pbs-scenario`'s fault/load timelines.
+//! datacenter topology, and three **dynamic conditions** (a latency-regime
+//! swap, a partition, and a buggify [`FaultSchedule`]) that can be altered
+//! while a cluster is running — the substrate for `pbs-scenario`'s
+//! fault/load timelines.
 
 use crate::buggify::{Delivery, FaultConfigError, FaultProfile, FaultSchedule};
 use pbs_dist::DynDistribution;
@@ -41,21 +41,6 @@ impl Leg {
     }
 }
 
-/// A directed per-link latency fault: messages from `from` to `to` have
-/// their sampled delay multiplied by `scale` and then increased by
-/// `extra_ms` (a degraded NIC, an overloaded switch port, a slow WAN hop).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkFault {
-    /// Sending node.
-    pub from: usize,
-    /// Receiving node.
-    pub to: usize,
-    /// Additive one-way penalty (ms, ≥ 0).
-    pub extra_ms: f64,
-    /// Multiplicative slowdown (≥ 0; 1.0 = no scaling).
-    pub scale: f64,
-}
-
 /// Mutable network conditions, shared (behind a lock) between every node of
 /// one cluster and the driver steering the run.
 #[derive(Clone, Default)]
@@ -63,14 +48,9 @@ struct Conditions {
     /// Replacement per-leg distributions (a latency *regime swap*);
     /// `None` = the base legs.
     legs: Option<[DynDistribution; 4]>,
-    /// Per-leg multiplicative scaling on top of whichever legs are active.
-    /// `None` = all ones.
-    leg_scale: Option<[f64; 4]>,
     /// Partition group of each node; messages crossing groups are dropped.
     /// Empty = no partition.
     partition: Vec<u32>,
-    /// Active per-link faults (checked in order; all matches apply).
-    link_faults: Vec<LinkFault>,
     /// Installed buggify fault schedule (a plain profile installs as a
     /// single-segment constant schedule); `None` = no injected faults.
     faults: Option<FaultSchedule>,
@@ -83,13 +63,13 @@ struct Conditions {
 /// messages crossing datacenter boundaries, reproducing §5.5's WAN model
 /// inside the full store.
 ///
-/// On top of the immutable base model sits a set of **dynamic conditions**
+/// On top of the immutable base model sit three **dynamic conditions**
 /// that may change mid-run through `&self` (interior mutability):
 /// [`swap_legs`](Self::swap_legs) replaces the active distributions (a
-/// latency-regime shift), [`set_leg_scale`](Self::set_leg_scale) scales
-/// them, [`try_partition`](Self::try_partition) drops messages across group
+/// latency-regime shift) until [`restore_base_legs`](Self::restore_base_legs),
+/// [`try_partition`](Self::try_partition) drops messages across group
 /// boundaries until [`heal_partition`](Self::heal_partition), and
-/// [`add_link_fault`](Self::add_link_fault) degrades individual links.
+/// [`set_fault_schedule`](Self::set_fault_schedule) installs buggify faults.
 /// Messages already in flight keep the delay they were sampled with —
 /// condition changes affect subsequent sends, exactly like a real network.
 ///
@@ -146,12 +126,18 @@ impl NetworkModel {
     }
 
     /// Attach a datacenter topology: `dc_of[node]` is each node's DC and
-    /// `penalty_ms` is added per one-way message crossing DCs.
+    /// `penalty_ms` is added per one-way message crossing DCs. A cluster
+    /// built on the model rejects a map that does not name one DC per node.
     pub fn with_datacenters(mut self, dc_of: Vec<u32>, penalty_ms: f64) -> Self {
         assert!(penalty_ms >= 0.0 && penalty_ms.is_finite());
         self.dc_of = dc_of;
         self.inter_dc_penalty_ms = penalty_ms;
         self
+    }
+
+    /// Number of nodes the datacenter map names (0 = single DC).
+    pub(crate) fn datacenter_map_len(&self) -> usize {
+        self.dc_of.len()
     }
 
     fn conditions(&self) -> std::sync::RwLockReadGuard<'_, Conditions> {
@@ -163,11 +149,7 @@ impl NetworkModel {
     fn update_conditions(&self, f: impl FnOnce(&mut Conditions)) {
         let mut c = self.dynamic.write().expect("network conditions lock poisoned");
         f(&mut c);
-        let active = c.legs.is_some()
-            || c.leg_scale.is_some()
-            || !c.partition.is_empty()
-            || !c.link_faults.is_empty()
-            || c.faults.is_some();
+        let active = c.legs.is_some() || !c.partition.is_empty() || c.faults.is_some();
         self.dynamic_active.store(active, Ordering::Relaxed);
     }
 
@@ -186,23 +168,10 @@ impl NetworkModel {
         self.update_conditions(|c| c.legs = Some([w, a, r, s]));
     }
 
-    /// Scale whichever legs are active by per-leg factors (≥ 0). Factors
-    /// are absolute, not cumulative: calling twice with `2.0` scales by
-    /// 2×, not 4×.
-    pub fn set_leg_scale(&self, w: f64, a: f64, r: f64, s: f64) {
-        for f in [w, a, r, s] {
-            assert!(f >= 0.0 && f.is_finite(), "leg scale must be finite and ≥ 0: {f}");
-        }
-        self.update_conditions(|c| c.leg_scale = Some([w, a, r, s]));
-    }
-
-    /// Drop any regime swap and leg scaling, returning to the base legs.
-    /// Partitions and link faults are left in place.
+    /// Drop any regime swap, returning to the base legs. A partition and
+    /// a fault schedule are left in place.
     pub fn restore_base_legs(&self) {
-        self.update_conditions(|c| {
-            c.legs = None;
-            c.leg_scale = None;
-        });
+        self.update_conditions(|c| c.legs = None);
     }
 
     /// Install a network partition: `groups[node]` assigns each node to a
@@ -222,32 +191,6 @@ impl NetworkModel {
     /// after the call.
     pub fn heal_partition(&self) {
         self.update_conditions(|c| c.partition.clear());
-    }
-
-    /// Add a directed per-link fault (see [`LinkFault`]). Faults stack:
-    /// every matching fault applies, in insertion order. Non-finite or
-    /// negative parameters are rejected with an error (not a panic), so
-    /// a bad scenario timeline cannot abort a run mid-flight.
-    pub fn add_link_fault(&self, fault: LinkFault) -> Result<(), FaultConfigError> {
-        if !(fault.extra_ms.is_finite() && fault.extra_ms >= 0.0) {
-            return Err(FaultConfigError::BadMagnitude {
-                field: "link_fault.extra_ms",
-                value: fault.extra_ms,
-            });
-        }
-        if !(fault.scale.is_finite() && fault.scale >= 0.0) {
-            return Err(FaultConfigError::BadMagnitude {
-                field: "link_fault.scale",
-                value: fault.scale,
-            });
-        }
-        self.update_conditions(|c| c.link_faults.push(fault));
-        Ok(())
-    }
-
-    /// Remove every per-link fault.
-    pub fn clear_link_faults(&self) {
-        self.update_conditions(|c| c.link_faults.clear());
     }
 
     /// Install a buggify [`FaultProfile`], validating it first. Takes
@@ -292,8 +235,7 @@ impl NetworkModel {
     /// Attempt to transmit one message on `leg` from `from` to `to` under
     /// the current dynamic conditions, **ignoring** any installed fault
     /// schedule: `None` when a partition blocks the link, otherwise the
-    /// sampled one-way delay (regime, scaling, DC penalty, link faults
-    /// applied).
+    /// sampled one-way delay (regime and DC penalty applied).
     pub fn transmit(&self, leg: Leg, from: usize, to: usize, rng: &mut dyn RngCore) -> Option<f64> {
         match self.decide(leg, from, to, None, rng) {
             Delivery::Once(delay) => Some(delay),
@@ -342,10 +284,9 @@ impl NetworkModel {
         rng: &mut dyn RngCore,
     ) -> Delivery {
         if !self.dynamic_active.load(Ordering::Relaxed) {
-            // Hot path: no partitions, regimes, scaling, link faults or
-            // fault schedule — sample the base leg without acquiring the
-            // conditions lock. Consumes exactly the same RNG draws as the
-            // general path.
+            // Hot path: no partition, regime swap or fault schedule —
+            // sample the base leg without acquiring the conditions lock.
+            // Consumes exactly the same RNG draws as the general path.
             return Delivery::Once(self.base[leg.index()].sample(rng) + self.penalty(from, to));
         }
         let c = self.conditions();
@@ -436,17 +377,7 @@ impl NetworkModel {
             Some(legs) => &legs[i],
             None => &self.base[i],
         };
-        let mut delay = dist.sample(rng);
-        if let Some(scale) = c.leg_scale {
-            delay *= scale[i];
-        }
-        delay += self.penalty(from, to);
-        for f in &c.link_faults {
-            if f.from == from && f.to == to {
-                delay = delay * f.scale + f.extra_ms;
-            }
-        }
-        delay
+        dist.sample(rng) + self.penalty(from, to)
     }
 
     fn penalty(&self, from: usize, to: usize) -> f64 {
@@ -467,14 +398,13 @@ impl NetworkModel {
     /// lookahead a partitioned simulation
     /// ([`pbs_sim::Simulation::partitioned`]) synchronises its windows on.
     ///
-    /// Soundness over tightness: every term that can only *increase* a
-    /// delay (the inter-DC penalty, link-fault `extra_ms`, buggify reorder
-    /// jitter, slow-node factors ≥ 1) is ignored, while every term that
-    /// can *shrink* one is folded in — per-leg scaling and link-fault
-    /// scales below 1 multiply the bound down. The result is 0 whenever
-    /// any active leg has unbounded-below support (e.g. an exponential
-    /// component), which a partitioned simulation rejects as degenerate
-    /// lookahead.
+    /// Soundness over tightness: it is the minimum of the active legs'
+    /// support floors, and every term a message can add on top (the
+    /// inter-DC penalty, buggify reorder jitter, slow-node factors ≥ 1)
+    /// only *increases* a delay, so it is ignored. The result is 0
+    /// whenever any active leg has unbounded-below support (e.g. an
+    /// exponential component), which a partitioned simulation rejects as
+    /// degenerate lookahead.
     ///
     /// Conditions only change at run-driver boundaries, so callers
     /// re-query this once per `run_until` window, not per message.
@@ -484,18 +414,7 @@ impl NetworkModel {
             Some(legs) => legs,
             None => &self.base,
         };
-        let scale = c.leg_scale.unwrap_or([1.0; 4]);
-        let mut lb = f64::INFINITY;
-        for i in 0..4 {
-            lb = lb.min(legs[i].lower_bound() * scale[i]);
-        }
-        // Link faults rescale a sampled delay (`d * scale + extra`);
-        // `extra ≥ 0` only adds, so dropping it keeps the bound sound,
-        // while a scale below 1 genuinely shrinks delays on that link.
-        for f in &c.link_faults {
-            lb *= f.scale.min(1.0);
-        }
-        lb
+        legs.iter().map(|leg| leg.lower_bound()).fold(f64::INFINITY, f64::min)
     }
 }
 
@@ -513,9 +432,7 @@ impl std::fmt::Debug for NetworkModel {
             .field("a", &active(1))
             .field("r", &active(2))
             .field("s", &active(3))
-            .field("leg_scale", &c.leg_scale)
             .field("partition", &c.partition)
-            .field("link_faults", &c.link_faults)
             .field("faults", &c.faults)
             .field("datacenters", &self.dc_of)
             .field("inter_dc_penalty_ms", &self.inter_dc_penalty_ms)
@@ -578,16 +495,17 @@ mod tests {
         assert_eq!(net.transmit(Leg::S, 1, 0, &mut rng), Some(10.0));
         net.restore_base_legs();
         assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0));
-    }
-
-    #[test]
-    fn leg_scale_is_absolute_not_cumulative() {
-        let net = constant_net();
-        let mut rng = StdRng::seed_from_u64(0);
-        net.set_leg_scale(2.0, 1.0, 1.0, 1.0);
-        net.set_leg_scale(2.0, 1.0, 1.0, 1.0);
-        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(8.0), "2× once, not 4×");
-        assert_eq!(net.transmit(Leg::A, 1, 0, &mut rng), Some(3.0), "other legs untouched");
+        // A partition installed before the swap outlives the restore.
+        net.try_partition(vec![0, 0, 1], 3).unwrap();
+        net.swap_legs(
+            Arc::new(Constant::new(40.0)),
+            Arc::new(Constant::new(30.0)),
+            Arc::new(Constant::new(20.0)),
+            Arc::new(Constant::new(10.0)),
+        );
+        net.restore_base_legs();
+        assert_eq!(net.transmit(Leg::W, 0, 2, &mut rng), None, "partition survives the restore");
+        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "base legs are back");
     }
 
     #[test]
@@ -600,17 +518,6 @@ mod tests {
         assert!(delivers(&net, 2, 2), "self-delivery always works");
         net.heal_partition();
         assert!(delivers(&net, 0, 2));
-    }
-
-    #[test]
-    fn link_faults_scale_then_add() {
-        let net = constant_net();
-        let mut rng = StdRng::seed_from_u64(0);
-        net.add_link_fault(LinkFault { from: 0, to: 1, extra_ms: 5.0, scale: 3.0 }).unwrap();
-        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0 * 3.0 + 5.0));
-        assert_eq!(net.transmit(Leg::W, 1, 0, &mut rng), Some(4.0), "directed: reverse unaffected");
-        net.clear_link_faults();
-        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0));
     }
 
     #[test]
@@ -644,24 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn add_link_fault_rejects_bad_magnitudes_without_panicking() {
-        let net = constant_net();
-        for bad in [
-            LinkFault { from: 0, to: 1, extra_ms: -1.0, scale: 1.0 },
-            LinkFault { from: 0, to: 1, extra_ms: f64::NAN, scale: 1.0 },
-            LinkFault { from: 0, to: 1, extra_ms: 0.0, scale: -2.0 },
-            LinkFault { from: 0, to: 1, extra_ms: 0.0, scale: f64::INFINITY },
-        ] {
-            assert!(matches!(
-                net.add_link_fault(bad),
-                Err(FaultConfigError::BadMagnitude { .. })
-            ));
-        }
-        let mut rng = StdRng::seed_from_u64(0);
-        assert_eq!(net.transmit(Leg::W, 0, 1, &mut rng), Some(4.0), "rejected faults not installed");
-    }
-
-    #[test]
     fn buggified_transmit_without_profile_matches_transmit() {
         use pbs_dist::Exponential;
         // Sampled legs, so the two RNG streams only stay in lockstep if
@@ -684,10 +573,6 @@ mod tests {
         agree(&net); // 0→1 flows, the links to node 2 are cut
         net.heal_partition();
         net.swap_legs(exp(40.0), exp(30.0), exp(20.0), exp(10.0));
-        agree(&net);
-        net.set_leg_scale(2.0, 1.0, 0.5, 1.0);
-        agree(&net);
-        net.add_link_fault(LinkFault { from: 0, to: 1, extra_ms: 5.0, scale: 3.0 }).unwrap();
         agree(&net);
         // RNG streams consumed identically throughout.
         assert_eq!(a.next_u64(), b.next_u64());
@@ -815,7 +700,7 @@ mod tests {
     }
 
     #[test]
-    fn min_cross_delay_tracks_shrinking_conditions_only() {
+    fn min_cross_delay_is_the_active_legs_support_floor() {
         use pbs_dist::{Exponential, Mixture, Pareto};
         let net = constant_net();
         // Base: min over the four constant legs (S = 1 ms).
@@ -823,18 +708,6 @@ mod tests {
         // DC penalties only add — the bound must not grow.
         let net = constant_net().with_datacenters(vec![0, 1], 75.0);
         assert_eq!(net.min_cross_delay_ms(), 1.0);
-        // Leg scaling shrinks the bound through the cheapest leg.
-        net.set_leg_scale(1.0, 1.0, 1.0, 0.5);
-        assert_eq!(net.min_cross_delay_ms(), 0.5);
-        net.set_leg_scale(1.0, 1.0, 1.0, 4.0);
-        assert_eq!(net.min_cross_delay_ms(), 2.0, "all legs scaled up: R leg now floors");
-        net.restore_base_legs();
-        // A link fault with scale < 1 shrinks; extra_ms alone does not.
-        net.add_link_fault(LinkFault { from: 0, to: 1, extra_ms: 9.0, scale: 1.0 }).unwrap();
-        assert_eq!(net.min_cross_delay_ms(), 1.0, "additive fault cannot raise the floor");
-        net.add_link_fault(LinkFault { from: 1, to: 0, extra_ms: 0.0, scale: 0.25 }).unwrap();
-        assert_eq!(net.min_cross_delay_ms(), 0.25);
-        net.clear_link_faults();
         // Regime swap to a Pareto-bodied mixture: floor = w · nothing, it's
         // the true support minimum xm, not quantile(0).
         let pareto = Arc::new(Mixture::pure_pareto(Pareto::new(0.235, 10.0)));

@@ -2,7 +2,7 @@
 //! to a running cluster.
 
 use pbs_dist::DynDistribution;
-use pbs_kvs::{Cluster, FaultSchedule, LinkFault};
+use pbs_kvs::{Cluster, FaultSchedule};
 use pbs_sim::SimTime;
 
 /// One dynamic condition change. Events are interpreted by
@@ -27,10 +27,6 @@ pub enum ScenarioEvent {
     },
     /// Remove the partition.
     HealPartition,
-    /// Degrade one directed link (see [`LinkFault`]).
-    DegradeLink(LinkFault),
-    /// Remove every link fault.
-    ClearLinkFaults,
     /// Swap the active per-leg latency distributions — a latency *regime*
     /// change (e.g. SSD-like service times degrade to disk-like tails).
     SwapRegime {
@@ -43,19 +39,7 @@ pub enum ScenarioEvent {
         /// Read-response leg.
         s: DynDistribution,
     },
-    /// Scale the active legs by per-leg factors (absolute, not
-    /// cumulative).
-    ScaleLegs {
-        /// W factor.
-        w: f64,
-        /// A factor.
-        a: f64,
-        /// R factor.
-        r: f64,
-        /// S factor.
-        s: f64,
-    },
-    /// Drop any regime swap / leg scaling, returning to the base network.
+    /// Drop any regime swap, returning to the base legs.
     RestoreBaseline,
     /// Install (or replace) a buggify [`FaultSchedule`] — seeded message
     /// drops/duplicates/reordering, slow nodes, disk lag, and clock skew,
@@ -79,11 +63,6 @@ impl ScenarioEvent {
             }
             ScenarioEvent::Partition { groups } => format!("partition {groups:?}"),
             ScenarioEvent::HealPartition => "heal partition".into(),
-            ScenarioEvent::DegradeLink(f) => format!(
-                "degrade link {}→{} (×{} +{}ms)",
-                f.from, f.to, f.scale, f.extra_ms
-            ),
-            ScenarioEvent::ClearLinkFaults => "clear link faults".into(),
             ScenarioEvent::SwapRegime { w, a, r, s } => format!(
                 "swap regime W={} A={} R={} S={}",
                 w.describe(),
@@ -91,9 +70,6 @@ impl ScenarioEvent {
                 r.describe(),
                 s.describe()
             ),
-            ScenarioEvent::ScaleLegs { w, a, r, s } => {
-                format!("scale legs W×{w} A×{a} R×{r} S×{s}")
-            }
             ScenarioEvent::RestoreBaseline => "restore baseline network".into(),
             ScenarioEvent::InjectFaults(s) => match s.as_constant() {
                 Some(p) => format!(
@@ -136,7 +112,7 @@ impl TimedEvent {
 }
 
 /// `Err` unless `value` is finite and ≥ 0 — the condition the kvs layer
-/// asserts on a downtime or a leg factor.
+/// asserts on a crash downtime.
 fn magnitude(what: &str, value: f64) -> Result<(), String> {
     if value.is_finite() && value >= 0.0 {
         Ok(())
@@ -152,9 +128,8 @@ fn magnitude(what: &str, value: f64) -> Result<(), String> {
 ///
 /// Malformed events — a partition whose `groups` doesn't cover the
 /// cluster, a crash of a nonexistent node or for a negative or non-finite
-/// downtime, a negative or non-finite leg factor or link fault, an
-/// invalid fault profile — are rejected with a description instead of
-/// panicking mid-run or being silently reshaped.
+/// downtime, an invalid fault schedule — are rejected with a description
+/// instead of panicking mid-run or being silently reshaped.
 pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), String> {
     match event {
         ScenarioEvent::Crash { node, down_ms } => {
@@ -176,18 +151,8 @@ pub fn apply_event(cluster: &mut Cluster, event: &ScenarioEvent) -> Result<(), S
                 .map_err(|e| e.to_string())?;
         }
         ScenarioEvent::HealPartition => cluster.network().heal_partition(),
-        ScenarioEvent::DegradeLink(fault) => {
-            cluster.network().add_link_fault(*fault).map_err(|e| e.to_string())?;
-        }
-        ScenarioEvent::ClearLinkFaults => cluster.network().clear_link_faults(),
         ScenarioEvent::SwapRegime { w, a, r, s } => {
             cluster.network().swap_legs(w.clone(), a.clone(), r.clone(), s.clone());
-        }
-        ScenarioEvent::ScaleLegs { w, a, r, s } => {
-            for factor in [w, a, r, s] {
-                magnitude("leg scale factor", *factor)?;
-            }
-            cluster.network().set_leg_scale(*w, *a, *r, *s);
         }
         ScenarioEvent::RestoreBaseline => cluster.network().restore_base_legs(),
         ScenarioEvent::InjectFaults(schedule) => {

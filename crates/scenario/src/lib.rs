@@ -6,10 +6,11 @@
 //!
 //! * [`Scenario`] — a declarative, seeded timeline: a cluster + network
 //!   baseline, a piecewise (nonstationary) probe-load schedule reusing
-//!   `pbs_workload::arrivals`, and timed fault [`event`]s — latency
-//!   regime swaps, per-leg scaling, node crash/recover, network
-//!   partitions, and per-link degradations, all applied to a **running**
-//!   cluster through `pbs-kvs`'s dynamic `NetworkModel` conditions.
+//!   `pbs_workload::arrivals`, and timed fault [`event`]s — node crashes,
+//!   network partitions and heals, latency regime swaps and restores,
+//!   and buggify fault schedules injected and cleared — applied to a
+//!   **running** cluster through `pbs-kvs`'s dynamic `NetworkModel`
+//!   conditions. Each of the seven events is used by a built-in scenario.
 //! * [`run_scenario`] — the closed-loop driver: write→read probes labelled
 //!   against ground truth, with an in-loop
 //!   [`AdaptiveController`](pbs_predictor::AdaptiveController) that drains

@@ -87,35 +87,6 @@ fn regime_swap_takes_effect_at_scheduled_simtime() {
 }
 
 #[test]
-fn scale_legs_multiplies_delays() {
-    let mut cluster = constant_cluster(cfg(3, 1, 3), 4, 60_000.0);
-    apply_event(&mut cluster, &ScenarioEvent::ScaleLegs { w: 3.0, a: 1.0, r: 1.0, s: 1.0 }).unwrap();
-    let w = cluster.write_from(0, 1);
-    assert_eq!(w.latency_ms(), Some(4.0), "W leg 3ms + A leg 1ms");
-}
-
-#[test]
-fn degraded_link_slows_only_that_link() {
-    let mut cluster = constant_cluster(cfg(3, 3, 3), 5, 60_000.0);
-    apply_event(
-        &mut cluster,
-        &ScenarioEvent::DegradeLink(pbs_kvs::LinkFault {
-            from: 0,
-            to: 2,
-            extra_ms: 20.0,
-            scale: 1.0,
-        }),
-    )
-    .unwrap();
-    // W=3 write from node 0: the straggler is the degraded 0→2 leg.
-    let w = cluster.write_from(0, 1);
-    assert_eq!(w.latency_ms(), Some(22.0), "commit waits on the degraded link");
-    apply_event(&mut cluster, &ScenarioEvent::ClearLinkFaults).unwrap();
-    let w = cluster.write_from(0, 1);
-    assert_eq!(w.latency_ms(), Some(2.0));
-}
-
-#[test]
 fn malformed_events_are_rejected_not_applied() {
     let mut cluster = constant_cluster(cfg(3, 1, 1), 6, 300.0);
     // A partition grouping that doesn't cover the cluster would leave
@@ -124,15 +95,11 @@ fn malformed_events_are_rejected_not_applied() {
     assert!(apply_event(&mut cluster, &short).is_err());
     let missing = ScenarioEvent::Crash { node: 9, down_ms: 10.0 };
     assert!(apply_event(&mut cluster, &missing).is_err());
-    let bad_link = pbs_kvs::LinkFault { from: 0, to: 1, extra_ms: f64::NAN, scale: 1.0 };
-    assert!(apply_event(&mut cluster, &ScenarioEvent::DegradeLink(bad_link)).is_err());
     let bad_profile = pbs_kvs::FaultProfile::new(1).with_drop(1.5).into();
     assert!(apply_event(&mut cluster, &ScenarioEvent::InjectFaults(bad_profile)).is_err());
-    // Magnitudes the kvs layer asserts on: a leg factor, and a downtime
-    // (which would only blow up later, when the crash fires).
+    // A downtime the kvs layer asserts on (which would only blow up
+    // later, when the crash fires).
     for bad in [-1.0, f64::NAN, f64::INFINITY] {
-        let scale = ScenarioEvent::ScaleLegs { w: 1.0, a: bad, r: 1.0, s: 1.0 };
-        assert!(apply_event(&mut cluster, &scale).is_err(), "leg factor {bad}");
         let crash = ScenarioEvent::Crash { node: 1, down_ms: bad };
         assert!(apply_event(&mut cluster, &crash).is_err(), "downtime {bad}");
     }

@@ -388,15 +388,24 @@ fn the_mutation_matrix_on_a_healing_strict_quorum() {
     }
 }
 
-/// The mutation struct itself: defaults are all-off and `any()` reflects
-/// each flag, so a production config can assert it carries no mutations.
+/// The mutation struct itself: defaults are all-off, so a production
+/// config that leaves it at `Default` carries no mutations.
 #[test]
 fn default_mutations_are_inert() {
-    let m = ProtocolMutations::default();
-    assert!(!m.any());
-    assert!(ProtocolMutations { skip_read_repair: true, ..Default::default() }.any());
-    assert!(ProtocolMutations { corrupt_read_repair: true, ..Default::default() }.any());
-    assert!(ProtocolMutations { drop_version_merge: true, ..Default::default() }.any());
-    assert!(ProtocolMutations { swallow_hints: true, ..Default::default() }.any());
+    let off = ProtocolMutations {
+        skip_read_repair: false,
+        corrupt_read_repair: false,
+        drop_version_merge: false,
+        swallow_hints: false,
+    };
+    assert_eq!(ProtocolMutations::default(), off);
+    for on in [
+        ProtocolMutations { skip_read_repair: true, ..off },
+        ProtocolMutations { corrupt_read_repair: true, ..off },
+        ProtocolMutations { drop_version_merge: true, ..off },
+        ProtocolMutations { swallow_hints: true, ..off },
+    ] {
+        assert_ne!(on, off, "{on:?} reads as inert");
+    }
 }
 
