@@ -104,7 +104,6 @@ fn run(kind: EngineKind, cfg: ReplicaConfig, seed: u64, faults: bool) -> (OpHist
                 cluster.crash_node_at(node, SimTime::from_ms(at), down);
             }
         },
-        false,
     )
     .expect("positive-minimum model partitions cleanly");
     (history, check)

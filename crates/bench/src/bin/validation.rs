@@ -52,7 +52,6 @@ fn main() {
                 1,
                 &offsets,
                 trials_per_offset,
-                0.0,
                 opts.threads,
             );
 

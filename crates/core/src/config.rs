@@ -73,14 +73,6 @@ impl ReplicaConfig {
         !self.is_strict()
     }
 
-    /// Whether `W > ⌈N/2⌉ − 1`, i.e. `W > N/2`, which the paper notes
-    /// ensures consistency in the presence of concurrent writes (no two
-    /// write quorums can both commit without ordering).
-    #[inline]
-    pub fn serializes_concurrent_writes(&self) -> bool {
-        2 * self.w > self.n
-    }
-
     /// Majority quorums for a given `N`: `R = W = ⌊N/2⌋ + 1`.
     ///
     /// # Errors
@@ -142,14 +134,6 @@ mod tests {
         for n in 1..32 {
             assert!(ReplicaConfig::majority(n).unwrap().is_strict(), "n={n}");
         }
-    }
-
-    #[test]
-    fn concurrent_write_serialization() {
-        assert!(!ReplicaConfig::new(3, 1, 1).unwrap().serializes_concurrent_writes());
-        assert!(ReplicaConfig::new(3, 1, 2).unwrap().serializes_concurrent_writes());
-        assert!(!ReplicaConfig::new(4, 1, 2).unwrap().serializes_concurrent_writes());
-        assert!(ReplicaConfig::new(4, 1, 3).unwrap().serializes_concurrent_writes());
     }
 
     #[test]

@@ -69,12 +69,12 @@ pub struct ClusterOptions {
     pub read_repair: bool,
     /// Enable hinted handoff (Dynamo §4.6).
     pub hinted_handoff: bool,
-    /// Write-straggler deadline before hinting.
+    /// Write-straggler deadline before hinting. Must be finite and > 0.
     pub hint_timeout_ms: f64,
-    /// Hint redelivery period.
+    /// Hint redelivery period. Must be finite and > 0.
     pub hint_flush_interval_ms: f64,
     /// Merkle anti-entropy period (None = disabled, Cassandra's default
-    /// posture per §4.2).
+    /// posture per §4.2). A period must be finite and > 0.
     pub sync_interval_ms: Option<f64>,
     /// Whether crashed nodes lose their stores.
     pub wipe_on_crash: bool,
@@ -390,11 +390,20 @@ impl Cluster {
             opts.replication.n(),
             opts.nodes
         );
-        assert!(
-            opts.op_timeout_ms.is_finite() && opts.op_timeout_ms > 0.0,
-            "ClusterOptions::op_timeout_ms must be finite and > 0, got {}",
-            opts.op_timeout_ms
-        );
+        // A zero period re-arms its timer at +0 ms forever; a NaN or
+        // negative one panics mid-run inside the simulator's time arithmetic.
+        let positive = |field: &str, ms: f64| {
+            assert!(
+                ms.is_finite() && ms > 0.0,
+                "ClusterOptions::{field} must be finite and > 0, got {ms}"
+            );
+        };
+        positive("op_timeout_ms", opts.op_timeout_ms);
+        positive("hint_timeout_ms", opts.hint_timeout_ms);
+        positive("hint_flush_interval_ms", opts.hint_flush_interval_ms);
+        if let Some(ms) = opts.sync_interval_ms {
+            positive("sync_interval_ms", ms);
+        }
         let dcs = network.datacenter_map_len();
         assert!(
             dcs == 0 || dcs == opts.nodes as usize,
@@ -1002,7 +1011,7 @@ impl Cluster {
 
     /// Drain the per-leg WARS latency samples recorded by every node
     /// (requires `record_leg_samples`). Feed these into
-    /// `pbs_predictor::Predictor::from_samples` to close the
+    /// `pbs_predictor::AdaptiveController::observe_many` to close the
     /// measure→predict loop of §6.
     pub fn drain_leg_samples(&mut self) -> LegSamples {
         let mut all = LegSamples::default();
@@ -1370,6 +1379,36 @@ mod tests {
     fn an_infinite_op_timeout_is_rejected() {
         let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
         opts.op_timeout_ms = f64::INFINITY;
+        Cluster::new(opts, exp_net(1.0, 1.0));
+    }
+
+    /// A zero sync period re-arms every node's `Sync` timer at +0 ms
+    /// forever, so the first `advance_to` would never return.
+    #[test]
+    #[should_panic(expected = "ClusterOptions::sync_interval_ms must be finite and > 0, got 0")]
+    fn a_zero_sync_interval_is_rejected() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        opts.sync_interval_ms = Some(0.0);
+        Cluster::new(opts, exp_net(1.0, 1.0));
+    }
+
+    /// A zero flush period would spin the same way once a hint exists.
+    #[test]
+    #[should_panic(expected = "ClusterOptions::hint_flush_interval_ms must be finite and > 0, \
+                               got 0")]
+    fn a_zero_hint_flush_interval_is_rejected() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        opts.hint_flush_interval_ms = 0.0;
+        Cluster::new(opts, exp_net(1.0, 1.0));
+    }
+
+    /// A NaN straggler deadline would panic at the first hinted write,
+    /// naming no field.
+    #[test]
+    #[should_panic(expected = "ClusterOptions::hint_timeout_ms must be finite and > 0, got NaN")]
+    fn a_nan_hint_timeout_is_rejected() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        opts.hint_timeout_ms = f64::NAN;
         Cluster::new(opts, exp_net(1.0, 1.0));
     }
 

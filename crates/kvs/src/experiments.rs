@@ -75,18 +75,16 @@ impl Mergeable for TVisibilityMeasurement {
 /// `trials_per_offset` write→read probes where the read starts exactly `t`
 /// ms after the write's commit, and label each read against ground truth.
 ///
-/// `spacing_ms` inserts idle time between trials (0 is safe: later writes
-/// have strictly newer versions, so stragglers from earlier trials are
-/// merged away by the replicas' max-version rule).
+/// Trials run back to back: later writes have strictly newer versions,
+/// so stragglers from earlier trials are merged away by the replicas'
+/// max-version rule.
 pub fn measure_t_visibility(
     cluster: &mut Cluster,
     key: u64,
     offsets: &[f64],
     trials_per_offset: usize,
-    spacing_ms: f64,
 ) -> TVisibilityMeasurement {
     assert!(!offsets.is_empty() && trials_per_offset > 0);
-    assert!(spacing_ms >= 0.0);
     let mut out = TVisibilityMeasurement::default();
     for &t in offsets {
         assert!(t >= 0.0, "offsets must be nonnegative");
@@ -107,10 +105,6 @@ pub fn measure_t_visibility(
             if label.consistent {
                 point.consistent += 1;
             }
-            if spacing_ms > 0.0 {
-                let next = cluster.now() + SimDuration::from_ms(spacing_ms);
-                cluster.advance_to(next);
-            }
         }
         out.points.push(point);
     }
@@ -130,7 +124,6 @@ pub fn measure_t_visibility_sharded(
     key: u64,
     offsets: &[f64],
     trials_per_offset: usize,
-    spacing_ms: f64,
     threads: usize,
 ) -> TVisibilityMeasurement {
     assert!(!offsets.is_empty() && trials_per_offset > 0 && threads > 0);
@@ -141,7 +134,7 @@ pub fn measure_t_visibility_sharded(
         let mut shard_opts = opts;
         shard_opts.seed = info.seed;
         let mut cluster = Cluster::new(shard_opts, network.clone());
-        measure_t_visibility(&mut cluster, key, offsets, info.trials, spacing_ms)
+        measure_t_visibility(&mut cluster, key, offsets, info.trials)
     })
 }
 
@@ -171,7 +164,7 @@ mod tests {
     #[test]
     fn curve_is_roughly_monotone_and_reaches_one() {
         let mut cluster = make_cluster(3, 1, 1, 0.1, 0.5, 1);
-        let m = measure_t_visibility(&mut cluster, 5, &[0.0, 10.0, 40.0, 120.0], 300, 0.0);
+        let m = measure_t_visibility(&mut cluster, 5, &[0.0, 10.0, 40.0, 120.0], 300);
         let series = m.series();
         assert!(series[0].1 < series[3].1, "staleness should vanish with t: {series:?}");
         assert!(series[3].1 > 0.97, "t=120ms should be nearly always consistent");
@@ -183,7 +176,7 @@ mod tests {
     #[test]
     fn strict_quorum_fully_consistent_at_zero() {
         let mut cluster = make_cluster(3, 2, 2, 0.1, 0.5, 2);
-        let m = measure_t_visibility(&mut cluster, 5, &[0.0], 300, 0.0);
+        let m = measure_t_visibility(&mut cluster, 5, &[0.0], 300);
         assert_eq!(m.points[0].probability(), 1.0);
     }
 
@@ -194,7 +187,7 @@ mod tests {
         let network = net(0.1, 0.5);
         let offsets = [0.0, 20.0, 80.0];
         let sharded =
-            measure_t_visibility_sharded(opts, &network, 5, &offsets, 600, 0.0, 3);
+            measure_t_visibility_sharded(opts, &network, 5, &offsets, 600, 3);
         assert_eq!(sharded.points.len(), 3);
         for p in &sharded.points {
             assert_eq!(p.trials, 600, "shards must cover the full budget");
@@ -202,7 +195,7 @@ mod tests {
         assert_eq!(sharded.write_latency.count(), 1800);
         // Statistically equivalent to one big cluster run.
         let mut cluster = Cluster::new(opts, network.clone());
-        let single = measure_t_visibility(&mut cluster, 5, &offsets, 600, 0.0);
+        let single = measure_t_visibility(&mut cluster, 5, &offsets, 600);
         for (a, b) in sharded.points.iter().zip(&single.points) {
             assert!(
                 (a.probability() - b.probability()).abs() < 0.08,
@@ -219,7 +212,7 @@ mod tests {
         let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
         let opts = ClusterOptions::validation(cfg, 4);
         let network = net(0.2, 0.5);
-        let run = || measure_t_visibility_sharded(opts, &network, 2, &[0.0, 10.0], 200, 0.0, 4);
+        let run = || measure_t_visibility_sharded(opts, &network, 2, &[0.0, 10.0], 200, 4);
         let (a, b) = (run(), run());
         assert_eq!(a.points, b.points);
         assert_eq!(a.write_latency, b.write_latency);

@@ -405,15 +405,12 @@ impl OpenLoopRun {
     /// the cluster records its full op history, and after the final drain
     /// the history is replayed against the streaming session counters and
     /// the online staleness labels. Returns the report, the verdict and
-    /// the history the verdict was reached on. With `check_convergence`,
-    /// live replicas are also audited for post-quiescence agreement —
-    /// only ask for that when `prepare` leaves no fault active past the
-    /// settle.
+    /// the history the verdict was reached on. Replica convergence is not
+    /// audited, since `prepare` may leave a fault active past the settle.
     pub fn run_checked<F, P>(
         &self,
         make_source: F,
         prepare: P,
-        check_convergence: bool,
     ) -> Result<(OpenLoopReport, CheckReport, OpHistory), PdesError>
     where
         F: Fn(u32) -> Box<dyn OpSource>,
@@ -424,7 +421,7 @@ impl OpenLoopRun {
             prepare(cluster);
         })?;
         let history = cluster.take_history();
-        let check = checker::check_run(&history, &cluster, check_convergence);
+        let check = checker::check_run(&history, &cluster, false);
         Ok((report, check, history))
     }
 
@@ -737,7 +734,7 @@ mod tests {
             4,
             ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
         )
-        .run_checked(|_| source(40.0, 4, 0.5), |_| {}, false)
+        .run_checked(|_| source(40.0, 4, 0.5), |_| {})
         .unwrap();
         assert!(check.is_clean(), "fault-free run failed cross-checks: {check:?}");
         assert!(check.sessions.agrees());

@@ -6,31 +6,28 @@
 //! operators can subsequently provide service level agreements to
 //! applications"*. This crate builds that layer:
 //!
-//! * [`Predictor`] — a one-stop PBS oracle for a configuration: closed-form
-//!   k-staleness/monotonic-reads plus Monte-Carlo t-visibility and latency
-//!   percentiles, constructible either from analytic models or from
-//!   **measured** latency samples (e.g. drained out of a `pbs-kvs` run —
-//!   the online-profiling loop of §5.5/§6).
+//! * [`Predictor`] — one WARS t-visibility run for a configuration:
+//!   `P(consistent)` at a read offset and the expected consistency under
+//!   Poisson commits, with the run itself (t-visibility, ⟨k,t⟩-staleness,
+//!   latency percentiles) behind [`Predictor::tvisibility`].
 //! * [`sla`] — exhaustive `O(N²)` search over `(R, W)` (optionally over
 //!   `N`) for the lowest-latency configuration meeting staleness,
 //!   durability, and latency constraints.
 //! * [`adaptive`] — a sliding-window controller that refits empirical
 //!   distributions as conditions drift and re-runs the optimizer (§6
-//!   "Variable configurations").
-//! * [`multikey`] — staleness of multi-key read-only operations under
-//!   independence (§6 "Multi-key operations").
+//!   "Variable configurations"). It is the one way from **measured**
+//!   latency samples (e.g. drained out of a `pbs-kvs` run — the
+//!   online-profiling loop of §5.5/§6) to a [`Predictor`].
 //!
 //! Every Monte-Carlo entry point here takes its shard count as an argument
-//! ([`Predictor::from_model_threads`], [`Predictor::from_samples`],
-//! [`sla::optimize`]) or defaults it to 1
-//! ([`AdaptiveController::with_threads`]); the crate never reads the
+//! ([`Predictor::from_model_threads`], [`sla::optimize`]) or defaults it
+//! to 1 ([`AdaptiveController::with_threads`]); the crate never reads the
 //! host's core count, so a prediction depends on `(seed, threads)` alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod adaptive;
-pub mod multikey;
 pub mod predictor;
 pub mod sla;
 

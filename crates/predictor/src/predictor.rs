@@ -1,25 +1,25 @@
-//! The PBS oracle: every paper metric for one configuration behind one
-//! handle.
+//! The PBS predictor: one WARS t-visibility run for one configuration,
+//! and the query it answers on top of that run.
 
-use pbs_core::{staleness, ReplicaConfig};
-use pbs_dist::{DynDistribution, Empirical};
-use pbs_wars::{IidModel, LatencyModel, TVisibility};
-use std::sync::Arc;
+use pbs_wars::{LatencyModel, TVisibility};
 
 /// A PBS predictor for a single `(N, R, W)` configuration and latency
-/// model.
+/// model: one WARS Monte-Carlo run (§5.1).
 ///
-/// Construction runs the WARS Monte Carlo once; every query afterwards is
-/// O(log trials) or closed-form.
+/// Construction runs the Monte Carlo once. The predictor answers
+/// `P(consistent)` at a read offset and the expected consistency under
+/// Poisson commits itself; everything else the run knows (its
+/// configuration, t-visibility at a target probability, ⟨k,t⟩-staleness,
+/// latency percentiles) is read through [`tvisibility`](Self::tvisibility),
+/// and the closed forms of §3 through `pbs_core::staleness`.
 pub struct Predictor {
-    cfg: ReplicaConfig,
     tvis: TVisibility,
 }
 
 impl std::fmt::Debug for Predictor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Predictor")
-            .field("cfg", &self.cfg)
+            .field("cfg", &self.tvis.config())
             .field("trials", &self.tvis.trials())
             .finish()
     }
@@ -34,57 +34,12 @@ impl Predictor {
         seed: u64,
         threads: usize,
     ) -> Self {
-        Self {
-            cfg: model.config(),
-            tvis: TVisibility::simulate_parallel(model, trials, seed, threads),
-        }
-    }
-
-    /// Fold another predictor's Monte-Carlo run (same configuration) into
-    /// this one — the streaming summaries merge, so trial budgets can be
-    /// accumulated across batches, processes, or machines without ever
-    /// materialising raw sample vectors.
-    pub fn merge(&mut self, other: Predictor) {
-        self.tvis.merge(other.tvis);
-    }
-
-    /// Build from **measured one-way latency samples**, one vector per leg
-    /// in `W, A, R, S` order — the online profiling path of §5.5/§6 (e.g.
-    /// WARS timestamps exported by a real store, or `pbs-kvs`
-    /// instrumentation).
-    pub fn from_samples(
-        cfg: ReplicaConfig,
-        legs: [Vec<f64>; 4],
-        trials: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        let [w, a, r, s] =
-            legs.map(|leg| Arc::new(Empirical::from_samples(leg)) as DynDistribution);
-        let model = IidModel::new(cfg, "measured", w, a, r, s);
-        Self::from_model_threads(&model, trials, seed, threads)
-    }
-
-    /// The configuration under analysis.
-    pub fn config(&self) -> ReplicaConfig {
-        self.cfg
+        Self { tvis: TVisibility::simulate_parallel(model, trials, seed, threads) }
     }
 
     /// `P(consistent)` for reads starting `t` ms after commit.
     pub fn prob_consistent(&self, t_ms: f64) -> f64 {
         self.tvis.prob_consistent(t_ms)
-    }
-
-    /// Smallest `t` with `P(consistent) ≥ p`, if resolvable at the trial
-    /// count.
-    pub fn t_visibility(&self, p: f64) -> Option<f64> {
-        self.tvis.t_at_probability(p)
-    }
-
-    /// Closed-form probability of reading a version within `k` versions of
-    /// the latest committed write (Eq. 2).
-    pub fn prob_within_k_versions(&self, k: u32) -> f64 {
-        staleness::prob_within_k_versions(self.cfg, k)
     }
 
     /// Expected consistency of a read arriving at a *random* time into a
@@ -113,27 +68,6 @@ impl Predictor {
         total / POINTS as f64
     }
 
-    /// Closed-form monotonic-reads violation probability (Eq. 3).
-    pub fn monotonic_reads_violation(&self, gamma_gw: f64, gamma_cr: f64) -> f64 {
-        staleness::monotonic_reads_violation(self.cfg, gamma_gw, gamma_cr)
-    }
-
-    /// ⟨k,t⟩-staleness violation (Eq. 5's conservative bound over the
-    /// simulated t-visibility).
-    pub fn kt_violation(&self, t_ms: f64, k: u32) -> f64 {
-        self.tvis.kt_violation(t_ms, k)
-    }
-
-    /// Read operation latency at `pct ∈ [0, 100]`.
-    pub fn read_latency(&self, pct: f64) -> f64 {
-        self.tvis.read_latency_percentile(pct)
-    }
-
-    /// Write operation latency at `pct ∈ [0, 100]`.
-    pub fn write_latency(&self, pct: f64) -> f64 {
-        self.tvis.write_latency_percentile(pct)
-    }
-
     /// The underlying Monte-Carlo run.
     pub fn tvisibility(&self) -> &TVisibility {
         &self.tvis
@@ -143,6 +77,8 @@ impl Predictor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AdaptiveController, SlaSpec};
+    use pbs_core::ReplicaConfig;
     use pbs_dist::{Exponential, LatencyDistribution};
     use pbs_wars::production::exponential_model;
     use rand::rngs::StdRng;
@@ -162,17 +98,18 @@ mod tests {
         let p = predictor(cfg(3, 1, 1), 20_000, 1);
         assert!(p.prob_consistent(0.0) < 1.0);
         assert!(p.prob_consistent(100.0) > 0.99);
-        assert!(p.t_visibility(0.9).is_some());
-        assert!((p.prob_within_k_versions(1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!(p.read_latency(99.0) > p.read_latency(50.0));
-        assert!(p.kt_violation(5.0, 2) <= p.kt_violation(5.0, 1));
-        assert!(p.monotonic_reads_violation(1.0, 1.0) < 1.0);
+        let tv = p.tvisibility();
+        assert_eq!(tv.config(), cfg(3, 1, 1));
+        assert!(tv.t_at_probability(0.9).is_some());
+        assert!(tv.read_latency_percentile(99.0) > tv.read_latency_percentile(50.0));
+        assert!(tv.kt_violation(5.0, 2) <= tv.kt_violation(5.0, 1));
     }
 
     #[test]
     fn from_samples_matches_analytic_model() {
         // Sampling from the analytic distributions and feeding the samples
-        // back as empirical models should reproduce the analytic results.
+        // back, through a controller whose window holds all of them, as
+        // empirical models should reproduce the analytic results.
         let c = cfg(3, 1, 1);
         let analytic = predictor(c, 40_000, 2);
         let mut rng = StdRng::seed_from_u64(3);
@@ -181,8 +118,11 @@ mod tests {
         let sample = |d: &Exponential, rng: &mut StdRng| -> Vec<f64> {
             (0..50_000).map(|_| d.sample(rng)).collect()
         };
-        let legs = [&wdist, &adist, &adist, &adist].map(|d| sample(d, &mut rng));
-        let empirical = Predictor::from_samples(c, legs, 40_000, 4, 2);
+        let [w, a, r, s] = [&wdist, &adist, &adist, &adist].map(|d| sample(d, &mut rng));
+        let spec = SlaSpec::consistency(0.9, 5.0);
+        let mut ctl = AdaptiveController::new(spec, vec![3], 50_000, 40_000, 4).with_threads(2);
+        ctl.observe_many(&w, &a, &r, &s);
+        let empirical = ctl.predict(c).unwrap();
         for t in [0.0, 5.0, 20.0, 60.0] {
             let a = analytic.prob_consistent(t);
             let b = empirical.prob_consistent(t);
@@ -215,18 +155,6 @@ mod tests {
     fn strict_config_trivially_consistent() {
         let p = predictor(cfg(3, 2, 2), 5_000, 5);
         assert_eq!(p.prob_consistent(0.0), 1.0);
-        assert_eq!(p.t_visibility(0.9999), Some(0.0));
-        assert_eq!(p.prob_within_k_versions(1), 1.0);
-    }
-
-    #[test]
-    fn merged_predictors_accumulate_trials() {
-        let model = exponential_model(cfg(3, 1, 1), 0.1, 0.5);
-        let mut a = Predictor::from_model_threads(&model, 15_000, 1, 2);
-        let b = Predictor::from_model_threads(&model, 15_000, 2, 2);
-        let before = a.prob_consistent(5.0);
-        a.merge(b);
-        assert_eq!(a.tvisibility().trials(), 30_000);
-        assert!((a.prob_consistent(5.0) - before).abs() < 0.02);
+        assert_eq!(p.tvisibility().t_at_probability(0.9999), Some(0.0));
     }
 }

@@ -225,8 +225,7 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
     // Probe load: per-second rates → per-ms rates, pulled lazily by the
     // in-sim probe client (writes only; reads ride the probe offset).
     let probes = |_| -> Box<dyn OpSource> {
-        let segments: Vec<(f64, f64)> =
-            scenario.load.iter().map(|&(start, per_s)| (start, per_s / 1000.0)).collect();
+        let segments = scenario.load_per_ms();
         let load = match scenario.load_period_ms {
             Some(p) => PiecewisePoisson::cyclic(segments, p),
             None => PiecewisePoisson::new(segments),
@@ -347,6 +346,8 @@ pub fn run_scenario_sharded(
     threads: usize,
 ) -> ScenarioRun {
     assert!(trials > 0 && threads > 0);
+    // On the caller's thread, before any replica thread would meet it.
+    scenario.validate();
     Runner::new(trials, seed, threads)
         .run_replicas(ScenarioRun::default, |run_seed| run_scenario(scenario, run_seed))
 }

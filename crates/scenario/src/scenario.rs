@@ -5,6 +5,7 @@ use pbs_core::ReplicaConfig;
 use pbs_dist::Exponential;
 use pbs_kvs::{ClusterOptions, FaultProfile, FaultSchedule, NetworkModel};
 use pbs_predictor::SlaSpec;
+use pbs_workload::{PiecewisePoisson, ScheduleError};
 use std::sync::Arc;
 
 /// Closed-loop controller settings for a scenario run.
@@ -62,9 +63,12 @@ pub struct Scenario {
     pub cluster: ClusterOptions,
     /// Baseline network (cloned — i.e. forked — per run).
     pub network: NetworkModel,
-    /// Piecewise probe load: `(start_ms, probes per second)` segments.
+    /// Piecewise probe load: `(start_ms, probes per second)` segments, the
+    /// first at 0 ms, starts increasing, rates finite and ≥ 0
+    /// ([`PiecewisePoisson::check`]).
     pub load: Vec<(f64, f64)>,
     /// Optional load period (ms) — the load timeline repeats (diurnal).
+    /// It must come after the last segment's start.
     pub load_period_ms: Option<f64>,
     /// Fault timeline, sorted by time.
     pub events: Vec<TimedEvent>,
@@ -284,6 +288,11 @@ impl Scenario {
         &["diurnal-load", "latency-spike", "rolling-partition", "buggify-storm", "crash-storm"]
     }
 
+    /// The probe load as `(start_ms, probes per ms)` segments.
+    pub(crate) fn load_per_ms(&self) -> Vec<(f64, f64)> {
+        self.load.iter().map(|&(start, per_s)| (start, per_s / 1000.0)).collect()
+    }
+
     /// Validate cross-field invariants (called by the driver).
     pub fn validate(&self) {
         // Each of these would otherwise hang the run or die inside it.
@@ -302,7 +311,14 @@ impl Scenario {
             self.probe_offset_ms
         );
         assert!(self.keys > 0);
-        assert!(!self.load.is_empty());
+        // The probe source builds its arrival process from these mid-run.
+        if let Err(e) = PiecewisePoisson::check(&self.load_per_ms(), self.load_period_ms) {
+            let field = match e {
+                ScheduleError::Segments(_) => "load",
+                ScheduleError::Period(_) => "load_period_ms",
+            };
+            panic!("{field} is invalid: {e}");
+        }
         for pair in self.events.windows(2) {
             assert!(
                 pair[0].at_ms <= pair[1].at_ms,

@@ -32,7 +32,7 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
     const PROBABILITY: &str = "control.spec.consistency_probability";
     const PERCENTILE: &str = "control.spec.latency_percentile";
     const REFIT: &str = "control.refit_interval_ms";
-    let cases: [(&str, Spoil); 18] = [
+    let cases: [(&str, Spoil); 24] = [
         ("control.mc_trials", |sc| sc.control.mc_trials = 0),
         ("control.window", |sc| sc.control.window = 0),
         ("control.candidate_ns", |sc| sc.control.candidate_ns.clear()),
@@ -56,10 +56,23 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
         ("probe_offset_ms", |sc| sc.probe_offset_ms = f64::INFINITY),
         // The run settles for one operation timeout.
         ("cluster.op_timeout_ms", |sc| sc.cluster.op_timeout_ms = f64::INFINITY),
+        // The probe source would refuse these mid-run (on a replica thread,
+        // under `run_scenario_sharded`).
+        ("load", |sc| sc.load = vec![(5.0, 70.0)]),
+        ("load", |sc| sc.load = vec![(0.0, 70.0), (2_000.0, 30.0), (1_000.0, 50.0)]),
+        ("load", |sc| sc.load = vec![(0.0, f64::NAN)]),
+        ("load", |sc| sc.load = vec![(0.0, 70.0), (1_000.0, -5.0), (2_000.0, 70.0)]),
+        // Nothing would ever arrive after the last boundary.
+        ("load", |sc| sc.load = vec![(0.0, 70.0), (1_000.0, 0.0)]),
+        ("load_period_ms", |sc| {
+            sc.load = vec![(0.0, 70.0), (1_000.0, 30.0)];
+            sc.load_period_ms = Some(1_000.0);
+        }),
     ];
     for (field, spoil) in cases {
         let msg = rejection(spoil).unwrap_or_else(|| panic!("a bad {field} passed validate()"));
-        assert!(msg.contains(field), "rejection of {field} does not name it: {msg}");
+        let named = msg.starts_with(&format!("{field} "));
+        assert!(named, "rejection of {field} does not open with its name: {msg}");
     }
 }
 

@@ -96,18 +96,6 @@ impl IidModel {
     pub fn w_ars(cfg: ReplicaConfig, name: impl Into<String>, w: DynDistribution, ars: DynDistribution) -> Self {
         Self::new(cfg, name, w, ars.clone(), ars.clone(), ars)
     }
-
-    /// Replace the replication configuration (used by N/R/W sweeps).
-    pub fn with_config(&self, cfg: ReplicaConfig) -> Self {
-        Self {
-            cfg,
-            w: self.w.clone(),
-            a: self.a.clone(),
-            r: self.r.clone(),
-            s: self.s.clone(),
-            name: self.name.clone(),
-        }
-    }
 }
 
 impl LatencyModel for IidModel {
@@ -170,19 +158,6 @@ impl WanModel {
     ) -> Self {
         assert!(one_way_penalty_ms >= 0.0 && one_way_penalty_ms.is_finite());
         Self { cfg, w, a, r, s, one_way_penalty_ms, name: name.into() }
-    }
-
-    /// Replace the replication configuration (used by N sweeps).
-    pub fn with_config(&self, cfg: ReplicaConfig) -> Self {
-        Self {
-            cfg,
-            w: self.w.clone(),
-            a: self.a.clone(),
-            r: self.r.clone(),
-            s: self.s.clone(),
-            one_way_penalty_ms: self.one_way_penalty_ms,
-            name: self.name.clone(),
-        }
     }
 }
 
@@ -338,21 +313,5 @@ mod tests {
         }
         let frac = same as f64 / trials as f64;
         assert!((frac - 1.0 / 3.0).abs() < 0.02, "co-location fraction {frac} ≈ 1/N");
-    }
-
-    #[test]
-    fn with_config_changes_only_n_r_w() {
-        let m = IidModel::w_ars(
-            cfg(3, 1, 1),
-            "x",
-            Arc::new(Constant::new(2.0)),
-            Arc::new(Constant::new(1.0)),
-        );
-        let m10 = m.with_config(cfg(10, 1, 1));
-        assert_eq!(m10.config().n(), 10);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut s = WarsSample::default();
-        m10.sample_trial(&mut rng, &mut s);
-        assert_eq!(s.w.len(), 10);
     }
 }

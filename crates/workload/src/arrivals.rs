@@ -101,47 +101,100 @@ pub struct PiecewisePoisson {
     now_ms: f64,
 }
 
+/// Why [`PiecewisePoisson::check`] refused a schedule.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ScheduleError {
+    /// The segments break a rule; the message says which.
+    Segments(String),
+    /// The cycle period is not finite and > 0, or does not come after the
+    /// last segment's start.
+    Period(String),
+}
+
+impl std::fmt::Display for ScheduleError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScheduleError::Segments(msg) | ScheduleError::Period(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for ScheduleError {}
+
 impl PiecewisePoisson {
     /// Build from `(start_ms, rate_per_ms)` segments; the last segment
     /// extends forever (and must therefore have a positive rate).
+    ///
+    /// # Panics
+    ///
+    /// If [`check`](Self::check) refuses the segments.
     pub fn new(segments: Vec<(f64, f64)>) -> Self {
-        let s = Self { segments, period_ms: None, now_ms: 0.0 };
-        s.validate();
-        s
+        Self::checked(segments, None)
     }
 
     /// Build a repeating schedule: after `period_ms` the timeline wraps to
     /// the first segment. At least one segment must have a positive rate.
+    ///
+    /// # Panics
+    ///
+    /// If [`check`](Self::check) refuses the segments or the period.
     pub fn cyclic(segments: Vec<(f64, f64)>, period_ms: f64) -> Self {
-        assert!(period_ms > 0.0 && period_ms.is_finite());
-        let s = Self { segments, period_ms: Some(period_ms), now_ms: 0.0 };
-        s.validate();
-        assert!(
-            s.segments.last().expect("validated nonempty").0 < period_ms,
-            "segment starts must precede the period"
-        );
-        s
+        Self::checked(segments, Some(period_ms))
     }
 
-    fn validate(&self) {
-        assert!(!self.segments.is_empty(), "need at least one segment");
-        assert_eq!(self.segments[0].0, 0.0, "first segment must start at 0");
-        for pair in self.segments.windows(2) {
-            assert!(pair[0].0 < pair[1].0, "segment starts must increase");
+    fn checked(segments: Vec<(f64, f64)>, period_ms: Option<f64>) -> Self {
+        if let Err(e) = Self::check(&segments, period_ms) {
+            panic!("{e}");
         }
-        for &(start, rate) in &self.segments {
-            assert!(start >= 0.0 && start.is_finite());
-            assert!(rate >= 0.0 && rate.is_finite(), "rates must be finite and ≥ 0");
+        Self { segments, period_ms, now_ms: 0.0 }
+    }
+
+    /// The rules a schedule must keep, for [`new`](Self::new) (`period_ms`
+    /// of `None`) and [`cyclic`](Self::cyclic): at least one segment, the
+    /// first starting at 0 ms, starts finite and strictly increasing, rates
+    /// finite and ≥ 0. An unbounded final segment needs a positive rate; a
+    /// cycle needs a finite period after the last start and one positive
+    /// rate somewhere.
+    ///
+    /// # Errors
+    ///
+    /// [`ScheduleError::Period`] when only the period is at fault,
+    /// [`ScheduleError::Segments`] otherwise.
+    pub fn check(segments: &[(f64, f64)], period_ms: Option<f64>) -> Result<(), ScheduleError> {
+        let bad = |msg: String| Err(ScheduleError::Segments(msg));
+        let (Some(&(first, _)), Some(&(last, last_rate))) = (segments.first(), segments.last())
+        else {
+            return bad("need at least one segment".into());
+        };
+        for &(start, rate) in segments {
+            if !start.is_finite() {
+                return bad(format!("segment starts must be finite, got {start}"));
+            }
+            if !rate.is_finite() || rate < 0.0 {
+                return bad(format!("rates must be finite and >= 0, got {rate}"));
+            }
         }
-        assert!(
-            self.segments.iter().any(|&(_, r)| r > 0.0),
-            "at least one segment must have a positive rate"
-        );
-        if self.period_ms.is_none() {
-            assert!(
-                self.segments.last().expect("nonempty").1 > 0.0,
-                "the final (unbounded) segment needs a positive rate"
-            );
+        if first != 0.0 {
+            return bad(format!("the first segment must start at 0 ms, got {first}"));
+        }
+        for pair in segments.windows(2) {
+            let (prev, next) = (pair[0].0, pair[1].0);
+            if next <= prev {
+                return bad(format!("segment starts must increase: {next} after {prev}"));
+            }
+        }
+        match period_ms {
+            None if last_rate <= 0.0 => {
+                bad("the final (unbounded) segment needs a positive rate".into())
+            }
+            None => Ok(()),
+            Some(p) if !p.is_finite() || p <= last => Err(ScheduleError::Period(format!(
+                "the period must be finite and after the last segment start ({last} ms), got {p}"
+            ))),
+            Some(_) if segments.iter().all(|&(_, r)| r == 0.0) => {
+                bad("at least one segment must have a positive rate".into())
+            }
+            Some(_) => Ok(()),
         }
     }
 

@@ -27,7 +27,9 @@ pub mod keys;
 pub mod ops;
 pub mod session;
 
-pub use arrivals::{ArrivalProcess, FixedRate, PiecewisePoisson, Poisson, StationaryArrivals};
+pub use arrivals::{
+    ArrivalProcess, FixedRate, PiecewisePoisson, Poisson, ScheduleError, StationaryArrivals,
+};
 pub use keys::{KeyChooser, UniformKeys, Zipf, ZipfCdf};
 pub use ops::{Op, OpKind, OpMix, OpSource, OpStream, SharedOpSource, SharedStream};
 pub use session::SessionModel;

@@ -14,7 +14,7 @@
 //! | [`wars`] | `pbs-wars` | WARS Monte Carlo t-visibility engine |
 //! | [`quorum`] | `pbs-quorum` | Quorum-system constructions & analysis |
 //! | [`workload`] | `pbs-workload` | Arrival processes, key popularity, sessions |
-//! | [`predictor`] | `pbs-predictor` | SLA optimizer, online prediction, multi-key |
+//! | [`predictor`] | `pbs-predictor` | SLA optimizer, online prediction |
 //! | [`scenario`] | `pbs-scenario` | Closed-loop chaos scenarios + adaptive reconfiguration |
 //!
 //! ## Thirty-second tour

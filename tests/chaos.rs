@@ -161,7 +161,6 @@ fn injected_faults_cause_violations_both_oracles_agree_on() {
         |cluster| {
             cluster.network().set_fault_profile(FaultProfile::storm(37)).unwrap();
         },
-        false,
     )
     .unwrap();
     assert!(

@@ -26,7 +26,7 @@ fn strict_quorums_are_never_stale() {
     for (r, w) in [(1u32, 3u32), (2, 2), (3, 1), (3, 3), (2, 3)] {
         let cfg = ReplicaConfig::new(3, r, w).unwrap();
         let mut cluster = Cluster::new(ClusterOptions::validation(cfg, 31), net(20.0, 1.0));
-        let m = measure_t_visibility(&mut cluster, 1, &[0.0], 500, 0.0);
+        let m = measure_t_visibility(&mut cluster, 1, &[0.0], 500);
         assert_eq!(
             m.points[0].probability(),
             1.0,
@@ -41,7 +41,7 @@ fn strict_quorums_are_never_stale() {
 fn partial_quorums_converge() {
     let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
     let mut cluster = Cluster::new(ClusterOptions::validation(cfg, 32), net(10.0, 1.0));
-    let m = measure_t_visibility(&mut cluster, 1, &[0.0, 100.0], 1_500, 0.0);
+    let m = measure_t_visibility(&mut cluster, 1, &[0.0, 100.0], 1_500);
     assert!(m.points[0].probability() < 0.9);
     assert!(m.points[1].probability() > 0.99);
 }

@@ -56,7 +56,7 @@ fn checked_run(
         ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
     )
     .on(kind)
-    .run_checked(|_| source(30.0, 8), |_| {}, false)
+    .run_checked(|_| source(30.0, 8), |_| {})
     .expect("positive-minimum model partitions cleanly");
     (report, check)
 }
@@ -139,7 +139,7 @@ fn partial_quorum_violation_windows_track_predicted_t_visibility() {
         6,
         ClientOptions::default(),
     )
-    .run_checked(|_| source(40.0, keys), |_| {}, false)
+    .run_checked(|_| source(40.0, keys), |_| {})
     .expect("serial engine accepts any model");
     assert!(check.is_clean(), "audit unclean: {check:?}");
 

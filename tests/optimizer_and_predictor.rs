@@ -1,15 +1,15 @@
-//! Cross-crate tests of the §6 layer: the predictor, the SLA optimizer,
-//! and multi-key staleness, driven by the production latency models.
+//! Cross-crate tests of the §6 layer: the predictor and the SLA optimizer,
+//! driven by the production latency models and by the store's own
+//! measured latencies.
 
 use pbs::dist::Exponential;
 use pbs::kvs::cluster::{Cluster, ClusterOptions};
 use pbs::kvs::experiments::measure_t_visibility;
 use pbs::kvs::NetworkModel;
 use pbs::math::ReplicaConfig;
-use pbs::predictor::multikey;
 use pbs::predictor::sla::{optimize, SlaSpec};
-use pbs::predictor::Predictor;
-use pbs::wars::production::{lnkd_ssd_model, ymmr_model, ProductionProfile};
+use pbs::predictor::{AdaptiveController, Predictor};
+use pbs::wars::production::{ymmr_model, ProductionProfile};
 use std::sync::Arc;
 
 /// Monte-Carlo shards for every search and predictor here.
@@ -68,26 +68,11 @@ fn optimizer_winner_is_minimal() {
     }
 }
 
-/// Multi-key staleness compounds per the product rule, using a real
-/// predictor.
-#[test]
-fn multikey_product_rule_on_production_model() {
-    let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
-    let pred = Predictor::from_model_threads(&lnkd_ssd_model(cfg), 60_000, 3, THREADS);
-    let p1 = pred.prob_consistent(0.5);
-    assert!(p1 < 1.0, "need some staleness for the test to bite");
-    let p20 = multikey::multikey_consistency_at(&pred, 0.5, 20);
-    assert!((p20 - p1.powi(20)).abs() < 1e-12);
-    // And the sizing helper inverts it.
-    let max_keys = multikey::max_keys_for_target(p1, 0.9).unwrap();
-    assert!(p1.powi(max_keys as i32) >= 0.9);
-    assert!(p1.powi(max_keys as i32 + 1) < 0.9);
-}
-
 /// The full §6 measure→predict loop against the store itself: run the live
-/// store with WARS instrumentation on, drain the recorded one-way delays,
-/// build a predictor from those *measured samples only*, and check it
-/// predicts the store's own t-visibility.
+/// store with WARS instrumentation on, drain the recorded one-way delays
+/// into a controller whose window holds all of them, predict from those
+/// *measured samples only*, and check the prediction matches the store's
+/// own t-visibility.
 #[test]
 fn predictor_from_store_instrumentation_predicts_the_store() {
     let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
@@ -103,13 +88,16 @@ fn predictor_from_store_instrumentation_predicts_the_store() {
 
     // Phase 1: production traffic with instrumentation (and measurement).
     let offsets = [0.0, 5.0, 15.0, 40.0];
-    let measured = measure_t_visibility(&mut cluster, 9, &offsets, 1_500, 0.0);
+    let measured = measure_t_visibility(&mut cluster, 9, &offsets, 1_500);
     let samples = cluster.drain_leg_samples();
     assert!(samples.len() > 10_000, "instrumentation recorded {}", samples.len());
 
     // Phase 2: predict purely from the drained samples.
-    let legs = [samples.w, samples.a, samples.r, samples.s];
-    let predictor = Predictor::from_samples(cfg, legs, 120_000, 56, THREADS);
+    let spec = SlaSpec::consistency(0.9, 5.0);
+    let mut ctl =
+        AdaptiveController::new(spec, vec![3], samples.len(), 120_000, 56).with_threads(THREADS);
+    ctl.observe_many(&samples.w, &samples.a, &samples.r, &samples.s);
+    let predictor = ctl.predict(cfg).unwrap();
 
     for (point, &t) in measured.points.iter().zip(&offsets) {
         let measured_p = point.probability();
@@ -122,17 +110,14 @@ fn predictor_from_store_instrumentation_predicts_the_store() {
 }
 
 /// Predictor consistency: Monte-Carlo t-visibility is coherent with its own
-/// inverse and with the closed-form k-staleness on the same config.
+/// inverse.
 #[test]
 fn predictor_metrics_are_coherent() {
     let cfg = ReplicaConfig::new(3, 1, 2).unwrap();
     let pred = Predictor::from_model_threads(&ymmr_model(cfg), 60_000, 4, THREADS);
     for &p in &[0.5, 0.9, 0.99] {
-        if let Some(t) = pred.t_visibility(p) {
+        if let Some(t) = pred.tvisibility().t_at_probability(p) {
             assert!(pred.prob_consistent(t) >= p, "inverse must satisfy the target");
         }
     }
-    // Closed-form k-staleness: N=3, R=1, W=2 → p_s = 1/3.
-    assert!((pred.prob_within_k_versions(1) - 2.0 / 3.0).abs() < 1e-12);
-    assert!(pred.prob_within_k_versions(2) > pred.prob_within_k_versions(1));
 }

@@ -66,7 +66,6 @@ fn run(kind: EngineKind, seed: u64, storm: bool) -> (OpenLoopReport, OpHistory) 
                     cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
                 }
             },
-            false,
         )
         .expect("positive-minimum model partitions cleanly");
     assert!(check.is_clean(), "checker oracle disagreed with the streaming engine: {check:?}");
@@ -141,7 +140,6 @@ fn run_scheduled(kind: EngineKind, seed: u64) -> (OpenLoopReport, OpHistory, Che
                     .unwrap();
                 cluster.crash_node_at(2, pbs::sim::SimTime::from_ms(400.0), 300.0);
             },
-            false,
         )
         .expect("positive-minimum model partitions cleanly");
     (report, history, check)

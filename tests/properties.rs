@@ -135,7 +135,7 @@ fn lin_run(
         ClientOptions::default(),
     )
     .on(kind)
-    .run_checked(source, prepare, false)
+    .run_checked(source, prepare)
     .expect("model partitions cleanly")
     .1
 }

@@ -28,7 +28,6 @@ fn validate_combo(w_rate: f64, ars_rate: f64, seed: u64) -> (f64, f64) {
         1,
         &offsets,
         trials_per_offset,
-        0.0,
         2,
     );
     // Far-offset base seed: `seed ^ i` shard derivation means adjacent
@@ -94,7 +93,7 @@ fn kvs_wan_topology_matches_wan_model() {
         .with_datacenters(vec![0, 1, 2], 75.0),
     );
     let offsets = [0.0, 40.0, 80.0, 120.0];
-    let measured = measure_t_visibility(&mut cluster, 4, &offsets, 2_000, 0.0);
+    let measured = measure_t_visibility(&mut cluster, 4, &offsets, 2_000);
 
     // Analytic WAN model with the same base distributions.
     let model = pbs::wars::WanModel::new(
@@ -131,7 +130,7 @@ fn live_store_write_tail_effect() {
                 Arc::new(Exponential::from_rate(0.5)),
             ),
         );
-        let m = measure_t_visibility(&mut cluster, 3, &[0.0], 2_000, 0.0);
+        let m = measure_t_visibility(&mut cluster, 3, &[0.0], 2_000);
         m.points[0].probability()
     };
     let fast = run(4.0);
