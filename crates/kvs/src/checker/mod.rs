@@ -20,21 +20,23 @@
 //!   before them; an acknowledged write that vanishes, a replica whose
 //!   served version goes backwards, or a version no write produced is a
 //!   protocol bug, never a fault artefact.
-//! * [`check_convergence`] — after quiescence, every live replica of every
-//!   written key must hold the same version, at least as new as the
-//!   newest committed one (read repair + hinted handoff + anti-entropy
-//!   actually converged).
+//! * the settled store, read once per key by [`check_run`] when asked for
+//!   convergence — after quiescence, every live replica of every written
+//!   key must hold the same version, at least as new as the newest
+//!   committed one (read repair + hinted handoff + anti-entropy actually
+//!   converged), and a never-wiped one that holds less than the history's
+//!   newest committed write lost it (the order oracle's final-state rule).
 //!
 //! [`check_run`] runs all four and [`lin::check_lin`]. Its per-key passes
-//! — the order oracle, its final-state rule and the linearizability
-//! search — read one partition of the history by key, built once per
-//! audit; called on its own, each builds the partition itself. Every pass
-//! only reads the history, so the linearizability search runs on one
+//! — the order oracle, the settled store and the linearizability search
+//! — read one partition of the history by key, built once per audit;
+//! called on its own, each public pass builds the partition itself. Every
+//! pass only reads the history, so the linearizability search runs on one
 //! scoped thread while the caller's thread runs the order oracle, the
-//! session replay and the relabelling, then — when asked — the final-state
-//! rule and convergence. Those two read the [`Cluster`], which holds boxed
-//! op sources and is not `Sync`, so they stay on the caller. What a
-//! strict quorum owes under faults — regularity — is no further pass:
+//! session replay and the relabelling, then — when asked — the settled
+//! store. That pass reads the [`Cluster`], which holds boxed op sources
+//! and is not `Sync`, so it stays on the caller. What a strict quorum
+//! owes under faults — regularity — is no further pass:
 //! [`CheckReport::regular`] reads it off the label and phantom counts.
 //!
 //! The checker is a test/diagnostic harness: recording a history is
@@ -549,34 +551,6 @@ pub fn relabel_reads(history: &OpHistory) -> LabelCheck {
     check
 }
 
-/// Verify that, after quiescence, all live replicas of every written key
-/// agree — and agree on something at least as new as the newest committed
-/// version. Only meaningful once in-flight traffic has drained and any
-/// fault profile has been cleared long enough for anti-entropy to run;
-/// with active message drops, divergence is expected, not a bug.
-pub fn check_convergence(cluster: &Cluster) -> ConvergenceCheck {
-    let gt = cluster.ground_truth();
-    let mut check = ConvergenceCheck::default();
-    for key in gt.tracked_keys() {
-        let latest = gt.latest_committed_at(key, SimTime::MAX).unwrap_or(0);
-        let stored: Vec<u64> = cluster
-            .replicas_of(key)
-            .into_iter()
-            .filter(|&n| !cluster.node(n).is_down())
-            .map(|n| cluster.node(n).stored_version(key).map_or(0, |v| v.seq))
-            .collect();
-        let Some(&first) = stored.first() else {
-            continue; // every replica down: nothing to compare
-        };
-        check.keys_checked += 1;
-        if stored.iter().any(|&s| s != first) {
-            check.divergent_keys += 1;
-        }
-        check.stale_replicas += stored.iter().filter(|&&s| s < latest).count() as u64;
-    }
-    check
-}
-
 /// One committed write, as the order oracle tracks it.
 #[derive(Debug, Clone, Copy)]
 struct TrackedWrite {
@@ -841,21 +815,29 @@ fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck 
     check
 }
 
-/// The order oracle's final-state rule, gated like [`check_convergence`]
-/// (quiesced run, faults cleared, healing mechanisms enabled): every
-/// live, never-wiped current replica of a key must store at least the
-/// newest committed version — anything older is an acknowledged write
-/// that the healing paths (read repair, hint replay, anti-entropy) lost.
-fn check_final_state(
+/// The settled store, read once per key: each live current replica's
+/// version is held to two rules. Only meaningful once traffic has drained
+/// and faults have been cleared long enough for the healing paths (read
+/// repair, hint replay, anti-entropy) to run; under active drops,
+/// divergence is expected, not a bug.
+///
+/// * **Convergence**, over every key the ground truth saw commit: the live
+///   replicas agree, on something at least as new as the newest commit.
+/// * **The order oracle's final-state rule**, over every key with a
+///   committed write in the history: a never-wiped replica older than the
+///   newest one lost it (`LostUpdate`, in the order keys were first
+///   written). A wiped store legitimately forgets: it is stale for
+///   convergence, never convicted.
+fn check_settled(
     history: &OpHistory,
     index: &KeyIndex,
     cluster: &Cluster,
-    check: &mut OrderCheck,
-) {
+    order: &mut OrderCheck,
+) -> ConvergenceCheck {
     let wiped = history.wiped_mask();
-    // Per written key: its first committed write's index, the key, and the
-    // newest committed version with the op that (first) wrote it.
-    let mut newest: Vec<(u32, u64, (u64, u32), u64)> = Vec::new();
+    // Per written key: its first committed write's index, and the newest
+    // committed version with the op that (first) wrote it.
+    let mut owed: FxHashMap<u64, (u32, (u64, u32), u64)> = FxHashMap::default();
     for (key, indices) in index.iter() {
         let mut committed = indices.iter().filter_map(|&i| {
             let op = &history.ops()[i as usize].op;
@@ -865,54 +847,69 @@ fn check_final_state(
                 (i, (seq, writer), op.op_id)
             })
         });
-        let Some(first) = committed.next() else {
-            continue;
-        };
-        let (_, version, op_id) = committed.fold(first, |a, b| if b.1 > a.1 { b } else { a });
-        newest.push((first.0, key, version, op_id));
-    }
-    // Violations are reported in the order keys were first written.
-    newest.sort_unstable_by_key(|&(first_write, ..)| first_write);
-    for (_, key, (seq, writer), op_id) in newest {
-        for replica in cluster.replicas_of(key) {
-            if cluster.node(replica).is_down()
-                || (replica < 64 && wiped & (1u64 << replica) != 0)
-            {
-                continue;
-            }
-            let stored = cluster
-                .node(replica)
-                .stored_version(key)
-                .map_or((0, 0), |v| (v.seq, v.writer));
-            if stored < (seq, writer) {
-                check.lost_updates += 1;
-                check.first_lost_update =
-                    check.first_lost_update.or(Some(OrderViolation::LostUpdate {
-                        key,
-                        op_id,
-                        replica: replica as u32,
-                        seen_seq: stored.0,
-                        expected_seq: seq,
-                    }));
-            }
+        if let Some(first) = committed.next() {
+            let (_, version, op_id) = committed.fold(first, |a, b| if b.1 > a.1 { b } else { a });
+            owed.insert(key, (first.0, version, op_id));
         }
     }
+    // Per key: the newest committed sequence if the ground truth tracks
+    // it, and what the history owes it; written keys first, in the order
+    // violations are reported.
+    let gt = cluster.ground_truth();
+    let mut keys: Vec<_> = gt
+        .tracked_keys()
+        .into_iter()
+        .map(|key| {
+            let latest = gt.latest_committed_at(key, SimTime::MAX).unwrap_or(0);
+            (key, Some(latest), owed.remove(&key))
+        })
+        .collect();
+    keys.extend(owed.into_iter().map(|(key, owes)| (key, None, Some(owes))));
+    keys.sort_by_key(|&(_, _, owes)| owes.map_or(u32::MAX, |(first_write, ..)| first_write));
+    let mut check = ConvergenceCheck::default();
+    for (key, latest, owes) in keys {
+        let (mut first_seq, mut divergent, mut stale) = (None, false, 0);
+        for replica in cluster.replicas_of(key) {
+            let node = cluster.node(replica);
+            if node.is_down() {
+                continue;
+            }
+            let stored = node.stored_version(key).map_or((0, 0), |v| (v.seq, v.writer));
+            divergent |= *first_seq.get_or_insert(stored.0) != stored.0;
+            stale += u64::from(latest.is_some_and(|l| stored.0 < l));
+            let never_wiped = replica >= 64 || wiped & (1u64 << replica) == 0;
+            if let Some((_, version, op_id)) = owes.filter(|o| never_wiped && stored < o.1) {
+                order.lost_updates += 1;
+                let (replica, seen_seq, expected_seq) = (replica as u32, stored.0, version.0);
+                order.first_lost_update = order.first_lost_update.or(Some(
+                    OrderViolation::LostUpdate { key, op_id, replica, seen_seq, expected_seq },
+                ));
+            }
+        }
+        // Every replica down: nothing to compare.
+        if latest.is_some() && first_seq.is_some() {
+            check.keys_checked += 1;
+            check.divergent_keys += u64::from(divergent);
+            check.stale_replicas += stale;
+        }
+    }
+    check
 }
 
 /// Run every offline check against a finished cluster: session replay vs.
 /// the streaming counters, label recount, the per-key order oracle, the
 /// per-key linearizability checker (default budgets — call
-/// [`lin::check_lin`] to tune them), and (optionally) convergence plus
-/// the oracle's final-state rule. The per-key passes share one partition
-/// of the history.
+/// [`lin::check_lin`] to tune them), and (optionally) one pass over the
+/// settled store: convergence plus the oracle's final-state rule. The
+/// per-key passes share one partition of the history.
 ///
 /// The passes only read the history, so they run side by side: the
 /// linearizability search — the longest pass — on one scoped thread, the
-/// rest on the caller's. The passes that read the cluster (the final-state
-/// rule, convergence, the streaming counters) stay on the caller, since a
-/// `Cluster` holds boxed op sources and cannot be shared across threads.
-/// One thread is spawned per call whatever the host, and the report is the
-/// one the passes give run one by one.
+/// rest on the caller's. The passes that read the cluster (the settled
+/// store, the streaming counters) stay on the caller, since a `Cluster`
+/// holds boxed op sources and cannot be shared across threads. One thread
+/// is spawned per call whatever the host, and the report is the one the
+/// passes give run one by one.
 pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> CheckReport {
     let index = KeyIndex::new(history);
     let lin = || lin::check_lin_on(history, &index, &LinOptions::default());
@@ -920,10 +917,9 @@ pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> C
         let mut order = sweep_order(history, &index, cluster.node_count() as u32);
         let sessions = replay_sessions(history, &cluster.client_stats());
         let labels = relabel_reads(history);
-        if convergence {
-            check_final_state(history, &index, cluster, &mut order);
-        }
-        (sessions, labels, order, convergence.then(|| check_convergence(cluster)))
+        let convergence =
+            convergence.then(|| check_settled(history, &index, cluster, &mut order));
+        (sessions, labels, order, convergence)
     });
     CheckReport {
         sessions,
@@ -951,7 +947,7 @@ mod tests {
     use super::*;
     use crate::{ClientOptions, ClusterOptions, FaultProfile, NetworkModel, ProtocolMutations};
     use pbs_core::ReplicaConfig;
-    use pbs_dist::Pareto;
+    use pbs_dist::{Constant, Pareto};
     use pbs_workload::{OpMix, OpStream, Poisson, UniformKeys};
     use std::sync::Arc;
 
@@ -1000,8 +996,8 @@ mod tests {
     /// `check_run` forks its passes over two threads; its report must `==`
     /// the one the passes give run one at a time on this thread, with
     /// convergence off and on, on storm runs from 4 to 256 keys. Every
-    /// other run drops the version merge, so the order oracle and its
-    /// final-state rule convict something.
+    /// other run drops the version merge, so the order oracle and the
+    /// settled store's final-state rule convict something.
     #[test]
     fn a_forked_audit_equals_its_passes_run_one_at_a_time() {
         let runs = [(1, 256), (2, 256), (3, 64), (4, 64), (5, 16), (6, 16), (7, 4), (8, 4)];
@@ -1013,17 +1009,16 @@ mod tests {
             for convergence in [false, true] {
                 let index = KeyIndex::new(&history);
                 let mut order = sweep_order(&history, &index, cluster.node_count() as u32);
-                if convergence {
-                    let swept = order.lost_updates;
-                    check_final_state(&history, &index, &cluster, &mut order);
-                    final_state_convictions += order.lost_updates - swept;
-                }
+                let swept = order.lost_updates;
+                let settled =
+                    convergence.then(|| check_settled(&history, &index, &cluster, &mut order));
+                final_state_convictions += order.lost_updates - swept;
                 let one_at_a_time = CheckReport {
                     sessions: replay_sessions(&history, &cluster.client_stats()),
                     labels: relabel_reads(&history),
                     order,
                     lin: lin::check_lin_on(&history, &index, &LinOptions::default()),
-                    convergence: convergence.then(|| check_convergence(&cluster)),
+                    convergence: settled,
                     regular_expected: cluster.regular_expected
                         && !history.crashes().iter().any(|c| c.wipe),
                     runs: 1,
@@ -1057,6 +1052,84 @@ mod tests {
     #[should_panic(expected = "the spawned side's own message")]
     fn fork_re_raises_the_spawned_sides_panic() {
         fork(|| panic!("the spawned side's own message"), || ());
+    }
+
+    /// A 3-node N=3 R=W=1 cluster on 1 ms legs with no healing path (no
+    /// read repair, hints or anti-entropy), history on, whose node 0 is
+    /// down from 0 to 50 ms: every write it takes in that span is one node
+    /// 0 misses for good.
+    fn victim_run(wipe_on_crash: bool) -> Cluster {
+        let mut opts = ClusterOptions::validation(ReplicaConfig::new(3, 1, 1).unwrap(), 11);
+        opts.wipe_on_crash = wipe_on_crash;
+        let leg = Arc::new(Constant::new(1.0));
+        let mut cluster = Cluster::new(opts, NetworkModel::w_ars(leg.clone(), leg));
+        cluster.crash_node_at(0, t(0.0), 50.0);
+        cluster.advance_to(t(1.0));
+        cluster
+    }
+
+    /// The one asymmetry of the settled store: node 0 misses a write while
+    /// down and stays stale once settled. Convergence counts it either way;
+    /// the final-state rule convicts it only when its crash kept the store,
+    /// since a wiped replica legitimately forgets.
+    #[test]
+    fn a_wiped_replica_is_stale_but_never_convicted() {
+        for wipe in [false, true] {
+            let mut cluster = victim_run(wipe);
+            cluster.enable_history();
+            let w = cluster.write_from(1, 7);
+            cluster.advance_to(t(200.0));
+            assert!(!cluster.node(0).is_down());
+            assert_eq!(cluster.node(0).stored_version(7), None, "nothing healed node 0");
+            let report = check_run(&cluster.take_history(), &cluster, true);
+            let stale = ConvergenceCheck { keys_checked: 1, divergent_keys: 1, stale_replicas: 1 };
+            assert_eq!(report.convergence, Some(stale), "wipe {wipe}");
+            let lost = OrderViolation::LostUpdate {
+                key: 7,
+                op_id: w.op_id,
+                replica: 0,
+                seen_seq: 0,
+                expected_seq: w.seq.expect("committed"),
+            };
+            let (count, first) = if wipe { (0, None) } else { (1, Some(lost)) };
+            assert_eq!((report.order.lost_updates, report.order.first_lost_update), (count, first));
+        }
+    }
+
+    /// Convergence reads the ground truth, which saw every commit; the
+    /// final-state rule reads the history, which holds only what was
+    /// recorded since the last take. Node 0 misses four writes: one before
+    /// history was enabled, one in a history taken and set aside, two in
+    /// the audited history. All four keys count for convergence; only the
+    /// last two are lost updates, and the first named is the first
+    /// written, not the lowest key.
+    #[test]
+    fn the_settled_store_counts_commits_the_history_never_saw() {
+        let mut cluster = victim_run(false);
+        cluster.write_from(1, 1);
+        cluster.enable_history();
+        cluster.write_from(1, 2);
+        let set_aside = cluster.take_history();
+        assert_eq!(set_aside.len(), 1);
+        let w = cluster.write_from(1, 9);
+        cluster.write_from(1, 3);
+        cluster.advance_to(t(200.0));
+        let history = cluster.take_history();
+        assert_eq!(history.len(), 2);
+        let report = check_run(&history, &cluster, true);
+        let settled = ConvergenceCheck { keys_checked: 4, divergent_keys: 4, stale_replicas: 4 };
+        assert_eq!(report.convergence, Some(settled));
+        assert_eq!(report.order.lost_updates, 2);
+        assert_eq!(
+            report.order.first_lost_update,
+            Some(OrderViolation::LostUpdate {
+                key: 9,
+                op_id: w.op_id,
+                replica: 0,
+                seen_seq: 0,
+                expected_seq: w.seq.expect("committed"),
+            })
+        );
     }
 
     fn write(client: u32, key: u64, seq: u64, start: f64, commit: Option<f64>) -> CompletedOp {

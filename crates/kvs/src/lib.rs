@@ -30,7 +30,8 @@
 //!   slows messages, lags replica disk applies, and skews per-node protocol
 //!   clocks, all bit-reproducibly; the [`checker`] module replays recorded
 //!   op histories as an independent oracle for the streaming session
-//!   guarantees, the online staleness labels, and replica convergence.
+//!   guarantees, the online staleness labels, and per-key version order,
+//!   and reads the settled store once for replica convergence.
 //!
 //! Each node is a sans-io protocol core — [`node::Node`], which takes
 //! [`node::Input`]s and answers in [`node::Output`]s over the typed
