@@ -95,7 +95,7 @@ impl KtScratch {
 /// is issued `t` after the *newest* write commits, using the read legs
 /// (`R`/`S`) of the newest sample so any per-operation structure (e.g. WAN
 /// locality) is preserved — the newest write and its read are one ordinary
-/// WARS trial, sorted by the trial kernel ([`TrialScratch::prepare`]). The
+/// WARS trial, prepared by the trial kernel ([`TrialScratch::prepare`]). The
 /// read returns the newest version visible on any of its first `R`
 /// responders.
 pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions) -> KtResult {
@@ -124,7 +124,7 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
                 // The newest write and the read are one WARS trial: its
                 // commit time, and its responders in arrival order.
                 let newest = k - 1;
-                let trial = scratch.trial.prepare(&scratch.samples[newest]);
+                let trial = scratch.trial.prepare(&scratch.samples[newest], r_quorum, w_quorum);
                 let newest_commit = scratch.starts[newest] + trial.write_latency(w_quorum);
                 let read_issue = newest_commit + opts.t_ms;
                 let r = &scratch.samples[newest].r;
@@ -253,7 +253,7 @@ mod tests {
     }
 
     /// Pinned to the read (and so to the bit): moves if the trial stream,
-    /// the draw order or either sort does.
+    /// the draw order or either selection does.
     #[test]
     fn fixed_seed_golden() {
         let m = crate::production::lnkd_disk_model(ReplicaConfig::new(3, 1, 1).unwrap());

@@ -31,7 +31,7 @@
 //!
 //! A trial's draws depend on `N` alone, so there is **one sample stream per
 //! (model, N, seed)** and configurations are views of it: a trial is sampled
-//! and sorted once ([`trial::TrialScratch::prepare`]) and every `(R, W)` is
+//! and prepared once ([`trial::TrialScratch::prepare`]) and every `(R, W)` is
 //! read off it ([`trial::PreparedTrial`]). [`TVisibility::simulate_grid`]
 //! does that for any set of pairs; simulating one configuration is its
 //! one-pair case.

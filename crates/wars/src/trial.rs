@@ -1,12 +1,18 @@
 //! Single-trial WARS computation (§5.1): commit time, operation latencies,
 //! and the per-trial staleness threshold.
 //!
-//! One trial serves every `(R, W)` of its `N`. [`TrialScratch::prepare`] does
-//! the part that depends on the sampled legs alone — `W + A` sorted ascending,
-//! responders ordered by `R + S` — and a [`PreparedTrial`] answers any
-//! `(r, w)` from it in O(r): the `w`-th acknowledgment, the `r`-th response,
-//! the minimum of `W[i] − w_t − R[i]` over the first `r` responders.
-//! [`run_trial`] is one preparation read at one pair.
+//! One trial serves every `(R, W)` of its `N` up to a bound.
+//! [`TrialScratch::prepare`] does the part that depends on the sampled legs
+//! alone: it keeps the `w_max` earliest acknowledgments `W + A`, ascending,
+//! and the `r_max` first read responders by `R + S`, each by one bounded
+//! insertion pass over the `N` replicas — O(N·max(R, W)), a scan for the
+//! min and argmin that `R = W = 1` reads. Responders tied in `R + S` go to
+//! the lower replica index, at every `N`. A [`PreparedTrial`] answers any
+//! `(r, w)` with `r ≤ r_max`, `w ≤ w_max` in O(r): the `w`-th
+//! acknowledgment, the `r`-th response, the minimum of `W[i] − w_t − R[i]`
+//! over the first `r` responders. A grid passes the maxima over its pairs,
+//! so one preparation serves them all; [`run_trial`] is one preparation,
+//! bounded by its own pair, read at that pair.
 
 use crate::model::WarsSample;
 use pbs_core::ReplicaConfig;
@@ -34,36 +40,70 @@ pub struct TrialResult {
 #[derive(Debug, Default)]
 pub struct TrialScratch {
     wa: Vec<f64>,
+    arrival: Vec<f64>,
     order: Vec<usize>,
 }
 
 impl TrialScratch {
-    /// Sort one trial's legs once, for every `(r, w)` read off the result.
+    /// Order one trial's legs once, for every `(r, w)` with `r ≤ r_max` and
+    /// `w ≤ w_max` read off the result.
     ///
     /// The replica count is `sample.w.len()`; the four legs must be equally
     /// long ([`run_trial`] asserts it per call, the grid kernel once per
-    /// shard).
-    pub fn prepare<'a>(&'a mut self, sample: &'a WarsSample) -> PreparedTrial<'a> {
-        // Acknowledgment arrivals W[i] + A[i], ascending.
+    /// shard). Bounds past `N` keep all `N`. Panics if a leg is NaN.
+    pub fn prepare<'a>(
+        &'a mut self,
+        sample: &'a WarsSample,
+        r_max: usize,
+        w_max: usize,
+    ) -> PreparedTrial<'a> {
+        let mut nan = false;
+        // The w_max earliest acknowledgment arrivals W[i] + A[i], ascending.
         self.wa.clear();
-        self.wa.extend(sample.w.iter().zip(&sample.a).map(|(w, a)| w + a));
-        self.wa.sort_unstable_by(|x, y| x.partial_cmp(y).expect("latencies are not NaN"));
-
-        // Read responders ordered by response arrival R[i] + S[i].
+        for (w, a) in sample.w.iter().zip(&sample.a) {
+            let ack = w + a;
+            nan |= ack.is_nan();
+            keep_earliest(&mut self.wa, w_max, ack, |&ack| ack);
+        }
+        // The r_max first read responders by response arrival R[i] + S[i].
+        self.arrival.clear();
+        self.arrival.extend(sample.r.iter().zip(&sample.s).map(|(r, s)| r + s));
         self.order.clear();
-        self.order.extend(0..sample.w.len());
-        let (r, s) = (&sample.r, &sample.s);
-        // `sort_unstable_by`: the stable sort allocates a merge buffer on every
-        // call, which would be the hot loop's only per-trial allocation.
-        self.order.sort_unstable_by(|&i, &j| {
-            (r[i] + s[i]).partial_cmp(&(r[j] + s[j])).expect("latencies are not NaN")
-        });
+        let arrival = &self.arrival;
+        for (i, &response) in arrival.iter().enumerate() {
+            nan |= response.is_nan();
+            keep_earliest(&mut self.order, r_max, i, |&i| arrival[i]);
+        }
+        assert!(!nan, "latencies are not NaN");
         PreparedTrial { sample, wa: &self.wa, order: &self.order }
     }
 }
 
-/// One sampled trial with its acknowledgments and responses in arrival
-/// order: every `(r, w)` with `1 ≤ r, w ≤ N` is a view of it.
+/// File `item` into `kept`, the at most `bound` items of smallest `key`
+/// offered so far, ascending, after every item of equal key: items offered
+/// in replica order keep that order on ties. An item whose key is not below
+/// the last of a full `kept` (a NaN key among them) is dropped.
+fn keep_earliest<T: Copy>(kept: &mut Vec<T>, bound: usize, item: T, key: impl Fn(&T) -> f64) {
+    let item_key = key(&item);
+    if kept.len() == bound {
+        match kept.last_mut() {
+            Some(last) if item_key < key(last) => *last = item,
+            _ => return,
+        }
+    } else {
+        kept.push(item);
+    }
+    let mut slot = kept.len() - 1;
+    while slot > 0 && item_key < key(&kept[slot - 1]) {
+        kept[slot] = kept[slot - 1];
+        slot -= 1;
+    }
+    kept[slot] = item;
+}
+
+/// One sampled trial with its earliest acknowledgments and responses in
+/// arrival order: every `(r, w)` with `1 ≤ r ≤ r_max`, `1 ≤ w ≤ w_max` is a
+/// view of it.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedTrial<'a> {
     sample: &'a WarsSample,
@@ -71,27 +111,38 @@ pub struct PreparedTrial<'a> {
     order: &'a [usize],
 }
 
+// The views are `#[inline]`: generic callers such as `simulate_grid` are
+// compiled in the caller's crate and read them once per pair per trial.
 impl PreparedTrial<'_> {
     /// Commit time `w_t` under write quorum `w`: the `w`-th smallest
-    /// `W[i] + A[i]`.
+    /// `W[i] + A[i]`. Panics if `w` is past the prepared `w_max`.
+    #[inline]
     pub fn write_latency(&self, w: usize) -> f64 {
+        let kept = self.wa.len();
+        assert!(w <= kept, "W = {w} is past the {kept} prepared acknowledgments");
         self.wa[w - 1]
     }
 
     /// The first `r` read responders (replica indices), in arrival order.
+    /// Panics if `r` is past the prepared `r_max`.
+    #[inline]
     pub fn responders(&self, r: usize) -> &[usize] {
+        let kept = self.order.len();
+        assert!(r <= kept, "R = {r} is past the {kept} prepared responders");
         &self.order[..r]
     }
 
     /// Arrival of the `r`-th read response.
+    #[inline]
     pub fn read_latency(&self, r: usize) -> f64 {
-        let last_responder = self.order[r - 1];
+        let last_responder = self.responders(r)[r - 1];
         self.sample.r[last_responder] + self.sample.s[last_responder]
     }
 
     /// Staleness threshold of `(r, w)`. Replica `i` (among the first `r`
     /// responders) holds the write at read arrival iff
     /// `W[i] ≤ w_t + t + R[i]  ⇔  t ≥ W[i] − w_t − R[i]`.
+    #[inline]
     pub fn staleness_threshold(&self, r: usize, w: usize) -> f64 {
         let commit_time = self.write_latency(w);
         self.responders(r)
@@ -101,6 +152,7 @@ impl PreparedTrial<'_> {
     }
 
     /// All three outcomes of `(r, w)`.
+    #[inline]
     pub fn view(&self, r: usize, w: usize) -> TrialResult {
         TrialResult {
             write_latency: self.write_latency(w),
@@ -122,7 +174,8 @@ pub fn run_trial(cfg: ReplicaConfig, sample: &WarsSample, scratch: &mut TrialScr
     assert_eq!(sample.a.len(), n);
     assert_eq!(sample.r.len(), n);
     assert_eq!(sample.s.len(), n);
-    scratch.prepare(sample).view(cfg.r() as usize, cfg.w() as usize)
+    let (r, w) = (cfg.r() as usize, cfg.w() as usize);
+    scratch.prepare(sample, r, w).view(r, w)
 }
 
 #[cfg(test)]
@@ -221,6 +274,30 @@ mod tests {
         assert_eq!(res.staleness_threshold, 0.0);
         // Consistency at t = 0 uses t ≥ threshold.
         assert!(res.staleness_threshold <= 0.0 || res.staleness_threshold == 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "latencies are not NaN")]
+    fn nan_write_leg_panics_with_one_replica() {
+        let smp = sample(&[f64::NAN], &[1.0], &[1.0], &[1.0]);
+        let _ = run_trial(cfg(1, 1, 1), &smp, &mut TrialScratch::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "latencies are not NaN")]
+    fn nan_read_leg_panics_with_one_replica() {
+        let smp = sample(&[1.0], &[1.0], &[1.0], &[f64::NAN]);
+        let _ = run_trial(cfg(1, 1, 1), &smp, &mut TrialScratch::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "R = 2 is past the 1 prepared responders")]
+    fn view_past_the_prepared_bound_panics() {
+        let smp = sample(&[1.0, 2.0, 3.0], &[0.0; 3], &[1.0; 3], &[1.0; 3]);
+        let mut scratch = TrialScratch::default();
+        let trial = scratch.prepare(&smp, 1, 3);
+        assert_eq!(trial.write_latency(3), 3.0);
+        let _ = trial.view(2, 1);
     }
 
     #[test]

@@ -112,9 +112,9 @@ impl TVisibility {
     ///
     /// `N` is the model's; its own `(R, W)` is not consulted, because a
     /// trial's draws depend on `N` alone ([`LatencyModel`]'s contract). A
-    /// trial is sampled and sorted once, its write latency recorded once per
-    /// distinct `W`, its read latency once per distinct `R`, its threshold
-    /// once per pair.
+    /// trial is sampled once and prepared once up to the largest `R` and `W`
+    /// of `pairs`, its write latency recorded once per distinct `W`, its
+    /// read latency once per distinct `R`, its threshold once per pair.
     ///
     /// Trials shard across `threads` threads on the [`pbs_mc::Runner`].
     /// Deterministic for a fixed `(seed, threads)` pair: shard `i` uses seed
@@ -141,6 +141,9 @@ impl TVisibility {
             .collect();
         let rs = distinct(pairs, |p| p.0);
         let ws = distinct(pairs, |p| p.1);
+        // Every pair's view lies within the largest R and W asked for.
+        let r_max = rs.last().map_or(0, |&r| r as usize);
+        let w_max = ws.last().map_or(0, |&w| w as usize);
 
         let shard = Runner::new(trials, seed, threads).run(|rng, info| {
             let mut acc = GridShard {
@@ -158,7 +161,7 @@ impl TVisibility {
                     assert_eq!(sample.r.len(), replicas);
                     assert_eq!(sample.s.len(), replicas);
                 }
-                let trial = scratch.prepare(&sample);
+                let trial = scratch.prepare(&sample, r_max, w_max);
                 for (sum, &w) in acc.writes.iter_mut().zip(&ws) {
                     sum.record(trial.write_latency(w as usize));
                 }

@@ -18,11 +18,11 @@ fn any_config() -> impl Strategy<Value = ReplicaConfig> {
     })
 }
 
-/// `n ≤ 6` replicas' worth of finite legs, half of them small integers so
+/// `n ≤ 24` replicas' worth of finite legs, half of them small integers so
 /// that ties in `W + A` and `R + S` are common.
 fn any_sample() -> impl Strategy<Value = WarsSample> {
     let leg = (0u32..6, 0.0f64..50.0).prop_map(|(k, x)| if k < 3 { f64::from(k) } else { x });
-    (1usize..=6).prop_flat_map(move |n| {
+    (1usize..=24).prop_flat_map(move |n| {
         let legs = || prop::collection::vec(leg.clone(), n);
         (legs(), legs(), legs(), legs()).prop_map(|(w, a, r, s)| WarsSample { w, a, r, s })
     })
@@ -32,13 +32,19 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
     /// One preparation answers every `(r, w)` exactly as `run_trial` answers
-    /// that configuration on its own, bit for bit.
+    /// that configuration on its own, and as every preparation bounded at
+    /// `(r_max, w_max) ≥ (r, w)` does, bit for bit.
     #[test]
     fn prepared_view_equals_run_trial(sample in any_sample()) {
         let n = sample.w.len();
         let mut scratch = TrialScratch::default();
         let mut views = Vec::new();
-        let trial = scratch.prepare(&sample);
+        let trial = scratch.prepare(&sample, n, n);
+        // Responders in `R + S` order, ties to the lower replica index.
+        let arrival = |i: usize| sample.r[i] + sample.s[i];
+        let mut by_arrival: Vec<usize> = (0..n).collect();
+        by_arrival.sort_by(|&i, &j| arrival(i).partial_cmp(&arrival(j)).expect("finite legs"));
+        prop_assert_eq!(trial.responders(n), &by_arrival[..]);
         for r in 1..=n {
             for w in 1..=n {
                 views.push((r, w, trial.view(r, w)));
@@ -50,8 +56,11 @@ proptest! {
             xs
         };
         let acks = sorted(sample.w.iter().zip(&sample.a).map(|(w, a)| w + a).collect());
-        let responses = sorted(sample.r.iter().zip(&sample.s).map(|(r, s)| r + s).collect());
-        for (r, w, view) in views {
+        let responses = sorted((0..n).map(arrival).collect());
+        let bits = |t: TrialResult| {
+            [t.write_latency, t.read_latency, t.staleness_threshold].map(f64::to_bits)
+        };
+        for &(r, w, view) in &views {
             prop_assert_eq!(view.write_latency, acks[w - 1]);
             prop_assert_eq!(view.read_latency, responses[r - 1]);
             let over_all = (0..n)
@@ -64,10 +73,16 @@ proptest! {
 
             let cfg = ReplicaConfig::new(n as u32, r as u32, w as u32).unwrap();
             let alone = run_trial(cfg, &sample, &mut scratch);
-            let bits = |t: TrialResult| {
-                [t.write_latency, t.read_latency, t.staleness_threshold].map(f64::to_bits)
-            };
             prop_assert_eq!(bits(view), bits(alone), "{}", cfg);
+        }
+        for r_max in 1..=n {
+            for w_max in 1..=n {
+                let bounded = scratch.prepare(&sample, r_max, w_max);
+                for &(r, w, view) in views.iter().filter(|v| v.0 <= r_max && v.1 <= w_max) {
+                    let at = (r_max, w_max, r, w);
+                    prop_assert_eq!(bits(bounded.view(r, w)), bits(view), "{:?}", at);
+                }
+            }
         }
     }
 
