@@ -12,7 +12,7 @@
 //! per-call sample-vector reallocation.
 
 use crate::predictor::Predictor;
-use crate::sla::{optimize, SlaReport, SlaSpec};
+use crate::sla::{assert_valid, optimize, SlaReport, SlaSpec};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Empirical;
 use pbs_wars::{IidModel, LatencyModel};
@@ -143,8 +143,11 @@ impl AdaptiveController {
     /// and per-evaluation trial budget. Monte-Carlo evaluations run on one
     /// shard — the same refit on every host — unless
     /// [`with_threads`](Self::with_threads) says otherwise.
+    ///
+    /// Panics if `ns` is empty or `spec` fails [`SlaSpec::check`].
     pub fn new(spec: SlaSpec, ns: Vec<u32>, window: usize, trials: usize, seed: u64) -> Self {
         assert!(!ns.is_empty());
+        assert_valid(&spec);
         Self {
             w: SampleWindow::new(window),
             a: SampleWindow::new(window),
@@ -256,8 +259,9 @@ impl AdaptiveController {
 
     /// Refit empirical distributions from the current window and run the
     /// SLA optimizer over every candidate `(N, R, W)`: one Monte-Carlo
-    /// stream of `trials` trials per candidate `N`, every `(R, W)` read off
-    /// it.
+    /// stream of `trials` trials per candidate `N`, every partial `(R, W)`
+    /// and `(N, N)` read off it, every strict `(R, W)` judged exactly with
+    /// the latency summaries of its `R` and `W` ([`optimize`]).
     ///
     /// # Errors
     ///
@@ -325,6 +329,14 @@ mod tests {
         ctl.observe_many(&[1.0, 2.0], &[1.0], &[], &[]);
         assert_eq!(ctl.reoptimize().unwrap_err(), AdaptiveError::EmptyWindow);
         assert_eq!(ctl.window_len(), 0);
+    }
+
+    /// A controller whose SLA would panic in its first refit is refused
+    /// at construction.
+    #[test]
+    #[should_panic(expected = "within_ms must be >= 0")]
+    fn a_nan_window_is_refused_at_construction() {
+        AdaptiveController::new(SlaSpec::consistency(0.9, f64::NAN), vec![3], 100, 100, 1);
     }
 
     #[test]

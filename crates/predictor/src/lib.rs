@@ -12,7 +12,8 @@
 //!   latency percentiles) behind [`Predictor::tvisibility`].
 //! * [`sla`] — exhaustive `O(N²)` search over `(R, W)` (optionally over
 //!   `N`) for the lowest-latency configuration meeting staleness,
-//!   durability, and latency constraints.
+//!   durability, and latency constraints; strict quorums are judged
+//!   exactly, only partial ones simulate staleness.
 //! * [`adaptive`] — a sliding-window controller that refits empirical
 //!   distributions as conditions drift and re-runs the optimizer (§6
 //!   "Variable configurations"). It is the one way from **measured**
@@ -33,4 +34,4 @@ pub mod sla;
 
 pub use adaptive::{AdaptiveController, AdaptiveError};
 pub use predictor::Predictor;
-pub use sla::{ConfigEvaluation, SlaReport, SlaSpec};
+pub use sla::{ConfigEvaluation, SlaError, SlaReport, SlaSpec};

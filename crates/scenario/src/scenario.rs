@@ -344,16 +344,12 @@ impl Scenario {
             !control.candidate_ns.is_empty(),
             "control.candidate_ns must name at least one replication factor"
         );
-        assert!(
-            (0.0..=1.0).contains(&control.spec.consistency_probability),
-            "control.spec.consistency_probability must lie in [0, 1], got {}",
-            control.spec.consistency_probability
-        );
-        assert!(
-            (0.0..=100.0).contains(&control.spec.latency_percentile),
-            "control.spec.latency_percentile must lie in [0, 100], got {}",
-            control.spec.latency_percentile
-        );
+        // The SLA's own rules (`SlaSpec::check`): a NaN window panics in
+        // the first refit, a NaN latency cap disqualifies every
+        // configuration without a word.
+        if let Err(e) = control.spec.check() {
+            panic!("control.spec.{e}");
+        }
         for &n in &control.candidate_ns {
             assert!(
                 n <= self.cluster.nodes,

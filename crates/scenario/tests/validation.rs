@@ -31,8 +31,9 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
     type Spoil = fn(&mut Scenario);
     const PROBABILITY: &str = "control.spec.consistency_probability";
     const PERCENTILE: &str = "control.spec.latency_percentile";
+    const WITHIN: &str = "control.spec.within_ms";
     const REFIT: &str = "control.refit_interval_ms";
-    let cases: [(&str, Spoil); 24] = [
+    let cases: [(&str, Spoil); 28] = [
         ("control.mc_trials", |sc| sc.control.mc_trials = 0),
         ("control.window", |sc| sc.control.window = 0),
         ("control.candidate_ns", |sc| sc.control.candidate_ns.clear()),
@@ -42,6 +43,18 @@ fn controller_settings_that_would_panic_mid_run_are_rejected_by_field() {
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = 100.5),
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = -1.0),
         (PERCENTILE, |sc| sc.control.spec.latency_percentile = f64::NAN),
+        // A NaN window panics inside the first refit ("cdf of NaN"); a
+        // negative one asks for t-visibility before commit.
+        (WITHIN, |sc| sc.control.spec.within_ms = f64::NAN),
+        (WITHIN, |sc| sc.control.spec.within_ms = -1.0),
+        // A NaN cap fails every configuration: the run would report that
+        // none meets the SLA instead of failing.
+        ("control.spec.max_read_latency_ms", |sc| {
+            sc.control.spec.max_read_latency_ms = Some(f64::NAN)
+        }),
+        ("control.spec.max_write_latency_ms", |sc| {
+            sc.control.spec.max_write_latency_ms = Some(f64::NAN)
+        }),
         // A refit cadence that never gets past the next window hangs the
         // run; a NaN one turns every refit off without a word.
         (REFIT, |sc| sc.control.refit_interval_ms = 0.0),

@@ -46,7 +46,12 @@ impl WarsSample {
 /// rule for per-replica delays.
 ///
 /// Implementations must fill all four vectors with exactly `config().n()`
-/// nonnegative entries per trial.
+/// finite, nonnegative entries per trial. That is what makes a strict
+/// quorum (`R + W > N`) exact: a replica among the first `W` ackers and the
+/// first `R` responders has `W[i] ≤ W[i] + A[i] ≤` the commit time, so its
+/// staleness threshold `W[i] − w_t − R[i]` is `≤ 0` on every trial, and
+/// `pbs_predictor::sla::optimize` judges such a configuration at
+/// `P(consistent) = 1` without simulating its staleness.
 ///
 /// **A trial's draws depend on `config().n()` only, never on `R` or `W`:**
 /// two models that differ in `(R, W)` alone sample the same trial from the
