@@ -34,13 +34,14 @@
 
 use pbs_bench::cli;
 use pbs_dist::Pareto;
-use pbs_kvs::checker::{CheckReport, OpHistory, OrderViolation};
+use pbs_kvs::checker::{CheckReport, LinCheck, OpHistory, OrderViolation};
 use pbs_kvs::cluster::EngineKind;
 use pbs_kvs::{
     ClientOptions, ClusterOptions, FaultProfile, FaultSchedule, NetworkModel, OpenLoopOptions,
     OpenLoopRun,
 };
 use pbs_core::ReplicaConfig;
+use pbs_mc::Mergeable;
 use pbs_sim::SimTime;
 use pbs_workload::{OpMix, OpSource, OpStream, Poisson, UniformKeys};
 use std::io::Write as _;
@@ -211,7 +212,7 @@ fn main() {
     let strict = ReplicaConfig::new(3, 2, 2).unwrap();
     let mut failures = 0usize;
     let mut reads_audited = 0u64;
-    let mut windows_ns: Vec<u64> = Vec::new();
+    let mut windows = LinCheck::default();
     let mut exhausted_keys = 0u64;
     for i in 0..seeds {
         let seed = base + i;
@@ -220,7 +221,7 @@ fn main() {
             run(EngineKind::SerialPartitioned { workers }, partial, seed, true);
         let (par_hist, par_check) = run(EngineKind::Parallel { workers }, partial, seed, true);
         reads_audited += serial_check.order.reads_checked;
-        windows_ns.extend(serial_check.lin.violations.iter().map(|v| v.window_ns()));
+        windows.merge(serial_check.lin.clone());
 
         let mut bad = false;
         if !serial_check.is_clean() {
@@ -283,7 +284,7 @@ fn main() {
             lin_note = format!(
                 "; strict under storm regular over {} reads; {} partial-quorum windows so far",
                 check.labels.labelled_reads,
-                windows_ns.len()
+                windows.violation_count()
             );
         }
         if bad {
@@ -313,19 +314,15 @@ fn main() {
         // The base R=W=1 runs must surface violation windows — a sweep
         // with zero windows means the checker lost its teeth, not that
         // partial quorums became linearizable.
-        if windows_ns.is_empty() {
+        if windows.violation_count() == 0 {
             eprintln!("FAIL: no WGL violation windows across {seeds} partial-quorum seeds");
             std::process::exit(1);
         }
-        windows_ns.sort_unstable();
-        let pct = |p: f64| {
-            let rank = ((p / 100.0) * windows_ns.len() as f64).ceil() as usize;
-            windows_ns[rank.clamp(1, windows_ns.len()) - 1] as f64 / 1e6
-        };
+        let pct = |p| windows.window_percentile_ms(p).expect("the sweep found windows");
         let (p50, p90) = (pct(50.0), pct(90.0));
         println!(
             "partial-quorum WGL windows: {} total, p50 {p50:.2}ms, p90 {p90:.2}ms",
-            windows_ns.len()
+            windows.violation_count()
         );
     }
     if failures > 0 {

@@ -4,7 +4,7 @@
 
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
-use pbs_quorum::{analysis, RandomFixed};
+use pbs_quorum::analysis;
 use pbs_wars::kt::{kt_violation_direct, KtOptions, WriteSpacing};
 use pbs_wars::production::exponential_model;
 
@@ -41,10 +41,9 @@ fn main() {
     let mut rows = Vec::new();
     for (n, r, w) in [(3u32, 1u32, 1u32), (3, 1, 2), (5, 2, 1)] {
         let cfg = ReplicaConfig::new(n, r, w).unwrap();
-        let sys = RandomFixed::new(n, r, w);
         for k in [1u32, 2, 5] {
             let exact = staleness::k_staleness_violation(cfg, k);
-            let mc = analysis::k_staleness_mc(&sys, k, mc_trials, opts.seed);
+            let mc = analysis::k_staleness_mc(&cfg, k, mc_trials, opts.seed);
             rows.push(vec![
                 cfg.to_string(),
                 k.to_string(),

@@ -3,8 +3,8 @@
 //! ε-intersecting bounds, plus measured loads of real constructions.
 
 use pbs_bench::{report, HarnessOptions};
-use pbs_core::load;
-use pbs_quorum::{analysis, Grid, Majority, QuorumSystem, RandomFixed, TreeQuorum};
+use pbs_core::{load, ReplicaConfig};
+use pbs_quorum::{analysis, Grid, QuorumSystem, TreeQuorum};
 
 fn main() {
     let opts = HarnessOptions::parse(100_000);
@@ -48,20 +48,20 @@ fn main() {
     report::table(&["γgw", "γcr", "effective k", "load ≥"], &rows);
 
     report::header("Measured load of classic constructions (uniform strategy)");
-    let systems: Vec<Box<dyn QuorumSystem>> = vec![
-        Box::new(Majority::new(9)),
-        Box::new(Grid::new(3)),
-        Box::new(TreeQuorum::new(3, 0.0)),
-        Box::new(TreeQuorum::new(3, 0.3)),
-        Box::new(RandomFixed::new(9, 3, 3)),
-        Box::new(RandomFixed::new(9, 1, 1)),
+    let systems: Vec<(&str, Box<dyn QuorumSystem>)> = vec![
+        ("Majority(N=9)", Box::new(ReplicaConfig::majority(9).unwrap())),
+        ("Grid(3×3)", Box::new(Grid::new(3))),
+        ("Tree(depth=3, skip=0)", Box::new(TreeQuorum::new(3, 0.0))),
+        ("Tree(depth=3, skip=0.3)", Box::new(TreeQuorum::new(3, 0.3))),
+        ("RandomFixed(N=9, R=3, W=3)", Box::new(ReplicaConfig::new(9, 3, 3).unwrap())),
+        ("RandomFixed(N=9, R=1, W=1)", Box::new(ReplicaConfig::new(9, 1, 1).unwrap())),
     ];
     let mut rows = Vec::new();
-    for sys in &systems {
+    for (name, sys) in &systems {
         let l = analysis::measure_load(sys.as_ref(), opts.trials, opts.seed);
         let p_int = analysis::intersection_probability(sys.as_ref(), opts.trials, opts.seed + 1);
         rows.push(vec![
-            sys.name(),
+            name.to_string(),
             format!("{l:.4}"),
             format!("{:.4}", 1.0 / l),
             report::pct(p_int),

@@ -6,7 +6,7 @@
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
 use pbs_quorum::kquorum::RoundRobinWriter;
-use pbs_quorum::{analysis, Grid, Majority, NodeSet, QuorumSystem, RandomFixed, TreeQuorum};
+use pbs_quorum::{analysis, Grid, NodeSet, QuorumSystem, TreeQuorum};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,10 +20,9 @@ fn main() {
         let cfg = ReplicaConfig::new(n, r, w).unwrap();
         let exact = staleness::non_intersection_probability(cfg);
         let mc = if n <= 64 {
-            let sys = RandomFixed::new(n, r, w);
             format!(
                 "{:.2e}",
-                1.0 - analysis::intersection_probability(&sys, opts.trials, opts.seed)
+                1.0 - analysis::intersection_probability(&cfg, opts.trials, opts.seed)
             )
         } else {
             "n/a (closed form only)".into()
@@ -35,15 +34,15 @@ fn main() {
     println!(" N=3,R=W=1 → 0.667)");
 
     report::header("Strict constructions: size and load");
-    let systems: Vec<(Box<dyn QuorumSystem>, &str)> = vec![
-        (Box::new(Majority::new(25)), "⌊N/2⌋+1 = 13"),
-        (Box::new(Grid::new(5)), "2√N−1 = 9"),
-        (Box::new(TreeQuorum::new(4, 0.0)), "path = log N = 4"),
-        (Box::new(TreeQuorum::new(4, 0.3)), "mixed"),
+    let systems: Vec<(&str, Box<dyn QuorumSystem>, &str)> = vec![
+        ("Majority(N=25)", Box::new(ReplicaConfig::majority(25).unwrap()), "⌊N/2⌋+1 = 13"),
+        ("Grid(5×5)", Box::new(Grid::new(5)), "2√N−1 = 9"),
+        ("Tree(depth=4, skip=0)", Box::new(TreeQuorum::new(4, 0.0)), "path = log N = 4"),
+        ("Tree(depth=4, skip=0.3)", Box::new(TreeQuorum::new(4, 0.3)), "mixed"),
     ];
     let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    for (sys, size_note) in &systems {
+    for (name, sys, size_note) in &systems {
         let p = analysis::intersection_probability(sys.as_ref(), opts.trials / 4, opts.seed);
         let load = analysis::measure_load(sys.as_ref(), opts.trials / 4, opts.seed + 1);
         let mut sizes = 0u64;
@@ -52,7 +51,7 @@ fn main() {
             sizes += sys.sample_read(&mut rng).len() as u64;
         }
         rows.push(vec![
-            sys.name(),
+            name.to_string(),
             size_note.to_string(),
             format!("{:.2}", sizes as f64 / samples as f64),
             report::pct(p),

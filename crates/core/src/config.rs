@@ -73,7 +73,13 @@ impl ReplicaConfig {
         !self.is_strict()
     }
 
-    /// Majority quorums for a given `N`: `R = W = ⌊N/2⌋ + 1`.
+    /// Majority quorums for a given `N`: `R = W = ⌊N/2⌋ + 1`, the strict
+    /// case of the random `R`-of-`N` / `W`-of-`N` model (`pbs-quorum`
+    /// samples it as a `QuorumSystem`).
+    ///
+    /// The paper writes the majority size as `⌈N/2⌉`, which coincides for
+    /// odd `N`; for even `N` intersection requires `⌊N/2⌋ + 1`, which is
+    /// what this uses.
     ///
     /// # Errors
     ///

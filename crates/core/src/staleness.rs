@@ -59,29 +59,6 @@ pub fn expected_staleness_versions(cfg: ReplicaConfig) -> f64 {
     }
 }
 
-/// Smallest `k` such that the k-staleness violation probability is at most
-/// `target` — "how many versions must I tolerate for 1 − target confidence?"
-///
-/// Returns `None` if `target` is unreachable (`p_s = 1`, impossible for valid
-/// configs) and `Some(1)` when even `k = 1` suffices (including all strict
-/// quorums).
-pub fn k_for_target(cfg: ReplicaConfig, target: f64) -> Option<u32> {
-    assert!(
-        (0.0..1.0).contains(&target) && target > 0.0,
-        "target must be in (0, 1), got {target}"
-    );
-    let ps = non_intersection_probability(cfg);
-    if ps == 0.0 {
-        return Some(1);
-    }
-    if ps >= 1.0 {
-        return None;
-    }
-    // p_s^k ≤ target  ⇔  k ≥ ln(target)/ln(p_s)  (both logs negative).
-    let k = (target.ln() / ps.ln()).ceil();
-    Some((k as u32).max(1))
-}
-
 /// **Equation 3** — probability of violating PBS *monotonic reads*: with a
 /// client read rate `γcr` and a global write rate `γgw` to the same key,
 /// `k = 1 + γgw/γcr` versions land between successive client reads, and the
@@ -184,19 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn k_for_target_inverts_eq2() {
-        let c = cfg(3, 1, 1);
-        for &target in &[0.5, 0.1, 0.01, 1e-6] {
-            let k = k_for_target(c, target).unwrap();
-            assert!(k_staleness_violation(c, k) <= target, "k={k}, target={target}");
-            if k > 1 {
-                assert!(k_staleness_violation(c, k - 1) > target, "k too large");
-            }
-        }
-        assert_eq!(k_for_target(cfg(3, 2, 2), 1e-9), Some(1));
-    }
-
-    #[test]
     fn monotonic_reads_special_cases() {
         let c = cfg(3, 1, 1);
         // γgw = γcr → k = 2 → (2/3)^2 = 4/9.
@@ -208,11 +172,5 @@ mod tests {
         // Faster client reads (γcr ≫ γgw) approach plain Eq. 1 from below.
         let p = monotonic_reads_violation(c, 0.001, 10.0);
         assert!(p < 2.0 / 3.0 && p > 0.6);
-    }
-
-    #[test]
-    #[should_panic(expected = "target must be in (0, 1)")]
-    fn k_for_target_rejects_bad_target() {
-        let _ = k_for_target(cfg(3, 1, 1), 1.5);
     }
 }

@@ -487,8 +487,8 @@ impl Cluster {
     }
 
     /// The cluster's network model. Its dynamic-condition methods
-    /// (partitions, link faults, regime swaps, buggify fault profiles)
-    /// take `&self`, so faults can be injected mid-run:
+    /// (partitions, regime swaps, buggify fault schedules) take `&self`,
+    /// so faults can be injected mid-run:
     /// `cluster.network().try_partition(groups, cluster.node_count())`.
     pub fn network(&self) -> &NetworkModel {
         &self.net

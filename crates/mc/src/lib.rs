@@ -26,8 +26,12 @@
 //! use pbs_mc::{Runner, Summary};
 //! use rand::Rng;
 //!
-//! let summary = Runner::new(100_000, 42, 4).run_trials(Summary::default, |rng, acc| {
-//!     acc.record(rng.gen::<f64>());
+//! let summary = Runner::new(100_000, 42, 4).run(|rng, info| {
+//!     let mut acc = Summary::default();
+//!     for _ in 0..info.trials {
+//!         acc.record(rng.gen::<f64>());
+//!     }
+//!     acc
 //! });
 //! assert_eq!(summary.count(), 100_000);
 //! assert!((summary.percentile(99.0) - 0.99).abs() < 0.01);

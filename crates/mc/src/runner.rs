@@ -90,27 +90,25 @@ pub struct ShardInfo {
 /// determinism contract).
 ///
 /// ```
-/// use pbs_mc::{Mergeable, Runner};
+/// use pbs_mc::{Mergeable, Runner, ShardInfo};
+/// use rand::rngs::StdRng;
 /// use rand::Rng;
 ///
 /// // Estimate P(u < 0.3) over 100k trials on 4 shards. The counts are
 /// // bit-reproducible for this (seed, threads) pair.
-/// #[derive(Default)]
 /// struct Hits(u64);
 /// impl Mergeable for Hits {
 ///     fn merge(&mut self, other: Self) { self.0 += other.0; }
 /// }
 ///
 /// let runner = Runner::new(100_000, 42, 4);
-/// let hits = runner.run_trials(Hits::default, |rng, acc| {
-///     if rng.gen::<f64>() < 0.3 { acc.0 += 1; }
-/// });
+/// let count = |rng: &mut StdRng, info: ShardInfo| {
+///     Hits((0..info.trials).filter(|_| rng.gen::<f64>() < 0.3).count() as u64)
+/// };
+/// let hits = runner.run(count);
 /// let p = hits.0 as f64 / runner.trials() as f64;
 /// assert!((p - 0.3).abs() < 0.01);
-/// let again = runner.run_trials(Hits::default, |rng, acc| {
-///     if rng.gen::<f64>() < 0.3 { acc.0 += 1; }
-/// });
-/// assert_eq!(hits.0, again.0);
+/// assert_eq!(hits.0, runner.run(count).0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Runner {
@@ -212,25 +210,6 @@ impl Runner {
         folded
     }
 
-    /// Per-trial convenience over [`run`](Self::run): each shard builds an
-    /// accumulator with `init`, then calls `trial(&mut rng, &mut acc)` once
-    /// per assigned trial. Per-shard scratch state belongs inside the
-    /// accumulator (its `merge` can simply drop it).
-    pub fn run_trials<A, FI, FT>(&self, init: FI, trial: FT) -> A
-    where
-        A: Mergeable + Send,
-        FI: Fn() -> A + Sync,
-        FT: Fn(&mut StdRng, &mut A) + Sync,
-    {
-        self.run(|rng, info| {
-            let mut acc = init();
-            for _ in 0..info.trials {
-                trial(rng, &mut acc);
-            }
-            acc
-        })
-    }
-
     /// Whole-run replication over [`run`](Self::run): each trial is one
     /// independent run, and run `j` of a shard is handed the seed
     /// `shard_seed ^ (j · φ64)` (φ64 the 64-bit golden ratio). Each shard
@@ -263,6 +242,16 @@ mod tests {
             self.0 += other.0;
             self.1 += other.1;
         }
+    }
+
+    /// Each shard sums its `info.trials` uniform draws.
+    fn sum_uniforms(rng: &mut StdRng, info: ShardInfo) -> Sum {
+        let mut acc = Sum::default();
+        for _ in 0..info.trials {
+            acc.0 += rng.gen::<f64>();
+            acc.1 += 1;
+        }
+        acc
     }
 
     #[test]
@@ -303,12 +292,7 @@ mod tests {
 
     #[test]
     fn identical_seed_and_threads_bitwise_identical() {
-        let run = || {
-            Runner::new(10_000, 99, 4).run_trials(Sum::default, |rng, acc| {
-                acc.0 += rng.gen::<f64>();
-                acc.1 += 1;
-            })
-        };
+        let run = || Runner::new(10_000, 99, 4).run(sum_uniforms);
         let (a, b) = (run(), run());
         assert_eq!(a.0.to_bits(), b.0.to_bits(), "must be bit-reproducible");
         assert_eq!(a.1, 10_000);
@@ -318,10 +302,7 @@ mod tests {
     #[test]
     fn single_thread_matches_shard_zero_stream() {
         // threads=1 must replay the plain `seed` stream (shard 0, seed^0).
-        let sharded = Runner::new(1_000, 7, 1).run_trials(Sum::default, |rng, acc| {
-            acc.0 += rng.gen::<f64>();
-            acc.1 += 1;
-        });
+        let sharded = Runner::new(1_000, 7, 1).run(sum_uniforms);
         let mut rng = StdRng::seed_from_u64(7);
         let direct: f64 = (0..1_000).map(|_| rng.gen::<f64>()).sum();
         assert_eq!(sharded.0.to_bits(), direct.to_bits());
@@ -330,10 +311,7 @@ mod tests {
     #[test]
     fn thread_counts_agree_statistically() {
         let mean = |threads: usize| {
-            let s = Runner::new(200_000, 1, threads).run_trials(Sum::default, |rng, acc| {
-                acc.0 += rng.gen::<f64>();
-                acc.1 += 1;
-            });
+            let s = Runner::new(200_000, 1, threads).run(sum_uniforms);
             s.0 / s.1 as f64
         };
         let (m1, m4) = (mean(1), mean(4));
@@ -377,7 +355,10 @@ mod tests {
 
     #[test]
     fn zero_trials_allowed() {
-        let s = Runner::new(0, 3, 4).run_trials(Sum::default, |_, _| unreachable!());
+        let s = Runner::new(0, 3, 4).run(|rng, info| {
+            assert_eq!(info.trials, 0);
+            sum_uniforms(rng, info)
+        });
         assert_eq!(s.1, 0);
     }
 }

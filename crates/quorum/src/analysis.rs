@@ -60,10 +60,10 @@ pub fn k_staleness_mc<S: QuorumSystem + ?Sized>(
 /// (reads and writes weighted equally).
 ///
 /// This is an upper bound on the Naor–Wool load (which optimises over all
-/// access strategies); for symmetric systems like [`crate::Majority`],
-/// [`crate::Grid`] with uniform row/column choice, and
-/// [`crate::RandomFixed`], uniform sampling is optimal and the measured
-/// value converges to the true load.
+/// access strategies); for symmetric systems — the R-of-N / W-of-N
+/// [`ReplicaConfig`](pbs_core::ReplicaConfig) system, majority included, and
+/// [`crate::Grid`] with uniform row/column choice — uniform sampling is
+/// optimal and the measured value converges to the true load.
 pub fn measure_load<S: QuorumSystem + ?Sized>(sys: &S, trials: usize, seed: u64) -> f64 {
     assert!(trials > 0);
     let n = sys.universe() as usize;
@@ -87,17 +87,15 @@ pub fn measure_load<S: QuorumSystem + ?Sized>(sys: &S, trials: usize, seed: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::systems::{Grid, Majority, RandomFixed, TreeQuorum};
+    use crate::systems::{Grid, TreeQuorum};
     use pbs_core::{staleness, ReplicaConfig};
 
     #[test]
     fn random_fixed_matches_eq1_closed_form() {
         for (n, r, w) in [(3u32, 1u32, 1u32), (3, 1, 2), (5, 2, 1), (10, 3, 2)] {
-            let sys = RandomFixed::new(n, r, w);
-            let mc = 1.0 - intersection_probability(&sys, 200_000, 42);
-            let exact = staleness::non_intersection_probability(
-                ReplicaConfig::new(n, r, w).unwrap(),
-            );
+            let cfg = ReplicaConfig::new(n, r, w).unwrap();
+            let mc = 1.0 - intersection_probability(&cfg, 200_000, 42);
+            let exact = staleness::non_intersection_probability(cfg);
             assert!(
                 (mc - exact).abs() < 0.005,
                 "N={n} R={r} W={w}: MC {mc} vs exact {exact}"
@@ -108,9 +106,8 @@ mod tests {
     #[test]
     fn random_fixed_k_staleness_matches_eq2() {
         let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
-        let sys = RandomFixed::new(3, 1, 1);
         for k in [1u32, 2, 3, 5] {
-            let mc = k_staleness_mc(&sys, k, 200_000, 7);
+            let mc = k_staleness_mc(&cfg, k, 200_000, 7);
             let exact = staleness::k_staleness_violation(cfg, k);
             assert!((mc - exact).abs() < 0.005, "k={k}: MC {mc} vs exact {exact}");
         }
@@ -118,15 +115,15 @@ mod tests {
 
     #[test]
     fn strict_systems_always_intersect() {
-        let systems: Vec<Box<dyn QuorumSystem>> = vec![
-            Box::new(Majority::new(7)),
-            Box::new(Grid::new(4)),
-            Box::new(TreeQuorum::new(4, 0.25)),
-            Box::new(RandomFixed::new(5, 3, 3)),
+        let systems: Vec<(Box<dyn QuorumSystem>, &str)> = vec![
+            (Box::new(ReplicaConfig::majority(7).unwrap()), "majority N=7"),
+            (Box::new(Grid::new(4)), "grid 4×4"),
+            (Box::new(TreeQuorum::new(4, 0.25)), "tree depth 4"),
+            (Box::new(ReplicaConfig::new(5, 3, 3).unwrap()), "N=5, R=W=3"),
         ];
-        for sys in &systems {
+        for (sys, label) in &systems {
             let p = intersection_probability(sys.as_ref(), 20_000, 3);
-            assert_eq!(p, 1.0, "{}", sys.name());
+            assert_eq!(p, 1.0, "{label}");
         }
     }
 
@@ -142,7 +139,7 @@ mod tests {
 
     #[test]
     fn majority_load_is_about_half() {
-        let sys = Majority::new(9);
+        let sys = ReplicaConfig::majority(9).unwrap();
         let load = measure_load(&sys, 100_000, 2);
         assert!((load - 5.0 / 9.0).abs() < 0.01, "load {load}");
     }
@@ -152,7 +149,7 @@ mod tests {
         // §3.3's point: a partial system's busiest node can fall below the
         // strict 1/√N floor.
         let n = 16u32;
-        let partial = RandomFixed::new(n, 1, 1);
+        let partial = ReplicaConfig::new(n, 1, 1).unwrap();
         let load = measure_load(&partial, 100_000, 5);
         let strict_floor = pbs_core::load::strict_load_lower_bound(n);
         assert!(
@@ -172,5 +169,17 @@ mod tests {
         let spread = TreeQuorum::new(4, 0.4);
         let sl = measure_load(&spread, 50_000, 8);
         assert!(sl < 0.9, "skip=0.4 load {sl} should fall below root-always");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 replicas")]
+    fn intersection_probability_refuses_more_than_64_replicas() {
+        intersection_probability(&ReplicaConfig::new(65, 1, 1).unwrap(), 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 replicas")]
+    fn measure_load_refuses_more_than_64_replicas() {
+        measure_load(&ReplicaConfig::new(65, 1, 1).unwrap(), 1, 0);
     }
 }

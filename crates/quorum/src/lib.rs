@@ -1,20 +1,22 @@
 //! # pbs-quorum — quorum-system constructions and probabilistic analysis
 //!
 //! §2.1 of the PBS paper surveys the quorum-system design space this crate
-//! implements:
+//! samples. A [`QuorumSystem`] is its read and write quorum families:
 //!
-//! * **strict** systems, where any two quorums intersect — [`Majority`],
-//!   [`Grid`] (Naor–Wool row∪column) and [`TreeQuorum`] (Agrawal–El Abbadi);
-//! * **probabilistic / partial** systems — [`RandomFixed`], the
-//!   `W`-of-`N` / `R`-of-`N` random-quorum model behind every PBS closed
-//!   form;
+//! * **the counted system** — [`pbs_core::ReplicaConfig`], uniformly random
+//!   `R`-of-`N` reads and `W`-of-`N` writes, the model behind every PBS
+//!   closed form. It is partial when `R + W ≤ N` and strict otherwise;
+//!   [`ReplicaConfig::majority`](pbs_core::ReplicaConfig::majority) is its
+//!   majority case;
+//! * **strict** constructions, where any two quorums intersect — [`Grid`]
+//!   (Naor–Wool row∪column) and [`TreeQuorum`] (Agrawal–El Abbadi);
 //! * **deterministic k-quorums** — [`kquorum::RoundRobinWriter`], the
 //!   single-writer construction whose reads are never more than `k`
 //!   versions stale (Aiyer et al., §2.1).
 //!
 //! [`analysis`] provides Monte-Carlo intersection probability, k-staleness,
-//! and load measurements for any [`QuorumSystem`], cross-validated against
-//! the `pbs-core` closed forms where those exist.
+//! and load measurements for any [`QuorumSystem`] over at most 64 replicas,
+//! cross-validated against the `pbs-core` closed forms where those exist.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,4 +28,4 @@ pub mod systems;
 
 pub use analysis::{intersection_probability, k_staleness_mc, measure_load};
 pub use nodeset::NodeSet;
-pub use systems::{Grid, Majority, QuorumSystem, RandomFixed, TreeQuorum};
+pub use systems::{Grid, QuorumSystem, TreeQuorum};

@@ -15,16 +15,6 @@ impl NodeSet {
     /// The empty set.
     pub const EMPTY: NodeSet = NodeSet { bits: 0 };
 
-    /// Set containing the nodes `0..n`.
-    pub fn full(n: u32) -> Self {
-        assert!(n <= 64, "NodeSet supports at most 64 nodes, got {n}");
-        if n == 64 {
-            NodeSet { bits: u64::MAX }
-        } else {
-            NodeSet { bits: (1u64 << n) - 1 }
-        }
-    }
-
     /// Singleton set.
     pub fn singleton(node: u32) -> Self {
         assert!(node < 64);
@@ -50,16 +40,6 @@ impl NodeSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.bits == 0
-    }
-
-    /// Set union.
-    pub fn union(&self, other: NodeSet) -> NodeSet {
-        NodeSet { bits: self.bits | other.bits }
-    }
-
-    /// Set intersection.
-    pub fn intersection(&self, other: NodeSet) -> NodeSet {
-        NodeSet { bits: self.bits & other.bits }
     }
 
     /// Whether the two sets share any node — the quorum intersection test.
@@ -100,19 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn full_sets() {
-        assert_eq!(NodeSet::full(0), NodeSet::EMPTY);
-        assert_eq!(NodeSet::full(3).len(), 3);
-        assert_eq!(NodeSet::full(64).len(), 64);
-    }
-
-    #[test]
     fn set_algebra() {
         let a: NodeSet = [0u32, 1, 2].into_iter().collect();
         let b: NodeSet = [2u32, 3].into_iter().collect();
         assert!(a.intersects(b));
-        assert_eq!(a.intersection(b).iter().collect::<Vec<_>>(), vec![2]);
-        assert_eq!(a.union(b).len(), 4);
         let c = NodeSet::singleton(9);
         assert!(!a.intersects(c));
     }

@@ -1,6 +1,8 @@
-//! Quorum-system constructions: random fixed-size, majority, grid, tree.
+//! Quorum-system constructions: the counted R-of-N / W-of-N system
+//! ([`ReplicaConfig`]), grid and tree.
 
 use crate::nodeset::NodeSet;
+use pbs_core::ReplicaConfig;
 use rand::Rng;
 use rand::RngCore;
 
@@ -18,18 +20,17 @@ pub trait QuorumSystem: Send + Sync {
 
     /// Draw a write quorum.
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet;
-
-    /// Whether the construction guarantees read/write intersection.
-    fn is_strict(&self) -> bool;
-
-    /// Name for reports.
-    fn name(&self) -> String;
 }
 
 /// Sample a uniformly random subset of size `k` from `0..n` (partial
 /// Fisher–Yates over a stack buffer).
+///
+/// # Panics
+///
+/// If `n > 64`: a [`NodeSet`] holds at most 64 replicas.
 pub(crate) fn random_subset(rng: &mut dyn RngCore, n: u32, k: u32) -> NodeSet {
-    debug_assert!(k <= n && n <= 64);
+    assert!(n <= 64, "quorum sampling supports at most 64 replicas (NodeSet), got N = {n}");
+    debug_assert!(k <= n);
     let mut pool: [u32; 64] = [0; 64];
     for (i, slot) in pool.iter_mut().enumerate().take(n as usize) {
         *slot = i as u32;
@@ -45,87 +46,18 @@ pub(crate) fn random_subset(rng: &mut dyn RngCore, n: u32, k: u32) -> NodeSet {
 
 /// The PBS probabilistic model: uniformly random read quorums of size `R`
 /// and write quorums of size `W` over `N` replicas (Equation 1's setting).
-#[derive(Debug, Clone, Copy)]
-pub struct RandomFixed {
-    n: u32,
-    r: u32,
-    w: u32,
-}
-
-impl RandomFixed {
-    /// Build with `1 ≤ r, w ≤ n ≤ 64`.
-    pub fn new(n: u32, r: u32, w: u32) -> Self {
-        assert!((1..=64).contains(&n), "n must be in 1..=64");
-        assert!((1..=n).contains(&r) && (1..=n).contains(&w));
-        Self { n, r, w }
-    }
-}
-
-impl QuorumSystem for RandomFixed {
+/// [`ReplicaConfig::majority`] is its strict majority case.
+impl QuorumSystem for ReplicaConfig {
     fn universe(&self) -> u32 {
-        self.n
+        self.n()
     }
 
     fn sample_read(&self, rng: &mut dyn RngCore) -> NodeSet {
-        random_subset(rng, self.n, self.r)
+        random_subset(rng, self.n(), self.r())
     }
 
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
-        random_subset(rng, self.n, self.w)
-    }
-
-    fn is_strict(&self) -> bool {
-        self.r + self.w > self.n
-    }
-
-    fn name(&self) -> String {
-        format!("RandomFixed(N={}, R={}, W={})", self.n, self.r, self.w)
-    }
-}
-
-/// Majority quorums: every quorum is a uniformly random subset of size
-/// `⌊N/2⌋ + 1`.
-///
-/// The paper writes the majority size as `⌈N/2⌉`, which coincides for odd
-/// `N`; for even `N` intersection requires `⌊N/2⌋ + 1`, which is what we
-/// use.
-#[derive(Debug, Clone, Copy)]
-pub struct Majority {
-    n: u32,
-}
-
-impl Majority {
-    /// Build over `n ≤ 64` replicas.
-    pub fn new(n: u32) -> Self {
-        assert!((1..=64).contains(&n));
-        Self { n }
-    }
-
-    /// The quorum size `⌊N/2⌋ + 1`.
-    pub fn quorum_size(&self) -> u32 {
-        self.n / 2 + 1
-    }
-}
-
-impl QuorumSystem for Majority {
-    fn universe(&self) -> u32 {
-        self.n
-    }
-
-    fn sample_read(&self, rng: &mut dyn RngCore) -> NodeSet {
-        random_subset(rng, self.n, self.quorum_size())
-    }
-
-    fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
-        random_subset(rng, self.n, self.quorum_size())
-    }
-
-    fn is_strict(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> String {
-        format!("Majority(N={})", self.n)
+        random_subset(rng, self.n(), self.w())
     }
 }
 
@@ -175,14 +107,6 @@ impl QuorumSystem for Grid {
 
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
         self.sample_quorum(rng)
-    }
-
-    fn is_strict(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> String {
-        format!("Grid({0}×{0})", self.side)
     }
 }
 
@@ -243,14 +167,6 @@ impl QuorumSystem for TreeQuorum {
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
         self.sample_read(rng)
     }
-
-    fn is_strict(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> String {
-        format!("Tree(depth={}, skip={})", self.depth, self.skip_root_prob)
-    }
 }
 
 #[cfg(test)]
@@ -281,7 +197,7 @@ mod tests {
     #[test]
     fn majority_always_intersects() {
         for n in [1u32, 2, 3, 4, 5, 8, 15] {
-            let sys = Majority::new(n);
+            let sys = ReplicaConfig::majority(n).unwrap();
             let mut rng = StdRng::seed_from_u64(7);
             for _ in 0..2000 {
                 let a = sys.sample_read(&mut rng);
@@ -327,8 +243,24 @@ mod tests {
     }
 
     #[test]
-    fn random_fixed_strictness() {
-        assert!(RandomFixed::new(3, 2, 2).is_strict());
-        assert!(!RandomFixed::new(3, 1, 1).is_strict());
+    fn replica_config_draws_are_random_subset_draws() {
+        let grid = [(1, 1, 1), (2, 1, 2), (3, 1, 1), (3, 2, 1), (5, 2, 4), (9, 3, 3)]
+            .into_iter()
+            .chain([(16, 1, 16), (25, 7, 19), (64, 1, 1), (64, 64, 33)])
+            .map(|(n, r, w)| ReplicaConfig::new(n, r, w).unwrap());
+        let majorities = [1, 2, 9, 25, 64].map(|n| ReplicaConfig::majority(n).unwrap());
+        for (seed, cfg) in grid.chain(majorities).enumerate() {
+            let mut ours = StdRng::seed_from_u64(seed as u64);
+            let mut direct = StdRng::seed_from_u64(seed as u64);
+            assert_eq!(cfg.universe(), cfg.n());
+            for call in 0..200 {
+                let (got, want) = if call % 3 == 0 {
+                    (cfg.sample_read(&mut ours), random_subset(&mut direct, cfg.n(), cfg.r()))
+                } else {
+                    (cfg.sample_write(&mut ours), random_subset(&mut direct, cfg.n(), cfg.w()))
+                };
+                assert_eq!(got, want, "{cfg}, call {call}");
+            }
+        }
     }
 }

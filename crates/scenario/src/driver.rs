@@ -102,7 +102,8 @@ pub struct ScenarioRun {
     /// merged across replica runs.
     pub check: Option<CheckReport>,
     /// Timeline events the cluster rejected as malformed (bad partition
-    /// grouping, non-finite link fault, invalid fault profile, …).
+    /// grouping, crash of a missing node or with a bad downtime, invalid
+    /// fault schedule).
     pub event_errors: u64,
     /// Replica runs folded into this result.
     pub runs: u64,

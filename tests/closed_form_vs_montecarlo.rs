@@ -5,7 +5,7 @@
 use pbs::dist::Constant;
 use pbs::math::tvisibility::{t_visibility_violation, EmpiricalDiffusion};
 use pbs::math::{staleness, ReplicaConfig};
-use pbs::quorum::{analysis, RandomFixed};
+use pbs::quorum::analysis;
 use pbs::wars::{IidModel, TVisibility};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,9 +20,9 @@ fn cfg(n: u32, r: u32, w: u32) -> ReplicaConfig {
 #[test]
 fn eq1_matches_random_subset_mc() {
     for (n, r, w) in [(2u32, 1u32, 1u32), (3, 1, 1), (3, 1, 2), (4, 2, 1), (7, 2, 3)] {
-        let exact = staleness::non_intersection_probability(cfg(n, r, w));
-        let sys = RandomFixed::new(n, r, w);
-        let mc = 1.0 - analysis::intersection_probability(&sys, 150_000, 99);
+        let c = cfg(n, r, w);
+        let exact = staleness::non_intersection_probability(c);
+        let mc = 1.0 - analysis::intersection_probability(&c, 150_000, 99);
         assert!((exact - mc).abs() < 0.006, "N={n},R={r},W={w}: {exact} vs {mc}");
     }
 }
@@ -31,10 +31,9 @@ fn eq1_matches_random_subset_mc() {
 #[test]
 fn eq2_matches_k_quorum_mc() {
     let c = cfg(4, 1, 2);
-    let sys = RandomFixed::new(4, 1, 2);
     for k in [1u32, 2, 4, 8] {
         let exact = staleness::k_staleness_violation(c, k);
-        let mc = analysis::k_staleness_mc(&sys, k, 150_000, 7);
+        let mc = analysis::k_staleness_mc(&c, k, 150_000, 7);
         assert!((exact - mc).abs() < 0.006, "k={k}: {exact} vs {mc}");
     }
 }
