@@ -282,6 +282,15 @@ fn node_control(control: NodeControl) -> Msg {
     Msg::Node(NodeIn::Control(control))
 }
 
+/// Panics, naming `by`, unless `cfg` fits a cluster of `nodes` nodes. Its
+/// `N` is at most 64 too: a coordinator counts who answered in a
+/// [`NodeSet`](pbs_quorum::NodeSet) of preference-list positions.
+fn check_replication(by: &str, cfg: ReplicaConfig, nodes: u32) {
+    let n = cfg.n();
+    assert!(nodes >= n, "{by}: cluster needs at least N={n} nodes, got {nodes}");
+    assert!(n <= 64, "{by}: N must be at most 64 (a NodeSet of who answered), got N={n}");
+}
+
 /// Which event engine a [`Cluster`] runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
@@ -384,12 +393,7 @@ impl Cluster {
         network: NetworkModel,
         kind: EngineKind,
     ) -> Result<Self, PdesError> {
-        assert!(
-            opts.nodes >= opts.replication.n(),
-            "cluster needs at least N={} nodes, got {}",
-            opts.replication.n(),
-            opts.nodes
-        );
+        check_replication("ClusterOptions::replication", opts.replication, opts.nodes);
         // A zero period re-arms its timer at +0 ms forever; a NaN or
         // negative one panics mid-run inside the simulator's time arithmetic.
         let positive = |field: &str, ms: f64| {
@@ -551,20 +555,16 @@ impl Cluster {
     /// controller issues when conditions drift).
     ///
     /// `R`/`W` changes take effect for every subsequent operation and for
-    /// the next response of any operation still in flight (coordinators
-    /// test quorums with `≥`). Changing `N` rebuilds the placement ring:
-    /// data written under the old placement stays where it is and new
+    /// the next response of any operation still in flight: its coordinator
+    /// decides it by the new configuration's quorum predicate on the
+    /// replicas that already answered. Changing `N` rebuilds the placement
+    /// ring: data written under the old placement stays where it is and new
     /// replica sets take over for subsequent operations, so freshly added
     /// replicas serve empty reads until read repair or anti-entropy
     /// migrates the data — exactly the transient a real Dynamo-style
     /// reconfiguration exhibits.
     pub fn set_replication(&mut self, cfg: ReplicaConfig) {
-        assert!(
-            self.opts.nodes >= cfg.n(),
-            "cluster has {} nodes; cannot replicate {}-way",
-            self.opts.nodes,
-            cfg.n()
-        );
+        check_replication("Cluster::set_replication", cfg, self.opts.nodes);
         self.regular_expected &= cfg.is_strict() && cfg.n() == self.opts.replication.n();
         if cfg.n() != self.opts.replication.n() {
             let ring = Arc::new(Ring::new(self.opts.nodes, VNODES, cfg.n()));
@@ -1420,6 +1420,23 @@ mod tests {
         let opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
         let mut cluster = Cluster::new(opts, exp_net(1.0, 1.0));
         cluster.crash_node_at(0, SimTime::from_ms(5.0), f64::NAN);
+    }
+
+    /// A coordinator counts who answered in a `NodeSet` of 64 replicas,
+    /// which a 65-replica cluster would overflow mid-run.
+    #[test]
+    #[should_panic(expected = "ClusterOptions::replication: N must be at most 64")]
+    fn a_65_replica_cluster_is_rejected() {
+        Cluster::new(ClusterOptions::validation(cfg(65, 1, 1), 1), exp_net(1.0, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "Cluster::set_replication: N must be at most 64")]
+    fn a_live_65_replica_reconfiguration_is_rejected() {
+        let mut opts = ClusterOptions::validation(cfg(3, 1, 1), 1);
+        opts.nodes = 65;
+        let mut cluster = Cluster::new(opts, exp_net(1.0, 1.0));
+        cluster.set_replication(cfg(65, 1, 1));
     }
 
     /// A datacenter map that does not name one DC per node would put every

@@ -17,6 +17,7 @@ use crate::network::Leg;
 use crate::ring::Ring;
 use crate::version::Version;
 use pbs_core::ReplicaConfig;
+use pbs_quorum::{NodeSet, QuorumSystem};
 use pbs_sim::{ActorId, SimDuration, SimTime};
 use rand::{Rng, RngCore};
 use std::sync::Arc;
@@ -111,45 +112,44 @@ pub enum Output {
     },
 }
 
-/// Bitmask over replica node ids (`1 << id` for ids below 64). Nodes at
-/// or above 64 are silently omitted — the order oracle treats a missing
-/// bit as "no evidence", which only weakens (never falsifies) a check.
-fn replica_mask(ids: impl Iterator<Item = ActorId>) -> u64 {
-    ids.filter(|&id| id < 64).fold(0u64, |m, id| m | (1u64 << id))
+/// The node ids of `replicas` at the positions in `answered`, as a bitmask
+/// (`1 << id`) for the order oracle. Ids at or above 64 are silently
+/// omitted — the oracle treats a missing bit as "no evidence", which only
+/// weakens (never falsifies) a check.
+fn replica_mask(replicas: &[ActorId], answered: NodeSet) -> u64 {
+    let ids = replicas.iter().enumerate().filter(|&(pos, _)| answered.contains(pos as u32));
+    ids.filter(|&(_, &id)| id < 64).fold(0u64, |m, (_, &id)| m | (1u64 << id))
 }
 
-#[derive(Debug)]
+/// The preference-list position of `replica` in `replicas`, unless it is
+/// already in `answered` (a replica counts once toward a quorum).
+fn unanswered_position(replicas: &[ActorId], answered: NodeSet, replica: ActorId) -> Option<u32> {
+    let pos = replicas.iter().position(|&r| r == replica)? as u32;
+    (!answered.contains(pos)).then_some(pos)
+}
+
+#[derive(Debug, Default)]
 struct WriteState {
     key: u64,
     version: Version,
     replicas: Vec<ActorId>,
-    acked: Vec<ActorId>,
+    /// The positions in `replicas` that acked.
+    acked: NodeSet,
     committed: Option<SimTime>,
     start: SimTime,
     /// Who awaits the result.
     reply_to: ActorId,
 }
 
-impl Default for WriteState {
-    fn default() -> Self {
-        Self {
-            key: 0,
-            version: Version::new(0, 0),
-            replicas: Vec::new(),
-            acked: Vec::new(),
-            committed: None,
-            start: SimTime::ZERO,
-            reply_to: 0,
-        }
-    }
-}
-
 #[derive(Debug, Default)]
 struct ReadState {
     key: u64,
     replicas: Vec<ActorId>,
+    /// The positions in `replicas` that answered.
+    answered: NodeSet,
+    /// The responses in arrival order.
     responses: Vec<(ActorId, Option<Version>)>,
-    /// Set once `R` responses arrived (the value returned to the client).
+    /// Set once a read quorum has answered (the value returned to the client).
     returned: Option<Option<Version>>,
     /// Per replica, the freshest version a read-repair write has already
     /// been sent for during this read (a later response may reveal an even
@@ -259,11 +259,11 @@ impl Node {
         self.hints.len()
     }
 
-    /// Change the quorum sizes this node uses when coordinating (live
-    /// reconfiguration, §6 "Variable configurations"). Operations already
-    /// in flight complete under whichever threshold is in force when their
-    /// responses arrive — the coordinator checks `≥`, so shrinking a
-    /// quorum lets pending operations commit on their next response.
+    /// Change the quorum system this node coordinates with (live
+    /// reconfiguration, §6 "Variable configurations"). An operation
+    /// already in flight is decided by the new configuration's predicate
+    /// on the positions that already answered, so shrinking a quorum lets
+    /// a pending operation complete on its next response.
     pub(crate) fn set_replication(&mut self, cfg: ReplicaConfig) {
         self.opts.replication = cfg;
     }
@@ -456,11 +456,10 @@ impl Node {
         state.version = version;
         state.replicas.clear();
         state.replicas.extend(self.ring.replicas(key).iter().map(|&n| n as usize));
-        state.acked.clear();
+        state.acked = NodeSet::EMPTY;
         state.committed = None;
         state.start = now;
         state.reply_to = from;
-        debug_assert!(state.replicas.len() >= self.opts.replication.w() as usize);
         for &replica in &state.replicas {
             let write = NodeToNode::ReplicaWrite { op_id, key, version, coordinator: self.id };
             send(out, Leg::W, replica, write);
@@ -478,12 +477,12 @@ impl Node {
         let Some(state) = self.pending_writes.get_mut(&op_id) else {
             return; // late ack after hint timeout cleanup
         };
-        if state.acked.contains(&replica) {
+        let Some(pos) = unanswered_position(&state.replicas, state.acked, replica) else {
             return; // duplicate (e.g. hint + original both landed)
-        }
-        state.acked.push(replica);
+        };
+        state.acked.insert(pos);
         let mut completed = None;
-        if state.committed.is_none() && state.acked.len() >= self.opts.replication.w() as usize {
+        if state.committed.is_none() && self.opts.replication.is_write_quorum(state.acked) {
             state.committed = Some(now);
             completed = Some(Output::Deliver {
                 to: state.reply_to,
@@ -493,11 +492,11 @@ impl Node {
                     version: state.version,
                     start: state.start,
                     commit: Some(now),
-                    acked: replica_mask(state.acked.iter().copied()),
+                    acked: replica_mask(&state.replicas, state.acked),
                 },
             });
         }
-        if state.acked.len() == state.replicas.len() {
+        if state.acked.len() as usize == state.replicas.len() {
             if let Some(state) = self.pending_writes.remove(&op_id) {
                 self.write_pool.push(state); // fully replicated; recycle
             }
@@ -519,13 +518,13 @@ impl Node {
                     version: state.version,
                     start: state.start,
                     commit: None,
-                    acked: replica_mask(state.acked.iter().copied()),
+                    acked: replica_mask(&state.replicas, state.acked),
                 },
             });
         }
         // Hint every replica that never acked (coalesced per target/key).
-        for &replica in &state.replicas {
-            if !state.acked.contains(&replica) {
+        for (pos, &replica) in state.replicas.iter().enumerate() {
+            if !state.acked.contains(pos as u32) {
                 self.push_hint(replica, state.key, state.version, now);
             }
         }
@@ -558,12 +557,12 @@ impl Node {
         state.key = key;
         state.replicas.clear();
         state.replicas.extend(self.ring.replicas(key).iter().map(|&n| n as usize));
+        state.answered = NodeSet::EMPTY;
         state.responses.clear();
         state.returned = None;
         state.repaired.clear();
         state.start = now;
         state.reply_to = from;
-        debug_assert!(state.replicas.len() >= self.opts.replication.r() as usize);
         for &replica in &state.replicas {
             let read = NodeToNode::ReplicaRead { op_id, key, coordinator: self.id };
             send(out, Leg::R, replica, read);
@@ -582,18 +581,19 @@ impl Node {
         let Some(state) = self.pending_reads.get_mut(&op_id) else {
             return;
         };
-        if state.responses.iter().any(|(r, _)| *r == replica) {
+        let Some(pos) = unanswered_position(&state.replicas, state.answered, replica) else {
             return; // duplicate: a replica counts once toward R
-        }
+        };
+        state.answered.insert(pos);
         state.responses.push((replica, version));
         let mut completed = None;
-        if state.returned.is_none() && state.responses.len() >= self.opts.replication.r() as usize {
-            // Return the newest of the first R responses (None < Some).
+        if state.returned.is_none() && self.opts.replication.is_read_quorum(state.answered) {
+            // Return the newest response of the read quorum (None < Some).
             let best = state.responses.iter().map(|(_, v)| *v).max().flatten();
             state.returned = Some(best);
             // Provenance for the order oracle: which replica supplied the
             // returned version (first responder holding it, in arrival
-            // order), and the full first-R responder set.
+            // order), and the responder set that formed the quorum.
             let source = best.and_then(|b| {
                 state
                     .responses
@@ -610,7 +610,7 @@ impl Node {
                     finish: now,
                     version: best,
                     source,
-                    responders: replica_mask(state.responses.iter().map(|(r, _)| *r)),
+                    responders: replica_mask(&state.replicas, state.answered),
                 },
             });
         } else if let Some(returned) = state.returned {
@@ -629,7 +629,7 @@ impl Node {
         let mut repairs: Option<(u64, Version, Vec<ActorId>)> = None;
         if self.opts.read_repair
             && !self.opts.mutations.skip_read_repair
-            && state.responses.len() >= self.opts.replication.r() as usize
+            && self.opts.replication.is_read_quorum(state.answered)
         {
             if let Some(freshest) = state.responses.iter().map(|(_, v)| *v).max().flatten() {
                 let repaired = &state.repaired;
@@ -653,7 +653,7 @@ impl Node {
                 repairs = Some((state.key, freshest, stale));
             }
         }
-        if state.responses.len() == state.replicas.len() {
+        if state.answered.len() as usize == state.replicas.len() {
             if let Some(state) = self.pending_reads.remove(&op_id) {
                 self.read_pool.push(state); // fully answered; recycle
             }
@@ -821,29 +821,47 @@ mod tests {
         assert_eq!(node.store.len(), 1);
     }
 
+    /// A repeated read response or write ack counts once toward `R` or
+    /// `W`, and the delivered masks name node ids, not the preference-list
+    /// positions the coordinator counts.
     #[test]
     fn a_replica_counts_once_toward_r() {
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        let mut coordinator = node(0, 2, 1);
+        let mut coordinator = node(0, 2, 2);
+        // A preference list that starts at node 2 is not in id order: its
+        // first two positions (mask 0b011) are not its first two ids.
+        let key = (0..).find(|&k| coordinator.ring.replicas(k)[0] == 2).unwrap();
+        let pref = coordinator.ring.replicas(key).to_vec();
+        let first_two = (1 << pref[0]) | (1 << pref[1]);
+        assert_ne!(first_two, 0b011);
         let mut feed = |input| {
             let mut out = Vec::new();
             coordinator.handle(SimTime::ZERO, input, &mut rng, &mut out);
             out
         };
-        let response = |replica| {
-            let msg = NodeToNode::ReadResp { op_id: 1, replica, version: None };
-            Input::Peer { msg, disk_lag_ms: 0.0 }
+        let peer = |msg| Input::Peer { msg, disk_lag_ms: 0.0 };
+        let response = |i: usize| {
+            peer(NodeToNode::ReadResp { op_id: 1, replica: pref[i] as ActorId, version: None })
         };
-        feed(Input::Client { from: 9, req: ClientToNode::Read { op_id: 1, key: 5 } });
-        assert_eq!(feed(response(1)), []);
-        assert_eq!(feed(response(1)), [], "the same replica again is not a second response");
-        let out = feed(response(2));
+        feed(Input::Client { from: 9, req: ClientToNode::Read { op_id: 1, key } });
+        assert_eq!(feed(response(0)), []);
+        assert_eq!(feed(response(0)), [], "the same replica again is not a second response");
+        let out = feed(response(1));
         let [Output::Deliver { to: 9, result: NodeToClient::Read { responders, .. } }] = out[..]
         else {
             panic!("a second replica completes the R=2 read: {out:?}");
         };
-        assert_eq!(responders, 0b110);
+        assert_eq!(responders, first_two);
+        let ack = |i: usize| peer(NodeToNode::WriteAck { op_id: 2, replica: pref[i] as ActorId });
+        feed(Input::Client { from: 9, req: ClientToNode::Write { op_id: 2, key } });
+        assert_eq!(feed(ack(0)), []);
+        assert_eq!(feed(ack(0)), [], "the same replica again is not a second ack");
+        let out = feed(ack(1));
+        let [Output::Deliver { to: 9, result: NodeToClient::Write { acked, .. } }] = out[..] else {
+            panic!("a second replica commits the W=2 write: {out:?}");
+        };
+        assert_eq!(acked, first_two);
     }
 
     /// Anti-entropy and the hint flush each run on one timer chain, crash

@@ -15,7 +15,7 @@
 /// order. `seq` is the write's start instant in nanoseconds + 1; `writer`
 /// breaks ties between simultaneous coordinators (mirroring
 /// last-writer-wins timestamps in Cassandra).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Version {
     /// Write-start timestamp in nanoseconds + 1 (0 is reserved for
     /// "absent"), monotone in write-start order per key.

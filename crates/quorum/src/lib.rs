@@ -1,7 +1,11 @@
 //! # pbs-quorum — quorum-system constructions and probabilistic analysis
 //!
 //! §2.1 of the PBS paper surveys the quorum-system design space this crate
-//! samples. A [`QuorumSystem`] is its read and write quorum families:
+//! samples. A [`QuorumSystem`] is its read and write quorum families, each
+//! a predicate over who answered
+//! ([`is_read_quorum`](QuorumSystem::is_read_quorum),
+//! [`is_write_quorum`](QuorumSystem::is_write_quorum)) with a sampler that
+//! draws a member:
 //!
 //! * **the counted system** — [`pbs_core::ReplicaConfig`], uniformly random
 //!   `R`-of-`N` reads and `W`-of-`N` writes, the model behind every PBS
@@ -17,6 +21,8 @@
 //! [`analysis`] provides Monte-Carlo intersection probability, k-staleness,
 //! and load measurements for any [`QuorumSystem`] over at most 64 replicas,
 //! cross-validated against the `pbs-core` closed forms where those exist.
+//! The `pbs-kvs` store's coordinators complete every read and write on the
+//! predicates, over the preference-list positions that have answered.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -22,17 +22,20 @@ impl NodeSet {
     }
 
     /// Insert `node`.
+    #[inline]
     pub fn insert(&mut self, node: u32) {
         assert!(node < 64, "node index {node} out of range");
         self.bits |= 1u64 << node;
     }
 
     /// Whether `node` is present.
+    #[inline]
     pub fn contains(&self, node: u32) -> bool {
         node < 64 && (self.bits >> node) & 1 == 1
     }
 
     /// Number of nodes in the set.
+    #[inline]
     pub fn len(&self) -> u32 {
         self.bits.count_ones()
     }

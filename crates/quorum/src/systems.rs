@@ -6,11 +6,16 @@ use pbs_core::ReplicaConfig;
 use rand::Rng;
 use rand::RngCore;
 
-/// A (possibly probabilistic) quorum system: a rule for drawing read and
-/// write quorums over a universe of `n` replicas.
+/// A (possibly probabilistic) quorum system over a universe of `n`
+/// replicas: its read and write quorum families, given as predicates over
+/// who answered, and a rule for drawing a member of each.
 ///
-/// Strict systems guarantee every sampled read quorum intersects every
-/// sampled write quorum; partial systems do not (§2.1).
+/// The families are upward-closed: adding a replica to a quorum keeps it a
+/// quorum. A system is strict when every set that satisfies
+/// [`is_read_quorum`](Self::is_read_quorum) intersects every set that
+/// satisfies [`is_write_quorum`](Self::is_write_quorum); a partial system
+/// allows a read quorum that misses a write quorum (§2.1). Every drawn
+/// quorum satisfies its own predicate.
 pub trait QuorumSystem: Send + Sync {
     /// Number of replicas in the universe (≤ 64).
     fn universe(&self) -> u32;
@@ -20,6 +25,12 @@ pub trait QuorumSystem: Send + Sync {
 
     /// Draw a write quorum.
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet;
+
+    /// Whether `answered` contains a read quorum.
+    fn is_read_quorum(&self, answered: NodeSet) -> bool;
+
+    /// Whether `answered` contains a write quorum.
+    fn is_write_quorum(&self, answered: NodeSet) -> bool;
 }
 
 /// Sample a uniformly random subset of size `k` from `0..n` (partial
@@ -59,6 +70,16 @@ impl QuorumSystem for ReplicaConfig {
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
         random_subset(rng, self.n(), self.w())
     }
+
+    #[inline]
+    fn is_read_quorum(&self, answered: NodeSet) -> bool {
+        answered.len() >= self.r()
+    }
+
+    #[inline]
+    fn is_write_quorum(&self, answered: NodeSet) -> bool {
+        answered.len() >= self.w()
+    }
 }
 
 /// Naor–Wool grid quorums: nodes arranged in a `side × side` grid; a quorum
@@ -94,6 +115,14 @@ impl Grid {
         }
         set
     }
+
+    /// Whether `set` holds a full row and a full column.
+    fn is_quorum(&self, set: NodeSet) -> bool {
+        let side = self.side;
+        let row = (0..side).any(|r| (0..side).all(|c| set.contains(self.node(r, c))));
+        let col = (0..side).any(|c| (0..side).all(|r| set.contains(self.node(r, c))));
+        row && col
+    }
 }
 
 impl QuorumSystem for Grid {
@@ -107,6 +136,14 @@ impl QuorumSystem for Grid {
 
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
         self.sample_quorum(rng)
+    }
+
+    fn is_read_quorum(&self, answered: NodeSet) -> bool {
+        self.is_quorum(answered)
+    }
+
+    fn is_write_quorum(&self, answered: NodeSet) -> bool {
+        self.is_quorum(answered)
     }
 }
 
@@ -151,6 +188,17 @@ impl TreeQuorum {
             self.sample_subtree(rng, child, level + 1, set);
         }
     }
+
+    /// Whether `set` holds a quorum of the subtree at `root`: the
+    /// recursion [`sample_subtree`](Self::sample_subtree) draws from.
+    fn is_subtree_quorum(&self, set: NodeSet, root: u32, level: u32) -> bool {
+        if level + 1 == self.depth {
+            return set.contains(root);
+        }
+        let left = self.is_subtree_quorum(set, 2 * root + 1, level + 1);
+        let right = self.is_subtree_quorum(set, 2 * root + 2, level + 1);
+        (set.contains(root) && (left || right)) || (left && right)
+    }
 }
 
 impl QuorumSystem for TreeQuorum {
@@ -166,6 +214,14 @@ impl QuorumSystem for TreeQuorum {
 
     fn sample_write(&self, rng: &mut dyn RngCore) -> NodeSet {
         self.sample_read(rng)
+    }
+
+    fn is_read_quorum(&self, answered: NodeSet) -> bool {
+        self.is_subtree_quorum(answered, 0, 0)
+    }
+
+    fn is_write_quorum(&self, answered: NodeSet) -> bool {
+        self.is_read_quorum(answered)
     }
 }
 
@@ -204,6 +260,9 @@ mod tests {
                 let b = sys.sample_write(&mut rng);
                 assert!(a.intersects(b), "N={n}");
             }
+            if n <= 6 {
+                assert!(exhaustively_strict(&sys), "N={n}");
+            }
         }
     }
 
@@ -234,12 +293,22 @@ mod tests {
         }
     }
 
+    /// With the root never skipped a quorum is a root-to-leaf path, and a
+    /// minimal one: without any of its members it is no quorum.
     #[test]
     fn tree_minimum_quorum_is_a_path() {
-        let sys = TreeQuorum::new(5, 0.0);
         let mut rng = StdRng::seed_from_u64(0);
-        let q = sys.sample_read(&mut rng);
-        assert_eq!(q.len(), 5, "root-to-leaf path length = depth");
+        for depth in 1..=6 {
+            let sys = TreeQuorum::new(depth, 0.0);
+            for _ in 0..50 {
+                let q = sys.sample_read(&mut rng);
+                assert_eq!(q.len(), depth, "root-to-leaf path length = depth");
+                for m in q.iter() {
+                    let without: NodeSet = q.iter().filter(|&x| x != m).collect();
+                    assert!(!sys.is_read_quorum(without), "{q:?} without {m}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -262,5 +331,85 @@ mod tests {
                 assert_eq!(got, want, "{cfg}, call {call}");
             }
         }
+    }
+
+    /// Every subset of `0..n`.
+    fn subsets(n: u32) -> impl Iterator<Item = NodeSet> {
+        (0..1u64 << n).map(move |bits| (0..n).filter(|i| (bits >> i) & 1 == 1).collect())
+    }
+
+    /// Panics unless adding any replica to each of `sets` keeps every
+    /// quorum among them a quorum of the same kind.
+    fn assert_upward_closed(sys: &dyn QuorumSystem, sets: impl IntoIterator<Item = NodeSet>) {
+        for set in sets {
+            for m in 0..sys.universe() {
+                let mut grown = set;
+                grown.insert(m);
+                assert!(!sys.is_read_quorum(set) || sys.is_read_quorum(grown), "{set:?} + {m}");
+                assert!(!sys.is_write_quorum(set) || sys.is_write_quorum(grown), "{set:?} + {m}");
+            }
+        }
+    }
+
+    /// Whether every read-quorum set over `sys`' universe intersects every
+    /// write-quorum set, by exhaustion; panics unless both families are
+    /// upward-closed.
+    fn exhaustively_strict(sys: &dyn QuorumSystem) -> bool {
+        let n = sys.universe();
+        assert_upward_closed(sys, subsets(n));
+        let writes: Vec<NodeSet> = subsets(n).filter(|&s| sys.is_write_quorum(s)).collect();
+        subsets(n)
+            .filter(|&s| sys.is_read_quorum(s))
+            .all(|read| writes.iter().all(|&write| read.intersects(write)))
+    }
+
+    /// The counted system's predicates are popcount thresholds, and they
+    /// make it strict exactly when `R + W > N`.
+    #[test]
+    fn replica_config_predicates_count_members() {
+        for n in 1..=6 {
+            for (r, w) in (1..=n).flat_map(|r| (1..=n).map(move |w| (r, w))) {
+                let cfg = ReplicaConfig::new(n, r, w).unwrap();
+                for s in subsets(n) {
+                    assert_eq!(cfg.is_read_quorum(s), s.len() >= r, "{cfg}, {s:?}");
+                    assert_eq!(cfg.is_write_quorum(s), s.len() >= w, "{cfg}, {s:?}");
+                }
+                assert_eq!(exhaustively_strict(&cfg), cfg.is_strict(), "{cfg}");
+            }
+        }
+    }
+
+    #[test]
+    fn grid_and_tree_predicates_accept_their_draws_and_are_upward_closed() {
+        let grids = (1..=8).map(|side| Box::new(Grid::new(side)) as Box<dyn QuorumSystem>);
+        let trees = (1..=6).flat_map(|depth| {
+            [0.0, 0.3, 1.0].map(|skip| Box::new(TreeQuorum::new(depth, skip)) as Box<_>)
+        });
+        let mut rng = StdRng::seed_from_u64(5);
+        for sys in grids.chain(trees) {
+            for _ in 0..200 {
+                let (read, write) = (sys.sample_read(&mut rng), sys.sample_write(&mut rng));
+                assert!(sys.is_read_quorum(read), "{read:?}");
+                assert!(sys.is_write_quorum(write), "{write:?}");
+                assert_upward_closed(sys.as_ref(), [read, write]);
+            }
+        }
+    }
+
+    #[test]
+    fn no_grid_quorum_is_smaller_than_a_row_and_a_column() {
+        for side in 1..=4 {
+            let sys = Grid::new(side);
+            let sizes = subsets(side * side).filter(|&s| sys.is_read_quorum(s)).map(|s| s.len());
+            assert_eq!(sizes.min(), Some(2 * side - 1), "side {side}");
+        }
+    }
+
+    /// Strictness judged on the predicates, over every subset of a small
+    /// universe (512 for the 3 × 3 grid, 128 for the depth-3 tree).
+    #[test]
+    fn grid_and_tree_predicates_are_strict() {
+        assert!(exhaustively_strict(&Grid::new(3)));
+        assert!(exhaustively_strict(&TreeQuorum::new(3, 0.5)));
     }
 }
