@@ -19,12 +19,20 @@
 //! 80 bytes/client of table state (traced `scale100k` reads 80.09 in
 //! `kvs.client.table_bytes_per_client`). Everything else is shared per table:
 //! **one in-flight map** holding every issued op until its result or
-//! timeout, a single open-addressing session arena for
-//! `last_read_seq`/`last_write_seq`, one bounded completed-op buffer the
-//! driver drains each window, one arrival heap and one op-deadline FIFO —
-//! so the whole table keeps **two armed timers** in the event queue (next
-//! arrival, next op timeout) instead of one per client plus one per
-//! operation. A timer is a `ClientTimer` the table sends itself.
+//! timeout, one session arena for `last_read_seq`/`last_write_seq`, one
+//! bounded completed-op buffer the driver drains each window, one arrival
+//! heap and one FIFO of op ids in deadline order — so the whole table keeps
+//! **two armed timers** in the event queue (next arrival, next op timeout)
+//! instead of one per client plus one per operation. A timer is a
+//! `ClientTimer` the table sends itself.
+//!
+//! The session arena holds only state that can change a count: a
+//! `(client, key)` pair gets a slot at a committed write or at a read that
+//! returned a version, never at a read that returned nothing (an absent
+//! slot judges as a zeroed one). It is 64 open-addressing segments, each
+//! doubling on its own, so a growth never holds the whole arena twice. The
+//! deadline FIFO stores op ids alone: an op's deadline is its in-flight
+//! record's start plus `op_timeout_ms`.
 //!
 //! Determinism rules (the PDES equivalence tests pin these):
 //!
@@ -254,17 +262,64 @@ struct SessionSlot {
 const EMPTY_SESSION: SessionSlot =
     SessionSlot { key: 0, client: ARENA_EMPTY, last_read_seq: 0, last_write_seq: 0 };
 
-/// Open-addressing arena for per-`(client, key)` session state, shared by
-/// every client of a worker table: 32 bytes per *touched* pair at ≤ 75%
-/// load.
-struct SessionArena {
+/// Top bits of [`SessionArena::hash`] that pick a segment.
+const SEGMENT_BITS: u32 = 6;
+
+/// Segments per arena. Each grows on its own, so a growth holds two copies
+/// of one segment, never two of the whole arena.
+const SEGMENTS: usize = 1 << SEGMENT_BITS;
+
+/// One open-addressing table of the arena: linear probing, doubled before
+/// an insert at 75% load.
+#[derive(Default)]
+struct Segment {
     slots: Vec<SessionSlot>,
     len: usize,
 }
 
+impl Segment {
+    fn grow(&mut self) {
+        let new_cap = (self.slots.len() * 2).max(16);
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![EMPTY_SESSION; new_cap];
+        for slot in old {
+            if slot.client != ARENA_EMPTY {
+                let h = SessionArena::hash(slot.client, slot.key);
+                let i = self.probe(slot.client, slot.key, h);
+                self.slots[i] = slot;
+            }
+        }
+    }
+
+    /// The index of `(client, key)`'s slot, or of the empty slot where its
+    /// probe from `hash` stops. The segment must have slots.
+    fn probe(&self, client: u32, key: u64, hash: u64) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        loop {
+            let s = &self.slots[i];
+            if s.client == ARENA_EMPTY || (s.client == client && s.key == key) {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
+/// Open-addressing arena for per-`(client, key)` session state, shared by
+/// every client of a worker table: 32 bytes per pair at ≤ 75% load. A pair
+/// gets a slot at its client's first committed write of the key or first
+/// read that returned a version; a read that returned nothing leaves no
+/// slot, since an absent slot judges reads as a zeroed one does. The pairs
+/// are spread over [`SEGMENTS`] segments by the top bits of their hash.
+struct SessionArena {
+    /// Empty until the first insert, then [`SEGMENTS`] segments.
+    segments: Vec<Segment>,
+}
+
 impl SessionArena {
     fn new() -> Self {
-        Self { slots: Vec::new(), len: 0 }
+        Self { segments: Vec::new() }
     }
 
     fn hash(client: u32, key: u64) -> u64 {
@@ -277,41 +332,38 @@ impl SessionArena {
         h ^ (h >> 31)
     }
 
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(16);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SESSION; new_cap]);
-        for slot in old {
-            if slot.client != ARENA_EMPTY {
-                let mask = new_cap - 1;
-                let mut i = Self::hash(slot.client, slot.key) as usize & mask;
-                while self.slots[i].client != ARENA_EMPTY {
-                    i = (i + 1) & mask;
-                }
-                self.slots[i] = slot;
-            }
+    fn segment_of(hash: u64) -> usize {
+        (hash >> (u64::BITS - SEGMENT_BITS)) as usize
+    }
+
+    /// The slot for `(client, key)`, if it has one; inserts nothing.
+    fn get_mut(&mut self, client: u32, key: u64) -> Option<&mut SessionSlot> {
+        let h = Self::hash(client, key);
+        let seg = self.segments.get_mut(Self::segment_of(h))?;
+        if seg.slots.is_empty() {
+            return None;
         }
+        let i = seg.probe(client, key, h);
+        Some(&mut seg.slots[i]).filter(|s| s.client != ARENA_EMPTY)
     }
 
     /// Find or insert the slot for `(client, key)`; new slots start zeroed.
     fn entry(&mut self, client: u32, key: u64) -> &mut SessionSlot {
         debug_assert!(client != ARENA_EMPTY);
-        if self.len * 4 >= self.slots.len() * 3 {
-            self.grow();
+        if self.segments.is_empty() {
+            self.segments.resize_with(SEGMENTS, Segment::default);
         }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::hash(client, key) as usize & mask;
-        loop {
-            let s = &self.slots[i];
-            if s.client == ARENA_EMPTY {
-                self.slots[i] = SessionSlot { key, client, ..EMPTY_SESSION };
-                self.len += 1;
-                return &mut self.slots[i];
-            }
-            if s.client == client && s.key == key {
-                return &mut self.slots[i];
-            }
-            i = (i + 1) & mask;
+        let h = Self::hash(client, key);
+        let seg = &mut self.segments[Self::segment_of(h)];
+        if seg.len * 4 >= seg.slots.len() * 3 {
+            seg.grow();
         }
+        let i = seg.probe(client, key, h);
+        if seg.slots[i].client == ARENA_EMPTY {
+            seg.slots[i] = SessionSlot { key, client, ..EMPTY_SESSION };
+            seg.len += 1;
+        }
+        &mut seg.slots[i]
     }
 }
 
@@ -458,16 +510,17 @@ pub(crate) struct ClientTable {
     arrivals: ArrivalHeap,
     /// Earliest outstanding armed arrival timer (`SimTime::MAX` = none).
     next_armed: SimTime,
-    /// `(deadline, op id)` of every issued op, in issue order. Deadlines are
-    /// monotone (one timeout per table, the clock never goes back), so the
-    /// table arms **one** timer for the front live entry instead of one per
-    /// op; entries of completed ops are dropped when they reach the front.
-    /// The timer is outstanding exactly while this is non-empty: only its
-    /// handler pops, and it re-arms unless it pops everything.
-    timeouts: VecDeque<(SimTime, u64)>,
+    /// The op id of every issued op, in issue order. An op's deadline is
+    /// its `start + op_timeout_ms`, monotone in issue order (one timeout per
+    /// table, the clock never goes back), so the table arms **one** timer
+    /// for the front live entry instead of one per op; entries of completed
+    /// ops are dropped when they reach the front. The timer is outstanding
+    /// exactly while this is non-empty: only its handler pops, and it
+    /// re-arms unless it pops everything.
+    timeouts: VecDeque<u64>,
     /// Every issued op awaiting its result or timeout, by op id.
     in_flight: FxHashMap<u64, Pending>,
-    /// Session state per touched `(client, key)`.
+    /// Session watermarks per `(client, key)` pair that has one.
     sessions: SessionArena,
     /// Completed ops awaiting the driver's window drain (bounded by
     /// [`RESULT_CAPACITY`]).
@@ -712,8 +765,7 @@ impl ClientTable {
         if self.timeouts.is_empty() {
             arm(ctx, self.opts.op_timeout_ms, ClientTimer::OpTimeout);
         }
-        let deadline = ctx.now() + SimDuration::from_ms(self.opts.op_timeout_ms);
-        self.timeouts.push_back((deadline, op_id));
+        self.timeouts.push_back(op_id);
     }
 
     /// Remove `op_id` from the in-flight map. `None` = already completed or
@@ -793,14 +845,21 @@ impl ClientTable {
             NodeToClient::Read { key, version, .. } => {
                 let seen = version.map_or(0, |v| v.seq);
                 self.stats.reads_checked += 1;
-                let slot = self.sessions.entry(index, key);
-                if seen < slot.last_read_seq {
-                    self.stats.monotonic_violations += 1;
+                match self.sessions.get_mut(index, key) {
+                    Some(slot) => {
+                        if seen < slot.last_read_seq {
+                            self.stats.monotonic_violations += 1;
+                        }
+                        if seen < slot.last_write_seq {
+                            self.stats.ryw_violations += 1;
+                        }
+                        slot.last_read_seq = slot.last_read_seq.max(seen);
+                    }
+                    // No slot judges as a zeroed one: no violation, and only
+                    // a read that returned a version has a watermark to keep.
+                    None if seen > 0 => self.sessions.entry(index, key).last_read_seq = seen,
+                    None => {}
                 }
-                if seen < slot.last_write_seq {
-                    self.stats.ryw_violations += 1;
-                }
-                slot.last_read_seq = slot.last_read_seq.max(seen);
             }
         }
         self.push_completed(CompletedOp::from_result(result, index, ctx.now()));
@@ -810,22 +869,19 @@ impl ClientTable {
     /// of ops that completed, and re-arm for the first one still in flight
     /// — so each op times out at exactly `start + op_timeout_ms`.
     fn on_timeout_timer(&mut self, ctx: &mut Context<'_, Msg>) {
-        while let Some(&(deadline, op_id)) = self.timeouts.front() {
-            if deadline <= ctx.now() {
-                self.on_op_timeout(op_id);
-            } else if self.in_flight.contains_key(&op_id) {
-                arm(ctx, deadline.duration_since(ctx.now()).as_ms(), ClientTimer::OpTimeout);
-                return;
+        while let Some(&op_id) = self.timeouts.front() {
+            if let Some(&p) = self.in_flight.get(&op_id) {
+                let deadline = p.start + SimDuration::from_ms(self.opts.op_timeout_ms);
+                if deadline > ctx.now() {
+                    arm(ctx, deadline.duration_since(ctx.now()).as_ms(), ClientTimer::OpTimeout);
+                    return;
+                }
+                self.remove_in_flight(op_id);
+                let op = CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start);
+                self.push_completed(op);
             }
             self.timeouts.pop_front();
         }
-    }
-
-    fn on_op_timeout(&mut self, op_id: u64) {
-        let Some(p) = self.remove_in_flight(op_id) else {
-            return; // completed in time
-        };
-        self.push_completed(CompletedOp::open(op_id, client_of(op_id), p.kind, p.key, p.start));
     }
 
     /// A message addressed to this table has arrived — a timer it set on
@@ -853,6 +909,7 @@ fn arm(ctx: &mut Context<'_, Msg>, delay_ms: f64, timer: ClientTimer) {
 mod tests {
     use super::*;
     use pbs_sim::{Actor, Event};
+    use pbs_workload::FixedRate;
 
     fn table(worker: usize, stride: usize) -> ClientTable {
         ClientTable::new(
@@ -1107,11 +1164,11 @@ mod tests {
         }
     }
 
-    /// `clients` read-only clients, one op every `gap_ms` each, against a
+    /// `clients` read-only clients, each issuing on `arrivals`, against a
     /// coordinator that swallows what `swallow` picks.
     fn rig(
         clients: u32,
-        gap_ms: f64,
+        arrivals: impl pbs_workload::StationaryArrivals + 'static,
         max_in_flight: usize,
         swallow: fn(u64) -> bool,
     ) -> pbs_sim::Simulation<Rig> {
@@ -1121,7 +1178,7 @@ mod tests {
             table.push_client(
                 index,
                 Box::new(pbs_workload::OpStream::new(
-                    pbs_workload::FixedRate::new(gap_ms),
+                    arrivals,
                     pbs_workload::UniformKeys::new(4),
                     pbs_workload::OpMix::new(1.0),
                     1,
@@ -1181,17 +1238,25 @@ mod tests {
         let swallow_odd = |op_id: u64| op_id as u32 % 2 == 1;
         // Gaps that are no divisor of the timeout: deadlines fall between
         // arrivals, and the one timer has to be re-armed for each.
-        let mut sim = rig(3, 7.3, 1_024, swallow_odd);
+        let mut sim = rig(3, FixedRate::new(7.3), 1_024, swallow_odd);
         sim.inject(1, 0.0, START);
         let seen = run_recording(&mut sim, 1_000.0);
         assert_deadlines_exact(&seen, swallow_odd);
         let timeouts = seen.iter().filter(|(_, op)| op.finish.is_none()).count();
         assert!(timeouts > 150 && seen.len() > 2 * timeouts - 20, "{timeouts} of {}", seen.len());
+        // Poisson arrivals put deadlines a fraction of a millisecond apart:
+        // no op may time out at an earlier op's deadline.
+        let mut sim = rig(8, pbs_workload::Poisson::per_second(200.0), 1_024, swallow_odd);
+        sim.inject(1, 0.0, START);
+        let seen = run_recording(&mut sim, 1_000.0);
+        assert_deadlines_exact(&seen, swallow_odd);
+        let timeouts = seen.iter().filter(|(_, op)| op.finish.is_none()).count();
+        assert!(timeouts > 500, "{timeouts} of {}", seen.len());
     }
 
     #[test]
     fn completed_ops_leave_the_fifo_without_an_event_each() {
-        let mut sim = rig(8, 1.0, 1_024, |_| false);
+        let mut sim = rig(8, FixedRate::new(1.0), 1_024, |_| false);
         sim.inject(1, 0.0, START);
         let seen = run_recording(&mut sim, 2_000.0);
         assert!(seen.len() > 15_000, "8 clients x 1 op/ms x 2 s, got {}", seen.len());
@@ -1220,7 +1285,7 @@ mod tests {
         // A 10 ms gap against 25 ms replies and 60 ms timeouts: each client
         // holds several ops at once and sheds at the cap of 3.
         let swallow_some = |op_id: u64| op_id as u32 % 3 == 1;
-        let mut sim = rig(2, 10.0, 3, swallow_some);
+        let mut sim = rig(2, FixedRate::new(10.0), 3, swallow_some);
         sim.inject(1, 0.0, START);
         let mut seen = run_recording(&mut sim, 95.0);
         // Stop with ops in flight and the timer armed; restart before any
@@ -1254,7 +1319,7 @@ mod tests {
     fn take_in_flight_flushes_clients_holding_several_ops() {
         // Nothing is answered: by 45 ms each client has issued 3 reads up
         // to its cap and shed its fourth arrival, and none is due yet.
-        let mut sim = rig(2, 10.0, 3, |_| true);
+        let mut sim = rig(2, FixedRate::new(10.0), 3, |_| true);
         sim.inject(1, 0.0, START);
         assert!(run_recording(&mut sim, 45.0).is_empty());
         sim.inject(1, 0.0, STOP);
@@ -1311,6 +1376,10 @@ mod tests {
         assert!(timeouts > 50 && serial.len() > 2 * timeouts, "{timeouts} of {}", serial.len());
     }
 
+    fn arena_len(arena: &SessionArena) -> usize {
+        arena.segments.iter().map(|s| s.len).sum()
+    }
+
     #[test]
     fn session_arena_isolates_clients_and_keys() {
         let mut a = SessionArena::new();
@@ -1321,7 +1390,7 @@ mod tests {
         assert_eq!(a.entry(3, 7).last_write_seq, 0);
         assert_eq!(a.entry(3, 8).last_write_seq, 20);
         assert_eq!(a.entry(4, 7).last_read_seq, 30);
-        assert_eq!(a.len, 3);
+        assert_eq!(arena_len(&a), 3);
         // Survives growth: insert enough pairs to force several rehashes.
         for k in 0..1000u64 {
             a.entry(9, k).last_read_seq = k;
@@ -1330,5 +1399,57 @@ mod tests {
             assert_eq!(a.entry(9, k).last_read_seq, k);
         }
         assert_eq!(a.entry(3, 7).last_read_seq, 10, "old entries survive rehash");
+    }
+
+    /// Seeded `entry`/`get_mut` interleavings against a hash map, over
+    /// enough pairs that every segment doubles several times: every value
+    /// and the pair count match, and a `get_mut` of an absent pair inserts
+    /// nothing.
+    #[test]
+    fn session_arena_matches_a_map_and_lookups_insert_nothing() {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(44);
+        let mut arena = SessionArena::new();
+        let mut reference: FxHashMap<(u32, u64), (u64, u64)> = FxHashMap::default();
+        assert!(arena.get_mut(0, 0).is_none() && arena.segments.is_empty());
+        for step in 0..600_000u64 {
+            // 3,000 clients × 200 keys, keys spread over the whole u64 range.
+            let client = rng.gen_range(0..3_000u32) * 5_000;
+            let key = rng.gen_range(0..200u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let seq = rng.gen_range(1..1_000u64);
+            if rng.gen_range(0..2u32) == 0 {
+                let slot = arena.entry(client, key);
+                let expected = reference.entry((client, key)).or_insert((0, 0));
+                assert_eq!((slot.last_read_seq, slot.last_write_seq), *expected, "step {step}");
+                slot.last_write_seq = slot.last_write_seq.max(seq);
+                expected.1 = expected.1.max(seq);
+            } else {
+                match (arena.get_mut(client, key), reference.get_mut(&(client, key))) {
+                    (Some(slot), Some(expected)) => {
+                        assert_eq!((slot.client, slot.key), (client, key));
+                        assert_eq!((slot.last_read_seq, slot.last_write_seq), *expected);
+                        slot.last_read_seq = slot.last_read_seq.max(seq);
+                        expected.0 = expected.0.max(seq);
+                    }
+                    (None, None) => {}
+                    (got, want) => panic!("step {step}: arena {:?}, map {want:?}", got.is_some()),
+                }
+            }
+            if step % 4_096 == 0 {
+                assert_eq!(arena_len(&arena), reference.len(), "step {step}");
+            }
+        }
+        assert!(reference.len() > 100_000, "{} pairs", reference.len());
+        assert_eq!(arena_len(&arena), reference.len());
+        // 16 slots to start: every segment has doubled at least seven times.
+        assert!(arena.segments.iter().all(|s| s.slots.len() >= 16 << 7));
+        for (&(client, key), &(read, write)) in &reference {
+            let slot = arena.get_mut(client, key).expect("every inserted pair has a slot");
+            assert_eq!((slot.last_read_seq, slot.last_write_seq), (read, write));
+        }
+        for client in 3_000..3_100u32 {
+            assert!(arena.get_mut(client * 5_000, 0).is_none());
+        }
+        assert_eq!(arena_len(&arena), reference.len(), "lookups inserted nothing");
     }
 }

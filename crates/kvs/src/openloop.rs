@@ -459,7 +459,7 @@ mod tests {
     use super::*;
     use pbs_core::ReplicaConfig;
     use pbs_dist::Exponential;
-    use pbs_workload::{OpMix, OpStream, Poisson, UniformKeys};
+    use pbs_workload::{OpKind, OpMix, OpStream, Poisson, UniformKeys, Zipf};
     use std::sync::Arc;
 
     fn exp_net(w_rate: f64, ars_rate: f64) -> NetworkModel {
@@ -747,6 +747,41 @@ mod tests {
             report.reads() - report.consistent(),
             "offline staleness count must match the online one"
         );
+    }
+
+    /// R = W = 1 with W legs of 200 ms mean, and many clients over a large
+    /// Zipf universe: most reads return nothing, so most leave no session
+    /// state in the client table, while the offline replay keeps a zeroed
+    /// entry for every pair. The two must still count the same violations.
+    #[test]
+    fn session_counts_agree_when_most_reads_see_nothing() {
+        let (report, check, history) = OpenLoopRun::new(
+            small_opts(44),
+            exp_net(0.005, 1.0),
+            OpenLoopOptions::new(2_000.0, 500.0, 1_000.0),
+            200,
+            ClientOptions { op_timeout_ms: 2_000.0, ..ClientOptions::default() },
+        )
+        .run_checked(
+            |_| {
+                Box::new(OpStream::new(
+                    Poisson::per_second(40.0),
+                    Zipf::new(100_000, 0.99),
+                    OpMix::new(0.8),
+                    1,
+                ))
+            },
+            |_| {},
+        )
+        .unwrap();
+        let reads = history.ops().iter().map(|h| &h.op);
+        let reads = reads.filter(|op| op.kind == OpKind::Read && op.finish.is_some());
+        let (count, empty) = (reads.clone().count(), reads.filter(|op| op.seq.is_none()).count());
+        assert!(2 * empty > count, "{empty} of {count} reads returned nothing");
+        assert!(check.sessions.agrees(), "{:?}", check.sessions);
+        assert_eq!(check.sessions.reads_checked, count as u64);
+        let clients = report.clients;
+        assert!(clients.monotonic_violations + clients.ryw_violations > 0, "{clients:?}");
     }
 
     #[test]

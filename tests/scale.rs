@@ -20,7 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-/// Wraps the system allocator and tracks live (allocated − freed) bytes.
+/// Wraps the system allocator and tracks live (allocated − freed) bytes
+/// and their peak.
 /// Relaxed counters: the tests below snapshot while single-threaded, and
 /// even under the parallel engine the deltas are read only at quiescent
 /// points (between `drain_window` calls).
@@ -90,7 +91,15 @@ fn cluster(seed: u64, nodes: u32) -> Cluster {
 /// hiding regressions.
 const BYTES_PER_CLIENT_BUDGET: u64 = 96;
 
-fn measure(clients: u32, keys: u64, windows: u32, window_ms: f64, rate_hz: f64) -> (u64, u64) {
+/// Live bytes the tables take at start, live bytes added by the end of the
+/// run, and the highest live bytes added at any instant between.
+fn measure(
+    clients: u32,
+    keys: u64,
+    windows: u32,
+    window_ms: f64,
+    rate_hz: f64,
+) -> (u64, u64, u64) {
     let mut c = cluster(97, 8);
     let copts = ClientOptions { op_timeout_ms: 1_000.0, ..ClientOptions::default() };
     let source = Arc::new(SharedStream::new(
@@ -100,6 +109,7 @@ fn measure(clients: u32, keys: u64, windows: u32, window_ms: f64, rate_hz: f64) 
     ));
 
     let before = live_bytes();
+    PEAK.store(before, Relaxed);
     c.add_clients_shared(clients, source, copts);
     c.start_clients();
     // Process the StartClient events (they pull each client's first
@@ -121,17 +131,19 @@ fn measure(clients: u32, keys: u64, windows: u32, window_ms: f64, rate_hz: f64) 
     // Steady-state growth beyond the tables themselves: session entries,
     // ground truth (watermark-GC'd), drain buffers.
     let steady = live_bytes().saturating_sub(before);
-    (table_bytes, steady)
+    let peak = PEAK.load(Relaxed).saturating_sub(before);
+    (table_bytes, steady, peak)
 }
 
 /// Tier-1 scale gate: 100k clients fit the per-client budget, and a
 /// short steady-state run (sessions + watermark-GC'd ground truth +
-/// drain buffers included) stays within 4× of it.
+/// drain buffers included) stays within 4× of it, at its end and at its
+/// peak (a table growth holds its old and new storage at once).
 #[test]
 fn hundred_thousand_clients_fit_the_byte_budget() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let clients = 100_000u32;
-    let (table_bytes, steady) = measure(clients, 1_000_000, 4, 250.0, 0.2);
+    let (table_bytes, steady, peak) = measure(clients, 1_000_000, 4, 250.0, 0.2);
     let per_client = table_bytes / clients as u64;
     assert!(
         per_client <= BYTES_PER_CLIENT_BUDGET,
@@ -141,6 +153,11 @@ fn hundred_thousand_clients_fit_the_byte_budget() {
     assert!(
         steady_per_client <= 4 * BYTES_PER_CLIENT_BUDGET,
         "steady state costs {steady_per_client} B/client"
+    );
+    let peak_per_client = peak / clients as u64;
+    assert!(
+        peak_per_client <= 4 * BYTES_PER_CLIENT_BUDGET,
+        "the run peaked at {peak_per_client} B/client above its start"
     );
 }
 
@@ -153,7 +170,7 @@ fn hundred_thousand_clients_fit_the_byte_budget() {
 fn one_million_clients_ten_million_keys() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let clients = 1_000_000u32;
-    let (table_bytes, _steady) = measure(clients, 10_000_000, 4, 100.0, 0.05);
+    let (table_bytes, _steady, _peak) = measure(clients, 10_000_000, 4, 100.0, 0.05);
     let per_client = table_bytes / clients as u64;
     assert!(
         per_client <= BYTES_PER_CLIENT_BUDGET,
