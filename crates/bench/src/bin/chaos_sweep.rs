@@ -11,6 +11,8 @@
 //!
 //! Defaults: 32 seeds from base 1, 2 PDES workers, artifacts under
 //! `target/chaos-artifacts`. `--quick` trims to 8 seeds for local smoke.
+//! `--seeds 0`, and a `--workers` outside `1..=8` (one node per worker at
+//! least), exit 2 before anything runs.
 //!
 //! `--lin` adds the WGL linearizability gate: each seed also runs a
 //! **fault-free** strict-quorum (N=3, R=W=2) pair, which must verify
@@ -199,6 +201,16 @@ fn main() {
     let seeds: u64 = args.parsed("seeds").unwrap_or(if args.flag("quick") { 8 } else { 32 });
     let base: u64 = args.parsed("seed").unwrap_or(1);
     let workers: usize = args.parsed("workers").unwrap_or(2);
+    // A sweep of no seeds would pass having audited nothing, and every PDES
+    // worker must own at least one of the NODES nodes.
+    if seeds == 0 {
+        eprintln!("--seeds must be at least 1");
+        std::process::exit(2);
+    }
+    if !(1..=NODES as usize).contains(&workers) {
+        eprintln!("--workers must be between 1 and {NODES}");
+        std::process::exit(2);
+    }
     let lin_gate = args.flag("lin");
     let out = PathBuf::from(args.value_of("out").unwrap_or("target/chaos-artifacts"));
 

@@ -5,7 +5,7 @@
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
 use pbs_quorum::analysis;
-use pbs_wars::kt::{kt_violation_direct, KtOptions, WriteSpacing};
+use pbs_wars::kt::{kt_violation_direct, KtOptions};
 use pbs_wars::production::exponential_model;
 
 fn main() {
@@ -68,7 +68,7 @@ fn main() {
             KtOptions {
                 k,
                 t_ms: 0.0,
-                spacing: WriteSpacing::Fixed(10.0),
+                gap_ms: 10.0,
                 trials: opts.trials / 4,
                 seed: opts.seed,
                 threads: opts.threads,

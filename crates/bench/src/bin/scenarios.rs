@@ -12,9 +12,10 @@
 //! cargo run --release --bin scenarios -- --scenario buggify-storm --chaos --seed 7
 //! ```
 //!
-//! `--trials` is the number of **whole-scenario replica runs** (sharded
-//! deterministically over `--threads`; bit-reproducible per
-//! `(seed, threads)`), not per-point Monte-Carlo trials.
+//! `--trials` is the number of **whole-scenario replica runs** (default 16,
+//! 4 with `--quick`, which changes nothing else; sharded deterministically
+//! over `--threads`, bit-reproducible per `(seed, threads)`), not per-point
+//! Monte-Carlo trials. An unknown `--format` exits 2 before anything runs.
 //!
 //! `--chaos` turns the run into a checked chaos run: a seeded buggify
 //! storm opens the timeline (unless the scenario opens with its own), the
@@ -97,7 +98,7 @@ fn print_table(scenario: &Scenario, run: &ScenarioRun) {
     }
 }
 
-fn print_csv(run: &ScenarioRun) {
+fn print_csv(_: &Scenario, run: &ScenarioRun) {
     println!(
         "window_start_ms,window_end_ms,probes,consistent,measured,predicted,abs_error,\
          read_p50_ms,read_p99_ms,write_p50_ms,write_p99_ms,failed_writes,incomplete_reads,reconfigs"
@@ -221,13 +222,7 @@ fn main() {
         return;
     }
 
-    // `--trials` counts replica runs here, so only the shared seed and
-    // shard-count defaults are taken.
-    let HarnessOptions { seed, threads, .. } = HarnessOptions::from_args(&args, 0);
-    let mut trials = if args.flag("quick") { 4 } else { 16 };
-    if let Some(t) = args.parsed::<usize>("trials") {
-        trials = t;
-    }
+    let HarnessOptions { trials, seed, threads } = HarnessOptions::from_args(&args, 16, 4);
     let name = args.value_of("scenario").unwrap_or_else(|| {
         eprintln!("--scenario NAME is required (see --list)");
         std::process::exit(2);
@@ -255,6 +250,15 @@ fn main() {
         scenario.check_history = true;
     }
     let format = args.value_of("format").unwrap_or("table");
+    let print: fn(&Scenario, &ScenarioRun) = match format {
+        "table" => print_table,
+        "csv" => print_csv,
+        "json" => print_json,
+        other => {
+            eprintln!("unknown --format {other:?} (supported: table csv json)");
+            std::process::exit(2);
+        }
+    };
 
     if format == "table" {
         println!("Scenario {:?}: {}", scenario.name, scenario.description);
@@ -283,15 +287,7 @@ fn main() {
 
     let run = run_scenario_sharded(&scenario, trials, seed, threads);
 
-    match format {
-        "table" => print_table(&scenario, &run),
-        "csv" => print_csv(&run),
-        "json" => print_json(&scenario, &run),
-        other => {
-            eprintln!("unknown --format {other:?} (supported: table csv json)");
-            std::process::exit(2);
-        }
-    }
+    print(&scenario, &run);
 
     if let Some(check) = run.check {
         if format == "table" {

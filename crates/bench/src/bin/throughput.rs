@@ -20,8 +20,12 @@
 //! cargo run -p pbs-bench --release --bin throughput -- --quick --trials 2
 //! ```
 //!
-//! `--trials` is the number of whole-workload replica runs (sharded
-//! deterministically; bit-reproducible per `(seed, threads)`).
+//! `--trials` is the number of whole-workload replica runs (default 4, 2
+//! with `--quick`; sharded deterministically over `--threads`,
+//! bit-reproducible per `(seed, threads)`), not per-point Monte-Carlo
+//! trials. Each run drives 256 clients over 64 keys for 8,000 simulated ms
+//! (2,000 with `--quick`); `--quick` also drops the 1,000/s rate and cuts
+//! the predictor's WARS trials from 100,000 to 20,000.
 
 use pbs_bench::{cli, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
@@ -41,6 +45,10 @@ const W_MEAN_MS: f64 = 10.0;
 const ARS_MEAN_MS: f64 = 2.0;
 /// LinkedIn-style read fraction (§5.4).
 const READ_FRACTION: f64 = 0.6;
+/// In-sim open-loop client actors per run.
+const CLIENTS: usize = 256;
+/// Keys the clients spread their uniform traffic over.
+const KEYS: u64 = 64;
 
 fn dists() -> (DynDistribution, DynDistribution) {
     (
@@ -54,7 +62,6 @@ fn dists() -> (DynDistribution, DynDistribution) {
 fn run_point(
     run: &OpenLoopRun,
     rate_per_sec: f64,
-    keys: u64,
     trials: usize,
     threads: usize,
 ) -> OpenLoopReport {
@@ -65,7 +72,7 @@ fn run_point(
         move |_client, _run_seed| -> Box<dyn OpSource> {
             Box::new(OpStream::new(
                 Poisson::per_second(per_client),
-                UniformKeys::new(keys),
+                UniformKeys::new(KEYS),
                 OpMix::new(READ_FRACTION),
                 1,
             ))
@@ -77,24 +84,16 @@ fn run_point(
 
 fn main() {
     let args = cli::Args::parse();
-    args.reject_unknown(&[
-        "quick", "trials", "seed", "threads", "clients", "keys", "duration-ms",
-    ]);
+    args.reject_unknown(&["quick", "trials", "seed", "threads"]);
     let quick = args.flag("quick");
-    let trials = args.parsed::<usize>("trials").unwrap_or(if quick { 2 } else { 4 });
-    // `--trials` counts replica runs here, so only the shared seed and
-    // shard-count defaults are taken.
-    let HarnessOptions { seed, threads, .. } = HarnessOptions::from_args(&args, 0);
-    let clients = args.parsed::<usize>("clients").unwrap_or(256);
-    let keys = args.parsed::<u64>("keys").unwrap_or(64);
-    let duration_ms =
-        args.parsed::<f64>("duration-ms").unwrap_or(if quick { 2_000.0 } else { 8_000.0 });
+    let HarnessOptions { trials, seed, threads } = HarnessOptions::from_args(&args, 4, 2);
+    let duration_ms = if quick { 2_000.0 } else { 8_000.0 };
     let pred_trials = if quick { 20_000 } else { 100_000 };
 
     let rates: &[f64] = if quick { &[200.0, 5_000.0, 20_000.0] } else { &[200.0, 1_000.0, 5_000.0, 20_000.0] };
     let configs = [(3u32, 1u32, 1u32), (3, 1, 2), (3, 2, 2)];
 
-    println!("Open-loop throughput sweep: {clients} in-sim client actors, {keys} keys,");
+    println!("Open-loop throughput sweep: {CLIENTS} in-sim client actors, {KEYS} keys,");
     println!(
         "{duration_ms} ms per run × {trials} replica runs, exp writes E[W]={W_MEAN_MS}ms, \
          E[A]=E[R]=E[S]={ARS_MEAN_MS}ms, {}% reads",
@@ -102,7 +101,7 @@ fn main() {
     );
     println!(
         "Fresh-read capacity ≈ keys/E[W] = {:.0} writes/s: per-key write inter-arrivals",
-        keys as f64 * 1000.0 / W_MEAN_MS
+        KEYS as f64 * 1000.0 / W_MEAN_MS
     );
     println!("approach the propagation tail there and partial-quorum consistency degrades.");
 
@@ -116,7 +115,7 @@ fn main() {
             opts,
             NetworkModel::w_ars(wd.clone(), ars.clone()),
             OpenLoopOptions::new(duration_ms, 500.0, opts.op_timeout_ms),
-            clients,
+            CLIENTS,
             ClientOptions { op_timeout_ms: opts.op_timeout_ms, ..ClientOptions::default() },
         );
         let model = IidModel::w_ars(cfg, format!("sweep N={n} R={r} W={w}"), wd, ars);
@@ -125,13 +124,13 @@ fn main() {
         report::header(&format!("N={n}, R={r}, W={w}"));
         let mut rows = Vec::new();
         for &rate in rates {
-            let rep = run_point(&run, rate, keys, trials, threads);
+            let rep = run_point(&run, rate, trials, threads);
             peak_heap = peak_heap.max(rep.peak_pending_events);
             let measured = rep.consistency_rate();
             // Predict from the *measured* committed-write rate per key —
             // the paper's "easily collected" operational metric.
             let commit_rate_per_ms =
-                rep.commits() as f64 / rep.runs as f64 / duration_ms / keys as f64;
+                rep.commits() as f64 / rep.runs as f64 / duration_ms / KEYS as f64;
             let predicted = if commit_rate_per_ms > 0.0 {
                 Some(predictor.expected_consistency_under_poisson(commit_rate_per_ms))
             } else {

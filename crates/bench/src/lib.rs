@@ -27,11 +27,12 @@
 //! Performance is measured elsewhere: the `benchmark/` package (see
 //! `docs/performance.md`).
 //!
-//! Run one with `cargo run -p pbs-bench --release --bin fig6`. Every binary accepts
-//! `--quick` (reduced trial counts for smoke runs), `--trials N`,
-//! `--seed N`, and `--threads N` (shards for the deterministic `pbs-mc`
-//! runner; output is bit-reproducible for a fixed `(seed, threads)`
-//! pair and defaults to all available cores); both `--key value` and
+//! Run one with `cargo run -p pbs-bench --release --bin fig6`. Every binary
+//! but `chaos_sweep` (which counts `--seeds`) accepts `--quick` (reduced
+//! trial counts for smoke runs), `--trials N`, `--seed N`, and
+//! `--threads N` (shards for the deterministic `pbs-mc` runner; output is
+//! bit-reproducible for a fixed `(seed, threads)` pair and defaults to all
+//! available cores), all read by [`HarnessOptions`]; both `--key value` and
 //! `--key=value` spellings are accepted (see [`cli`]).
 
 #![forbid(unsafe_code)]
@@ -249,7 +250,8 @@ pub mod cli {
 /// Harness CLI options, parsed from `std::env::args`.
 #[derive(Debug, Clone, Copy)]
 pub struct HarnessOptions {
-    /// Monte-Carlo trials per data point.
+    /// Monte-Carlo trials per data point, or whole replica runs for the
+    /// bins that replicate a simulation (`scenarios`, `throughput`).
     pub trials: usize,
     /// Seed for all RNGs.
     pub seed: u64,
@@ -261,30 +263,32 @@ pub struct HarnessOptions {
 
 impl HarnessOptions {
     /// Parse `--quick`, `--trials N`, `--seed N`, and `--threads N`
-    /// (`--key=value` works too) with a default trial budget (chosen per
-    /// binary to balance fidelity and runtime).
+    /// (`--key=value` works too) for a Monte-Carlo bin with a default trial
+    /// budget (chosen per binary to balance fidelity and runtime);
+    /// `--quick` takes a twentieth of it, but no fewer than 1,000.
     pub fn parse(default_trials: usize) -> Self {
         let args = cli::Args::parse();
         args.reject_unknown(&["quick", "trials", "seed", "threads"]);
-        Self::from_args(&args, default_trials)
+        Self::from_args(&args, default_trials, (default_trials / 20).max(1_000))
     }
 
     /// Extract the shared options from pre-parsed [`cli::Args`] — for
-    /// binaries with extra flags of their own. Exits with status 2 on a
-    /// malformed value, or a `--trials` / `--threads` of zero.
-    pub fn from_args(args: &cli::Args, default_trials: usize) -> Self {
-        Self::try_from_args(args, default_trials)
+    /// binaries with extra flags of their own. `trials` is `full_trials`,
+    /// or `quick_trials` under `--quick`, unless `--trials` says otherwise.
+    /// Exits with status 2 on a malformed value, or a `--trials` /
+    /// `--threads` of zero.
+    pub fn from_args(args: &cli::Args, full_trials: usize, quick_trials: usize) -> Self {
+        Self::try_from_args(args, full_trials, quick_trials)
             .unwrap_or_else(|message| cli::usage_error(&message))
     }
 
-    fn try_from_args(args: &cli::Args, default_trials: usize) -> Result<Self, String> {
-        let mut trials = default_trials;
-        if args.flag("quick") {
-            trials = (default_trials / 20).max(1_000);
-        }
-        if let Some(t) = args.try_parsed::<usize>("trials")? {
-            trials = t;
-        }
+    fn try_from_args(
+        args: &cli::Args,
+        full_trials: usize,
+        quick_trials: usize,
+    ) -> Result<Self, String> {
+        let default_trials = if args.flag("quick") { quick_trials } else { full_trials };
+        let trials = args.try_parsed::<usize>("trials")?.unwrap_or(default_trials);
         let seed = args.try_parsed::<u64>("seed")?.unwrap_or(42);
         let threads = match args.try_parsed::<usize>("threads")? {
             Some(t) => t,
@@ -325,21 +329,44 @@ mod tests {
         assert_eq!(a.parsed::<u64>("seed"), Some(9));
     }
 
+    /// A Monte-Carlo bin's counts: what `HarnessOptions::parse` passes on
+    /// for a 100,000-trial default (`--quick`: a twentieth, at least 1,000).
+    const MONTE_CARLO: (usize, usize) = (100_000, 5_000);
+    /// A replica-run bin's counts: `scenarios` runs 16 whole scenarios, 4
+    /// under `--quick`.
+    const REPLICA_RUNS: (usize, usize) = (16, 4);
+
+    fn options(tokens: &[&str], rule: (usize, usize)) -> Result<(usize, u64, usize), String> {
+        let o = super::HarnessOptions::try_from_args(&args(tokens), rule.0, rule.1)?;
+        Ok((o.trials, o.seed, o.threads))
+    }
+
     #[test]
     fn harness_options_from_args() {
         let a = args(&["--trials", "64", "--seed", "7", "--threads", "2"]);
-        let o = super::HarnessOptions::from_args(&a, 1_000);
+        let o = super::HarnessOptions::from_args(&a, 1_000, 1_000);
         assert_eq!((o.trials, o.seed, o.threads), (64, 7, 2));
-        // --quick scales the default; an explicit --trials overrides it.
-        let a = args(&["--quick"]);
-        assert_eq!(super::HarnessOptions::from_args(&a, 100_000).trials, 5_000);
-        let a = args(&["--quick", "--trials", "12"]);
-        assert_eq!(super::HarnessOptions::from_args(&a, 100_000).trials, 12);
+        assert_eq!(super::HarnessOptions::from_args(&args(&[]), 16, 4).seed, 42);
+    }
+
+    #[test]
+    fn both_kinds_of_bin_count_their_runs_by_one_rule() {
+        for rule @ (full, quick) in [MONTE_CARLO, REPLICA_RUNS] {
+            let trials = |tokens: &[&str]| options(tokens, rule).unwrap().0;
+            assert_eq!(trials(&["--threads", "2"]), full);
+            assert_eq!(trials(&["--quick", "--threads", "2"]), quick);
+            // An explicit --trials overrides either default.
+            assert_eq!(trials(&["--trials", "12", "--threads", "2"]), 12);
+            assert_eq!(trials(&["--quick", "--trials", "12", "--threads", "2"]), 12);
+            for zero in [&["--trials", "0"][..], &["--quick", "--trials=0"], &["--threads", "0"]] {
+                assert!(options(zero, rule).unwrap_err().ends_with("must be at least 1"));
+            }
+        }
     }
 
     #[test]
     fn a_zero_count_or_a_malformed_value_is_a_usage_error() {
-        let parse = |tokens: &[&str]| super::HarnessOptions::try_from_args(&args(tokens), 1_000);
+        let parse = |tokens: &[&str]| options(tokens, REPLICA_RUNS);
         assert_eq!(parse(&["--threads", "0"]).unwrap_err(), "--threads must be at least 1");
         assert_eq!(parse(&["--trials=0"]).unwrap_err(), "--trials must be at least 1");
         assert!(parse(&["--trials", "abc"]).unwrap_err().contains("--trials requires a value"));

@@ -12,8 +12,10 @@
 //! * **Equation 3** — PBS *monotonic reads* as a k-staleness special case
 //!   with `k = 1 + γgw/γcr` ([`staleness::monotonic_reads_violation`]).
 //! * **Equation 4** — PBS *t-visibility* for expanding quorums, parameterised
-//!   by a write-diffusion model ([`tvisibility::t_visibility_violation`]).
-//! * **Equation 5** — PBS *⟨k,t⟩-staleness* ([`tvisibility::kt_staleness_violation`]).
+//!   by a write-diffusion model — frozen, exponential or empirical
+//!   ([`tvisibility::t_visibility_violation`]).
+//! * **Equation 5** — PBS *⟨k,t⟩-staleness*, the paper's bound for `k`
+//!   versions that committed together ([`tvisibility::kt_staleness_violation`]).
 //! * **§3.3** — load/capacity improvements for staleness-tolerant quorum
 //!   systems ([`load`]).
 //!

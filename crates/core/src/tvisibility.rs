@@ -18,6 +18,15 @@
 //! to zero. Eq. 4 remains a conservative bound with respect to real
 //! Dynamo-style systems because it assumes instantaneous reads (§3.4); the
 //! `pbs-wars` crate models the full WARS message timeline.
+//!
+//! ## Diffusions
+//!
+//! Three [`WriteDiffusion`] laws are provided: [`FrozenDiffusion`] (the
+//! write quorum never grows, so Eq. 4 is Eq. 1), [`ExponentialDiffusion`]
+//! (each straggler replica receives the write after an i.i.d. exponential
+//! delay) and [`EmpiricalDiffusion`] (straggler arrival offsets recorded
+//! from a simulation or a trace). Eq. 5 is the paper's conservative form
+//! only: all `k` versions are taken to have committed together.
 
 use crate::combinatorics::{binomial_pmf, choose_ratio};
 use crate::config::ReplicaConfig;
@@ -60,47 +69,14 @@ impl WriteDiffusion for FrozenDiffusion {
     }
 }
 
-/// Independent per-replica anti-entropy: each of the `N − W` replicas that
-/// missed the synchronous write receives it after an i.i.d. delay with CDF
-/// `F(t)`, so `W_r(t) = W + Binomial(N − W, F(t))`.
+/// Exponential anti-entropy with rate `λ` (mean straggler delay `1/λ`):
+/// each of the `N − W` replicas that missed the synchronous write receives
+/// it after an i.i.d. `Exp(λ)` delay, so
+/// `W_r(t) = W + Binomial(N − W, 1 − e^{−λt})`.
 ///
 /// This matches the "expanding partial quorum" behaviour of §2.2: the
 /// coordinator sent the write to all `N` replicas, the slowest `N − W`
 /// deliveries are the anti-entropy tail.
-pub struct BinomialDiffusion<F> {
-    cfg: ReplicaConfig,
-    arrival_cdf: F,
-}
-
-impl<F: Fn(f64) -> f64> BinomialDiffusion<F> {
-    /// Build from an arrival-time CDF for the post-commit stragglers.
-    ///
-    /// `arrival_cdf(t)` must be a CDF: nondecreasing from 0 (at `t ≤ 0`)
-    /// toward 1.
-    pub fn new(cfg: ReplicaConfig, arrival_cdf: F) -> Self {
-        Self { cfg, arrival_cdf }
-    }
-}
-
-impl<F: Fn(f64) -> f64> WriteDiffusion for BinomialDiffusion<F> {
-    fn pmf(&self, c: u32, t: f64) -> f64 {
-        let (n, w) = (self.cfg.n(), self.cfg.w());
-        if c < w || c > n {
-            return 0.0;
-        }
-        let p = (self.arrival_cdf)(t.max(0.0)).clamp(0.0, 1.0);
-        binomial_pmf((n - w) as u64, (c - w) as u64, p)
-    }
-}
-
-impl<F> std::fmt::Debug for BinomialDiffusion<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinomialDiffusion").field("cfg", &self.cfg).finish_non_exhaustive()
-    }
-}
-
-/// Exponential anti-entropy with rate `λ` (mean straggler delay `1/λ`):
-/// `W_r(t) = W + Binomial(N − W, 1 − e^{−λt})`.
 #[derive(Debug, Clone, Copy)]
 pub struct ExponentialDiffusion {
     cfg: ReplicaConfig,
@@ -219,21 +195,6 @@ pub fn kt_staleness_violation<D: WriteDiffusion + ?Sized>(
     t_visibility_violation(cfg, diffusion, t).powi(k as i32)
 }
 
-/// Refined ⟨k,t⟩ bound when per-version commit offsets are known (§3.5's
-/// "individual t" improvement): `offsets[j]` is the elapsed time since the
-/// j-th most recent version committed. The violation probability is the
-/// product of each version's individual miss probability.
-pub fn kt_staleness_violation_individual<D: WriteDiffusion + ?Sized>(
-    cfg: ReplicaConfig,
-    diffusion: &D,
-    offsets: &[f64],
-) -> f64 {
-    offsets
-        .iter()
-        .map(|&t| t_visibility_violation(cfg, diffusion, t))
-        .product()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +243,7 @@ mod tests {
     #[test]
     fn binomial_diffusion_pmf_sums_to_one() {
         let c = cfg(7, 2, 2);
-        let d = BinomialDiffusion::new(c, |t: f64| 1.0 - (-t).exp());
+        let d = ExponentialDiffusion::new(c, 1.0);
         for &t in &[0.0, 0.5, 2.0, 100.0] {
             let sum: f64 = (0..=7).map(|x| d.pmf(x, t)).sum();
             assert!((sum - 1.0).abs() < 1e-12, "t={t} sum={sum}");
@@ -320,20 +281,5 @@ mod tests {
             let pk = kt_staleness_violation(c, &d, t, k);
             assert!((pk - p1.powi(k as i32)).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn individual_offsets_tighter_than_simultaneous_bound() {
-        let c = cfg(3, 1, 1);
-        let d = ExponentialDiffusion::new(c, 0.3);
-        // Oldest version committed 5.0 ago, newer ones more recently. The
-        // conservative Eq. 5 uses t = time since the *k-th newest* commit and
-        // assumes all k committed simultaneously at the most pessimistic
-        // point; with real (older) offsets the product is no larger than
-        // exponentiating the *newest* offset.
-        let offsets = [0.5, 2.0, 5.0];
-        let refined = kt_staleness_violation_individual(c, &d, &offsets);
-        let conservative = kt_staleness_violation(c, &d, 0.5, 3);
-        assert!(refined <= conservative + 1e-15);
     }
 }

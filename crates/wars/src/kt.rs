@@ -1,42 +1,16 @@
 //! Direct multi-write ⟨k,t⟩-staleness Monte Carlo (§3.5 / §5.1).
 //!
 //! Equation 5 bounds ⟨k,t⟩-staleness by pessimistically assuming the last
-//! `k` writes all committed simultaneously. This module simulates the write
-//! arrival process instead ("extending this formulation to analyze
-//! ⟨k,t⟩-staleness given a distribution of write arrival times", §5.1),
-//! yielding both the violation probability and the full distribution of
-//! version staleness observed by reads. Trials run on the deterministic
-//! sharded [`pbs_mc::Runner`].
+//! `k` writes all committed simultaneously. This module simulates `k`
+//! writes issued a fixed gap apart instead, yielding both the violation
+//! probability and the full distribution of version staleness observed by
+//! reads. A gap of 0 issues all `k` writes at once. §5.1's extension to a
+//! *distribution* of write arrival times is not modelled: no program here
+//! uses one. Trials run on the deterministic sharded [`pbs_mc::Runner`].
 
 use crate::model::{LatencyModel, WarsSample};
 use crate::trial::TrialScratch;
 use pbs_mc::Runner;
-use rand::{Rng, RngCore};
-
-/// How consecutive writes to the key are spaced.
-#[derive(Debug, Clone, Copy)]
-pub enum WriteSpacing {
-    /// Deterministic inter-write gap in milliseconds.
-    Fixed(f64),
-    /// Exponential (Poisson-process) gaps with the given mean in ms.
-    ExponentialMean(f64),
-}
-
-impl WriteSpacing {
-    fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        match *self {
-            WriteSpacing::Fixed(gap) => {
-                assert!(gap >= 0.0);
-                gap
-            }
-            WriteSpacing::ExponentialMean(mean) => {
-                assert!(mean > 0.0);
-                let u: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-                -u.ln() * mean
-            }
-        }
-    }
-}
 
 /// Parameters for a ⟨k,t⟩ Monte Carlo run.
 #[derive(Debug, Clone, Copy)]
@@ -45,8 +19,8 @@ pub struct KtOptions {
     pub k: u32,
     /// Read offset after the newest write's commit, in ms.
     pub t_ms: f64,
-    /// Write arrival process.
-    pub spacing: WriteSpacing,
+    /// Gap between consecutive writes' issue times, in ms (`≥ 0`).
+    pub gap_ms: f64,
     /// Monte-Carlo trials.
     pub trials: usize,
     /// RNG seed.
@@ -74,7 +48,6 @@ pub struct KtResult {
 /// shard, never per trial.
 struct KtScratch {
     samples: Vec<WarsSample>,
-    starts: Vec<f64>,
     trial: TrialScratch,
 }
 
@@ -82,7 +55,6 @@ impl KtScratch {
     fn new(k: usize) -> Self {
         Self {
             samples: (0..k).map(|_| WarsSample::default()).collect(),
-            starts: vec![0.0; k],
             trial: TrialScratch::default(),
         }
     }
@@ -90,8 +62,8 @@ impl KtScratch {
 
 /// Run the direct ⟨k,t⟩ Monte Carlo.
 ///
-/// Per trial: `k` writes are issued with gaps drawn from `spacing`; each
-/// write's per-replica `W`/`A` delays come from a fresh model trial. A read
+/// Per trial: `k` writes are issued `gap_ms` apart; each write's
+/// per-replica `W`/`A` delays come from a fresh model trial. A read
 /// is issued `t` after the *newest* write commits, using the read legs
 /// (`R`/`S`) of the newest sample so any per-operation structure (e.g. WAN
 /// locality) is preserved — the newest write and its read are one ordinary
@@ -103,21 +75,21 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
     assert!(opts.trials > 0);
     assert!(opts.threads > 0);
     assert!(opts.t_ms >= 0.0);
+    assert!(opts.gap_ms >= 0.0, "writes cannot be issued before the previous one");
     let cfg = model.config();
     let r_quorum = cfg.r() as usize;
     let w_quorum = cfg.w() as usize;
     let k = opts.k as usize;
+    // Write issue times, oldest (= index 0) to newest (= k−1): the same in
+    // every trial.
+    let starts: Vec<f64> =
+        std::iter::successors(Some(0.0), |s| Some(s + opts.gap_ms)).take(k).collect();
 
     let behind_counts: Vec<u64> =
         Runner::new(opts.trials, opts.seed, opts.threads).run(|rng, info| {
             let mut counts = vec![0u64; k + 1];
             let mut scratch = KtScratch::new(k);
             for _ in 0..info.trials {
-                // Write start times, oldest (= index 0) to newest (= k−1).
-                scratch.starts[0] = 0.0;
-                for j in 1..k {
-                    scratch.starts[j] = scratch.starts[j - 1] + opts.spacing.sample(rng);
-                }
                 for s in scratch.samples.iter_mut() {
                     model.sample_trial(rng, s);
                 }
@@ -125,7 +97,7 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
                 // commit time, and its responders in arrival order.
                 let newest = k - 1;
                 let trial = scratch.trial.prepare(&scratch.samples[newest], r_quorum, w_quorum);
-                let newest_commit = scratch.starts[newest] + trial.write_latency(w_quorum);
+                let newest_commit = starts[newest] + trial.write_latency(w_quorum);
                 let read_issue = newest_commit + opts.t_ms;
                 let r = &scratch.samples[newest].r;
 
@@ -137,7 +109,7 @@ pub fn kt_violation_direct<M: LatencyModel + ?Sized>(model: &M, opts: KtOptions)
                         if best.is_some_and(|b| j <= b) {
                             break;
                         }
-                        if scratch.starts[j] + scratch.samples[j].w[i] <= read_arrival {
+                        if starts[j] + scratch.samples[j].w[i] <= read_arrival {
                             best = Some(j);
                             break;
                         }
@@ -178,8 +150,8 @@ mod tests {
         )
     }
 
-    fn opts(k: u32, t_ms: f64, spacing: WriteSpacing, trials: usize, seed: u64) -> KtOptions {
-        KtOptions { k, t_ms, spacing, trials, seed, threads: 1 }
+    fn opts(k: u32, t_ms: f64, gap_ms: f64, trials: usize, seed: u64) -> KtOptions {
+        KtOptions { k, t_ms, gap_ms, trials, seed, threads: 1 }
     }
 
     #[test]
@@ -187,8 +159,7 @@ mod tests {
         // With k=1 the direct simulation reduces to ordinary t-visibility.
         let m = model(3, 1, 1);
         let t = 5.0;
-        let direct =
-            kt_violation_direct(&m, opts(1, t, WriteSpacing::Fixed(0.0), 60_000, 4));
+        let direct = kt_violation_direct(&m, opts(1, t, 0.0, 60_000, 4));
         let tv = TVisibility::simulate(&m, 60_000, 4);
         let reference = tv.violation(t);
         assert!(
@@ -204,8 +175,7 @@ mod tests {
         let m = model(3, 1, 1);
         let mut prev = 1.0;
         for k in [1u32, 2, 4] {
-            let res =
-                kt_violation_direct(&m, opts(k, 0.0, WriteSpacing::Fixed(20.0), 30_000, 9));
+            let res = kt_violation_direct(&m, opts(k, 0.0, 20.0, 30_000, 9));
             assert!(res.violation <= prev + 0.01, "k={k}");
             prev = res.violation;
         }
@@ -221,8 +191,7 @@ mod tests {
         let k = 3u32;
         let tv = TVisibility::simulate(&m, 60_000, 10);
         let bound = tv.kt_violation(t, k);
-        let direct =
-            kt_violation_direct(&m, opts(k, t, WriteSpacing::Fixed(50.0), 60_000, 10));
+        let direct = kt_violation_direct(&m, opts(k, t, 50.0, 60_000, 10));
         assert!(
             direct.violation <= bound + 0.01,
             "direct {} should not exceed bound {}",
@@ -234,10 +203,7 @@ mod tests {
     #[test]
     fn versions_behind_is_distribution() {
         let m = model(3, 1, 1);
-        let res = kt_violation_direct(
-            &m,
-            opts(4, 0.0, WriteSpacing::ExponentialMean(10.0), 20_000, 2),
-        );
+        let res = kt_violation_direct(&m, opts(4, 0.0, 10.0, 20_000, 2));
         let sum: f64 = res.versions_behind.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert_eq!(res.versions_behind.len(), 5);
@@ -247,7 +213,7 @@ mod tests {
     #[test]
     fn strict_quorum_never_violates() {
         let m = model(3, 2, 2);
-        let res = kt_violation_direct(&m, opts(1, 0.0, WriteSpacing::Fixed(1.0), 5_000, 0));
+        let res = kt_violation_direct(&m, opts(1, 0.0, 1.0, 5_000, 0));
         assert_eq!(res.violation, 0.0);
         assert_eq!(res.versions_behind[0], 1.0);
     }
@@ -262,15 +228,15 @@ mod tests {
             KtOptions {
                 k: 3,
                 t_ms: 1.0,
-                spacing: WriteSpacing::ExponentialMean(10.0),
+                gap_ms: 10.0,
                 trials: 20_000,
                 seed: 7,
                 threads: 2,
             },
         );
-        let behind = [11_721.0, 7_071.0, 1_100.0, 108.0].map(|reads| reads / 20_000.0);
+        let behind = [11_740.0, 7_755.0, 500.0, 5.0].map(|reads| reads / 20_000.0);
         assert_eq!(res.versions_behind, behind);
-        assert_eq!(res.violation.to_bits(), 0x3f76_1e4f_765f_d8ae, "{}", res.violation);
+        assert_eq!(res.violation.to_bits(), 0x3f30_624d_d2f1_a9fc, "{}", res.violation);
     }
 
     #[test]
@@ -282,7 +248,7 @@ mod tests {
                 KtOptions {
                     k: 2,
                     t_ms: 1.0,
-                    spacing: WriteSpacing::Fixed(15.0),
+                    gap_ms: 15.0,
                     trials: 40_000,
                     seed: 6,
                     threads,
