@@ -7,7 +7,7 @@
 //! t ∈ {1..199}ms and latency N-RMSE 0.48% (max 0.90%) over the
 //! 1..99.9th percentiles. We report the same statistics.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{cli, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::stats::{n_rmse, rmse};
 use pbs_dist::Exponential;
@@ -20,8 +20,10 @@ use std::sync::Arc;
 
 fn main() {
     // Paper: 50,000 writes per combination. Offsets 1..199 step 2 → 100
-    // points × 500 trials = 50k probes (use --quick for a fast pass).
-    let opts = HarnessOptions::parse(500);
+    // points × 500 trials = 50k probes; --quick probes each offset 25 times.
+    let args = cli::Args::parse();
+    args.reject_unknown(&["quick", "trials", "seed", "threads"]);
+    let opts = HarnessOptions::from_args(&args, 500, 25);
     let trials_per_offset = opts.trials;
     let offsets: Vec<f64> = (0..100).map(|i| 1.0 + 2.0 * i as f64).collect();
 

@@ -27,6 +27,13 @@
 //! Performance is measured elsewhere: the `benchmark/` package (see
 //! `docs/performance.md`).
 //!
+//! What the binaries print is pinned by `tests/golden.rs`: each case runs
+//! one binary with fixed `--seed` and `--threads` and compares its stdout,
+//! byte for byte, with `tests/golden/<case>.txt`.
+//! `GOLDEN_UPDATE=1 cargo test -p pbs-bench --test golden` rewrites the
+//! files. A change that rewrites a golden file names the file and the
+//! reason in `CHANGES.md`.
+//!
 //! Run one with `cargo run -p pbs-bench --release --bin fig6`. Every binary
 //! but `chaos_sweep` (which counts `--seeds`) accepts `--quick` (reduced
 //! trial counts for smoke runs), `--trials N`, `--seed N`, and
@@ -265,7 +272,9 @@ impl HarnessOptions {
     /// Parse `--quick`, `--trials N`, `--seed N`, and `--threads N`
     /// (`--key=value` works too) for a Monte-Carlo bin with a default trial
     /// budget (chosen per binary to balance fidelity and runtime);
-    /// `--quick` takes a twentieth of it, but no fewer than 1,000.
+    /// `--quick` takes a twentieth of it, but no fewer than 1,000 (a bin
+    /// whose default is smaller passes its own counts to
+    /// [`from_args`](Self::from_args)).
     pub fn parse(default_trials: usize) -> Self {
         let args = cli::Args::parse();
         args.reject_unknown(&["quick", "trials", "seed", "threads"]);
@@ -276,7 +285,8 @@ impl HarnessOptions {
     /// binaries with extra flags of their own. `trials` is `full_trials`,
     /// or `quick_trials` under `--quick`, unless `--trials` says otherwise.
     /// Exits with status 2 on a malformed value, or a `--trials` /
-    /// `--threads` of zero.
+    /// `--threads` of zero. Panics if `quick_trials` exceeds `full_trials`:
+    /// a smoke run that does more work than a full one is the bin's bug.
     pub fn from_args(args: &cli::Args, full_trials: usize, quick_trials: usize) -> Self {
         Self::try_from_args(args, full_trials, quick_trials)
             .unwrap_or_else(|message| cli::usage_error(&message))
@@ -287,6 +297,10 @@ impl HarnessOptions {
         full_trials: usize,
         quick_trials: usize,
     ) -> Result<Self, String> {
+        assert!(
+            quick_trials <= full_trials,
+            "--quick must not run more than a full run ({quick_trials} > {full_trials} trials)"
+        );
         let default_trials = if args.flag("quick") { quick_trials } else { full_trials };
         let trials = args.try_parsed::<usize>("trials")?.unwrap_or(default_trials);
         let seed = args.try_parsed::<u64>("seed")?.unwrap_or(42);
@@ -362,6 +376,12 @@ mod tests {
                 assert!(options(zero, rule).unwrap_err().ends_with("must be at least 1"));
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "--quick must not run more than a full run (1000 > 500 trials)")]
+    fn a_quick_count_above_the_full_count_is_a_programming_error() {
+        let _ = options(&["--threads", "2"], (500, 1_000));
     }
 
     #[test]
