@@ -22,7 +22,7 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
     // Dense single-key traffic maximises in-flight overlap — the paper's
     // false-positive regime: one write every 6 ms, each probed by a read
     // 3 ms later.
-    let pairs = ops / 2;
+    let pairs = ops.div_ceil(2);
     let rep = OpenLoopRun::new(
         opts,
         network,
@@ -48,6 +48,12 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
     .expect("the serial engine accepts every latency model")
     .0;
     let d = rep.detector;
+    let stale = rep.reads() - rep.consistent();
+    let mean_behind = if stale == 0 {
+        "-".to_string()
+    } else {
+        format!("{:.2}", rep.versions_behind_total as f64 / stale as f64)
+    };
     vec![
         format!("N={n}, R={r}, W={w}, E[W]={write_mean_ms}ms"),
         report::pct(rep.consistency_rate()),
@@ -56,6 +62,7 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
         d.missed_stale.to_string(),
         format!("{:.3}", d.precision()),
         format!("{:.3}", d.recall()),
+        mean_behind,
     ]
 }
 
@@ -74,7 +81,16 @@ fn main() {
         run(5, 1, 1, 10.0, opts.trials, opts.seed),
     ];
     report::table(
-        &["config", "P(consistent)", "flagged", "false pos", "missed", "precision", "recall"],
+        &[
+            "config",
+            "P(consistent)",
+            "flagged",
+            "false pos",
+            "missed",
+            "precision",
+            "recall",
+            "mean behind",
+        ],
         &rows,
     );
     println!();

@@ -41,7 +41,7 @@ fn scenario(
     // One probe pair per 10 ms: a write, then a read of the same key 5 ms
     // later (racing the write's propagation tail) — the same shape as the
     // old pre-built trace, generated lazily.
-    let pairs = ops / 2;
+    let pairs = ops.div_ceil(2);
     let duration_ms = pairs as f64 * 10.0;
     let (rep, cluster) = OpenLoopRun::new(
         opts,

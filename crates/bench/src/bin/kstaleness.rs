@@ -69,7 +69,7 @@ fn main() {
                 k,
                 t_ms: 0.0,
                 gap_ms: 10.0,
-                trials: opts.trials / 4,
+                trials: opts.trials.div_ceil(4),
                 seed: opts.seed,
                 threads: opts.threads,
             },

@@ -1,11 +1,15 @@
 //! §3.2 — PBS monotonic reads: Eq. 3 closed form, with the session-model
-//! simulation validating the `k = 1 + γgw/γcr` exponent.
+//! simulation validating the `k = 1 + γgw/γcr` exponent, and the bound
+//! against a live session on the simulated store.
 
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
-use pbs_workload::SessionModel;
+use pbs_dist::Exponential;
+use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, SessionModel, UniformKeys};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn main() {
     let opts = HarnessOptions::parse(100_000);
@@ -55,4 +59,40 @@ fn main() {
         ]);
     }
     report::table(&["γgw/γcr", "monotonic", "strict monotonic"], &rows);
+
+    // One client reads key 1 every 4 ms while another writes it every 2 ms
+    // (γgw/γcr = 2); the client table counts each read older than the
+    // reader's last one. 4,000 reads at the default count.
+    let reads = opts.trials.div_ceil(25);
+    report::header("Eq. 3 bound vs. a live session on the store (N=3, R=W=1, γgw/γcr=2)");
+    let live = OpenLoopRun::new(
+        ClusterOptions::validation(cfg, opts.seed),
+        NetworkModel::w_ars(
+            Arc::new(Exponential::from_mean(10.0)),
+            Arc::new(Exponential::from_mean(1.0)),
+        ),
+        OpenLoopOptions::new(reads as f64 * 4.0, 1_000.0, 1_000.0),
+        2,
+        ClientOptions::default(),
+    )
+    .run(
+        |client| -> Box<dyn OpSource> {
+            let (gap_ms, mix) =
+                if client == 0 { (4.0, OpMix::new(1.0)) } else { (2.0, OpMix::writes_only()) };
+            Box::new(OpStream::new(FixedRate::new(gap_ms), UniformKeys::new(1), mix, 1))
+        },
+        |_| {},
+    )
+    .expect("the serial engine accepts every latency model")
+    .0;
+    report::table(
+        &["session reads", "non-monotonic (store)", "Eq. 3 bound"],
+        &[vec![
+            live.reads().to_string(),
+            format!("{:.4}", live.monotonic_violation_rate()),
+            format!("{:.4}", staleness::monotonic_reads_violation(cfg, 2.0, 1.0)),
+        ]],
+    );
+    println!("Eq. 3 freezes each read's quorum; on the store, writes keep propagating");
+    println!("after they commit, so a session regresses less often than the bound.");
 }

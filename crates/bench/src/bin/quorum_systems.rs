@@ -42,9 +42,10 @@ fn main() {
     ];
     let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(opts.seed);
+    let quarter = opts.trials.div_ceil(4);
     for (name, sys, size_note) in &systems {
-        let p = analysis::intersection_probability(sys.as_ref(), opts.trials / 4, opts.seed);
-        let load = analysis::measure_load(sys.as_ref(), opts.trials / 4, opts.seed + 1);
+        let p = analysis::intersection_probability(sys.as_ref(), quarter, opts.seed);
+        let load = analysis::measure_load(sys.as_ref(), quarter, opts.seed + 1);
         let mut sizes = 0u64;
         let samples = 10_000;
         for _ in 0..samples {

@@ -57,14 +57,15 @@ fn main() {
                 opts.threads,
             );
 
-            // --- WARS prediction ---
+            // --- WARS prediction: eight trials per probe (400,000 at the
+            // default count) ---
             // Base seed far from the measurement's: shard seeds derive as
             // `seed ^ i`, so adjacent base seeds could share shard RNG
             // streams between the two runs being compared.
             let model = exponential_model(cfg, wl, al);
             let predicted = TVisibility::simulate_parallel(
                 &model,
-                400_000,
+                8 * offsets.len() * trials_per_offset,
                 opts.seed + 0x10_000,
                 opts.threads,
             );
