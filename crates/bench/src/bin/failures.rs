@@ -86,19 +86,18 @@ fn scenario(
 
 fn main() {
     let opts = HarnessOptions::parse(4_000);
+    // A run issues whole write→read pairs: an odd --trials rounds up.
+    let ops = 2 * opts.trials.div_ceil(2);
     println!("Failure modes (paper §6): crash-looping replica, N=3, R=1, W=2");
-    println!(
-        "({} open-loop probe ops per scenario; node 1 down 500ms of every 2s)",
-        opts.trials
-    );
+    println!("({ops} open-loop probe ops per scenario; node 1 down 500ms of every 2s)");
 
     report::header("Scenario comparison");
     let rows = vec![
-        scenario("baseline (no healing)", false, None, false, opts.trials, opts.seed),
-        scenario("hinted handoff", true, None, false, opts.trials, opts.seed),
-        scenario("anti-entropy (200ms)", false, Some(200.0), false, opts.trials, opts.seed),
-        scenario("hints + anti-entropy", true, Some(200.0), false, opts.trials, opts.seed),
-        scenario("crash wipes state + hints", true, Some(200.0), true, opts.trials, opts.seed),
+        scenario("baseline (no healing)", false, None, false, ops, opts.seed),
+        scenario("hinted handoff", true, None, false, ops, opts.seed),
+        scenario("anti-entropy (200ms)", false, Some(200.0), false, ops, opts.seed),
+        scenario("hints + anti-entropy", true, Some(200.0), false, ops, opts.seed),
+        scenario("crash wipes state + hints", true, Some(200.0), true, ops, opts.seed),
     ];
     report::table(
         &["scenario", "P(consistent)", "failed writes", "lost reads", "hints", "syncs"],

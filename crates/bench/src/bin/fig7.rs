@@ -36,7 +36,7 @@ fn main() {
             rows.push(vec![
                 format!("N={n}"),
                 report::pct(tv.prob_consistent(0.0)),
-                report::opt_ms(tv.t_at_probability(0.999)),
+                report::ms(tv.t_at_probability(0.999)),
             ]);
         }
         report::table(&["config", "P(consistent) at t=0", "t @ 99.9% (ms)"], &rows);

@@ -78,8 +78,34 @@ fn main() {
             k.to_string(),
             format!("{frozen:.4}"),
             format!("{:.4}", live.violation),
-            if live.violation <= frozen { "yes".into() } else { "VIOLATED".into() },
+            if bound_holds(live.violation, frozen, live.trials) { "yes" } else { "VIOLATED" }
+                .into(),
         ]);
     }
     report::table(&["k", "Eq.2 bound", "expanding (live)", "bound holds"], &rows);
+}
+
+/// Whether a Monte-Carlo violation estimate `live` over `trials` trials
+/// keeps under `bound`, allowing three binomial standard errors of
+/// sampling noise at `bound`.
+fn bound_holds(live: f64, bound: f64, trials: usize) -> bool {
+    live <= bound + 3.0 * (bound * (1.0 - bound) / trials as f64).sqrt()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::bound_holds;
+
+    #[test]
+    fn a_single_trial_cannot_refute_the_bound() {
+        assert!(bound_holds(1.0, 2.0 / 3.0, 1));
+    }
+
+    #[test]
+    fn four_standard_errors_over_the_bound_refute_it() {
+        let (bound, trials) = (0.4444, 5_000);
+        let se = (bound * (1.0 - bound) / trials as f64).sqrt();
+        assert!(bound_holds(bound + 2.0 * se, bound, trials));
+        assert!(!bound_holds(bound + 4.0 * se, bound, trials));
+    }
 }

@@ -23,7 +23,7 @@ fn main() {
         rows.push(vec![
             format!("{delay}"),
             report::pct(tv.prob_consistent(0.0)),
-            report::opt_ms(tv.t_at_probability(0.999)),
+            report::ms(tv.t_at_probability(0.999)),
             report::ms(tv.read_latency_percentile(99.9)),
         ]);
     }

@@ -33,7 +33,7 @@ fn main() {
                     format!("R={}, W={}", e.cfg.r(), e.cfg.w()),
                     report::ms(e.read_latency),
                     report::ms(e.write_latency),
-                    report::opt_ms(e.t_visibility),
+                    report::ms(e.t_visibility),
                 ]
             })
             .collect();

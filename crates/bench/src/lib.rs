@@ -113,15 +113,6 @@ pub mod report {
         }
     }
 
-    /// Format an optional millisecond value (`None` → `"unresolved"`) —
-    /// the shape of every `t_at_probability` table cell.
-    pub fn opt_ms(v: Option<f64>) -> String {
-        match v {
-            Some(t) => ms(t),
-            None => "unresolved".into(),
-        }
-    }
-
     /// The figure bins' "P(consistency) vs t" table: a row per `t` (printed
     /// to `t_digits` decimals), a column per run (to `p_digits`).
     pub fn consistency_vs_t<'a, S: AsRef<str>>(
@@ -421,8 +412,6 @@ mod tests {
     fn ms_formatting() {
         assert_eq!(report::ms(1.2345), "1.234");
         assert_eq!(report::ms(1234.5), "1234.5");
-        assert_eq!(report::opt_ms(Some(2.0)), "2.000");
-        assert_eq!(report::opt_ms(None), "unresolved");
     }
 
     #[test]

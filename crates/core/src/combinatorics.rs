@@ -3,8 +3,8 @@
 //! The quorum formulas divide binomial coefficients whose magnitudes explode
 //! well before `N = 100` (the paper's §2.1 example uses `N=100, R=W=30`).
 //! We therefore compute ratios in log space via a Lanczos `ln Γ`
-//! approximation, falling back to exact `u128` arithmetic for small inputs
-//! (both paths are tested against each other).
+//! approximation; the exact `u128` [`choose_exact`] is the reference the
+//! log-space path is tested against.
 
 /// Lanczos coefficients for `g = 7`, giving ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
@@ -20,18 +20,11 @@ const LANCZOS_COEF: [f64; 9] = [
     1.505_632_735_149_311_6e-7,
 ];
 
-/// Natural log of the Gamma function for `x > 0`.
-///
-/// Uses the Lanczos approximation with reflection unnecessary since inputs
-/// here are always positive integers plus one.
+/// Natural log of the Gamma function for `x ≥ 0.5`, by the Lanczos
+/// approximation. Its one caller, [`ln_factorial`], passes `x ≥ 22`, so
+/// the reflection formula for smaller `x` is not needed.
 pub fn ln_gamma(x: f64) -> f64 {
-    debug_assert!(x > 0.0, "ln_gamma requires x > 0, got {x}");
-    if x < 0.5 {
-        // Reflection formula, kept for robustness even though quorum math
-        // never hits it.
-        let pi = std::f64::consts::PI;
-        return (pi / (pi * x).sin()).ln() - ln_gamma(1.0 - x);
-    }
+    debug_assert!(x >= 0.5, "ln_gamma requires x >= 0.5, got {x}");
     let x = x - 1.0;
     let mut acc = LANCZOS_COEF[0];
     for (i, &c) in LANCZOS_COEF.iter().enumerate().skip(1) {
@@ -103,15 +96,6 @@ pub fn choose_exact(n: u64, k: u64) -> Option<u128> {
         acc = acc.checked_mul((n - i) as u128)? / (i as u128 + 1);
     }
     Some(acc)
-}
-
-/// Binomial coefficient as `f64` (exact when it fits in `u128`, log-space
-/// otherwise).
-pub fn choose(n: u64, k: u64) -> f64 {
-    match choose_exact(n, k) {
-        Some(v) => v as f64,
-        None => ln_choose(n, k).exp(),
-    }
 }
 
 /// Ratio `C(a, k) / C(b, k)` computed in log space.
@@ -189,9 +173,9 @@ mod tests {
         // C(200, 100) ≈ 9e58 > u128::MAX? u128 max ≈ 3.4e38, so this must
         // overflow.
         assert_eq!(choose_exact(200, 100), None);
-        // …but the f64 path still produces a finite positive value.
-        let v = choose(200, 100);
-        assert!(v.is_finite() && v > 1e58);
+        // …but the log-space path still produces a finite value.
+        let ln = ln_choose(200, 100);
+        assert!(ln.is_finite() && ln > 58.0 * std::f64::consts::LN_10);
     }
 
     #[test]

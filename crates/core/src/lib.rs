@@ -11,11 +11,13 @@
 //!   ([`staleness::k_staleness_violation`]).
 //! * **Equation 3** — PBS *monotonic reads* as a k-staleness special case
 //!   with `k = 1 + γgw/γcr` ([`staleness::monotonic_reads_violation`]).
-//! * **Equation 4** — PBS *t-visibility* for expanding quorums, parameterised
-//!   by a write-diffusion model — frozen, exponential or empirical
-//!   ([`tvisibility::t_visibility_violation`]).
-//! * **Equation 5** — PBS *⟨k,t⟩-staleness*, the paper's bound for `k`
-//!   versions that committed together ([`tvisibility::kt_staleness_violation`]).
+//! * **Equation 4** — PBS *t-visibility* for expanding quorums with
+//!   instantaneous reads, stragglers receiving the write after i.i.d.
+//!   exponential delays ([`tvisibility::t_visibility_violation`]; `fig4`
+//!   inverts it at 99.9%).
+//! * **Equation 5** — PBS *⟨k,t⟩-staleness*, Eq. 4's violation to the
+//!   `k`-th power, lives with the WARS curves it exponentiates
+//!   (`pbs_wars::TVisibility::kt_violation`).
 //! * **§3.3** — load/capacity improvements for staleness-tolerant quorum
 //!   systems ([`load`]).
 //!

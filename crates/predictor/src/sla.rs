@@ -10,7 +10,7 @@
 //! Only the partial configurations (`R + W ≤ N`) need the WARS Monte Carlo
 //! for staleness. A strict one (`R + W > N`) is judged exactly: its
 //! consistency is `1.0` at every window `t ≥ 0` and its t-visibility
-//! `Some(0.0)` at every probability — bit for bit what a simulation of it
+//! `0.0` at every probability — bit for bit what a simulation of it
 //! reports. In every trial the first `W` ackers and the first `R`
 //! responders share a replica `i`. Its acknowledgment is among the first
 //! `W`, so `fl(W[i] + A[i]) ≤ w_t`, the commit time; `A[i] ≥ 0` gives
@@ -141,8 +141,8 @@ pub struct ConfigEvaluation {
     pub write_latency: f64,
     /// `P(consistent)` at the SLA window.
     pub consistency: f64,
-    /// t-visibility at the SLA probability (None = unresolved).
-    pub t_visibility: Option<f64>,
+    /// t-visibility at the SLA probability (ms).
+    pub t_visibility: f64,
     /// Whether every SLA constraint is met.
     pub meets_sla: bool,
 }
@@ -179,7 +179,7 @@ fn evaluate(
     read_latency: f64,
     write_latency: f64,
     consistency: f64,
-    t_visibility: Option<f64>,
+    t_visibility: f64,
     spec: &SlaSpec,
 ) -> ConfigEvaluation {
     let mut meets_sla = consistency >= spec.consistency_probability
@@ -292,7 +292,7 @@ pub fn optimize(
         let mut partial = grid.iter().filter(|tv| tv.config().is_partial());
         for cfg in cfgs {
             let (consistency, t_visibility) = if cfg.is_strict() {
-                (1.0, Some(0.0))
+                (1.0, 0.0)
             } else {
                 let tv = partial.next().expect("one simulation per partial pair");
                 let p = spec.consistency_probability;
@@ -529,11 +529,11 @@ mod tests {
             assert_eq!(row.read_latency.to_bits(), tv.read_latency_percentile(99.9).to_bits());
             assert_eq!(row.write_latency.to_bits(), tv.write_latency_percentile(99.9).to_bits());
             let t = tv.t_at_probability(0.999);
-            assert_eq!(row.t_visibility.map(f64::to_bits), t.map(f64::to_bits), "{}", row.cfg);
+            assert_eq!(row.t_visibility.to_bits(), t.to_bits(), "{}", row.cfg);
             if row.cfg.is_strict() {
-                assert_eq!(row.t_visibility, Some(0.0), "{}", row.cfg);
+                assert_eq!(row.t_visibility, 0.0, "{}", row.cfg);
             } else {
-                assert!(row.t_visibility.unwrap() >= 0.0);
+                assert!(row.t_visibility >= 0.0);
             }
         }
         // R=3 reads slower than R=1 reads at the same percentile.

@@ -152,7 +152,7 @@ mod tests {
         let tv = TVisibility::simulate(&ymmr_model(cfg(3, 1, 1)), 200_000, 42);
         let p0 = tv.prob_consistent(0.0);
         assert!((p0 - 0.893).abs() < 0.03, "paper: 89.3%, got {p0}");
-        let t999 = tv.t_at_probability(0.999).unwrap();
+        let t999 = tv.t_at_probability(0.999);
         assert!(
             (500.0..2500.0).contains(&t999),
             "paper: 1364ms for 99.9%, got {t999}"

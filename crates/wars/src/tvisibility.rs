@@ -82,7 +82,7 @@ impl TVisibility {
     /// let cfg = ReplicaConfig::new(3, 1, 1).unwrap();
     /// let tv = TVisibility::simulate(&production::lnkd_ssd_model(cfg), 20_000, 42);
     /// assert!((tv.prob_consistent(0.0) - 0.974).abs() < 0.01); // ≈97.4% at t=0
-    /// assert_eq!(tv.t_at_probability(0.999).map(|t| t < 5.0), Some(true));
+    /// assert!(tv.t_at_probability(0.999) < 5.0);
     /// assert!(tv.read_latency_percentile(99.9) < 2.0);
     /// ```
     pub fn simulate<M: LatencyModel + ?Sized>(model: &M, trials: usize, seed: u64) -> Self {
@@ -246,12 +246,9 @@ impl TVisibility {
     /// `t_at_probability(0.999)` is Table 4's "t-visibility for
     /// `p_st = .001`" — as a sketch quantile query (exact at `p = 1`,
     /// rank error ∝ 1/compression elsewhere, tightest at the tails).
-    ///
-    /// Always `Some` for in-range `p`; the `Option` is kept so call sites
-    /// can stay agnostic about future resolution limits.
-    pub fn t_at_probability(&self, p: f64) -> Option<f64> {
+    pub fn t_at_probability(&self, p: f64) -> f64 {
         assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        Some(self.thresholds.quantile(p).max(0.0))
+        self.thresholds.quantile(p).max(0.0)
     }
 
     /// ⟨k,t⟩-staleness violation probability under the paper's conservative
@@ -315,7 +312,7 @@ mod tests {
             let m = exp_model(cfg(3, r, w), 0.1, 0.5);
             let tv = TVisibility::simulate(&m, 5_000, 7);
             assert_eq!(tv.prob_consistent(0.0), 1.0, "R={r} W={w}");
-            assert_eq!(tv.t_at_probability(1.0), Some(0.0));
+            assert_eq!(tv.t_at_probability(1.0), 0.0);
             assert!(tv.thresholds().max() <= 0.0);
         }
     }
@@ -341,7 +338,7 @@ mod tests {
         let m = exp_model(cfg(3, 1, 1), 0.1, 0.5);
         let tv = TVisibility::simulate(&m, 50_000, 13);
         for &p in &[0.5, 0.9, 0.99, 0.999] {
-            let t = tv.t_at_probability(p).unwrap();
+            let t = tv.t_at_probability(p);
             // The sketch contract is rank error, tightening toward the
             // tails: the curve at the returned t must sit within half a
             // percentage point of p.
@@ -378,8 +375,8 @@ mod tests {
         assert_eq!(par.trials(), 40_000);
         // Same distribution statistically (not identical samples).
         for &p in &[0.5, 0.9, 0.99] {
-            let a = serial.t_at_probability(p).unwrap();
-            let b = par.t_at_probability(p).unwrap();
+            let a = serial.t_at_probability(p);
+            let b = par.t_at_probability(p);
             assert!((a - b).abs() < 2.0 + 0.1 * a.max(b), "p={p}: {a} vs {b}");
         }
     }
@@ -419,9 +416,7 @@ mod tests {
         let fast = TVisibility::simulate(&exp_model(cfg(3, 1, 1), 4.0, 1.0), 30_000, 3);
         let slow = TVisibility::simulate(&exp_model(cfg(3, 1, 1), 0.1, 1.0), 30_000, 3);
         assert!(fast.prob_consistent(0.0) > slow.prob_consistent(0.0));
-        assert!(
-            fast.t_at_probability(0.999).unwrap() < slow.t_at_probability(0.999).unwrap()
-        );
+        assert!(fast.t_at_probability(0.999) < slow.t_at_probability(0.999));
     }
 
     #[test]

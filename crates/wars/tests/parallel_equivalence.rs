@@ -28,8 +28,8 @@ fn identical_seed_threads_is_bit_reproducible() {
         for i in 0..=1000 {
             let q = i as f64 / 1000.0;
             assert_eq!(
-                a.t_at_probability(q).unwrap().to_bits(),
-                b.t_at_probability(q).unwrap().to_bits(),
+                a.t_at_probability(q).to_bits(),
+                b.t_at_probability(q).to_bits(),
                 "threads={threads}, q={q}"
             );
         }
@@ -63,8 +63,8 @@ fn thread_counts_statistically_equivalent() {
         }
         // Inverse queries: mid-quantiles within value tolerance.
         for p in [0.5, 0.9, 0.99] {
-            let a = single.t_at_probability(p).unwrap();
-            let b = sharded.t_at_probability(p).unwrap();
+            let a = single.t_at_probability(p);
+            let b = sharded.t_at_probability(p);
             assert!(
                 (a - b).abs() < 0.5 + 0.05 * a.max(b),
                 "p={p}: threads=1 {a}ms vs threads=4 {b}ms"
@@ -90,7 +90,7 @@ fn production_fit_parallel_equivalence() {
         let (a, b) = (single.prob_consistent(t), sharded.prob_consistent(t));
         assert!((a - b).abs() < 0.01, "t={t}: {a} vs {b}");
     }
-    let a = single.t_at_probability(0.999).unwrap();
-    let b = sharded.t_at_probability(0.999).unwrap();
+    let a = single.t_at_probability(0.999);
+    let b = sharded.t_at_probability(0.999);
     assert!((a - b).abs() < 0.15 * a.max(b) + 1.0, "t@99.9%: {a} vs {b}");
 }

@@ -6,12 +6,12 @@
 //!
 //! | Module | Crate | Contents |
 //! |--------|-------|----------|
-//! | [`math`] | `pbs-core` | Closed-form Eqs. 1–5, load bounds |
+//! | [`math`] | `pbs-core` | Closed-form Eqs. 1–4, load bounds |
 //! | [`dist`] | `pbs-dist` | Latency distributions, mixture fitting, stats |
 //! | [`mc`] | `pbs-mc` | Deterministic sharded runner, streaming sketches |
 //! | [`sim`] | `pbs-sim` | Deterministic discrete-event simulation kernel |
 //! | [`kvs`] | `pbs-kvs` | Dynamo-style quorum-replicated KV store |
-//! | [`wars`] | `pbs-wars` | WARS Monte Carlo t-visibility engine |
+//! | [`wars`] | `pbs-wars` | WARS Monte Carlo t-visibility engine, Eq. 5 |
 //! | [`quorum`] | `pbs-quorum` | Quorum-system constructions & analysis |
 //! | [`workload`] | `pbs-workload` | Arrival processes, key popularity, sessions |
 //! | [`predictor`] | `pbs-predictor` | SLA optimizer, online prediction |

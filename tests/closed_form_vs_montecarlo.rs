@@ -3,12 +3,10 @@
 //! overlap.
 
 use pbs::dist::Constant;
-use pbs::math::tvisibility::{t_visibility_violation, EmpiricalDiffusion};
+use pbs::math::tvisibility::t_visibility_violation;
 use pbs::math::{staleness, ReplicaConfig};
 use pbs::quorum::analysis;
 use pbs::wars::{IidModel, TVisibility};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
 fn cfg(n: u32, r: u32, w: u32) -> ReplicaConfig {
@@ -38,34 +36,16 @@ fn eq2_matches_k_quorum_mc() {
     }
 }
 
-/// Equation 4 with an *empirical* diffusion extracted from WARS write
-/// propagation must match the WARS engine itself when reads are
-/// instantaneous (Eq. 4's assumption).
+/// Equation 4's exponential law must match the WARS engine itself when
+/// reads are instantaneous (Eq. 4's assumption).
 ///
-/// Setup: W ~ Exp, A = R = S = 0. WARS commit time is the W-th smallest
-/// write delay; the straggler arrival offsets feed an
-/// `EmpiricalDiffusion`; both sides then predict `p_st(t)`.
+/// Setup: W ~ Exp(0.25), A = R = S = 0. WARS commits at the W-th smallest
+/// write delay; by memorylessness each straggler then arrives after a
+/// fresh Exp(0.25) delay, which is Eq. 4's law, so both sides predict the
+/// same `p_st(t)`.
 #[test]
-fn eq4_empirical_diffusion_matches_instantaneous_wars() {
+fn eq4_exponential_law_matches_instantaneous_wars() {
     let c = cfg(3, 1, 1);
-    let trials = 120_000;
-
-    // Extract straggler offsets the same way WARS computes commit times.
-    let mut rng = StdRng::seed_from_u64(1234);
-    let exp = pbs::dist::Exponential::from_rate(0.25);
-    let mut offsets: Vec<Vec<f64>> = Vec::with_capacity(trials);
-    {
-        use pbs::dist::LatencyDistribution;
-        for _ in 0..trials {
-            let mut ws: Vec<f64> = (0..3).map(|_| exp.sample(&mut rng)).collect();
-            ws.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let wt = ws[0]; // W = 1
-            offsets.push(ws[1..].iter().map(|w| w - wt).collect());
-        }
-    }
-    let diffusion = EmpiricalDiffusion::new(c, offsets);
-
-    // WARS with zero A/R/S: reads are instantaneous at commit + t.
     let model = IidModel::new(
         c,
         "instant-reads",
@@ -74,15 +54,31 @@ fn eq4_empirical_diffusion_matches_instantaneous_wars() {
         Arc::new(Constant::new(0.0)),
         Arc::new(Constant::new(0.0)),
     );
-    let tv = TVisibility::simulate(&model, trials, 77);
+    let tv = TVisibility::simulate(&model, 120_000, 77);
 
     for t in [0.0, 1.0, 4.0, 10.0, 25.0] {
-        let eq4 = t_visibility_violation(c, &diffusion, t);
+        let eq4 = t_visibility_violation(c, 0.25, t);
         let wars = tv.violation(t);
-        assert!(
-            (eq4 - wars).abs() < 0.01,
-            "t={t}: Eq.4 {eq4} vs WARS {wars}"
-        );
+        assert!((eq4 - wars).abs() < 0.01, "t={t}: Eq.4 {eq4} vs WARS {wars}");
+    }
+}
+
+/// Figure 4's legs (W ~ Exp(λ_W), A = R = S ~ Exp(1)): reads that take
+/// time can only find the write on more replicas, so WARS never sits above
+/// Eq. 4 by more than its sampling error, at every ratio `fig4` plots.
+#[test]
+fn eq4_bounds_wars_with_fig4_legs() {
+    let c = cfg(3, 1, 1);
+    let trials = 50_000;
+    for w_rate in [4.0, 2.0, 1.0, 0.5, 0.2, 0.1] {
+        let model = pbs::wars::production::exponential_model(c, w_rate, 1.0);
+        let tv = TVisibility::simulate(&model, trials, 11);
+        for t in [0.0, 1.0, 5.0, 20.0] {
+            let eq4 = t_visibility_violation(c, w_rate, t);
+            let se = (eq4 * (1.0 - eq4) / trials as f64).sqrt();
+            let wars = tv.violation(t);
+            assert!(wars <= eq4 + 3.0 * se, "λ_W={w_rate} t={t}: WARS {wars} > Eq.4 {eq4}");
+        }
     }
 }
 

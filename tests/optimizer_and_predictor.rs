@@ -116,8 +116,7 @@ fn predictor_metrics_are_coherent() {
     let cfg = ReplicaConfig::new(3, 1, 2).unwrap();
     let pred = Predictor::from_model_threads(&ymmr_model(cfg), 60_000, 4, THREADS);
     for &p in &[0.5, 0.9, 0.99] {
-        if let Some(t) = pred.tvisibility().t_at_probability(p) {
-            assert!(pred.prob_consistent(t) >= p, "inverse must satisfy the target");
-        }
+        let t = pred.tvisibility().t_at_probability(p);
+        assert!(pred.prob_consistent(t) >= p, "inverse must satisfy the target");
     }
 }

@@ -39,9 +39,8 @@ proptest! {
             prop_assert!(1.0 - p <= bound + 0.03, "frozen bound");
             prev = p;
         }
-        if let Some(t) = tv.t_at_probability(0.9) {
-            prop_assert!(tv.prob_consistent(t) >= 0.9);
-        }
+        let t = tv.t_at_probability(0.9);
+        prop_assert!(tv.prob_consistent(t) >= 0.9);
     }
 
     /// The live store never violates strict-quorum consistency, regardless
