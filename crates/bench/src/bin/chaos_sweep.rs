@@ -227,7 +227,7 @@ fn main() {
     let mut windows = LinCheck::default();
     let mut exhausted_keys = 0u64;
     for i in 0..seeds {
-        let seed = base + i;
+        let seed = base.wrapping_add(i);
         let (node, at, down) = crash_plan(seed);
         let (serial_hist, serial_check) =
             run(EngineKind::SerialPartitioned { workers }, partial, seed, true);
@@ -235,25 +235,28 @@ fn main() {
         reads_audited += serial_check.order.reads_checked;
         windows.merge(serial_check.lin.clone());
 
+        // Report a failed check, dump each named history (`lin` also keeps
+        // the WGL violations' keys) and mark the seed bad.
         let mut bad = false;
-        if !serial_check.is_clean() {
-            eprintln!("FAIL seed {seed}: serial checker unclean: {serial_check:?}");
-            let p = dump_history(&out, "serial", seed, &serial_hist, &serial_check, false);
-            eprintln!("  history dumped to {}", p.display());
+        let mut fail = |why: String, dumps: &[(&str, &OpHistory, &CheckReport, bool)]| {
+            eprintln!("FAIL seed {seed}: {why}");
+            let paths = dumps.iter().map(|&(tag, hist, check, lin)| {
+                dump_history(&out, tag, seed, hist, check, lin).display().to_string()
+            });
+            let noun = if dumps.len() == 1 { "history" } else { "histories" };
+            eprintln!("  {noun} dumped to {}", paths.collect::<Vec<_>>().join(" and "));
             bad = true;
+        };
+        let serial = ("serial", &serial_hist, &serial_check, false);
+        let parallel = ("parallel", &par_hist, &par_check, false);
+        if !serial_check.is_clean() {
+            fail(format!("serial checker unclean: {serial_check:?}"), &[serial]);
         }
         if !par_check.is_clean() {
-            eprintln!("FAIL seed {seed}: parallel checker unclean: {par_check:?}");
-            let p = dump_history(&out, "parallel", seed, &par_hist, &par_check, false);
-            eprintln!("  history dumped to {}", p.display());
-            bad = true;
+            fail(format!("parallel checker unclean: {par_check:?}"), &[parallel]);
         }
         if serial_hist != par_hist || serial_check != par_check {
-            eprintln!("FAIL seed {seed}: serial vs parallel divergence");
-            let p = dump_history(&out, "serial", seed, &serial_hist, &serial_check, false);
-            let q = dump_history(&out, "parallel", seed, &par_hist, &par_check, false);
-            eprintln!("  histories dumped to {} and {}", p.display(), q.display());
-            bad = true;
+            fail("serial vs parallel divergence".into(), &[serial, parallel]);
         }
         let mut lin_note = String::new();
         if lin_gate {
@@ -267,31 +270,25 @@ fn main() {
                 let (hist, check) = run(kind, strict, seed, false);
                 exhausted_keys += check.lin.exhausted_keys;
                 if check.lin.violated_keys > 0 {
-                    eprintln!(
-                        "FAIL seed {seed}: strict-quorum {tag} not linearizable: {:?} \
-                         (first violation key {:?})",
+                    let why = format!(
+                        "strict-quorum {tag} not linearizable: {:?} (first violation key {:?})",
                         check.lin,
                         check.lin.first_violation().map(|v| v.key),
                     );
-                    let p = dump_history(&out, tag, seed, &hist, &check, true);
-                    eprintln!("  history dumped to {}", p.display());
-                    bad = true;
+                    fail(why, &[(tag, &hist, &check, true)]);
                 }
             }
             // The same quorum under the storm and the crash: regular, and
             // clean on every other count.
             let (hist, check) = run(EngineKind::Serial, strict, seed, true);
             if !check.is_clean() || check.regular() != Some(true) {
-                eprintln!(
-                    "FAIL seed {seed}: strict quorum under the storm is not regular \
-                     (regular() = {:?}): {:?} {:?}",
+                let why = format!(
+                    "strict quorum under the storm is not regular (regular() = {:?}): {:?} {:?}",
                     check.regular(),
                     check.labels,
                     check.order
                 );
-                let p = dump_history(&out, "serial-strict-storm", seed, &hist, &check, false);
-                eprintln!("  history dumped to {}", p.display());
-                bad = true;
+                fail(why, &[("serial-strict-storm", &hist, &check, false)]);
             }
             lin_note = format!(
                 "; strict under storm regular over {} reads; {} partial-quorum windows so far",

@@ -4,16 +4,15 @@
 //! online ground truth (the open-loop engine's commit watermark) lets us
 //! measure precision and recall exactly while thousands of probes overlap.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{report, store_run, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Exponential;
-use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs_kvs::{ClusterOptions, NetworkModel};
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
 
-fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec<String> {
-    let cfg = ReplicaConfig::new(n, r, w).unwrap();
-    let mut opts = ClusterOptions::validation(cfg, seed);
+fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, pairs: usize, seed: u64) -> Vec<String> {
+    let mut opts = ClusterOptions::validation(ReplicaConfig::new(n, r, w).unwrap(), seed);
     opts.op_timeout_ms = 5_000.0;
     let network = NetworkModel::w_ars(
         Arc::new(Exponential::from_mean(write_mean_ms)),
@@ -22,31 +21,11 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
     // Dense single-key traffic maximises in-flight overlap — the paper's
     // false-positive regime: one write every 6 ms, each probed by a read
     // 3 ms later.
-    let pairs = ops.div_ceil(2);
-    let rep = OpenLoopRun::new(
-        opts,
-        network,
-        OpenLoopOptions::new(pairs as f64 * 6.0, 1_000.0, opts.op_timeout_ms),
-        1,
-        ClientOptions {
-            op_timeout_ms: opts.op_timeout_ms,
-            probe_read_offset_ms: Some(3.0),
-            ..ClientOptions::default()
-        },
-    )
-    .run(
-        |_| -> Box<dyn OpSource> {
-            Box::new(OpStream::new(
-                FixedRate::new(6.0),
-                UniformKeys::new(1),
-                OpMix::writes_only(),
-                1,
-            ))
-        },
-        |_| {},
-    )
-    .expect("the serial engine accepts every latency model")
-    .0;
+    let writes = |_| -> Box<dyn OpSource> {
+        Box::new(OpStream::new(FixedRate::new(6.0), UniformKeys::new(1), OpMix::writes_only(), 1))
+    };
+    let timing = (pairs as f64 * 6.0, 1_000.0);
+    let (rep, _) = store_run(opts, network, timing, 1, Some(3.0), |run| run.run(writes, |_| {}));
     let d = rep.detector;
     let stale = rep.reads() - rep.consistent();
     let mean_behind = if stale == 0 {
@@ -69,18 +48,18 @@ fn run(n: u32, r: u32, w: u32, write_mean_ms: f64, ops: usize, seed: u64) -> Vec
 fn main() {
     let opts = HarnessOptions::parse(20_000);
     // A run issues whole write→probe pairs: an odd --trials rounds up.
-    let ops = 2 * opts.trials.div_ceil(2);
+    let pairs = opts.trials.div_ceil(2);
     println!("Asynchronous staleness detection (paper §4.3)");
     println!("Detector: any of the N−R late responses newer than the returned value.");
-    println!("({ops} open-loop ops per configuration, single hot key)");
+    println!("({} open-loop ops per configuration, single hot key)", 2 * pairs);
 
     report::header("Detector quality vs. configuration");
     let rows = vec![
-        run(3, 1, 1, 10.0, ops, opts.seed),
-        run(3, 1, 1, 2.0, ops, opts.seed),
-        run(3, 1, 2, 10.0, ops, opts.seed),
-        run(3, 2, 1, 10.0, ops, opts.seed),
-        run(5, 1, 1, 10.0, ops, opts.seed),
+        run(3, 1, 1, 10.0, pairs, opts.seed),
+        run(3, 1, 1, 2.0, pairs, opts.seed),
+        run(3, 1, 2, 10.0, pairs, opts.seed),
+        run(3, 2, 1, 10.0, pairs, opts.seed),
+        run(5, 1, 1, 10.0, pairs, opts.seed),
     ];
     report::table(
         &[

@@ -4,10 +4,10 @@
 //! replica set of N nodes behaves like an N−F set; hints and Merkle sync
 //! bound the damage.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{report, store_run, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_dist::Exponential;
-use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs_kvs::{Cluster, ClusterOptions, NetworkModel};
 use pbs_sim::SimTime;
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, UniformKeys};
 use std::sync::Arc;
@@ -26,7 +26,7 @@ fn scenario(
     hinted: bool,
     sync_ms: Option<f64>,
     wipe: bool,
-    ops: usize,
+    pairs: usize,
     seed: u64,
 ) -> Vec<String> {
     let cfg = ReplicaConfig::new(3, 1, 2).unwrap(); // W=2: crashes hurt commits
@@ -39,38 +39,20 @@ fn scenario(
     opts.op_timeout_ms = 5_000.0;
 
     // One probe pair per 10 ms: a write, then a read of the same key 5 ms
-    // later (racing the write's propagation tail) — the same shape as the
-    // old pre-built trace, generated lazily.
-    let pairs = ops.div_ceil(2);
+    // later (racing the write's propagation tail).
     let duration_ms = pairs as f64 * 10.0;
-    let (rep, cluster) = OpenLoopRun::new(
-        opts,
-        net(),
-        OpenLoopOptions::new(duration_ms, 1_000.0, opts.op_timeout_ms),
-        1,
-        ClientOptions {
-            op_timeout_ms: opts.op_timeout_ms,
-            probe_read_offset_ms: Some(5.0),
-            ..ClientOptions::default()
-        },
-    )
-    .run(
-        |_| -> Box<dyn OpSource> {
-            Box::new(OpStream::new(
-                FixedRate::new(10.0),
-                UniformKeys::new(8),
-                OpMix::writes_only(),
-                1,
-            ))
-        },
-        // Crash-loop node 1: down 500ms out of every 2s.
-        |cluster| {
-            for cycle in 0..((duration_ms / 2000.0).ceil() as usize + 1) {
-                cluster.crash_node_at(1, SimTime::from_ms(250.0 + 2000.0 * cycle as f64), 500.0);
-            }
-        },
-    )
-    .expect("the serial engine accepts every latency model");
+    let writes = |_| -> Box<dyn OpSource> {
+        Box::new(OpStream::new(FixedRate::new(10.0), UniformKeys::new(8), OpMix::writes_only(), 1))
+    };
+    // Crash-loop node 1: down 500ms out of every 2s.
+    let crash_loop = |cluster: &mut Cluster| {
+        for cycle in 0..((duration_ms / 2000.0).ceil() as usize + 1) {
+            cluster.crash_node_at(1, SimTime::from_ms(250.0 + 2000.0 * cycle as f64), 500.0);
+        }
+    };
+    let timing = (duration_ms, 1_000.0);
+    let (rep, cluster) =
+        store_run(opts, net(), timing, 1, Some(5.0), |run| run.run(writes, crash_loop));
     let hints: u64 = (0..3).map(|i| cluster.node(i).hints_delivered).sum();
     let syncs: u64 = (0..3).map(|i| cluster.node(i).sync_rounds).sum();
 
@@ -87,17 +69,17 @@ fn scenario(
 fn main() {
     let opts = HarnessOptions::parse(4_000);
     // A run issues whole write→read pairs: an odd --trials rounds up.
-    let ops = 2 * opts.trials.div_ceil(2);
+    let pairs = opts.trials.div_ceil(2);
     println!("Failure modes (paper §6): crash-looping replica, N=3, R=1, W=2");
-    println!("({ops} open-loop probe ops per scenario; node 1 down 500ms of every 2s)");
+    println!("({} open-loop probe ops per scenario; node 1 down 500ms of every 2s)", 2 * pairs);
 
     report::header("Scenario comparison");
     let rows = vec![
-        scenario("baseline (no healing)", false, None, false, ops, opts.seed),
-        scenario("hinted handoff", true, None, false, ops, opts.seed),
-        scenario("anti-entropy (200ms)", false, Some(200.0), false, ops, opts.seed),
-        scenario("hints + anti-entropy", true, Some(200.0), false, ops, opts.seed),
-        scenario("crash wipes state + hints", true, Some(200.0), true, ops, opts.seed),
+        scenario("baseline (no healing)", false, None, false, pairs, opts.seed),
+        scenario("hinted handoff", true, None, false, pairs, opts.seed),
+        scenario("anti-entropy (200ms)", false, Some(200.0), false, pairs, opts.seed),
+        scenario("hints + anti-entropy", true, Some(200.0), false, pairs, opts.seed),
+        scenario("crash wipes state + hints", true, Some(200.0), true, pairs, opts.seed),
     ];
     report::table(
         &["scenario", "P(consistent)", "failed writes", "lost reads", "hints", "syncs"],

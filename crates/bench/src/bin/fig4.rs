@@ -18,21 +18,18 @@ fn main() {
         [(4.0, "1:4"), (2.0, "1:2"), (1.0, "1:1"), (0.5, "1:0.50"), (0.2, "1:0.20"), (0.1, "1:0.10")];
     let ts = lin_spaced(0.0, 10.0, 21);
 
-    let runs: Vec<(&str, TVisibility)> = ratios
+    let runs: Vec<TVisibility> = ratios
         .iter()
-        .map(|&(w_rate, label)| {
-            let model = exponential_model(cfg, w_rate, 1.0);
-            (label, TVisibility::simulate_parallel(&model, opts.trials, opts.seed, opts.threads))
-        })
+        .map(|&(w_rate, _)| opts.wars(&exponential_model(cfg, w_rate, 1.0), &[(1, 1)]).remove(0))
         .collect();
 
     report::header("P(consistency) vs t (ms), one column per ARSλ:Wλ ratio");
     let labels: Vec<&str> = ratios.iter().map(|(_, l)| *l).collect();
-    report::consistency_vs_t(&labels, runs.iter().map(|(_, tv)| tv), &ts, (1, 4));
+    report::consistency_vs_t(&labels, runs.iter(), &ts, (1, 4));
 
     report::header("Key points (paper §5.3)");
     let mut rows = Vec::new();
-    for ((w_rate, _), (label, tv)) in ratios.iter().zip(&runs) {
+    for ((w_rate, label), tv) in ratios.iter().zip(&runs) {
         rows.push(vec![
             label.to_string(),
             report::pct(tv.prob_consistent(0.0)),

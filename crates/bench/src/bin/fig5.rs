@@ -4,7 +4,6 @@
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::TVisibility;
 
 fn main() {
     let opts = HarnessOptions::parse(100_000);
@@ -18,13 +17,7 @@ fn main() {
 
     for profile in ProductionProfile::ALL {
         let model = profile.model(ReplicaConfig::new(3, 1, 1).unwrap());
-        let grid = TVisibility::simulate_grid(
-            model.as_ref(),
-            &diagonal,
-            opts.trials,
-            opts.seed,
-            opts.threads,
-        );
+        let grid = opts.wars(model.as_ref(), &diagonal);
 
         report::header(&format!("{} — read latency (ms) by percentile", profile.name()));
         let mut rows = Vec::new();

@@ -4,7 +4,6 @@
 use pbs_bench::{log_spaced, report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::TVisibility;
 
 fn main() {
     let opts = HarnessOptions::parse(200_000);
@@ -23,13 +22,7 @@ fn main() {
             ProductionProfile::Ymmr => log_spaced(1.0, 3000.0, 12),
         };
         let model = profile.model(ReplicaConfig::new(3, 1, 1).unwrap());
-        let runs = TVisibility::simulate_grid(
-            model.as_ref(),
-            &quorums,
-            opts.trials,
-            opts.seed,
-            opts.threads,
-        );
+        let runs = opts.wars(model.as_ref(), &quorums);
         immediate.push(runs[0].prob_consistent(0.0));
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));

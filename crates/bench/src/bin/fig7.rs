@@ -7,7 +7,7 @@ use pbs_wars::production::ProductionProfile;
 use pbs_wars::TVisibility;
 
 fn main() {
-    let HarnessOptions { trials, seed, threads } = HarnessOptions::parse(150_000);
+    let opts = HarnessOptions::parse(150_000);
     println!("Figure 7: t-visibility vs replication factor (§5.7), R=W=1");
 
     let ns = [2u32, 3, 5, 10];
@@ -19,22 +19,22 @@ fn main() {
             ProductionProfile::LnkdDisk => lin_spaced(0.0, 20.0, 11),
             _ => lin_spaced(0.0, 90.0, 10),
         };
-        let runs: Vec<(u32, TVisibility)> = ns
+        let runs: Vec<TVisibility> = ns
             .iter()
             .map(|&n| {
                 let model = profile.model(ReplicaConfig::new(n, 1, 1).expect("valid N"));
-                (n, TVisibility::simulate_parallel(model.as_ref(), trials, seed, threads))
+                opts.wars(model.as_ref(), &[(1, 1)]).remove(0)
             })
             .collect();
 
         report::header(&format!("{} — P(consistency) vs t (ms)", profile.name()));
         let labels: Vec<String> = ns.iter().map(|n| format!("N={n}")).collect();
-        report::consistency_vs_t(&labels, runs.iter().map(|(_, tv)| tv), &ts, (1, 4));
+        report::consistency_vs_t(&labels, runs.iter(), &ts, (1, 4));
 
         let mut rows = Vec::new();
-        for (n, tv) in &runs {
+        for (label, tv) in labels.iter().zip(&runs) {
             rows.push(vec![
-                format!("N={n}"),
+                label.clone(),
                 report::pct(tv.prob_consistent(0.0)),
                 report::ms(tv.t_at_probability(0.999)),
             ]);

@@ -59,7 +59,8 @@ fn main() {
     let mut rows = Vec::new();
     for (name, sys) in &systems {
         let l = analysis::measure_load(sys.as_ref(), opts.trials, opts.seed);
-        let p_int = analysis::intersection_probability(sys.as_ref(), opts.trials, opts.seed + 1);
+        let p_int =
+            analysis::intersection_probability(sys.as_ref(), opts.trials, opts.seed.wrapping_add(1));
         rows.push(vec![
             name.to_string(),
             format!("{l:.4}"),

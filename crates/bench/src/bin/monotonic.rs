@@ -2,10 +2,10 @@
 //! simulation validating the `k = 1 + γgw/γcr` exponent, and the bound
 //! against a live session on the simulated store.
 
-use pbs_bench::{report, HarnessOptions};
+use pbs_bench::{report, store_run, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
 use pbs_dist::Exponential;
-use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs_kvs::{ClusterOptions, NetworkModel};
 use pbs_workload::{FixedRate, OpMix, OpSource, OpStream, SessionModel, UniformKeys};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,26 +65,17 @@ fn main() {
     // reader's last one. 4,000 reads at the default count.
     let reads = opts.trials.div_ceil(25);
     report::header("Eq. 3 bound vs. a live session on the store (N=3, R=W=1, γgw/γcr=2)");
-    let live = OpenLoopRun::new(
-        ClusterOptions::validation(cfg, opts.seed),
-        NetworkModel::w_ars(
-            Arc::new(Exponential::from_mean(10.0)),
-            Arc::new(Exponential::from_mean(1.0)),
-        ),
-        OpenLoopOptions::new(reads as f64 * 4.0, 1_000.0, 1_000.0),
-        2,
-        ClientOptions::default(),
-    )
-    .run(
-        |client| -> Box<dyn OpSource> {
-            let (gap_ms, mix) =
-                if client == 0 { (4.0, OpMix::new(1.0)) } else { (2.0, OpMix::writes_only()) };
-            Box::new(OpStream::new(FixedRate::new(gap_ms), UniformKeys::new(1), mix, 1))
-        },
-        |_| {},
-    )
-    .expect("the serial engine accepts every latency model")
-    .0;
+    let (w, ars) = (Exponential::from_mean(10.0), Exponential::from_mean(1.0));
+    let network = NetworkModel::w_ars(Arc::new(w), Arc::new(ars));
+    let session = |client| -> Box<dyn OpSource> {
+        let (gap_ms, mix) =
+            if client == 0 { (4.0, OpMix::new(1.0)) } else { (2.0, OpMix::writes_only()) };
+        Box::new(OpStream::new(FixedRate::new(gap_ms), UniformKeys::new(1), mix, 1))
+    };
+    let cluster = ClusterOptions::validation(cfg, opts.seed);
+    let (live, _) = store_run(cluster, network, (reads as f64 * 4.0, 1_000.0), 2, None, |run| {
+        run.run(session, |_| {})
+    });
     report::table(
         &["session reads", "non-monotonic (store)", "Eq. 3 bound"],
         &[vec![

@@ -8,7 +8,6 @@ use pbs_bench::{report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_wars::model::WithReadDelay;
 use pbs_wars::production::lnkd_disk_model;
-use pbs_wars::TVisibility;
 
 fn main() {
     let opts = HarnessOptions::parse(200_000);
@@ -19,7 +18,7 @@ fn main() {
     let mut rows = Vec::new();
     for delay in [0.0f64, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0] {
         let model = WithReadDelay::new(lnkd_disk_model(cfg), delay);
-        let tv = TVisibility::simulate_parallel(&model, opts.trials, opts.seed, opts.threads);
+        let tv = opts.wars(&model, &[(1, 1)]).remove(0);
         rows.push(vec![
             format!("{delay}"),
             report::pct(tv.prob_consistent(0.0)),
@@ -33,14 +32,8 @@ fn main() {
     );
 
     report::header("Versus raising R (no artificial delay)");
-    // One trial stream serves every R (`TVisibility::simulate_grid`).
-    let grid = TVisibility::simulate_grid(
-        &lnkd_disk_model(cfg),
-        &[(1, 1), (2, 1), (3, 1)],
-        opts.trials,
-        opts.seed,
-        opts.threads,
-    );
+    // One trial stream serves every R.
+    let grid = opts.wars(&lnkd_disk_model(cfg), &[(1, 1), (2, 1), (3, 1)]);
     let rows: Vec<Vec<String>> = grid
         .iter()
         .map(|tv| {

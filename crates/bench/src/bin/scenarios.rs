@@ -25,19 +25,43 @@
 //! gate.
 
 use pbs_bench::{cli, report, HarnessOptions};
+use pbs_mc::Summary;
 use pbs_scenario::{
     run_scenario_sharded, Scenario, ScenarioEvent, ScenarioRun, TimedEvent, WindowRecord,
 };
+
+use Format::{Csv, Json, Table};
 
 const KNOWN: &[&str] = &[
     "scenario", "trials", "seed", "threads", "format", "adaptive", "list", "quick", "chaos",
 ];
 
-fn fmt_opt(v: Option<f64>, digits: usize) -> String {
-    match v {
-        Some(x) => format!("{x:.digits$}"),
-        None => "-".into(),
+/// The three renderings of a run.
+#[derive(Clone, Copy, PartialEq)]
+enum Format {
+    Table,
+    Csv,
+    Json,
+}
+
+impl Format {
+    /// The one rule for a cell that may be blank: a number to `digits`
+    /// decimals (in JSON, its shortest exact form), or, when there is none
+    /// or it is not finite, this format's blank.
+    fn cell(self, v: Option<f64>, digits: usize) -> String {
+        match (self, v.filter(|x| x.is_finite())) {
+            (Json, Some(x)) => format!("{x}"),
+            (_, Some(x)) => format!("{x:.digits$}"),
+            (Table, None) => "-".into(),
+            (Csv, None) => String::new(),
+            (Json, None) => "null".into(),
+        }
     }
+}
+
+/// A latency percentile of a window, blank when it recorded no such op.
+fn latency(s: &Summary, pct: f64) -> Option<f64> {
+    (!s.is_empty()).then(|| s.percentile(pct))
 }
 
 fn print_table(scenario: &Scenario, run: &ScenarioRun) {
@@ -50,11 +74,11 @@ fn print_table(scenario: &Scenario, run: &ScenarioRun) {
             vec![
                 format!("{:.0}", c.start_ms),
                 c.reads.to_string(),
-                fmt_opt(c.measured(), 4),
-                fmt_opt(w.predicted(), 4),
-                fmt_opt(w.tracking_error(), 4),
-                fmt_opt((c.reads > 0).then(|| w.read_latency.percentile(50.0)), 3),
-                fmt_opt((c.reads > 0).then(|| w.write_latency.percentile(99.0)), 3),
+                Table.cell(c.measured(), 4),
+                Table.cell(w.predicted(), 4),
+                Table.cell(w.tracking_error(), 4),
+                Table.cell(latency(&w.read_latency, 50.0), 3),
+                Table.cell(latency(&w.write_latency, 99.0), 3),
                 c.failed_writes.to_string(),
                 w.reconfigs.to_string(),
             ]
@@ -98,15 +122,13 @@ fn print_table(scenario: &Scenario, run: &ScenarioRun) {
     }
 }
 
-fn print_csv(_: &Scenario, run: &ScenarioRun) {
+fn print_csv(run: &ScenarioRun) {
     println!(
         "window_start_ms,window_end_ms,probes,consistent,measured,predicted,abs_error,\
          read_p50_ms,read_p99_ms,write_p50_ms,write_p99_ms,failed_writes,incomplete_reads,reconfigs"
     );
     for w in &run.windows {
-        let lat = |s: &pbs_mc::Summary, pct: f64| {
-            if s.is_empty() { String::new() } else { format!("{:.4}", s.percentile(pct)) }
-        };
+        let lat = |s, pct| Csv.cell(latency(s, pct), 4);
         let c = &w.counts;
         println!(
             "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
@@ -114,9 +136,9 @@ fn print_csv(_: &Scenario, run: &ScenarioRun) {
             w.end_ms,
             c.reads,
             c.consistent,
-            fmt_opt(c.measured(), 6).replace('-', ""),
-            fmt_opt(w.predicted(), 6).replace('-', ""),
-            fmt_opt(w.tracking_error(), 6).replace('-', ""),
+            Csv.cell(c.measured(), 6),
+            Csv.cell(w.predicted(), 6),
+            Csv.cell(w.tracking_error(), 6),
             lat(&w.read_latency, 50.0),
             lat(&w.read_latency, 99.0),
             lat(&w.write_latency, 50.0),
@@ -128,14 +150,8 @@ fn print_csv(_: &Scenario, run: &ScenarioRun) {
     }
 }
 
-fn json_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".into(),
-    }
-}
-
 fn print_json(scenario: &Scenario, run: &ScenarioRun) {
+    let num = |v| Json.cell(v, 0);
     let windows: Vec<String> = run
         .windows
         .iter()
@@ -150,13 +166,13 @@ fn print_json(scenario: &Scenario, run: &ScenarioRun) {
                 w.end_ms,
                 c.reads,
                 c.consistent,
-                json_f64(c.measured()),
-                json_f64(w.predicted()),
+                num(c.measured()),
+                num(w.predicted()),
                 c.failed_writes,
                 c.incomplete_reads,
                 w.reconfigs,
-                json_f64((c.reads > 0).then(|| w.read_latency.percentile(50.0))),
-                json_f64((c.reads > 0).then(|| w.write_latency.percentile(99.0))),
+                num(latency(&w.read_latency, 50.0)),
+                num(latency(&w.write_latency, 99.0)),
             )
         })
         .collect();
@@ -191,8 +207,8 @@ fn print_json(scenario: &Scenario, run: &ScenarioRun) {
             c.lin.violated_keys,
             c.lin.violation_count(),
             c.lin.exhausted_keys,
-            json_f64(c.lin.window_percentile_ms(50.0)),
-            json_f64(c.lin.window_percentile_ms(90.0)),
+            num(c.lin.window_percentile_ms(50.0)),
+            num(c.lin.window_percentile_ms(90.0)),
         ),
         None => "null".into(),
     };
@@ -201,7 +217,7 @@ fn print_json(scenario: &Scenario, run: &ScenarioRun) {
          \"windows\":[{}],\"reconfigs\":[{}],\"check\":{},\"event_errors\":{}}}",
         run.name,
         run.runs,
-        json_f64(run.stationary_tracking_error(scenario)),
+        num(run.stationary_tracking_error(scenario)),
         windows.join(","),
         reconfigs.join(","),
         check,
@@ -249,18 +265,17 @@ fn main() {
         }
         scenario.check_history = true;
     }
-    let format = args.value_of("format").unwrap_or("table");
-    let print: fn(&Scenario, &ScenarioRun) = match format {
-        "table" => print_table,
-        "csv" => print_csv,
-        "json" => print_json,
+    let format = match args.value_of("format").unwrap_or("table") {
+        "table" => Table,
+        "csv" => Csv,
+        "json" => Json,
         other => {
             eprintln!("unknown --format {other:?} (supported: table csv json)");
             std::process::exit(2);
         }
     };
 
-    if format == "table" {
+    if format == Table {
         println!("Scenario {:?}: {}", scenario.name, scenario.description);
         println!(
             "cluster N={} start config {}, {} replica runs over {} threads, seed {}, \
@@ -287,10 +302,14 @@ fn main() {
 
     let run = run_scenario_sharded(&scenario, trials, seed, threads);
 
-    print(&scenario, &run);
+    match format {
+        Table => print_table(&scenario, &run),
+        Csv => print_csv(&run),
+        Json => print_json(&scenario, &run),
+    }
 
     if let Some(check) = run.check {
-        if format == "table" {
+        if format == Table {
             report::header("History checker (offline oracle vs. streaming machinery)");
             let s = check.sessions;
             println!(
@@ -348,5 +367,23 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_latency_cell_is_blank_exactly_when_its_window_recorded_no_such_op() {
+        // A window whose probes read but whose writes all failed.
+        let mut w = WindowRecord::default();
+        w.counts.reads = 1;
+        w.read_latency.record(2.5);
+        let write_p99 = latency(&w.write_latency, 99.0);
+        assert_eq!([Table, Csv, Json].map(|f| f.cell(write_p99, 3)), ["-", "", "null"]);
+        let read_p50 = latency(&w.read_latency, 50.0);
+        assert_eq!([Table, Csv, Json].map(|f| f.cell(read_p50, 3)), ["2.500", "2.500", "2.5"]);
+        assert_eq!(Csv.cell(Some(f64::NAN), 6), "", "a number that is not finite is blank");
     }
 }

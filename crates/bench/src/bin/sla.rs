@@ -12,13 +12,7 @@ use pbs_wars::TVisibility;
 fn simulate_all(profile: ProductionProfile, n: u32, opts: &HarnessOptions) -> Vec<TVisibility> {
     let cfgs: Vec<ReplicaConfig> = ReplicaConfig::all_for_n(n).collect();
     let pairs: Vec<(u32, u32)> = cfgs.iter().map(|c| (c.r(), c.w())).collect();
-    TVisibility::simulate_grid(
-        profile.model(cfgs[0]).as_ref(),
-        &pairs,
-        opts.trials,
-        opts.seed,
-        opts.threads,
-    )
+    opts.wars(profile.model(cfgs[0]).as_ref(), &pairs)
 }
 
 fn main() {
@@ -46,13 +40,7 @@ fn main() {
                     report::ms(best.write_latency),
                     report::pct(best.consistency),
                 ]),
-                None => rows.push(vec![
-                    label.to_string(),
-                    "none".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                ]),
+                None => rows.push([*label, "none", "-", "-", "-"].map(String::from).to_vec()),
             }
         }
         report::table(

@@ -13,7 +13,6 @@ use pbs_dist::fit::{fit_mixture_to_percentiles, PercentileTarget};
 use pbs_dist::production as fits;
 use pbs_dist::LatencyDistribution;
 use pbs_wars::production::{lnkd_disk_model, lnkd_ssd_model, ymmr_model};
-use pbs_wars::TVisibility;
 
 fn show_fit_percentiles(name: &str, dist: &dyn LatencyDistribution, rows: &mut Vec<Vec<String>>) {
     for &pct in &[50.0, 95.0, 99.0, 99.9] {
@@ -68,7 +67,7 @@ fn main() {
             fits::table1_ssd_targets(),
         ),
     ] {
-        let tv = TVisibility::simulate_parallel(&model, opts.trials, opts.seed, opts.threads);
+        let tv = opts.wars(&model, &[(1, 1)]).remove(0);
         let (targets, avg) = published;
         for t in &targets {
             rows.push(vec![
@@ -84,7 +83,7 @@ fn main() {
 
     // Table 2: Yammer Riak, N=3, R=W=2.
     let ymmr = ymmr_model(ReplicaConfig::new(3, 2, 2).unwrap());
-    let tv = TVisibility::simulate_parallel(&ymmr, opts.trials, opts.seed, opts.threads);
+    let tv = opts.wars(&ymmr, &[(2, 2)]).remove(0);
     for t in fits::table2_read_targets() {
         rows.push(vec![
             "YMMR reads (Table 2)".into(),

@@ -6,7 +6,6 @@ use pbs_bench::{report, HarnessOptions};
 use pbs_core::ReplicaConfig;
 use pbs_predictor::sla::{judge_grid, SlaSpec};
 use pbs_wars::production::ProductionProfile;
-use pbs_wars::TVisibility;
 
 /// The `(R, W)` pairs of Table 4, in row order.
 const PAIRS: [(u32, u32); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)];
@@ -14,9 +13,9 @@ const PAIRS: [(u32, u32); 6] = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)];
 fn main() {
     // The paper used 50k writes for t-visibility and 1M for latency; one
     // million trials serves both here.
-    let HarnessOptions { trials, seed, threads } = HarnessOptions::parse(1_000_000);
+    let opts = HarnessOptions::parse(1_000_000);
     println!("Table 4: t-visibility @99.9% and p99.9 operation latencies (§5.8), N=3");
-    println!("({trials} trials per cell, {threads} threads)");
+    println!("({} trials per cell, {} threads)", opts.trials, opts.threads);
 
     // Each row is the SLA judge's record of one configuration: p99.9
     // latencies and t-visibility at 99.9%.
@@ -24,7 +23,7 @@ fn main() {
     for profile in ProductionProfile::ALL {
         report::header(profile.name());
         let model = profile.model(ReplicaConfig::new(3, 1, 1).expect("valid"));
-        let grid = TVisibility::simulate_grid(model.as_ref(), &PAIRS, trials, seed, threads);
+        let grid = opts.wars(model.as_ref(), &PAIRS);
         let rows: Vec<Vec<String>> = judge_grid(&grid, &spec)
             .evaluations
             .iter()

@@ -27,13 +27,10 @@
 //! (2,000 with `--quick`); `--quick` also drops the 1,000/s rate and cuts
 //! the predictor's WARS trials from 100,000 to 20,000.
 
-use pbs_bench::{cli, report, HarnessOptions};
+use pbs_bench::{cli, report, store_run, HarnessOptions};
 use pbs_core::ReplicaConfig;
-use pbs_dist::DynDistribution;
-use pbs_dist::Exponential;
-use pbs_kvs::{
-    ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopReport, OpenLoopRun,
-};
+use pbs_dist::{DynDistribution, Exponential};
+use pbs_kvs::{ClusterOptions, NetworkModel};
 use pbs_predictor::Predictor;
 use pbs_wars::IidModel;
 use pbs_workload::{OpMix, OpSource, OpStream, Poisson, UniformKeys};
@@ -49,38 +46,6 @@ const READ_FRACTION: f64 = 0.6;
 const CLIENTS: usize = 256;
 /// Keys the clients spread their uniform traffic over.
 const KEYS: u64 = 64;
-
-fn dists() -> (DynDistribution, DynDistribution) {
-    (
-        Arc::new(Exponential::from_mean(W_MEAN_MS)),
-        Arc::new(Exponential::from_mean(ARS_MEAN_MS)),
-    )
-}
-
-/// One sweep point: `trials` replica runs of `run` at `rate_per_sec`
-/// offered load, split evenly over its clients.
-fn run_point(
-    run: &OpenLoopRun,
-    rate_per_sec: f64,
-    trials: usize,
-    threads: usize,
-) -> OpenLoopReport {
-    let per_client = rate_per_sec / run.clients as f64;
-    run.run_sharded(
-        trials,
-        threads,
-        move |_client, _run_seed| -> Box<dyn OpSource> {
-            Box::new(OpStream::new(
-                Poisson::per_second(per_client),
-                UniformKeys::new(KEYS),
-                OpMix::new(READ_FRACTION),
-                1,
-            ))
-        },
-        |_| {},
-    )
-    .expect("the serial engine accepts every latency model")
-}
 
 fn main() {
     let args = cli::Args::parse();
@@ -108,34 +73,35 @@ fn main() {
     let mut peak_heap = 0u64;
     for &(n, r, w) in &configs {
         let cfg = ReplicaConfig::new(n, r, w).unwrap();
-        let (wd, ars) = dists();
+        let wd: DynDistribution = Arc::new(Exponential::from_mean(W_MEAN_MS));
+        let ars: DynDistribution = Arc::new(Exponential::from_mean(ARS_MEAN_MS));
         let mut opts = ClusterOptions::validation(cfg, seed);
         opts.op_timeout_ms = 2_000.0;
-        let run = OpenLoopRun::new(
-            opts,
-            NetworkModel::w_ars(wd.clone(), ars.clone()),
-            OpenLoopOptions::new(duration_ms, 500.0, opts.op_timeout_ms),
-            CLIENTS,
-            ClientOptions { op_timeout_ms: opts.op_timeout_ms, ..ClientOptions::default() },
-        );
+        let network = NetworkModel::w_ars(wd.clone(), ars.clone());
         let model = IidModel::w_ars(cfg, format!("sweep N={n} R={r} W={w}"), wd, ars);
         let predictor = Predictor::from_model_threads(&model, pred_trials, seed, threads);
 
         report::header(&format!("N={n}, R={r}, W={w}"));
         let mut rows = Vec::new();
         for &rate in rates {
-            let rep = run_point(&run, rate, trials, threads);
+            // Each point's offered load is split evenly over the clients.
+            let per_client = rate / CLIENTS as f64;
+            let poisson = |_, _| -> Box<dyn OpSource> {
+                let arrivals = Poisson::per_second(per_client);
+                Box::new(OpStream::new(arrivals, UniformKeys::new(KEYS), OpMix::new(READ_FRACTION), 1))
+            };
+            let timing = (duration_ms, 500.0);
+            let rep = store_run(opts, network.clone(), timing, CLIENTS, None, |run| {
+                run.run_sharded(trials, threads, poisson, |_| {})
+            });
             peak_heap = peak_heap.max(rep.peak_pending_events);
             let measured = rep.consistency_rate();
             // Predict from the *measured* committed-write rate per key —
             // the paper's "easily collected" operational metric.
             let commit_rate_per_ms =
                 rep.commits() as f64 / rep.runs as f64 / duration_ms / KEYS as f64;
-            let predicted = if commit_rate_per_ms > 0.0 {
-                Some(predictor.expected_consistency_under_poisson(commit_rate_per_ms))
-            } else {
-                None
-            };
+            let predicted = (commit_rate_per_ms > 0.0)
+                .then(|| predictor.expected_consistency_under_poisson(commit_rate_per_ms));
             rows.push(vec![
                 format!("{rate:.0}"),
                 format!("{:.0}", rep.achieved_ops_per_sec()),

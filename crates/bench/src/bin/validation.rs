@@ -15,7 +15,6 @@ use pbs_kvs::cluster::ClusterOptions;
 use pbs_kvs::experiments::measure_t_visibility_sharded;
 use pbs_kvs::NetworkModel;
 use pbs_wars::production::exponential_model;
-use pbs_wars::TVisibility;
 use std::sync::Arc;
 
 fn main() {
@@ -24,15 +23,10 @@ fn main() {
     let args = cli::Args::parse();
     args.reject_unknown(&["quick", "trials", "seed", "threads"]);
     let opts = HarnessOptions::from_args(&args, 500, 25);
-    let trials_per_offset = opts.trials;
     let offsets: Vec<f64> = (0..100).map(|i| 1.0 + 2.0 * i as f64).collect();
 
     println!("§5.2 validation: WARS prediction vs simulated Dynamo-style store");
-    println!(
-        "N=3, R=W=1; {} offsets × {} probes each per combination",
-        offsets.len(),
-        trials_per_offset
-    );
+    println!("N=3, R=W=1; {} offsets × {} probes each per combination", offsets.len(), opts.trials);
 
     let w_rates = [0.05f64, 0.1, 0.2]; // means 20, 10, 5 ms
     let ars_rates = [0.1f64, 0.2, 0.5]; // means 10, 5, 2 ms
@@ -53,7 +47,7 @@ fn main() {
                 &network,
                 1,
                 &offsets,
-                trials_per_offset,
+                opts.trials,
                 opts.threads,
             );
 
@@ -62,13 +56,13 @@ fn main() {
             // Base seed far from the measurement's: shard seeds derive as
             // `seed ^ i`, so adjacent base seeds could share shard RNG
             // streams between the two runs being compared.
-            let model = exponential_model(cfg, wl, al);
-            let predicted = TVisibility::simulate_parallel(
-                &model,
-                8 * offsets.len() * trials_per_offset,
-                opts.seed + 0x10_000,
-                opts.threads,
-            );
+            let predicted = HarnessOptions {
+                trials: 8 * offsets.len() * opts.trials,
+                seed: opts.seed.wrapping_add(0x10_000),
+                ..opts
+            }
+            .wars(&exponential_model(cfg, wl, al), &[(1, 1)])
+            .remove(0);
 
             // t-visibility RMSE across the offset grid (in probability).
             let measured_p: Vec<f64> =

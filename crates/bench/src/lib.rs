@@ -41,9 +41,19 @@
 //! bit-reproducible for a fixed `(seed, threads)` pair and defaults to all
 //! available cores), all read by [`HarnessOptions`]; both `--key value` and
 //! `--key=value` spellings are accepted (see [`cli`]).
+//!
+//! Each job the binaries share is done one way, here: every WARS Monte
+//! Carlo is [`HarnessOptions::wars`] (one trial stream, read at each
+//! `(R, W)` asked for), and every open-loop run of the store is
+//! [`store_run`] (serial engine; clients time out, and the run settles,
+//! by the cluster's op timeout).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use pbs_kvs::{ClientOptions, ClusterOptions, NetworkModel, OpenLoopOptions, OpenLoopRun};
+use pbs_sim::PdesError;
+use pbs_wars::{LatencyModel, TVisibility};
 
 /// Log-spaced sample points from `lo` to `hi` (inclusive), matching the
 /// paper's log-x-axis figures.
@@ -128,10 +138,8 @@ pub mod report {
         table(&labeled_cols("t", labels), &ts.iter().map(row).collect::<Vec<Vec<String>>>());
     }
 
-    /// Build a header row from a fixed first column plus per-series
-    /// labels — the `vec!["t"]; cols.extend(labels…)` pattern previously
-    /// duplicated across the figure binaries. Accepts `&[String]` and
-    /// `&[&str]` alike.
+    /// A header row: a fixed first column, then one label per series
+    /// (`&[String]` and `&[&str]` alike).
     pub fn labeled_cols<'a, S: AsRef<str>>(first: &'a str, labels: &'a [S]) -> Vec<&'a str> {
         let mut cols = vec![first];
         cols.extend(labels.iter().map(|s| s.as_ref()));
@@ -163,7 +171,7 @@ pub mod cli {
         }
 
         /// Parse from an explicit token stream.
-        pub fn from_tokens<I: IntoIterator<Item = String>>(tokens: I) -> Self {
+        pub(crate) fn from_tokens<I: IntoIterator<Item = String>>(tokens: I) -> Self {
             let mut pairs: Vec<(String, Option<String>)> = Vec::new();
             for token in tokens {
                 if let Some(flag) = token.strip_prefix("--") {
@@ -192,7 +200,7 @@ pub mod cli {
         }
 
         /// Whether `--key` appeared at all (with or without a value).
-        pub fn has(&self, key: &str) -> bool {
+        pub(crate) fn has(&self, key: &str) -> bool {
             self.pairs.iter().any(|(k, _)| k == key)
         }
 
@@ -218,7 +226,7 @@ pub mod cli {
 
         /// [`parsed`](Self::parsed), with the complaint returned instead
         /// of printed.
-        pub fn try_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        pub(crate) fn try_parsed<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
             if !self.has(key) {
                 return Ok(None);
             }
@@ -306,6 +314,41 @@ impl HarnessOptions {
         }
         Ok(Self { trials, seed, threads })
     }
+
+    /// `trials` WARS trials of `model` at `seed` over `threads` shards,
+    /// read at every `(R, W)` of `pairs` off the one trial stream
+    /// ([`TVisibility::simulate_grid`]); one result per pair, in order. A
+    /// figure of one configuration passes its one pair. A comparison run
+    /// changes the count or the seed with struct-update syntax.
+    pub fn wars<M: LatencyModel + Sync + ?Sized>(
+        &self,
+        model: &M,
+        pairs: &[(u32, u32)],
+    ) -> Vec<TVisibility> {
+        TVisibility::simulate_grid(model, pairs, self.trials, self.seed, self.threads)
+    }
+}
+
+/// Build and execute an open-loop run of the store on the serial engine,
+/// which accepts every latency model. `clients` clients issue ops for
+/// `duration_ms`, drained every `window_ms`; then in-flight ops settle for
+/// the cluster's op timeout, which is the clients' timeout too. With
+/// `probe_read_offset_ms`, each committed write is read back that many ms
+/// after its commit. `execute` runs the built run, once
+/// ([`OpenLoopRun::run`]) or sharded ([`OpenLoopRun::run_sharded`]).
+pub fn store_run<T>(
+    cluster: ClusterOptions,
+    network: NetworkModel,
+    (duration_ms, window_ms): (f64, f64),
+    clients: usize,
+    probe_read_offset_ms: Option<f64>,
+    execute: impl FnOnce(&OpenLoopRun) -> Result<T, PdesError>,
+) -> T {
+    let op_timeout_ms = cluster.op_timeout_ms;
+    let timing = OpenLoopOptions::new(duration_ms, window_ms, op_timeout_ms);
+    let client = ClientOptions { op_timeout_ms, probe_read_offset_ms, ..ClientOptions::default() };
+    execute(&OpenLoopRun::new(cluster, network, timing, clients, client))
+        .expect("the serial engine accepts every latency model")
 }
 
 #[cfg(test)]

@@ -164,6 +164,18 @@ golden! {
     scenario_buggify_storm_quick:
         "scenarios" "--scenario buggify-storm --quick --seed 7 --threads 2";
     scenario_crash_storm_quick: "scenarios" "--scenario crash-storm --quick --seed 7 --threads 2";
+
+    // The other renderings of `scenarios`: CSV, JSON with the checker's
+    // object, and the list of built-ins.
+    scenario_diurnal_load_csv_quick:
+        "scenarios" "--scenario diurnal-load --format csv --quick --seed 7 --threads 2";
+    scenario_buggify_storm_chaos_json_trials2_quick: "scenarios"
+        "--scenario buggify-storm --chaos --format json --trials 2 --quick --seed 7 --threads 2";
+    scenarios_list: "scenarios" "--list";
+
+    // The largest seed: whatever a bin derives from it wraps.
+    load_bounds_trials1_max_seed:
+        "load_bounds" "--trials 1 --threads 2 --seed 18446744073709551615";
 }
 
 usage_errors! {

@@ -461,18 +461,11 @@ pub struct ProtocolMutations {
     pub swallow_hints: bool,
 }
 
-/// SplitMix64 finalizer: the same mixer the `rand` shim uses for seeding,
-/// reused here to hash `(seed, node, salt)` into an independent uniform.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(PHI);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A uniform in `[0, 1)` derived purely from `(seed, node, salt)`.
+/// A uniform in `[0, 1)` derived purely from `(seed, node, salt)`: one
+/// SplitMix64 step over their packing.
 fn site_unit(seed: u64, node: u32, salt: u64) -> f64 {
-    let h = splitmix64(seed ^ salt.wrapping_mul(PHI) ^ (u64::from(node) + 1).wrapping_mul(PHI));
+    let packed = seed ^ salt.wrapping_mul(PHI) ^ (u64::from(node) + 1).wrapping_mul(PHI);
+    let h = rand::mix64(packed.wrapping_add(PHI));
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

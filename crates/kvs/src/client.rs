@@ -322,14 +322,9 @@ impl SessionArena {
         Self { segments: Vec::new() }
     }
 
+    /// The SplitMix64 finalizer over the packed pair.
     fn hash(client: u32, key: u64) -> u64 {
-        // splitmix-style finalizer over the packed pair.
-        let mut h = key ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^= h >> 30;
-        h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        h ^= h >> 27;
-        h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
-        h ^ (h >> 31)
+        rand::mix64(key ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15))
     }
 
     fn segment_of(hash: u64) -> usize {

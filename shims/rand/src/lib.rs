@@ -162,6 +162,17 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
+/// The SplitMix64 finalizer (Steele et al.): a bijection on `u64` that
+/// spreads every input bit over every output bit. [`SeedableRng`] seeding
+/// mixes `seed + k·φ` through it; the workspace's hashes call it directly.
+/// Upstream `rand` has no such function: this one is the shim's own.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// Generators constructible from a seed.
 pub trait SeedableRng: Sized {
     /// Build a generator from a `u64` seed (SplitMix64-expanded).
@@ -188,10 +199,7 @@ pub mod rngs {
             let mut x = state;
             let mut next = || {
                 x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = x;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                z ^ (z >> 31)
+                super::mix64(x)
             };
             StdRng { s: [next(), next(), next(), next()] }
         }
@@ -216,6 +224,15 @@ pub mod rngs {
 mod tests {
     use super::rngs::StdRng;
     use super::{Rng, RngCore, SeedableRng};
+
+    #[test]
+    fn mix64_is_the_splitmix64_finalizer() {
+        // SplitMix64's reference stream from state 0.
+        let outputs = [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F];
+        for (k, want) in (1..).zip(outputs) {
+            assert_eq!(super::mix64(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k)), want);
+        }
+    }
 
     #[test]
     fn deterministic_for_seed() {
