@@ -27,16 +27,23 @@
 //!   converged), and a never-wiped one that holds less than the history's
 //!   newest committed write lost it (the order oracle's final-state rule).
 //!
-//! [`check_run`] runs all four and [`lin::check_lin`]. Its per-key passes
-//! — the order oracle, the settled store and the linearizability search
-//! — read one partition of the history by key, built once per audit;
-//! called on its own, each public pass builds the partition itself. Every
+//! [`check_run`] runs all four and [`lin::check_lin`]. It partitions the
+//! history by key once per audit, and every per-key rule reads that
+//! partition: one sweep per key audits the order oracle, the session
+//! replay and the relabelling together (sessions are per `(client, key)`,
+//! and a label depends only on the read's key), the settled store reads
+//! it, and so does the linearizability search. The sweep walks each op
+//! once for all three rules: the ops of a key lie scattered through a
+//! history larger than the caches, so a second walk would pay the misses
+//! again. The standalone [`replay_sessions`] and [`relabel_reads`] keep
+//! their whole-history derivations (a `(client, key)` map; a batch
+//! [`GroundTruth`]), and [`check_order`] builds the partition itself: they
+//! are the reference `check_run`'s unit tests hold the sweep to. Every
 //! pass only reads the history, so the linearizability search runs on one
-//! scoped thread while the caller's thread runs the order oracle, the
-//! session replay and the relabelling, then — when asked — the settled
-//! store. That pass reads the [`Cluster`], which holds boxed op sources
-//! and is not `Sync`, so it stays on the caller. What a strict quorum
-//! owes under faults — regularity — is no further pass:
+//! scoped thread while the caller's thread runs the sweep, then — when
+//! asked — the settled store. That pass reads the [`Cluster`], which holds
+//! boxed op sources and is not `Sync`, so it stays on the caller. What a
+//! strict quorum owes under faults — regularity — is no further pass:
 //! [`CheckReport::regular`] reads it off the label and phantom counts.
 //!
 //! The checker is a test/diagnostic harness: recording a history is
@@ -57,7 +64,7 @@ pub use lin::{KeyLinResult, KeyLinVerdict, LinCheck, LinOptions, LinViolation};
 use crate::client::{ClientStats, CompletedOp};
 use crate::cluster::{Cluster, BLOCKING_CLIENT};
 use crate::fxhash::FxHashMap;
-use crate::staleness::{GroundTruth, ReadLabel};
+use crate::staleness::{GroundTruth, ReadLabel, MAX_TRACKED_STALENESS};
 use pbs_mc::Mergeable;
 use pbs_sim::SimTime;
 use pbs_workload::OpKind;
@@ -466,6 +473,10 @@ impl Mergeable for CheckReport {
 /// in completion order; timed-out operations don't touch session state;
 /// a write advances the read-your-writes floor only once committed; an
 /// empty read counts as sequence 0.
+///
+/// [`check_run`] does not call this pass: its per-key sweep replays the
+/// same rules on each key's ops. This whole-history replay is the
+/// reference its unit tests compare it with.
 pub fn replay_sessions(history: &OpHistory, streaming: &ClientStats) -> SessionCheck {
     // (client, key) → (newest sequence read, newest committed sequence written).
     let mut sessions: FxHashMap<(u32, u64), (u64, u64)> = FxHashMap::default();
@@ -512,6 +523,11 @@ pub fn replay_sessions(history: &OpHistory, streaming: &ClientStats) -> SessionC
 /// watermark, no windowing. Any disagreement with the online label is a
 /// mismatch (a bug in the online machinery, never an artefact of faults:
 /// both derivations see the same committed writes).
+///
+/// [`check_run`] does not call this pass: its per-key sweep derives the
+/// same [`LabelCheck`] from each key's commits without the [`GroundTruth`]
+/// whose labelling it audits. This whole-history derivation is the
+/// reference its unit tests compare it with.
 pub fn relabel_reads(history: &OpHistory) -> LabelCheck {
     let mut commits: Vec<(SimTime, u64, u64)> = history
         .ops()
@@ -666,30 +682,91 @@ fn bits(mut mask: u64) -> impl Iterator<Item = u32> {
 /// answers to the strongest floor among its responders — work in the
 /// number of mask bits, not in the key's history.
 pub fn check_order(history: &OpHistory, nodes: u32) -> OrderCheck {
-    sweep_order(history, &KeyIndex::new(history), nodes)
+    sweep(history, &KeyIndex::new(history), nodes, false).order
 }
 
-/// [`check_order`] on a partition the caller already has.
-fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck {
+/// What one walk of the partition gives: the order verdict and, when the
+/// walk audits them, the session and label recounts (streaming counters
+/// left at zero).
+struct Sweep {
+    order: OrderCheck,
+    sessions: SessionCheck,
+    labels: LabelCheck,
+}
+
+/// The session state of the key a sweep is at, per client: the newest
+/// sequence it read and the newest committed sequence it wrote. A client
+/// gets a dense slot the first time the sweep meets it; moving to the next
+/// key zeroes the slots the last one touched.
+#[derive(Default)]
+struct ClientSessions {
+    slots: FxHashMap<u32, u32>,
+    state: Vec<(u64, u64)>,
+    touched: Vec<u32>,
+}
+
+impl ClientSessions {
+    fn next_key(&mut self) {
+        for slot in self.touched.drain(..) {
+            self.state[slot as usize] = (0, 0);
+        }
+    }
+
+    fn of(&mut self, client: u32) -> &mut (u64, u64) {
+        let next = self.state.len() as u32;
+        let slot = *self.slots.entry(client).or_insert(next);
+        if slot == next {
+            self.state.push((0, 0));
+        }
+        self.touched.push(slot);
+        &mut self.state[slot as usize]
+    }
+}
+
+/// The per-key sweep behind [`check_order`] and [`check_run`]: the order
+/// oracle and, with `audit`, the session replay and the relabelling, all
+/// in one walk over each key's ops. The ops of a key lie scattered through
+/// a history larger than the caches, so the rules share the misses rather
+/// than paying them once each.
+///
+/// * **Sessions** — session state is per `(client, key)`, so a key's ops
+///   in history order, each on its client's state, replay the rules of
+///   [`replay_sessions`].
+/// * **Labels** — a second pointer over the key's commits, which the order
+///   rule sorts by commit time, admits those that committed at or before a
+///   read's start (the order rule admits strictly before) and keeps their
+///   newest sequence. A read that returned less counts the admitted
+///   commits newer than what it returned, capped at
+///   [`MAX_TRACKED_STALENESS`]: the batch [`GroundTruth`] label of
+///   [`relabel_reads`], derived without a `GroundTruth`.
+fn sweep(history: &OpHistory, index: &KeyIndex, nodes: u32, audit: bool) -> Sweep {
     let wiped = history.wiped_mask();
     let ops = history.ops();
     let mut check = OrderCheck::default();
+    let (mut sessions, mut labels) = (SessionCheck::default(), LabelCheck::default());
     // Scratch every key reuses. `known`: the `(seq, writer)` of every
-    // write whose version the history knows.
+    // write whose version the history knows. `labelled`: each
+    // online-labelled read's start, returned sequence and label.
     let mut known: Vec<(u64, u32)> = Vec::new();
     let mut committed: Vec<TrackedWrite> = Vec::new();
     let mut reads: Vec<TrackedRead> = Vec::new();
+    let mut clients = ClientSessions::default();
+    let mut labelled: Vec<(u64, u64, ReadLabel)> = Vec::new();
     let (mut acked, mut exposed) = (Floors::new(), Floors::new());
     let mut parked: BinaryHeap<Exposure> = BinaryHeap::new();
     for (key, indices) in index.iter() {
         known.clear();
         committed.clear();
         reads.clear();
+        clients.next_key();
+        labelled.clear();
         // A write on this key timed out client-side, so its version is
         // unknown — the phantom set-membership rule must stand down.
         let mut incomplete = false;
         for &i in indices {
-            let op = &ops[i as usize].op;
+            let HistoryOp { op, label } = &ops[i as usize];
+            debug_assert!(op.kind == OpKind::Read || label.is_none(), "only reads carry labels");
+            let in_session = audit && op.finish.is_some() && op.client != BLOCKING_CLIENT;
             match op.kind {
                 OpKind::Write => match op.seq {
                     None => incomplete = true,
@@ -703,10 +780,27 @@ fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck 
                                 acked: op.quorum_mask & !wiped,
                                 rank: i,
                             });
+                            if in_session {
+                                let (_, written) = clients.of(op.client);
+                                *written = (*written).max(seq);
+                            }
                         }
                     }
                 },
                 OpKind::Read => {
+                    if audit {
+                        if let Some(online) = *label {
+                            labelled.push((op.start.as_nanos(), op.seq.unwrap_or(0), online));
+                        }
+                    }
+                    if in_session {
+                        let seen = op.seq.unwrap_or(0);
+                        let (read, written) = clients.of(op.client);
+                        sessions.reads_checked += 1;
+                        sessions.monotonic_violations += u64::from(seen < *read);
+                        sessions.ryw_violations += u64::from(seen < *written);
+                        *read = (*read).max(seen);
+                    }
                     let Some(finish) = op.finish else {
                         continue; // timed out: nothing was exposed
                     };
@@ -733,6 +827,26 @@ fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck 
         reads.sort_by_key(|r| (r.start_nanos, r.op_id));
         committed.sort_unstable_by_key(|w| w.commit_nanos);
         known.sort_unstable();
+        // Labels: a second pointer admits the commits at or before each
+        // labelled read's start, where the order rule's admits those before.
+        labelled.sort_unstable_by_key(|&(start, ..)| start);
+        let (mut admitted, mut newest) = (0, 0);
+        for &(start, returned, online) in &labelled {
+            while let Some(w) = committed.get(admitted).filter(|w| w.commit_nanos <= start) {
+                newest = newest.max(w.version.0);
+                admitted += 1;
+            }
+            let behind = if newest <= returned {
+                0
+            } else {
+                let newer = committed[..admitted].iter().filter(|w| w.version.0 > returned);
+                newer.take(MAX_TRACKED_STALENESS as usize).count() as u64
+            };
+            let offline = ReadLabel { consistent: behind == 0, versions_behind: behind };
+            labels.labelled_reads += 1;
+            labels.stale_reads += u64::from(behind > 0);
+            labels.mismatches += u64::from(offline != online);
+        }
         acked.clear();
         exposed.clear();
         parked.clear();
@@ -812,7 +926,7 @@ fn sweep_order(history: &OpHistory, index: &KeyIndex, nodes: u32) -> OrderCheck 
             }
         }
     }
-    check
+    Sweep { order: check, sessions, labels }
 }
 
 /// The settled store, read once per key: each live current replica's
@@ -901,26 +1015,32 @@ fn check_settled(
 /// per-key linearizability checker (default budgets — call
 /// [`lin::check_lin`] to tune them), and (optionally) one pass over the
 /// settled store: convergence plus the oracle's final-state rule. The
-/// per-key passes share one partition of the history.
+/// per-key passes share one partition of the history, and the first
+/// three rules share one sweep of it: each key's ops are read once for
+/// the order oracle, the session replay and the relabelling.
 ///
 /// The passes only read the history, so they run side by side: the
-/// linearizability search — the longest pass — on one scoped thread, the
-/// rest on the caller's. The passes that read the cluster (the settled
-/// store, the streaming counters) stay on the caller, since a `Cluster`
-/// holds boxed op sources and cannot be shared across threads. One thread
-/// is spawned per call whatever the host, and the report is the one the
-/// passes give run one by one.
+/// linearizability search on one scoped thread, the sweep on the
+/// caller's. The passes that read the cluster (the settled store, the
+/// streaming counters) stay on the caller, since a `Cluster` holds boxed
+/// op sources and cannot be shared across threads. One thread is spawned
+/// per call whatever the host, and the report is the one the standalone
+/// passes ([`replay_sessions`], [`relabel_reads`], [`check_order`],
+/// [`lin::check_lin`]) give run one by one.
 pub fn check_run(history: &OpHistory, cluster: &Cluster, convergence: bool) -> CheckReport {
     let index = KeyIndex::new(history);
     let lin = || lin::check_lin_on(history, &index, &LinOptions::default());
-    let (lin, (sessions, labels, order, convergence)) = fork(lin, || {
-        let mut order = sweep_order(history, &index, cluster.node_count() as u32);
-        let sessions = replay_sessions(history, &cluster.client_stats());
-        let labels = relabel_reads(history);
+    let (lin, (sweep, convergence)) = fork(lin, || {
+        let mut sweep = sweep(history, &index, cluster.node_count() as u32, true);
         let convergence =
-            convergence.then(|| check_settled(history, &index, cluster, &mut order));
-        (sessions, labels, order, convergence)
+            convergence.then(|| check_settled(history, &index, cluster, &mut sweep.order));
+        (sweep, convergence)
     });
+    let Sweep { order, mut sessions, labels } = sweep;
+    let streaming = cluster.client_stats();
+    sessions.streaming_reads_checked = streaming.reads_checked;
+    sessions.streaming_monotonic = streaming.monotonic_violations;
+    sessions.streaming_ryw = streaming.ryw_violations;
     CheckReport {
         sessions,
         labels,
@@ -993,26 +1113,35 @@ mod tests {
         (cluster.take_history(), cluster)
     }
 
-    /// `check_run` forks its passes over two threads; its report must `==`
-    /// the one the passes give run one at a time on this thread, with
-    /// convergence off and on, on storm runs from 4 to 256 keys. Every
-    /// other run drops the version merge, so the order oracle and the
-    /// settled store's final-state rule convict something.
+    /// `check_run` forks its passes over two threads and walks the order
+    /// oracle, the session replay and the relabelling in one sweep; its
+    /// report must `==` the one the standalone passes give run one at a
+    /// time on this thread, with convergence off and on, on storm runs from
+    /// 4 to 256 keys. Every other run compiles in one of the four protocol
+    /// mutations, so the order oracle and the settled store's final-state
+    /// rule convict something.
     #[test]
     fn a_forked_audit_equals_its_passes_run_one_at_a_time() {
+        let mutated = [
+            ProtocolMutations { skip_read_repair: true, ..Default::default() },
+            ProtocolMutations { corrupt_read_repair: true, ..Default::default() },
+            ProtocolMutations { drop_version_merge: true, ..Default::default() },
+            ProtocolMutations { swallow_hints: true, ..Default::default() },
+        ];
         let runs = [(1, 256), (2, 256), (3, 64), (4, 64), (5, 16), (6, 16), (7, 4), (8, 4)];
-        let mut final_state_convictions = 0;
+        let (mut convicted, mut final_state_convictions) = (0, 0);
         for (seed, keys) in runs {
-            let m = ProtocolMutations { drop_version_merge: seed % 2 == 0, ..Default::default() };
+            let m = if seed % 2 == 0 { mutated[seed as usize / 2 - 1] } else { Default::default() };
             let (history, cluster) = storm_run(seed, keys, m);
             assert!(history.len() > 10_000, "{} ops", history.len());
             for convergence in [false, true] {
                 let index = KeyIndex::new(&history);
-                let mut order = sweep_order(&history, &index, cluster.node_count() as u32);
-                let swept = order.lost_updates;
+                let mut order = check_order(&history, cluster.node_count() as u32);
+                let swept = order.violations();
                 let settled =
                     convergence.then(|| check_settled(&history, &index, &cluster, &mut order));
-                final_state_convictions += order.lost_updates - swept;
+                convicted += u64::from(swept > 0);
+                final_state_convictions += order.violations() - swept;
                 let one_at_a_time = CheckReport {
                     sessions: replay_sessions(&history, &cluster.client_stats()),
                     labels: relabel_reads(&history),
@@ -1027,7 +1156,135 @@ mod tests {
                 assert_eq!(forked, one_at_a_time, "seed {seed}, {keys} keys, {convergence}");
             }
         }
+        assert!(convicted > 0, "no mutation tripped the order oracle");
         assert!(final_state_convictions > 0, "no run reached the final-state rule");
+    }
+
+    /// The fused sweep against the standalone passes on 4,000 random
+    /// micro-histories whose instants and sequences sit on a grid of a few
+    /// values, so they tie: commits at exactly a read's start, reads that
+    /// start together, a client that reads and writes one key, sequences
+    /// that repeat. Storm histories almost never tie; the rules for ties
+    /// (`≤` for labels, history order for sessions) are pinned here.
+    #[test]
+    fn the_fused_sweep_equals_the_standalone_passes_on_tied_micro_histories() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let labels = [
+            ReadLabel { consistent: true, versions_behind: 0 },
+            ReadLabel { consistent: false, versions_behind: 1 },
+            ReadLabel { consistent: false, versions_behind: 2 },
+        ];
+        let mut rng = StdRng::seed_from_u64(50);
+        let (mut commit_at_start, mut shared_start, mut read_own_write) = (0, 0, 0);
+        for _ in 0..4_000 {
+            let mut h = OpHistory::new();
+            let n = rng.gen_range(1..=14u32);
+            for id in 0..n {
+                let client = [0, 1, 2, BLOCKING_CLIENT][rng.gen_range(0..4usize)];
+                let key = rng.gen_range(1..=2u64);
+                let start = f64::from(rng.gen_range(0..6u32));
+                let seq = rng.gen_range(1..=5u64);
+                let mut op = if rng.gen_bool(0.5) {
+                    let done = rng.gen_range(0..4u32);
+                    let mut w = write(client, key, seq, start, Some(start + f64::from(done)));
+                    if done == 0 {
+                        // Timed out; half of them without a version.
+                        (w.finish, w.commit) = (None, None);
+                        w.seq = Some(seq).filter(|_| rng.gen_bool(0.5));
+                        w.writer = w.seq.map(|_| 0);
+                    }
+                    w
+                } else {
+                    let seen = Some(seq).filter(|_| rng.gen_bool(0.8));
+                    read(client, key, seen, start, start + f64::from(rng.gen_range(0..3u32)))
+                };
+                op.op_id = u64::from(id);
+                let label = if op.kind == OpKind::Read && rng.gen_bool(0.9) {
+                    Some(labels[rng.gen_range(0..3usize)])
+                } else {
+                    None
+                };
+                if op.kind == OpKind::Read && rng.gen_bool(0.1) {
+                    op.finish = None; // timed out, labelled or not
+                }
+                h.push(op, label);
+            }
+            let ops = || h.ops().iter().map(|h| &h.op);
+            let reads = || ops().filter(|o| o.kind == OpKind::Read);
+            let writes = || ops().filter(|o| o.kind == OpKind::Write);
+            for r in reads() {
+                let key = |o: &&CompletedOp| o.key == r.key && o.op_id != r.op_id;
+                let at_start = |w: &CompletedOp| w.commit == Some(r.start);
+                commit_at_start += usize::from(writes().filter(key).any(at_start));
+                shared_start += usize::from(reads().filter(key).any(|o| o.start == r.start));
+                let own = |w: &CompletedOp| w.client == r.client && w.commit.is_some();
+                read_own_write += usize::from(writes().filter(key).any(own));
+            }
+
+            let fused = sweep(&h, &KeyIndex::new(&h), 3, true);
+            let streaming = ClientStats::default();
+            assert_eq!(fused.sessions, replay_sessions(&h, &streaming), "{:#?}", h.ops());
+            assert_eq!(fused.labels, relabel_reads(&h), "{:#?}", h.ops());
+            assert_eq!(fused.order, check_order(&h, 3), "{:#?}", h.ops());
+        }
+        assert!(commit_at_start > 1_000, "{commit_at_start} reads start at a commit");
+        assert!(shared_start > 1_000, "{shared_start} reads share a start");
+        assert!(read_own_write > 1_000, "{read_own_write} reads follow their own write");
+    }
+
+    /// A whole storm audit with one thing tampered: an online label flipped
+    /// is one label mismatch, and a read lowered below what its client read
+    /// before on the key puts the session replay at odds with the streaming
+    /// counters. Either makes the report unclean.
+    #[test]
+    fn check_run_catches_a_flipped_label_and_a_session_gone_backwards() {
+        let (history, cluster) = storm_run(1, 256, ProtocolMutations::default());
+        let clean = check_run(&history, &cluster, false);
+        assert!(clean.is_clean() && clean.labels.labelled_reads > 0, "{clean:?}");
+        let tampered = |at: usize, tamper: &dyn Fn(&mut HistoryOp)| {
+            let mut h = OpHistory::new();
+            for (i, op) in history.ops().iter().enumerate() {
+                let mut op = *op;
+                if i == at {
+                    tamper(&mut op);
+                }
+                h.push(op.op, op.label);
+            }
+            h.set_crashes(history.crashes().to_vec());
+            check_run(&h, &cluster, false)
+        };
+
+        let labelled = history.ops().iter().position(|h| h.label.is_some()).expect("a label");
+        let flipped = tampered(labelled, &|h| {
+            let l = h.label.expect("labelled");
+            let behind = u64::from(l.consistent);
+            h.label = Some(ReadLabel { consistent: !l.consistent, versions_behind: behind });
+        });
+        assert_eq!(flipped.labels.mismatches, 1);
+        assert!(!flipped.is_clean());
+
+        // A completed read by a client that read the key before and got a
+        // version, and that did not already go backwards: lowered below the
+        // newest it had read, it is one more monotonic-reads violation.
+        let ops = history.ops();
+        let (later, newest_read) = (0..ops.len())
+            .find_map(|j| {
+                let r = &ops[j].op;
+                let newest = ops[..j]
+                    .iter()
+                    .map(|h| &h.op)
+                    .filter(|e| (e.kind, e.client, e.key) == (OpKind::Read, r.client, r.key))
+                    .filter(|e| e.finish.is_some())
+                    .filter_map(|e| e.seq)
+                    .max()?;
+                let clean = r.seq.unwrap_or(0) >= newest;
+                (r.kind == OpKind::Read && r.finish.is_some() && clean).then_some((j, newest))
+            })
+            .expect("a client read one key twice");
+        let backwards = tampered(later, &|h| h.op.seq = Some(newest_read - 1));
+        assert!(!backwards.sessions.agrees(), "{:?}", backwards.sessions);
+        assert!(!backwards.is_clean());
     }
 
     /// A pass's panic surfaces through `check_run` with its own message.
