@@ -30,7 +30,6 @@
 use crate::buggify::ProtocolMutations;
 use crate::checker::{CrashRecord, HistoryOp, OpHistory};
 use crate::client::{ClientOptions, ClientStats, ClientTable, CompletedOp};
-use crate::fxhash::FxHashMap;
 use crate::messages::{
     ClientControl, ClientIn, ClientToNode, Msg, NodeControl, NodeIn, NodeToClient,
 };
@@ -166,48 +165,78 @@ impl Mergeable for DetectorStats {
 /// flags. A flag can arrive a window or two after its read was labelled
 /// (the `N − R` late responses trickle in), so verdicts are retained for
 /// one op-timeout after labelling and matched as flags drain.
+///
+/// Every read labelled by one drain shares that drain's expiry
+/// (`until + grace`), so a drain's reads are kept as one batch: packed
+/// `op_id << 2 | consistent << 1 | flagged` words, sorted, 8 B per read. A
+/// flag binary-searches the live batches newest first; a drain seals its
+/// batch before it matches its own flags, and expiry drops whole batches
+/// and recycles their buffers.
 #[derive(Debug, Default)]
 struct DetectorTracker {
-    /// op id → (consistent, already flagged).
-    verdicts: FxHashMap<u64, (bool, bool)>,
-    /// `(expires_at, op_id)` in insertion (= time) order.
-    expiry: VecDeque<(SimTime, u64)>,
+    /// Reads labelled by the current drain, not yet sealed.
+    open: Vec<u64>,
+    /// Sealed batches with their expiry, in drain (= expiry) order.
+    batches: VecDeque<(SimTime, Vec<u64>)>,
+    /// Buffers of expired batches, reused by later drains.
+    spare: Vec<Vec<u64>>,
     /// A stale read counts as missed until its flag arrives.
     stats: DetectorStats,
 }
 
+/// The `consistent` bit of a packed verdict.
+const CONSISTENT: u64 = 0b10;
+/// The `flagged` bit of a packed verdict.
+const FLAGGED: u64 = 0b01;
+
 impl DetectorTracker {
-    fn observe_read(&mut self, op_id: u64, consistent: bool, expires_at: SimTime) {
+    fn observe_read(&mut self, op_id: u64, consistent: bool) {
+        // Open-loop op ids are `(client index + 1) << 32 | local counter`
+        // with a 24-bit client index: below 2^56, so two bits spare.
+        debug_assert!(op_id < 1 << 56, "op id {op_id:#x} does not pack");
         if !consistent {
             self.stats.missed_stale += 1;
         }
-        self.verdicts.insert(op_id, (consistent, false));
-        self.expiry.push_back((expires_at, op_id));
+        self.open.push(op_id << 2 | if consistent { CONSISTENT } else { 0 });
+    }
+
+    /// Close the current drain's batch: its reads expire at `expires_at`.
+    fn seal(&mut self, expires_at: SimTime) {
+        if self.open.is_empty() {
+            return;
+        }
+        self.open.sort_unstable();
+        let next = self.spare.pop().unwrap_or_default();
+        self.batches.push_back((expires_at, std::mem::replace(&mut self.open, next)));
     }
 
     fn observe_flag(&mut self, op_id: u64) {
-        if let Some((consistent, flagged)) = self.verdicts.get_mut(&op_id) {
-            if *flagged {
+        for (_, batch) in self.batches.iter_mut().rev() {
+            let Ok(i) = batch.binary_search_by_key(&op_id, |&v| v >> 2) else { continue };
+            let verdict = &mut batch[i];
+            if *verdict & FLAGGED != 0 {
                 return; // several late responses can flag one read
             }
-            *flagged = true;
+            *verdict |= FLAGGED;
             self.stats.flagged += 1;
-            if *consistent {
+            if *verdict & CONSISTENT != 0 {
                 self.stats.false_positives += 1;
             } else {
                 self.stats.true_positives += 1;
                 self.stats.missed_stale -= 1;
             }
+            return;
         }
     }
 
     fn expire(&mut self, now: SimTime) {
-        while let Some(&(at, op_id)) = self.expiry.front() {
+        while let Some(&(at, _)) = self.batches.front() {
             if at > now {
                 break;
             }
-            self.expiry.pop_front();
-            self.verdicts.remove(&op_id);
+            let (_, mut batch) = self.batches.pop_front().expect("front checked");
+            batch.clear();
+            self.spare.push(batch);
         }
     }
 }
@@ -978,7 +1007,7 @@ impl Cluster {
                     let label =
                         op.finish.map(|_| self.ground_truth.label_read(op.key, op.start, op.seq));
                     if let Some(l) = label {
-                        self.detector.observe_read(op.op_id, l.consistent, until + grace);
+                        self.detector.observe_read(op.op_id, l.consistent);
                     }
                     drain.reads.push(HistoryOp { op: *op, label });
                     label
@@ -990,8 +1019,9 @@ impl Cluster {
         }
         ops.clear();
         self.drain_scratch = ops;
+        self.detector.seal(until + grace);
         // Pass 3: match the nodes' detector flags (each counts once, in any
-        // order) against the labels retained so far.
+        // order) against the labels retained so far, this window's too.
         for id in 0..self.opts.nodes as usize {
             let mut flags = std::mem::take(&mut self.shell_mut(id).core.detector_log);
             for &op_id in &flags {
@@ -1485,5 +1515,114 @@ mod tests {
         };
         assert_eq!(run(42), run(42));
         assert_ne!(run(42), run(43));
+    }
+
+    /// The map-and-deque matcher the packed batches replaced: one map entry
+    /// and one deque entry per labelled read.
+    #[derive(Default)]
+    struct ReferenceTracker {
+        /// op id → (consistent, already flagged).
+        by_op: crate::fxhash::FxHashMap<u64, (bool, bool)>,
+        /// `(expires_at, op_id)` in insertion (= time) order.
+        deadlines: VecDeque<(SimTime, u64)>,
+        stats: DetectorStats,
+    }
+
+    impl ReferenceTracker {
+        fn observe_read(&mut self, op_id: u64, consistent: bool, expires_at: SimTime) {
+            if !consistent {
+                self.stats.missed_stale += 1;
+            }
+            self.by_op.insert(op_id, (consistent, false));
+            self.deadlines.push_back((expires_at, op_id));
+        }
+
+        fn observe_flag(&mut self, op_id: u64) {
+            if let Some((consistent, flagged)) = self.by_op.get_mut(&op_id) {
+                if *flagged {
+                    return;
+                }
+                *flagged = true;
+                self.stats.flagged += 1;
+                if *consistent {
+                    self.stats.false_positives += 1;
+                } else {
+                    self.stats.true_positives += 1;
+                    self.stats.missed_stale -= 1;
+                }
+            }
+        }
+
+        fn expire(&mut self, now: SimTime) {
+            while let Some(&(at, op_id)) = self.deadlines.front() {
+                if at > now {
+                    break;
+                }
+                self.deadlines.pop_front();
+                self.by_op.remove(&op_id);
+            }
+        }
+    }
+
+    #[test]
+    fn packed_detector_batches_count_what_the_map_and_deque_counted() {
+        use rand::Rng;
+        // 100 ms windows and a 300 ms grace: a read's batch expires at the
+        // end of the third window after its own.
+        let (window_ms, grace) = (100.0, SimDuration::from_ms(300.0));
+        let mut rng = StdRng::seed_from_u64(0xDE7E);
+        let (mut packed, mut reference) = (DetectorTracker::default(), ReferenceTracker::default());
+        let mut local = [0u32; 64];
+        // Every labelled read as `(window, op id)`, and the ids flagged.
+        let mut labelled: Vec<(u32, u64)> = Vec::new();
+        let mut flagged = std::collections::HashSet::new();
+        let (mut empty, mut duplicate, mut expired, mut unknown) = (0, 0, 0, 0);
+        for w in 1..=400u32 {
+            let until = SimTime::from_ms(w as f64 * window_ms);
+            let reads = if rng.gen_range(0..8u32) == 0 { 0 } else { rng.gen_range(1..200u32) };
+            empty += usize::from(reads == 0);
+            let first = labelled.len();
+            for _ in 0..reads {
+                let client = rng.gen_range(0..64usize);
+                local[client] += 1;
+                let op_id = ((client as u64 + 1) << 32) | local[client] as u64;
+                let consistent = rng.gen_bool(0.7);
+                packed.observe_read(op_id, consistent);
+                reference.observe_read(op_id, consistent, until + grace);
+                labelled.push((w, op_id));
+            }
+            packed.seal(until + grace);
+            for _ in 0..rng.gen_range(0..300u32) {
+                let n = labelled.len();
+                let (from, op_id) = match rng.gen_range(0..5u32) {
+                    // A read of this window.
+                    0 if n > first => labelled[rng.gen_range(first..n)],
+                    // A recent read: live or just expired, often flagged.
+                    1 | 2 if n > 0 => labelled[n - 1 - rng.gen_range(0..n.min(800))],
+                    // Any read so far: mostly expired.
+                    3 if n > 0 => labelled[rng.gen_range(0..n)],
+                    // An id no read has: past every client's local counter.
+                    _ => {
+                        unknown += 1;
+                        let local = rng.gen_range(1u64 << 20..1 << 21);
+                        (w, (rng.gen_range(1..=64u64) << 32) | local)
+                    }
+                };
+                if w >= from + 4 {
+                    expired += 1;
+                } else if !flagged.insert(op_id) {
+                    duplicate += 1;
+                }
+                packed.observe_flag(op_id);
+                reference.observe_flag(op_id);
+            }
+            packed.expire(until);
+            reference.expire(until);
+            assert_eq!(packed.stats, reference.stats, "window {w}");
+        }
+        let stats = packed.stats;
+        assert!(stats.true_positives > 1_000 && stats.false_positives > 1_000, "{stats:?}");
+        assert!(stats.missed_stale > 1_000, "{stats:?}");
+        assert!(empty > 20 && duplicate > 1_000 && expired > 1_000 && unknown > 1_000);
     }
 }

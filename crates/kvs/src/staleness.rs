@@ -45,9 +45,20 @@
 //! below-horizon sequence is ≥ every dropped one, a read that any dropped
 //! commit could have made stale already finds `MAX_TRACKED_STALENESS`
 //! retained commits newer than its returned version — the capped count is
-//! bit-identical to the un-GC'd label, and the prefix maxima are rebuilt
+//! bit-identical to the un-GC'd label, and the running maxima are rebuilt
 //! on the dropped maximum so the verdict is too. Per-key memory becomes
 //! O(commits within one op-timeout + the cap), independent of run length.
+//!
+//! # Per-key layout
+//!
+//! A key is one map entry — its retained commits, the dropped count and
+//! the dropped maximum — and one allocation: a `Vec` of 24-byte
+//! `(commit time, seq, running max)` entries in commit order. The running
+//! max answers the verdict with one binary search by time, and it stops
+//! the versions-behind count at the first commit whose running max is at
+//! or below the returned sequence. The `Vec` grows by about half its
+//! length, not by doubling: most keys retain one to three commits, and
+//! `Vec`'s own first growth would give each of them four slots.
 
 use crate::fxhash::FxHashMap;
 use pbs_sim::{SimDuration, SimTime};
@@ -57,14 +68,16 @@ use pbs_sim::{SimDuration, SimTime};
 /// O(history).
 pub const MAX_TRACKED_STALENESS: u64 = 64;
 
+/// One finalised commit: `(commit_time, seq, running max of seq)`. The
+/// running max is taken along the key's commits in commit order, seeded
+/// with `dropped_max_seq`, so it is the true all-time maximum at that
+/// commit (monotone, enabling binary search by time + O(1) max lookup).
+type Commit = (SimTime, u64, u64);
+
 #[derive(Debug, Default)]
 struct KeyHistory {
-    /// `(commit_time, seq)` in commit order.
-    commits: Vec<(SimTime, u64)>,
-    /// Running maximum of `seq` along `commits` — seeded with
-    /// `dropped_max_seq`, so it is the true all-time maximum (monotone,
-    /// enabling binary search by time + O(1) max lookup).
-    prefix_max_seq: Vec<u64>,
+    /// Retained commits in commit order.
+    commits: Vec<Commit>,
     /// Commits garbage-collected below the horizon.
     dropped: u64,
     /// Maximum sequence among dropped commits. Invariant: ≤ every retained
@@ -74,41 +87,46 @@ struct KeyHistory {
 
 impl KeyHistory {
     fn push(&mut self, commit: SimTime, seq: u64) {
-        debug_assert!(self.commits.last().is_none_or(|&(last, _)| commit >= last));
-        let max = self.prefix_max_seq.last().copied().unwrap_or(self.dropped_max_seq).max(seq);
-        self.commits.push((commit, seq));
-        self.prefix_max_seq.push(max);
+        debug_assert!(self.commits.last().is_none_or(|&(last, _, _)| commit >= last));
+        let max = self.commits.last().map_or(self.dropped_max_seq, |&(_, _, m)| m).max(seq);
+        if self.commits.len() == self.commits.capacity() {
+            // Most keys retain one to three commits: grow by about half,
+            // not by doubling from `Vec`'s minimum of four slots.
+            self.commits.reserve_exact(self.commits.len() / 2 + 1);
+        }
+        self.commits.push((commit, seq, max));
     }
 
     /// Drop all but the `MAX_TRACKED_STALENESS` largest-seq commits at or
     /// below the horizon (`time + lag ≤ anchor`), preserving time order
-    /// and rebuilding the prefix maxima on the new dropped maximum.
+    /// and rebuilding the running maxima on the new dropped maximum.
     fn trim(&mut self, anchor: SimTime, lag: SimDuration) {
         let cap = MAX_TRACKED_STALENESS as usize;
-        let below = self.commits.partition_point(|&(t, _)| t + lag <= anchor);
+        let below = self.commits.partition_point(|&(t, _, _)| t + lag <= anchor);
         if below <= cap {
             return;
         }
         // Threshold = the cap-th largest sequence below the horizon; keep
         // everything at or above it (sequence ties keep a few extra, which
         // is harmless — the invariant only needs dropped ≤ kept).
-        let mut seqs: Vec<u64> = self.commits[..below].iter().map(|&(_, s)| s).collect();
+        let mut seqs: Vec<u64> = self.commits[..below].iter().map(|&(_, s, _)| s).collect();
         let (_, &mut threshold, _) = seqs.select_nth_unstable_by(cap - 1, |a, b| b.cmp(a));
-        let mut kept = Vec::with_capacity(self.commits.len() - below + cap);
-        for (i, &(t, s)) in self.commits.iter().enumerate() {
-            if i >= below || s >= threshold {
-                kept.push((t, s));
-            } else {
-                self.dropped += 1;
-                self.dropped_max_seq = self.dropped_max_seq.max(s);
+        let (mut i, mut dropped, mut dropped_max) = (0, self.dropped, self.dropped_max_seq);
+        self.commits.retain(|&(_, s, _)| {
+            let keep = i >= below || s >= threshold;
+            i += 1;
+            if !keep {
+                dropped += 1;
+                dropped_max = dropped_max.max(s);
             }
-        }
-        self.commits = kept;
-        self.prefix_max_seq.clear();
-        let mut max = self.dropped_max_seq;
-        for &(_, s) in &self.commits {
-            max = max.max(s);
-            self.prefix_max_seq.push(max);
+            keep
+        });
+        self.dropped = dropped;
+        self.dropped_max_seq = dropped_max;
+        let mut max = dropped_max;
+        for (_, s, m) in &mut self.commits {
+            max = max.max(*s);
+            *m = max;
         }
     }
 }
@@ -247,7 +265,7 @@ impl GroundTruth {
     /// this). Advances the watermark to the commit time.
     pub fn record_commit(&mut self, key: u64, seq: u64, commit: SimTime) {
         let h = self.keys.entry(key).or_default();
-        if let Some(&(last, _)) = h.commits.last() {
+        if let Some(&(last, _, _)) = h.commits.last() {
             assert!(commit >= last, "commits must be recorded in time order");
         }
         h.push(commit, seq);
@@ -268,11 +286,11 @@ impl GroundTruth {
     /// compacted commits are summarised by their maximum.
     pub fn latest_committed_at(&self, key: u64, t: SimTime) -> Option<u64> {
         let h = self.keys.get(&key)?;
-        let idx = h.commits.partition_point(|&(ct, _)| ct <= t);
+        let idx = h.commits.partition_point(|&(ct, _, _)| ct <= t);
         if idx == 0 {
             (h.dropped > 0).then_some(h.dropped_max_seq)
         } else {
-            Some(h.prefix_max_seq[idx - 1])
+            Some(h.commits[idx - 1].2)
         }
     }
 
@@ -283,15 +301,21 @@ impl GroundTruth {
         let Some(h) = self.keys.get(&key) else {
             return ReadLabel { consistent: true, versions_behind: 0 };
         };
-        let prefix = h.commits.partition_point(|&(ct, _)| ct <= start);
-        let newest = if prefix == 0 { h.dropped_max_seq } else { h.prefix_max_seq[prefix - 1] };
+        let prefix = h.commits.partition_point(|&(ct, _, _)| ct <= start);
+        let newest = if prefix == 0 { h.dropped_max_seq } else { h.commits[prefix - 1].2 };
         if newest <= returned {
             return ReadLabel { consistent: true, versions_behind: 0 };
         }
         // Count committed versions newer than the returned one, scanning
-        // backwards (staleness is almost always small; the scan is bounded).
+        // backwards. The scan stops at the cap, or at the first commit
+        // whose running max is at or below the returned sequence: nothing
+        // at or before it can be newer. On store histories that is
+        // O(staleness) per read.
         let mut behind = 0u64;
-        for &(_, seq) in h.commits[..prefix].iter().rev() {
+        for &(_, seq, max) in h.commits[..prefix].iter().rev() {
+            if max <= returned {
+                break;
+            }
             if seq > returned {
                 behind += 1;
                 if behind >= MAX_TRACKED_STALENESS {
@@ -538,5 +562,48 @@ mod tests {
             "retained history should stay flat, peaked at {peak}"
         );
         assert_eq!(gc.latest_committed_at(7, SimTime::MAX), Some(50_000));
+    }
+
+    #[test]
+    fn the_early_stop_counts_what_a_full_scan_counts() {
+        use rand::{Rng, SeedableRng};
+        // One key, 4,000 commits one ms apart whose sequences commit out of
+        // order: 1..=4000, each swapped with a neighbour up to 5 ahead.
+        let n = 4_000usize;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5CA7);
+        let mut seqs: Vec<u64> = (1..=n as u64).collect();
+        for i in 0..n {
+            let j = (i + rng.gen_range(0..6usize)).min(n - 1);
+            seqs.swap(i, j);
+        }
+        let mut gt = GroundTruth::new();
+        for (i, &seq) in seqs.iter().enumerate() {
+            gt.record_commit(1, seq, t((i + 1) as f64));
+        }
+        // The reference counts every commit at or before the start, with
+        // no early stop.
+        let full_scan = |start: f64, returned: u64| {
+            let seen = &seqs[..(start as usize).min(n)];
+            let newest = seen.iter().copied().max().unwrap_or(0);
+            let behind = seen.iter().filter(|&&s| s > returned).count() as u64;
+            ReadLabel {
+                consistent: newest <= returned,
+                versions_behind: behind.min(MAX_TRACKED_STALENESS),
+            }
+        };
+        let mut stale = 0;
+        for _ in 0..3_000 {
+            let start = rng.gen_range(1..=n) as f64 + 0.5;
+            let mut seen: Vec<u64> = seqs[..start as usize].to_vec();
+            seen.sort_unstable_by(|a, b| b.cmp(a));
+            for behind in [0usize, 1, 70] {
+                let Some(&returned) = seen.get(behind) else { continue };
+                let label = gt.label_read(1, t(start), Some(returned));
+                assert_eq!(label, full_scan(start, returned), "start {start}, seq {returned}");
+                assert_eq!(label.versions_behind, (behind as u64).min(MAX_TRACKED_STALENESS));
+                stale += usize::from(!label.consistent);
+            }
+        }
+        assert!(stale > 3_000, "most probes must be stale ({stale})");
     }
 }

@@ -2,9 +2,9 @@
 //! global allocator so the bytes-per-client budget is *measured*, not
 //! estimated.
 //!
-//! This file holds exactly one tier-1 test (plus an `#[ignore]`d heavy
-//! one), and each holds [`SERIAL`] for its whole body, so no concurrently
-//! running test in the same process pollutes the live-bytes deltas — with
+//! This file holds two tier-1 tests (plus an `#[ignore]`d heavy one), and
+//! each holds [`SERIAL`] for its whole body, so no concurrently running
+//! test in the same process pollutes the live-bytes deltas — with
 //! `--include-ignored` too.
 //!
 //! The `pbs-kvs` and `pbs-workload` library crates `forbid(unsafe_code)`;
@@ -12,10 +12,12 @@
 //! compiled separately and may use `unsafe` for the `GlobalAlloc` impl.
 
 use pbs::dist::Exponential;
+use pbs::kvs::staleness::GroundTruth;
 use pbs::kvs::{ClientOptions, Cluster, ClusterOptions, NetworkModel};
 use pbs::math::ReplicaConfig;
 use pbs::sim::SimTime;
-use pbs::workload::{OpMix, Poisson, SharedStream, Zipf};
+use pbs::workload::{KeyChooser, OpMix, Poisson, SharedStream, Zipf};
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -158,6 +160,48 @@ fn hundred_thousand_clients_fit_the_byte_budget() {
     assert!(
         peak_per_client <= 4 * BYTES_PER_CLIENT_BUDGET,
         "the run peaked at {peak_per_client} B/client above its start"
+    );
+}
+
+/// The ground truth's budget per tracked key, GC on. A key is one 48-byte
+/// map bucket (key + history) plus one allocation of 24-byte
+/// `(commit, seq, running max)` entries grown by about half; the stream
+/// below reads 146 B per key. Two parallel `Vec`s per key, each starting
+/// at four slots in a 72-byte bucket, read 245.
+const GROUND_TRUTH_BYTES_PER_KEY_BUDGET: u64 = 200;
+
+/// Tier-1 ground-truth gate: a bare `GroundTruth` fed `scale100k`'s commit
+/// stream — Zipf(0.99) over 1M keys, ~5k commits per 100 ms window, 25
+/// windows, GC'd at the 2 s op-timeout — stays within its budget per key.
+#[test]
+fn ground_truth_fits_the_byte_budget_per_key() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let keys = Zipf::new(1_000_000, 0.99);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x6A7E);
+    let before = live_bytes();
+    let mut gt = GroundTruth::new();
+    gt.enable_gc(2_000.0);
+    let window_ms = 100.0;
+    for w in 0..25 {
+        let from = w as f64 * window_ms;
+        for _ in 0..5_000 {
+            // A write starts in the window, commits a few ms later, and its
+            // sequence is its start instant in ns + 1.
+            let start = from + rng.gen::<f64>() * window_ms;
+            let commit = start + 0.001 + rng.gen::<f64>() * 30.0;
+            let seq = (start * 1e6) as u64 + 1;
+            gt.ingest_commit(keys.choose(&mut rng), seq, SimTime::from_ms(commit));
+        }
+        gt.advance_watermark(SimTime::from_ms(from + window_ms));
+    }
+    let bytes = live_bytes().saturating_sub(before);
+    let tracked = gt.tracked_keys().len() as u64;
+    assert!(tracked > 30_000, "the stream must spread over the key space ({tracked} keys)");
+    let per_key = bytes / tracked;
+    assert!(
+        per_key <= GROUND_TRUTH_BYTES_PER_KEY_BUDGET,
+        "the ground truth costs {per_key} B/key over {tracked} keys \
+         (budget {GROUND_TRUTH_BYTES_PER_KEY_BUDGET})"
     );
 }
 
