@@ -56,10 +56,11 @@
 //! while some un-linearized read still needs their version (a `version →
 //! readers` span table, built only for a key that has an optional write).
 //! Undo entries and write candidates live on two stacks shared by all
-//! frames, so a DFS node allocates nothing but the memo key of a state it
-//! proves dead. Visited `(linearized-set, register)` configurations proven
-//! dead are cached — full keys, never hashes, so a collision can't prune a
-//! real solution. The search is budget-bounded: crossing
+//! frames. Visited `(linearized-set, register)` configurations proven dead
+//! are cached in one flat arena of state words under an open-addressing
+//! index, both reused by every key, so a DFS node allocates nothing. A
+//! probe compares full keys, never hashes alone, so a collision can't prune
+//! a real solution. The search is budget-bounded: crossing
 //! [`LinOptions::max_nodes_per_key`] before the key's first conviction
 //! yields the distinct, non-failing [`KeyLinVerdict::Exhausted`] instead
 //! of a verdict; after it, the key is a [`KeyLinVerdict::Violation`] with
@@ -126,9 +127,10 @@
 //! `tests/lin_reference.rs` checks the culprits against a brute force.
 
 use super::{KeyIndex, OpHistory};
-use crate::fxhash::FxHashSet;
+use crate::fxhash::{FxHashSet, FxHasher};
 use pbs_mc::Mergeable;
 use pbs_workload::OpKind;
+use std::hash::Hasher;
 
 /// Budgets for the per-key WGL search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,6 +430,88 @@ fn violation_for(key: u64, read: &LinOp, ops: &[LinOp]) -> LinViolation {
     LinViolation { key, op_id: read.op_id, window_start_ns, window_end_ns }
 }
 
+/// The memo of dead states: every state proven to have no completion, as
+/// full keys (never hashes), in one flat arena of `stride`-word states,
+/// found through an open-addressing table of arena indices. [`reset`]
+/// empties both for the next key and frees neither.
+///
+/// [`reset`]: DeadStates::reset
+#[derive(Default)]
+struct DeadStates {
+    /// The dead states' words, `stride` apiece, in insertion order.
+    words: Vec<u64>,
+    /// `1 +` the arena index of a state, or 0 for an empty cell; linear
+    /// probing, a power of two long and at most half full.
+    table: Vec<u32>,
+    stride: usize,
+}
+
+/// The table length a key starts at.
+const DEAD_TABLE_MIN: usize = 64;
+
+impl DeadStates {
+    /// Forget every state, for a key whose states are `stride` words.
+    fn reset(&mut self, stride: usize) {
+        self.words.clear();
+        self.table.clear();
+        self.table.resize(DEAD_TABLE_MIN, 0);
+        self.stride = stride;
+    }
+
+    fn len(&self) -> usize {
+        self.words.len() / self.stride
+    }
+
+    /// The table cell holding `state`, or the empty cell it would go in.
+    fn probe(&self, state: &[u64]) -> (usize, bool) {
+        debug_assert_eq!(state.len(), self.stride);
+        let mut hasher = FxHasher::default();
+        state.iter().for_each(|&w| hasher.write_u64(w));
+        let mask = self.table.len() - 1;
+        let mut cell = hasher.finish() as usize & mask;
+        loop {
+            let Some(at) = self.table[cell].checked_sub(1) else {
+                return (cell, false);
+            };
+            let at = at as usize * self.stride;
+            if self.words[at..at + self.stride] == *state {
+                return (cell, true);
+            }
+            cell = (cell + 1) & mask;
+        }
+    }
+
+    fn contains(&self, state: &[u64]) -> bool {
+        self.probe(state).1
+    }
+
+    fn insert(&mut self, state: &[u64]) {
+        if 2 * (self.len() + 1) > self.table.len() {
+            self.grow();
+        }
+        let (cell, found) = self.probe(state);
+        if found {
+            return;
+        }
+        // The search may run without a node budget; a memo that outgrows
+        // its `u32` index must stop rather than alias states.
+        let index = u32::try_from(self.len() + 1).expect("more than u32::MAX dead states on a key");
+        self.table[cell] = index;
+        self.words.extend_from_slice(state);
+    }
+
+    /// Double the table and re-index every state.
+    fn grow(&mut self) {
+        let len = 2 * self.table.len();
+        self.table.clear();
+        self.table.resize(len, 0);
+        for i in 0..self.len() {
+            let (cell, _) = self.probe(&self.words[i * self.stride..(i + 1) * self.stride]);
+            self.table[cell] = i as u32 + 1;
+        }
+    }
+}
+
 /// One DFS choice point. Its untried write candidates are
 /// `cands[cands_from..]`, next one last (only the top frame is ever
 /// iterated, so they end at the stack top), and the ops linearized to
@@ -442,10 +526,10 @@ struct Frame {
 }
 
 /// The search of one audit, handed one key after another. Nothing here is
-/// reallocated per key once it has grown, nothing is allocated per DFS node
-/// but a dead state's memo key, and nothing is rebuilt between the searches
-/// of a key: removing a culprit edits `events` and the frontier states in
-/// place, and the memo carries over.
+/// reallocated per key once it has grown, nothing is allocated per DFS node,
+/// and nothing is rebuilt between the searches of a key: removing a culprit
+/// edits `events` and the frontier states in place, and the memo carries
+/// over.
 #[derive(Default)]
 struct KeySearch {
     /// Every op of the key in invocation order, never compacted. A closed
@@ -462,7 +546,7 @@ struct KeySearch {
     /// two words — as a whole, the memo key.
     state: Vec<u64>,
     /// States proven to have no completion, as full keys (never hashes).
-    dead: FxHashSet<Vec<u64>>,
+    dead: DeadStates,
     /// Flat arena of `state`-sized memo keys: every state the running
     /// search entered at cursor `reached`, where the next one resumes.
     /// Removed reads are set in it.
@@ -563,7 +647,7 @@ impl KeySearch {
         }
         self.state.clear();
         self.state.resize(ops.len().div_ceil(64) + 2, 0);
-        self.dead.clear();
+        self.dead.reset(self.state.len());
         self.frontier.clear();
         self.frontier.extend_from_slice(&self.state);
         self.reached = 0;
@@ -722,7 +806,7 @@ impl KeySearch {
         while let Some(frame) = self.frames.last() {
             if self.cands.len() == frame.cands_from as usize {
                 // Every choice failed from here: memoize and backtrack.
-                self.dead.insert(self.state.clone());
+                self.dead.insert(&self.state);
                 let frame = self.frames.pop().expect("frame was just inspected");
                 self.rollback(frame.undo_from, frame.prev_version);
                 continue;
@@ -754,7 +838,7 @@ impl KeySearch {
         if cursor as usize == self.events.len() {
             return true;
         }
-        if self.dead.contains(&self.state[..]) {
+        if self.dead.contains(&self.state) {
             // Only this search's own states can match (module docs), and
             // their subtrees' cursors were noted when it explored them.
             debug_assert!(cursor <= self.reached, "memo hit past the frontier");
@@ -772,7 +856,7 @@ impl KeySearch {
     /// next search starts from the root again, with an empty memo.
     #[cfg(test)]
     fn restart(&mut self) {
-        self.dead.clear();
+        self.dead.reset(self.state.len());
         self.reached = 0;
         self.frontier.clear();
         self.frontier.resize(self.state.len(), 0);
@@ -916,6 +1000,47 @@ mod tests {
         assert_eq!(lin.keys_checked, 8);
         assert_eq!(lin.exhausted_keys, 0);
         assert!(lin.violation_count() > 100, "only {} violations", lin.violation_count());
+    }
+
+    /// The memo must visit the states a set of `Vec` keys visited: the node
+    /// count and every violation of the storm history at 256, 64 and 8 keys
+    /// (the violations folded into an FNV-1a-style print) are pinned to the
+    /// values the memo read when it was a hash set of one `Vec` per state.
+    #[test]
+    fn the_memo_visits_what_a_set_of_vec_keys_visited() {
+        for (keys, nodes, violations, print) in [
+            (256, 10_246, 271, 0x3626_5870_ecfd_01c4_u64),
+            (64, 12_308, 415, 0x97db_39d4_26d8_453e),
+            (8, 62_172, 773, 0x45ee_2028_ebb7_35a0),
+        ] {
+            let lin = check_lin(&storm_history(11, keys), &LinOptions::default());
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            for v in &lin.violations {
+                for x in [v.key, v.op_id, v.window_start_ns, v.window_end_ns] {
+                    h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            let got = (lin.nodes_explored, lin.violations.len(), h, lin.exhausted_keys);
+            assert_eq!(got, (nodes, violations, print, 0), "{keys} keys");
+        }
+    }
+
+    /// Every inserted state is found again through five table growths and
+    /// states that differ in one word only, and no other state is.
+    #[test]
+    fn dead_states_find_every_inserted_state_and_no_other() {
+        let mut dead = DeadStates::default();
+        for stride in [3, 1] {
+            dead.reset(stride);
+            let state = |i: u64| -> Vec<u64> { (0..stride as u64).map(|w| i * (w + 1)).collect() };
+            for i in 0..1_000 {
+                dead.insert(&state(2 * i));
+                dead.insert(&state(2 * i)); // a repeat is one state
+            }
+            assert_eq!(dead.len(), 1_000);
+            assert_eq!(dead.table.len(), DEAD_TABLE_MIN << 5, "at most half full");
+            assert!((0..2_000).all(|i| dead.contains(&state(i)) == (i % 2 == 0)));
+        }
     }
 
     /// A key that convicts a read and then runs out of budget is a

@@ -734,11 +734,13 @@ impl ClientSessions {
 ///   [`replay_sessions`].
 /// * **Labels** — a second pointer over the key's commits, which the order
 ///   rule sorts by commit time, admits those that committed at or before a
-///   read's start (the order rule admits strictly before) and keeps their
-///   newest sequence. A read that returned less counts the admitted
-///   commits newer than what it returned, capped at
-///   [`MAX_TRACKED_STALENESS`]: the batch [`GroundTruth`] label of
-///   [`relabel_reads`], derived without a `GroundTruth`.
+///   read's start (the order rule admits strictly before). A read counts
+///   the admitted commits newer than what it returned, capped at
+///   [`MAX_TRACKED_STALENESS`], walking back from the newest admitted
+///   commit until the running max of sequences falls to what it returned:
+///   the batch [`GroundTruth`] label of [`relabel_reads`], derived without
+///   a `GroundTruth`, in time proportional to the read's staleness on store
+///   histories.
 fn sweep(history: &OpHistory, index: &KeyIndex, nodes: u32, audit: bool) -> Sweep {
     let wiped = history.wiped_mask();
     let ops = history.ops();
@@ -752,6 +754,7 @@ fn sweep(history: &OpHistory, index: &KeyIndex, nodes: u32, audit: bool) -> Swee
     let mut reads: Vec<TrackedRead> = Vec::new();
     let mut clients = ClientSessions::default();
     let mut labelled: Vec<(u64, u64, ReadLabel)> = Vec::new();
+    let mut running_max: Vec<u64> = Vec::new();
     let (mut acked, mut exposed) = (Floors::new(), Floors::new());
     let mut parked: BinaryHeap<Exposure> = BinaryHeap::new();
     for (key, indices) in index.iter() {
@@ -829,19 +832,27 @@ fn sweep(history: &OpHistory, index: &KeyIndex, nodes: u32, audit: bool) -> Swee
         known.sort_unstable();
         // Labels: a second pointer admits the commits at or before each
         // labelled read's start, where the order rule's admits those before.
+        // A read's walk back from the newest admitted commit stops at the
+        // first whose running max is at or below what it returned: nothing
+        // before that one is newer.
         labelled.sort_unstable_by_key(|&(start, ..)| start);
-        let (mut admitted, mut newest) = (0, 0);
+        running_max.clear();
+        running_max.extend(committed.iter().scan(0, |max, w| {
+            *max = w.version.0.max(*max);
+            Some(*max)
+        }));
+        let mut admitted = 0;
         for &(start, returned, online) in &labelled {
-            while let Some(w) = committed.get(admitted).filter(|w| w.commit_nanos <= start) {
-                newest = newest.max(w.version.0);
+            while committed.get(admitted).is_some_and(|w| w.commit_nanos <= start) {
                 admitted += 1;
             }
-            let behind = if newest <= returned {
-                0
-            } else {
-                let newer = committed[..admitted].iter().filter(|w| w.version.0 > returned);
-                newer.take(MAX_TRACKED_STALENESS as usize).count() as u64
-            };
+            let mut behind = 0;
+            for (w, &max) in committed[..admitted].iter().zip(&running_max[..admitted]).rev() {
+                if max <= returned || behind == MAX_TRACKED_STALENESS {
+                    break;
+                }
+                behind += u64::from(w.version.0 > returned);
+            }
             let offline = ReadLabel { consistent: behind == 0, versions_behind: behind };
             labels.labelled_reads += 1;
             labels.stale_reads += u64::from(behind > 0);
@@ -1231,6 +1242,55 @@ mod tests {
         assert!(commit_at_start > 1_000, "{commit_at_start} reads start at a commit");
         assert!(shared_start > 1_000, "{shared_start} reads share a start");
         assert!(read_own_write > 1_000, "{read_own_write} reads follow their own write");
+    }
+
+    /// The sweep's label walk stops at the running max and counts what a
+    /// scan of every admitted commit counts: one key, 4,000 commits one ms
+    /// apart whose sequences commit out of order (each swapped with a
+    /// neighbour up to 5 ahead), and reads 0, 1 and 70 versions behind, each
+    /// carrying the full scan's label as its online one.
+    #[test]
+    fn the_sweep_label_walk_counts_what_a_full_scan_counts() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let n = 4_000usize;
+        let mut rng = StdRng::seed_from_u64(0x5CA7);
+        let mut seqs: Vec<u64> = (1..=n as u64).collect();
+        for i in 0..n {
+            let j = (i + rng.gen_range(0..6usize)).min(n - 1);
+            seqs.swap(i, j);
+        }
+        let mut h = OpHistory::new();
+        for (i, &seq) in seqs.iter().enumerate() {
+            h.push(write(0, 1, seq, i as f64, Some((i + 1) as f64)), None);
+        }
+        // A read starting at `start` admits the commits at 1..=start ms.
+        let full_scan = |start: f64, returned: u64| {
+            let admitted = &seqs[..start as usize];
+            let behind = admitted.iter().filter(|&&s| s > returned).count() as u64;
+            ReadLabel {
+                consistent: behind == 0,
+                versions_behind: behind.min(MAX_TRACKED_STALENESS),
+            }
+        };
+        let (mut stale, mut op_id) = (0, 1_000_000);
+        for _ in 0..1_000 {
+            let start = rng.gen_range(1..=n) as f64 + 0.5;
+            let mut admitted = seqs[..start as usize].to_vec();
+            admitted.sort_unstable_by(|a, b| b.cmp(a));
+            for behind in [0usize, 1, 70] {
+                let Some(&returned) = admitted.get(behind) else { continue };
+                let label = full_scan(start, returned);
+                stale += u64::from(!label.consistent);
+                let mut r = read(2, 1, Some(returned), start, start + 1.0);
+                (r.op_id, op_id) = (op_id, op_id + 1);
+                h.push(r, Some(label));
+            }
+        }
+        let labels = sweep(&h, &KeyIndex::new(&h), 3, true).labels;
+        assert_eq!((labels.mismatches, labels.stale_reads), (0, stale));
+        assert_eq!(labels, relabel_reads(&h));
+        assert!(stale > 1_500, "most reads must be stale ({stale})");
     }
 
     /// A whole storm audit with one thing tampered: an online label flipped

@@ -518,8 +518,10 @@ pub(crate) struct ClientTable {
     /// Session watermarks per `(client, key)` pair that has one.
     sessions: SessionArena,
     /// Completed ops awaiting the driver's window drain (bounded by
-    /// [`RESULT_CAPACITY`]).
-    completed: Vec<CompletedOp>,
+    /// [`RESULT_CAPACITY`]). The drain reads them in place and clears the
+    /// buffer, which keeps its capacity, so the window-by-window plumbing
+    /// allocates nothing in steady state.
+    pub(crate) completed: Vec<CompletedOp>,
     /// Aggregate counters.
     stats: ClientStats,
 }
@@ -669,13 +671,6 @@ impl ClientTable {
     /// Aggregate counters over every client of this table.
     pub(crate) fn stats(&self) -> ClientStats {
         self.stats
-    }
-
-    /// Drain the completed-op buffer into `out` (driver-side, between
-    /// events). Appends; the table's buffer keeps its capacity, so the
-    /// window-by-window plumbing allocates nothing in steady state.
-    pub(crate) fn drain_completed_into(&mut self, out: &mut Vec<CompletedOp>) {
-        out.append(&mut self.completed);
     }
 
     /// Remove every still-in-flight operation and return it as an open
@@ -1200,11 +1195,10 @@ mod tests {
         until_ms: f64,
     ) -> Vec<(SimTime, CompletedOp)> {
         let mut seen = Vec::new();
-        let mut batch = Vec::new();
         while sim.peek_next_time().is_some_and(|at| at <= SimTime::from_ms(until_ms)) {
             sim.step();
-            table_of(sim).0.drain_completed_into(&mut batch);
-            seen.extend(batch.drain(..).map(|op| (sim.now(), op)));
+            let now = sim.now();
+            seen.extend(table_of(sim).0.completed.drain(..).map(|op| (now, op)));
         }
         seen
     }
@@ -1300,7 +1294,7 @@ mod tests {
         seen.extend(run_recording(&mut sim, 800.0));
         sim.inject(1, 0.0, STOP);
         sim.run_until_idle();
-        table_of(&mut sim).0.drain_completed_into(&mut Vec::new());
+        table_of(&mut sim).0.completed.clear();
 
         assert_deadlines_exact(&seen, swallow_some);
         let (table, _) = table_of(&mut sim);

@@ -378,9 +378,6 @@ pub struct Cluster {
     /// (None = recording off, the default: the open-loop engine's
     /// O(in-flight) memory story is preserved unless a checker asks).
     history: Option<OpHistory>,
-    /// Reusable window-drain buffer of completed ops, so the per-window
-    /// plumbing performs no steady-state allocation.
-    drain_scratch: Vec<CompletedOp>,
     /// Every crash scheduled on this cluster, attached to taken histories
     /// so the order oracle can discount evidence from wiped replicas.
     crash_log: Vec<CrashRecord>,
@@ -486,7 +483,6 @@ impl Cluster {
             ground_truth: GroundTruth::new(),
             detector: DetectorTracker::default(),
             history: None,
-            drain_scratch: Vec::new(),
             crash_log: Vec::new(),
             regular_expected: opts.replication.is_strict(),
         })
@@ -975,18 +971,18 @@ impl Cluster {
         self.advance_to(until);
         drain.writes.clear();
         drain.reads.clear();
-        let mut ops = std::mem::take(&mut self.drain_scratch);
-        debug_assert!(ops.is_empty());
-        for worker in 0..self.tables.len() {
-            if let Some(id) = self.tables[worker] {
-                self.table_mut(id).drain_completed_into(&mut ops);
-            }
-        }
+        // Both passes run over each table's own completed buffer, in worker
+        // order, each taking it out and handing it back with its capacity.
         // Pass 1: commits feed the ground-truth watermark.
-        for op in &ops {
-            if let (OpKind::Write, Some(seq), Some(ct)) = (op.kind, op.seq, op.commit) {
-                self.ground_truth.ingest_commit(op.key, seq, ct);
+        for worker in 0..self.tables.len() {
+            let Some(id) = self.tables[worker] else { continue };
+            let ops = std::mem::take(&mut self.table_mut(id).completed);
+            for op in &ops {
+                if let (OpKind::Write, Some(seq), Some(ct)) = (op.kind, op.seq, op.commit) {
+                    self.ground_truth.ingest_commit(op.key, seq, ct);
+                }
             }
+            self.table_mut(id).completed = ops;
         }
         self.ground_truth.advance_watermark(until);
 
@@ -996,29 +992,34 @@ impl Cluster {
         // completion order, which is the order session guarantees are
         // defined over.
         let grace = pbs_sim::SimDuration::from_ms(self.opts.op_timeout_ms);
-        let mut history = self.history.as_mut();
-        for op in &ops {
-            let label = match op.kind {
-                OpKind::Write => {
-                    drain.writes.push(*op);
-                    None
-                }
-                OpKind::Read => {
-                    let label =
-                        op.finish.map(|_| self.ground_truth.label_read(op.key, op.start, op.seq));
-                    if let Some(l) = label {
-                        self.detector.observe_read(op.op_id, l.consistent);
+        for worker in 0..self.tables.len() {
+            let Some(id) = self.tables[worker] else { continue };
+            let mut ops = std::mem::take(&mut self.table_mut(id).completed);
+            let mut history = self.history.as_mut();
+            for op in &ops {
+                let label = match op.kind {
+                    OpKind::Write => {
+                        drain.writes.push(*op);
+                        None
                     }
-                    drain.reads.push(HistoryOp { op: *op, label });
-                    label
+                    OpKind::Read => {
+                        let label = op
+                            .finish
+                            .map(|_| self.ground_truth.label_read(op.key, op.start, op.seq));
+                        if let Some(l) = label {
+                            self.detector.observe_read(op.op_id, l.consistent);
+                        }
+                        drain.reads.push(HistoryOp { op: *op, label });
+                        label
+                    }
+                };
+                if let Some(history) = history.as_deref_mut() {
+                    history.push(*op, label);
                 }
-            };
-            if let Some(history) = history.as_deref_mut() {
-                history.push(*op, label);
             }
+            ops.clear();
+            self.table_mut(id).completed = ops;
         }
-        ops.clear();
-        self.drain_scratch = ops;
         self.detector.seal(until + grace);
         // Pass 3: match the nodes' detector flags (each counts once, in any
         // order) against the labels retained so far, this window's too.

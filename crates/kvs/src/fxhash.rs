@@ -94,7 +94,8 @@ pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// A `HashSet` keyed through [`FxHasher`] (the linearizability checker's
-/// memo cache and version sets).
+/// version sets; its memo of dead states hashes through [`FxHasher`]
+/// itself).
 pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -24,11 +24,12 @@
 //! 3. **Speed** — the open-loop engine dispatches millions of events per
 //!    second; scheduling is amortised `O(1)` on a hierarchical timer
 //!    wheel ([`queue::WheelQueue`]) and allocation-free in steady state
-//!    (slot buckets, the sort scratch, and the outbox buffer are all
-//!    recycled between events). The reference binary-heap scheduler
-//!    ([`queue::HeapQueue`]) is kept as the oracle for the wheel's
-//!    equivalence tests — the two produce **bit-identical** event orders
-//!    because the ordering contract is a total order.
+//!    (the item slab and its bucket links, the sort buffer, the ready
+//!    batch and the outbox buffer are all recycled between events). The
+//!    reference binary-heap scheduler ([`queue::HeapQueue`]) is kept as
+//!    the oracle for the wheel's equivalence tests — the two produce
+//!    **bit-identical** event orders because the ordering contract is a
+//!    total order.
 //!
 //! See [`Simulation`] for the one engine type — serial by default,
 //! partitioned across workers on request, with one step function under

@@ -14,8 +14,8 @@
 //!   by `(time, lane)`, `O(log n)` sifts over ~100-byte entries per operation.
 //! * [`WheelQueue`] — a hierarchical timer wheel (calendar queue):
 //!   amortised `O(1)` scheduling and `O(1)` pops, the default scheduler.
-//!   Each item is stored once: in the ready batch, or in a slab that the
-//!   wheel's buckets point into with 24-byte handles.
+//!   Each item is stored once: in the ready batch, or in a slab whose
+//!   24-byte links thread the wheel's buckets, one `u32` list head each.
 //!
 //! [`Simulation`](crate::Simulation) always runs on the wheel; a test pins the heap through
 //! [`Simulation::with_queue`](crate::Simulation::with_queue) to compare the two on one workload.
@@ -182,17 +182,21 @@ const LEVELS: usize = 8;
 ///
 /// Each event is stored once. One due at or below the ready batch's tick
 /// goes straight into the batch, item and all. A later one leaves its item
-/// in a payload slab, and its bucket, the cascade and the tick sort move a
-/// 24-byte handle naming the slab slot; the item moves into the ready
-/// batch when the wheel reaches its tick. Freed slab slots are reused
-/// last-freed first, so the slab grows to the peak number of events in the
-/// wheel and no further. Every bucket keeps its own vector across drains,
-/// so steady-state scheduling performs no allocation; the 512 buckets
-/// retain handles, whatever the size of `T`, and the ready batch keeps
-/// room for the largest tick it has held.
+/// in a payload slab and its key in a 24-byte link at the same index, and
+/// the link threads it onto its bucket's list (Varghese & Lauck's hashed
+/// wheel, SOSP 1987): a bucket is one `u32` list head, so the cascade
+/// relinks an event instead of copying it, and no bucket holds storage of
+/// its own. Expiring a tick walks its list into one sort buffer of
+/// handles, sorts that and moves the items into the ready batch. Freed
+/// slab slots are threaded onto a free list through the same links and
+/// reused last-freed first, so the slab and the links grow to the peak
+/// number of events in the wheel and no further, the sort buffer and the
+/// ready batch to the largest tick, and steady-state scheduling performs
+/// no allocation.
 pub struct WheelQueue<T> {
-    /// `LEVELS × SLOTS` unsorted buckets, indexed `level * SLOTS + slot`.
-    slots: Vec<Vec<Handle>>,
+    /// `LEVELS × SLOTS` bucket lists, indexed `level * SLOTS + slot`: the
+    /// first link of each, or [`NIL`].
+    heads: Box<[u32; LEVELS * SLOTS]>,
     /// Per-level occupancy bitmap (bit `s` ⇔ slot `s` non-empty).
     occupancy: [u64; LEVELS],
     /// The wheel position: tick of the most recently expired slot. All
@@ -201,17 +205,34 @@ pub struct WheelQueue<T> {
     now_tick: u64,
     /// Sorted front batch in ascending `(time, lane)` order, with items.
     ready: VecDeque<Entry<T>>,
-    /// The payload slab: the item of every event still in the wheel, at
-    /// the slot its handle names; `None` marks a free slot.
+    /// The payload slab: the item of every event still in the wheel;
+    /// `None` marks a free slot.
     items: Vec<Option<T>>,
-    /// Free slots of `items`, reused last-freed first.
-    free: Vec<u32>,
+    /// One link per slab slot, at the same index: a queued event's key and
+    /// the next event of its bucket, or a free slot's next free slot.
+    links: Vec<Link>,
+    /// First free slab slot, or [`NIL`].
+    free: u32,
+    /// The expiring tick's handles, sorted before their items move into
+    /// `ready`; empty between expiries.
+    sorted: Vec<Handle>,
     len: usize,
     peak: usize,
     cascaded: u64,
 }
 
-/// A queued event's key and the slab slot of its item: 24 bytes.
+/// The end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+
+/// A slab slot's link: 24 bytes.
+#[derive(Clone, Copy)]
+struct Link {
+    time: SimTime,
+    lane: u64,
+    next: u32,
+}
+
+/// An expiring event's key and its slab slot: 24 bytes.
 #[derive(Clone, Copy)]
 struct Handle {
     time: SimTime,
@@ -229,12 +250,14 @@ impl Handle {
 impl<T> Default for WheelQueue<T> {
     fn default() -> Self {
         Self {
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: Box::new([NIL; LEVELS * SLOTS]),
             occupancy: [0; LEVELS],
             now_tick: 0,
             ready: VecDeque::new(),
             items: Vec::new(),
-            free: Vec::new(),
+            links: Vec::new(),
+            free: NIL,
+            sorted: Vec::new(),
             len: 0,
             peak: 0,
             cascaded: 0,
@@ -262,23 +285,25 @@ impl<T> WheelQueue<T> {
         }
     }
 
-    /// Put a handle for an event at tick `t_tick`, above the wheel
-    /// position, into the level addressed by the highest 6-bit tick group
-    /// in which the two differ.
-    fn bucket(&mut self, h: Handle, t_tick: u64) {
+    /// Link slab slot `slot`, an event at tick `t_tick` above the wheel
+    /// position, onto the bucket of the level addressed by the highest
+    /// 6-bit tick group in which the two differ.
+    fn bucket(&mut self, slot: u32, t_tick: u64) {
         let diff = t_tick ^ self.now_tick;
         let level = ((63 - diff.leading_zeros()) / LEVEL_BITS) as usize;
         let shift = LEVEL_BITS * level as u32;
-        let slot = ((t_tick >> shift) & SLOT_MASK) as usize;
-        self.occupancy[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(h);
+        let bucket = ((t_tick >> shift) & SLOT_MASK) as usize;
+        self.occupancy[level] |= 1 << bucket;
+        let head = &mut self.heads[level * SLOTS + bucket];
+        self.links[slot as usize].next = *head;
+        *head = slot;
     }
 
-    /// Move a handle's item out of the slab, freeing its slot.
-    fn take(&mut self, h: Handle) -> Entry<T> {
-        self.free.push(h.slot);
-        let item = self.items[h.slot as usize].take().expect("a queued handle names a full slot");
-        Entry { time: h.time, lane: h.lane, item }
+    /// Move slab slot `slot`'s item out, freeing the slot.
+    fn release(&mut self, slot: u32) -> T {
+        self.links[slot as usize].next = self.free;
+        self.free = slot;
+        self.items[slot as usize].take().expect("a queued link names a full slot")
     }
 
     /// Advance the wheel to the next occupied slot: drain a level-0 slot
@@ -301,38 +326,58 @@ impl<T> WheelQueue<T> {
             let span = shift + LEVEL_BITS;
             let high = if span >= 64 { 0 } else { (self.now_tick >> span) << span };
             self.now_tick = high | ((slot as u64) << shift);
-            // The slot's own buffer, handed back below (`bucket` fills only
-            // strictly lower slots): capacity never moves between slots.
-            let idx = level * SLOTS + slot;
-            let mut batch = std::mem::take(&mut self.slots[idx]);
+            // Unlink the whole list (`bucket` fills only strictly lower
+            // slots). List order is arbitrary: the sort and the binary
+            // insertion below restore key order.
+            let mut at = std::mem::replace(&mut self.heads[level * SLOTS + slot], NIL);
             if level == 0 {
                 // One tick's events: restore exact sub-tick order. Keys
                 // are unique, so the unstable sort is deterministic.
-                batch.sort_unstable_by_key(Handle::key);
-                debug_assert!(self.ready.is_empty());
-                for h in batch.drain(..) {
-                    let e = self.take(h);
-                    self.ready.push_back(e);
+                debug_assert!(self.ready.is_empty() && self.sorted.is_empty());
+                let mut sorted = std::mem::take(&mut self.sorted);
+                while at != NIL {
+                    let Link { time, lane, next } = self.links[at as usize];
+                    sorted.push(Handle { time, lane, slot: at });
+                    at = next;
                 }
+                sorted.sort_unstable_by_key(Handle::key);
+                for Handle { time, lane, slot } in sorted.drain(..) {
+                    let item = self.release(slot);
+                    self.ready.push_back(Entry { time, lane, item });
+                }
+                self.sorted = sorted;
             } else {
                 // Redistribute into lower levels (strictly descends:
                 // every tick in the slot agrees with `now_tick` above
                 // this level's bit group).
-                self.cascaded += batch.len() as u64;
-                for h in batch.drain(..) {
-                    let t_tick = h.time.as_nanos() >> TICK_SHIFT;
+                while at != NIL {
+                    let Link { time, lane, next } = self.links[at as usize];
+                    self.cascaded += 1;
+                    let t_tick = time.as_nanos() >> TICK_SHIFT;
                     if t_tick <= self.now_tick {
-                        let e = self.take(h);
-                        self.make_ready(e);
+                        let item = self.release(at);
+                        self.make_ready(Entry { time, lane, item });
                     } else {
-                        self.bucket(h, t_tick);
+                        self.bucket(at, t_tick);
                     }
+                    at = next;
                 }
             }
-            self.slots[idx] = batch;
             return;
         }
         unreachable!("advance() called with events queued but no occupied slot");
+    }
+
+    /// Length of the free list.
+    #[cfg(test)]
+    fn free_slots(&self) -> usize {
+        let mut at = self.free;
+        let mut n = 0;
+        while at != NIL {
+            at = self.links[at as usize].next;
+            n += 1;
+        }
+        n
     }
 
     fn ensure_ready(&mut self) {
@@ -351,17 +396,25 @@ impl<T> EventQueue<T> for WheelQueue<T> {
             self.make_ready(Entry { time: at, lane, item });
             return;
         }
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.items[slot as usize] = Some(item);
+        let link = Link { time: at, lane, next: NIL };
+        let slot = match self.free {
+            NIL => {
+                let slot = u32::try_from(self.items.len())
+                    .ok()
+                    .filter(|&s| s != NIL)
+                    .expect("more than u32::MAX − 1 events queued");
+                self.items.push(Some(item));
+                self.links.push(link);
                 slot
             }
-            None => {
-                self.items.push(Some(item));
-                u32::try_from(self.items.len() - 1).expect("more than u32::MAX events queued")
+            slot => {
+                self.free = self.links[slot as usize].next;
+                self.items[slot as usize] = Some(item);
+                self.links[slot as usize] = link;
+                slot
             }
         };
-        self.bucket(Handle { time: at, lane, slot }, t_tick);
+        self.bucket(slot, t_tick);
     }
 
     fn pop(&mut self) -> Option<(SimTime, T)> {
@@ -533,11 +586,11 @@ mod tests {
         // due, then schedule 100 events spread over the next slot width, so
         // every level-1 slot in turn holds the whole steady set. Once per
         // rotation, 1,000 timers for one instant also wait in one level-1
-        // slot and then in one level-0 slot. Buckets of whole events each
-        // kept the steady set's capacity (Σ 19,448 entries for a peak of
-        // 1,199); here the buckets hold 24-byte handles, and the items, 88
-        // bytes like the engine's `(ActorId, Event<Msg>)`, wait once in the
-        // slab.
+        // slot and then in one level-0 slot. Buckets of their own each kept
+        // the steady set's capacity (Σ 19,448 entries for a peak of 1,199);
+        // here a bucket is a list head, the items, 88 bytes like the
+        // engine's `(ActorId, Event<Msg>)`, wait once in the slab, and their
+        // keys in one link each.
         let mut q: WheelQueue<[u64; 11]> = WheelQueue::new();
         let width_ns = (SLOTS as u64) << TICK_SHIFT;
         let mut lanes = 0u64..;
@@ -555,15 +608,19 @@ mod tests {
             }
         }
         let peak = q.stats().peak_pending;
-        let _buckets_hold_handles: &[Vec<Handle>] = &q.slots;
+        assert_eq!(std::mem::size_of::<Link>(), 24);
         assert_eq!(std::mem::size_of::<Handle>(), 24);
+        assert_eq!(q.links.len(), q.items.len(), "one link per slab slot");
         assert!(q.items.capacity() <= 2 * peak, "slab {} for peak {peak}", q.items.capacity());
+        assert!(q.links.capacity() <= 2 * peak, "links {} for peak {peak}", q.links.capacity());
         let in_slab = q.items.iter().flatten().count();
         assert_eq!(in_slab + q.ready.len(), q.len(), "one item per queued event");
-        // A drained bucket keeps its own vector: the burst's capacity stays
-        // in its two slots instead of spreading to every slot it is handed to.
-        let burst_sized = q.slots.iter().filter(|b| b.capacity() >= 1_000).count();
-        assert_eq!(burst_sized, 2, "{:?}", q.stats());
+        assert_eq!(in_slab + q.free_slots(), q.items.len(), "a slot is queued or free");
+        // The largest tick is the burst plus the one or two steady events
+        // that share its 65.5 µs: the sort buffer is sized by it alone.
+        let largest_tick = 1_002;
+        assert!(q.sorted.capacity() >= 1_000, "the burst went through the sort buffer");
+        assert!(q.sorted.capacity() <= 2 * largest_tick, "sort buffer {}", q.sorted.capacity());
     }
 
     /// Pushes its id to a shared log when dropped.
@@ -643,6 +700,6 @@ mod tests {
         assert!(ops >= 100_000, "{ops} operations");
         assert!(preempting > 500, "{preempting} equal-time inserts went before a ready batch");
         assert!(wheel.items.len() <= wheel.stats().peak_pending);
-        assert_eq!(wheel.free.len(), wheel.items.len(), "every slot is free once drained");
+        assert_eq!(wheel.free_slots(), wheel.items.len(), "every slot is free once drained");
     }
 }

@@ -2,7 +2,7 @@
 //! global allocator so the bytes-per-client budget is *measured*, not
 //! estimated.
 //!
-//! This file holds two tier-1 tests (plus an `#[ignore]`d heavy one), and
+//! This file holds three tier-1 tests (plus an `#[ignore]`d heavy one), and
 //! each holds [`SERIAL`] for its whole body, so no concurrently running
 //! test in the same process pollutes the live-bytes deltas — with
 //! `--include-ignored` too.
@@ -15,7 +15,7 @@ use pbs::dist::Exponential;
 use pbs::kvs::staleness::GroundTruth;
 use pbs::kvs::{ClientOptions, Cluster, ClusterOptions, NetworkModel};
 use pbs::math::ReplicaConfig;
-use pbs::sim::SimTime;
+use pbs::sim::{EventQueue, SimTime, WheelQueue};
 use pbs::workload::{KeyChooser, OpMix, Poisson, SharedStream, Zipf};
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -68,9 +68,9 @@ fn live_bytes() -> u64 {
     LIVE.load(Relaxed)
 }
 
-/// Both tests read the one global [`LIVE`] counter and cargo runs tests
+/// The tests read the one global [`LIVE`] counter and cargo runs tests
 /// concurrently: each holds this lock for its whole body. A failed test
-/// poisons it, which must not fail the other one too.
+/// poisons it, which must not fail the others too.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn cluster(seed: u64, nodes: u32) -> Cluster {
@@ -202,6 +202,56 @@ fn ground_truth_fits_the_byte_budget_per_key() {
         per_key <= GROUND_TRUTH_BYTES_PER_KEY_BUDGET,
         "the ground truth costs {per_key} B/key over {tracked} keys \
          (budget {GROUND_TRUTH_BYTES_PER_KEY_BUDGET})"
+    );
+}
+
+/// Tier-1 scheduler gate: the event wheel holds each queued event once and
+/// no peak it no longer has. 80 rotations of the wheel's level 1: once per
+/// level-1 slot width (64 ticks of 2^16 ns) pop what is due and schedule
+/// 100 events spread over the next width, so every level-1 slot in turn
+/// holds the steady set; once per rotation 1,000 timers for one instant
+/// also wait in one level-1 slot, then one level-0 slot. Items are 88
+/// bytes, like the engine's `(ActorId, Event<Msg>)`.
+///
+/// The budget, at the run's peak of live bytes: twice the peak of pending
+/// events in slab slots (an `Option<[u64; 11]>`, 96 B) and 24-byte links,
+/// plus the largest tick (the burst and the one or two steady events in
+/// its 65.5 µs) in ready-batch entries (104 B) and 24-byte sort handles,
+/// plus 512 `u32` bucket heads. The run peaks at 1,199 pending events, so
+/// the budget is 418,064 B. A bucket that is one list head through the
+/// links reads 378,880. Buckets that are vectors of their own, each keeping
+/// the capacity it once held, read 790,336: Σ 19,448 handles for that peak.
+#[test]
+fn the_event_wheel_holds_each_queued_event_once() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let before = live_bytes();
+    PEAK.store(before, Relaxed);
+    let mut q: WheelQueue<[u64; 11]> = WheelQueue::new();
+    let width_ns = 64u64 << 16;
+    let mut lanes = 0u64..;
+    for step in 0..80 * 64 {
+        let now = step * width_ns;
+        while q.next_time().is_some_and(|at| at.as_nanos() <= now) {
+            q.pop();
+        }
+        for i in 0..100 {
+            let at = SimTime::from_ms((now + width_ns + i * width_ns / 100) as f64 / 1e6);
+            q.schedule(at, lanes.next().unwrap(), [7; 11]);
+        }
+        for _ in 0..if step % 64 == 8 { 1_000 } else { 0 } {
+            q.schedule(SimTime::from_ms(now as f64 / 1e6 + 120.0), lanes.next().unwrap(), [7; 11]);
+        }
+    }
+    let peak_bytes = PEAK.load(Relaxed) - before;
+    let pending = q.stats().peak_pending as u64;
+    let (slot, link, entry, handle) = (96, 24, 104, 24);
+    let largest_tick = 1_002;
+    let budget = 2 * pending * (slot + link) + largest_tick * (entry + handle) + 512 * 4;
+    assert_eq!(std::mem::size_of::<Option<[u64; 11]>>() as u64, slot);
+    assert_eq!(pending, 1_199, "the load's peak");
+    assert!(
+        peak_bytes <= budget,
+        "the wheel held {peak_bytes} B for a peak of {pending} events (budget {budget})"
     );
 }
 
