@@ -14,6 +14,11 @@
 //! `--seeds 0`, and a `--workers` outside `1..=8` (one node per worker at
 //! least), exit 2 before anything runs.
 //!
+//! Seed `i` of the sweep is `rand::child(BASE, i)`, so sweeps from nearby
+//! bases are independent samples. Each per-seed line and each `FAIL seed …`
+//! line prints that derived seed, and `--seed <printed> --seeds 1` replays
+//! it alone: stream 0 of a base is the base itself.
+//!
 //! `--lin` adds the WGL linearizability gate: each seed also runs a
 //! **fault-free** strict-quorum (N=3, R=W=2) pair, which must verify
 //! `Linearizable` on every key on both engines (`Exhausted` keys are
@@ -227,7 +232,7 @@ fn main() {
     let mut windows = LinCheck::default();
     let mut exhausted_keys = 0u64;
     for i in 0..seeds {
-        let seed = base.wrapping_add(i);
+        let seed = rand::child(base, i);
         let (node, at, down) = crash_plan(seed);
         let (serial_hist, serial_check) =
             run(EngineKind::SerialPartitioned { workers }, partial, seed, true);

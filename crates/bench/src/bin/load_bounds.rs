@@ -57,10 +57,10 @@ fn main() {
         ("RandomFixed(N=9, R=1, W=1)", Box::new(ReplicaConfig::new(9, 1, 1).unwrap())),
     ];
     let mut rows = Vec::new();
+    let p_seed = rand::child(opts.seed, 1);
     for (name, sys) in &systems {
         let l = analysis::measure_load(sys.as_ref(), opts.trials, opts.seed);
-        let p_int =
-            analysis::intersection_probability(sys.as_ref(), opts.trials, opts.seed.wrapping_add(1));
+        let p_int = analysis::intersection_probability(sys.as_ref(), opts.trials, p_seed);
         rows.push(vec![
             name.to_string(),
             format!("{l:.4}"),

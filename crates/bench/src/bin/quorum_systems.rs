@@ -41,11 +41,11 @@ fn main() {
         ("Tree(depth=4, skip=0.3)", Box::new(TreeQuorum::new(4, 0.3)), "mixed"),
     ];
     let mut rows = Vec::new();
-    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let mut rng = StdRng::seed_from_u64(rand::child(opts.seed, 2));
     let quarter = opts.trials.div_ceil(4);
     for (name, sys, size_note) in &systems {
         let p = analysis::intersection_probability(sys.as_ref(), quarter, opts.seed);
-        let load = analysis::measure_load(sys.as_ref(), quarter, opts.seed.wrapping_add(1));
+        let load = analysis::measure_load(sys.as_ref(), quarter, rand::child(opts.seed, 1));
         let mut sizes = 0u64;
         let samples = 10_000;
         for _ in 0..samples {
@@ -63,7 +63,7 @@ fn main() {
 
     report::header("Deterministic k-quorums (single writer, round robin)");
     let mut rows = Vec::new();
-    let mut rng = StdRng::seed_from_u64(opts.seed.wrapping_add(2));
+    let mut rng = StdRng::seed_from_u64(rand::child(opts.seed, 3));
     for (n, k) in [(9u32, 3u32), (10, 3), (12, 4)] {
         let mut writer = RoundRobinWriter::new(n, k);
         for _ in 0..(4 * k) {

@@ -43,7 +43,7 @@ fn main() {
                 Arc::new(Exponential::from_rate(al)),
             );
             let measured = measure_t_visibility_sharded(
-                ClusterOptions::validation(cfg, opts.seed),
+                ClusterOptions::validation(cfg, rand::child(opts.seed, 1)),
                 &network,
                 1,
                 &offsets,
@@ -53,12 +53,9 @@ fn main() {
 
             // --- WARS prediction: eight trials per probe (400,000 at the
             // default count) ---
-            // Base seed far from the measurement's: shard seeds derive as
-            // `seed ^ i`, so adjacent base seeds could share shard RNG
-            // streams between the two runs being compared.
             let predicted = HarnessOptions {
                 trials: 8 * offsets.len() * opts.trials,
-                seed: opts.seed.wrapping_add(0x10_000),
+                seed: rand::child(opts.seed, 2),
                 ..opts
             }
             .wars(&exponential_model(cfg, wl, al), &[(1, 1)])

@@ -138,6 +138,10 @@ golden! {
     // A failing seed dumps its minimized history under the --out directory.
     chaos_sweep_lin: "chaos_sweep" "--seeds 32 --lin --out {tmp}/chaos-artifacts"
         never "exhausted the WGL budget";
+    // The last seed that sweep prints, replayed alone (see
+    // `chaos_sweep_replays_a_printed_seed`).
+    chaos_sweep_replay:
+        "chaos_sweep" "--seeds 1 --seed 11028426030083068036 --out {tmp}/chaos-artifacts";
 
     // The other bins, at --quick.
     detector_quick: "detector" "--quick --seed 7 --threads 2";
@@ -217,6 +221,21 @@ fn readme_samples_are_golden_lines() {
             );
         }
     }
+}
+
+/// `chaos_sweep --seed <printed> --seeds 1` replays the printed seed: the
+/// replay's one seed line (reads, writes, crash plan) opens that seed's
+/// line of the 32-seed sweep, which goes on with the `--lin` fields.
+#[test]
+fn chaos_sweep_replays_a_printed_seed() {
+    let replay = read_golden("chaos_sweep_replay");
+    let line = replay.lines().find(|l| l.trim_start().starts_with("seed ")).expect("a seed line");
+    let fields = line.strip_suffix(')').expect("the seed line ends its fields with ')'");
+    let sweep = read_golden("chaos_sweep_lin");
+    assert!(
+        sweep.lines().any(|l| l.strip_prefix(fields).is_some_and(|rest| rest.starts_with("; "))),
+        "tests/golden/chaos_sweep_lin.txt has no line that opens with {fields:?}"
+    );
 }
 
 #[test]

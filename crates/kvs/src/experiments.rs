@@ -115,9 +115,9 @@ pub fn measure_t_visibility(
 
 /// Sharded [`measure_t_visibility`]: the probe budget splits across
 /// `threads` **independent clusters** (shard `i` gets cluster seed
-/// `opts.seed ^ i` via the deterministic runner), so cluster simulation
-/// saturates every core. Results merge per offset and are bit-reproducible
-/// for a fixed `(opts.seed, threads)` pair.
+/// `rand::child(opts.seed, i)` via the deterministic runner), so cluster
+/// simulation saturates every core. Results merge per offset and are
+/// bit-reproducible for a fixed `(opts.seed, threads)` pair.
 pub fn measure_t_visibility_sharded(
     opts: ClusterOptions,
     network: &NetworkModel,

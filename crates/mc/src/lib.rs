@@ -5,10 +5,11 @@
 //! cluster-simulation probes). Two pieces:
 //!
 //! * [`Runner`] — a deterministic sharded trial runner. `trials` split
-//!   across `threads` shards; shard `i` seeds its RNG from `seed ^ i`;
-//!   per-shard [`Mergeable`] accumulators fold in shard order. Results are
-//!   **bit-reproducible for a fixed `(seed, threads)` pair** and agree
-//!   across thread counts within Monte-Carlo error.
+//!   across `threads` shards; shard `i` seeds its RNG from
+//!   `rand::child(seed, i)`; per-shard [`Mergeable`] accumulators fold in
+//!   shard order. Results are **bit-reproducible for a fixed
+//!   `(seed, threads)` pair**, agree across thread counts within
+//!   Monte-Carlo error, and are independent samples for distinct seeds.
 //! * [`QuantileSketch`] (alias [`Summary`], the name consumers record
 //!   into) / [`Moments`] — streaming per-shard statistics in O(1) memory:
 //!   a mergeable t-digest quantile sketch (rank error ∝ 1/compression,

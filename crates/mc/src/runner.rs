@@ -2,18 +2,19 @@
 //!
 //! Every Monte-Carlo workload in the workspace funnels through [`Runner`]:
 //! `trials` are split across `threads` shards, shard `i` derives its RNG
-//! seed as `seed ^ i`, and per-shard accumulators are merged in ascending
-//! shard order. The result is therefore **bit-reproducible for a fixed
-//! `(seed, threads)` pair** — independent of scheduling, core count, or
-//! whether shards actually ran concurrently.
+//! seed as `rand::child(seed, i)`, and per-shard accumulators are merged in
+//! ascending shard order. The result is therefore **bit-reproducible for a
+//! fixed `(seed, threads)` pair** — independent of scheduling, core count,
+//! or whether shards actually ran concurrently — and two base seeds draw
+//! two independent samples.
 //!
 //! Determinism contract:
 //!
 //! 1. shard `i` runs `trials/threads` trials, plus one extra for the first
 //!    `trials % threads` shards (so shard sizes depend only on
 //!    `(trials, threads)`);
-//! 2. shard `i` seeds a fresh [`StdRng`] from `seed ^ i` (shard 0 therefore
-//!    replays the unsharded `seed` stream exactly);
+//! 2. shard `i` seeds a fresh [`StdRng`] from `rand::child(seed, i)` (shard
+//!    0 therefore replays the unsharded `seed` stream exactly);
 //! 3. accumulators merge left-to-right in shard order, regardless of
 //!    completion order.
 //!
@@ -80,9 +81,10 @@ pub struct ShardInfo {
     pub index: usize,
     /// Trials assigned to this shard (may be 0 when `threads > trials`).
     pub trials: usize,
-    /// The shard's derived seed, `runner_seed ^ index` — already used to
-    /// seed the `StdRng` handed to the closure, exposed for workloads that
-    /// seed their own sub-generators (e.g. whole-cluster simulations).
+    /// The shard's derived seed, `rand::child(runner_seed, index)` — already
+    /// used to seed the `StdRng` handed to the closure, exposed for
+    /// workloads that seed their own sub-generators (e.g. whole-cluster
+    /// simulations).
     pub seed: u64,
 }
 
@@ -151,16 +153,10 @@ impl Runner {
         base + extra
     }
 
-    /// Shard `i`'s derived RNG seed: `seed ^ i`.
-    ///
-    /// Note for callers comparing **independent** runs: because derivation
-    /// is a raw XOR, two runs whose base seeds differ by less than the
-    /// shard count can share shard seeds (e.g. base seeds 42 and 43 with
-    /// `threads ≥ 2` both produce shard seed 43). Separate independent
-    /// runs' base seeds by more than the largest thread count in play.
+    /// Shard `i`'s derived RNG seed: `rand::child(seed, i)`.
     pub fn shard_seed(&self, index: usize) -> u64 {
         assert!(index < self.threads);
-        self.seed ^ index as u64
+        rand::child(self.seed, index as u64)
     }
 
     /// The host's available parallelism (≥ 1) — a command line's default
@@ -211,9 +207,11 @@ impl Runner {
     }
 
     /// Whole-run replication over [`run`](Self::run): each trial is one
-    /// independent run, and run `j` of a shard is handed the seed
-    /// `shard_seed ^ (j · φ64)` (φ64 the 64-bit golden ratio). Each shard
-    /// folds its runs into `init()` in run order.
+    /// independent run, and the run with global index `j` (its shard's first
+    /// index plus its place in the shard) is handed the seed
+    /// `rand::child(seed, j)`, so the set of run seeds depends on
+    /// `(seed, trials)` alone, not on `threads`. Each shard folds its runs
+    /// into `init()` in run order.
     pub fn run_replicas<A, FI, FR>(&self, init: FI, replica: FR) -> A
     where
         A: Mergeable + Send,
@@ -221,9 +219,10 @@ impl Runner {
         FR: Fn(u64) -> A + Sync,
     {
         self.run(|_rng, info| {
+            let first: usize = (0..info.index).map(|i| self.shard_trials(i)).sum();
             let mut acc = init();
-            for j in 0..info.trials {
-                acc.merge(replica(info.seed ^ (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+            for j in first..first + info.trials {
+                acc.merge(replica(rand::child(self.seed, j as u64)));
             }
             acc
         })
@@ -284,10 +283,26 @@ mod tests {
     }
 
     #[test]
-    fn shard_seed_is_xor() {
+    fn shard_seed_is_the_child_seed() {
         let r = Runner::new(8, 0b1010, 4);
         assert_eq!(r.shard_seed(0), 0b1010);
-        assert_eq!(r.shard_seed(3), 0b1001);
+        for i in 1..4 {
+            assert_eq!(r.shard_seed(i), rand::child(0b1010, i as u64));
+        }
+    }
+
+    /// No derived seed of one base seed equals a derived seed of another
+    /// (or another of its own): shard seeds at 2, 4, 8 and 64 threads and
+    /// replica seeds of up to 16 runs are all `child(base, stream)` with
+    /// `stream < 64`.
+    #[test]
+    fn child_seeds_of_nearby_bases_are_distinct() {
+        let mut seeds: Vec<u64> =
+            (0..4096u64).flat_map(|base| (0..64).map(move |s| rand::child(base, s))).collect();
+        seeds.sort_unstable();
+        let total = seeds.len();
+        seeds.dedup();
+        assert_eq!(seeds.len(), total, "two (base, stream) pairs share a seed");
     }
 
     #[test]
@@ -332,18 +347,35 @@ mod tests {
         assert_eq!(order.0, (0..8).collect::<Vec<u64>>());
     }
 
-    #[test]
-    fn replica_seeds_follow_the_golden_ratio_rule() {
-        struct Seeds(Vec<u64>);
-        impl Mergeable for Seeds {
-            fn merge(&mut self, other: Self) {
-                self.0.extend(other.0);
-            }
+    struct Seeds(Vec<u64>);
+    impl Mergeable for Seeds {
+        fn merge(&mut self, other: Self) {
+            self.0.extend(other.0);
         }
-        let seeds = Runner::new(3, 0b1010, 2)
-            .run_replicas(|| Seeds(Vec::new()), |seed| Seeds(vec![seed]));
-        let phi = 0x9e37_79b9_7f4a_7c15u64;
-        assert_eq!(seeds.0, vec![0b1010, 0b1010 ^ phi, 0b1011]);
+    }
+
+    fn replica_seeds(trials: usize, seed: u64, threads: usize) -> Vec<u64> {
+        Runner::new(trials, seed, threads)
+            .run_replicas(|| Seeds(Vec::new()), |seed| Seeds(vec![seed]))
+            .0
+    }
+
+    #[test]
+    fn replica_seeds_follow_the_global_index() {
+        let want: Vec<u64> = (0..3).map(|j| rand::child(0b1010, j)).collect();
+        assert_eq!(replica_seeds(3, 0b1010, 2), want);
+        assert_eq!(want[0], 0b1010, "run 0 keeps the base seed");
+    }
+
+    #[test]
+    fn replica_seeds_do_not_depend_on_threads() {
+        let mut one = replica_seeds(13, 7, 1);
+        one.sort_unstable();
+        for threads in [2, 3, 8] {
+            let mut seeds = replica_seeds(13, 7, threads);
+            seeds.sort_unstable();
+            assert_eq!(seeds, one, "{threads} threads");
+        }
     }
 
     #[test]

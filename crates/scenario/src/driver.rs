@@ -336,8 +336,8 @@ pub fn run_scenario(scenario: &Scenario, run_seed: u64) -> ScenarioRun {
 
 /// Replicate `scenario` across `trials` independent whole-scenario runs
 /// sharded over `threads` on the `pbs-mc` runner
-/// ([`Runner::run_replicas`]: shard `i` seeds `seed ^ i`, each run gets
-/// its replica seed, accumulators merge in shard order), yielding
+/// ([`Runner::run_replicas`]: run `j` gets the seed `rand::child(seed, j)`,
+/// accumulators merge in shard order), yielding
 /// per-window counts large enough for confidence intervals. Results are
 /// bit-reproducible for a fixed `(seed, threads)` pair.
 pub fn run_scenario_sharded(

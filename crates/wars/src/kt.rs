@@ -234,9 +234,9 @@ mod tests {
                 threads: 2,
             },
         );
-        let behind = [11_740.0, 7_755.0, 500.0, 5.0].map(|reads| reads / 20_000.0);
+        let behind = [11_691.0, 7_790.0, 509.0, 10.0].map(|reads| reads / 20_000.0);
         assert_eq!(res.versions_behind, behind);
-        assert_eq!(res.violation.to_bits(), 0x3f30_624d_d2f1_a9fc, "{}", res.violation);
+        assert_eq!(res.violation.to_bits(), 0x3f40_624d_d2f1_a9fc, "{}", res.violation);
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //! "t at 99.9% consistency" directly.
 //!
 //! Execution runs on the deterministic sharded runner and streaming
-//! summaries of `pbs-mc`: trials shard as `seed ^ shard_index`, per-shard
-//! quantile sketches merge in shard order, so results are bit-reproducible
-//! for a fixed `(seed, threads)` pair and peak memory is independent of
-//! the trial count.
+//! summaries of `pbs-mc`: shard `i` seeds from `rand::child(seed, i)`,
+//! per-shard quantile sketches merge in shard order, so results are
+//! bit-reproducible for a fixed `(seed, threads)` pair and peak memory is
+//! independent of the trial count.
 //!
 //! A trial's draws depend on `N` alone, so there is **one sample stream per
 //! (model, N, seed)** and configurations are views of it: a trial is sampled

@@ -118,9 +118,10 @@ impl TVisibility {
     ///
     /// Trials shard across `threads` threads on the [`pbs_mc::Runner`].
     /// Deterministic for a fixed `(seed, threads)` pair: shard `i` uses seed
-    /// `seed ^ i` and shard summaries merge in shard order, so repeated runs
-    /// are bit-identical regardless of scheduling. Peak memory is
-    /// O(threads · summaries · sketch compression) — independent of `trials`.
+    /// `rand::child(seed, i)` and shard summaries merge in shard order, so
+    /// repeated runs are bit-identical regardless of scheduling. Peak memory
+    /// is O(threads · summaries · sketch compression) — independent of
+    /// `trials`.
     ///
     /// Panics if `trials == 0`, `threads == 0`, or a pair is not a valid
     /// quorum configuration for the model's `N`.

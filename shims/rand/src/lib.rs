@@ -162,6 +162,9 @@ pub trait Rng: RngCore {
 
 impl<R: RngCore + ?Sized> Rng for R {}
 
+/// SplitMix64's state increment: 2^64 over the golden ratio, rounded to odd.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 /// The SplitMix64 finalizer (Steele et al.): a bijection on `u64` that
 /// spreads every input bit over every output bit. [`SeedableRng`] seeding
 /// mixes `seed + k·φ` through it; the workspace's hashes call it directly.
@@ -171,6 +174,21 @@ pub fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The seed of stream `stream` of a run seeded `seed`: `seed` itself for
+/// stream 0, else the `stream`-th output of a SplitMix64 generator whose
+/// state starts at `seed` (`mix64(seed + stream·φ)`). For a fixed `seed`
+/// it is injective in `stream`, since both steps are bijections. A run that
+/// needs two independent samples takes streams 1 and 2: stream 0 is the
+/// base seed, which the run's own within-run splits already draw from.
+/// Upstream `rand` has no such function: this one is the shim's own.
+#[inline]
+pub fn child(seed: u64, stream: u64) -> u64 {
+    if stream == 0 {
+        return seed;
+    }
+    mix64(seed.wrapping_add(stream.wrapping_mul(GAMMA)))
 }
 
 /// Generators constructible from a seed.
@@ -198,7 +216,7 @@ pub mod rngs {
             // 256-bit state; guarantees a nonzero state for every seed.
             let mut x = state;
             let mut next = || {
-                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                x = x.wrapping_add(super::GAMMA);
                 super::mix64(x)
             };
             StdRng { s: [next(), next(), next(), next()] }
@@ -231,6 +249,19 @@ mod tests {
         let outputs = [0xE220_A839_7B1D_CDAF, 0x6E78_9E6A_A1B9_65F4, 0x06C4_5D18_8009_454F];
         for (k, want) in (1..).zip(outputs) {
             assert_eq!(super::mix64(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(k)), want);
+        }
+    }
+
+    #[test]
+    fn child_keeps_stream_zero_and_is_injective_in_the_stream() {
+        for seed in [0, u64::MAX] {
+            assert_eq!(super::child(seed, 0), seed);
+        }
+        for seed in [0, 7, u64::MAX] {
+            let mut seen: Vec<u64> = (0..65_536).map(|s| super::child(seed, s)).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            assert_eq!(seen.len(), 65_536, "seed {seed}: two streams share a child seed");
         }
     }
 

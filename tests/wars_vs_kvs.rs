@@ -20,7 +20,7 @@ fn validate_combo(w_rate: f64, ars_rate: f64, seed: u64) -> (f64, f64) {
     // Sharded live-store measurement (two independent clusters) against a
     // sharded WARS prediction — both paths run on the pbs-mc runner.
     let measured = measure_t_visibility_sharded(
-        ClusterOptions::validation(cfg, seed),
+        ClusterOptions::validation(cfg, rand::child(seed, 1)),
         &NetworkModel::w_ars(
             Arc::new(Exponential::from_rate(w_rate)),
             Arc::new(Exponential::from_rate(ars_rate)),
@@ -30,12 +30,10 @@ fn validate_combo(w_rate: f64, ars_rate: f64, seed: u64) -> (f64, f64) {
         trials_per_offset,
         2,
     );
-    // Far-offset base seed: `seed ^ i` shard derivation means adjacent
-    // base seeds could hand both runs the same shard RNG streams.
     let predicted = TVisibility::simulate_parallel(
         &exponential_model(cfg, w_rate, ars_rate),
         200_000,
-        seed + 0x10_000,
+        rand::child(seed, 2),
         2,
     );
 
