@@ -1,6 +1,6 @@
 //! §3.3 — load and capacity under staleness tolerance: the k-staleness
 //! load lower bound `(1 − p^{1/(2k)})/√N` versus the strict and
-//! ε-intersecting bounds, plus measured loads of real constructions.
+//! ε-intersecting bounds, plus the exact loads of real constructions.
 
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{load, ReplicaConfig};
@@ -47,24 +47,24 @@ fn main() {
     }
     report::table(&["γgw", "γcr", "effective k", "load ≥"], &rows);
 
-    report::header("Measured load of classic constructions (uniform strategy)");
+    report::header("Load of classic constructions (uniform strategy)");
     let systems: Vec<(&str, Box<dyn QuorumSystem>)> = vec![
         ("Majority(N=9)", Box::new(ReplicaConfig::majority(9).unwrap())),
         ("Grid(3×3)", Box::new(Grid::new(3))),
         ("Tree(depth=3, skip=0)", Box::new(TreeQuorum::new(3, 0.0))),
         ("Tree(depth=3, skip=0.3)", Box::new(TreeQuorum::new(3, 0.3))),
-        ("RandomFixed(N=9, R=3, W=3)", Box::new(ReplicaConfig::new(9, 3, 3).unwrap())),
-        ("RandomFixed(N=9, R=1, W=1)", Box::new(ReplicaConfig::new(9, 1, 1).unwrap())),
+        ("R-of-N(N=9, R=3, W=3)", Box::new(ReplicaConfig::new(9, 3, 3).unwrap())),
+        ("R-of-N(N=9, R=1, W=1)", Box::new(ReplicaConfig::new(9, 1, 1).unwrap())),
     ];
     let mut rows = Vec::new();
     let p_seed = rand::child(opts.seed, 1);
     for (name, sys) in &systems {
-        let l = analysis::measure_load(sys.as_ref(), opts.trials, opts.seed);
+        let l = analysis::load(sys.as_ref());
         let p_int = analysis::intersection_probability(sys.as_ref(), opts.trials, p_seed);
         rows.push(vec![
             name.to_string(),
             format!("{l:.4}"),
-            format!("{:.4}", 1.0 / l),
+            format!("{:.4}", load::capacity_from_load(l)),
             report::pct(p_int),
         ]);
     }

@@ -1,14 +1,13 @@
-//! §2.1 context — classic quorum constructions: intersection probability,
-//! quorum sizes, and load, including the paper's probabilistic-quorum
-//! asymptotics example (`N=100, R=W=30 → p_s ≈ 1.88e-6` vs. `N=3, R=W=1 →
-//! p_s = 2/3`).
+//! §2.1 context — classic quorum constructions: intersection probability
+//! (Monte Carlo), exact mean quorum sizes and load, and the k-quorum
+//! staleness of every replica over a cursor period, including the paper's
+//! probabilistic-quorum asymptotics example (`N=100, R=W=30 → p_s ≈
+//! 1.88e-6` vs. `N=3, R=W=1 → p_s = 2/3`).
 
 use pbs_bench::{report, HarnessOptions};
 use pbs_core::{staleness, ReplicaConfig};
 use pbs_quorum::kquorum::RoundRobinWriter;
 use pbs_quorum::{analysis, Grid, NodeSet, QuorumSystem, TreeQuorum};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 fn main() {
     let opts = HarnessOptions::parse(200_000);
@@ -41,39 +40,34 @@ fn main() {
         ("Tree(depth=4, skip=0.3)", Box::new(TreeQuorum::new(4, 0.3)), "mixed"),
     ];
     let mut rows = Vec::new();
-    let mut rng = StdRng::seed_from_u64(rand::child(opts.seed, 2));
     let quarter = opts.trials.div_ceil(4);
     for (name, sys, size_note) in &systems {
         let p = analysis::intersection_probability(sys.as_ref(), quarter, opts.seed);
-        let load = analysis::measure_load(sys.as_ref(), quarter, rand::child(opts.seed, 1));
-        let mut sizes = 0u64;
-        let samples = 10_000;
-        for _ in 0..samples {
-            sizes += sys.sample_read(&mut rng).len() as u64;
-        }
+        let mean_size: f64 = (0..sys.universe()).map(|node| sys.inclusion(node).0).sum();
         rows.push(vec![
             name.to_string(),
             size_note.to_string(),
-            format!("{:.2}", sizes as f64 / samples as f64),
+            format!("{mean_size:.2}"),
             report::pct(p),
-            format!("{load:.4}"),
+            format!("{:.4}", analysis::load(sys.as_ref())),
         ]);
     }
     report::table(&["system", "min quorum", "mean size", "P(intersect)", "load"], &rows);
 
     report::header("Deterministic k-quorums (single writer, round robin)");
     let mut rows = Vec::new();
-    let mut rng = StdRng::seed_from_u64(rand::child(opts.seed, 3));
     for (n, k) in [(9u32, 3u32), (10, 3), (12, 4)] {
         let mut writer = RoundRobinWriter::new(n, k);
         for _ in 0..(4 * k) {
             writer.write();
         }
+        // Every replica after each write of one cursor period (`n` writes).
         let mut worst = 0u64;
-        for _ in 0..2_000 {
+        for _ in 0..n {
             writer.write();
-            let node = rng.gen_range(0..n);
-            worst = worst.max(writer.staleness(NodeSet::singleton(node)));
+            for node in 0..n {
+                worst = worst.max(writer.staleness(NodeSet::singleton(node)));
+            }
         }
         rows.push(vec![
             format!("N={n}, k={k}"),

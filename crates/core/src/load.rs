@@ -13,6 +13,12 @@
 //! which is *asymptotically* lower than both the strict bound and the plain
 //! probabilistic bound — staleness tolerance buys capacity.
 //!
+//! `pbs_quorum::analysis::load` is the load of a construction's own sampling
+//! strategy, an upper bound on the Naor–Wool minimum: equal for the counted
+//! R-of-N system and the grid, but for a tree only at a fitting skip
+//! probability (the depth-2 tree is the 2-of-3 majority, load 2/3, which its
+//! sampler reaches at skip 1/3 alone).
+//!
 //! Note on the paper text: the flattened arXiv rendering prints this bound as
 //! `(1−p)^{1/2k}/√N`; the derivation from `ε = p^{1/k}` (also stated inline,
 //! as "ε = k√p", i.e. the k-th root) pins the intended grouping to

@@ -1,7 +1,7 @@
-//! Monte-Carlo analysis of quorum systems: intersection probability,
-//! k-staleness, and load.
+//! Analysis of quorum systems: intersection probability and k-staleness by
+//! Monte Carlo, and load computed exactly from each node's inclusion
+//! probability.
 
-use crate::nodeset::NodeSet;
 use crate::systems::QuorumSystem;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -55,33 +55,25 @@ pub fn k_staleness_mc<S: QuorumSystem + ?Sized>(
     misses_all as f64 / trials as f64
 }
 
-/// Measured load of a quorum system *under its own sampling strategy*: the
-/// access frequency of the busiest replica across `trials` quorum draws
-/// (reads and writes weighted equally).
+/// Load of a quorum system *under its own sampling strategy*: the access
+/// probability of its busiest replica, reads and writes weighted equally —
+/// the largest `(read + write)/2` of [`QuorumSystem::inclusion`] over the
+/// universe. Nothing is sampled, so any universe size is allowed.
 ///
 /// This is an upper bound on the Naor–Wool load (which optimises over all
 /// access strategies); for symmetric systems — the R-of-N / W-of-N
 /// [`ReplicaConfig`](pbs_core::ReplicaConfig) system, majority included, and
 /// [`crate::Grid`] with uniform row/column choice — uniform sampling is
-/// optimal and the measured value converges to the true load.
-pub fn measure_load<S: QuorumSystem + ?Sized>(sys: &S, trials: usize, seed: u64) -> f64 {
-    assert!(trials > 0);
-    let n = sys.universe() as usize;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut counts = vec![0u64; n];
-    let mut total_quorums = 0u64;
-    let record = |q: NodeSet, counts: &mut Vec<u64>| {
-        for i in q.iter() {
-            counts[i as usize] += 1;
-        }
-    };
-    for _ in 0..trials {
-        record(sys.sample_read(&mut rng), &mut counts);
-        record(sys.sample_write(&mut rng), &mut counts);
-        total_quorums += 2;
-    }
-    let busiest = counts.iter().copied().max().unwrap_or(0);
-    busiest as f64 / total_quorums as f64
+/// optimal and the two are equal. A [`crate::TreeQuorum`]'s sampler is not
+/// optimal in general: at depth 2 the tree is the 2-of-3 majority, load
+/// 2/3, which the sampler reaches only at skip probability 1/3.
+pub fn load<S: QuorumSystem + ?Sized>(sys: &S) -> f64 {
+    (0..sys.universe())
+        .map(|node| {
+            let (read, write) = sys.inclusion(node);
+            (read + write) / 2.0
+        })
+        .fold(0.0, f64::max)
 }
 
 #[cfg(test)]
@@ -130,18 +122,15 @@ mod tests {
     #[test]
     fn grid_load_is_near_two_over_sqrt_n() {
         // Row∪column quorums of size 2√N−1 under uniform choice give each
-        // node access probability ≈ (2√N−1)/N ≈ 2/√N.
-        let sys = Grid::new(5);
-        let load = measure_load(&sys, 100_000, 1);
-        let expected = (2.0 * 5.0 - 1.0) / 25.0;
-        assert!((load - expected).abs() < 0.01, "load {load} vs {expected}");
+        // node access probability (2√N−1)/N ≈ 2/√N.
+        let load = load(&Grid::new(5));
+        assert!((load - 9.0 / 25.0).abs() < 1e-12, "load {load}");
     }
 
     #[test]
     fn majority_load_is_about_half() {
-        let sys = ReplicaConfig::majority(9).unwrap();
-        let load = measure_load(&sys, 100_000, 2);
-        assert!((load - 5.0 / 9.0).abs() < 0.01, "load {load}");
+        let load = load(&ReplicaConfig::majority(9).unwrap());
+        assert!((load - 5.0 / 9.0).abs() < 1e-12, "load {load}");
     }
 
     #[test]
@@ -149,37 +138,38 @@ mod tests {
         // §3.3's point: a partial system's busiest node can fall below the
         // strict 1/√N floor.
         let n = 16u32;
-        let partial = ReplicaConfig::new(n, 1, 1).unwrap();
-        let load = measure_load(&partial, 100_000, 5);
+        let load = load(&ReplicaConfig::new(n, 1, 1).unwrap());
+        assert!((load - 1.0 / 16.0).abs() < 1e-12, "load {load}");
         let strict_floor = pbs_core::load::strict_load_lower_bound(n);
-        assert!(
-            load < strict_floor,
-            "partial load {load} should beat strict floor {strict_floor}"
-        );
+        assert!(load < strict_floor, "partial load {load}, strict floor {strict_floor}");
     }
 
     #[test]
     fn tree_quorum_root_is_the_bottleneck() {
         // Root-path tree quorums are small (O(log N)) but concentrate load
         // on the root: with skip=0 every quorum contains it → load 1.
-        let tree = TreeQuorum::new(4, 0.0);
-        let tl = measure_load(&tree, 20_000, 8);
+        let tl = load(&TreeQuorum::new(4, 0.0));
         assert!((tl - 1.0).abs() < 1e-12, "root load {tl}");
-        // Routing around the root with some probability spreads the load.
-        let spread = TreeQuorum::new(4, 0.4);
-        let sl = measure_load(&spread, 50_000, 8);
-        assert!(sl < 0.9, "skip=0.4 load {sl} should fall below root-always");
+        // Routing around the root with some probability spreads the load,
+        // and the root, in 1 − skip of the quorums, is still the busiest.
+        let sl = load(&TreeQuorum::new(4, 0.4));
+        assert!((sl - 0.6).abs() < 1e-12, "skip=0.4 load {sl}");
+        // The depth-2 tree is the 2-of-3 majority: skip 1/3 balances the
+        // root (2/3) against each leaf ((1 + 1/3)/2) at its load 2/3.
+        let balanced = load(&TreeQuorum::new(2, 1.0 / 3.0));
+        assert!((balanced - 2.0 / 3.0).abs() < 1e-12, "depth-2 load {balanced}");
+    }
+
+    /// Sampling needs a 64-replica [`NodeSet`](crate::NodeSet); the load
+    /// does not.
+    #[test]
+    fn load_is_computed_beyond_64_replicas() {
+        assert_eq!(load(&ReplicaConfig::new(100, 30, 30).unwrap()), 0.3);
     }
 
     #[test]
     #[should_panic(expected = "at most 64 replicas")]
     fn intersection_probability_refuses_more_than_64_replicas() {
         intersection_probability(&ReplicaConfig::new(65, 1, 1).unwrap(), 1, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 replicas")]
-    fn measure_load_refuses_more_than_64_replicas() {
-        measure_load(&ReplicaConfig::new(65, 1, 1).unwrap(), 1, 0);
     }
 }

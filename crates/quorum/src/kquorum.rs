@@ -83,8 +83,6 @@ impl RoundRobinWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     #[test]
     fn group_size_is_ceil_n_over_k() {
@@ -94,26 +92,33 @@ mod tests {
         assert_eq!(RoundRobinWriter::new(5, 5).group_size(), 1);
     }
 
+    /// For every `n ≤ 64` and `k ≤ n`: after one cursor period of warm-up,
+    /// no replica is ever more than the bound behind across the next
+    /// period (`n` writes, a whole number of cursor cycles), and some
+    /// replica is exactly that far behind.
     #[test]
     fn staleness_never_exceeds_bound() {
-        for (n, k) in [(9u32, 3u32), (10, 3), (12, 4), (7, 2), (5, 5)] {
-            let mut writer = RoundRobinWriter::new(n, k);
-            // Warm up: cover every replica at least once.
-            for _ in 0..(k * 4) {
-                writer.write();
-            }
-            let bound = writer.worst_case_staleness_bound();
-            assert!(bound < k as u64 || writer.group_size() * k < n);
-            let mut rng = StdRng::seed_from_u64(13);
-            for _ in 0..500 {
-                writer.write();
-                // Any single-replica read.
-                let node = rng.gen_range(0..n);
-                let staleness = writer.staleness(NodeSet::singleton(node));
-                assert!(
-                    staleness <= bound,
-                    "n={n} k={k}: replica {node} is {staleness} behind (bound {bound})"
-                );
+        for n in 1..=64u32 {
+            for k in 1..=n {
+                let mut writer = RoundRobinWriter::new(n, k);
+                for _ in 0..n {
+                    writer.write();
+                }
+                let bound = writer.worst_case_staleness_bound();
+                assert!(bound < k as u64, "n={n} k={k}: bound {bound}");
+                let mut worst = 0;
+                for _ in 0..n {
+                    writer.write();
+                    for node in 0..n {
+                        let staleness = writer.version - writer.replica_versions[node as usize];
+                        assert!(
+                            staleness <= bound,
+                            "n={n} k={k}: replica {node} is {staleness} behind (bound {bound})"
+                        );
+                        worst = worst.max(staleness);
+                    }
+                }
+                assert_eq!(worst, bound, "n={n} k={k}: the bound is never attained");
             }
         }
     }

@@ -5,7 +5,8 @@
 //! a predicate over who answered
 //! ([`is_read_quorum`](QuorumSystem::is_read_quorum),
 //! [`is_write_quorum`](QuorumSystem::is_write_quorum)) with a sampler that
-//! draws a member:
+//! draws a member and the exact probability that the sampler includes each
+//! replica ([`inclusion`](QuorumSystem::inclusion)):
 //!
 //! * **the counted system** — [`pbs_core::ReplicaConfig`], uniformly random
 //!   `R`-of-`N` reads and `W`-of-`N` writes, the model behind every PBS
@@ -18,9 +19,10 @@
 //!   single-writer construction whose reads are never more than `k`
 //!   versions stale (Aiyer et al., §2.1).
 //!
-//! [`analysis`] provides Monte-Carlo intersection probability, k-staleness,
-//! and load measurements for any [`QuorumSystem`] over at most 64 replicas,
-//! cross-validated against the `pbs-core` closed forms where those exist.
+//! [`analysis`] estimates intersection probability and k-staleness by Monte
+//! Carlo for any [`QuorumSystem`] over at most 64 replicas, cross-validated
+//! against the `pbs-core` closed forms where those exist, and computes a
+//! system's load exactly from its inclusion probabilities.
 //! The `pbs-kvs` store's coordinators complete every read and write on the
 //! predicates, over the preference-list positions that have answered.
 
@@ -32,6 +34,6 @@ pub mod kquorum;
 pub mod nodeset;
 pub mod systems;
 
-pub use analysis::{intersection_probability, k_staleness_mc, measure_load};
+pub use analysis::{intersection_probability, k_staleness_mc, load};
 pub use nodeset::NodeSet;
 pub use systems::{Grid, QuorumSystem, TreeQuorum};

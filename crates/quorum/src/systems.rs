@@ -31,6 +31,15 @@ pub trait QuorumSystem: Send + Sync {
 
     /// Whether `answered` contains a write quorum.
     fn is_write_quorum(&self, answered: NodeSet) -> bool;
+
+    /// The exact probabilities `(read, write)` that
+    /// [`sample_read`](Self::sample_read) and
+    /// [`sample_write`](Self::sample_write) put `node` (`< universe()`) in
+    /// their quorum: the node's access probabilities under the strategy the
+    /// samplers draw from. Summed over the universe they are the mean
+    /// quorum sizes; [`analysis::load`](crate::analysis::load) is the
+    /// busiest node's mean of the two.
+    fn inclusion(&self, node: u32) -> (f64, f64);
 }
 
 /// Sample a uniformly random subset of size `k` from `0..n` (partial
@@ -79,6 +88,11 @@ impl QuorumSystem for ReplicaConfig {
     #[inline]
     fn is_write_quorum(&self, answered: NodeSet) -> bool {
         answered.len() >= self.w()
+    }
+
+    fn inclusion(&self, _node: u32) -> (f64, f64) {
+        let n = self.n() as f64;
+        (self.r() as f64 / n, self.w() as f64 / n)
     }
 }
 
@@ -144,6 +158,13 @@ impl QuorumSystem for Grid {
 
     fn is_write_quorum(&self, answered: NodeSet) -> bool {
         self.is_quorum(answered)
+    }
+
+    /// A node is in the quorum when its row or its column is drawn:
+    /// `2/side − 1/side²`.
+    fn inclusion(&self, _node: u32) -> (f64, f64) {
+        let p = (2 * self.side - 1) as f64 / (self.side * self.side) as f64;
+        (p, p)
     }
 }
 
@@ -223,6 +244,19 @@ impl QuorumSystem for TreeQuorum {
     fn is_write_quorum(&self, answered: NodeSet) -> bool {
         self.is_read_quorum(answered)
     }
+
+    /// The recursion enters a child of an entered subtree with probability
+    /// `skip + (1 − skip)/2`, so a node at `level` is entered with
+    /// probability `e = ((1 + skip)/2)^level`. A leaf is in the quorum once
+    /// entered; an inner node unless its root is skipped: `(1 − skip)·e`.
+    fn inclusion(&self, node: u32) -> (f64, f64) {
+        debug_assert!(node < self.universe());
+        let level = (node + 1).ilog2();
+        let entered = ((1.0 + self.skip_root_prob) / 2.0).powi(level as i32);
+        let leaf = level + 1 == self.depth;
+        let p = if leaf { entered } else { (1.0 - self.skip_root_prob) * entered };
+        (p, p)
+    }
 }
 
 #[cfg(test)]
@@ -231,22 +265,48 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Every construction's samplers put each node in a quorum as often as
+    /// [`QuorumSystem::inclusion`] says: over 20,000 read and 20,000 write
+    /// draws per system, each node's frequency lies within six binomial
+    /// standard deviations of its inclusion (about 2·10⁻⁹ per comparison,
+    /// over some 1,200 comparisons); an inclusion of 0 or 1 is met exactly.
+    /// The counted system draws through `random_subset`, so this also holds
+    /// its subsets to size and uniformity.
     #[test]
     fn random_subset_sizes_and_uniformity() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut counts = [0usize; 5];
-        let trials = 50_000;
-        for _ in 0..trials {
-            let s = random_subset(&mut rng, 5, 2);
-            assert_eq!(s.len(), 2);
-            for i in s.iter() {
-                counts[i as usize] += 1;
-            }
+        const DRAWS: usize = 20_000;
+        type Row = (String, Box<dyn QuorumSystem>);
+        fn row<S: QuorumSystem + std::fmt::Debug + 'static>(sys: S) -> Row {
+            (format!("{sys:?}"), Box::new(sys))
         }
-        // Each node appears in a 2-of-5 subset with probability 2/5.
-        for (i, &c) in counts.iter().enumerate() {
-            let frac = c as f64 / trials as f64;
-            assert!((frac - 0.4).abs() < 0.02, "node {i}: {frac}");
+        let grids = (1..=8).map(|side| row(Grid::new(side)));
+        let trees =
+            (1..=6).flat_map(|depth| [0.0, 0.3, 1.0].map(|skip| row(TreeQuorum::new(depth, skip))));
+        let counted = [(9, 3, 3), (9, 1, 1)]
+            .map(|(n, r, w)| ReplicaConfig::new(n, r, w).unwrap())
+            .into_iter()
+            .chain([ReplicaConfig::majority(25).unwrap()])
+            .map(row);
+        let mut rng = StdRng::seed_from_u64(1);
+        for (label, sys) in grids.chain(trees).chain(counted) {
+            let n = sys.universe() as usize;
+            let (mut reads, mut writes) = (vec![0usize; n], vec![0usize; n]);
+            for _ in 0..DRAWS {
+                sys.sample_read(&mut rng).iter().for_each(|i| reads[i as usize] += 1);
+                sys.sample_write(&mut rng).iter().for_each(|i| writes[i as usize] += 1);
+            }
+            for node in 0..n {
+                let (read, write) = sys.inclusion(node as u32);
+                for (kind, p, hits) in [("read", read, reads[node]), ("write", write, writes[node])]
+                {
+                    let freq = hits as f64 / DRAWS as f64;
+                    let bound = 6.0 * (p * (1.0 - p) / DRAWS as f64).sqrt();
+                    assert!(
+                        (freq - p).abs() <= bound,
+                        "{label}, node {node}: {kind} frequency {freq}, inclusion {p}"
+                    );
+                }
+            }
         }
     }
 
